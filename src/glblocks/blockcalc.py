@@ -37,6 +37,7 @@ from .partitions import (
     single_runner_partition,
 )
 from .qarith import count_irreducibles
+from .symchar import linked_components, same_core_grouping
 
 
 @dataclass(frozen=True)
@@ -59,6 +60,10 @@ class Context:
         return self.f_number * self.d >= self.n
 
 
+def _ratio(val: Fraction) -> str:
+    return f"{val.numerator}/{val.denominator}"
+
+
 @dataclass(frozen=True)
 class InnerProductReport:
     nu: tuple[int, ...]
@@ -67,7 +72,7 @@ class InnerProductReport:
     value: Fraction
 
     def value_str(self) -> str:
-        return f"{self.value.numerator}/{self.value.denominator}"
+        return _ratio(self.value)
 
 
 @cache
@@ -92,16 +97,19 @@ def _domain_classes(ctx: Context, domain):
     raise ValueError(f"unknown domain {domain!r}")
 
 
-def inner_product(nu, nu2, domain, ctx: Context) -> Fraction:
-    """Exact restricted scalar product of two signed unipotent functions."""
-    nu, nu2 = tuple(nu), tuple(nu2)
-    _, cents, _ = _class_data(ctx)
+def _restricted_sum(nu, nu2, classes, cents) -> Fraction:
     total = Fraction(0)
-    for c in _domain_classes(ctx, domain):
+    for c in classes:
         v = chi_value(nu, c) * chi_value(nu2, c)
         if v:
             total += Fraction(v, cents[c])
     return total
+
+
+def inner_product(nu, nu2, domain, ctx: Context) -> Fraction:
+    """Exact restricted scalar product of two signed unipotent functions."""
+    _, cents, _ = _class_data(ctx)
+    return _restricted_sum(tuple(nu), tuple(nu2), _domain_classes(ctx, domain), cents)
 
 
 def inner_product_report(nu, nu2, domain, ctx: Context) -> InnerProductReport:
@@ -111,13 +119,19 @@ def inner_product_report(nu, nu2, domain, ctx: Context) -> InnerProductReport:
 
 
 @cache
-def regular_inner_matrix(ctx: Context):
-    """{(nu, nu2): Fraction} over d-regular classes, all unordered pairs."""
+def inner_matrix(ctx: Context, domain="d_regular"):
+    """{(nu, nu2): Fraction} over the domain's classes, for every ordered pair.
+
+    The product is symmetric, so each unordered pair is summed once and
+    stored under both orders.
+    """
+    _, cents, _ = _class_data(ctx)
+    classes = _domain_classes(ctx, domain)
     labels = partitions_of(ctx.n)
     out = {}
     for i, nu in enumerate(labels):
         for nu2 in labels[i:]:
-            out[(nu, nu2)] = inner_product(nu, nu2, "d_regular", ctx)
+            out[(nu, nu2)] = out[(nu2, nu)] = _restricted_sum(nu, nu2, classes, cents)
     return out
 
 
@@ -139,39 +153,16 @@ class BlockPartition:
         return all(any(b <= o for o in other.blocks) for b in self.blocks)
 
 
-def _canonical_blocks(groups, kind) -> BlockPartition:
-    return BlockPartition(tuple(sorted((frozenset(g) for g in groups),
-                                       key=lambda b: sorted(b, reverse=True))), kind)
-
-
 @cache
 def unipotent_blocks(ctx: Context) -> BlockPartition:
     """Connected components under nonzero inner products over d-regular classes."""
-    labels = partitions_of(ctx.n)
-    matrix = regular_inner_matrix(ctx)
-    parent = {lam: lam for lam in labels}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (nu, nu2), val in matrix.items():
-        if nu != nu2 and val != 0:
-            parent[find(nu)] = find(nu2)
-    groups: dict = {}
-    for lam in labels:
-        groups.setdefault(find(lam), set()).add(lam)
-    return _canonical_blocks(groups.values(), "computed")
+    links = (pair for pair, val in inner_matrix(ctx, "d_regular").items() if val != 0)
+    return BlockPartition(linked_components(partitions_of(ctx.n), links), "computed")
 
 
 def combinatorial_blocks(n: int, d: int) -> BlockPartition:
     """Same-d-core grouping of the partitions of n."""
-    groups: dict = {}
-    for lam in partitions_of(n):
-        groups.setdefault(d_core(lam, d), set()).add(lam)
-    return _canonical_blocks(groups.values(), "combinatorial")
+    return BlockPartition(same_core_grouping(n, d), "combinatorial")
 
 
 # -- closed forms ----------------------------------------------------------------
@@ -272,14 +263,6 @@ def lemma49_polynomial_check(k: int) -> bool:
 
 # -- constructive chains -----------------------------------------------------------
 
-def _single(gamma, w, d, runner):
-    return single_runner_partition(gamma, w, d, runner)
-
-
-def _simple_on(gamma, w, d, avoid):
-    return find_simple_disjoint(gamma, w, d, avoid)
-
-
 def _clean_chain(chain, lam, mu):
     out = [chain[0]]
     for p in chain[1:]:
@@ -339,55 +322,56 @@ def link_chain(lam, mu, d: int, F: int | None = None) -> tuple[tuple[int, ...], 
         else:
             free = [r for r in range(d) if r not in r_lam | r_mu]
             if free:
-                nu = _single(gamma, w, d, free[0])
+                nu = single_runner_partition(gamma, w, d, free[0])
                 chain = (lam, nu, mu)
             else:
                 # all runners covered: forces d = 2w-1, one shared runner, w > 2
                 assert w > 2
                 mu_only = sorted(r_mu - r_lam)
                 lam_only = sorted(r_lam - r_mu)
-                nu = _single(gamma, w, d, mu_only[0])
-                zeta = _simple_on(gamma, w, d, {mu_only[0], lam_only[0]})
-                xi = _single(gamma, w, d, lam_only[0])
+                nu = single_runner_partition(gamma, w, d, mu_only[0])
+                zeta = find_simple_disjoint(gamma, w, d, {mu_only[0], lam_only[0]})
+                xi = single_runner_partition(gamma, w, d, lam_only[0])
                 chain = (lam, nu, zeta, xi, mu)
     elif lam_simple:
         if disjoint(lam, mu, d):
             chain = (lam, mu)
         elif r_mu <= r_lam:
             free = [r for r in range(d) if r not in r_lam]
-            nu = _single(gamma, w, d, free[0])
-            zeta = _simple_on(gamma, w, d, {free[0], min(r_mu)})
+            nu = single_runner_partition(gamma, w, d, free[0])
+            zeta = find_simple_disjoint(gamma, w, d, {free[0], min(r_mu)})
             mu_free = sorted(r_mu - runners_used(zeta, d))
-            xi = _single(gamma, w, d, mu_free[0])
-            eta = _simple_on(gamma, w, d, r_mu)
+            xi = single_runner_partition(gamma, w, d, mu_free[0])
+            eta = find_simple_disjoint(gamma, w, d, r_mu)
             chain = (lam, nu, zeta, xi, eta, mu)
         else:
             shared_free = sorted(r_mu - r_lam)
-            nu = _single(gamma, w, d, shared_free[0])
-            zeta = _simple_on(gamma, w, d, r_mu)
+            nu = single_runner_partition(gamma, w, d, shared_free[0])
+            zeta = find_simple_disjoint(gamma, w, d, r_mu)
             chain = (lam, nu, zeta, mu)
     else:
         # neither simple: both use at most w-1 runners
         assert len(r_lam) <= w - 1 and len(r_mu) <= w - 1
-        nu = _simple_on(gamma, w, d, r_lam)
+        nu = find_simple_disjoint(gamma, w, d, r_lam)
         r_nu = runners_used(nu, d)
         if not r_mu <= r_nu:
             pick = sorted(r_mu - r_nu)
-            zeta = _single(gamma, w, d, pick[0])
-            xi = _simple_on(gamma, w, d, r_mu)
+            zeta = single_runner_partition(gamma, w, d, pick[0])
+            xi = find_simple_disjoint(gamma, w, d, r_mu)
             chain = (lam, nu, zeta, xi, mu)
         else:
             pick = [r for r in range(d) if r not in r_nu and r not in r_mu][0]
-            zeta = _single(gamma, w, d, pick)
-            xi = _simple_on(gamma, w, d, {pick, min(r_mu)})
+            zeta = single_runner_partition(gamma, w, d, pick)
+            xi = find_simple_disjoint(gamma, w, d, {pick, min(r_mu)})
             mu_free = sorted(r_mu - runners_used(xi, d))
-            delta = _single(gamma, w, d, mu_free[0])
-            eta = _simple_on(gamma, w, d, r_mu)
+            delta = single_runner_partition(gamma, w, d, mu_free[0])
+            eta = find_simple_disjoint(gamma, w, d, r_mu)
             chain = (lam, nu, zeta, xi, delta, eta, mu)
 
     chain = _clean_chain(chain, lam, mu)
     for a, b in zip(chain, chain[1:]):
-        assert chain_link_ok(a, b, d), f"bad link {a} -- {b}"
+        if not chain_link_ok(a, b, d):
+            raise AssertionError(f"bad link {a} -- {b}")
     return chain
 
 
@@ -456,7 +440,8 @@ def smt_check(ctx: Context, collect=False):
                     raise AssertionError("peel target escaped the source's d-core")
             for c in classes:
                 x_of_c, y_of_c = xy_decompose(c, ctx.d, ctx.variant)
-                assert sorted(x_of_c.support) == sorted(x_key)
+                if sorted(x_of_c.support) != sorted(x_key):
+                    raise AssertionError(f"class {c.key()} is not in the section of its head")
                 direct = chi_value(mu, c)
                 recon = sum(coef * chi_value(lam, y_of_c)
                             for lam, coef in alphas.items())
@@ -496,27 +481,22 @@ def blocks_report(ctx: Context) -> dict:
 
 def inner_product_matrix_report(ctx: Context, domain="d_regular") -> dict:
     labels = partitions_of(ctx.n)
-    matrix = {}
-    for nu in labels:
-        for nu2 in labels:
-            val = inner_product(nu, nu2, domain, ctx)
-            matrix[f"{list(nu)}|{list(nu2)}"] = f"{val.numerator}/{val.denominator}"
+    matrix = inner_matrix(ctx, domain)
     return {
         "context": {"n": ctx.n, "q": ctx.q, "d": ctx.d, "variant": ctx.variant},
         "domain": domain if isinstance(domain, str) else f"section:{domain[1]}",
-        "matrix": matrix,
+        "matrix": {f"{list(nu)}|{list(nu2)}": _ratio(matrix[(nu, nu2)])
+                   for nu in labels for nu2 in labels},
     }
 
 
 def inner_product_matrix_csv(ctx: Context, domain="d_regular") -> str:
     labels = partitions_of(ctx.n)
+    matrix = inner_matrix(ctx, domain)
     lines = ["nu\\nu2," + ",".join(str(list(nu)).replace(",", " ") for nu in labels)]
     for nu in labels:
-        row = [str(list(nu)).replace(",", " ")]
-        for nu2 in labels:
-            val = inner_product(nu, nu2, domain, ctx)
-            row.append(f"{val.numerator}/{val.denominator}")
-        lines.append(",".join(row))
+        lines.append(",".join([str(list(nu)).replace(",", " ")] +
+                              [_ratio(matrix[(nu, nu2)]) for nu2 in labels]))
     return "\n".join(lines) + "\n"
 
 

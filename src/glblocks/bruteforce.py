@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import isqrt
 
+from . import __version__
 from .charvalue import unipotent_degree
 from .errors import ScaleGuardError, TieError
 from .glclass import GLClassLabel, PolyKey, make_label
@@ -76,10 +78,6 @@ def scalar_matrix(n, a):
 def mat_add(fq, A, B):
     return tuple(tuple(fq.add[a][b] for a, b in zip(ra, rb))
                  for ra, rb in zip(A, B))
-
-
-def mat_scale(fq, c, A):
-    return tuple(tuple(fq.mul[c][a] for a in row) for row in A)
 
 
 def row_reduce(fq, rows):
@@ -1059,16 +1057,29 @@ def oracle_dump(n: int, q: int) -> str:
 
 
 def cached_oracle_dump(n: int, q: int) -> str:
-    """Dump via the cache directory when GLBLOCKS_CACHE_DIR is set."""
+    """Dump via the cache directory when GLBLOCKS_CACHE_DIR is set.
+
+    Files are named by package version, so a dump written by another
+    version is never served, and written whole to a temporary file that
+    is then renamed into place, so a partial dump never appears.
+    """
     cache_dir = os.environ.get("GLBLOCKS_CACHE_DIR")
     if not cache_dir:
         return oracle_dump(n, q)
     os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, f"oracle_{n}_{q}.json")
+    path = os.path.join(cache_dir, f"oracle_{__version__}_{n}_{q}.json")
     if os.path.exists(path):
         with open(path) as fh:
             return fh.read()
     blob = oracle_dump(n, q)
-    with open(path, "w") as fh:
-        fh.write(blob)
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return blob

@@ -1,10 +1,13 @@
 """Values of the signed unipotent class functions of GL(n,q) on every class.
 
 The pipeline: Kostka-Foulkes polynomials (charge statistic over
-semistandard tableaux) feed Green polynomials, those give the values on
-unipotent classes, and a hook-removal recursion peels every other primary
-component of a class.  All values are exact integers at a concrete q;
-fractions only appear transiently and must cancel.
+semistandard tableaux) give the values on unipotent classes directly, as
+the modified polynomials K~_{nu,mu}(q) = q^n(mu) K_{nu,mu}(1/q) (Green;
+Macdonald ch. III.7 and IV).  Green polynomials are their transforms
+under the symmetric group characters, and a hook-removal recursion
+weighted by them peels every other primary component of a class.  All
+values are exact integers at a concrete q; fractions only appear
+transiently inside a peel and must cancel.
 
 chi_value computes the class function that agrees with the unipotent
 character up to a global sign; char_sign pins the sign by positivity of
@@ -20,7 +23,7 @@ from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
 
-from .glclass import GLClassLabel, all_classes, make_label
+from .glclass import GLClassLabel, all_classes
 from .partitions import d_core, n_stat, partitions_of
 from .symchar import signed_removal_map, sn_char, z_order
 
@@ -133,15 +136,6 @@ def kostka_foulkes(lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple[int, ...]
 
 
 @cache
-def modified_kostka(lam: tuple[int, ...], mu: tuple[int, ...], q: int) -> int:
-    """K~_{lam,mu}(q) = q^n(mu) K_{lam,mu}(1/q), an integer."""
-    coeffs = kostka_foulkes(lam, mu)
-    shift = n_stat(mu)
-    assert len(coeffs) - 1 <= shift or not coeffs
-    return sum(c * q ** (shift - j) for j, c in enumerate(coeffs))
-
-
-@cache
 def green_polynomial(mu: tuple[int, ...], rho: tuple[int, ...], q: int) -> int:
     """Green function value at the unipotent class mu for torus type rho.
 
@@ -153,7 +147,7 @@ def green_polynomial(mu: tuple[int, ...], rho: tuple[int, ...], q: int) -> int:
         raise ValueError("size mismatch between class and torus type")
     if not mu:
         return 1
-    return sum(sn_char(lam, rho) * modified_kostka(lam, mu, q)
+    return sum(sn_char(lam, rho) * value_on_unipotent(lam, mu, q)
                for lam in partitions_of(sum(mu)) if dominates(lam, mu))
 
 
@@ -163,16 +157,16 @@ def green_polynomial(mu: tuple[int, ...], rho: tuple[int, ...], q: int) -> int:
 def value_on_unipotent(nu: tuple[int, ...], mu: tuple[int, ...], q: int) -> int:
     """Signed unipotent class function labeled nu at the unipotent class mu.
 
-    Expands over torus types with weights 1/z_rho: an exact integer, the
-    denominators always cancel.
+    This is the modified Kostka-Foulkes value K~_{nu,mu}(q) =
+    q^n(mu) K_{nu,mu}(1/q), an integer.
     """
     if sum(nu) != sum(mu):
         raise ValueError("size mismatch")
-    total = sum(
-        (Fraction(sn_char(nu, rho) * green_polynomial(mu, rho, q), z_order(rho))
-         for rho in partitions_of(sum(nu))), Fraction(0))
-    assert total.denominator == 1, f"non integral value for {nu} at {mu}"
-    return int(total)
+    coeffs = kostka_foulkes(nu, mu)
+    shift = n_stat(mu)
+    if len(coeffs) - 1 > shift:
+        raise AssertionError(f"K({nu}, {mu}) has degree above n(mu) = {shift}")
+    return sum(c * q ** (shift - j) for j, c in enumerate(coeffs))
 
 
 @cache
@@ -203,7 +197,8 @@ def mn_step(nu: tuple[int, ...], hook_degree: int, jordan: tuple[int, ...],
     out = []
     for lam in sorted(acc, reverse=True):
         val = acc[lam]
-        assert val.denominator == 1, "hook-removal coefficient not integral"
+        if val.denominator != 1:
+            raise AssertionError(f"hook-removal coefficient {val} not integral")
         if val != 0:
             out.append((lam, int(val)))
     return tuple(out)
@@ -352,7 +347,3 @@ class CharValueTable:
 @cache
 def table(n: int, q: int) -> CharValueTable:
     return CharValueTable(n, q)
-
-
-def unipotent_class_label(n: int, q: int, mu) -> GLClassLabel:
-    return make_label(n, q, tuple(mu), ())

@@ -12,7 +12,9 @@ Subcommands:
 Output is text, json or csv; json maps are serialized with sorted keys so
 identical configurations give byte-identical reports.  Rationals are
 always "p/q" strings, never floats.  Every verify verb exits nonzero on
-failure.  GLBLOCKS_CACHE_DIR, when set, is used to cache oracle dumps.
+failure.  A negative --n, a --q that is not a prime power, or a --d or
+--k below 1 is a usage error (exit 2).  GLBLOCKS_CACHE_DIR, when set, is
+used to cache oracle dumps.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import argparse
 import json
 import sys
 
-from . import blockcalc, bruteforce, charvalue, glclass, partitions
+from . import blockcalc, bruteforce, charvalue, glclass, partitions, qarith
 from .blockcalc import Context
 from .errors import HypothesisError
 
@@ -41,15 +43,33 @@ def _parse_partition(text: str) -> tuple[int, ...]:
         raise SystemExit(str(exc))
 
 
-def _emit(args, payload, text_lines):
+def _at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
+
+
+def _prime_power(text: str) -> int:
+    """argparse type: a prime power, the order of a finite field."""
+    try:
+        q = int(text)
+        qarith.prime_power(q)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a prime power, got {text!r}") from None
+    return q
+
+
+def _emit(args, payload, text_lines, csv_text=None):
     if args.output == "json":
-        if isinstance(payload, dict) and "csv" in payload:
-            payload = {k: v for k, v in payload.items() if k != "csv"}
         blob = json.dumps(payload, sort_keys=True)
     elif args.output == "csv":
-        blob = payload.get("csv") if isinstance(payload, dict) else None
-        if blob is None:
+        if csv_text is None:
             raise SystemExit("this command has no csv form; use --output json")
+        blob = csv_text
     else:
         blob = "\n".join(text_lines)
     if args.out_path:
@@ -111,10 +131,8 @@ def cmd_classes(args) -> int:
 
 def cmd_table(args) -> int:
     tab = charvalue.table(args.n, args.q)
-    payload = json.loads(tab.to_json())
-    payload["csv"] = tab.to_csv()
-    lines = tab.to_csv().splitlines()
-    _emit(args, payload, lines)
+    csv_text = tab.to_csv()
+    _emit(args, json.loads(tab.to_json()), csv_text.splitlines(), csv_text)
     return 0
 
 
@@ -122,9 +140,8 @@ def cmd_matrix(args) -> int:
     ctx = Context(args.n, args.q, args.d, args.variant)
     domain = args.domain
     report = blockcalc.inner_product_matrix_report(ctx, domain)
-    report["csv"] = blockcalc.inner_product_matrix_csv(ctx, domain)
     lines = [f"{k} = {v}" for k, v in sorted(report["matrix"].items())]
-    _emit(args, report, lines)
+    _emit(args, report, lines, blockcalc.inner_product_matrix_csv(ctx, domain))
     return 0
 
 
@@ -195,11 +212,12 @@ def _verify_thm45(args):
 def _verify_thm46(args):
     ctx = Context(args.n, args.q, args.d, args.variant)
     pairs = blockcalc.find_theorem46_pairs(ctx)
+    matrix = blockcalc.inner_matrix(ctx, "d_regular")
     results = []
     ok = True
     for lam, mu in pairs:
         rhs = blockcalc.theorem46_rhs(lam, mu, ctx)
-        lhs = blockcalc.inner_product(lam, mu, "d_regular", ctx)
+        lhs = matrix[(lam, mu)]
         match = lhs == rhs
         ok = ok and match and rhs != 0
         results.append({"lam": list(lam), "mu": list(mu),
@@ -287,9 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, need_nq=True):
         if need_nq:
-            p.add_argument("--n", type=int, required=True)
-            p.add_argument("--q", type=int, required=True)
-        p.add_argument("--d", type=int, default=1)
+            p.add_argument("--n", type=_at_least(0), required=True)
+            p.add_argument("--q", type=_prime_power, required=True)
+        p.add_argument("--d", type=_at_least(1), default=1)
         p.add_argument("--variant", choices=["divisible", "exact"],
                        default="divisible")
         p.add_argument("--output", choices=["text", "json", "csv"], default="text")
@@ -325,10 +343,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="machine-checkable pass/fail reports")
     p_ver.add_argument("check", choices=sorted(VERIFIERS))
-    p_ver.add_argument("--n", type=int, default=3)
-    p_ver.add_argument("--q", type=int, default=2)
+    p_ver.add_argument("--n", type=_at_least(0), default=3)
+    p_ver.add_argument("--q", type=_prime_power, default=2)
     common(p_ver, need_nq=False)
-    p_ver.add_argument("--k", type=int, default=4)
+    p_ver.add_argument("--k", type=_at_least(1), default=4)
     p_ver.add_argument("--F", dest="big_f", type=int, default=6)
     p_ver.set_defaults(func=cmd_verify)
     return parser

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .errors import ConventionMismatchError, CoreMismatchError, InfeasibleError
 
@@ -265,24 +265,6 @@ def l_set_single(lam: tuple[int, ...], d: int, i: int) -> frozenset[tuple[int, .
     return frozenset(hk.result for hk in rim_hooks(lam, i * d))
 
 
-def l_sets(lam, d: int, i: int, mode: str = "iterate"):
-    if mode == "iterate":
-        return l_set_iterate(lam, d, i)
-    if mode == "single-hook":
-        return l_set_single(lam, d, i)
-    raise ValueError(f"unknown l_sets mode {mode!r}")
-
-
-def _runner_decomposition(core: tuple[int, ...], d: int, extra: int):
-    """Runner bead positions of the core at a length with `extra` spare beads."""
-    length = _quotient_length(core, d) + d * extra
-    beta = beta_set(core, length)
-    runners = []
-    for r in range(d):
-        runners.append(sorted((b - r) // d for b in beta if b % d == r))
-    return runners
-
-
 def single_runner_partition(gamma, w: int, d: int, runner: int,
                             shape: tuple[int, ...] | None = None) -> tuple[int, ...]:
     """Partition with d-core gamma whose weight-w quotient sits on one runner."""
@@ -379,52 +361,3 @@ def compare_supports(a: AbacusState, b: AbacusState) -> bool:
     sup_a = {r for r, c in enumerate(a.quotient()) if c}
     sup_b = {r for r, c in enumerate(b.quotient()) if c}
     return not (sup_a & sup_b)
-
-
-# -- independent diagram-walking oracle (kept here for reuse by tests) ------
-
-def rim_hooks_by_diagram(lam: tuple[int, ...], h: int) -> tuple[HookRemoval, ...]:
-    """Rim hooks of length h found by walking border strips of the diagram.
-
-    Independent of the beta-set route: tries every contiguous length-h
-    piece of the rim and keeps those whose removal leaves a partition.
-    """
-    lam = tuple(lam)
-    n_rows = len(lam)
-    out = []
-    for start_row in range(n_rows):
-        # walk the rim starting from the last cell of start_row
-        cells = []
-        r, c = start_row, lam[start_row] - 1
-        while len(cells) < h and r < n_rows and c >= 0:
-            cells.append((r, c))
-            below = lam[r + 1] - 1 if r + 1 < n_rows else -1
-            if below == c:
-                r += 1
-            elif below < c:
-                c -= 1
-            else:
-                break
-        if len(cells) != h:
-            continue
-        removed = set(cells)
-        new_rows = []
-        for i in range(n_rows):
-            row_removed = [cc for (rr, cc) in removed if rr == i]
-            if row_removed:
-                new_rows.append(min(row_removed))
-            else:
-                new_rows.append(lam[i])
-        if any(new_rows[i] < new_rows[i + 1] for i in range(n_rows - 1)):
-            continue
-        result = tuple(p for p in new_rows if p > 0)
-        if sum(result) != sum(lam) - h:
-            continue
-        leg = len({rr for (rr, cc) in removed}) - 1
-        out.append(HookRemoval(h, leg, result))
-    return tuple(out)
-
-
-def iter_all_partitions(max_size: int) -> Iterator[tuple[int, ...]]:
-    for n in range(max_size + 1):
-        yield from partitions_of(n)

@@ -133,20 +133,14 @@ class SmallField:
 
     @staticmethod
     def _is_irreducible_prime_field(coeffs, p: int) -> bool:
+        """No monic polynomial of degree 1 .. deg/2 over F_p divides coeffs."""
         deg = len(coeffs) - 1
-        if deg == 1:
-            return True
-        if any(sum(c * pow(x, i, p) for i, c in enumerate(coeffs)) % p == 0
-               for x in range(p)):
-            return False
-        if deg <= 3:
-            return True
-        # trial division by monic quadratics
-        for b in range(p):
-            for c in range(p):
-                if _poly_divides_prime_field([c, b, 1], coeffs, p):
+        for k in range(1, deg // 2 + 1):
+            for enc in range(p ** k):
+                div = [(enc // p ** i) % p for i in range(k)] + [1]
+                if _poly_divides_prime_field(div, coeffs, p):
                     return False
-        return deg <= 5
+        return True
 
     def _poly_mul_mod(self, a: int, b: int) -> int:
         p, e = self.p, self.e
@@ -190,16 +184,6 @@ def poly_eval(fq: SmallField, coeffs: tuple[int, ...], x: int) -> int:
     return acc
 
 
-def poly_mul(fq: SmallField, a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = fq.add[out[i + j]][fq.mul[x][y]]
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
 def poly_divmod(fq: SmallField, a, b):
     rem = list(a)
     db = len(b) - 1
@@ -232,9 +216,6 @@ class PolyLabel:
     degree: int
     index: int
     coeffs: tuple[int, ...] | None = None
-
-    def display(self) -> str:
-        return f"f{self.degree}.{self.index}"
 
 
 @cache
@@ -316,10 +297,6 @@ def gl_order(n: int, q: int) -> int:
     for i in range(n):
         out *= q ** n - q ** i
     return out
-
-
-def gl_order_p_part(n: int, q: int) -> int:
-    return q ** (n * (n - 1) // 2)
 
 
 def torus_order(alpha: tuple[int, ...], d: int, q: int) -> int:

@@ -46,23 +46,6 @@ def sn_char(lam: tuple[int, ...], rho: tuple[int, ...]) -> int:
                for hk in rim_hooks(lam, t))
 
 
-def sn_char_peel_order(lam, rho, largest_first: bool = True) -> int:
-    """Same value, peeling cycles in a chosen order (consistency checks)."""
-    rho = tuple(sorted(rho, reverse=largest_first))
-    if not lam:
-        return 1
-    t = rho[0]
-    return sum((-1) ** hk.leg_length * sn_char_peel_order(hk.result, rho[1:], largest_first)
-               for hk in rim_hooks(lam, t))
-
-
-@cache
-def character_table(n: int):
-    """{(lam, rho): value} over all pairs of partitions of n."""
-    parts = partitions_of(n)
-    return {(lam, rho): sn_char(lam, rho) for lam in parts for rho in parts}
-
-
 @cache
 def signed_removal_map(mu: tuple[int, ...], alpha: tuple[int, ...], d: int):
     """Map eta -> sum over interleavings of signs, removing hooks of
@@ -103,16 +86,14 @@ def restricted_inner_product(lam, mu, classes) -> Fraction:
                 for rho in classes), Fraction(0))
 
 
-def sn_l_blocks(n: int, ell: int) -> tuple[frozenset[tuple[int, ...]], ...]:
-    """Blocks of S_n characters under linking across ell-regular classes.
+def _canonical_blocks(groups) -> tuple[frozenset[tuple[int, ...]], ...]:
+    """Groups of partition labels as frozensets, in the one canonical order."""
+    return tuple(sorted((frozenset(g) for g in groups),
+                        key=lambda b: sorted(b, reverse=True)))
 
-    Characters are directly linked when their scalar product over classes
-    with no cycle length divisible by ell is nonzero; blocks are the
-    transitive closure, returned as frozensets of partition labels.
-    """
-    assert n >= 1 and ell >= 2
-    labels = partitions_of(n)
-    classes = regular_classes(n, ell)
+
+def linked_components(labels, links) -> tuple[frozenset[tuple[int, ...]], ...]:
+    """Connected components of `labels` under the pairs in `links`."""
     parent = {lam: lam for lam in labels}
 
     def find(x):
@@ -121,15 +102,28 @@ def sn_l_blocks(n: int, ell: int) -> tuple[frozenset[tuple[int, ...]], ...]:
             x = parent[x]
         return x
 
-    for i, lam in enumerate(labels):
-        for mu in labels[i + 1:]:
-            if restricted_inner_product(lam, mu, classes) != 0:
-                parent[find(lam)] = find(mu)
-    blocks: dict[tuple[int, ...], set] = {}
+    for a, b in links:
+        parent[find(a)] = find(b)
+    groups: dict[tuple[int, ...], set] = {}
     for lam in labels:
-        blocks.setdefault(find(lam), set()).add(lam)
-    return tuple(sorted((frozenset(b) for b in blocks.values()),
-                        key=lambda b: sorted(b, reverse=True)))
+        groups.setdefault(find(lam), set()).add(lam)
+    return _canonical_blocks(groups.values())
+
+
+def sn_l_blocks(n: int, ell: int) -> tuple[frozenset[tuple[int, ...]], ...]:
+    """Blocks of S_n characters under linking across ell-regular classes.
+
+    Characters are directly linked when their scalar product over classes
+    with no cycle length divisible by ell is nonzero; blocks are the
+    transitive closure, returned as frozensets of partition labels.
+    """
+    if n < 1 or ell < 2:
+        raise ValueError(f"need n >= 1 and ell >= 2, got n = {n}, ell = {ell}")
+    labels = partitions_of(n)
+    classes = regular_classes(n, ell)
+    return linked_components(labels, (
+        (lam, mu) for i, lam in enumerate(labels) for mu in labels[i + 1:]
+        if restricted_inner_product(lam, mu, classes) != 0))
 
 
 def same_core_grouping(n: int, ell: int) -> tuple[frozenset[tuple[int, ...]], ...]:
@@ -137,5 +131,4 @@ def same_core_grouping(n: int, ell: int) -> tuple[frozenset[tuple[int, ...]], ..
     groups: dict[tuple[int, ...], set] = {}
     for lam in partitions_of(n):
         groups.setdefault(d_core(lam, ell), set()).add(lam)
-    return tuple(sorted((frozenset(g) for g in groups.values()),
-                        key=lambda b: sorted(b, reverse=True)))
+    return _canonical_blocks(groups.values())

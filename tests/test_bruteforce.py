@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from glblocks import __version__
 from glblocks import bruteforce as BF
 from glblocks import charvalue as C
 from glblocks import glclass as G
@@ -206,4 +207,25 @@ def test_oracle_dump_deterministic(tmp_path, monkeypatch):
     first = BF.cached_oracle_dump(2, 3)
     second = BF.cached_oracle_dump(2, 3)
     assert first == second == a
-    assert (tmp_path / "oracle_2_3.json").exists()
+    assert [p.name for p in tmp_path.iterdir()] == [f"oracle_{__version__}_2_3.json"]
+
+
+def test_oracle_cache_ignores_other_versions(tmp_path, monkeypatch):
+    # truncated dumps under another version's name and the unversioned name
+    monkeypatch.setenv("GLBLOCKS_CACHE_DIR", str(tmp_path))
+    truncated = BF.oracle_dump(2, 3)[:40]
+    for name in ("oracle_0.0.0-other_2_3.json", "oracle_2_3.json"):
+        (tmp_path / name).write_text(truncated)
+    assert BF.cached_oracle_dump(2, 3) == BF.oracle_dump(2, 3)
+
+
+def test_oracle_cache_failed_write_leaves_nothing(tmp_path, monkeypatch):
+    monkeypatch.setenv("GLBLOCKS_CACHE_DIR", str(tmp_path))
+
+    def broken_fsync(fd):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(BF.os, "fsync", broken_fsync)
+    with pytest.raises(OSError):
+        BF.cached_oracle_dump(2, 2)
+    assert list(tmp_path.iterdir()) == []

@@ -7,7 +7,7 @@ from glblocks import charvalue as C
 from glblocks import glclass as G
 from glblocks import qarith as Q
 from glblocks.partitions import d_core, l_set_iterate, partitions_of
-from glblocks.symchar import z_order
+from glblocks.symchar import sn_char, z_order
 
 
 def poly(*coeffs):
@@ -85,12 +85,18 @@ def test_value_on_unipotent_rank_two():
         assert C.value_on_unipotent((1, 1), (1, 1), q) == q
 
 
-def test_value_on_unipotent_integrality():
-    for n in range(1, 6):
-        for q in (2, 3):
+def test_value_on_unipotent_matches_torus_sum():
+    # the expansion over torus types that value_on_unipotent replaced:
+    # sum over rho of chi^nu(rho) Q^mu_rho(q) / z_rho, integral and equal
+    for n in range(1, 8):
+        for q in (2, 3, 4, 5):
             for nu in partitions_of(n):
                 for mu in partitions_of(n):
-                    C.value_on_unipotent(nu, mu, q)  # asserts integrality inside
+                    total = sum((Fraction(sn_char(nu, rho) * C.green_polynomial(mu, rho, q),
+                                          z_order(rho)) for rho in partitions_of(n)),
+                                Fraction(0))
+                    assert total.denominator == 1, (nu, mu, q)
+                    assert total == C.value_on_unipotent(nu, mu, q), (nu, mu, q)
 
 
 def test_trivial_label_value_is_one():

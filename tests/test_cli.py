@@ -1,8 +1,9 @@
+import csv
 import json
 
 import pytest
 
-from glblocks import cli
+from glblocks import __version__, cli
 
 
 def run(argv, capsys):
@@ -152,13 +153,54 @@ def test_matrix_command(capsys):
     assert payload["matrix"]["[3]|[1, 1, 1]"] == "3/8"
 
 
+@pytest.mark.parametrize("domain", ["full", "d_regular", "d_singular"])
+def test_matrix_csv_matches_json_and_is_symmetric(capsys, domain):
+    argv = ["matrix", "--n", "4", "--q", "3", "--d", "2", "--domain", domain]
+    _, out = run(argv + ["--output", "json"], capsys)
+    matrix = json.loads(out)["matrix"]
+    _, out = run(argv + ["--output", "csv"], capsys)
+    header, *rows = list(csv.reader(out.strip().splitlines()))
+    labels = [json.loads(h.replace("  ", ", ")) for h in header[1:]]
+    assert len(rows) == len(labels) == 5
+    entries = {}
+    for row in rows:
+        nu = json.loads(row[0].replace("  ", ", "))
+        for nu2, value in zip(labels, row[1:]):
+            entries[f"{nu}|{nu2}"] = value
+    assert entries == matrix
+    for nu in labels:
+        for nu2 in labels:
+            assert matrix[f"{nu}|{nu2}"] == matrix[f"{nu2}|{nu}"]
+
+
+def test_verify_prop32_over_field_of_64(capsys):
+    code, out = run(["verify", "prop32", "--n", "1", "--q", "64", "--d", "2",
+                     "--output", "json"], capsys)
+    assert code == 0 and json.loads(out)["pass"] is True
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["blocks", "--n", "3", "--q", "3", "--d", "0"], "argument --d: must be at least 1, got 0"),
+    (["blocks", "--n", "3", "--q", "6", "--d", "2"], "argument --q: must be a prime power, got '6'"),
+    (["verify", "lemma49", "--k", "0"], "argument --k: must be at least 1, got 0"),
+    (["blocks", "--n", "-1", "--q", "3", "--d", "2"], "argument --n: must be at least 0, got -1"),
+])
+def test_bad_input_is_a_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(message)
+    assert "Traceback" not in captured.err
+
+
 def test_oracle_command(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("GLBLOCKS_CACHE_DIR", str(tmp_path))
     code, out = run(["oracle", "--n", "2", "--q", "2", "--output", "json"], capsys)
     assert code == 0
     payload = json.loads(out)
     assert payload["order"] == 6
-    assert (tmp_path / "oracle_2_2.json").exists()
+    assert (tmp_path / f"oracle_{__version__}_2_2.json").exists()
 
 
 def test_verify_failure_exits_nonzero(capsys, monkeypatch):

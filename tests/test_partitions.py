@@ -8,6 +8,48 @@ def all_partitions_upto(n):
     return [lam for k in range(n + 1) for lam in P.partitions_of(k)]
 
 
+def rim_hooks_by_diagram(lam: tuple[int, ...], h: int) -> tuple[P.HookRemoval, ...]:
+    """Rim hooks of length h found by walking border strips of the diagram.
+
+    Independent of the beta-set route: tries every contiguous length-h
+    piece of the rim and keeps those whose removal leaves a partition.
+    """
+    lam = tuple(lam)
+    n_rows = len(lam)
+    out = []
+    for start_row in range(n_rows):
+        # walk the rim starting from the last cell of start_row
+        cells = []
+        r, c = start_row, lam[start_row] - 1
+        while len(cells) < h and r < n_rows and c >= 0:
+            cells.append((r, c))
+            below = lam[r + 1] - 1 if r + 1 < n_rows else -1
+            if below == c:
+                r += 1
+            elif below < c:
+                c -= 1
+            else:
+                break
+        if len(cells) != h:
+            continue
+        removed = set(cells)
+        new_rows = []
+        for i in range(n_rows):
+            row_removed = [cc for (rr, cc) in removed if rr == i]
+            if row_removed:
+                new_rows.append(min(row_removed))
+            else:
+                new_rows.append(lam[i])
+        if any(new_rows[i] < new_rows[i + 1] for i in range(n_rows - 1)):
+            continue
+        result = tuple(p for p in new_rows if p > 0)
+        if sum(result) != sum(lam) - h:
+            continue
+        leg = len({rr for (rr, cc) in removed}) - 1
+        out.append(P.HookRemoval(h, leg, result))
+    return tuple(out)
+
+
 def test_check_partition_rejects_bad_input():
     with pytest.raises(ValueError):
         P.check_partition((1, 2))
@@ -37,7 +79,7 @@ def test_rim_hooks_against_diagram_walker():
     for lam in all_partitions_upto(12):
         for h in range(1, 13):
             beta_route = sorted(P.rim_hooks(lam, h))
-            diagram_route = sorted(P.rim_hooks_by_diagram(lam, h))
+            diagram_route = sorted(rim_hooks_by_diagram(lam, h))
             assert beta_route == diagram_route, (lam, h)
 
 
@@ -85,7 +127,7 @@ def test_exhaustive_removal_orders_reach_unique_core():
         if cur in seen:
             continue
         seen.add(cur)
-        hooks = P.rim_hooks_by_diagram(cur, 3)
+        hooks = rim_hooks_by_diagram(cur, 3)
         if not hooks:
             terminals.add(cur)
         stack.extend(hk.result for hk in hooks)
@@ -97,7 +139,7 @@ def test_core_matches_greedy_diagram_removal():
         for d in range(1, 5):
             cur = lam
             while True:
-                hooks = P.rim_hooks_by_diagram(cur, d)
+                hooks = rim_hooks_by_diagram(cur, d)
                 if not hooks:
                     break
                 cur = hooks[0].result
@@ -236,18 +278,32 @@ def test_l_sets():
         for d in (2, 3):
             w = P.d_weight(lam, d)
             gamma = P.d_core(lam, d)
-            assert P.l_sets(lam, d, 0, "iterate") == frozenset({lam})
-            assert P.l_sets(lam, d, w, "iterate") == frozenset({gamma})
-            assert P.l_sets(lam, d, w + 1, "iterate") == frozenset()
-            assert P.l_sets(lam, d, 0, "single-hook") == frozenset({lam})
+            assert P.l_set_iterate(lam, d, 0) == frozenset({lam})
+            assert P.l_set_iterate(lam, d, w) == frozenset({gamma})
+            assert P.l_set_iterate(lam, d, w + 1) == frozenset()
+            assert P.l_set_single(lam, d, 0) == frozenset({lam})
 
 
 def test_l_set_single_hook_empty_for_simple():
     mu = P.find_simple_disjoint((), 2, 3, frozenset())
     for i in range(2, P.d_weight(mu, 3) + 1):
-        assert P.l_sets(mu, 3, i, "single-hook") == frozenset()
-    with pytest.raises(ValueError):
-        P.l_sets(mu, 3, 1, "sideways")
+        assert P.l_set_single(mu, 3, i) == frozenset()
+
+
+def test_l_set_single():
+    assert P.l_set_single((4,), 2, 2) == frozenset({()})
+    assert P.l_set_single((3, 1), 2, 2) == frozenset({()})
+    assert P.l_set_single((2, 2), 2, 2) == frozenset()
+    assert P.l_set_single((5, 1), 2, 2) == frozenset({(1, 1)})
+    for lam in all_partitions_upto(10):
+        for d in (1, 2, 3):
+            # one hook of length d is one step of the iterated removal
+            assert P.l_set_single(lam, d, 1) == P.l_set_iterate(lam, d, 1)
+            for i in range(2, P.d_weight(lam, d) + 1):
+                single = P.l_set_single(lam, d, i)
+                # a hook of length i*d is i steps of d-hook removal
+                assert single <= P.l_set_iterate(lam, d, i), (lam, d, i)
+                assert len(single) == len(rim_hooks_by_diagram(lam, i * d))
 
 
 # -- abacus ------------------------------------------------------------------------------

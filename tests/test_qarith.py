@@ -130,6 +130,16 @@ def test_unipotent_centralizer_special_cases():
     assert Q.unipotent_centralizer_order((), 5) == 1
 
 
+def test_extension_fields_of_degree_six_and_seven():
+    # every nonzero element has an inverse and multiplying by it permutes
+    # the field, so the modulus found is irreducible
+    for q in (64, 128):
+        fq = Q.field(q)
+        for a in range(1, q):
+            assert fq.mul[a][fq.inv[a]] == 1
+            assert sorted(fq.mul[a]) == list(range(q))
+
+
 def test_field_arithmetic():
     for q in (2, 3, 4, 5, 8, 9):
         fq = Q.field(q)

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from glblocks import symchar as S
-from glblocks.partitions import l_set_iterate, partitions_of, find_simple_disjoint
+from glblocks.partitions import l_set_iterate, partitions_of, find_simple_disjoint, rim_hooks
 
 
 def perm_cycle_type(perm):
@@ -64,12 +64,22 @@ def test_column_orthogonality():
                 assert total == (S.z_order(alpha) if alpha == beta else 0)
 
 
+def sn_char_peel_order(lam, rho, largest_first: bool = True) -> int:
+    """S_n character by the hook-removal recursion, peeling cycles in a chosen order."""
+    rho = tuple(sorted(rho, reverse=largest_first))
+    if not lam:
+        return 1
+    t = rho[0]
+    return sum((-1) ** hk.leg_length * sn_char_peel_order(hk.result, rho[1:], largest_first)
+               for hk in rim_hooks(lam, t))
+
+
 def test_peel_order_independence():
     for n in range(1, 9):
         for lam in partitions_of(n):
             for rho in partitions_of(n):
-                a = S.sn_char_peel_order(lam, rho, largest_first=True)
-                b = S.sn_char_peel_order(lam, rho, largest_first=False)
+                a = sn_char_peel_order(lam, rho, largest_first=True)
+                b = sn_char_peel_order(lam, rho, largest_first=False)
                 assert a == b == S.sn_char(lam, rho)
 
 
