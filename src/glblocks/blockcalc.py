@@ -235,7 +235,8 @@ def find_theorem46_pairs(ctx: Context):
 def lemma49_lhs(k: int, F: int) -> Fraction:
     """Sum over partitions of k of falling factorials of F over the
     product of part-factorials and multiplicity factorials."""
-    assert k >= 1
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     total = Fraction(0)
     for part in partitions_of(k):
         r = len(part)
@@ -271,7 +272,8 @@ def _clean_chain(chain, lam, mu):
         out.append(p)
         if p == mu:
             break
-    assert out[0] == lam and out[-1] == mu
+    if out[0] != lam or out[-1] != mu:
+        raise AssertionError(f"chain {out} does not run from {lam} to {mu}")
     return tuple(out)
 
 
@@ -326,7 +328,8 @@ def link_chain(lam, mu, d: int, F: int | None = None) -> tuple[tuple[int, ...], 
                 chain = (lam, nu, mu)
             else:
                 # all runners covered: forces d = 2w-1, one shared runner, w > 2
-                assert w > 2
+                if w <= 2:
+                    raise AssertionError(f"runners all covered at weight {w}")
                 mu_only = sorted(r_mu - r_lam)
                 lam_only = sorted(r_lam - r_mu)
                 nu = single_runner_partition(gamma, w, d, mu_only[0])
@@ -351,7 +354,8 @@ def link_chain(lam, mu, d: int, F: int | None = None) -> tuple[tuple[int, ...], 
             chain = (lam, nu, zeta, mu)
     else:
         # neither simple: both use at most w-1 runners
-        assert len(r_lam) <= w - 1 and len(r_mu) <= w - 1
+        if len(r_lam) > w - 1 or len(r_mu) > w - 1:
+            raise AssertionError(f"non-simple {lam} or {mu} uses more than {w - 1} runners")
         nu = find_simple_disjoint(gamma, w, d, r_lam)
         r_nu = runners_used(nu, d)
         if not r_mu <= r_nu:

@@ -696,7 +696,8 @@ def _restrict_mod(M, basis, ell):
     rr = 0
     for c in range(m):
         piv = next((i for i in range(rr, k) if rows[i][c] % ell), None)
-        assert piv is not None, "basis vectors are dependent"
+        if piv is None:
+            raise ArithmeticError("basis vectors are dependent")
         rows[rr], rows[piv] = rows[piv], rows[rr]
         inv = _modinv(rows[rr][c] % ell, ell)
         rows[rr] = [(x * inv) % ell for x in rows[rr]]
@@ -707,7 +708,8 @@ def _restrict_mod(M, basis, ell):
         pivots.append(c)
         rr += 1
     for i in range(m, k):
-        assert all(x % ell == 0 for x in rows[i][m:]), "image escaped the subspace"
+        if any(x % ell for x in rows[i][m:]):
+            raise ArithmeticError("image escaped the subspace")
     return [[rows[i][m + j] for j in range(m)] for i in range(m)]
 
 
@@ -858,10 +860,12 @@ def dixon_table(n: int, q: int) -> CharacterTable:
             for j in range(e):
                 s = sum(cm[power_class[i][m]] * z_pows[(-j * m) % e] for m in range(e))
                 mj = s * e_inv % ell
-                assert mj <= degrees[chi], "lifted multiplicity exceeds the degree"
+                if mj > degrees[chi]:
+                    raise ArithmeticError("lifted multiplicity exceeds the degree")
                 mults.append(mj)
             back = sum(mults[j] * z_pows[j] for j in range(e)) % ell
-            assert back == cm[i], "modular roundtrip failed"
+            if back != cm[i]:
+                raise ArithmeticError("modular roundtrip failed")
             rows.append(tuple(mults))
         values.append(tuple(rows))
 
@@ -884,7 +888,8 @@ def _verify_orthogonality(tab: CharacterTable):
                 acc = cyc_add(acc, cyc_scale(tab.sizes[i], term))
             expected = tab.order if a == b else 0
             total = cyc_as_int(acc)
-            assert total == expected, "row orthogonality failed exactly"
+            if total != expected:
+                raise ArithmeticError("row orthogonality failed exactly")
 
 
 # -- Borel permutation character and constituents ------------------------------------

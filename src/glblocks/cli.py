@@ -9,12 +9,21 @@ Subcommands:
   oracle                                         element-level dump
   verify {prop32,thm43,thm44,thm45,thm46,lemma49,thm410chain,smt55}
 
-Output is text, json or csv; json maps are serialized with sorted keys so
-identical configurations give byte-identical reports.  Rationals are
-always "p/q" strings, never floats.  Every verify verb exits nonzero on
-failure.  A negative --n, a --q that is not a prime power, or a --d or
---k below 1 is a usage error (exit 2).  GLBLOCKS_CACHE_DIR, when set, is
-used to cache oracle dumps.
+Output is text, json or csv, ending in exactly one newline whether it
+goes to stdout or to --out-path; json maps are serialized with sorted keys
+so identical configurations give byte-identical reports.  Rationals are
+always "p/q" strings, never floats.  GLBLOCKS_CACHE_DIR, when set, is used
+to cache oracle dumps.
+
+Exit codes:
+  0  pass
+  1  a failed check (verify FAIL, blocks VIOLATION)
+  2  usage error: a negative --n, a --q that is not a prime power, a --d
+     or --k below 1, or --n 0 for the element-level oracle (oracle,
+     verify prop32, verify thm45)
+  3  HypothesisError: a verify check's inputs fall outside its hypotheses
+  4  ScaleGuardError: the computation is over a size guard (one line)
+  5  any other exception (traceback on stderr)
 """
 
 from __future__ import annotations
@@ -22,10 +31,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from . import blockcalc, bruteforce, charvalue, glclass, partitions, qarith
 from .blockcalc import Context
-from .errors import HypothesisError
+from .errors import HypothesisError, ScaleGuardError
 
 
 def _parse_partition(text: str) -> tuple[int, ...]:
@@ -72,11 +82,13 @@ def _emit(args, payload, text_lines, csv_text=None):
         blob = csv_text
     else:
         blob = "\n".join(text_lines)
+    if not blob.endswith("\n"):
+        blob += "\n"
     if args.out_path:
         with open(args.out_path, "w") as fh:
-            fh.write(blob if blob.endswith("\n") else blob + "\n")
+            fh.write(blob)
     else:
-        print(blob)
+        sys.stdout.write(blob)
 
 
 def cmd_partition(args) -> int:
@@ -289,7 +301,7 @@ def cmd_verify(args) -> int:
     except HypothesisError as exc:
         payload = {"check": args.check, "pass": False, "hypothesis_error": str(exc)}
         _emit(args, payload, [f"{args.check}: HYPOTHESIS ERROR: {exc}"])
-        return 2
+        return 3
     payload = {"check": args.check, "pass": ok, "details": details}
     _emit(args, payload, [f"{args.check}: {'PASS' if ok else 'FAIL'}",
                           json.dumps(details, sort_keys=True)])
@@ -323,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_cls)
     p_cls.set_defaults(func=cmd_classes)
 
-    p_tab = sub.add_parser("table", help="value table of the signed unipotent functions")
+    p_tab = sub.add_parser("table", help="value table of the unipotent characters")
     common(p_tab)
     p_tab.set_defaults(func=cmd_table)
 
@@ -356,7 +368,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.variant_given = "--variant" in (argv if argv is not None else sys.argv[1:])
-    return args.func(args)
+    if args.command == "oracle" or getattr(args, "check", None) in ("prop32", "thm45"):
+        if args.n < 1:
+            parser.error(f"argument --n: the element-level oracle needs at least 1, got {args.n}")
+    try:
+        return args.func(args)
+    except ScaleGuardError as exc:
+        print(f"glblocks: scale guard: {exc}", file=sys.stderr)
+        return 4
+    except Exception:
+        traceback.print_exc()
+        return 5
 
 
 if __name__ == "__main__":

@@ -70,10 +70,9 @@ def test_criterion_04_character_value_oracle_equivalence():
         dec = BF.borel_unipotent_constituents(n, q)
         tab = dec.table
         for lam, (chi, _) in dec.constituents.items():
-            sign = C.char_sign(lam, q)
             for i, r in enumerate(tab.reps):
                 label = data.labels[data.class_of[r]]
-                if tab.value_int(chi, i) != sign * C.chi_value(lam, label):
+                if tab.value_int(chi, i) != C.chi_value(lam, label):
                     ok = False
     announce(4, "unipotent values equal oracle constituent rows", ok)
 

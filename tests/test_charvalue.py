@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from glblocks import charvalue as C
 from glblocks import glclass as G
 from glblocks import qarith as Q
-from glblocks.partitions import d_core, l_set_iterate, partitions_of
+from glblocks.partitions import conjugate, d_core, l_set_iterate, n_stat, partitions_of
 from glblocks.symchar import sn_char, z_order
 
 
@@ -14,26 +15,132 @@ def poly(*coeffs):
     return tuple(coeffs)
 
 
+# -- reference oracle: Kostka-Foulkes polynomials by the charge statistic -------
+
+def dominates(lam: tuple[int, ...], mu: tuple[int, ...]) -> bool:
+    """lam >= mu in dominance order (equal sizes assumed)."""
+    acc_l = acc_m = 0
+    for i in range(max(len(lam), len(mu))):
+        acc_l += lam[i] if i < len(lam) else 0
+        acc_m += mu[i] if i < len(mu) else 0
+        if acc_l < acc_m:
+            return False
+    return True
+
+
+def semistandard_tableaux(shape: tuple[int, ...], weight: tuple[int, ...]):
+    """Yield SSYT of the given shape and weight as tuples of row tuples."""
+    rows = len(shape)
+
+    def fill(row_idx, prev_row, remaining):
+        if row_idx == rows:
+            yield ()
+            return
+        width = shape[row_idx]
+
+        def fill_row(col, row_acc, rem):
+            if col == width:
+                for rest in fill(row_idx + 1, row_acc, rem):
+                    yield (row_acc,) + rest
+                return
+            lo = row_acc[col - 1] if col > 0 else 1
+            for v in range(lo, len(rem) + 1):
+                if rem[v - 1] == 0:
+                    continue
+                if prev_row is not None and prev_row[col] >= v:
+                    continue
+                rem2 = rem[:v - 1] + (rem[v - 1] - 1,) + rem[v:]
+                yield from fill_row(col + 1, row_acc + (v,), rem2)
+
+        yield from fill_row(0, (), remaining)
+
+    yield from fill(0, None, tuple(weight))
+
+
+def reading_word(tab) -> tuple[int, ...]:
+    """Rows read left to right, bottom row first."""
+    out = []
+    for row in reversed(tab):
+        out.extend(row)
+    return tuple(out)
+
+
+def charge(word: tuple[int, ...]) -> int:
+    """Charge of a word whose content is a partition.
+
+    Standard subwords are extracted by scanning for the rightmost 1, then
+    the rightmost next letter to its left (wrapping when none); each
+    subword contributes indices that increase exactly when the next
+    letter sits to the right of the previous one.
+    """
+    remaining = list(word)
+    total = 0
+    while remaining:
+        maxletter = max(remaining)
+        positions = []
+        pos = None
+        for v in range(1, maxletter + 1):
+            candidates = [i for i, x in enumerate(remaining) if x == v]
+            if not candidates:
+                break
+            if pos is None:
+                pick = max(candidates)
+            else:
+                left = [i for i in candidates if i < pos]
+                pick = max(left) if left else max(candidates)
+            positions.append(pick)
+            pos = pick
+        index = 0
+        for v in range(1, len(positions)):
+            if positions[v] > positions[v - 1]:
+                index += 1
+            total += index
+        for i in sorted(positions, reverse=True):
+            remaining.pop(i)
+    return total
+
+
+def kostka_foulkes(lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple[int, ...]:
+    """Coefficients (ascending powers of t) of K_{lam,mu}(t).
+
+    Sum of t**charge over semistandard tableaux of shape lam and weight
+    mu; the zero polynomial is the empty tuple.
+    """
+    if sum(lam) != sum(mu):
+        raise ValueError("shape and weight have different sizes")
+    if not dominates(lam, mu):
+        return ()
+    coeffs: list[int] = []
+    for tab in semistandard_tableaux(lam, mu):
+        c = charge(reading_word(tab))
+        if c >= len(coeffs):
+            coeffs.extend([0] * (c + 1 - len(coeffs)))
+        coeffs[c] += 1
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
 def test_kostka_foulkes_frozen_values():
-    assert C.kostka_foulkes((2,), (2,)) == poly(1)
-    assert C.kostka_foulkes((2,), (1, 1)) == poly(0, 1)            # t
-    assert C.kostka_foulkes((3,), (1, 1, 1)) == poly(0, 0, 0, 1)   # t^3
-    assert C.kostka_foulkes((3,), (2, 1)) == poly(0, 1)
-    assert C.kostka_foulkes((2, 1), (1, 1, 1)) == poly(0, 1, 1)    # t + t^2
-    assert C.kostka_foulkes((2, 2), (2, 1, 1)) == poly(0, 1)
-    assert C.kostka_foulkes((1, 1), (2,)) == ()
+    assert kostka_foulkes((2,), (2,)) == poly(1)
+    assert kostka_foulkes((2,), (1, 1)) == poly(0, 1)            # t
+    assert kostka_foulkes((3,), (1, 1, 1)) == poly(0, 0, 0, 1)   # t^3
+    assert kostka_foulkes((3,), (2, 1)) == poly(0, 1)
+    assert kostka_foulkes((2, 1), (1, 1, 1)) == poly(0, 1, 1)    # t + t^2
+    assert kostka_foulkes((2, 2), (2, 1, 1)) == poly(0, 1)
+    assert kostka_foulkes((1, 1), (2,)) == ()
     for lam in partitions_of(5):
-        assert C.kostka_foulkes(lam, lam) == poly(1)
+        assert kostka_foulkes(lam, lam) == poly(1)
 
 
 def test_kostka_dominance_and_counts():
     for n in range(1, 7):
         for lam in partitions_of(n):
             for mu in partitions_of(n):
-                coeffs = C.kostka_foulkes(lam, mu)
-                count = len(list(C.semistandard_tableaux(lam, mu)))
+                coeffs = kostka_foulkes(lam, mu)
+                count = len(list(semistandard_tableaux(lam, mu)))
                 assert sum(coeffs) == count
-                if not C.dominates(lam, mu):
+                if not dominates(lam, mu):
                     assert coeffs == ()
                 if lam == mu:
                     assert coeffs == poly(1)
@@ -43,12 +150,12 @@ def test_kostka_dominance_and_counts():
 
 
 def test_charge_examples():
-    assert C.charge((1, 2)) == 1
-    assert C.charge((2, 1)) == 0
-    assert C.charge((1, 2, 3)) == 3
-    assert C.charge((3, 1, 2)) == 2
-    assert C.charge((2, 1, 3)) == 1
-    assert C.charge((2, 3, 1, 1)) == 1
+    assert charge((1, 2)) == 1
+    assert charge((2, 1)) == 0
+    assert charge((1, 2, 3)) == 3
+    assert charge((3, 1, 2)) == 2
+    assert charge((2, 1, 3)) == 1
+    assert charge((2, 3, 1, 1)) == 1
 
 
 def test_green_polynomial_rank_two():
@@ -97,6 +204,50 @@ def test_value_on_unipotent_matches_torus_sum():
                                 Fraction(0))
                     assert total.denominator == 1, (nu, mu, q)
                     assert total == C.value_on_unipotent(nu, mu, q), (nu, mu, q)
+
+
+def test_value_on_unipotent_matches_charge():
+    # the factorisation against q^n(mu) K_{nu,mu}(1/q) from the charge oracle
+    for n in range(0, 9):
+        for nu in partitions_of(n):
+            for mu in partitions_of(n):
+                coeffs = kostka_foulkes(nu, mu)
+                shift = n_stat(mu)
+                assert len(coeffs) - 1 <= shift, (nu, mu)
+                for q in (2, 3, 4, 5, 7, 8, 9):
+                    expected = sum(c * q ** (shift - j) for j, c in enumerate(coeffs))
+                    assert C.value_on_unipotent(nu, mu, q) == expected, (nu, mu, q)
+
+
+def test_degrees_match_q_hook_formula():
+    # K~_{nu,(1^n)}(q) = q^n(nu) prod_i (q^i - 1) / prod over hooks h of (q^h - 1)
+    for n in range(0, 13):
+        for q in (2, 3):
+            for nu in partitions_of(n):
+                nu_t = conjugate(nu)
+                num = q ** n_stat(nu)
+                for i in range(1, n + 1):
+                    num *= q ** i - 1
+                den = 1
+                for i, row in enumerate(nu):
+                    for j in range(row):
+                        den *= q ** (row - j + nu_t[j] - i - 1) - 1
+                assert num % den == 0
+                assert C.unipotent_degree(nu, q) == num // den, (nu, q)
+
+
+@pytest.mark.parametrize("wrong, message", [
+    (lambda real, lam, t: real(lam, t) * t if lam == (2, 2) else real(lam, t),
+     "not q^n(mu)"),
+    (lambda real, lam, t: real(conjugate(lam), t), "not an integer"),
+])
+def test_unipotent_values_reject_wrong_centralizer_orders(monkeypatch, wrong, message):
+    real = Q.unipotent_centralizer_order
+    monkeypatch.setattr(C, "unipotent_centralizer_order",
+                        lambda lam, t: wrong(real, lam, t))
+    C._unipotent_values.cache_clear()
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        C._unipotent_values(4, 3)
 
 
 def test_trivial_label_value_is_one():
@@ -201,15 +352,14 @@ def test_orthonormality_full_group():
                 assert total == (1 if nu == nu2 else 0), (n, q, nu, nu2)
 
 
-def test_char_sign_and_degrees():
+def test_unipotent_degrees():
     for q in (2, 3):
-        assert C.char_sign((2,), q) == 1
+        assert C.unipotent_degree((2,), q) == 1
         assert C.unipotent_degree((1, 1), q) == q
         assert C.unipotent_degree((2, 1), q) == q * (q + 1)
         assert C.unipotent_degree((1, 1, 1), q) == q ** 3
         for nu in partitions_of(4):
-            assert C.char_sign(nu, q) * C.value_on_unipotent(
-                nu, (1, 1, 1, 1), q) > 0
+            assert C.value_on_unipotent(nu, (1, 1, 1, 1), q) > 0
 
 
 def test_table_exports():
@@ -222,10 +372,11 @@ def test_table_exports():
     lines = csv_text.strip().splitlines()
     assert len(lines) == 1 + 2  # header + one row per partition of 2
     assert lines[0].startswith("nu,")
-    # sign-corrected values at the identity are the degrees
+    assert data["signs"] == {"[2]": 1, "[1, 1]": 1}
+    # values at the identity are the degrees
     ident = G.identity_label(2, 3)
-    assert tab.chi_character((1, 1), ident) == 3
-    assert tab.chi_character((2,), ident) == 1
+    assert tab.chi((1, 1), ident) == 3
+    assert tab.chi((2,), ident) == 1
 
 
 def test_size_mismatch_errors():

@@ -184,6 +184,9 @@ def test_verify_prop32_over_field_of_64(capsys):
     (["blocks", "--n", "3", "--q", "6", "--d", "2"], "argument --q: must be a prime power, got '6'"),
     (["verify", "lemma49", "--k", "0"], "argument --k: must be at least 1, got 0"),
     (["blocks", "--n", "-1", "--q", "3", "--d", "2"], "argument --n: must be at least 0, got -1"),
+    (["oracle", "--n", "0", "--q", "2"], "the element-level oracle needs at least 1, got 0"),
+    (["verify", "prop32", "--n", "0", "--q", "2"], "the element-level oracle needs at least 1, got 0"),
+    (["verify", "thm45", "--n", "0", "--q", "2"], "the element-level oracle needs at least 1, got 0"),
 ])
 def test_bad_input_is_a_usage_error(capsys, argv, message):
     with pytest.raises(SystemExit) as err:
@@ -215,8 +218,40 @@ def test_verify_hypothesis_violation_reported(capsys):
     # too few degree-2 polynomials over F_2 for the closed form
     code, out = run(["verify", "thm46", "--n", "3", "--q", "2", "--d", "2",
                      "--output", "json"], capsys)
-    assert code == 2
+    assert code == 3
     assert "hypothesis_error" in json.loads(out)
+
+
+def test_scale_guard_is_one_line_exit_4(capsys):
+    code = cli.main(["oracle", "--n", "4", "--q", "3"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err == "glblocks: scale guard: |GL(4,3)| = 24261120 over guard 25000\n"
+
+
+def test_internal_error_exits_5_with_traceback(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("broken verifier")
+    monkeypatch.setitem(cli.VERIFIERS, "lemma49", broken)
+    code = cli.main(["verify", "lemma49"])
+    captured = capsys.readouterr()
+    assert code == 5 and captured.out == ""
+    assert "Traceback" in captured.err
+    assert captured.err.splitlines()[-1] == "RuntimeError: broken verifier"
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--n", "3", "--q", "2"],
+    ["matrix", "--n", "3", "--q", "3", "--d", "2"],
+])
+def test_csv_stdout_equals_out_path_file(tmp_path, capsys, argv):
+    target = tmp_path / "out.csv"
+    code, out = run(argv + ["--output", "csv"], capsys)
+    assert code == 0
+    code, _ = run(argv + ["--output", "csv", "--out-path", str(target)], capsys)
+    assert code == 0
+    assert out.encode() == target.read_bytes()  # csv rows end in \r\n
+    assert out.endswith("\n") and not out.endswith("\n\r\n")
 
 
 def test_out_path(tmp_path, capsys):
