@@ -1,7 +1,7 @@
 """Restricted inner products, unipotent d-blocks, closed forms and domination.
 
-All inner products are exact rationals computed class-wise:
-sum over classes in the domain of chi(c) chi'(c) / |centralizer(c)|.
+All inner products are exact: sum over the class types t in the domain of
+w_t chi(t) chi'(t) / |G|, with w_t the total size of the domain's classes of type t.
 Values are integers and every class is closed under inversion up to a
 degree-preserving relabeling of polynomials, so no conjugation is needed.
 """
@@ -9,6 +9,7 @@ degree-preserving relabeling of polynomials, so no conjugation is needed.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -18,7 +19,8 @@ from .charvalue import alpha_coefficients, chi_value
 from .errors import HypothesisError
 from .glclass import (
     all_classes,
-    centralizer_order,
+    class_size,
+    class_type,
     is_d_regular,
     make_label,
     sections,
@@ -36,7 +38,7 @@ from .partitions import (
     runners_used,
     single_runner_partition,
 )
-from .qarith import count_irreducibles
+from .qarith import count_irreducibles, gl_order
 from .symchar import linked_components, same_core_grouping
 
 
@@ -76,40 +78,26 @@ class InnerProductReport:
 
 
 @cache
-def _class_data(ctx: Context):
-    classes = all_classes(ctx.n, ctx.q)
-    cents = {c: centralizer_order(c) for c in classes}
-    regs = tuple(c for c in classes if is_d_regular(c, ctx.d, ctx.variant))
-    return classes, cents, regs
-
-
-def _domain_classes(ctx: Context, domain):
-    classes, _, regs = _class_data(ctx)
+def _type_weights(ctx: Context, domain):
+    """{type representative: number of the domain's classes of that type * class size}."""
+    if domain in ("d_regular", "d_singular"):
+        return {t: w for t, w in _type_weights(ctx, "full").items()
+                if is_d_regular(t, ctx.d, ctx.variant) == (domain == "d_regular")}
     if domain == "full":
-        return classes
-    if domain == "d_regular":
-        return regs
-    if domain == "d_singular":
-        reg_set = set(regs)
-        return tuple(c for c in classes if c not in reg_set)
-    if isinstance(domain, tuple) and domain and domain[0] == "section":
-        return sections(ctx.n, ctx.q, ctx.d, ctx.variant)[domain[1]]
-    raise ValueError(f"unknown domain {domain!r}")
-
-
-def _restricted_sum(nu, nu2, classes, cents) -> Fraction:
-    total = Fraction(0)
-    for c in classes:
-        v = chi_value(nu, c) * chi_value(nu2, c)
-        if v:
-            total += Fraction(v, cents[c])
-    return total
+        classes = all_classes(ctx.n, ctx.q)
+    elif isinstance(domain, tuple) and domain and domain[0] == "section":
+        classes = sections(ctx.n, ctx.q, ctx.d, ctx.variant)[domain[1]]
+    else:
+        raise ValueError(f"unknown domain {domain!r}")
+    return {t: m * class_size(t) for t, m in Counter(map(class_type, classes)).items()}
 
 
 def inner_product(nu, nu2, domain, ctx: Context) -> Fraction:
     """Exact restricted scalar product of two signed unipotent functions."""
-    _, cents, _ = _class_data(ctx)
-    return _restricted_sum(tuple(nu), tuple(nu2), _domain_classes(ctx, domain), cents)
+    nu, nu2 = tuple(nu), tuple(nu2)
+    total = sum(w * chi_value(nu, t) * chi_value(nu2, t)
+                for t, w in _type_weights(ctx, domain).items())
+    return Fraction(total, gl_order(ctx.n, ctx.q))
 
 
 def inner_product_report(nu, nu2, domain, ctx: Context) -> InnerProductReport:
@@ -125,13 +113,11 @@ def inner_matrix(ctx: Context, domain="d_regular"):
     The product is symmetric, so each unordered pair is summed once and
     stored under both orders.
     """
-    _, cents, _ = _class_data(ctx)
-    classes = _domain_classes(ctx, domain)
     labels = partitions_of(ctx.n)
     out = {}
     for i, nu in enumerate(labels):
         for nu2 in labels[i:]:
-            out[(nu, nu2)] = out[(nu2, nu)] = _restricted_sum(nu, nu2, classes, cents)
+            out[(nu, nu2)] = out[(nu2, nu)] = inner_product(nu, nu2, domain, ctx)
     return out
 
 
@@ -436,18 +422,21 @@ def smt_check(ctx: Context, collect=False):
         blocks_of_l = {gamma: frozenset(lam for lam in partitions_of(l)
                                         if d_core(lam, ctx.d) == gamma)
                        for gamma in {d_core(lam, ctx.d) for lam in partitions_of(l)}}
+        witnesses = {}  # one class per (class type, y-part type)
+        for c in classes:
+            x_of_c, y_of_c = xy_decompose(c, ctx.d, ctx.variant)
+            if sorted(x_of_c.support) != sorted(x_key):
+                raise AssertionError(f"class {c.key()} is not in the section of its head")
+            witnesses.setdefault((class_type(c), class_type(y_of_c)), c)
         for mu in labels:
             alphas = alpha_coefficients(mu, x_part, ctx.q)
             gamma = d_core(mu, ctx.d)
             for lam in alphas:
                 if d_core(lam, ctx.d) != gamma:
                     raise AssertionError("peel target escaped the source's d-core")
-            for c in classes:
-                x_of_c, y_of_c = xy_decompose(c, ctx.d, ctx.variant)
-                if sorted(x_of_c.support) != sorted(x_key):
-                    raise AssertionError(f"class {c.key()} is not in the section of its head")
-                direct = chi_value(mu, c)
-                recon = sum(coef * chi_value(lam, y_of_c)
+            for (c_type, y_type), c in witnesses.items():
+                direct = chi_value(mu, c_type)
+                recon = sum(coef * chi_value(lam, y_type)
                             for lam, coef in alphas.items())
                 if direct != recon:
                     raise AssertionError(

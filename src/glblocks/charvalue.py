@@ -246,7 +246,7 @@ class CharValueTable:
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        writer = csv.writer(buf)
+        writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["nu"] + [c.key() for c in self.classes])
         for nu in self.labels:
             writer.writerow([str(list(nu))] +

@@ -19,8 +19,9 @@ Exit codes:
   0  pass
   1  a failed check (verify FAIL, blocks VIOLATION)
   2  usage error: a negative --n, a --q that is not a prime power, a --d
-     or --k below 1, or --n 0 for the element-level oracle (oracle,
-     verify prop32, verify thm45)
+     or --k below 1, --n 0 for the element-level oracle (oracle, verify
+     prop32, verify thm45), a partition literal that does not parse, or
+     --output csv on a command without a csv form
   3  HypothesisError: a verify check's inputs fall outside its hypotheses
   4  ScaleGuardError: the computation is over a size guard (one line)
   5  any other exception (traceback on stderr)
@@ -38,19 +39,25 @@ from .blockcalc import Context
 from .errors import HypothesisError, ScaleGuardError
 
 
+def _usage_error(message: str) -> SystemExit:
+    """Report bad input in one stderr line; raising the result exits with 2."""
+    print(f"glblocks: error: {message}", file=sys.stderr)
+    return SystemExit(2)
+
+
 def _parse_partition(text: str) -> tuple[int, ...]:
     text = text.strip()
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise SystemExit(f"cannot parse partition {text!r}: "
-                         f"expected a JSON list, error at position {exc.pos}")
+        raise _usage_error(f"cannot parse partition {text!r}: "
+                           f"expected a JSON list, error at position {exc.pos}")
     if not isinstance(data, list):
-        raise SystemExit(f"partition literal must be a JSON array: {text!r}")
+        raise _usage_error(f"partition literal must be a JSON array: {text!r}")
     try:
         return partitions.check_partition(data)
     except ValueError as exc:
-        raise SystemExit(str(exc))
+        raise _usage_error(str(exc))
 
 
 def _at_least(low: int):
@@ -78,7 +85,7 @@ def _emit(args, payload, text_lines, csv_text=None):
         blob = json.dumps(payload, sort_keys=True)
     elif args.output == "csv":
         if csv_text is None:
-            raise SystemExit("this command has no csv form; use --output json")
+            raise _usage_error("this command has no csv form; use --output json")
         blob = csv_text
     else:
         blob = "\n".join(text_lines)

@@ -51,7 +51,8 @@ class GLClassLabel:
         total = sum(self.unipotent)
         seen = set()
         for key, part in self.support:
-            assert key not in seen and part
+            if key in seen or not part:
+                raise ValueError(f"support entry {key} is repeated or empty")
             seen.add(key)
             check_partition(part)
             total += key.degree * sum(part)
@@ -110,7 +111,8 @@ def _compositions(total: int, k: int):
 def all_classes(n: int, q: int) -> tuple[GLClassLabel, ...]:
     """Every conjugacy class label of GL(n,q), duplicate free."""
     prime_power(q)
-    assert n >= 0
+    if n < 0:
+        raise ValueError(f"n must be at least 0, got {n}")
     if n == 0:
         return (make_label(0, q, (), ()),)
     out = []
@@ -128,8 +130,20 @@ def all_classes(n: int, q: int) -> tuple[GLClassLabel, ...]:
                         rec(degree + 1, remaining - degree * budget,
                             acc + list(chunk))
             rec(1, n - u_size, [])
-    assert len(set(c.key() for c in out)) == len(out)
+    if len(set(c.key() for c in out)) != len(out):
+        raise AssertionError(f"class labels of GL({n},{q}) repeat")
     return tuple(sorted(out, key=lambda c: c.key()))
+
+
+def class_type(c: GLClassLabel) -> GLClassLabel:
+    """Canonical representative of the type of c: the polynomials of each
+    degree renumbered 0, 1, ... in partition order.  It is a class of the
+    same GL(n,q) with the same centralizer order, d-tests and values."""
+    parts = sorted((key.degree, part) for key, part in c.support)
+    support = tuple((PolyKey(degree, i), part)
+                    for degree, group in itertools.groupby(parts, key=lambda e: e[0])
+                    for i, (_, part) in enumerate(group))
+    return GLClassLabel(c.n, c.q, c.unipotent, support)
 
 
 def centralizer_order(c: GLClassLabel) -> int:
@@ -144,7 +158,8 @@ def class_size(c: GLClassLabel) -> int:
     order = gl_order(c.n, c.q)
     cent = centralizer_order(c)
     size, rem = divmod(order, cent)
-    assert rem == 0
+    if rem:
+        raise ArithmeticError(f"centralizer order {cent} does not divide {order}")
     return size
 
 
@@ -198,7 +213,8 @@ def d_type(c: GLClassLabel, d: int, variant: str = "divisible"):
     pairs = []
     for key, part in x_part.support:
         m, rem = divmod(key.degree, d)
-        assert rem == 0
+        if rem:
+            raise ArithmeticError(f"d-part degree {key.degree} is not a multiple of {d}")
         pairs.append((sum(part), m))
     pairs.sort()
     return tuple(pairs)

@@ -82,7 +82,8 @@ def count_irreducibles(q: int, d: int, exclusions=frozenset({"X"})) -> int:
     `exclusions` is a subset of {"X", "X-1"}; it only bites at d = 1.
     """
     prime_power(q)
-    assert d >= 1
+    if d < 1:
+        raise ValueError(f"d must be at least 1, got {d}")
     bad = set(exclusions) - {"X", "X-1"}
     if bad:
         raise ValueError(f"unknown exclusions {bad}")
@@ -259,7 +260,9 @@ def enumerate_irreducibles(q: int, d: int) -> tuple[PolyLabel, ...]:
         if not reducible:
             out.append(coeffs)
     labels = tuple(PolyLabel(q, d, i, c) for i, c in enumerate(out))
-    assert len(labels) == count_irreducibles(q, d, frozenset({"X"}))
+    if len(labels) != count_irreducibles(q, d, frozenset({"X"})):
+        raise AssertionError(f"found {len(labels)} irreducibles of degree {d} over F_{q},"
+                             " not the necklace count")
     return labels
 
 
@@ -292,7 +295,8 @@ def non_unipotent_count(q: int, d: int) -> int:
 @cache
 def gl_order(n: int, q: int) -> int:
     """|GL(n,q)| = prod_{i<n} (q^n - q^i); 1 for n = 0."""
-    assert n >= 0
+    if n < 0:
+        raise ValueError(f"n must be at least 0, got {n}")
     out = 1
     for i in range(n):
         out *= q ** n - q ** i
@@ -301,7 +305,8 @@ def gl_order(n: int, q: int) -> int:
 
 def torus_order(alpha: tuple[int, ...], d: int, q: int) -> int:
     """Order prod_i (q^(d*i) - 1)^(r_i) of the torus of scaled type alpha."""
-    assert alpha
+    if not alpha:
+        raise ValueError("torus type must be a non-empty partition")
     out = 1
     for part in alpha:
         out *= q ** (d * part) - 1
@@ -326,5 +331,6 @@ def unipotent_centralizer_order(nu: tuple[int, ...], t: int) -> int:
             num *= t ** j - 1
             den *= t ** j
     val, rem = divmod(t ** exponent * num, den)
-    assert rem == 0
+    if rem:
+        raise ArithmeticError(f"centralizer order of {nu} at t = {t} is not an integer")
     return val

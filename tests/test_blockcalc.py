@@ -1,8 +1,11 @@
+import json
 from fractions import Fraction
 
 import pytest
 
 from glblocks import blockcalc as B
+from glblocks import charvalue as C
+from glblocks import cli
 from glblocks import glclass as G
 from glblocks import partitions as P
 from glblocks.blockcalc import Context
@@ -19,6 +22,32 @@ def test_f_number_and_hypothesis_flag():
     assert not Context(3, 2, 2).f_hypothesis_holds
     assert Context(4, 2, 3).f_number == 2
     assert Context(2, 4, 1).f_number == 2  # degree-1 count omits X and X-1
+
+
+def label_level_inner_product(nu, nu2, domain, ctx):
+    """Reference: one Fraction per class label of the domain, chi chi' / |C_G(c)|."""
+    classes = G.all_classes(ctx.n, ctx.q)
+    if domain == "d_regular":
+        classes = [c for c in classes if G.is_d_regular(c, ctx.d, ctx.variant)]
+    elif domain == "d_singular":
+        classes = [c for c in classes if not G.is_d_regular(c, ctx.d, ctx.variant)]
+    elif domain != "full":
+        classes = G.sections(ctx.n, ctx.q, ctx.d, ctx.variant)[domain[1]]
+    return sum((Fraction(C.chi_value(nu, c) * C.chi_value(nu2, c), G.centralizer_order(c))
+                for c in classes), Fraction(0))
+
+
+@pytest.mark.parametrize("ctx", [Context(4, 3, 2), Context(4, 3, 2, "exact"),
+                                 Context(5, 2, 2), Context(4, 4, 3)])
+def test_type_weighted_product_matches_label_sum(ctx):
+    secs = G.sections(ctx.n, ctx.q, ctx.d, ctx.variant)
+    domains = ["full", "d_regular", "d_singular"] + [("section", key) for key in secs]
+    labels = P.partitions_of(ctx.n)
+    for domain in domains:
+        for nu in labels:
+            for nu2 in labels:
+                assert (B.inner_product(nu, nu2, domain, ctx)
+                        == label_level_inner_product(nu, nu2, domain, ctx)), (domain, nu, nu2)
 
 
 def test_inner_product_full_group_orthonormal():
@@ -332,6 +361,18 @@ def test_smt_check():
         for datum in data:
             for lam in datum.members:
                 assert P.d_core(lam, ctx.d) == datum.core
+
+
+def test_wrong_peel_coefficient_fails_smt_check(monkeypatch, capsys):
+    real = B.alpha_coefficients
+    monkeypatch.setattr(B, "alpha_coefficients", lambda mu, x_part, q: {
+        lam: 2 * a for lam, a in real(mu, x_part, q).items()})
+    with pytest.raises(AssertionError, match="reconstruction failed"):
+        B.smt_check(Context(4, 3, 2))
+    code = cli.main(["verify", "smt55", "--n", "4", "--q", "3", "--d", "2", "--output", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1 and payload["pass"] is False
+    assert payload["details"]["error"].startswith("reconstruction failed")
 
 
 def test_section_inner_products_factor_through_peels():

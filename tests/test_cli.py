@@ -41,7 +41,9 @@ def test_partition_abacus_empty(capsys):
 def test_partition_parse_error(capsys):
     with pytest.raises(SystemExit) as err:
         run(["partition", "core", "[2,", "--d", "2"], capsys)
-    assert "position" in str(err.value)
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "position" in captured.err
 
 
 def test_classes_json_deterministic(capsys):
@@ -187,6 +189,7 @@ def test_verify_prop32_over_field_of_64(capsys):
     (["oracle", "--n", "0", "--q", "2"], "the element-level oracle needs at least 1, got 0"),
     (["verify", "prop32", "--n", "0", "--q", "2"], "the element-level oracle needs at least 1, got 0"),
     (["verify", "thm45", "--n", "0", "--q", "2"], "the element-level oracle needs at least 1, got 0"),
+    (["blocks", "--n", "2", "--q", "2", "--output", "csv"], "this command has no csv form; use --output json"),
 ])
 def test_bad_input_is_a_usage_error(capsys, argv, message):
     with pytest.raises(SystemExit) as err:
@@ -250,8 +253,8 @@ def test_csv_stdout_equals_out_path_file(tmp_path, capsys, argv):
     assert code == 0
     code, _ = run(argv + ["--output", "csv", "--out-path", str(target)], capsys)
     assert code == 0
-    assert out.encode() == target.read_bytes()  # csv rows end in \r\n
-    assert out.endswith("\n") and not out.endswith("\n\r\n")
+    assert out.encode() == target.read_bytes()
+    assert out.endswith("\n") and not out.endswith("\n\n") and "\r" not in out
 
 
 def test_out_path(tmp_path, capsys):

@@ -1,9 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from glblocks import charvalue as C
 from glblocks import glclass as G
+from glblocks import partitions as P
 from glblocks import qarith as Q
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_class_counts():
@@ -27,6 +35,54 @@ def test_label_validation():
         G.make_label(3, 2, (2,), ())  # sizes do not sum to n
     lab = G.make_label(3, 2, (1,), [((2, 0), (1,))])
     assert lab.key() == "u:1|f2.0:1"
+
+
+def test_label_checks_survive_python_O():
+    # argument checks are explicit raises, so `python -O` keeps them
+    script = "\n".join([
+        "from glblocks import glclass as G",
+        "for bad in (lambda: G.make_label(2, 3, (), [((1, 0), (1,)), ((1, 0), (1,))]),",
+        "            lambda: G.all_classes(-1, 2)):",
+        "    try:",
+        "        bad()",
+        "    except ValueError as exc:",
+        "        print('raised', exc)",
+        "    else:",
+        "        print('accepted')",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["raised support entry PolyKey(degree=1, index=0) is repeated or empty",
+                                "raised n must be at least 0, got -1"]
+
+
+@pytest.mark.parametrize("n, q", [(n, q) for n in range(5) for q in (2, 3, 4, 5)]
+                         + [(5, 2), (5, 3)])
+def test_class_type_agrees_with_its_labels(n, q):
+    classes = set(G.all_classes(n, q))
+    reps = {}
+    for c in classes:
+        t = G.class_type(c)
+        assert t in classes and G.class_type(t) == t
+        kind = (c.unipotent, sorted((k.degree, p) for k, p in c.support))
+        assert reps.setdefault(repr(kind), t) == t  # one representative per type
+        assert G.centralizer_order(t) == G.centralizer_order(c)
+        assert G.class_size(t) == G.class_size(c)
+        for d in (1, 2, 3):
+            for variant in G.VARIANTS:
+                assert G.is_d_regular(t, d, variant) == G.is_d_regular(c, d, variant)
+                assert G.d_type(t, d, variant) == G.d_type(c, d, variant)
+        for nu in P.partitions_of(n):
+            assert C.chi_value(nu, t) == C.chi_value(nu, c)
+    assert len(set(reps.values())) == len(reps)
+
+
+def test_class_type_examples():
+    c = G.make_label(8, 5, (1,), [((1, 2), (1,)), ((1, 0), (2,)), ((2, 5), (1,)), ((2, 3), (1,))])
+    assert G.class_type(c) == G.make_label(
+        8, 5, (1,), [((1, 0), (1,)), ((1, 1), (2,)), ((2, 0), (1,)), ((2, 1), (1,))])
+    assert G.class_type(G.identity_label(3, 2)) == G.identity_label(3, 2)
 
 
 def test_identity_and_centralizers():
