@@ -2,6 +2,9 @@
 
 All inner products are exact: sum over the class types t in the domain of
 w_t chi(t) chi'(t) / |G|, with w_t the total size of the domain's classes of type t.
+Domains are read off `class_types` without building labels; a section's
+types are those of its head type x plus every d-regular type of
+GL(n-|x|, q), so sections with heads of one type are summed alike.
 Values are integers and every class is closed under inversion up to a
 degree-preserving relabeling of polynomials, so no conjugation is needed.
 """
@@ -9,7 +12,6 @@ degree-preserving relabeling of polynomials, so no conjugation is needed.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -18,12 +20,13 @@ from math import factorial
 from .charvalue import alpha_coefficients, chi_value
 from .errors import HypothesisError
 from .glclass import (
-    all_classes,
     class_size,
     class_type,
+    class_types,
+    is_d_element,
     is_d_regular,
     make_label,
-    sections,
+    section_heads,
     xy_decompose,
 )
 from .partitions import (
@@ -84,12 +87,18 @@ def _type_weights(ctx: Context, domain):
         return {t: w for t, w in _type_weights(ctx, "full").items()
                 if is_d_regular(t, ctx.d, ctx.variant) == (domain == "d_regular")}
     if domain == "full":
-        classes = all_classes(ctx.n, ctx.q)
+        types = class_types(ctx.n, ctx.q)
     elif isinstance(domain, tuple) and domain and domain[0] == "section":
-        classes = sections(ctx.n, ctx.q, ctx.d, ctx.variant)[domain[1]]
+        key = domain[1]
+        x = class_type(make_label(sum(k.degree * sum(p) for k, p in key), ctx.q, (), key))
+        if not is_d_element(x, ctx.d, ctx.variant):
+            raise ValueError(f"{key} is not the d-part of a section head")
+        types = {make_label(ctx.n, ctx.q, y.unipotent, x.support + y.support): m
+                 for y, m in class_types(ctx.n - x.n, ctx.q).items()
+                 if is_d_regular(y, ctx.d, ctx.variant)}
     else:
         raise ValueError(f"unknown domain {domain!r}")
-    return {t: m * class_size(t) for t, m in Counter(map(class_type, classes)).items()}
+    return {t: m * class_size(t) for t, m in types.items()}
 
 
 def inner_product(nu, nu2, domain, ctx: Context) -> Fraction:
@@ -403,50 +412,44 @@ class DominationDatum:
 
 
 def smt_check(ctx: Context, collect=False):
-    """Reconstruction and disjoint domination data across every section.
+    """Reconstruction and disjoint domination data across every section head type.
 
-    For every section head x and every label mu of size n the peel
-    coefficients reconstruct the value on each class of the section from
-    values of GL(l,q) labels on the complementary part, and the target
-    labels stay inside the same-core combinatorial block of GL(l,q).
+    For every section head type x and every label mu of size n the peel
+    coefficients reconstruct the value on each class type of the section
+    from values of GL(l,q) labels, l = n - |x|, on its complementary part, and
+    the target labels stay inside the same-core combinatorial block of GL(l,q).
     Distinct cores then give disjoint unions of centralizer blocks.
-    Returns (ok, data); reconstruction failure raises AssertionError.
+    Returns (ok, data), data holding one set of DominationDatum per head
+    type (x_key its support) when `collect`; reconstruction failure raises
+    AssertionError.
     """
     labels = partitions_of(ctx.n)
     data = []
-    secs = sections(ctx.n, ctx.q, ctx.d, ctx.variant)
-    for x_key, classes in sorted(secs.items()):
-        x_size = sum(k.degree * sum(p) for k, p in x_key)
-        l = ctx.n - x_size
-        x_part = make_label(x_size, ctx.q, (), x_key)
-        blocks_of_l = {gamma: frozenset(lam for lam in partitions_of(l)
-                                        if d_core(lam, ctx.d) == gamma)
-                       for gamma in {d_core(lam, ctx.d) for lam in partitions_of(l)}}
-        witnesses = {}  # one class per (class type, y-part type)
-        for c in classes:
-            x_of_c, y_of_c = xy_decompose(c, ctx.d, ctx.variant)
-            if sorted(x_of_c.support) != sorted(x_key):
-                raise AssertionError(f"class {c.key()} is not in the section of its head")
-            witnesses.setdefault((class_type(c), class_type(y_of_c)), c)
+    for head in section_heads(ctx.n, ctx.q, ctx.d, ctx.variant):
+        blocks_of_l = {d_core(min(b), ctx.d): b for b in same_core_grouping(ctx.n - head.n, ctx.d)}
+        y_parts = {}  # class type of the section -> type of its y-part
+        for t in _type_weights(ctx, ("section", head.support)):
+            x_of_t, y_parts[t] = xy_decompose(t, ctx.d, ctx.variant)
+            if x_of_t != head:
+                raise AssertionError(f"class {t.key()} is not in the section of its head")
         for mu in labels:
-            alphas = alpha_coefficients(mu, x_part, ctx.q)
+            alphas = alpha_coefficients(mu, head, ctx.q)
             gamma = d_core(mu, ctx.d)
             for lam in alphas:
                 if d_core(lam, ctx.d) != gamma:
                     raise AssertionError("peel target escaped the source's d-core")
-            for (c_type, y_type), c in witnesses.items():
-                direct = chi_value(mu, c_type)
-                recon = sum(coef * chi_value(lam, y_type)
-                            for lam, coef in alphas.items())
+            for t, y in y_parts.items():
+                direct = chi_value(mu, t)
+                recon = sum(coef * chi_value(lam, y) for lam, coef in alphas.items())
                 if direct != recon:
                     raise AssertionError(
-                        f"reconstruction failed for {mu} at {c.key()}: "
+                        f"reconstruction failed for {mu} at {t.key()}: "
                         f"{direct} != {recon}")
         # the dominated set for the block labeled gamma is the same-core
         # block of GL(l,q); distinct cores give disjoint sets by construction,
         # asserted here from the recorded members
         for gamma, members in sorted(blocks_of_l.items()):
-            data.append(DominationDatum(x_key, gamma, members))
+            data.append(DominationDatum(head.support, gamma, members))
         seen: set = set()
         for gamma, members in sorted(blocks_of_l.items()):
             if seen & members:

@@ -84,8 +84,6 @@ def _emit(args, payload, text_lines, csv_text=None):
     if args.output == "json":
         blob = json.dumps(payload, sort_keys=True)
     elif args.output == "csv":
-        if csv_text is None:
-            raise _usage_error("this command has no csv form; use --output json")
         blob = csv_text
     else:
         blob = "\n".join(text_lines)
@@ -197,16 +195,15 @@ def _verify_prop32(args):
 
 def _verify_thm43(args):
     ctx = Context(args.n, args.q, args.d, args.variant)
-    secs = glclass.sections(ctx.n, ctx.q, ctx.d, ctx.variant)
     labels = partitions.partitions_of(ctx.n)
     worst = []
     ok = True
-    for key in sorted(secs):
+    for head in glclass.section_heads(ctx.n, ctx.q, ctx.d, ctx.variant):
         for i, nu in enumerate(labels):
             for nu2 in labels[i + 1:]:
                 if partitions.d_core(nu, ctx.d) == partitions.d_core(nu2, ctx.d):
                     continue
-                val = blockcalc.inner_product(nu, nu2, ("section", key), ctx)
+                val = blockcalc.inner_product(nu, nu2, ("section", head.support), ctx)
                 if val != 0:
                     ok = False
                     worst.append([list(nu), list(nu2), f"{val}"])
@@ -375,6 +372,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.variant_given = "--variant" in (argv if argv is not None else sys.argv[1:])
+    if args.output == "csv" and args.command not in ("table", "matrix"):
+        raise _usage_error("this command has no csv form; use --output json")
     if args.command == "oracle" or getattr(args, "check", None) in ("prop32", "thm45"):
         if args.n < 1:
             parser.error(f"argument --n: the element-level oracle needs at least 1, got {args.n}")

@@ -6,17 +6,23 @@ The X-1 component is singled out (field `unipotent`); every other
 polynomial is identified by (degree, index) into the canonical pool that
 excludes X and X-1, so labels never need actual coefficients.
 
-Section bookkeeping is entirely at the label level: the part of a class
-supported on polynomials of degree divisible by d (variant "divisible")
-or exactly d (variant "exact") determines the section it belongs to.
+Classes are enumerated by type (`class_types`: the unipotent partition and
+the multiset of (degree, partition) pairs, with the number of classes of
+each type); labels are built from the types only where an index is shown.
+The part of a class supported on polynomials of degree divisible by d
+(variant "divisible") or exactly d (variant "exact") determines its
+section; `sections` keys the labels by that part, and `section_heads`
+lists the section heads by type.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
+from math import factorial, perm, prod
 
 from .errors import ScaleGuardError
 from .partitions import check_partition, partitions_of
@@ -78,60 +84,53 @@ def identity_label(n: int, q: int) -> GLClassLabel:
     return make_label(n, q, (1,) * n, ())
 
 
-def _assignments_for_degree(q: int, degree: int, budget: int):
-    """All ways to attach partitions to distinct degree-`degree` polynomials
-    with total size `budget` (in boxes of the partitions, not weighted)."""
-    count = non_unipotent_count(q, degree)
-    if budget == 0:
-        yield ()
-        return
-    if count == 0:
-        return
-    # choose how many polynomials are used, then indices and partitions
-    for used in range(1, min(count, budget) + 1):
-        for indices in itertools.combinations(range(count), used):
-            for sizes in _compositions(budget, used):
-                pools = [partitions_of(s) for s in sizes]
-                for parts in itertools.product(*pools):
-                    yield tuple((PolyKey(degree, indices[i]), parts[i])
-                                for i in range(used))
+def _multisets(pool, budget: int, counts, last=(0, 0)):
+    """Sorted tuples of pairs of `pool` of weighted size <= `budget` and at most counts[e]
+    pairs of degree e; `last` is the degree of the pair before and the room left in it."""
+    yield ()
+    for i, (e, part) in enumerate(pool):
+        room = last[1] if e == last[0] else counts[e]
+        if room and e * sum(part) <= budget:
+            for rest in _multisets(pool[i:], budget - e * sum(part), counts, (e, room - 1)):
+                yield ((e, part),) + rest
 
 
-def _compositions(total: int, k: int):
-    """Compositions of `total` into k positive parts."""
-    if k == 1:
-        yield (total,)
-        return
-    for first in range(1, total - k + 2):
-        for rest in _compositions(total - first, k - 1):
-            yield (first,) + rest
+@cache
+def class_types(n: int, q: int) -> dict[GLClassLabel, int]:
+    """{type representative: number of classes of GL(n,q) of that type}: per degree e, the
+    N_e!/(N_e-k)! placements of its k partitions on the N_e irreducibles over their orders."""
+    prime_power(q)
+    if n < 0:
+        raise ValueError(f"n must be at least 0, got {n}")
+    counts = {e: non_unipotent_count(q, e) for e in range(1, n + 1)}
+    pool = sorted((e, p) for e in counts for s in range(1, n // e + 1) for p in partitions_of(s))
+    out = {}
+    for pairs in _multisets(pool, n, counts):
+        ways = prod(perm(counts[e], k) for e, k in Counter(e for e, _ in pairs).items())
+        ways //= prod(map(factorial, Counter(pairs).values()))
+        support = [((e, i), p) for i, (e, p) in enumerate(pairs)]
+        for u in partitions_of(n - sum(e * sum(p) for e, p in pairs)):
+            out[class_type(make_label(n, q, u, support))] = ways
+    return out
 
 
 @cache
 def all_classes(n: int, q: int) -> tuple[GLClassLabel, ...]:
-    """Every conjugacy class label of GL(n,q), duplicate free."""
-    prime_power(q)
-    if n < 0:
-        raise ValueError(f"n must be at least 0, got {n}")
-    if n == 0:
-        return (make_label(0, q, (), ()),)
+    """Every class label of GL(n,q): each type's partitions on distinct indices in every way."""
+    types = class_types(n, q)
+    total = sum(types.values())
+    if total > CLASS_GUARD:
+        raise ScaleGuardError(f"{total} classes of GL({n},{q}) exceed guard {CLASS_GUARD}")
     out = []
-    for u_size in range(n + 1):
-        for u_part in partitions_of(u_size):
-            def rec(degree, remaining, acc, u_part=u_part):
-                if len(out) > CLASS_GUARD:
-                    raise ScaleGuardError(f"class count exceeds guard {CLASS_GUARD}")
-                if degree > remaining:
-                    if remaining == 0:
-                        out.append(make_label(n, q, u_part, tuple(acc)))
-                    return
-                for budget in range(remaining // degree + 1):
-                    for chunk in _assignments_for_degree(q, degree, budget):
-                        rec(degree + 1, remaining - degree * budget,
-                            acc + list(chunk))
-            rec(1, n - u_size, [])
-    if len(set(c.key() for c in out)) != len(out):
-        raise AssertionError(f"class labels of GL({n},{q}) repeat")
+    for t in types:
+        options = [[tuple(zip((PolyKey(e, i) for i in at), order))
+                    for order in set(itertools.permutations(p for _, p in group))
+                    for at in itertools.combinations(range(non_unipotent_count(q, e)), len(order))]
+                   for e, group in itertools.groupby(t.support, key=lambda x: x[0].degree)]
+        out.extend(make_label(n, q, t.unipotent, sum(pick, ()))
+                   for pick in itertools.product(*options))
+    if len(out) != total or len(set(c.key() for c in out)) != total:
+        raise AssertionError(f"class labels of GL({n},{q}) repeat or miss a class")
     return tuple(sorted(out, key=lambda c: c.key()))
 
 
@@ -209,19 +208,24 @@ def section_label(c: GLClassLabel, d: int, variant: str = "divisible"):
 
 def d_type(c: GLClassLabel, d: int, variant: str = "divisible"):
     """Multiset of (k_i, m_i) pairs of the d-part, with weight sum k_i*m_i."""
-    x_part, _ = xy_decompose(c, d, variant)
     pairs = []
-    for key, part in x_part.support:
-        m, rem = divmod(key.degree, d)
-        if rem:
-            raise ArithmeticError(f"d-part degree {key.degree} is not a multiple of {d}")
-        pairs.append((sum(part), m))
-    pairs.sort()
-    return tuple(pairs)
+    for key, part in c.support:
+        if _degree_matches(key.degree, d, variant):
+            m, rem = divmod(key.degree, d)
+            if rem:
+                raise ArithmeticError(f"d-part degree {key.degree} is not a multiple of {d}")
+            pairs.append((sum(part), m))
+    return tuple(sorted(pairs))
 
 
 def class_d_weight(c: GLClassLabel, d: int, variant: str = "divisible") -> int:
     return sum(k * m for k, m in d_type(c, d, variant))
+
+
+def section_heads(n: int, q: int, d: int, variant: str = "divisible"):
+    """Type representatives of the section heads: d-elements of GL(m,q), m <= n, without X-1."""
+    return tuple(t for m in range(n + 1) for t in class_types(m, q)
+                 if not t.unipotent and is_d_element(t, d, variant))
 
 
 @cache

@@ -99,7 +99,8 @@ def rim_hooks(lam: tuple[int, ...], h: int) -> tuple[HookRemoval, ...]:
     between b-h and b.  Returned in decreasing b, which is increasing
     start row of the removed strip.
     """
-    assert h >= 1
+    if h < 1:
+        raise ValueError(f"hook length must be at least 1, got {h}")
     beta = beta_set(lam, len(lam))
     bset = set(beta)
     out = []
@@ -118,7 +119,8 @@ def _quotient_length(lam: tuple[int, ...], d: int) -> int:
 @cache
 def d_quotient(lam: tuple[int, ...], d: int) -> tuple[tuple[int, ...], ...]:
     """d-tuple of partitions read off the runners of the canonical abacus."""
-    assert d >= 1
+    if d < 1:
+        raise ValueError(f"d must be at least 1, got {d}")
     length = _quotient_length(lam, d)
     beta = beta_set(lam, length)
     comps = []
@@ -131,7 +133,8 @@ def d_quotient(lam: tuple[int, ...], d: int) -> tuple[tuple[int, ...], ...]:
 @cache
 def d_core(lam: tuple[int, ...], d: int) -> tuple[int, ...]:
     """The partition left after removing all d-hooks; order independent."""
-    assert d >= 1
+    if d < 1:
+        raise ValueError(f"d must be at least 1, got {d}")
     length = _quotient_length(lam, d)
     beta = beta_set(lam, length)
     new_beta = []
@@ -147,7 +150,8 @@ def d_core(lam: tuple[int, ...], d: int) -> tuple[int, ...]:
 def d_weight(lam: tuple[int, ...], d: int) -> int:
     core = d_core(lam, d)
     w, rem = divmod(sum(lam) - sum(core), d)
-    assert rem == 0
+    if rem:
+        raise ArithmeticError(f"{lam} and its {d}-core {core} differ by {rem} mod {d}")
     return w
 
 
@@ -200,7 +204,8 @@ def removal_paths(lam, gamma, d: int) -> tuple[RemovalPath, ...]:
     def rec(cur, steps, legs):
         hooks = rim_hooks(cur, d)
         if not hooks:
-            assert cur == gamma
+            if cur != gamma:
+                raise AssertionError(f"hook removal from {lam} ended at {cur}, not {gamma}")
             out.append(RemovalPath(tuple(steps), legs))
             return
         for hk in hooks:
@@ -248,7 +253,8 @@ def path_sign_set(lam: tuple[int, ...], d: int) -> frozenset[int]:
 @cache
 def l_set_iterate(lam: tuple[int, ...], d: int, i: int) -> frozenset[tuple[int, ...]]:
     """Partitions reachable from lam by removing i d-hooks."""
-    assert i >= 0
+    if i < 0:
+        raise ValueError(f"hook count must be at least 0, got {i}")
     if i == 0:
         return frozenset({lam})
     out = set()
@@ -259,7 +265,8 @@ def l_set_iterate(lam: tuple[int, ...], d: int, i: int) -> frozenset[tuple[int, 
 
 def l_set_single(lam: tuple[int, ...], d: int, i: int) -> frozenset[tuple[int, ...]]:
     """Partitions reachable from lam by removing one hook of length i*d."""
-    assert i >= 0
+    if i < 0:
+        raise ValueError(f"hook multiple must be at least 0, got {i}")
     if i == 0:
         return frozenset({lam})
     return frozenset(hk.result for hk in rim_hooks(lam, i * d))
@@ -270,7 +277,8 @@ def single_runner_partition(gamma, w: int, d: int, runner: int,
     """Partition with d-core gamma whose weight-w quotient sits on one runner."""
     if shape is None:
         shape = (w,)
-    assert sum(shape) == w and 0 <= runner < d
+    if sum(shape) != w or not 0 <= runner < d:
+        raise ValueError(f"shape {shape} of weight {w} on runner {runner} of {d}")
     quotient = [()] * d
     quotient[runner] = tuple(shape)
     return from_core_quotient(gamma, quotient, d)
@@ -291,7 +299,8 @@ def find_simple_disjoint(gamma, w: int, d: int, avoid=frozenset()) -> tuple[int,
     for r in free[:w]:
         quotient[r] = (1,)
     result = from_core_quotient(gamma, quotient, d)
-    assert is_simple(result, d) and d_weight(result, d) == w
+    if not is_simple(result, d) or d_weight(result, d) != w:
+        raise AssertionError(f"{result} is not simple of {d}-weight {w}")
     return result
 
 
@@ -305,10 +314,13 @@ class AbacusState:
     origin_offset: int
 
     def __post_init__(self):
-        assert len(self.runners) == self.d
+        if len(self.runners) != self.d:
+            raise ValueError(f"{len(self.runners)} runners, not d = {self.d}")
         for runner in self.runners:
-            assert all(runner[i] < runner[i + 1] for i in range(len(runner) - 1))
-        assert sum(len(r) for r in self.runners) == self.origin_offset
+            if any(runner[i] >= runner[i + 1] for i in range(len(runner) - 1)):
+                raise ValueError(f"runner {runner} is not strictly increasing")
+        if sum(len(r) for r in self.runners) != self.origin_offset:
+            raise ValueError(f"bead count differs from origin offset {self.origin_offset}")
 
     @staticmethod
     def from_partition(lam, d: int, length: int | None = None) -> "AbacusState":

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,29 @@ def test_type_weighted_product_matches_label_sum(ctx):
             for nu2 in labels:
                 assert (B.inner_product(nu, nu2, domain, ctx)
                         == label_level_inner_product(nu, nu2, domain, ctx)), (domain, nu, nu2)
+
+
+def label_level_weights(classes):
+    """Reference: type weights folded back from the domain's labels."""
+    return {t: m * G.class_size(t) for t, m in Counter(map(G.class_type, classes)).items()}
+
+
+@pytest.mark.parametrize("ctx", [Context(4, 3, 2), Context(4, 3, 2, "exact"),
+                                 Context(5, 2, 2), Context(4, 4, 3)])
+def test_section_heads_match_label_sections(ctx):
+    secs = G.sections(ctx.n, ctx.q, ctx.d, ctx.variant)
+    heads = {G.class_type(G.make_label(sum(k.degree * sum(p) for k, p in key), ctx.q, (), key))
+             for key in secs}
+    assert set(G.section_heads(ctx.n, ctx.q, ctx.d, ctx.variant)) == heads
+    for key, classes in secs.items():
+        assert B._type_weights(ctx, ("section", key)) == label_level_weights(classes), key
+    assert B._type_weights(ctx, "full") == label_level_weights(G.all_classes(ctx.n, ctx.q))
+
+
+def test_section_key_must_be_a_d_element():
+    with pytest.raises(ValueError, match="not the d-part of a section head"):
+        B.inner_product((2, 2), (2, 2), ("section", ((G.PolyKey(1, 0), (1,)),)),
+                        Context(4, 3, 2))
 
 
 def test_inner_product_full_group_orthonormal():

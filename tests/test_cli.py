@@ -232,6 +232,28 @@ def test_scale_guard_is_one_line_exit_4(capsys):
     assert captured.err == "glblocks: scale guard: |GL(4,3)| = 24261120 over guard 25000\n"
 
 
+def test_class_guard_applies_to_labels_only(capsys):
+    # GL(8,5) has 390,480 classes: too many labels, but blocks work on types
+    code, out = run(["blocks", "--n", "8", "--q", "5", "--d", "2"], capsys)
+    assert code == 0 and out.splitlines()[-1] == "verdict: equal"
+    code = cli.main(["classes", "--n", "8", "--q", "5"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err == ("glblocks: scale guard: 390480 classes of GL(8,5) "
+                            "exceed guard 200000\n")
+
+
+def test_csv_usage_error_comes_before_any_work(capsys, monkeypatch):
+    def computing(ctx):
+        raise RuntimeError("the report was computed")
+    monkeypatch.setattr(cli.blockcalc, "blocks_report", computing)
+    with pytest.raises(SystemExit) as err:
+        cli.main(["blocks", "--n", "6", "--q", "5", "--d", "2", "--output", "csv"])
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == ""
+    assert captured.err == "glblocks: error: this command has no csv form; use --output json\n"
+
+
 def test_internal_error_exits_5_with_traceback(capsys, monkeypatch):
     def broken(args):
         raise RuntimeError("broken verifier")

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -21,6 +22,93 @@ def test_class_counts():
     assert len(G.all_classes(2, 3)) == 8
     assert len(G.all_classes(3, 2)) == 6
     assert len(G.all_classes(0, 5)) == 1
+
+
+def _assignments_for_degree(q, degree, budget):
+    """Reference: all ways to attach partitions to distinct degree-`degree`
+    polynomials with total size `budget` (in boxes, not weighted)."""
+    count = Q.non_unipotent_count(q, degree)
+    if budget == 0:
+        yield ()
+        return
+    for used in range(1, min(count, budget) + 1):
+        for indices in itertools.combinations(range(count), used):
+            for sizes in _compositions(budget, used):
+                pools = [P.partitions_of(s) for s in sizes]
+                for parts in itertools.product(*pools):
+                    yield tuple((G.PolyKey(degree, indices[i]), parts[i])
+                                for i in range(used))
+
+
+def _compositions(total, k):
+    """Compositions of `total` into k positive parts."""
+    if k == 1:
+        yield (total,)
+        return
+    for first in range(1, total - k + 2):
+        for rest in _compositions(total - first, k - 1):
+            yield (first,) + rest
+
+
+def label_level_classes(n, q):
+    """Reference: the label enumerator `all_classes` had before it was
+    built from `class_types`, degree by degree over indexed polynomials."""
+    if n == 0:
+        return (G.make_label(0, q, (), ()),)
+    out = []
+    for u_size in range(n + 1):
+        for u_part in P.partitions_of(u_size):
+            def rec(degree, remaining, acc, u_part=u_part):
+                if degree > remaining:
+                    if remaining == 0:
+                        out.append(G.make_label(n, q, u_part, tuple(acc)))
+                    return
+                for budget in range(remaining // degree + 1):
+                    for chunk in _assignments_for_degree(q, degree, budget):
+                        rec(degree + 1, remaining - degree * budget, acc + list(chunk))
+            rec(1, n - u_size, [])
+    return tuple(sorted(out, key=lambda c: c.key()))
+
+
+@pytest.mark.parametrize("n, q", [(n, q) for n in range(6) for q in (2, 3, 4, 5)]
+                         + [(6, 2), (6, 3), (6, 4)])
+def test_all_classes_match_label_enumerator(n, q):
+    assert G.all_classes(n, q) == label_level_classes(n, q)
+
+
+def _class_count_series(q, top):
+    """Coefficients of t^0..t^top in prod_k (1 - t^k) / (1 - q t^k)."""
+    series = [1] + [0] * top
+    for k in range(1, top + 1):
+        series = [series[i] - (series[i - k] if i >= k else 0) for i in range(top + 1)]
+        for i in range(k, top + 1):
+            series[i] += q * series[i - k]
+    return series
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_class_types_count_every_class(q):
+    # the number of classes of GL(n,q) (Macdonald IV.2) and the class equation
+    series = _class_count_series(q, 10)
+    for n in range(11):
+        types = G.class_types(n, q)
+        assert sum(types.values()) == series[n], n
+        assert all(G.class_type(t) == t for t in types)
+        if n <= 8:
+            assert sum(m * G.class_size(t) for t, m in types.items()) == Q.gl_order(n, q)
+
+
+def test_class_types_examples():
+    assert G.class_types(0, 3) == {G.make_label(0, 3, (), ()): 1}
+    # GL(2,3): N_1 = 1, N_2 = 3
+    assert G.class_types(2, 3) == {
+        G.make_label(2, 3, (1, 1), ()): 1, G.make_label(2, 3, (2,), ()): 1,
+        G.make_label(2, 3, (1,), [((1, 0), (1,))]): 1,
+        G.make_label(2, 3, (), [((1, 0), (1, 1))]): 1,
+        G.make_label(2, 3, (), [((1, 0), (2,))]): 1,
+        G.make_label(2, 3, (), [((2, 0), (1,))]): 3}
+    # two equal partitions on the 3 linear polynomials of GL(2,5): 3*2/2! classes
+    assert G.class_types(2, 5)[G.make_label(2, 5, (), [((1, 0), (1,)), ((1, 1), (1,))])] == 3
 
 
 def test_class_equation():
@@ -175,6 +263,25 @@ def test_d_type_examples():
     assert G.class_d_weight(two, 2) == 2
     deg4 = G.make_label(4, 3, (), [((4, 7), (1,))])
     assert G.d_type(deg4, 2) == ((1, 2),)
+
+
+@pytest.mark.parametrize("n, q", [(4, 3), (5, 2)])
+def test_d_type_reads_the_d_part(n, q):
+    for c in G.all_classes(n, q):
+        for d in (1, 2, 3):
+            for variant in G.VARIANTS:
+                x_part = G.xy_decompose(c, d, variant)[0]
+                pairs = sorted((sum(p), k.degree // d) for k, p in x_part.support)
+                assert G.d_type(c, d, variant) == tuple(pairs)
+
+
+def test_section_heads_examples():
+    heads = G.section_heads(3, 3, 2)
+    assert heads == (G.make_label(0, 3, (), ()), G.make_label(2, 3, (), [((2, 0), (1,))]))
+    # at d = 1 every type without an X-1 part heads a section
+    assert set(G.section_heads(3, 3, 1)) == {
+        t for m in range(4) for t in G.class_types(m, 3) if not t.unipotent}
+    assert len(G.section_heads(3, 3, 1)) == 10
 
 
 def test_weight_bound():

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from glblocks import partitions as P
 from glblocks.errors import ConventionMismatchError, CoreMismatchError, InfeasibleError
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def all_partitions_upto(n):
@@ -342,3 +349,35 @@ def test_edge_sequence_worked_example():
     # same rim word as the example sequence, up to the origin spot
     ab = P.AbacusState.from_partition((6, 5, 5, 2, 1), 3)
     assert ab.edge_sequence(pad=2) == "11>10101000110100"
+
+
+def test_argument_checks_survive_python_O():
+    # explicit raises, not asserts, so `python -O` keeps them
+    script = "\n".join([
+        "from glblocks import partitions as P",
+        "for bad in (lambda: P.rim_hooks((2,), 0), lambda: P.d_core((2,), 0),",
+        "            lambda: P.l_set_iterate((2,), 1, -1)):",
+        "    try:",
+        "        bad()",
+        "    except ValueError as exc:",
+        "        print('raised', exc)",
+        "    else:",
+        "        print('accepted')",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["raised hook length must be at least 1, got 0",
+                                "raised d must be at least 1, got 0",
+                                "raised hook count must be at least 0, got -1"]
+
+
+def test_abacus_state_checks_its_beads():
+    with pytest.raises(ValueError, match="runners"):
+        P.AbacusState(2, ((0,),), 1)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        P.AbacusState(2, ((1, 0), ()), 2)
+    with pytest.raises(ValueError, match="origin offset"):
+        P.AbacusState(2, ((0,), ()), 2)
+    with pytest.raises(ValueError, match="runner 2 of 2"):
+        P.single_runner_partition((), 1, 2, 2)
