@@ -1,7 +1,9 @@
 """Restricted inner products, unipotent d-blocks, closed forms and domination.
 
-All inner products are exact: sum over the class types t in the domain of
-w_t chi(t) chi'(t) / |G|, with w_t the total size of the domain's classes of type t.
+All inner products are exact: the matrix of a domain is
+sum_t w_t v_t v_t^T / |G| over its class types t, with v_t = (chi^nu(t))_nu
+the value vector of t and w_t the total size of the domain's classes of
+type t, summed in integers and divided once per entry.
 Domains are read off `class_types` without building labels; a section's
 types are those of its head type x plus every d-regular type of
 GL(n-|x|, q), so sections with heads of one type are summed alike.
@@ -11,13 +13,12 @@ degree-preserving relabeling of polynomials, so no conjugation is needed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import factorial
 
-from .charvalue import alpha_coefficients, chi_value
+from .charvalue import alpha_coefficients, class_values
 from .errors import HypothesisError
 from .glclass import (
     class_size,
@@ -69,17 +70,6 @@ def _ratio(val: Fraction) -> str:
     return f"{val.numerator}/{val.denominator}"
 
 
-@dataclass(frozen=True)
-class InnerProductReport:
-    nu: tuple[int, ...]
-    nu2: tuple[int, ...]
-    domain: str
-    value: Fraction
-
-    def value_str(self) -> str:
-        return _ratio(self.value)
-
-
 @cache
 def _type_weights(ctx: Context, domain):
     """{type representative: number of the domain's classes of that type * class size}."""
@@ -101,33 +91,34 @@ def _type_weights(ctx: Context, domain):
     return {t: m * class_size(t) for t, m in types.items()}
 
 
-def inner_product(nu, nu2, domain, ctx: Context) -> Fraction:
-    """Exact restricted scalar product of two signed unipotent functions."""
-    nu, nu2 = tuple(nu), tuple(nu2)
-    total = sum(w * chi_value(nu, t) * chi_value(nu2, t)
-                for t, w in _type_weights(ctx, domain).items())
-    return Fraction(total, gl_order(ctx.n, ctx.q))
-
-
-def inner_product_report(nu, nu2, domain, ctx: Context) -> InnerProductReport:
-    name = domain if isinstance(domain, str) else f"section:{domain[1]}"
-    return InnerProductReport(tuple(nu), tuple(nu2), name,
-                              inner_product(nu, nu2, domain, ctx))
-
-
 @cache
 def inner_matrix(ctx: Context, domain="d_regular"):
     """{(nu, nu2): Fraction} over the domain's classes, for every ordered pair.
 
-    The product is symmetric, so each unordered pair is summed once and
-    stored under both orders.
+    One pass over the domain's types adds w_t x y for each unordered pair
+    of nonzero entries x, y of the value vector of t; each total is then
+    divided by |G| once and stored under both orders.
     """
     labels = partitions_of(ctx.n)
+    index = {nu: i for i, nu in enumerate(labels)}
+    totals = [[0] * len(labels) for _ in labels]
+    for t, w in _type_weights(ctx, domain).items():
+        vector = [(index[nu], x) for nu, x in class_values(t).items()]
+        for a, (i, x) in enumerate(vector):
+            row, wx = totals[i], w * x
+            for j, y in vector[a:]:
+                row[j] += wx * y
+    order = gl_order(ctx.n, ctx.q)
     out = {}
     for i, nu in enumerate(labels):
-        for nu2 in labels[i:]:
-            out[(nu, nu2)] = out[(nu2, nu)] = inner_product(nu, nu2, domain, ctx)
+        for j in range(i, len(labels)):
+            out[(nu, labels[j])] = out[(labels[j], nu)] = Fraction(totals[i][j], order)
     return out
+
+
+def inner_product(nu, nu2, domain, ctx: Context) -> Fraction:
+    """Exact restricted scalar product of two unipotent characters."""
+    return inner_matrix(ctx, domain)[(tuple(nu), tuple(nu2))]
 
 
 # -- block partitions ----------------------------------------------------------
@@ -427,20 +418,21 @@ def smt_check(ctx: Context, collect=False):
     data = []
     for head in section_heads(ctx.n, ctx.q, ctx.d, ctx.variant):
         blocks_of_l = {d_core(min(b), ctx.d): b for b in same_core_grouping(ctx.n - head.n, ctx.d)}
-        y_parts = {}  # class type of the section -> type of its y-part
+        vectors = []  # (class type of the section, its values, values of its y-part)
         for t in _type_weights(ctx, ("section", head.support)):
-            x_of_t, y_parts[t] = xy_decompose(t, ctx.d, ctx.variant)
+            x_of_t, y = xy_decompose(t, ctx.d, ctx.variant)
             if x_of_t != head:
                 raise AssertionError(f"class {t.key()} is not in the section of its head")
+            vectors.append((t, class_values(t), class_values(y)))
         for mu in labels:
             alphas = alpha_coefficients(mu, head, ctx.q)
             gamma = d_core(mu, ctx.d)
             for lam in alphas:
                 if d_core(lam, ctx.d) != gamma:
                     raise AssertionError("peel target escaped the source's d-core")
-            for t, y in y_parts.items():
-                direct = chi_value(mu, t)
-                recon = sum(coef * chi_value(lam, y) for lam, coef in alphas.items())
+            for t, t_values, y_values in vectors:
+                direct = t_values.get(mu, 0)
+                recon = sum(coef * y_values.get(lam, 0) for lam, coef in alphas.items())
                 if direct != recon:
                     raise AssertionError(
                         f"reconstruction failed for {mu} at {t.key()}: "
@@ -495,6 +487,3 @@ def inner_product_matrix_csv(ctx: Context, domain="d_regular") -> str:
                               [_ratio(matrix[(nu, nu2)]) for nu2 in labels]))
     return "\n".join(lines) + "\n"
 
-
-def report_to_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True)

@@ -19,10 +19,9 @@ from functools import cache
 from math import isqrt
 
 from . import __version__
-from .charvalue import unipotent_degree
 from .errors import ScaleGuardError, TieError
 from .glclass import GLClassLabel, PolyKey, make_label
-from .partitions import conjugate, partitions_of
+from .partitions import conjugate, n_stat, partitions_of
 from .qarith import (
     enumerate_irreducibles,
     field,
@@ -123,8 +122,10 @@ def kernel_basis(fq, A):
 def mat_inverse(fq, A):
     n = len(A)
     aug = [list(A[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    rank, _, rows = row_reduce(fq, aug)
-    assert rank == n, "matrix not invertible"
+    _, pivots, rows = row_reduce(fq, aug)
+    # [A | I] always has rank n; A is invertible iff A's own columns hold the pivots
+    if pivots != list(range(n)):
+        raise ArithmeticError("matrix not invertible")
     return tuple(tuple(row[n:]) for row in rows)
 
 
@@ -165,7 +166,8 @@ class MatrixGroup:
                       for i in range(self.n))
             if is_invertible(self.fq, A):
                 els.append(A)
-        assert len(els) == order
+        if len(els) != order:
+            raise ArithmeticError(f"{len(els)} invertible matrices, not |GL({self.n},{self.q})| = {order}")
         self.elements = tuple(els)
         self.index = {A: i for i, A in enumerate(els)}
         self.id_index = self.index[identity_matrix(self.n)]
@@ -254,7 +256,8 @@ def element_label(group: MatrixGroup, A) -> GLClassLabel:
         counts = []  # number of Jordan-type blocks of size >= j
         for j in range(1, len(dims)):
             step, rem = divmod(dims[j] - dims[j - 1], deg)
-            assert rem == 0
+            if rem:
+                raise ArithmeticError(f"kernel dimension step not a multiple of degree {deg}")
             counts.append(step)
         part = conjugate(tuple(counts))
         accounted += deg * sum(part)
@@ -262,7 +265,8 @@ def element_label(group: MatrixGroup, A) -> GLClassLabel:
             unip = part
         else:
             support.append((key, part))
-    assert accounted == n
+    if accounted != n:
+        raise ArithmeticError(f"primary components cover {accounted} of {n} dimensions")
     return make_label(n, group.q, unip, tuple(support))
 
 
@@ -303,7 +307,8 @@ def canonical_matrix(group: MatrixGroup, label: GLClassLabel):
             for j in range(s):
                 out[pos + i][pos + j] = block[i][j]
         pos += s
-    assert pos == n
+    if pos != n:
+        raise AssertionError(f"companion blocks fill {pos} of {n} rows")
     return tuple(tuple(row) for row in out)
 
 
@@ -339,12 +344,15 @@ def oracle_classes(n: int, q: int) -> OracleClassData:
         reps.append(g)
         sizes.append(len(orbit))
     labels = tuple(element_label(group, group.elements[r]) for r in reps)
-    assert len(set(l.key() for l in labels)) == len(labels)
-    assert sum(sizes) == size
+    if len(set(l.key() for l in labels)) != len(labels):
+        raise AssertionError(f"two conjugation orbits of GL({n},{q}) share a label")
+    if sum(sizes) != size:
+        raise ArithmeticError(f"class sizes sum to {sum(sizes)}, not |G| = {size}")
     cents = []
     for cid, r in enumerate(reps):
         c = sum(1 for h in range(size) if conj[r][h] == r)
-        assert c * sizes[cid] == size
+        if c * sizes[cid] != size:
+            raise ArithmeticError(f"centralizer {c} times class size {sizes[cid]} is not |G|")
         cents.append(c)
     return OracleClassData(group, tuple(reps), tuple(class_of), tuple(sizes),
                            labels, tuple(cents))
@@ -369,7 +377,8 @@ def _primary_basis(group: MatrixGroup, A, match):
             sel.extend(basis)
         else:
             rest.extend(basis)
-    assert len(sel) + len(rest) == n
+    if len(sel) + len(rest) != n:
+        raise ArithmeticError(f"primary spaces span {len(sel) + len(rest)} of {n} dimensions")
     return sel, rest
 
 
@@ -541,7 +550,8 @@ def oracle_sections(n: int, q: int, d: int, variant: str = "divisible") -> Secti
     section_of = []
     for g in range(size):
         x = x_part_element(group, g, d, variant)
-        assert x in x_set
+        if x not in x_set:
+            raise AssertionError(f"d-part of element {g} is not a d-element")
         section_of.append(data.class_of[x])
     counted = {}
     for cid in section_of:
@@ -583,7 +593,8 @@ def cyclotomic_poly(e: int) -> tuple[int, ...]:
                 if coef:
                     for i in range(len(phi)):
                         rem[shift + i] -= coef * phi[i]
-            assert all(c == 0 for c in rem)
+            if any(rem):
+                raise ArithmeticError(f"cyclotomic polynomial {d} does not divide x^{e} - 1")
             num = out
     return tuple(num)
 
@@ -830,7 +841,8 @@ def dixon_table(n: int, q: int) -> CharacterTable:
     chars_mod = []
     degrees = []
     for v in vectors:
-        assert v[id_cls] % ell != 0
+        if v[id_cls] % ell == 0:
+            raise ArithmeticError("eigenvector vanishes at the identity class")
         norm = _modinv(v[id_cls], ell)
         omega = [(x * norm) % ell for x in v]
         t = sum(omega[i] * omega[inv_class[i]] * _modinv(sizes[i], ell)
@@ -839,7 +851,8 @@ def dixon_table(n: int, q: int) -> CharacterTable:
         deg = next(s for s in range(1, isqrt(size) + 1) if s * s % ell == target)
         chars_mod.append([deg * omega[i] * _modinv(sizes[i], ell) % ell for i in range(k)])
         degrees.append(deg)
-    assert sum(d * d for d in degrees) == size
+    if sum(d * d for d in degrees) != size:
+        raise ArithmeticError("squared degrees do not sum to |G|")
 
     # power maps and exact lifting
     power_class = []
@@ -946,6 +959,25 @@ def flag_fixed_points(group: MatrixGroup, A) -> int:
     raise ScaleGuardError("flag counting implemented for n <= 3")
 
 
+def q_hook_degree(lam, q: int) -> int:
+    """Degree of the unipotent character lam by the q-hook formula,
+    q^n(lam) prod_{i <= n} (q^i - 1) / prod over the hooks h of lam of (q^h - 1);
+    written out here so the oracle does not read the engine's degrees."""
+    n = sum(lam)
+    lam_t = conjugate(lam)
+    num = q ** n_stat(lam)
+    for i in range(1, n + 1):
+        num *= q ** i - 1
+    den = 1
+    for i, row in enumerate(lam):
+        for j in range(row):
+            den *= q ** (row - j + lam_t[j] - i - 1) - 1
+    degree, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(f"q-hook formula for {lam} at q = {q} is not an integer")
+    return degree
+
+
 @dataclass
 class BorelDecomposition:
     table: CharacterTable
@@ -958,7 +990,7 @@ def borel_unipotent_constituents(n: int, q: int) -> BorelDecomposition:
     """Decompose the Borel-coset permutation character; label by degree.
 
     The unipotent constituents are matched to partition labels through
-    the engine's degrees; a tie between two degrees raises instead of
+    their q-hook degrees; a tie between two degrees raises instead of
     guessing.
     """
     data = oracle_classes(n, q)
@@ -974,12 +1006,14 @@ def borel_unipotent_constituents(n: int, q: int) -> BorelDecomposition:
             acc = cyc_add(acc, cyc_scale(tab.sizes[i] * perm[i],
                                          cyc_conj(tab.values[chi][i])))
         val = cyc_as_int(acc)
-        assert val is not None and val % tab.order == 0
+        if val is None or val % tab.order:
+            raise ArithmeticError(f"Borel multiplicity of character {chi} is not an integer")
         mults.append(val // tab.order)
-    assert sum(m * tab.degrees[i] for i, m in enumerate(mults)) == perm[data.class_of[group.id_index]]
+    if sum(m * tab.degrees[i] for i, m in enumerate(mults)) != perm[data.class_of[group.id_index]]:
+        raise ArithmeticError("Borel constituents do not add up to the permutation degree")
     degree_to_label = {}
     for lam in partitions_of(n):
-        deg = unipotent_degree(lam, q)
+        deg = q_hook_degree(lam, q)
         if deg in degree_to_label:
             raise TieError(f"two unipotent labels share degree {deg}")
         degree_to_label[deg] = lam
@@ -989,11 +1023,13 @@ def borel_unipotent_constituents(n: int, q: int) -> BorelDecomposition:
             continue
         deg = tab.degrees[chi]
         if deg not in degree_to_label:
-            raise TieError(f"constituent of degree {deg} has no engine label")
+            raise TieError(f"constituent of degree {deg} has no unipotent label")
         lam = degree_to_label[deg]
-        assert lam not in constituents
+        if lam in constituents:
+            raise AssertionError(f"two Borel constituents are labeled {lam}")
         constituents[lam] = (chi, m)
-    assert len(constituents) == len(partitions_of(n))
+    if len(constituents) != len(partitions_of(n)):
+        raise AssertionError(f"{len(constituents)} Borel constituents, not {len(partitions_of(n))}")
     return BorelDecomposition(tab, perm, constituents)
 
 
@@ -1009,7 +1045,8 @@ def check_d1_duality_identity(n: int, q: int) -> dict:
     dec = borel_unipotent_constituents(n, q)
     unip_classes = [i for i, r in enumerate(tab.reps)
                     if not data.labels[data.class_of[r]].support]
-    assert sum(tab.sizes[i] for i in unip_classes) == q ** (n * (n - 1))
+    if sum(tab.sizes[i] for i in unip_classes) != q ** (n * (n - 1)):
+        raise ArithmeticError("unipotent classes do not hold q^(n(n-1)) elements")
     order = tab.order
     p = field(q).p
     order_p = 1
@@ -1030,10 +1067,11 @@ def check_d1_duality_identity(n: int, q: int) -> dict:
         total = 0
         for i in unip_classes:
             v = tab.value_int(chi, i)
-            assert v is not None
+            if v is None:
+                raise ArithmeticError(f"character {chi} is not rational on unipotent class {i}")
             total += tab.sizes[i] * v
         lhs = Fraction(total, tab.order)
-        rhs = Fraction(unipotent_degree(conjugate(lam), q), order_p_prime)
+        rhs = Fraction(q_hook_degree(conjugate(lam), q), order_p_prime)
         if lhs != rhs:
             exact_match = False
     return {"all_nonzero": all_nonzero, "unipotent_identity": exact_match}

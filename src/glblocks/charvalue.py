@@ -6,10 +6,13 @@ unipotent class: the modified Kostka-Foulkes values K~_{nu,mu}(q) =
 q^n(mu) K_{nu,mu}(1/q) (Green; Macdonald ch. III.7 and IV).  Green
 polynomials are their transforms under the symmetric group characters,
 and a hook-removal recursion weighted by them peels every other primary
-component of a class.  All values are exact integers at a concrete q;
-fractions only appear transiently inside a peel and must cancel.  No
-sign correction is needed: every unipotent degree is positive (q-hook
-formula), which unipotent_degree checks.
+component of a class.  A class enters every later sum only through its
+value vector (chi^nu(c))_nu, which depends only on the class type, so
+`class_values` computes and caches one vector per type.  All values are
+exact integers at a concrete q: a peel of k boxes is summed scaled by
+k!, which every z_alpha divides, and ends in an exact division that is
+checked.  No sign correction is needed: every unipotent degree is
+positive (q-hook formula), which unipotent_degree checks.
 """
 
 from __future__ import annotations
@@ -17,12 +20,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-from fractions import Fraction
+from collections.abc import Mapping
 from functools import cache
-from typing import NamedTuple
+from math import factorial
+from types import MappingProxyType
 
-from .glclass import GLClassLabel, all_classes, d_type
-from .partitions import d_core, n_stat, partitions_of
+from .glclass import GLClassLabel, all_classes
+from .partitions import n_stat, partitions_of
 from .qarith import gl_order, torus_order, unipotent_centralizer_order
 from .symchar import signed_removal_map, sn_char, z_order
 
@@ -105,26 +109,28 @@ def mn_step(nu: tuple[int, ...], hook_degree: int, jordan: tuple[int, ...],
         sum over alpha |- k of Q^jordan_alpha(q^deg) / z_alpha
                               * (signed removal sum for scaled alpha),
 
-    an exact integer.  Targets not reachable never appear; an empty map
-    means the value downstream is 0.
+    an exact integer.  The sum is taken times k!, which every z_alpha
+    divides, and divided back exactly.  Targets not reachable never
+    appear; an empty map means the value downstream is 0.
     """
     k = sum(jordan)
     big_q = q ** hook_degree
-    acc: dict[tuple[int, ...], Fraction] = {}
+    scale = factorial(k)
+    acc: dict[tuple[int, ...], int] = {}
     for alpha in partitions_of(k):
         green = green_polynomial(jordan, alpha, big_q)
         if green == 0:
             continue
-        weight = Fraction(green, z_order(alpha))
+        weight = green * (scale // z_order(alpha))
         for lam, s in signed_removal_map(nu, alpha, hook_degree).items():
-            acc[lam] = acc.get(lam, Fraction(0)) + weight * s
+            acc[lam] = acc.get(lam, 0) + weight * s
     out = []
     for lam in sorted(acc, reverse=True):
-        val = acc[lam]
-        if val.denominator != 1:
-            raise AssertionError(f"hook-removal coefficient {val} not integral")
-        if val != 0:
-            out.append((lam, int(val)))
+        val, rem = divmod(acc[lam], scale)
+        if rem:
+            raise AssertionError(f"hook-removal coefficient {acc[lam]}/{scale} not integral")
+        if val:
+            out.append((lam, val))
     return tuple(out)
 
 
@@ -142,70 +148,43 @@ def compose_steps(start: tuple[int, ...], components, q: int):
     return state
 
 
-def peel_sequences(start: tuple[int, ...], components, q: int):
-    """Per-sequence coefficients: list of (intermediate partitions, product).
-
-    One entry per chain of intermediate partitions through the peels;
-    every single-step factor is nonzero by construction.
-    """
-    seqs = [((start,), 1)]
-    for degree, jordan in components:
-        nxt = []
-        for chain, coef in seqs:
-            for lam, a in mn_step(chain[-1], degree, jordan, q):
-                nxt.append((chain + (lam,), coef * a))
-        seqs = nxt
-    return seqs
-
-
 def _components_of(c: GLClassLabel):
-    """Non-unipotent primary components as (degree, jordan), canonical order."""
-    return tuple((key.degree, part) for key, part in sorted(c.support))
+    """Non-unipotent primary components as sorted (degree, jordan) pairs.
+
+    Every label of one type gives the same tuple, and the peel's result
+    does not depend on the order of its components.
+    """
+    return tuple(sorted((key.degree, part) for key, part in c.support))
+
+
+def class_values(c: GLClassLabel) -> Mapping[tuple[int, ...], int]:
+    """{nu: chi^nu(c)} over the partitions nu of c.n, zeros omitted.
+
+    Keys come in the order of partitions_of(c.n).  One read-only cache
+    entry serves every label of c's type.
+    """
+    return _type_values(c.unipotent, _components_of(c), c.q)
 
 
 @cache
-def chi_value(nu: tuple[int, ...], c: GLClassLabel) -> int:
-    """Value of the unipotent character nu at the class c."""
-    if sum(nu) != c.n:
-        raise ValueError("label size differs from the class's n")
-    state = compose_steps(nu, _components_of(c), c.q)
-    # value_on_unipotent raises if the peeling left the wrong size
-    return sum(coef * value_on_unipotent(lam, c.unipotent, c.q)
-               for lam, coef in state.items())
-
-
-class MNCoefficient(NamedTuple):
-    source: tuple[int, ...]
-    target: tuple[int, ...]
-    x_type: tuple[tuple[int, int], ...]
-    value: int
+def _type_values(unipotent: tuple[int, ...], components, q: int) -> Mapping[tuple[int, ...], int]:
+    out = {}
+    for nu in partitions_of(sum(unipotent) + sum(e * sum(p) for e, p in components)):
+        value = sum(coef * value_on_unipotent(lam, unipotent, q)
+                    for lam, coef in compose_steps(nu, components, q).items())
+        if value:
+            out[nu] = value
+    return MappingProxyType(out)
 
 
 def alpha_coefficients(mu: tuple[int, ...], x_part: GLClassLabel, q: int):
     """Aggregated peel coefficients for a d-element part; {target: int}.
 
     Composes the hook-removal rule over the primary components of x_part
-    in canonical support order.  The identity (empty) part gives {mu: 1}.
+    in canonical order.  The identity (empty) part gives {mu: 1}.
     Nonzero targets share mu's d-core for the ambient d.
     """
     return compose_steps(mu, _components_of(x_part), q)
-
-
-def mn_coefficient_records(mu, x_part: GLClassLabel, q: int, d: int):
-    """Typed records for the aggregated coefficients of one d-element part."""
-    x_type = d_type(x_part, d)
-    out = []
-    for lam, value in sorted(alpha_coefficients(tuple(mu), x_part, q).items(),
-                             reverse=True):
-        rec = MNCoefficient(tuple(mu), lam, x_type, value)
-        if value != 0 and d_core(lam, d) != d_core(rec.source, d):
-            raise AssertionError(f"peel coefficient {rec} crosses d-cores")
-        out.append(rec)
-    return tuple(out)
-
-
-def alpha_paths(mu: tuple[int, ...], x_part: GLClassLabel, q: int):
-    return peel_sequences(mu, _components_of(x_part), q)
 
 
 def unipotent_degree(nu: tuple[int, ...], q: int) -> int:
@@ -225,8 +204,10 @@ class CharValueTable:
         self.n, self.q = n, q
         self.classes = all_classes(n, q)
         self.labels = partitions_of(n)
-        self.values = {(nu, c): chi_value(nu, c)
-                       for nu in self.labels for c in self.classes}
+        self.values = {}
+        for c in self.classes:
+            vector = class_values(c)
+            self.values.update(((nu, c), vector.get(nu, 0)) for nu in self.labels)
 
     def chi(self, nu, c) -> int:
         return self.values[(tuple(nu), c)]

@@ -72,7 +72,7 @@ def test_criterion_04_character_value_oracle_equivalence():
         for lam, (chi, _) in dec.constituents.items():
             for i, r in enumerate(tab.reps):
                 label = data.labels[data.class_of[r]]
-                if tab.value_int(chi, i) != C.chi_value(lam, label):
+                if tab.value_int(chi, i) != C.class_values(label).get(lam, 0):
                     ok = False
     announce(4, "unipotent values equal oracle constituent rows", ok)
 

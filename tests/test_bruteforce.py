@@ -1,4 +1,9 @@
+import ast
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +15,7 @@ from glblocks import qarith as Q
 from glblocks.errors import ScaleGuardError
 
 ORACLE_GROUPS = [(2, 2), (2, 3), (3, 2), (2, 4)]
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_build_group_sizes():
@@ -159,7 +165,7 @@ def test_engine_values_match_oracle_rows():
         for lam, (chi, _) in dec.constituents.items():
             for i, r in enumerate(tab.reps):
                 label = data.labels[data.class_of[r]]
-                assert tab.value_int(chi, i) == C.chi_value(lam, label)
+                assert tab.value_int(chi, i) == C.class_values(label).get(lam, 0)
 
 
 def test_duality_identity():
@@ -178,7 +184,7 @@ def test_fifth_group_gl25():
     for lam, (chi, _) in dec.constituents.items():
         for i, r in enumerate(tab.reps):
             label = data.labels[data.class_of[r]]
-            assert tab.value_int(chi, i) == C.chi_value(lam, label)
+            assert tab.value_int(chi, i) == C.class_values(label).get(lam, 0)
     assert BF.check_d1_duality_identity(2, 5) == \
         {"all_nonzero": True, "unipotent_identity": True}
 
@@ -227,3 +233,35 @@ def test_oracle_cache_failed_write_leaves_nothing(tmp_path, monkeypatch):
     with pytest.raises(OSError):
         BF.cached_oracle_dump(2, 2)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_oracle_does_not_import_the_engine():
+    # the engine-versus-oracle tests are only independent if the oracle
+    # derives its degrees and values without the label-level engine
+    tree = ast.parse((SRC / "glblocks" / "bruteforce.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names]
+            if isinstance(node, ast.ImportFrom) and node.module:
+                names.append(node.module)
+            imported.update(name.rsplit(".", 1)[-1] for name in names)
+    assert not imported & {"charvalue", "blockcalc"}, imported
+
+
+def test_mat_inverse_rejects_a_singular_matrix():
+    fq = Q.field(2)
+    assert BF.mat_inverse(fq, ((1, 1), (0, 1))) == ((1, 1), (0, 1))
+    with pytest.raises(ArithmeticError, match="not invertible"):
+        BF.mat_inverse(fq, ((1, 1), (1, 1)))
+    script = "\n".join([
+        "from glblocks import bruteforce as BF, qarith as Q",
+        "try:",
+        "    print(BF.mat_inverse(Q.field(2), ((1, 1), (1, 1))))",
+        "except ArithmeticError as exc:",
+        "    print('raised', exc)",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["raised matrix not invertible"]

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from glblocks import bruteforce as BF
 from glblocks import charvalue as C
 from glblocks import glclass as G
 from glblocks import qarith as Q
@@ -121,6 +122,35 @@ def kostka_foulkes(lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple[int, ...]
     return tuple(coeffs)
 
 
+# -- reference: the per-label fold that class_values replaced -----------------
+
+def label_chi_value(nu, c):
+    """Value of the unipotent character nu at the label c, folded over its own
+    components in sorted(c.support) order, uncached."""
+    if sum(nu) != c.n:
+        raise ValueError("label size differs from the class's n")
+    components = tuple((key.degree, part) for key, part in sorted(c.support))
+    state = C.compose_steps(nu, components, c.q)
+    return sum(coef * C.value_on_unipotent(lam, c.unipotent, c.q)
+               for lam, coef in state.items())
+
+
+def peel_sequences(start: tuple[int, ...], components, q: int):
+    """Per-sequence coefficients: list of (intermediate partitions, product).
+
+    One entry per chain of intermediate partitions through the peels;
+    every single-step factor is nonzero by construction.
+    """
+    seqs = [((start,), 1)]
+    for degree, jordan in components:
+        nxt = []
+        for chain, coef in seqs:
+            for lam, a in C.mn_step(chain[-1], degree, jordan, q):
+                nxt.append((chain + (lam,), coef * a))
+        seqs = nxt
+    return seqs
+
+
 def test_kostka_foulkes_frozen_values():
     assert kostka_foulkes((2,), (2,)) == poly(1)
     assert kostka_foulkes((2,), (1, 1)) == poly(0, 1)            # t
@@ -220,20 +250,11 @@ def test_value_on_unipotent_matches_charge():
 
 
 def test_degrees_match_q_hook_formula():
-    # K~_{nu,(1^n)}(q) = q^n(nu) prod_i (q^i - 1) / prod over hooks h of (q^h - 1)
+    # K~_{nu,(1^n)}(q) against the oracle's own q-hook formula
     for n in range(0, 13):
         for q in (2, 3):
             for nu in partitions_of(n):
-                nu_t = conjugate(nu)
-                num = q ** n_stat(nu)
-                for i in range(1, n + 1):
-                    num *= q ** i - 1
-                den = 1
-                for i, row in enumerate(nu):
-                    for j in range(row):
-                        den *= q ** (row - j + nu_t[j] - i - 1) - 1
-                assert num % den == 0
-                assert C.unipotent_degree(nu, q) == num // den, (nu, q)
+                assert C.unipotent_degree(nu, q) == BF.q_hook_degree(nu, q), (nu, q)
 
 
 @pytest.mark.parametrize("wrong, message", [
@@ -253,7 +274,7 @@ def test_unipotent_values_reject_wrong_centralizer_orders(monkeypatch, wrong, me
 def test_trivial_label_value_is_one():
     for (n, q) in [(2, 3), (3, 2), (4, 3)]:
         for c in G.all_classes(n, q):
-            assert C.chi_value((n,), c) == 1
+            assert C.class_values(c)[(n,)] == 1
 
 
 def test_mn_step_single_hook_is_leg_sign():
@@ -294,6 +315,24 @@ def test_mn_step_can_vanish_for_non_semisimple_parts():
     assert (2,) not in out and out[(1, 1)] == 3
 
 
+def test_mn_step_rejects_a_non_integral_peel(monkeypatch):
+    # a Green value off by one at alpha = (1^k) leaves the scaled sum
+    # indivisible by k!
+    real = C.green_polynomial
+
+    def wrong(mu, alpha, big_q):
+        bump = 1 if len(alpha) >= 2 and set(alpha) == {1} else 0
+        return real(mu, alpha, big_q) + bump
+
+    monkeypatch.setattr(C, "green_polynomial", wrong)
+    C.mn_step.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="not integral"):
+            C.mn_step((2,), 1, (2,), 3)
+    finally:
+        C.mn_step.cache_clear()
+
+
 def test_mn_step_targets_share_core():
     for nu in partitions_of(6):
         for out_lam, coef in C.mn_step(nu, 2, (2,), 2):
@@ -306,18 +345,17 @@ def test_alpha_coefficients_identity():
         assert C.alpha_coefficients(mu, x0, 3) == {mu: 1}
 
 
-def test_mn_coefficient_records():
+def test_alpha_coefficients_of_a_d_part():
     x = G.make_label(2, 3, (), [((2, 0), (1,))])
-    recs = C.mn_coefficient_records((3,), x, 3, 2)
-    assert recs == (C.MNCoefficient((3,), (1,), ((1, 1),), 1),)
-    for rec in C.mn_coefficient_records((2, 2), x, 3, 2):
-        assert d_core(rec.target, 2) == d_core(rec.source, 2)
+    assert C.alpha_coefficients((3,), x, 3) == {(1,): 1}
+    for lam in C.alpha_coefficients((2, 2), x, 3):
+        assert d_core(lam, 2) == d_core((2, 2), 2)
 
 
 def test_alpha_paths_factors_nonzero():
     x = G.make_label(4, 3, (), [((2, 0), (1,)), ((2, 1), (1,))])
     for mu in partitions_of(6):
-        paths = C.alpha_paths(mu, x, 3)
+        paths = peel_sequences(mu, C._components_of(x), 3)
         for chain, coef in paths:
             assert coef != 0
             assert len(chain) == 3
@@ -335,7 +373,7 @@ def test_vanishing_beyond_weight():
             w = d_weight(nu, d)
             for c in G.all_classes(n, q):
                 if class_d_weight(c, d) > w:
-                    assert C.chi_value(nu, c) == 0
+                    assert nu not in C.class_values(c)
 
 
 def test_orthonormality_full_group():
@@ -345,10 +383,11 @@ def test_orthonormality_full_group():
                    (5, 2), (5, 3), (6, 2), (8, 2)]:
         classes = G.all_classes(n, q)
         cents = [G.centralizer_order(c) for c in classes]
+        vectors = [C.class_values(c) for c in classes]
         for nu in partitions_of(n):
             for nu2 in partitions_of(n):
-                total = sum(Fraction(C.chi_value(nu, c) * C.chi_value(nu2, c), z)
-                            for c, z in zip(classes, cents))
+                total = sum(Fraction(v.get(nu, 0) * v.get(nu2, 0), z)
+                            for v, z in zip(vectors, cents))
                 assert total == (1 if nu == nu2 else 0), (n, q, nu, nu2)
 
 
@@ -384,5 +423,14 @@ def test_size_mismatch_errors():
         C.green_polynomial((2,), (1, 1, 1), 2)
     with pytest.raises(ValueError):
         C.value_on_unipotent((2, 1), (1, 1), 2)
-    with pytest.raises(ValueError):
-        C.chi_value((2, 1), G.identity_label(2, 3))
+
+
+@pytest.mark.parametrize("n, q", [(n, q) for n in range(6) for q in (2, 3, 4, 5)]
+                         + [(6, 2), (6, 3)])
+def test_class_values_match_label_fold(n, q):
+    # every label's vector equals the per-label fold it replaced, zeros omitted
+    labels = partitions_of(n)
+    for c in G.all_classes(n, q):
+        expected = {nu: v for nu in labels if (v := label_chi_value(nu, c))}
+        assert C.class_values(c) == expected, c.key()
+        assert list(C.class_values(c)) == list(expected)
