@@ -16,7 +16,7 @@ import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import isqrt
+from math import isqrt, lcm
 
 from . import __version__
 from .errors import ScaleGuardError, TieError
@@ -147,6 +147,15 @@ def poly_at_matrix(fq, coeffs, A):
 
 @dataclass
 class MatrixGroup:
+    """GL(n,q) as the invertible matrices in the order of their codes.
+
+    A row vector (r_0, ..., r_{n-1}) has the base-q code sum_j r_j q^j, and
+    a matrix the code sum_i code(row i) (q^n)^i, so `elements` is sorted by
+    code.  Products and conjugates are read from two lookup tables, built
+    on first use behind TABLE_GUARD: `act[b][r]`, the code of the row with
+    code r times element b, and `id_of[code]`, the element id of a matrix
+    code (-1 if singular).  A row of A*B is that row of A times B.
+    """
     n: int
     q: int
 
@@ -172,10 +181,39 @@ class MatrixGroup:
         self.index = {A: i for i, A in enumerate(els)}
         self.id_index = self.index[identity_matrix(self.n)]
         self._conj = None
-        self._classes = None
+        self._lookup = None
+
+    def _row_code(self, row):
+        code = 0
+        for x in reversed(row):
+            code = code * self.q + x
+        return code
+
+    def lookup_tables(self):
+        """(act, rows, id_of): act[b][r] is the code of row r times element b,
+        rows[i] the row codes of element i, id_of[code] an element id or -1."""
+        if self._lookup is None:
+            if len(self.elements) > TABLE_GUARD:
+                raise ScaleGuardError("group too large for the conjugation table")
+            q, n, fq = self.q, self.n, self.fq
+            vectors = [tuple((r // q ** j) % q for j in range(n)) for r in range(q ** n)]
+            rows = [tuple(self._row_code(row) for row in A) for A in self.elements]
+            act = [[self._row_code(mat_vec(fq, B_t, v)) for v in vectors]
+                   for B_t in (tuple(zip(*B)) for B in self.elements)]
+            id_of = [-1] * q ** (n * n)
+            for i, A in enumerate(self.elements):
+                id_of[self._row_code(sum(A, ()))] = i
+            self._lookup = (act, rows, id_of)
+        return self._lookup
 
     def mul(self, i, j):
-        return self.index[mat_mul(self.fq, self.elements[i], self.elements[j])]
+        act, rows, id_of = self.lookup_tables()
+        a_j = act[j]
+        step = self.q ** self.n
+        code = 0
+        for r in reversed(rows[i]):
+            code = code * step + a_j[r]
+        return id_of[code]
 
     @property
     def inverses(self):
@@ -184,30 +222,23 @@ class MatrixGroup:
         return self._inv
 
     def conj_table(self):
-        """conj[g][h] = index of h^-1 g h; also the source of classes."""
-        if self._conj is None:
-            if len(self.elements) > TABLE_GUARD:
-                raise ScaleGuardError("group too large for the conjugation table")
-            fq = self.fq
-            table = []
-            for h_id, h in enumerate(self.elements):
-                h_inv = self.elements[self.inverses[h_id]]
-                col = []
-                for g in self.elements:
-                    col.append(self.index[mat_mul(fq, mat_mul(fq, h_inv, g), h)])
-                table.append(col)
-            # transpose so conj[g][h] reads naturally
-            self._conj = [[table[h][g] for h in range(len(self.elements))]
-                          for g in range(len(self.elements))]
-        return self._conj
+        """conj[g][h] = index of h^-1 g h; also the source of classes.
 
-    def element_order(self, i):
-        e = i
-        k = 1
-        while e != self.id_index:
-            e = self.mul(e, i)
-            k += 1
-        return k
+        Built one g at a time for all h at once: the rows of h^-1 go
+        through act[g] and then act[h]."""
+        if self._conj is None:
+            act, rows, id_of = self.lookup_tables()
+            step = self.q ** self.n
+            # code of row k of h^-1 for every h, highest k first (Horner order)
+            inverse_rows = list(zip(*(rows[i] for i in self.inverses)))[::-1]
+            conj = []
+            for a_g in act:
+                codes = [0] * len(act)
+                for col in inverse_rows:
+                    codes = [c * step + a_h[a_g[r]] for c, a_h, r in zip(codes, act, col)]
+                conj.append([id_of[c] for c in codes])
+            self._conj = conj
+        return self._conj
 
 
 @cache
@@ -268,48 +299,6 @@ def element_label(group: MatrixGroup, A) -> GLClassLabel:
     if accounted != n:
         raise ArithmeticError(f"primary components cover {accounted} of {n} dimensions")
     return make_label(n, group.q, unip, tuple(support))
-
-
-def canonical_matrix(group: MatrixGroup, label: GLClassLabel):
-    """Block companion matrix in the class a label names."""
-    fq = group.fq
-    coeffs_of = {}
-    for coeffs, is_unip, key in _poly_pool(group.n, group.q):
-        if is_unip:
-            coeffs_of["u"] = coeffs
-        else:
-            coeffs_of[key] = coeffs
-    blocks = []
-    items = [("u", p) for p in ([label.unipotent] if label.unipotent else [])]
-    items += [(key, part) for key, part in label.support]
-    for key, part in items:
-        coeffs = coeffs_of[key]
-        d = len(coeffs) - 1
-        for mult in part:
-            size = d * mult
-            block = [[0] * size for _ in range(size)]
-            for rep in range(mult):
-                base = rep * d
-                for i in range(d - 1):
-                    block[base + i][base + i + 1] = 1
-                for i in range(d):
-                    block[base + d - 1][base + i] = fq.neg[coeffs[i]]
-                if rep + 1 < mult:
-                    for i in range(d):
-                        block[base + i][base + d + i] = 1
-            blocks.append(block)
-    n = group.n
-    out = [[0] * n for _ in range(n)]
-    pos = 0
-    for block in blocks:
-        s = len(block)
-        for i in range(s):
-            for j in range(s):
-                out[pos + i][pos + j] = block[i][j]
-        pos += s
-    if pos != n:
-        raise AssertionError(f"companion blocks fill {pos} of {n} rows")
-    return tuple(tuple(row) for row in out)
 
 
 @dataclass
@@ -599,16 +588,6 @@ def cyclotomic_poly(e: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-def cyc_mul(a, b, e):
-    out = [0] * e
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[(i + j) % e] += x * y
-    return tuple(out)
-
-
 def cyc_conj(a):
     e = len(a)
     return tuple(a[(-j) % e] for j in range(e))
@@ -768,6 +747,38 @@ class CharacterTable:
         return cyc_as_int(self.values[chi][cls])
 
 
+def _lift(chars_mod, degrees, power_class, e, ell, z):
+    """Root-of-unity multiplicities of each character value, from its
+    values mod ell on the powers of the class representative.
+
+    m_j = (1/e) sum_{m<e} chi(r^m) z^(-jm) mod ell.  power_class[i] lists
+    the classes of r^m for m below o = ord(r), and they repeat with period
+    o, so the sum is (e/o) times the sum over m < o when (e/o) divides j.
+    Otherwise it is that sum times sum_{t < e/o} z^(-jot), which is 0 mod
+    ell because z^(-jo) is a root of unity other than 1."""
+    e_inv = _modinv(e, ell)
+    z_pows = [pow(z, m, ell) for m in range(e)]
+    values = []
+    for chi, cm in enumerate(chars_mod):
+        rows = []
+        for i, powers in enumerate(power_class):
+            chi_powers = [cm[c] for c in powers]
+            stride = e // len(powers)
+            mults = [0] * e
+            for j in range(0, e, stride):
+                s = stride * sum(v * z_pows[(-j * m) % e] for m, v in enumerate(chi_powers))
+                mj = s * e_inv % ell
+                if mj > degrees[chi]:
+                    raise ArithmeticError("lifted multiplicity exceeds the degree")
+                mults[j] = mj
+            back = sum(mults[j] * z_pows[j] for j in range(e)) % ell
+            if back != cm[i]:
+                raise ArithmeticError("modular roundtrip failed")
+            rows.append(tuple(mults))
+        values.append(tuple(rows))
+    return tuple(values)
+
+
 @cache
 def dixon_table(n: int, q: int) -> CharacterTable:
     """Exact complex character table of GL(n,q) for small groups."""
@@ -780,14 +791,16 @@ def dixon_table(n: int, q: int) -> CharacterTable:
     reps = data.reps
     sizes = data.sizes
     inv_class = tuple(data.class_of[group.inverses[r]] for r in reps)
-    orders = [group.element_order(r) for r in reps]
-    e = 1
-    for o in orders:
-        g = e
-        a, b = e, o
-        while b:
-            a, b = b, a % b
-        e = e * o // a
+    # power_class[i][m] = class of reps[i]^m for m below the order of reps[i]
+    power_class = []
+    for r in reps:
+        row = [data.class_of[group.id_index]]
+        cur = r
+        while cur != group.id_index:
+            row.append(data.class_of[cur])
+            cur = group.mul(cur, r)
+        power_class.append(row)
+    e = lcm(*(len(row) for row in power_class))
     ell = _find_prime(e, size)
     z = _primitive_root_power(ell, e)
 
@@ -854,54 +867,27 @@ def dixon_table(n: int, q: int) -> CharacterTable:
     if sum(d * d for d in degrees) != size:
         raise ArithmeticError("squared degrees do not sum to |G|")
 
-    # power maps and exact lifting
-    power_class = []
-    for r in reps:
-        row = []
-        cur = group.id_index
-        for _ in range(e):
-            row.append(data.class_of[cur])
-            cur = group.mul(cur, r)
-        power_class.append(row)
-    e_inv = _modinv(e, ell)
-    z_pows = [pow(z, m, ell) for m in range(e)]
-    values = []
-    for chi, cm in enumerate(chars_mod):
-        rows = []
-        for i in range(k):
-            mults = []
-            for j in range(e):
-                s = sum(cm[power_class[i][m]] * z_pows[(-j * m) % e] for m in range(e))
-                mj = s * e_inv % ell
-                if mj > degrees[chi]:
-                    raise ArithmeticError("lifted multiplicity exceeds the degree")
-                mults.append(mj)
-            back = sum(mults[j] * z_pows[j] for j in range(e)) % ell
-            if back != cm[i]:
-                raise ArithmeticError("modular roundtrip failed")
-            rows.append(tuple(mults))
-        values.append(tuple(rows))
-
-    tab = CharacterTable(size, e, reps, sizes, inv_class, tuple(degrees),
-                         tuple(values))
+    values = _lift(chars_mod, degrees, power_class, e, ell, z)
+    tab = CharacterTable(size, e, reps, sizes, inv_class, tuple(degrees), values)
     _verify_orthogonality(tab)
     return tab
 
 
 def _verify_orthogonality(tab: CharacterTable):
-    k = len(tab.reps)
+    """sum_i |C_i| chi_a(C_i) conj(chi_b(C_i)) = |G| [a = b], exactly in Z[zeta_e];
+    each value is read as its nonzero (exponent, multiplicity) pairs."""
     e = tab.exponent
-    zero = tuple([0] * e)
-    for a in range(len(tab.degrees)):
-        for b in range(a, len(tab.degrees)):
-            acc = zero
-            for i in range(k):
-                term = cyc_mul(tab.values[a][i],
-                               cyc_conj(tab.values[b][i]), e)
-                acc = cyc_add(acc, cyc_scale(tab.sizes[i], term))
+    sparse = [[[(j, m) for j, m in enumerate(value) if m] for value in row]
+              for row in tab.values]
+    for a, row_a in enumerate(sparse):
+        for b in range(a, len(sparse)):
+            acc = [0] * e
+            for size, va, vb in zip(tab.sizes, row_a, sparse[b]):
+                for ja, ma in va:
+                    for jb, mb in vb:
+                        acc[(ja - jb) % e] += size * ma * mb
             expected = tab.order if a == b else 0
-            total = cyc_as_int(acc)
-            if total != expected:
+            if cyc_as_int(acc) != expected:
                 raise ArithmeticError("row orthogonality failed exactly")
 
 

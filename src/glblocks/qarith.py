@@ -176,39 +176,7 @@ def field(q: int) -> SmallField:
     return SmallField(q)
 
 
-# -- polynomial helpers over F_q ----------------------------------------------
-
-def poly_eval(fq: SmallField, coeffs: tuple[int, ...], x: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = fq.add[fq.mul[acc][x]][c]
-    return acc
-
-
-def poly_divmod(fq: SmallField, a, b):
-    rem = list(a)
-    db = len(b) - 1
-    quot = [0] * max(len(a) - db, 1)
-    inv_lead = fq.inv[b[-1]]
-    while len(rem) - 1 >= db and any(rem):
-        lead = rem[-1]
-        if lead == 0:
-            rem.pop()
-            continue
-        coef = fq.mul[lead][inv_lead]
-        pos = len(rem) - 1 - db
-        quot[pos] = coef
-        for i in range(db + 1):
-            rem[pos + i] = fq.add[rem[pos + i]][fq.neg[fq.mul[coef][b[i]]]]
-        rem.pop()
-    while len(rem) > 1 and rem[-1] == 0:
-        rem.pop()
-    return tuple(quot), tuple(rem if rem else (0,))
-
-
-def poly_is_zero(coeffs) -> bool:
-    return all(c == 0 for c in coeffs)
-
+# -- monic irreducibles over F_q ---------------------------------------------
 
 @dataclass(frozen=True)
 class PolyLabel:
@@ -219,6 +187,29 @@ class PolyLabel:
     coeffs: tuple[int, ...] | None = None
 
 
+def _product_codes(fq: SmallField, f: tuple[int, ...], m: int) -> list[int]:
+    """Codes of f*g for every monic g of degree m, g in code order.
+
+    A monic polynomial of degree d has the code sum_{t<d} c_t q^t of its
+    lower coefficients.  The product is formed one coefficient at a time,
+    as a list over all g at once."""
+    q = fq.q
+    size = q ** m
+    g_coeffs = [[(enc // q ** t) % q for enc in range(size)] for t in range(m)]
+    g_coeffs.append([1] * size)
+    add, mul = fq.add, fq.mul
+    codes = [0] * size
+    for pos in range(len(f) - 1 + m):
+        coeff = [0] * size
+        for i, a in enumerate(f):
+            if a and 0 <= pos - i <= m:
+                times_a = mul[a]
+                coeff = [add[x][times_a[y]] for x, y in zip(coeff, g_coeffs[pos - i])]
+        weight = q ** pos
+        codes = [c + x * weight for c, x in zip(codes, coeff)]
+    return codes
+
+
 @cache
 def enumerate_irreducibles(q: int, d: int) -> tuple[PolyLabel, ...]:
     """Monic irreducibles of degree d over F_q except X, canonical order.
@@ -227,38 +218,28 @@ def enumerate_irreducibles(q: int, d: int) -> tuple[PolyLabel, ...]:
     coefficient down to the constant term, field elements ordered by
     their integer encoding.  X-1 is included (at d = 1) and carries its
     position in this order like any other polynomial.
+
+    A sieve: a reducible monic of degree d is f*g with f monic irreducible
+    (X included) of degree k <= d/2 and g monic of degree d - k, so every
+    such product is marked and the unmarked codes are kept in code order,
+    which is the canonical order.
     """
     if q ** d > ENUM_GUARD:
         raise ScaleGuardError(f"q^d = {q ** d} exceeds enumeration guard {ENUM_GUARD}")
     fq = field(q)
-    lower: list[tuple[int, ...]] = []
-    for dd in range(1, d // 2 + 1):
-        for lab in enumerate_irreducibles(q, dd):
-            lower.append(lab.coeffs)
-        if dd == 1:
-            lower.append((0, 1))  # X itself divides reducibles too
+    reducible = bytearray(q ** d)
+    for k in range(1, d // 2 + 1):
+        factors = [lab.coeffs for lab in enumerate_irreducibles(q, k)]
+        if k == 1:
+            factors.append((0, 1))  # X itself divides reducibles too
+        for f in factors:
+            for code in _product_codes(fq, f, d - k):
+                reducible[code] = 1
     out = []
     for enc in range(q ** d):
-        # enc digit i (base q) = coefficient of X**(d-1-i)
-        high_to_low = [(enc // q ** (d - 1 - i)) % q for i in range(d)]
-        coeffs = tuple(reversed(high_to_low)) + (1,)
-        if d == 1 and coeffs[0] == 0:
-            continue  # X excluded from the universe
-        if any(poly_eval(fq, coeffs, x) == 0 for x in range(q)):
-            if d > 1:
-                continue
-            # degree-1 polynomials always have a root; they are irreducible
-        reducible = False
-        if d > 1:
-            for div in lower:
-                if len(div) - 1 > d // 2:
-                    continue
-                _, rem = poly_divmod(fq, coeffs, div)
-                if poly_is_zero(rem):
-                    reducible = True
-                    break
-        if not reducible:
-            out.append(coeffs)
+        if reducible[enc] or (d == 1 and enc == 0):
+            continue  # at d = 1 the code 0 is X, excluded from the universe
+        out.append(tuple((enc // q ** t) % q for t in range(d)) + (1,))
     labels = tuple(PolyLabel(q, d, i, c) for i, c in enumerate(out))
     if len(labels) != count_irreducibles(q, d, frozenset({"X"})):
         raise AssertionError(f"found {len(labels)} irreducibles of degree {d} over F_{q},"

@@ -55,11 +55,52 @@ def test_oracle_centralizers_match_formula():
             assert G.class_size(lab) == data.sizes[cid]
 
 
+def canonical_matrix(group, label):
+    """Block companion matrix in the class a label names."""
+    fq = group.fq
+    coeffs_of = {}
+    for coeffs, is_unip, key in BF._poly_pool(group.n, group.q):
+        if is_unip:
+            coeffs_of["u"] = coeffs
+        else:
+            coeffs_of[key] = coeffs
+    blocks = []
+    items = [("u", p) for p in ([label.unipotent] if label.unipotent else [])]
+    items += [(key, part) for key, part in label.support]
+    for key, part in items:
+        coeffs = coeffs_of[key]
+        d = len(coeffs) - 1
+        for mult in part:
+            size = d * mult
+            block = [[0] * size for _ in range(size)]
+            for rep in range(mult):
+                base = rep * d
+                for i in range(d - 1):
+                    block[base + i][base + i + 1] = 1
+                for i in range(d):
+                    block[base + d - 1][base + i] = fq.neg[coeffs[i]]
+                if rep + 1 < mult:
+                    for i in range(d):
+                        block[base + i][base + d + i] = 1
+            blocks.append(block)
+    n = group.n
+    out = [[0] * n for _ in range(n)]
+    pos = 0
+    for block in blocks:
+        s = len(block)
+        for i in range(s):
+            for j in range(s):
+                out[pos + i][pos + j] = block[i][j]
+        pos += s
+    assert pos == n, f"companion blocks fill {pos} of {n} rows"
+    return tuple(tuple(row) for row in out)
+
+
 def test_label_roundtrip_through_canonical_matrix():
     for n, q in ORACLE_GROUPS:
         group = BF.build_group(n, q)
         for lab in G.all_classes(n, q):
-            mat = BF.canonical_matrix(group, lab)
+            mat = canonical_matrix(group, lab)
             assert mat in group.index
             assert BF.element_label(group, mat) == lab
 
@@ -69,6 +110,88 @@ def test_regular_unipotent_centralizer_gl32():
     for cid, lab in enumerate(data.labels):
         if lab.unipotent == (3,):
             assert data.centralizer_orders[cid] == 4
+
+
+@pytest.mark.parametrize("n,q", ORACLE_GROUPS)
+def test_lookup_products_and_conjugates_match_tuples(n, q):
+    # every product and every conjugate, against matrix products of tuples
+    group = BF.build_group(n, q)
+    fq, els, index = group.fq, group.elements, group.index
+    conj = group.conj_table()
+    for i, A in enumerate(els):
+        for j, B in enumerate(els):
+            assert group.mul(i, j) == index[BF.mat_mul(fq, A, B)]
+            h_inv = els[group.inverses[j]]
+            assert conj[i][j] == index[BF.mat_mul(fq, BF.mat_mul(fq, h_inv, A), B)]
+
+
+def test_conj_table_guard_builds_no_tables():
+    # |GL(2,11)| = 13,200 passes GROUP_GUARD but not TABLE_GUARD, where the
+    # lookup tables would hold 13,200 * 121 row codes
+    group = BF.MatrixGroup(2, 11)
+    assert BF.TABLE_GUARD < len(group.elements) <= BF.GROUP_GUARD
+    with pytest.raises(ScaleGuardError, match="conjugation table"):
+        group.conj_table()
+    with pytest.raises(ScaleGuardError):
+        group.mul(0, 0)
+    assert group._lookup is None and group._conj is None
+
+
+def full_power_classes(group, class_of, reps, e):
+    """Classes of r^m for every m < e, stepped one product at a time."""
+    power_class = []
+    for r in reps:
+        row, cur = [], group.id_index
+        for _ in range(e):
+            row.append(class_of[cur])
+            cur = group.mul(cur, r)
+        power_class.append(row)
+    return power_class
+
+
+def full_length_lift(power_class, chars_mod, degrees, e, ell, z):
+    """Reference: the length-e DFT m_j = (1/e) sum_{m<e} chi(r^m) z^(-jm)."""
+    e_inv = pow(e, -1, ell)
+    z_pows = [pow(z, m, ell) for m in range(e)]
+    values = []
+    for chi, cm in enumerate(chars_mod):
+        rows = []
+        for i, powers in enumerate(power_class):
+            mults = []
+            for j in range(e):
+                s = sum(cm[powers[m]] * z_pows[(-j * m) % e] for m in range(e))
+                mj = s * e_inv % ell
+                assert mj <= degrees[chi]
+                mults.append(mj)
+            assert sum(mults[j] * z_pows[j] for j in range(e)) % ell == cm[i]
+            rows.append(tuple(mults))
+        values.append(tuple(rows))
+    return tuple(values)
+
+
+@pytest.mark.parametrize("n,q", [(2, 4), (3, 2), (2, 5)])
+def test_lift_over_element_orders_matches_full_length_lift(n, q, monkeypatch):
+    seen = []
+    lift = BF._lift
+
+    def recording_lift(chars_mod, degrees, power_class, e, ell, z):
+        seen.append((chars_mod, degrees, power_class, e, ell, z))
+        return lift(chars_mod, degrees, power_class, e, ell, z)
+
+    monkeypatch.setattr(BF, "_lift", recording_lift)
+    BF.dixon_table.__wrapped__(n, q)
+    (chars_mod, degrees, power_class, e, ell, z), = seen
+    data = BF.oracle_classes(n, q)
+    tab = BF.dixon_table(n, q)
+    assert tab.exponent == e
+    full = full_power_classes(data.group, data.class_of, tab.reps, e)
+    # each short row runs up to the first return to the identity class,
+    # which holds the identity alone, so its length is the element's order
+    id_cls = data.class_of[data.group.id_index]
+    for short, row in zip(power_class, full):
+        order = row.index(id_cls, 1) if id_cls in row[1:] else e
+        assert short == row[:order]
+    assert tab.values == full_length_lift(full, chars_mod, degrees, e, ell, z)
 
 
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2), (2, 4)])
@@ -124,9 +247,35 @@ def test_dixon_degrees():
     assert sum(d * d for d in tab.degrees) == 48
 
 
+def dense_orthogonality(tab):
+    """Reference: the row relations summed as dense vectors in Z[zeta_e]."""
+    e = tab.exponent
+    for a in range(len(tab.degrees)):
+        for b in range(a, len(tab.degrees)):
+            acc = tuple([0] * e)
+            for i in range(len(tab.reps)):
+                term = cyc_mul(tab.values[a][i], BF.cyc_conj(tab.values[b][i]), e)
+                acc = BF.cyc_add(acc, BF.cyc_scale(tab.sizes[i], term))
+            assert BF.cyc_as_int(acc) == (tab.order if a == b else 0)
+
+
 def test_dixon_orthogonality_reverified():
     for n, q in ORACLE_GROUPS:
-        BF._verify_orthogonality(BF.dixon_table(n, q))
+        tab = BF.dixon_table(n, q)
+        BF._verify_orthogonality(tab)
+        dense_orthogonality(tab)
+    # one multiplicity moved to another root of unity breaks a relation
+    tab = BF.dixon_table(2, 3)
+    chi = tab.degrees.index(2)
+    value = list(tab.values[chi][0])
+    value[0], value[1] = value[1], value[0]
+    rows = list(tab.values[chi])
+    rows[0] = tuple(value)
+    values = tab.values[:chi] + (tuple(rows),) + tab.values[chi + 1:]
+    broken = BF.CharacterTable(tab.order, tab.exponent, tab.reps, tab.sizes,
+                               tab.inverse_class, tab.degrees, values)
+    with pytest.raises(ArithmeticError, match="orthogonality"):
+        BF._verify_orthogonality(broken)
 
 
 def test_borel_constituents():
@@ -189,15 +338,26 @@ def test_fifth_group_gl25():
         {"all_nonzero": True, "unipotent_identity": True}
 
 
+def cyc_mul(a, b, e):
+    """Product in Z[zeta_e] of two vectors of root-of-unity multiplicities."""
+    out = [0] * e
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[(i + j) % e] += x * y
+    return tuple(out)
+
+
 def test_cyclotomic_helpers():
     e = 12
     zeta = tuple(1 if i == 1 else 0 for i in range(e))
-    prod = BF.cyc_mul(zeta, zeta, e)
+    prod = cyc_mul(zeta, zeta, e)
     assert prod[2] == 1 and sum(map(abs, prod)) == 1
     # zeta^6 = -1 in the 12th cyclotomic field
     z6 = tuple(1 if i == 6 else 0 for i in range(e))
     assert BF.cyc_as_int(z6) == -1
-    assert BF.cyc_as_int(BF.cyc_mul(z6, z6, e)) == 1
+    assert BF.cyc_as_int(cyc_mul(z6, z6, e)) == 1
     assert BF.cyclotomic_poly(12) == (1, 0, -1, 0, 1)
     assert BF.cyc_is_zero(BF.cyc_add(z6, tuple([1] + [0] * (e - 1))))
 
