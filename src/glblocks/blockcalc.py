@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cache
 from math import factorial
 
-from .charvalue import alpha_coefficients, class_values
+from .charvalue import class_values, components_of, mn_step, peel
 from .errors import HypothesisError
 from .glclass import (
     class_size,
@@ -405,38 +405,37 @@ class DominationDatum:
 def smt_check(ctx: Context, collect=False):
     """Reconstruction and disjoint domination data across every section head type.
 
-    For every section head type x and every label mu of size n the peel
-    coefficients reconstruct the value on each class type of the section
-    from values of GL(l,q) labels, l = n - |x|, on its complementary part, and
-    the target labels stay inside the same-core combinatorial block of GL(l,q).
-    Distinct cores then give disjoint unions of centralizer blocks.
-    Returns (ok, data), data holding one set of DominationDatum per head
-    type (x_key its support) when `collect`; reconstruction failure raises
-    AssertionError.
+    For every section head type x, `peel` takes x's components back onto
+    the values of GL(l,q), l = n - |x|, on the d-regular part y of each
+    class type t of the section, which must give t's values at every mu of
+    size n.  Every mn_step row of x's steps keeps the d-core, so peel
+    targets stay in the same-core block of GL(l,q); distinct cores then
+    give disjoint unions of centralizer blocks.  Returns (ok, data), data
+    holding one set of DominationDatum per head type (x_key its support)
+    when `collect`; a failed check raises AssertionError.
     """
-    labels = partitions_of(ctx.n)
     data = []
     for head in section_heads(ctx.n, ctx.q, ctx.d, ctx.variant):
         blocks_of_l = {d_core(min(b), ctx.d): b for b in same_core_grouping(ctx.n - head.n, ctx.d)}
-        vectors = []  # (class type of the section, its values, values of its y-part)
+        steps, size = [], ctx.n - head.n
+        for degree, jordan in reversed(components_of(head)):
+            size += degree * sum(jordan)
+            steps.append((size, degree, jordan))
+            for nu in partitions_of(size):
+                if any(d_core(lam, ctx.d) != d_core(nu, ctx.d)
+                       for lam, _ in mn_step(nu, degree, jordan, ctx.q)):
+                    raise AssertionError("peel target escaped the source's d-core")
         for t in _type_weights(ctx, ("section", head.support)):
             x_of_t, y = xy_decompose(t, ctx.d, ctx.variant)
             if x_of_t != head:
                 raise AssertionError(f"class {t.key()} is not in the section of its head")
-            vectors.append((t, class_values(t), class_values(y)))
-        for mu in labels:
-            alphas = alpha_coefficients(mu, head, ctx.q)
-            gamma = d_core(mu, ctx.d)
-            for lam in alphas:
-                if d_core(lam, ctx.d) != gamma:
-                    raise AssertionError("peel target escaped the source's d-core")
-            for t, t_values, y_values in vectors:
-                direct = t_values.get(mu, 0)
-                recon = sum(coef * y_values.get(lam, 0) for lam, coef in alphas.items())
-                if direct != recon:
-                    raise AssertionError(
-                        f"reconstruction failed for {mu} at {t.key()}: "
-                        f"{direct} != {recon}")
+            direct, recon = class_values(t), class_values(y)
+            for step in steps:
+                recon = peel(recon, *step, ctx.q)
+            for mu in partitions_of(ctx.n):
+                a, b = direct.get(mu, 0), recon.get(mu, 0)
+                if a != b:
+                    raise AssertionError(f"reconstruction failed for {mu} at {t.key()}: {a} != {b}")
         # the dominated set for the block labeled gamma is the same-core
         # block of GL(l,q); distinct cores give disjoint sets by construction,
         # asserted here from the recorded members

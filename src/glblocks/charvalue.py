@@ -8,11 +8,14 @@ polynomials are their transforms under the symmetric group characters,
 and a hook-removal recursion weighted by them peels every other primary
 component of a class.  A class enters every later sum only through its
 value vector (chi^nu(c))_nu, which depends only on the class type, so
-`class_values` computes and caches one vector per type.  All values are
+`class_values` computes and caches one vector per type: the K~ column at
+its unipotent part with one `peel` per component applied to the whole
+vector.  Each partial product is the vector of a type of a smaller
+GL(m,q), so the type cache shares it between types.  All values are
 exact integers at a concrete q: a peel of k boxes is summed scaled by
 k!, which every z_alpha divides, and ends in an exact division that is
 checked.  No sign correction is needed: every unipotent degree is
-positive (q-hook formula), which unipotent_degree checks.
+positive (q-hook formula), which the tests check against the oracle.
 """
 
 from __future__ import annotations
@@ -134,21 +137,23 @@ def mn_step(nu: tuple[int, ...], hook_degree: int, jordan: tuple[int, ...],
     return tuple(out)
 
 
-def compose_steps(start: tuple[int, ...], components, q: int):
-    """Fold mn_step over (degree, jordan) components; map target -> int."""
-    state = {start: 1}
-    for degree, jordan in components:
-        nxt: dict[tuple[int, ...], int] = {}
-        for part, coef in state.items():
-            for lam, a in mn_step(part, degree, jordan, q):
-                nxt[lam] = nxt.get(lam, 0) + coef * a
-        state = {p: c for p, c in nxt.items() if c != 0}
-        if not state:
-            return {}
-    return state
+def peel(values: Mapping[tuple[int, ...], int], n: int, degree: int,
+         jordan: tuple[int, ...], q: int) -> dict[tuple[int, ...], int]:
+    """Peel one primary component (degree, jordan) off a value vector.
+
+    `values` is over the partitions of n - degree*|jordan|; the result is
+    {nu: sum_lam mn_step(nu -> lam) * values[lam]} over the partitions nu
+    of n, zeros omitted, in the order of partitions_of(n).
+    """
+    out = {}
+    for nu in partitions_of(n):
+        value = sum(a * values.get(lam, 0) for lam, a in mn_step(nu, degree, jordan, q))
+        if value:
+            out[nu] = value
+    return out
 
 
-def _components_of(c: GLClassLabel):
+def components_of(c: GLClassLabel):
     """Non-unipotent primary components as sorted (degree, jordan) pairs.
 
     Every label of one type gives the same tuple, and the peel's result
@@ -163,36 +168,20 @@ def class_values(c: GLClassLabel) -> Mapping[tuple[int, ...], int]:
     Keys come in the order of partitions_of(c.n).  One read-only cache
     entry serves every label of c's type.
     """
-    return _type_values(c.unipotent, _components_of(c), c.q)
+    return _type_values(c.unipotent, components_of(c), c.q)
 
 
 @cache
 def _type_values(unipotent: tuple[int, ...], components, q: int) -> Mapping[tuple[int, ...], int]:
-    out = {}
-    for nu in partitions_of(sum(unipotent) + sum(e * sum(p) for e, p in components)):
-        value = sum(coef * value_on_unipotent(lam, unipotent, q)
-                    for lam, coef in compose_steps(nu, components, q).items())
-        if value:
-            out[nu] = value
-    return MappingProxyType(out)
-
-
-def alpha_coefficients(mu: tuple[int, ...], x_part: GLClassLabel, q: int):
-    """Aggregated peel coefficients for a d-element part; {target: int}.
-
-    Composes the hook-removal rule over the primary components of x_part
-    in canonical order.  The identity (empty) part gives {mu: 1}.
-    Nonzero targets share mu's d-core for the ambient d.
-    """
-    return compose_steps(mu, _components_of(x_part), q)
-
-
-def unipotent_degree(nu: tuple[int, ...], q: int) -> int:
-    """Degree of the unipotent character nu, positive by the q-hook formula."""
-    degree = value_on_unipotent(nu, (1,) * sum(nu), q)
-    if degree <= 0:
-        raise AssertionError(f"unipotent degree of {nu} at q = {q} is {degree}")
-    return degree
+    """Values on the type (unipotent, components): the K~ column at unipotent
+    with the components peeled on one at a time, last first, so every
+    intermediate vector is itself a cached type of a smaller GL(m,q)."""
+    if not components:
+        return MappingProxyType({nu: v for nu in partitions_of(sum(unipotent))
+                                 if (v := value_on_unipotent(nu, unipotent, q))})
+    n = sum(unipotent) + sum(e * sum(p) for e, p in components)
+    return MappingProxyType(peel(_type_values(unipotent, components[1:], q), n,
+                                 *components[0], q))
 
 
 # -- assembled tables ----------------------------------------------------------

@@ -34,7 +34,7 @@ import json
 import sys
 import traceback
 
-from . import blockcalc, bruteforce, charvalue, glclass, partitions, qarith
+from . import blockcalc, charvalue, glclass, partitions, qarith
 from .blockcalc import Context
 from .errors import HypothesisError, ScaleGuardError
 
@@ -163,6 +163,7 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import bruteforce
     blob = bruteforce.cached_oracle_dump(args.n, args.q)
     payload = json.loads(blob)
     _emit(args, payload, [blob])
@@ -184,6 +185,7 @@ def cmd_blocks(args) -> int:
 
 
 def _verify_prop32(args):
+    from . import bruteforce
     ok_all = True
     details = {}
     for variant in ([args.variant] if args.variant_given else ["divisible", "exact"]):
@@ -217,6 +219,7 @@ def _verify_thm44(args):
 
 
 def _verify_thm45(args):
+    from . import bruteforce
     ctx = Context(args.n, args.q, 1, args.variant)
     blocks = blockcalc.unipotent_blocks(ctx)
     single = len(blocks.blocks) == 1

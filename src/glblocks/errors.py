@@ -17,9 +17,5 @@ class InfeasibleError(ValueError):
     """No object with the requested combinatorial constraints exists."""
 
 
-class ConventionMismatchError(ValueError):
-    """Two abacus states built under different origin conventions were compared."""
-
-
 class TieError(ValueError):
     """Constituents could not be labeled because two candidates tie."""

@@ -80,10 +80,6 @@ def make_label(n: int, q: int, unipotent, support) -> GLClassLabel:
     return GLClassLabel(n, q, tuple(unipotent), support)
 
 
-def identity_label(n: int, q: int) -> GLClassLabel:
-    return make_label(n, q, (1,) * n, ())
-
-
 def _multisets(pool, budget: int, counts, last=(0, 0)):
     """Sorted tuples of pairs of `pool` of weighted size <= `budget` and at most counts[e]
     pairs of degree e; `last` is the degree of the pair before and the room left in it."""
@@ -216,10 +212,6 @@ def d_type(c: GLClassLabel, d: int, variant: str = "divisible"):
                 raise ArithmeticError(f"d-part degree {key.degree} is not a multiple of {d}")
             pairs.append((sum(part), m))
     return tuple(sorted(pairs))
-
-
-def class_d_weight(c: GLClassLabel, d: int, variant: str = "divisible") -> int:
-    return sum(k * m for k, m in d_type(c, d, variant))
 
 
 def section_heads(n: int, q: int, d: int, variant: str = "divisible"):

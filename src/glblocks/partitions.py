@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple
 
-from .errors import ConventionMismatchError, CoreMismatchError, InfeasibleError
+from .errors import CoreMismatchError, InfeasibleError
 
 
 def check_partition(parts) -> tuple[int, ...]:
@@ -263,15 +263,6 @@ def l_set_iterate(lam: tuple[int, ...], d: int, i: int) -> frozenset[tuple[int, 
     return frozenset(out)
 
 
-def l_set_single(lam: tuple[int, ...], d: int, i: int) -> frozenset[tuple[int, ...]]:
-    """Partitions reachable from lam by removing one hook of length i*d."""
-    if i < 0:
-        raise ValueError(f"hook multiple must be at least 0, got {i}")
-    if i == 0:
-        return frozenset({lam})
-    return frozenset(hk.result for hk in rim_hooks(lam, i * d))
-
-
 def single_runner_partition(gamma, w: int, d: int, runner: int,
                             shape: tuple[int, ...] | None = None) -> tuple[int, ...]:
     """Partition with d-core gamma whose weight-w quotient sits on one runner."""
@@ -362,14 +353,3 @@ class AbacusState:
             marker = "> " if row == 0 else "  "
             lines.append(marker + " ".join(cells))
         return "\n".join(lines)
-
-
-def compare_supports(a: AbacusState, b: AbacusState) -> bool:
-    """Disjointness of two abacus states; demands one shared convention."""
-    if a.d != b.d:
-        raise ConventionMismatchError("different runner counts")
-    if a.origin_offset % a.d != 0 or b.origin_offset % b.d != 0:
-        raise ConventionMismatchError("origin offsets are not multiples of d")
-    sup_a = {r for r, c in enumerate(a.quotient()) if c}
-    sup_b = {r for r, c in enumerate(b.quotient()) if c}
-    return not (sup_a & sup_b)

@@ -12,7 +12,6 @@ from math import factorial
 
 from .partitions import (
     d_core,
-    l_set_iterate,
     partitions_of,
     rim_hooks,
 )
@@ -26,11 +25,6 @@ def z_order(alpha: tuple[int, ...]) -> int:
         r = alpha.count(part)
         out *= part ** r * factorial(r)
     return out
-
-
-def scaled_type(alpha: tuple[int, ...], d: int) -> tuple[int, ...]:
-    """Cycle type with every cycle length multiplied by d."""
-    return tuple(sorted((a * d for a in alpha), reverse=True))
 
 
 @cache
@@ -63,16 +57,6 @@ def signed_removal_map(mu: tuple[int, ...], alpha: tuple[int, ...], d: int):
                 nxt[hk.result] = nxt.get(hk.result, 0) + coef * (-1) ** hk.leg_length
         state = nxt
     return {eta: c for eta, c in state.items() if c != 0}
-
-
-def phi_coeff(mu, eta, alpha: tuple[int, ...], d: int) -> int:
-    """Signed expansion coefficient for peeling the scaled type of alpha."""
-    mu, eta, alpha = tuple(mu), tuple(eta), tuple(alpha)
-    if sum(mu) - sum(eta) != sum(alpha) * d:
-        raise ValueError("size mismatch: |mu| - |eta| must equal |alpha|*d")
-    if eta not in l_set_iterate(mu, d, sum(alpha)):
-        raise ValueError(f"{eta} is not reachable from {mu} by removing {sum(alpha)} {d}-hooks")
-    return signed_removal_map(mu, alpha, d).get(eta, 0)
 
 
 def regular_classes(n: int, ell: int) -> tuple[tuple[int, ...], ...]:

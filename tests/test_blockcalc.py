@@ -11,7 +11,7 @@ from glblocks import glclass as G
 from glblocks import partitions as P
 from glblocks.blockcalc import Context
 from glblocks.errors import HypothesisError
-from test_charvalue import label_chi_value
+from test_charvalue import compose_steps, label_chi_value
 
 
 CONTEXTS = [Context(3, 2, 2), Context(3, 3, 2), Context(4, 2, 3), Context(4, 3, 2)]
@@ -389,9 +389,9 @@ def test_smt_check():
 
 
 def test_wrong_peel_coefficient_fails_smt_check(monkeypatch, capsys):
-    real = B.alpha_coefficients
-    monkeypatch.setattr(B, "alpha_coefficients", lambda mu, x_part, q: {
-        lam: 2 * a for lam, a in real(mu, x_part, q).items()})
+    real = B.peel
+    monkeypatch.setattr(B, "peel", lambda values, n, degree, jordan, q: {
+        nu: 2 * v for nu, v in real(values, n, degree, jordan, q).items()})
     with pytest.raises(AssertionError, match="reconstruction failed"):
         B.smt_check(Context(4, 3, 2))
     code = cli.main(["verify", "smt55", "--n", "4", "--q", "3", "--d", "2", "--output", "json"])
@@ -400,10 +400,23 @@ def test_wrong_peel_coefficient_fails_smt_check(monkeypatch, capsys):
     assert payload["details"]["error"].startswith("reconstruction failed")
 
 
+def test_peel_target_leaving_the_core_fails_smt_check(monkeypatch, capsys):
+    # (1,) has 2-core (1,), so it is foreign to every even-sized source
+    real = B.mn_step
+    monkeypatch.setattr(B, "mn_step", lambda nu, degree, jordan, q: (
+        real(nu, degree, jordan, q) + (((1,), 1),)))
+    message = "peel target escaped the source's d-core"
+    with pytest.raises(AssertionError, match=message):
+        B.smt_check(Context(4, 3, 2))
+    code = cli.main(["verify", "smt55", "--n", "4", "--q", "3", "--d", "2", "--output", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1 and payload["pass"] is False
+    assert payload["details"]["error"] == message
+
+
 def test_section_inner_products_factor_through_peels():
     # weighted section products decompose over the peel coefficients and
     # the complementary group's regular products
-    from glblocks import charvalue as C
     from glblocks import qarith as Q
 
     for (n, q, d) in [(4, 3, 2), (4, 2, 3)]:
@@ -419,9 +432,9 @@ def test_section_inner_products_factor_through_peels():
             x_class_size = G.class_size(x_in_g)
             scale = Fraction(Q.gl_order(l, q), Q.gl_order(n, q))
             for mu in labels:
-                amu = C.alpha_coefficients(mu, x_part, q)
+                amu = compose_steps(mu, C.components_of(x_part), q)
                 for mu2 in labels:
-                    amu2 = C.alpha_coefficients(mu2, x_part, q)
+                    amu2 = compose_steps(mu2, C.components_of(x_part), q)
                     lhs = B.inner_product(mu, mu2, ("section", key), ctx) / x_class_size
                     rhs = scale * sum(
                         a * b * B.inner_product(lam, lam2, "d_regular", sub)

@@ -8,6 +8,7 @@ from glblocks import bruteforce as BF
 from glblocks import charvalue as C
 from glblocks import glclass as G
 from glblocks import qarith as Q
+from glblocks.charvalue import value_on_unipotent
 from glblocks.partitions import conjugate, d_core, l_set_iterate, n_stat, partitions_of
 from glblocks.symchar import sn_char, z_order
 
@@ -124,15 +125,37 @@ def kostka_foulkes(lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple[int, ...]
 
 # -- reference: the per-label fold that class_values replaced -----------------
 
+def compose_steps(start: tuple[int, ...], components, q: int):
+    """Fold mn_step over (degree, jordan) components; map target -> int."""
+    state = {start: 1}
+    for degree, jordan in components:
+        nxt: dict[tuple[int, ...], int] = {}
+        for part, coef in state.items():
+            for lam, a in C.mn_step(part, degree, jordan, q):
+                nxt[lam] = nxt.get(lam, 0) + coef * a
+        state = {p: c for p, c in nxt.items() if c != 0}
+        if not state:
+            return {}
+    return state
+
+
 def label_chi_value(nu, c):
     """Value of the unipotent character nu at the label c, folded over its own
     components in sorted(c.support) order, uncached."""
     if sum(nu) != c.n:
         raise ValueError("label size differs from the class's n")
     components = tuple((key.degree, part) for key, part in sorted(c.support))
-    state = C.compose_steps(nu, components, c.q)
+    state = compose_steps(nu, components, c.q)
     return sum(coef * C.value_on_unipotent(lam, c.unipotent, c.q)
                for lam, coef in state.items())
+
+
+def unipotent_degree(nu: tuple[int, ...], q: int) -> int:
+    """Degree of the unipotent character nu, positive by the q-hook formula."""
+    degree = value_on_unipotent(nu, (1,) * sum(nu), q)
+    if degree <= 0:
+        raise AssertionError(f"unipotent degree of {nu} at q = {q} is {degree}")
+    return degree
 
 
 def peel_sequences(start: tuple[int, ...], components, q: int):
@@ -254,7 +277,7 @@ def test_degrees_match_q_hook_formula():
     for n in range(0, 13):
         for q in (2, 3):
             for nu in partitions_of(n):
-                assert C.unipotent_degree(nu, q) == BF.q_hook_degree(nu, q), (nu, q)
+                assert unipotent_degree(nu, q) == BF.q_hook_degree(nu, q), (nu, q)
 
 
 @pytest.mark.parametrize("wrong, message", [
@@ -342,31 +365,31 @@ def test_mn_step_targets_share_core():
 def test_alpha_coefficients_identity():
     x0 = G.make_label(0, 3, (), ())
     for mu in partitions_of(4):
-        assert C.alpha_coefficients(mu, x0, 3) == {mu: 1}
+        assert compose_steps(mu, C.components_of(x0), 3) == {mu: 1}
 
 
 def test_alpha_coefficients_of_a_d_part():
     x = G.make_label(2, 3, (), [((2, 0), (1,))])
-    assert C.alpha_coefficients((3,), x, 3) == {(1,): 1}
-    for lam in C.alpha_coefficients((2, 2), x, 3):
+    assert compose_steps((3,), C.components_of(x), 3) == {(1,): 1}
+    for lam in compose_steps((2, 2), C.components_of(x), 3):
         assert d_core(lam, 2) == d_core((2, 2), 2)
 
 
 def test_alpha_paths_factors_nonzero():
     x = G.make_label(4, 3, (), [((2, 0), (1,)), ((2, 1), (1,))])
     for mu in partitions_of(6):
-        paths = peel_sequences(mu, C._components_of(x), 3)
+        paths = peel_sequences(mu, C.components_of(x), 3)
         for chain, coef in paths:
             assert coef != 0
             assert len(chain) == 3
-        agg = C.alpha_coefficients(mu, x, 3)
+        agg = compose_steps(mu, C.components_of(x), 3)
         for lam, total in agg.items():
             assert total == sum(c for ch, c in paths if ch[-1] == lam)
             assert d_core(lam, 2) == d_core(mu, 2)
 
 
 def test_vanishing_beyond_weight():
-    from glblocks.glclass import class_d_weight
+    from test_glclass import class_d_weight
     from glblocks.partitions import d_weight
     for (n, q, d) in [(4, 3, 2), (4, 2, 3), (5, 2, 2)]:
         for nu in partitions_of(n):
@@ -393,10 +416,10 @@ def test_orthonormality_full_group():
 
 def test_unipotent_degrees():
     for q in (2, 3):
-        assert C.unipotent_degree((2,), q) == 1
-        assert C.unipotent_degree((1, 1), q) == q
-        assert C.unipotent_degree((2, 1), q) == q * (q + 1)
-        assert C.unipotent_degree((1, 1, 1), q) == q ** 3
+        assert unipotent_degree((2,), q) == 1
+        assert unipotent_degree((1, 1), q) == q
+        assert unipotent_degree((2, 1), q) == q * (q + 1)
+        assert unipotent_degree((1, 1, 1), q) == q ** 3
         for nu in partitions_of(4):
             assert C.value_on_unipotent(nu, (1, 1, 1, 1), q) > 0
 
@@ -413,7 +436,8 @@ def test_table_exports():
     assert lines[0].startswith("nu,")
     assert data["signs"] == {"[2]": 1, "[1, 1]": 1}
     # values at the identity are the degrees
-    ident = G.identity_label(2, 3)
+    from test_glclass import identity_label
+    ident = identity_label(2, 3)
     assert tab.chi((1, 1), ident) == 3
     assert tab.chi((2,), ident) == 1
 
@@ -434,3 +458,26 @@ def test_class_values_match_label_fold(n, q):
         expected = {nu: v for nu in labels if (v := label_chi_value(nu, c))}
         assert C.class_values(c) == expected, c.key()
         assert list(C.class_values(c)) == list(expected)
+
+
+@pytest.mark.parametrize("n, q, d, variant", [
+    (n, q, d, variant) for n, q, d in [(4, 3, 2), (5, 2, 2), (4, 2, 3), (6, 2, 3)]
+    for variant in ("divisible", "exact")])
+def test_peel_chain_matches_alpha_fold(n, q, d, variant):
+    # peeling a head's components onto the vector of a d-regular y gives the
+    # fold's alpha_x(mu, lam) applied to that vector, key order included
+    for head in G.section_heads(n, q, d, variant):
+        components = C.components_of(head)
+        alphas = {mu: compose_steps(mu, components, q) for mu in partitions_of(n)}
+        for y in G.class_types(n - head.n, q):
+            if not G.is_d_regular(y, d, variant):
+                continue
+            y_values = C.class_values(y)
+            chain, size = y_values, y.n
+            for degree, jordan in reversed(components):
+                size += degree * sum(jordan)
+                chain = C.peel(chain, size, degree, jordan, q)
+            expected = {mu: v for mu, alpha in alphas.items()
+                        if (v := sum(a * y_values.get(lam, 0) for lam, a in alpha.items()))}
+            assert chain == expected, (head.key(), y.key())
+            assert list(chain) == list(expected)

@@ -1,9 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from glblocks import __version__, cli
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(argv, capsys):
@@ -285,3 +291,18 @@ def test_out_path(tmp_path, capsys):
                    "--output", "json", "--out-path", str(target)], capsys)
     assert code == 0
     assert json.loads(target.read_text()) == {"core": []}
+
+
+def test_label_level_commands_do_not_load_the_oracle():
+    # only oracle, verify prop32 and verify thm45 need the element-level module
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "from glblocks import cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    code = cli.main(['blocks', '--n', '4', '--q', '3', '--d', '2'])",
+        "print(code, 'glblocks.bruteforce' in sys.modules)",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["0 False"]

