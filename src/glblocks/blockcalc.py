@@ -4,9 +4,11 @@ All inner products are exact: the matrix of a domain is
 sum_t w_t v_t v_t^T / |G| over its class types t, with v_t = (chi^nu(t))_nu
 the value vector of t and w_t the total size of the domain's classes of
 type t, summed in integers and divided once per entry.
-Domains are read off `class_types` without building labels; a section's
-types are those of its head type x plus every d-regular type of
-GL(n-|x|, q), so sections with heads of one type are summed alike.
+Domains are read off `class_types` and hold `ClassType`s only, so no
+class label is built here.  A section domain is keyed by its head type x
+(a d-element of GL(|x|, q) without X-1): its types are x's components
+merged with those of every d-regular type of GL(n-|x|, q), and sections
+with heads of one type are summed alike.
 Values are integers and every class is closed under inversion up to a
 degree-preserving relabeling of polynomials, so no conjugation is needed.
 """
@@ -17,16 +19,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import factorial
+from types import MappingProxyType
 
-from .charvalue import class_values, components_of, mn_step, peel
+from .charvalue import class_values, mn_step, peel
 from .errors import HypothesisError
 from .glclass import (
+    ClassType,
     class_size,
-    class_type,
     class_types,
     is_d_element,
     is_d_regular,
-    make_label,
     section_heads,
     xy_decompose,
 )
@@ -72,28 +74,32 @@ def _ratio(val: Fraction) -> str:
 
 @cache
 def _type_weights(ctx: Context, domain):
-    """{type representative: number of the domain's classes of that type * class size}."""
+    """{type: number of the domain's classes of that type * class size}, read-only.
+
+    `domain` is "full", "d_regular", "d_singular" or ("section", x) with x
+    the head type of the section.
+    """
     if domain in ("d_regular", "d_singular"):
-        return {t: w for t, w in _type_weights(ctx, "full").items()
-                if is_d_regular(t, ctx.d, ctx.variant) == (domain == "d_regular")}
+        regular = domain == "d_regular"
+        return MappingProxyType({t: w for t, w in _type_weights(ctx, "full").items()
+                                 if is_d_regular(t, ctx.d, ctx.variant) == regular})
     if domain == "full":
         types = class_types(ctx.n, ctx.q)
     elif isinstance(domain, tuple) and domain and domain[0] == "section":
-        key = domain[1]
-        x = class_type(make_label(sum(k.degree * sum(p) for k, p in key), ctx.q, (), key))
-        if not is_d_element(x, ctx.d, ctx.variant):
-            raise ValueError(f"{key} is not the d-part of a section head")
-        types = {make_label(ctx.n, ctx.q, y.unipotent, x.support + y.support): m
+        x = domain[1]
+        if x.unipotent or not is_d_element(x, ctx.d, ctx.variant):
+            raise ValueError(f"{x} is not the d-part of a section head")
+        types = {ClassType(ctx.n, y.unipotent, tuple(sorted(x.components + y.components))): m
                  for y, m in class_types(ctx.n - x.n, ctx.q).items()
                  if is_d_regular(y, ctx.d, ctx.variant)}
     else:
         raise ValueError(f"unknown domain {domain!r}")
-    return {t: m * class_size(t) for t, m in types.items()}
+    return MappingProxyType({t: m * class_size(t, ctx.q) for t, m in types.items()})
 
 
 @cache
 def inner_matrix(ctx: Context, domain="d_regular"):
-    """{(nu, nu2): Fraction} over the domain's classes, for every ordered pair.
+    """{(nu, nu2): Fraction} over the domain's classes, for every ordered pair, read-only.
 
     One pass over the domain's types adds w_t x y for each unordered pair
     of nonzero entries x, y of the value vector of t; each total is then
@@ -103,7 +109,7 @@ def inner_matrix(ctx: Context, domain="d_regular"):
     index = {nu: i for i, nu in enumerate(labels)}
     totals = [[0] * len(labels) for _ in labels]
     for t, w in _type_weights(ctx, domain).items():
-        vector = [(index[nu], x) for nu, x in class_values(t).items()]
+        vector = [(index[nu], x) for nu, x in class_values(t, ctx.q).items()]
         for a, (i, x) in enumerate(vector):
             row, wx = totals[i], w * x
             for j, y in vector[a:]:
@@ -113,7 +119,7 @@ def inner_matrix(ctx: Context, domain="d_regular"):
     for i, nu in enumerate(labels):
         for j in range(i, len(labels)):
             out[(nu, labels[j])] = out[(labels[j], nu)] = Fraction(totals[i][j], order)
-    return out
+    return MappingProxyType(out)
 
 
 def inner_product(nu, nu2, domain, ctx: Context) -> Fraction:
@@ -377,18 +383,17 @@ def chain_link_ok(a, b, d: int) -> bool:
 
 # -- centralizer blocks and domination --------------------------------------------
 
-def centralizer_blocks(x_key, ctx: Context):
-    """Block structure of the centralizer of a d-element section head.
+def centralizer_blocks(head: ClassType, ctx: Context):
+    """Block structure of the centralizer of a d-element section head of type `head`.
 
     The centralizer splits as an opaque factor times GL(l,q); its blocks
     are full character sets of the opaque factor tensored with the
     computed unipotent d-blocks of GL(l,q).
     """
-    x_size = sum(k.degree * sum(p) for k, p in x_key)
-    l = ctx.n - x_size
+    l = ctx.n - head.n
     sub = Context(l, ctx.q, ctx.d, ctx.variant)
     return {
-        "x": x_key,
+        "x": head,
         "l": l,
         "h0": "Irr(H0) (opaque tensor factor)",
         "blocks": unipotent_blocks(sub).blocks,
@@ -397,7 +402,7 @@ def centralizer_blocks(x_key, ctx: Context):
 
 @dataclass(frozen=True)
 class DominationDatum:
-    x_key: tuple
+    head: ClassType
     core: tuple[int, ...]
     members: frozenset[tuple[int, ...]]
 
@@ -411,36 +416,36 @@ def smt_check(ctx: Context, collect=False):
     size n.  Every mn_step row of x's steps keeps the d-core, so peel
     targets stay in the same-core block of GL(l,q); distinct cores then
     give disjoint unions of centralizer blocks.  Returns (ok, data), data
-    holding one set of DominationDatum per head type (x_key its support)
-    when `collect`; a failed check raises AssertionError.
+    holding one set of DominationDatum per head type when `collect`; a
+    failed check raises AssertionError.
     """
     data = []
     for head in section_heads(ctx.n, ctx.q, ctx.d, ctx.variant):
         blocks_of_l = {d_core(min(b), ctx.d): b for b in same_core_grouping(ctx.n - head.n, ctx.d)}
         steps, size = [], ctx.n - head.n
-        for degree, jordan in reversed(components_of(head)):
+        for degree, jordan in reversed(head.components):
             size += degree * sum(jordan)
             steps.append((size, degree, jordan))
             for nu in partitions_of(size):
                 if any(d_core(lam, ctx.d) != d_core(nu, ctx.d)
                        for lam, _ in mn_step(nu, degree, jordan, ctx.q)):
                     raise AssertionError("peel target escaped the source's d-core")
-        for t in _type_weights(ctx, ("section", head.support)):
+        for t in _type_weights(ctx, ("section", head)):
             x_of_t, y = xy_decompose(t, ctx.d, ctx.variant)
             if x_of_t != head:
-                raise AssertionError(f"class {t.key()} is not in the section of its head")
-            direct, recon = class_values(t), class_values(y)
+                raise AssertionError(f"class {t} is not in the section of its head")
+            direct, recon = class_values(t, ctx.q), class_values(y, ctx.q)
             for step in steps:
                 recon = peel(recon, *step, ctx.q)
             for mu in partitions_of(ctx.n):
                 a, b = direct.get(mu, 0), recon.get(mu, 0)
                 if a != b:
-                    raise AssertionError(f"reconstruction failed for {mu} at {t.key()}: {a} != {b}")
+                    raise AssertionError(f"reconstruction failed for {mu} at {t}: {a} != {b}")
         # the dominated set for the block labeled gamma is the same-core
         # block of GL(l,q); distinct cores give disjoint sets by construction,
         # asserted here from the recorded members
         for gamma, members in sorted(blocks_of_l.items()):
-            data.append(DominationDatum(head.support, gamma, members))
+            data.append(DominationDatum(head, gamma, members))
         seen: set = set()
         for gamma, members in sorted(blocks_of_l.items()):
             if seen & members:

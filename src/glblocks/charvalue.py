@@ -1,4 +1,4 @@
-"""Values of the unipotent characters of GL(n,q) on every class.
+"""Values of the unipotent characters of GL(n,q) on every class type.
 
 The pipeline: one integer factorisation of the Green functions'
 orthogonality relations gives, for each (n, q), every value on a
@@ -7,11 +7,12 @@ q^n(mu) K_{nu,mu}(1/q) (Green; Macdonald ch. III.7 and IV).  Green
 polynomials are their transforms under the symmetric group characters,
 and a hook-removal recursion weighted by them peels every other primary
 component of a class.  A class enters every later sum only through its
-value vector (chi^nu(c))_nu, which depends only on the class type, so
-`class_values` computes and caches one vector per type: the K~ column at
-its unipotent part with one `peel` per component applied to the whole
-vector.  Each partial product is the vector of a type of a smaller
-GL(m,q), so the type cache shares it between types.  All values are
+value vector (chi^nu(t))_nu, which depends only on its type t (a
+`glclass.ClassType`), so `class_values(t, q)` computes and caches one
+vector per type: the K~ column at its unipotent part with one `peel` per
+component applied to the whole vector.  Each partial product is the
+vector of a type of a smaller GL(m,q), so the cache shares it between
+types.  A label reaches it through `glclass.type_of`.  All values are
 exact integers at a concrete q: a peel of k boxes is summed scaled by
 k!, which every z_alpha divides, and ends in an exact division that is
 checked.  No sign correction is needed: every unipotent degree is
@@ -22,13 +23,12 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from collections.abc import Mapping
 from functools import cache
 from math import factorial
 from types import MappingProxyType
 
-from .glclass import GLClassLabel, all_classes
+from .glclass import ClassType, all_classes, type_of
 from .partitions import n_stat, partitions_of
 from .qarith import gl_order, torus_order, unipotent_centralizer_order
 from .symchar import signed_removal_map, sn_char, z_order
@@ -37,7 +37,7 @@ from .symchar import signed_removal_map, sn_char, z_order
 # -- unipotent base values ----------------------------------------------------
 
 @cache
-def _unipotent_values(n: int, q: int) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
+def _unipotent_values(n: int, q: int) -> Mapping[tuple[tuple[int, ...], tuple[int, ...]], int]:
     """K~_{nu,mu}(q) for all partitions nu, mu of n; zero values are omitted.
 
     Green-function orthogonality times |G| reads A = K~ S K~^T, with
@@ -70,18 +70,7 @@ def _unipotent_values(n: int, q: int) -> dict[tuple[tuple[int, ...], tuple[int, 
                 raise AssertionError(f"K~({mu}, {mu}) = {value}, not q^n(mu) = {diag}")
             if value:
                 out[(nu, mu)] = value
-    return out
-
-
-def value_on_unipotent(nu: tuple[int, ...], mu: tuple[int, ...], q: int) -> int:
-    """Unipotent character labeled nu at the unipotent class mu.
-
-    This is the modified Kostka-Foulkes value K~_{nu,mu}(q) =
-    q^n(mu) K_{nu,mu}(1/q), an integer; 0 unless nu dominates mu.
-    """
-    if sum(nu) != sum(mu):
-        raise ValueError("size mismatch")
-    return _unipotent_values(sum(mu), q).get((nu, mu), 0)
+    return MappingProxyType(out)
 
 
 @cache
@@ -94,8 +83,8 @@ def green_polynomial(mu: tuple[int, ...], rho: tuple[int, ...], q: int) -> int:
     """
     if sum(mu) != sum(rho):
         raise ValueError("size mismatch between class and torus type")
-    return sum(sn_char(lam, rho) * value_on_unipotent(lam, mu, q)
-               for lam in partitions_of(sum(mu)))
+    values = _unipotent_values(sum(mu), q)
+    return sum(sn_char(lam, rho) * values.get((lam, mu), 0) for lam in partitions_of(sum(mu)))
 
 
 # -- the peeling recursion -----------------------------------------------------
@@ -153,35 +142,22 @@ def peel(values: Mapping[tuple[int, ...], int], n: int, degree: int,
     return out
 
 
-def components_of(c: GLClassLabel):
-    """Non-unipotent primary components as sorted (degree, jordan) pairs.
-
-    Every label of one type gives the same tuple, and the peel's result
-    does not depend on the order of its components.
-    """
-    return tuple(sorted((key.degree, part) for key, part in c.support))
-
-
-def class_values(c: GLClassLabel) -> Mapping[tuple[int, ...], int]:
-    """{nu: chi^nu(c)} over the partitions nu of c.n, zeros omitted.
-
-    Keys come in the order of partitions_of(c.n).  One read-only cache
-    entry serves every label of c's type.
-    """
-    return _type_values(c.unipotent, components_of(c), c.q)
-
-
 @cache
-def _type_values(unipotent: tuple[int, ...], components, q: int) -> Mapping[tuple[int, ...], int]:
-    """Values on the type (unipotent, components): the K~ column at unipotent
-    with the components peeled on one at a time, last first, so every
-    intermediate vector is itself a cached type of a smaller GL(m,q)."""
-    if not components:
-        return MappingProxyType({nu: v for nu in partitions_of(sum(unipotent))
-                                 if (v := value_on_unipotent(nu, unipotent, q))})
-    n = sum(unipotent) + sum(e * sum(p) for e, p in components)
-    return MappingProxyType(peel(_type_values(unipotent, components[1:], q), n,
-                                 *components[0], q))
+def class_values(t: ClassType, q: int) -> Mapping[tuple[int, ...], int]:
+    """{nu: chi^nu(t)} over the partitions nu of t.n, zeros omitted, read-only.
+
+    Keys come in the order of partitions_of(t.n).  The K~ column at the
+    unipotent part, with the components peeled on one at a time, last
+    first, so every intermediate vector is itself the cached vector of a
+    type of a smaller GL(m,q).
+    """
+    if not t.components:
+        values = _unipotent_values(t.n, q)
+        return MappingProxyType({nu: v for nu in partitions_of(t.n)
+                                 if (v := values.get((nu, t.unipotent)))})
+    (degree, jordan), rest = t.components[0], t.components[1:]
+    inner = ClassType(t.n - degree * sum(jordan), t.unipotent, rest)
+    return MappingProxyType(peel(class_values(inner, q), t.n, degree, jordan, q))
 
 
 # -- assembled tables ----------------------------------------------------------
@@ -195,14 +171,15 @@ class CharValueTable:
         self.labels = partitions_of(n)
         self.values = {}
         for c in self.classes:
-            vector = class_values(c)
+            vector = class_values(type_of(c), q)
             self.values.update(((nu, c), vector.get(nu, 0)) for nu in self.labels)
 
     def chi(self, nu, c) -> int:
         return self.values[(tuple(nu), c)]
 
-    def to_json(self) -> str:
-        data = {
+    def report(self) -> dict:
+        """The table as a JSON-ready dict."""
+        return {
             "n": self.n,
             "q": self.q,
             # every degree is positive, so every sign is 1; kept for the format
@@ -212,7 +189,6 @@ class CharValueTable:
                 for nu in self.labels
             },
         }
-        return json.dumps(data, sort_keys=True)
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -20,8 +20,9 @@ Exit codes:
   1  a failed check (verify FAIL, blocks VIOLATION)
   2  usage error: a negative --n, a --q that is not a prime power, a --d
      or --k below 1, --n 0 for the element-level oracle (oracle, verify
-     prop32, verify thm45), a partition literal that does not parse, or
-     --output csv on a command without a csv form
+     prop32, verify thm45), a partition literal that does not parse,
+     --output csv on a command without a csv form, or an --out-path that
+     cannot be opened for writing
   3  HypothesisError: a verify check's inputs fall outside its hypotheses
   4  ScaleGuardError: the computation is over a size guard (one line)
   5  any other exception (traceback on stderr)
@@ -90,8 +91,11 @@ def _emit(args, payload, text_lines, csv_text=None):
     if not blob.endswith("\n"):
         blob += "\n"
     if args.out_path:
-        with open(args.out_path, "w") as fh:
-            fh.write(blob)
+        try:
+            with open(args.out_path, "w") as fh:
+                fh.write(blob)
+        except OSError as exc:
+            raise _usage_error(f"cannot write {args.out_path}: {exc.strerror}") from None
     else:
         sys.stdout.write(blob)
 
@@ -138,8 +142,7 @@ def cmd_partition(args) -> int:
 
 
 def cmd_classes(args) -> int:
-    blob = glclass.classes_json(args.n, args.q, args.d, args.variant)
-    payload = json.loads(blob)
+    payload = glclass.classes_report(args.n, args.q, args.d, args.variant)
     lines = [f"{rec['assignment']}  size {rec['size']}  cent {rec['centralizer_order']}"
              for rec in payload["classes"]]
     _emit(args, payload, lines)
@@ -149,7 +152,7 @@ def cmd_classes(args) -> int:
 def cmd_table(args) -> int:
     tab = charvalue.table(args.n, args.q)
     csv_text = tab.to_csv()
-    _emit(args, json.loads(tab.to_json()), csv_text.splitlines(), csv_text)
+    _emit(args, tab.report(), csv_text.splitlines(), csv_text)
     return 0
 
 
@@ -205,7 +208,7 @@ def _verify_thm43(args):
             for nu2 in labels[i + 1:]:
                 if partitions.d_core(nu, ctx.d) == partitions.d_core(nu2, ctx.d):
                     continue
-                val = blockcalc.inner_product(nu, nu2, ("section", head.support), ctx)
+                val = blockcalc.inner_product(nu, nu2, ("section", head), ctx)
                 if val != 0:
                     ok = False
                     worst.append([list(nu), list(nu2), f"{val}"])

@@ -1,28 +1,36 @@
-"""Conjugacy class labels of GL(n,q), d-elements, d-types and sections.
+"""Conjugacy class types and labels of GL(n,q), d-elements, d-types and sections.
 
 A class is a finitely supported assignment of partitions to monic
 irreducibles distinct from X, with sizes weighted by degree summing to n.
-The X-1 component is singled out (field `unipotent`); every other
-polynomial is identified by (degree, index) into the canonical pool that
-excludes X and X-1, so labels never need actual coefficients.
+Its type (`ClassType`) keeps the X-1 partition (`unipotent`) and the
+sorted (degree, partition) pairs of the other primary components, and
+forgets which polynomials carry them.  The type fixes the unipotent
+values, the centralizer order and the d-tests (Green 1955; Macdonald IV.2),
+so the engine works on types alone: `class_types` enumerates them with
+the number of classes of each type, and every order, size and d-test here
+takes a type.  A type has no q and no index, and is not validated.
 
-Classes are enumerated by type (`class_types`: the unipotent partition and
-the multiset of (degree, partition) pairs, with the number of classes of
-each type); labels are built from the types only where an index is shown.
-The part of a class supported on polynomials of degree divisible by d
-(variant "divisible") or exactly d (variant "exact") determines its
-section; `sections` keys the labels by that part, and `section_heads`
-lists the section heads by type.
+A label (`GLClassLabel`) also names the polynomials: the X-1 component is
+the field `unipotent`, and every other polynomial is identified by
+(degree, index) into the canonical pool that excludes X and X-1, so labels
+never need actual coefficients.  Labels are built, and validated, only
+where an index is shown or compared (`all_classes`, `classes_report`,
+`sections`, the value table and the oracle); `type_of` is the one bridge
+from a label to its type.  The part of a class supported on polynomials of
+degree divisible by d (variant "divisible") or exactly d (variant "exact")
+determines its section; `sections` keys the labels by that part, and
+`section_heads` lists the section heads by type.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from math import factorial, perm, prod
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import ScaleGuardError
 from .partitions import check_partition, partitions_of
@@ -36,6 +44,14 @@ from .qarith import (
 CLASS_GUARD = 200_000
 
 VARIANTS = ("divisible", "exact")
+
+
+class ClassType(NamedTuple):
+    """A class type of GL(n, q) for every q: the X-1 partition and the sorted
+    (degree, partition) pairs of the other primary components."""
+    n: int
+    unipotent: tuple[int, ...]
+    components: tuple[tuple[int, tuple[int, ...]], ...]
 
 
 @dataclass(frozen=True, order=True)
@@ -80,6 +96,11 @@ def make_label(n: int, q: int, unipotent, support) -> GLClassLabel:
     return GLClassLabel(n, q, tuple(unipotent), support)
 
 
+def type_of(c: GLClassLabel) -> ClassType:
+    """The type of the class c: its polynomials forgotten, their degrees and partitions kept."""
+    return ClassType(c.n, c.unipotent, tuple(sorted((key.degree, part) for key, part in c.support)))
+
+
 def _multisets(pool, budget: int, counts, last=(0, 0)):
     """Sorted tuples of pairs of `pool` of weighted size <= `budget` and at most counts[e]
     pairs of degree e; `last` is the degree of the pair before and the room left in it."""
@@ -92,8 +113,8 @@ def _multisets(pool, budget: int, counts, last=(0, 0)):
 
 
 @cache
-def class_types(n: int, q: int) -> dict[GLClassLabel, int]:
-    """{type representative: number of classes of GL(n,q) of that type}: per degree e, the
+def class_types(n: int, q: int) -> MappingProxyType[ClassType, int]:
+    """{type: number of classes of GL(n,q) of that type}: per degree e, the
     N_e!/(N_e-k)! placements of its k partitions on the N_e irreducibles over their orders."""
     prime_power(q)
     if n < 0:
@@ -104,10 +125,9 @@ def class_types(n: int, q: int) -> dict[GLClassLabel, int]:
     for pairs in _multisets(pool, n, counts):
         ways = prod(perm(counts[e], k) for e, k in Counter(e for e, _ in pairs).items())
         ways //= prod(map(factorial, Counter(pairs).values()))
-        support = [((e, i), p) for i, (e, p) in enumerate(pairs)]
         for u in partitions_of(n - sum(e * sum(p) for e, p in pairs)):
-            out[class_type(make_label(n, q, u, support))] = ways
-    return out
+            out[ClassType(n, u, pairs)] = ways
+    return MappingProxyType(out)
 
 
 @cache
@@ -122,7 +142,7 @@ def all_classes(n: int, q: int) -> tuple[GLClassLabel, ...]:
         options = [[tuple(zip((PolyKey(e, i) for i in at), order))
                     for order in set(itertools.permutations(p for _, p in group))
                     for at in itertools.combinations(range(non_unipotent_count(q, e)), len(order))]
-                   for e, group in itertools.groupby(t.support, key=lambda x: x[0].degree)]
+                   for e, group in itertools.groupby(t.components, key=lambda x: x[0])]
         out.extend(make_label(n, q, t.unipotent, sum(pick, ()))
                    for pick in itertools.product(*options))
     if len(out) != total or len(set(c.key() for c in out)) != total:
@@ -130,28 +150,17 @@ def all_classes(n: int, q: int) -> tuple[GLClassLabel, ...]:
     return tuple(sorted(out, key=lambda c: c.key()))
 
 
-def class_type(c: GLClassLabel) -> GLClassLabel:
-    """Canonical representative of the type of c: the polynomials of each
-    degree renumbered 0, 1, ... in partition order.  It is a class of the
-    same GL(n,q) with the same centralizer order, d-tests and values."""
-    parts = sorted((key.degree, part) for key, part in c.support)
-    support = tuple((PolyKey(degree, i), part)
-                    for degree, group in itertools.groupby(parts, key=lambda e: e[0])
-                    for i, (_, part) in enumerate(group))
-    return GLClassLabel(c.n, c.q, c.unipotent, support)
-
-
-def centralizer_order(c: GLClassLabel) -> int:
-    """Product over the support of unipotent-type centralizer factors."""
-    out = unipotent_centralizer_order(c.unipotent, c.q)
-    for key, part in c.support:
-        out *= unipotent_centralizer_order(part, c.q ** key.degree)
+def centralizer_order(t: ClassType, q: int) -> int:
+    """Product over the primary components of unipotent-type centralizer factors."""
+    out = unipotent_centralizer_order(t.unipotent, q)
+    for degree, part in t.components:
+        out *= unipotent_centralizer_order(part, q ** degree)
     return out
 
 
-def class_size(c: GLClassLabel) -> int:
-    order = gl_order(c.n, c.q)
-    cent = centralizer_order(c)
+def class_size(t: ClassType, q: int) -> int:
+    order = gl_order(t.n, q)
+    cent = centralizer_order(t, q)
     size, rem = divmod(order, cent)
     if rem:
         raise ArithmeticError(f"centralizer order {cent} does not divide {order}")
@@ -168,32 +177,30 @@ def _degree_matches(degree: int, d: int, variant: str) -> bool:
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def is_d_element(c: GLClassLabel, d: int, variant: str = "divisible") -> bool:
-    """Support only on matching degrees, X-1 part absent or all ones."""
-    if any(p != 1 for p in c.unipotent):
+def is_d_element(t: ClassType, d: int, variant: str = "divisible") -> bool:
+    """Components only on matching degrees, X-1 part absent or all ones."""
+    if any(p != 1 for p in t.unipotent):
         return False
-    return all(_degree_matches(k.degree, d, variant) for k, _ in c.support)
+    return all(_degree_matches(degree, d, variant) for degree, _ in t.components)
 
 
-def is_d_regular(c: GLClassLabel, d: int, variant: str = "divisible") -> bool:
-    """No support polynomial of matching degree besides X-1."""
-    return not any(_degree_matches(k.degree, d, variant) for k, _ in c.support)
+def is_d_regular(t: ClassType, d: int, variant: str = "divisible") -> bool:
+    """No component of matching degree besides X-1."""
+    return not any(_degree_matches(degree, d, variant) for degree, _ in t.components)
 
 
-def xy_decompose(c: GLClassLabel, d: int, variant: str = "divisible"):
-    """Split a class into its d-part and the complementary part.
+def xy_decompose(t: ClassType, d: int, variant: str = "divisible"):
+    """Split a type into its d-part and the complementary part.
 
-    Returns (x_part, y_part): x_part collects the support on matching
-    degrees (a label of GL(m,q) with m its own size, X-1 excluded), and
-    y_part the rest including the whole X-1 component, a label of
-    GL(n-m, q).  Recombining the supports recovers c.
+    Returns (x_part, y_part): x_part collects the components of matching
+    degree (a type of GL(m,q) with m its own size, X-1 excluded), and
+    y_part the rest including the whole X-1 component, a type of
+    GL(n-m, q).  Merging the components recovers t.
     """
-    x_sup = tuple((k, p) for k, p in c.support if _degree_matches(k.degree, d, variant))
-    y_sup = tuple((k, p) for k, p in c.support if not _degree_matches(k.degree, d, variant))
-    x_size = sum(k.degree * sum(p) for k, p in x_sup)
-    x_part = make_label(x_size, c.q, (), x_sup)
-    y_part = make_label(c.n - x_size, c.q, c.unipotent, y_sup)
-    return x_part, y_part
+    x_comp = tuple(c for c in t.components if _degree_matches(c[0], d, variant))
+    y_comp = tuple(c for c in t.components if not _degree_matches(c[0], d, variant))
+    x_size = sum(degree * sum(p) for degree, p in x_comp)
+    return ClassType(x_size, (), x_comp), ClassType(t.n - x_size, t.unipotent, y_comp)
 
 
 def section_label(c: GLClassLabel, d: int, variant: str = "divisible"):
@@ -202,20 +209,20 @@ def section_label(c: GLClassLabel, d: int, variant: str = "divisible"):
                  if _degree_matches(k.degree, d, variant)))
 
 
-def d_type(c: GLClassLabel, d: int, variant: str = "divisible"):
+def d_type(t: ClassType, d: int, variant: str = "divisible"):
     """Multiset of (k_i, m_i) pairs of the d-part, with weight sum k_i*m_i."""
     pairs = []
-    for key, part in c.support:
-        if _degree_matches(key.degree, d, variant):
-            m, rem = divmod(key.degree, d)
+    for degree, part in t.components:
+        if _degree_matches(degree, d, variant):
+            m, rem = divmod(degree, d)
             if rem:
-                raise ArithmeticError(f"d-part degree {key.degree} is not a multiple of {d}")
+                raise ArithmeticError(f"d-part degree {degree} is not a multiple of {d}")
             pairs.append((sum(part), m))
     return tuple(sorted(pairs))
 
 
-def section_heads(n: int, q: int, d: int, variant: str = "divisible"):
-    """Type representatives of the section heads: d-elements of GL(m,q), m <= n, without X-1."""
+def section_heads(n: int, q: int, d: int, variant: str = "divisible") -> tuple[ClassType, ...]:
+    """Types of the section heads: d-elements of GL(m,q), m <= n, without X-1."""
     return tuple(t for m in range(n + 1) for t in class_types(m, q)
                  if not t.unipotent and is_d_element(t, d, variant))
 
@@ -226,23 +233,24 @@ def sections(n: int, q: int, d: int, variant: str = "divisible"):
     out: dict = {}
     for c in all_classes(n, q):
         out.setdefault(section_label(c, d, variant), []).append(c)
-    return {k: tuple(v) for k, v in out.items()}
+    return MappingProxyType({k: tuple(v) for k, v in out.items()})
 
 
-def classes_json(n: int, q: int, d: int | None = None,
-                 variant: str = "divisible") -> str:
-    """Deterministic JSON export of the class list."""
+def classes_report(n: int, q: int, d: int | None = None,
+                   variant: str = "divisible") -> dict:
+    """The class list as a JSON-ready dict, one record per label in key order."""
     records = []
     for c in all_classes(n, q):
+        t = type_of(c)
         rec = {
             "assignment": c.key(),
-            "size": class_size(c),
-            "centralizer_order": centralizer_order(c),
+            "size": class_size(t, q),
+            "centralizer_order": centralizer_order(t, q),
         }
         if d is not None:
-            rec["d_type"] = list(map(list, d_type(c, d, variant)))
+            rec["d_type"] = list(map(list, d_type(t, d, variant)))
             sec = section_label(c, d, variant)
             rec["section"] = "|".join(
                 f"f{k.degree}.{k.index}:" + ",".join(map(str, p)) for k, p in sec) or "1"
         records.append(rec)
-    return json.dumps({"n": n, "q": q, "classes": records}, sort_keys=True)
+    return {"n": n, "q": q, "classes": records}

@@ -9,6 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import factorial
+from types import MappingProxyType
 
 from .partitions import (
     d_core,
@@ -56,7 +57,7 @@ def signed_removal_map(mu: tuple[int, ...], alpha: tuple[int, ...], d: int):
             for hk in rim_hooks(part, a * d):
                 nxt[hk.result] = nxt.get(hk.result, 0) + coef * (-1) ** hk.leg_length
         state = nxt
-    return {eta: c for eta, c in state.items() if c != 0}
+    return MappingProxyType({eta: c for eta, c in state.items() if c != 0})
 
 
 def regular_classes(n: int, ell: int) -> tuple[tuple[int, ...], ...]:

@@ -53,12 +53,12 @@ def test_criterion_03_class_equation_and_centralizers():
     for n in range(1, 5):
         for q in (2, 3, 4, 5):
             classes = G.all_classes(n, q)
-            if sum(G.class_size(c) for c in classes) != Q.gl_order(n, q):
+            if sum(G.class_size(G.type_of(c), q) for c in classes) != Q.gl_order(n, q):
                 ok = False
     for n, q in ORACLE_GROUPS:
         data = BF.oracle_classes(n, q)
         for cid, lab in enumerate(data.labels):
-            if G.centralizer_order(lab) != data.centralizer_orders[cid]:
+            if G.centralizer_order(G.type_of(lab), q) != data.centralizer_orders[cid]:
                 ok = False
     announce(3, "class equation and centralizer formula vs oracle", ok)
 
@@ -72,7 +72,7 @@ def test_criterion_04_character_value_oracle_equivalence():
         for lam, (chi, _) in dec.constituents.items():
             for i, r in enumerate(tab.reps):
                 label = data.labels[data.class_of[r]]
-                if tab.value_int(chi, i) != C.class_values(label).get(lam, 0):
+                if tab.value_int(chi, i) != C.class_values(G.type_of(label), q).get(lam, 0):
                     ok = False
     announce(4, "unipotent values equal oracle constituent rows", ok)
 
@@ -85,13 +85,12 @@ def test_criterion_05_cross_core_orthogonality_and_refinement():
     for n, q, d in CONTEXTS_45:
         ctx = Context(n, q, d)
         labels = P.partitions_of(n)
-        secs = G.sections(n, q, d, ctx.variant)
-        for key in secs:
+        for head in G.section_heads(n, q, d, ctx.variant):
             for i, nu in enumerate(labels):
                 for nu2 in labels[i + 1:]:
                     if P.d_core(nu, d) == P.d_core(nu2, d):
                         continue
-                    if B.inner_product(nu, nu2, ("section", key), ctx) != 0:
+                    if B.inner_product(nu, nu2, ("section", head), ctx) != 0:
                         ok = False
         computed = B.unipotent_blocks(ctx)
         comb = B.combinatorial_blocks(n, d)
@@ -217,7 +216,7 @@ def test_criterion_10_domination_and_reconstruction():
         if data:
             by_x = collections.defaultdict(list)
             for datum in data:
-                by_x[datum.x_key].append(datum)
+                by_x[datum.head].append(datum)
             for group in by_x.values():
                 seen = set()
                 for datum in group:

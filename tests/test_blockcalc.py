@@ -9,6 +9,7 @@ from glblocks import charvalue as C
 from glblocks import cli
 from glblocks import glclass as G
 from glblocks import partitions as P
+from glblocks import symchar as S
 from glblocks.blockcalc import Context
 from glblocks.errors import HypothesisError
 from test_charvalue import compose_steps, label_chi_value
@@ -26,16 +27,22 @@ def test_f_number_and_hypothesis_flag():
     assert Context(2, 4, 1).f_number == 2  # degree-1 count omits X and X-1
 
 
+def head_type(key, q):
+    """The head type of the section with the label-level key `key`."""
+    return G.type_of(G.make_label(sum(k.degree * sum(p) for k, p in key), q, (), key))
+
+
 def label_level_inner_product(nu, nu2, domain, ctx):
     """Reference: one Fraction per class label of the domain, chi chi' / |C_G(c)|."""
     classes = G.all_classes(ctx.n, ctx.q)
     if domain == "d_regular":
-        classes = [c for c in classes if G.is_d_regular(c, ctx.d, ctx.variant)]
+        classes = [c for c in classes if G.is_d_regular(G.type_of(c), ctx.d, ctx.variant)]
     elif domain == "d_singular":
-        classes = [c for c in classes if not G.is_d_regular(c, ctx.d, ctx.variant)]
+        classes = [c for c in classes if not G.is_d_regular(G.type_of(c), ctx.d, ctx.variant)]
     elif domain != "full":
         classes = G.sections(ctx.n, ctx.q, ctx.d, ctx.variant)[domain[1]]
-    return sum((Fraction(label_chi_value(nu, c) * label_chi_value(nu2, c), G.centralizer_order(c))
+    return sum((Fraction(label_chi_value(nu, c) * label_chi_value(nu2, c),
+                         G.centralizer_order(G.type_of(c), ctx.q))
                 for c in classes), Fraction(0))
 
 
@@ -43,36 +50,57 @@ def label_level_inner_product(nu, nu2, domain, ctx):
                                  Context(5, 2, 2), Context(4, 4, 3)])
 def test_type_weighted_product_matches_label_sum(ctx):
     secs = G.sections(ctx.n, ctx.q, ctx.d, ctx.variant)
-    domains = ["full", "d_regular", "d_singular"] + [("section", key) for key in secs]
+    # pairs (domain by type, the same domain by label key)
+    domains = [(name, name) for name in ("full", "d_regular", "d_singular")]
+    domains += [(("section", head_type(key, ctx.q)), ("section", key)) for key in secs]
     labels = P.partitions_of(ctx.n)
-    for domain in domains:
+    for domain, label_domain in domains:
         for nu in labels:
             for nu2 in labels:
                 assert (B.inner_product(nu, nu2, domain, ctx)
-                        == label_level_inner_product(nu, nu2, domain, ctx)), (domain, nu, nu2)
+                        == label_level_inner_product(nu, nu2, label_domain, ctx)), \
+                    (label_domain, nu, nu2)
 
 
-def label_level_weights(classes):
+def label_level_weights(classes, q):
     """Reference: type weights folded back from the domain's labels."""
-    return {t: m * G.class_size(t) for t, m in Counter(map(G.class_type, classes)).items()}
+    return {t: m * G.class_size(t, q) for t, m in Counter(map(G.type_of, classes)).items()}
 
 
 @pytest.mark.parametrize("ctx", [Context(4, 3, 2), Context(4, 3, 2, "exact"),
                                  Context(5, 2, 2), Context(4, 4, 3)])
 def test_section_heads_match_label_sections(ctx):
     secs = G.sections(ctx.n, ctx.q, ctx.d, ctx.variant)
-    heads = {G.class_type(G.make_label(sum(k.degree * sum(p) for k, p in key), ctx.q, (), key))
-             for key in secs}
+    heads = {head_type(key, ctx.q) for key in secs}
     assert set(G.section_heads(ctx.n, ctx.q, ctx.d, ctx.variant)) == heads
     for key, classes in secs.items():
-        assert B._type_weights(ctx, ("section", key)) == label_level_weights(classes), key
-    assert B._type_weights(ctx, "full") == label_level_weights(G.all_classes(ctx.n, ctx.q))
+        assert B._type_weights(ctx, ("section", head_type(key, ctx.q))) == \
+            label_level_weights(classes, ctx.q), key
+    assert B._type_weights(ctx, "full") == \
+        label_level_weights(G.all_classes(ctx.n, ctx.q), ctx.q)
 
 
 def test_section_key_must_be_a_d_element():
     with pytest.raises(ValueError, match="not the d-part of a section head"):
-        B.inner_product((2, 2), (2, 2), ("section", ((G.PolyKey(1, 0), (1,)),)),
+        B.inner_product((2, 2), (2, 2), ("section", G.ClassType(1, (), ((1, (1,)),))),
                         Context(4, 3, 2))
+
+
+def test_cached_results_are_read_only():
+    # a caller cannot corrupt a memo table: clearing inner_matrix used to
+    # leave three singleton blocks behind
+    ctx = Context(3, 2, 2)
+    tables = [G.class_types(3, 2), G.sections(3, 2, 2), B._type_weights(ctx, "d_regular"),
+              B.inner_matrix(ctx), C._unipotent_values(3, 2),
+              S.signed_removal_map((2, 1), (1,), 1), C.class_values(G.ClassType(3, (3,), ()), 2)]
+    for table in tables:
+        key = next(iter(table))
+        with pytest.raises(TypeError):
+            table[key] = table[key]
+        with pytest.raises(AttributeError):
+            table.clear()
+    assert set(B.unipotent_blocks.__wrapped__(ctx).blocks) == {
+        frozenset({(2, 1)}), frozenset({(3,), (1, 1, 1)})}
 
 
 def test_inner_product_full_group_orthonormal():
@@ -103,7 +131,7 @@ def test_section_additivity():
         labels = P.partitions_of(ctx.n)
         for nu in labels:
             for nu2 in labels:
-                total = sum(B.inner_product(nu, nu2, ("section", key), ctx)
+                total = sum(B.inner_product(nu, nu2, ("section", head_type(key, ctx.q)), ctx)
                             for key in secs)
                 assert total == (1 if nu == nu2 else 0)
 
@@ -117,7 +145,7 @@ def test_cross_core_sections_vanish():
                 for nu2 in labels[i + 1:]:
                     if P.d_core(nu, ctx.d) == P.d_core(nu2, ctx.d):
                         continue
-                    assert B.inner_product(nu, nu2, ("section", key), ctx) == 0
+                    assert B.inner_product(nu, nu2, ("section", head_type(key, ctx.q)), ctx) == 0
 
 
 def test_weight_one_pairs_directly_linked():
@@ -263,7 +291,7 @@ def test_exact_variant_carries_the_results():
                 for nu2 in labels[i + 1:]:
                     if P.d_core(nu, d) == P.d_core(nu2, d):
                         continue
-                    assert B.inner_product(nu, nu2, ("section", key), ctx) == 0
+                    assert B.inner_product(nu, nu2, ("section", head_type(key, ctx.q)), ctx) == 0
         assert B.unipotent_blocks(ctx).refines(B.combinatorial_blocks(n, d))
         weight1 = [lam for lam in labels if P.d_weight(lam, d) == 1]
         for i, lam in enumerate(weight1):
@@ -354,15 +382,15 @@ def test_link_chain_weight_three():
 def test_centralizer_blocks():
     ctx = Context(4, 3, 2)
     # head of the identity section: blocks of the group itself
-    whole = B.centralizer_blocks((), ctx)
+    whole = B.centralizer_blocks(G.ClassType(0, (), ()), ctx)
     assert whole["l"] == 4
     assert whole["blocks"] == B.unipotent_blocks(ctx).blocks
     # a weight-2 head leaves nothing: single empty-label block
-    key = ((G.PolyKey(2, 0), (2,)),)
+    key = G.ClassType(4, (), ((2, (2,)),))
     zero = B.centralizer_blocks(key, ctx)
     assert zero["l"] == 0 and len(zero["blocks"]) == 1
     # l < d: no singular classes, blocks are singletons
-    key1 = ((G.PolyKey(2, 0), (1,)),)
+    key1 = G.ClassType(2, (), ((2, (1,)),))
     small = B.centralizer_blocks(key1, ctx)
     assert small["l"] == 2
     assert all(len(b) == 1 for b in small["blocks"]) or \
@@ -371,7 +399,7 @@ def test_centralizer_blocks():
 
 def test_centralizer_blocks_below_d_are_singletons():
     ctx = Context(4, 2, 3)
-    key = ((G.PolyKey(3, 0), (1,)),)
+    key = G.ClassType(3, (), ((3, (1,)),))
     sub = B.centralizer_blocks(key, ctx)
     assert sub["l"] == 1
     assert all(len(b) == 1 for b in sub["blocks"])
@@ -427,15 +455,15 @@ def test_section_inner_products_factor_through_peels():
             x_size = sum(k.degree * sum(p) for k, p in key)
             l = n - x_size
             sub = Context(l, q, d)
-            x_part = G.make_label(x_size, q, (), key)
+            x_part = G.type_of(G.make_label(x_size, q, (), key))
             x_in_g = G.make_label(n, q, (1,) * l, key)
-            x_class_size = G.class_size(x_in_g)
+            x_class_size = G.class_size(G.type_of(x_in_g), q)
             scale = Fraction(Q.gl_order(l, q), Q.gl_order(n, q))
             for mu in labels:
-                amu = compose_steps(mu, C.components_of(x_part), q)
+                amu = compose_steps(mu, x_part.components, q)
                 for mu2 in labels:
-                    amu2 = compose_steps(mu2, C.components_of(x_part), q)
-                    lhs = B.inner_product(mu, mu2, ("section", key), ctx) / x_class_size
+                    amu2 = compose_steps(mu2, x_part.components, q)
+                    lhs = B.inner_product(mu, mu2, ("section", x_part), ctx) / x_class_size
                     rhs = scale * sum(
                         a * b * B.inner_product(lam, lam2, "d_regular", sub)
                         for lam, a in amu.items() for lam2, b in amu2.items())
@@ -453,7 +481,8 @@ def test_blocks_orthogonal_across_sections():
                 if blocks.block_of(nu) == blocks.block_of(nu2):
                     continue
                 for key in secs:
-                    assert B.inner_product(nu, nu2, ("section", key), ctx) == 0
+                    domain = ("section", head_type(key, ctx.q))
+                    assert B.inner_product(nu, nu2, domain, ctx) == 0
 
 
 def test_reports_serializable():

@@ -51,8 +51,8 @@ def test_oracle_centralizers_match_formula():
     for n, q in ORACLE_GROUPS:
         data = BF.oracle_classes(n, q)
         for cid, lab in enumerate(data.labels):
-            assert G.centralizer_order(lab) == data.centralizer_orders[cid]
-            assert G.class_size(lab) == data.sizes[cid]
+            assert G.centralizer_order(G.type_of(lab), q) == data.centralizer_orders[cid]
+            assert G.class_size(G.type_of(lab), q) == data.sizes[cid]
 
 
 def canonical_matrix(group, label):
@@ -314,7 +314,7 @@ def test_engine_values_match_oracle_rows():
         for lam, (chi, _) in dec.constituents.items():
             for i, r in enumerate(tab.reps):
                 label = data.labels[data.class_of[r]]
-                assert tab.value_int(chi, i) == C.class_values(label).get(lam, 0)
+                assert tab.value_int(chi, i) == C.class_values(G.type_of(label), q).get(lam, 0)
 
 
 def test_duality_identity():
@@ -333,7 +333,7 @@ def test_fifth_group_gl25():
     for lam, (chi, _) in dec.constituents.items():
         for i, r in enumerate(tab.reps):
             label = data.labels[data.class_of[r]]
-            assert tab.value_int(chi, i) == C.class_values(label).get(lam, 0)
+            assert tab.value_int(chi, i) == C.class_values(G.type_of(label), 5).get(lam, 0)
     assert BF.check_d1_duality_identity(2, 5) == \
         {"all_nonzero": True, "unipotent_identity": True}
 

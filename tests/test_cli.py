@@ -293,6 +293,50 @@ def test_out_path(tmp_path, capsys):
     assert json.loads(target.read_text()) == {"core": []}
 
 
+def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    with pytest.raises(SystemExit) as err:
+        cli.main(["blocks", "--n", "3", "--q", "2", "--d", "2", "--output", "json",
+                  "--out-path", str(target)])
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == ""
+    assert captured.err == f"glblocks: error: cannot write {target}: No such file or directory\n"
+
+
+ENGINE_COMMANDS = [
+    [*verb, "--n", "5", "--q", "3", "--d", "2", "--variant", variant]
+    for variant in ("divisible", "exact")
+    for verb in (["blocks"], ["matrix", "--domain", "full"], ["matrix", "--domain", "d_regular"],
+                 ["matrix", "--domain", "d_singular"], ["verify", "thm43"], ["verify", "thm44"],
+                 ["verify", "thm46"], ["verify", "smt55"])]
+
+
+def test_engine_commands_build_no_class_label():
+    # with label construction made to fail, every type-level command still
+    # gives its usual exit code in a fresh process; a label command does not
+    script = "\n".join([
+        "import contextlib, io, json, sys",
+        "from glblocks import cli, glclass",
+        "def refuse(self):",
+        "    raise RuntimeError('a class label was built')",
+        "if sys.argv[1] == 'patched':",
+        "    glclass.GLClassLabel.__post_init__ = refuse",
+        "codes = []",
+        "for argv in json.loads(sys.argv[2]):",
+        "    with contextlib.redirect_stdout(io.StringIO()), \\",
+        "            contextlib.redirect_stderr(io.StringIO()):",
+        "        codes.append(cli.main(argv))",
+        "print(json.dumps(codes))",
+    ])
+    commands = ENGINE_COMMANDS + [["classes", "--n", "2", "--q", "3"]]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    codes = {mode: json.loads(subprocess.run(
+        [sys.executable, "-c", script, mode, json.dumps(commands)], env=env,
+        capture_output=True, text=True, check=True).stdout) for mode in ("plain", "patched")}
+    assert codes["patched"][:-1] == codes["plain"][:-1]
+    assert codes["plain"][-1] == 0 and codes["patched"][-1] == 5
+
+
 def test_label_level_commands_do_not_load_the_oracle():
     # only oracle, verify prop32 and verify thm45 need the element-level module
     script = "\n".join([

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ from glblocks import charvalue as C
 from glblocks import glclass as G
 from glblocks import partitions as P
 from glblocks import qarith as Q
-from glblocks.glclass import GLClassLabel, d_type, make_label
+from glblocks.glclass import ClassType, GLClassLabel, d_type, make_label
 from test_charvalue import label_chi_value
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -21,8 +22,8 @@ def identity_label(n: int, q: int) -> GLClassLabel:
     return make_label(n, q, (1,) * n, ())
 
 
-def class_d_weight(c: GLClassLabel, d: int, variant: str = "divisible") -> int:
-    return sum(k * m for k, m in d_type(c, d, variant))
+def class_d_weight(t: ClassType, d: int, variant: str = "divisible") -> int:
+    return sum(k * m for k, m in d_type(t, d, variant))
 
 
 def test_class_counts():
@@ -103,29 +104,29 @@ def test_class_types_count_every_class(q):
     for n in range(11):
         types = G.class_types(n, q)
         assert sum(types.values()) == series[n], n
-        assert all(G.class_type(t) == t for t in types)
+        assert all(t.components == tuple(sorted(t.components)) for t in types)
         if n <= 8:
-            assert sum(m * G.class_size(t) for t, m in types.items()) == Q.gl_order(n, q)
+            assert sum(m * G.class_size(t, q) for t, m in types.items()) == Q.gl_order(n, q)
 
 
 def test_class_types_examples():
-    assert G.class_types(0, 3) == {G.make_label(0, 3, (), ()): 1}
+    assert G.class_types(0, 3) == {ClassType(0, (), ()): 1}
     # GL(2,3): N_1 = 1, N_2 = 3
     assert G.class_types(2, 3) == {
-        G.make_label(2, 3, (1, 1), ()): 1, G.make_label(2, 3, (2,), ()): 1,
-        G.make_label(2, 3, (1,), [((1, 0), (1,))]): 1,
-        G.make_label(2, 3, (), [((1, 0), (1, 1))]): 1,
-        G.make_label(2, 3, (), [((1, 0), (2,))]): 1,
-        G.make_label(2, 3, (), [((2, 0), (1,))]): 3}
+        ClassType(2, (1, 1), ()): 1, ClassType(2, (2,), ()): 1,
+        ClassType(2, (1,), ((1, (1,)),)): 1,
+        ClassType(2, (), ((1, (1, 1)),)): 1,
+        ClassType(2, (), ((1, (2,)),)): 1,
+        ClassType(2, (), ((2, (1,)),)): 3}
     # two equal partitions on the 3 linear polynomials of GL(2,5): 3*2/2! classes
-    assert G.class_types(2, 5)[G.make_label(2, 5, (), [((1, 0), (1,)), ((1, 1), (1,))])] == 3
+    assert G.class_types(2, 5)[ClassType(2, (), ((1, (1,)), (1, (1,))))] == 3
 
 
 def test_class_equation():
     for n in range(1, 5):
         for q in (2, 3, 4, 5):
             classes = G.all_classes(n, q)
-            assert sum(G.class_size(c) for c in classes) == Q.gl_order(n, q)
+            assert sum(G.class_size(G.type_of(c), q) for c in classes) == Q.gl_order(n, q)
 
 
 def test_label_validation():
@@ -158,71 +159,82 @@ def test_label_checks_survive_python_O():
 @pytest.mark.parametrize("n, q", [(n, q) for n in range(5) for q in (2, 3, 4, 5)]
                          + [(5, 2), (5, 3)])
 def test_class_type_agrees_with_its_labels(n, q):
-    classes = set(G.all_classes(n, q))
+    # the round trip: every label's type is enumerated, as often as it has
+    # labels, and agrees with the label on values, centralizer order and d-tests
+    classes = G.all_classes(n, q)
+    types = G.class_types(n, q)
     reps = {}
     for c in classes:
-        t = G.class_type(c)
-        assert t in classes and G.class_type(t) == t
+        t = G.type_of(c)
+        assert t in types and G.type_of(make_label(n, q, t.unipotent, [
+            ((degree, i), part) for i, (degree, part) in enumerate(t.components)])) == t
         kind = (c.unipotent, sorted((k.degree, p) for k, p in c.support))
         assert reps.setdefault(repr(kind), t) == t  # one representative per type
-        assert G.centralizer_order(t) == G.centralizer_order(c)
-        assert G.class_size(t) == G.class_size(c)
+        cent = Q.unipotent_centralizer_order(c.unipotent, q)
+        for k, p in c.support:
+            cent *= Q.unipotent_centralizer_order(p, q ** k.degree)
+        assert G.centralizer_order(t, q) == cent
+        assert G.class_size(t, q) == Q.gl_order(n, q) // cent
         for d in (1, 2, 3):
             for variant in G.VARIANTS:
-                assert G.is_d_regular(t, d, variant) == G.is_d_regular(c, d, variant)
-                assert G.d_type(t, d, variant) == G.d_type(c, d, variant)
+                d_part = G.section_label(c, d, variant)
+                assert G.is_d_regular(t, d, variant) == (not d_part)
+                assert G.is_d_element(t, d, variant) == (
+                    set(c.unipotent) <= {1} and len(d_part) == len(c.support))
+                assert G.d_type(t, d, variant) == tuple(sorted(
+                    (sum(p), k.degree // d) for k, p in d_part))
         for nu in P.partitions_of(n):
-            assert C.class_values(t).get(nu, 0) == label_chi_value(nu, c)
+            assert C.class_values(t, q).get(nu, 0) == label_chi_value(nu, c)
     assert len(set(reps.values())) == len(reps)
+    assert Counter(map(G.type_of, classes)) == types
 
 
 def test_class_type_examples():
     c = G.make_label(8, 5, (1,), [((1, 2), (1,)), ((1, 0), (2,)), ((2, 5), (1,)), ((2, 3), (1,))])
-    assert G.class_type(c) == G.make_label(
-        8, 5, (1,), [((1, 0), (1,)), ((1, 1), (2,)), ((2, 0), (1,)), ((2, 1), (1,))])
-    assert G.class_type(identity_label(3, 2)) == identity_label(3, 2)
+    assert G.type_of(c) == ClassType(8, (1,), ((1, (1,)), (1, (2,)), (2, (1,)), (2, (1,))))
+    assert G.type_of(identity_label(3, 2)) == ClassType(3, (1, 1, 1), ())
 
 
 def test_identity_and_centralizers():
     for n, q in [(2, 2), (3, 2), (2, 3), (4, 3)]:
-        ident = identity_label(n, q)
-        assert G.centralizer_order(ident) == Q.gl_order(n, q)
-        assert G.class_size(ident) == 1
+        ident = G.type_of(identity_label(n, q))
+        assert G.centralizer_order(ident, q) == Q.gl_order(n, q)
+        assert G.class_size(ident, q) == 1
     # a single companion block of an irreducible of degree n
-    lab = G.make_label(3, 2, (), [((3, 0), (1,))])
-    assert G.centralizer_order(lab) == 2 ** 3 - 1
-    reg_unip = G.make_label(3, 2, (3,), ())
-    assert G.centralizer_order(reg_unip) == 4
+    lab = G.type_of(G.make_label(3, 2, (), [((3, 0), (1,))]))
+    assert G.centralizer_order(lab, 2) == 2 ** 3 - 1
+    reg_unip = G.type_of(G.make_label(3, 2, (3,), ()))
+    assert G.centralizer_order(reg_unip, 2) == 4
 
 
 def test_is_d_element():
     q = 3
-    ident = identity_label(3, q)
+    ident = G.type_of(identity_label(3, q))
     assert G.is_d_element(ident, 2)
-    quad = G.make_label(3, q, (1,), [((2, 0), (1,))])
+    quad = G.type_of(G.make_label(3, q, (1,), [((2, 0), (1,))]))
     assert G.is_d_element(quad, 2)
-    bad_unip = G.make_label(3, q, (2, 1), ())
+    bad_unip = G.type_of(G.make_label(3, q, (2, 1), ()))
     assert not G.is_d_element(bad_unip, 2)
-    lin = G.make_label(3, q, (1,), [((1, 0), (1, 1))])
+    lin = G.type_of(G.make_label(3, q, (1,), [((1, 0), (1, 1))]))
     assert not G.is_d_element(lin, 2)
     assert G.is_d_element(lin, 1)
 
 
 def test_is_d_regular():
     q = 2
-    unip = G.make_label(3, q, (2, 1), ())
+    unip = G.type_of(G.make_label(3, q, (2, 1), ()))
     assert G.is_d_regular(unip, 1)          # unipotent iff 1-regular
     assert G.is_d_regular(unip, 2) and G.is_d_regular(unip, 3)
-    cubic = G.make_label(3, q, (), [((3, 0), (1,))])
+    cubic = G.type_of(G.make_label(3, q, (), [((3, 0), (1,))]))
     assert not G.is_d_regular(cubic, 3)
     assert not G.is_d_regular(cubic, 1)
     assert G.is_d_regular(cubic, 2)
     assert not G.is_d_regular(cubic, 3, "exact")
     assert G.is_d_regular(cubic, 2, "exact")
     for c in G.all_classes(3, 2):
-        assert G.is_d_regular(c, 1) == (not c.support)
+        assert G.is_d_regular(G.type_of(c), 1) == (not c.support)
     # scalar classes are d-regular for every d >= 2
-    scalar = G.make_label(2, 3, (), [((1, 0), (1, 1))])
+    scalar = G.type_of(G.make_label(2, 3, (), [((1, 0), (1, 1))]))
     for d in (2, 3, 4):
         assert G.is_d_regular(scalar, d)
     assert not G.is_d_regular(scalar, 1)
@@ -230,64 +242,64 @@ def test_is_d_regular():
 
 def test_xy_decompose():
     # mixed class: an irreducible quadratic with a nontrivial unipotent part
-    c = G.make_label(4, 3, (2,), [((2, 0), (1,))])
+    c = G.type_of(G.make_label(4, 3, (2,), [((2, 0), (1,))]))
     x, y = G.xy_decompose(c, 2)
-    assert x.n == 2 and x.support == ((G.PolyKey(2, 0), (1,)),)
-    assert y.n == 2 and y.unipotent == (2,) and not y.support
+    assert x.n == 2 and x.components == ((2, (1,)),)
+    assert y.n == 2 and y.unipotent == (2,) and not y.components
     assert G.d_type(c, 2) == ((1, 1),)
     assert class_d_weight(c, 2) == 1
 
-    for c in G.all_classes(4, 3):
+    for c in G.class_types(4, 3):
         x, y = G.xy_decompose(c, 2)
         assert x.n + y.n == 4
-        rebuilt = G.make_label(4, 3, y.unipotent,
-                               tuple(x.support) + tuple(y.support))
+        rebuilt = ClassType(4, y.unipotent,
+                            tuple(sorted(tuple(x.components) + tuple(y.components))))
         assert rebuilt == c
 
 
 def test_xy_decompose_degenerate_cases():
-    for c in G.all_classes(3, 3):
+    for c in G.class_types(3, 3):
         x, y = G.xy_decompose(c, 2)
         if G.is_d_regular(c, 2):
             assert x.n == 0 and y == c
         if G.is_d_element(c, 2):
-            assert not y.support and all(p == 1 for p in y.unipotent)
+            assert not y.components and all(p == 1 for p in y.unipotent)
 
 
 def test_decomposition_is_injective():
     seen = {}
-    for c in G.all_classes(4, 2):
+    for c in G.class_types(4, 2):
         x, y = G.xy_decompose(c, 2)
-        key = (x.support, y.key())
+        key = (x.components, y)
         assert key not in seen
         seen[key] = c
 
 
 def test_d_type_examples():
-    ident = identity_label(4, 3)
+    ident = G.type_of(identity_label(4, 3))
     assert G.d_type(ident, 2) == ()
-    one = G.make_label(4, 3, (1, 1), [((2, 1), (1,))])
+    one = G.type_of(G.make_label(4, 3, (1, 1), [((2, 1), (1,))]))
     assert G.d_type(one, 2) == ((1, 1),)
-    two = G.make_label(4, 3, (), [((2, 0), (1,)), ((2, 2), (1,))])
+    two = G.type_of(G.make_label(4, 3, (), [((2, 0), (1,)), ((2, 2), (1,))]))
     assert G.d_type(two, 2) == ((1, 1), (1, 1))
     assert class_d_weight(two, 2) == 2
-    deg4 = G.make_label(4, 3, (), [((4, 7), (1,))])
+    deg4 = G.type_of(G.make_label(4, 3, (), [((4, 7), (1,))]))
     assert G.d_type(deg4, 2) == ((1, 2),)
 
 
 @pytest.mark.parametrize("n, q", [(4, 3), (5, 2)])
 def test_d_type_reads_the_d_part(n, q):
-    for c in G.all_classes(n, q):
+    for c in G.class_types(n, q):
         for d in (1, 2, 3):
             for variant in G.VARIANTS:
                 x_part = G.xy_decompose(c, d, variant)[0]
-                pairs = sorted((sum(p), k.degree // d) for k, p in x_part.support)
+                pairs = sorted((sum(p), degree // d) for degree, p in x_part.components)
                 assert G.d_type(c, d, variant) == tuple(pairs)
 
 
 def test_section_heads_examples():
     heads = G.section_heads(3, 3, 2)
-    assert heads == (G.make_label(0, 3, (), ()), G.make_label(2, 3, (), [((2, 0), (1,))]))
+    assert heads == (ClassType(0, (), ()), ClassType(2, (), ((2, (1,)),)))
     # at d = 1 every type without an X-1 part heads a section
     assert set(G.section_heads(3, 3, 1)) == {
         t for m in range(4) for t in G.class_types(m, 3) if not t.unipotent}
@@ -297,7 +309,7 @@ def test_section_heads_examples():
 def test_weight_bound():
     for (n, q, d) in [(2, 3, 2), (3, 2, 2), (4, 3, 2), (4, 2, 3)]:
         for c in G.all_classes(n, q):
-            assert class_d_weight(c, d) * d <= n
+            assert class_d_weight(G.type_of(c), d) * d <= n
 
 
 def test_sections_partition_classes():
@@ -310,10 +322,11 @@ def test_sections_partition_classes():
             covered = [c for group in secs.values() for c in group]
             assert sorted(c.key() for c in covered) == sorted(c.key() for c in classes)
             # identity section is exactly the d-regular classes
-            assert set(secs[()]) == {c for c in classes if G.is_d_regular(c, d, variant)}
+            assert set(secs[()]) == {c for c in classes
+                                     if G.is_d_regular(G.type_of(c), d, variant)}
             # each d-element class heads its own section
             for key, group in secs.items():
-                heads = [c for c in group if G.is_d_element(c, d, variant)
+                heads = [c for c in group if G.is_d_element(G.type_of(c), d, variant)
                          and G.section_label(c, d, variant) == key]
                 if key != ():
                     assert heads, key
@@ -321,13 +334,13 @@ def test_sections_partition_classes():
 
 def test_section_class_sizes_sum_to_group_order():
     secs = G.sections(2, 3, 2)
-    total = sum(G.class_size(c) for group in secs.values() for c in group)
+    total = sum(G.class_size(G.type_of(c), 3) for group in secs.values() for c in group)
     assert total == Q.gl_order(2, 3)
 
 
 def test_classes_json_deterministic():
-    a = G.classes_json(3, 2, 2)
-    b = G.classes_json(3, 2, 2)
+    a = json.dumps(G.classes_report(3, 2, 2), sort_keys=True)
+    b = json.dumps(G.classes_report(3, 2, 2), sort_keys=True)
     assert a == b
     payload = json.loads(a)
     assert payload["n"] == 3 and payload["q"] == 2
