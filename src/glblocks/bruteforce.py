@@ -6,6 +6,13 @@ complex character table computed by the class-algebra eigenvector method
 with exact cyclotomic lifting.  No floating point: the modular table is
 lifted to integer vectors of root-of-unity multiplicities and verified
 against the orthogonality relations exactly.
+
+The class algebra is split one restricted class matrix at a time; its
+eigenvalues are the roots mod the chosen prime of its characteristic
+polynomial (from a Hessenberg form), so a kernel is only computed at a
+root.  Each element's primary spaces are computed once and shared by
+every d and variant; the d-part and the section tests conjugate by the
+basis of those spaces through the conjugation table.
 """
 
 from __future__ import annotations
@@ -349,54 +356,61 @@ def oracle_classes(n: int, q: int) -> OracleClassData:
 
 # -- primary decomposition of elements -------------------------------------------
 
-def _primary_basis(group: MatrixGroup, A, match):
-    """Bases of the sum of primary spaces selected by `match` and the rest."""
+@cache
+def _primary_spaces(n: int, q: int, g_id: int) -> tuple:
+    """(coeffs, is_x_minus_one, basis) for each nonzero primary space of an
+    element: the kernel of f(A)^n for each irreducible f, found once per
+    element and shared by every d and variant."""
+    group = build_group(n, q)
     fq = group.fq
-    n = group.n
-    sel, rest = [], []
-    for coeffs, is_unip, key in _poly_pool(n, group.q):
+    A = group.elements[g_id]
+    spaces = []
+    for coeffs, is_unip, _ in _poly_pool(n, q):
         M = poly_at_matrix(fq, coeffs, A)
         P = identity_matrix(n)
         for _ in range(n):
             P = mat_mul(fq, P, M)
         basis = kernel_basis(fq, P)
-        if not basis:
-            continue
-        if match(coeffs, is_unip, key):
-            sel.extend(basis)
-        else:
-            rest.extend(basis)
-    if len(sel) + len(rest) != n:
-        raise ArithmeticError(f"primary spaces span {len(sel) + len(rest)} of {n} dimensions")
-    return sel, rest
+        if basis:
+            spaces.append((coeffs, is_unip, tuple(basis)))
+    dim = sum(len(basis) for _, _, basis in spaces)
+    if dim != n:
+        raise ArithmeticError(f"primary spaces span {dim} of {n} dimensions")
+    return tuple(spaces)
 
 
 def _degree_matches(degree, d, variant):
     return degree % d == 0 if variant == "divisible" else degree == d
 
 
-def x_part_element(group: MatrixGroup, g_id: int, d: int, variant: str) -> int:
-    """Index of the unique d-part: g on the matching primary spaces, 1 elsewhere."""
-    A = group.elements[g_id]
-    fq = group.fq
-    sel, rest = _primary_basis(
-        group, A,
-        lambda coeffs, is_unip, key: (not is_unip) and
-        _degree_matches(len(coeffs) - 1, d, variant))
-    n = group.n
+def _d_part_basis(group: MatrixGroup, g_id: int, d: int, variant: str):
+    """(id of C, k): the columns of the invertible C are the primary bases of
+    g, the first k of them spanning the primary spaces of matching degree
+    other than that of X-1."""
+    sel, rest = [], []
+    for coeffs, is_unip, basis in _primary_spaces(group.n, group.q, g_id):
+        if not is_unip and _degree_matches(len(coeffs) - 1, d, variant):
+            sel.extend(basis)
+        else:
+            rest.extend(basis)
     cols = sel + rest
-    C = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    C_inv = mat_inverse(fq, C)
-    D = [[0] * n for _ in range(n)]
-    for j, v in enumerate(sel):
-        img = mat_vec(fq, A, v)
-        coords = mat_vec(fq, C_inv, img)
-        for i in range(n):
-            D[i][j] = coords[i]
-    for j in range(len(sel), n):
-        D[j][j] = 1
-    x = mat_mul(fq, mat_mul(fq, C, tuple(map(tuple, D))), C_inv)
-    return group.index[x]
+    C = tuple(tuple(col[i] for col in cols) for i in range(group.n))
+    if C not in group.index:
+        raise ArithmeticError("primary bases are dependent")
+    return group.index[C], len(sel)
+
+
+def x_part_element(group: MatrixGroup, g_id: int, d: int, variant: str) -> int:
+    """Index of the unique d-part: g on the matching primary spaces, 1 elsewhere.
+
+    In the basis C, g is block diagonal, C^-1 g C; the d-part D keeps its
+    first k columns and is the identity on the rest, and is C D C^-1."""
+    c_id, k = _d_part_basis(group, g_id, d, variant)
+    conj = group.conj_table()
+    B = group.elements[conj[g_id][c_id]]
+    D = tuple(row[:k] + tuple(1 if j == i else 0 for j in range(k, group.n))
+              for i, row in enumerate(B))
+    return conj[group.index[D]][group.inverses[c_id]]
 
 
 @cache
@@ -421,34 +435,24 @@ def d_element_ids(n: int, q: int, d: int, variant: str) -> tuple[int, ...]:
 @cache
 def y_set(n: int, q: int, d: int, variant: str, u_id: int) -> frozenset[int]:
     """Elements fixing the d-part spaces of u pointwise, stabilizing the
-    complement, with no matching-degree factor there besides X-1."""
+    complement, with no matching-degree factor there besides X-1.
+
+    Every element y is tested in the basis C of u, as C^-1 y C: its first
+    k columns must be the unit vectors and its top right block zero."""
     group = build_group(n, q)
     fq = group.fq
-    A = group.elements[u_id]
-    sel, rest = _primary_basis(
-        group, A,
-        lambda coeffs, is_unip, key: (not is_unip) and
-        _degree_matches(len(coeffs) - 1, d, variant))
-    cols = sel + rest
-    nn = group.n
-    C = tuple(tuple(cols[j][i] for j in range(nn)) for i in range(nn))
-    C_inv = mat_inverse(fq, C)
-    k = len(sel)
-    bad_polys = [coeffs for coeffs, is_unip, key in _poly_pool(nn, q)
+    conj = group.conj_table()
+    c_id, k = _d_part_basis(group, u_id, d, variant)
+    bad_polys = [coeffs for coeffs, is_unip, key in _poly_pool(n, q)
                  if (not is_unip) and _degree_matches(len(coeffs) - 1, d, variant)]
     out = []
-    for y_id, Y in enumerate(group.elements):
-        ok = True
-        for v in sel:
-            if mat_vec(fq, Y, v) != v:
-                ok = False
-                break
-        if not ok:
+    for y_id in range(len(group.elements)):
+        YC = group.elements[conj[y_id][c_id]]
+        if any(YC[i][j] != (1 if i == j else 0) for j in range(k) for i in range(n)):
             continue
-        YC = mat_mul(fq, C_inv, mat_mul(fq, Y, C))
-        if any(YC[i][j] != 0 for j in range(k, nn) for i in range(k)):
+        if any(YC[i][j] != 0 for j in range(k, n) for i in range(k)):
             continue
-        block = tuple(tuple(YC[i][j] for j in range(k, nn)) for i in range(k, nn))
+        block = tuple(row[k:] for row in YC[k:])
         if block:
             reducible = False
             for coeffs in bad_polys:
@@ -646,26 +650,22 @@ def _find_prime(e, order):
 
 
 def _primitive_root_power(ell, e):
+    """g^((ell-1)/e) for the least primitive root g mod ell."""
+    m = ell - 1
+    facs = set()
+    mm = m
+    f = 2
+    while f * f <= mm:
+        if mm % f == 0:
+            facs.add(f)
+            while mm % f == 0:
+                mm //= f
+        f += 1
+    if mm > 1:
+        facs.add(mm)
     for g in range(2, ell):
-        ok = True
-        m = ell - 1
-        f = 2
-        mm = m
-        facs = set()
-        while f * f <= mm:
-            if mm % f == 0:
-                facs.add(f)
-                while mm % f == 0:
-                    mm //= f
-            f += 1
-        if mm > 1:
-            facs.add(mm)
-        for p in facs:
-            if pow(g, m // p, ell) == 1:
-                ok = False
-                break
-        if ok:
-            return pow(g, (ell - 1) // e, ell)
+        if all(pow(g, m // p, ell) != 1 for p in facs):
+            return pow(g, m // e, ell)
     raise AssertionError("no generator found")
 
 
@@ -731,6 +731,59 @@ def _kernel_mod(M, ell):
             v[pc] = (-rows[i][fc]) % ell
         basis.append(v)
     return basis
+
+
+def _charpoly_mod(M, ell):
+    """Coefficients c_0, ..., c_m (c_m = 1) of det(xI - M) mod ell.
+
+    M is brought to upper Hessenberg form H by similarity (a row swap with
+    the matching column swap, and eliminations below the subdiagonal with
+    the inverse column operation); then the characteristic polynomial p_r
+    of the leading r x r block of H follows from
+    p_r = (x - h_rr) p_{r-1} - sum_{i<r} h_ir h_{i+1,i} ... h_{r,r-1} p_{i-1}."""
+    m = len(M)
+    H = [[x % ell for x in row] for row in M]
+    for j in range(m - 2):
+        piv = next((i for i in range(j + 1, m) if H[i][j]), None)
+        if piv is None:
+            continue
+        if piv != j + 1:
+            H[piv], H[j + 1] = H[j + 1], H[piv]
+            for row in H:
+                row[piv], row[j + 1] = row[j + 1], row[piv]
+        inv = _modinv(H[j + 1][j], ell)
+        for i in range(j + 2, m):
+            if H[i][j]:
+                f = H[i][j] * inv % ell
+                H[i] = [(a - f * b) % ell for a, b in zip(H[i], H[j + 1])]
+                for row in H:
+                    row[j + 1] = (row[j + 1] + f * row[i]) % ell
+    polys = [[1]]
+    for r in range(m):
+        p = [0] + polys[r]
+        for t, c in enumerate(polys[r]):
+            p[t] = (p[t] - H[r][r] * c) % ell
+        sub = 1
+        for i in range(r - 1, -1, -1):
+            sub = sub * H[i + 1][i] % ell
+            f = H[i][r] * sub % ell
+            if f:
+                for t, c in enumerate(polys[i]):
+                    p[t] = (p[t] - f * c) % ell
+        polys.append(p)
+    return polys[m]
+
+
+def _roots_mod(coeffs, ell):
+    """The roots in [0, ell) of a polynomial mod ell, ascending."""
+    roots = []
+    for x in range(ell):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc * x + c) % ell
+        if acc == 0:
+            roots.append(x)
+    return roots
 
 
 @dataclass
@@ -831,18 +884,18 @@ def dixon_table(n: int, q: int) -> CharacterTable:
                 continue
             m = len(sp)
             R = _restrict_mod(mats[i], sp, ell)
+            # only a root of the characteristic polynomial has a kernel
             found = 0
-            for x in range(ell):
+            for x in _roots_mod(_charpoly_mod(R, ell), ell):
                 shifted = [[(R[a][b] - (x if a == b else 0)) % ell
                             for b in range(m)] for a in range(m)]
                 ker = _kernel_mod(shifted, ell)
-                if ker:
-                    lifted = [tuple(sum(kv[j] * sp[j][c] for j in range(m)) % ell
-                                    for c in range(k)) for kv in ker]
-                    nxt.append(lifted)
-                    found += len(ker)
-                    if found == m:
-                        break
+                if not ker:
+                    raise ArithmeticError("class algebra failed to split over the chosen prime")
+                lifted = [tuple(sum(kv[j] * sp[j][c] for j in range(m)) % ell
+                                for c in range(k)) for kv in ker]
+                nxt.append(lifted)
+                found += len(ker)
             if found != m:
                 raise ArithmeticError("class algebra failed to split over the chosen prime")
         spaces = nxt
@@ -861,7 +914,9 @@ def dixon_table(n: int, q: int) -> CharacterTable:
         t = sum(omega[i] * omega[inv_class[i]] * _modinv(sizes[i], ell)
                 for i in range(k)) % ell
         target = size * _modinv(t, ell) % ell
-        deg = next(s for s in range(1, isqrt(size) + 1) if s * s % ell == target)
+        deg = next((s for s in range(1, isqrt(size) + 1) if s * s % ell == target), None)
+        if deg is None:
+            raise ArithmeticError(f"no degree s <= isqrt(|G|) has s^2 = {target} mod {ell}")
         chars_mod.append([deg * omega[i] * _modinv(sizes[i], ell) % ell for i in range(k)])
         degrees.append(deg)
     if sum(d * d for d in degrees) != size:

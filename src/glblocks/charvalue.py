@@ -169,10 +169,12 @@ class CharValueTable:
         self.n, self.q = n, q
         self.classes = all_classes(n, q)
         self.labels = partitions_of(n)
-        self.values = {}
+        values = {}
         for c in self.classes:
             vector = class_values(type_of(c), q)
-            self.values.update(((nu, c), vector.get(nu, 0)) for nu in self.labels)
+            values.update(((nu, c), vector.get(nu, 0)) for nu in self.labels)
+        # read-only: table(n, q) is cached and shared by every caller
+        self.values = MappingProxyType(values)
 
     def chi(self, nu, c) -> int:
         return self.values[(tuple(nu), c)]

@@ -92,7 +92,8 @@ def test_cached_results_are_read_only():
     ctx = Context(3, 2, 2)
     tables = [G.class_types(3, 2), G.sections(3, 2, 2), B._type_weights(ctx, "d_regular"),
               B.inner_matrix(ctx), C._unipotent_values(3, 2),
-              S.signed_removal_map((2, 1), (1,), 1), C.class_values(G.ClassType(3, (3,), ()), 2)]
+              S.signed_removal_map((2, 1), (1,), 1), C.class_values(G.ClassType(3, (3,), ()), 2),
+              C.table(3, 2).values]
     for table in tables:
         key = next(iter(table))
         with pytest.raises(TypeError):

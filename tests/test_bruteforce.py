@@ -425,3 +425,259 @@ def test_mat_inverse_rejects_a_singular_matrix():
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.splitlines() == ["raised matrix not invertible"]
+
+
+# -- the eigenvalue split by characteristic polynomial ----------------------------
+
+def every_x_eigenvalues(R, ell):
+    """Reference: the scan the characteristic polynomial replaced; it tries
+    every x < ell and keeps those where R - xI has a kernel, ascending,
+    until the kernels fill the space."""
+    m = len(R)
+    found, out = 0, []
+    for x in range(ell):
+        shifted = [[(R[a][b] - (x if a == b else 0)) % ell for b in range(m)]
+                   for a in range(m)]
+        ker = BF._kernel_mod(shifted, ell)
+        if ker:
+            out.append(x)
+            found += len(ker)
+            if found == m:
+                break
+    return out
+
+
+def det_mod(M, ell):
+    """Reference determinant mod ell by Gaussian elimination."""
+    rows = [[x % ell for x in row] for row in M]
+    m = len(rows)
+    det = 1
+    for c in range(m):
+        piv = next((i for i in range(c, m) if rows[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            det = -det
+        det = det * rows[c][c] % ell
+        inv = pow(rows[c][c], -1, ell)
+        for i in range(c + 1, m):
+            f = rows[i][c] * inv % ell
+            if f:
+                rows[i] = [(a - f * b) % ell for a, b in zip(rows[i], rows[c])]
+    return det % ell
+
+
+def restricted_matrices(n, q, monkeypatch):
+    """Every (R, ell) whose characteristic polynomial dixon_table asks for."""
+    seen = []
+    charpoly = BF._charpoly_mod
+
+    def recording_charpoly(R, ell):
+        seen.append((R, ell))
+        return charpoly(R, ell)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(BF, "_charpoly_mod", recording_charpoly)
+        BF.dixon_table.__wrapped__(n, q)
+    return seen
+
+
+DIXON_GROUPS = ORACLE_GROUPS + [(2, 5)]
+
+
+@pytest.mark.parametrize("n,q", DIXON_GROUPS)
+def test_charpoly_split_matches_every_x_scan(n, q, monkeypatch):
+    # the old scan stands in for the root search: the table is the same,
+    # and on every restricted matrix the roots are the eigenvalues it found
+    pairs = []
+    charpoly, roots_mod = BF._charpoly_mod, BF._roots_mod
+
+    def scan(R, ell):
+        expected = every_x_eigenvalues(R, ell)
+        pairs.append((roots_mod(charpoly(R, ell), ell), expected))
+        return expected
+
+    monkeypatch.setattr(BF, "_charpoly_mod", lambda R, ell: R)
+    monkeypatch.setattr(BF, "_roots_mod", scan)
+    assert BF.dixon_table.__wrapped__(n, q) == BF.dixon_table(n, q)
+    monkeypatch.undo()
+    assert pairs and all(roots == expected for roots, expected in pairs)
+
+
+def charpoly_value(coeffs, x, ell):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % ell
+    return acc
+
+
+def assert_charpoly_is_det(M, ell):
+    m = len(M)
+    coeffs = BF._charpoly_mod(M, ell)
+    assert len(coeffs) == m + 1 and coeffs[-1] == 1
+    for x in range(ell):
+        shifted = [[((x if a == b else 0) - M[a][b]) % ell for b in range(m)]
+                   for a in range(m)]
+        assert charpoly_value(coeffs, x, ell) == det_mod(shifted, ell), (M, x)
+
+
+@pytest.mark.parametrize("n,q", DIXON_GROUPS)
+def test_charpoly_of_every_restricted_matrix(n, q, monkeypatch):
+    seen = restricted_matrices(n, q, monkeypatch)
+    assert seen
+    for R, ell in seen:
+        assert_charpoly_is_det(R, ell)
+
+
+def test_charpoly_of_random_matrices():
+    import random
+    rng = random.Random(10)
+    for ell in (2, 7, 13, 241):
+        assert_charpoly_is_det([], ell)
+        assert_charpoly_is_det([[rng.randrange(ell)]], ell)
+        for m in range(2, 7):
+            M = [[rng.randrange(ell) for _ in range(m)] for _ in range(m)]
+            assert_charpoly_is_det(M, ell)
+            if m >= 3:
+                # M[1][0] = 0 under a nonzero M[2][0]: the reduction swaps rows
+                swap = [row[:] for row in M]
+                swap[1][0], swap[2][0] = 0, 1
+                assert_charpoly_is_det(swap, ell)
+                # block upper triangular: column 1 is zero below row 1, so
+                # the Hessenberg form has a zero subdiagonal entry
+                block = [[0 if i >= 2 and j < 2 else x for j, x in enumerate(row)]
+                         for i, row in enumerate(M)]
+                assert_charpoly_is_det(block, ell)
+            assert_charpoly_is_det([[0] * m for _ in range(m)], ell)
+
+
+def test_split_raises_when_a_root_is_dropped_or_added(monkeypatch):
+    roots_mod = BF._roots_mod
+    monkeypatch.setattr(BF, "_roots_mod", lambda coeffs, ell: roots_mod(coeffs, ell)[1:])
+    with pytest.raises(ArithmeticError, match="failed to split"):
+        BF.dixon_table.__wrapped__(2, 3)
+    # a non-root has an empty kernel
+    monkeypatch.setattr(BF, "_roots_mod", lambda coeffs, ell: list(range(ell)))
+    with pytest.raises(ArithmeticError, match="failed to split"):
+        BF.dixon_table.__wrapped__(2, 3)
+
+
+def test_kernels_only_at_roots_gl25(monkeypatch):
+    # 5,598 kernels with the every-x scan; now one per (space, root)
+    kernels, roots = [], []
+    kernel_mod, roots_mod = BF._kernel_mod, BF._roots_mod
+
+    def counting_kernel(M, ell):
+        kernels.append(len(M))
+        return kernel_mod(M, ell)
+
+    def counting_roots(coeffs, ell):
+        found = roots_mod(coeffs, ell)
+        roots.append(len(found))
+        return found
+
+    monkeypatch.setattr(BF, "_kernel_mod", counting_kernel)
+    monkeypatch.setattr(BF, "_roots_mod", counting_roots)
+    BF.dixon_table.__wrapped__(2, 5)
+    assert len(kernels) == sum(roots) < 100
+
+
+def test_degree_search_miss_raises(monkeypatch):
+    # with isqrt patched to 0 the degree range is empty; on GL(2,2) the
+    # prime is still 7, as its search bound only rises above 5
+    monkeypatch.setattr(BF, "isqrt", lambda m: 0)
+    with pytest.raises(ArithmeticError, match="no degree"):
+        BF.dixon_table.__wrapped__(2, 2)
+
+
+def test_primitive_root_power():
+    for ell, e in [(3, 2), (7, 6), (7, 3), (13, 12), (241, 120), (241, 8)]:
+        z = BF._primitive_root_power(ell, e)
+        assert pow(z, e, ell) == 1
+        assert all(pow(z, e // p, ell) != 1 for p in range(2, e + 1)
+                   if e % p == 0 and all(p % r for r in range(2, p)))
+    # the least primitive root: 3 mod 7, 2 mod 13, 7 mod 241
+    assert BF._primitive_root_power(7, 6) == 3
+    assert BF._primitive_root_power(13, 12) == 2
+    assert BF._primitive_root_power(241, 240) == 7
+
+
+# -- primary spaces once per element -------------------------------------------------
+
+def tuple_primary_basis(group, A, match):
+    """Reference: bases of the primary spaces selected by `match` and of the
+    rest, rebuilt from tuple matrix products on every call."""
+    fq, n = group.fq, group.n
+    sel, rest = [], []
+    for coeffs, is_unip, key in BF._poly_pool(n, group.q):
+        M = BF.poly_at_matrix(fq, coeffs, A)
+        P = BF.identity_matrix(n)
+        for _ in range(n):
+            P = BF.mat_mul(fq, P, M)
+        basis = BF.kernel_basis(fq, P)
+        if basis:
+            (sel if match(coeffs, is_unip, key) else rest).extend(basis)
+    assert len(sel) + len(rest) == n
+    return sel, rest
+
+
+def matching(d, variant):
+    return lambda coeffs, is_unip, key: (not is_unip) and \
+        BF._degree_matches(len(coeffs) - 1, d, variant)
+
+
+def tuple_x_part_element(group, g_id, d, variant):
+    """Reference d-part: C D C^-1 by tuple products and an inverse."""
+    A = group.elements[g_id]
+    fq, n = group.fq, group.n
+    sel, rest = tuple_primary_basis(group, A, matching(d, variant))
+    cols = sel + rest
+    C = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    C_inv = BF.mat_inverse(fq, C)
+    D = [[0] * n for _ in range(n)]
+    for j, v in enumerate(sel):
+        coords = BF.mat_vec(fq, C_inv, BF.mat_vec(fq, A, v))
+        for i in range(n):
+            D[i][j] = coords[i]
+    for j in range(len(sel), n):
+        D[j][j] = 1
+    x = BF.mat_mul(fq, BF.mat_mul(fq, C, tuple(map(tuple, D))), C_inv)
+    return group.index[x]
+
+
+def tuple_y_set(group, d, variant, u_id):
+    """Reference complementary set: each y tested by tuple products."""
+    fq, nn = group.fq, group.n
+    sel, rest = tuple_primary_basis(group, group.elements[u_id], matching(d, variant))
+    cols = sel + rest
+    C = tuple(tuple(cols[j][i] for j in range(nn)) for i in range(nn))
+    C_inv = BF.mat_inverse(fq, C)
+    k = len(sel)
+    bad_polys = [coeffs for coeffs, is_unip, key in BF._poly_pool(nn, group.q)
+                 if matching(d, variant)(coeffs, is_unip, key)]
+    out = []
+    for y_id, Y in enumerate(group.elements):
+        if any(BF.mat_vec(fq, Y, v) != v for v in sel):
+            continue
+        YC = BF.mat_mul(fq, C_inv, BF.mat_mul(fq, Y, C))
+        if any(YC[i][j] != 0 for j in range(k, nn) for i in range(k)):
+            continue
+        block = tuple(tuple(YC[i][j] for j in range(k, nn)) for i in range(k, nn))
+        if block and any(BF.kernel_basis(fq, BF.poly_at_matrix(fq, coeffs, block))
+                         for coeffs in bad_polys):
+            continue
+        out.append(y_id)
+    return frozenset(out)
+
+
+@pytest.mark.parametrize("n,q", ORACLE_GROUPS)
+@pytest.mark.parametrize("variant", ["divisible", "exact"])
+def test_lookup_sections_match_tuple_arithmetic(n, q, variant):
+    group = BF.build_group(n, q)
+    for d in (1, 2, 3):
+        for g in range(len(group.elements)):
+            assert BF.x_part_element(group, g, d, variant) == \
+                tuple_x_part_element(group, g, d, variant)
+        for u in BF.d_element_ids(n, q, d, variant):
+            assert BF.y_set(n, q, d, variant, u) == tuple_y_set(group, d, variant, u)
