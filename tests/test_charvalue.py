@@ -11,6 +11,7 @@ from glblocks import qarith as Q
 from glblocks.charvalue import _unipotent_values
 from glblocks.partitions import conjugate, d_core, l_set_iterate, n_stat, partitions_of
 from glblocks.symchar import sn_char, z_order
+import labelref as L
 
 
 def value_on_unipotent(nu: tuple[int, ...], mu: tuple[int, ...], q: int) -> int:
@@ -307,8 +308,8 @@ def test_unipotent_values_reject_wrong_centralizer_orders(monkeypatch, wrong, me
 
 def test_trivial_label_value_is_one():
     for (n, q) in [(2, 3), (3, 2), (4, 3)]:
-        for c in G.all_classes(n, q):
-            assert C.class_values(G.type_of(c), q)[(n,)] == 1
+        for c in L.all_classes(n, q):
+            assert C.class_values(L.type_of(c), q)[(n,)] == 1
 
 
 def test_mn_step_single_hook_is_leg_sign():
@@ -374,20 +375,20 @@ def test_mn_step_targets_share_core():
 
 
 def test_alpha_coefficients_identity():
-    x0 = G.type_of(G.make_label(0, 3, (), ()))
+    x0 = L.type_of(G.make_label(0, 3, (), ()))
     for mu in partitions_of(4):
         assert compose_steps(mu, x0.components, 3) == {mu: 1}
 
 
 def test_alpha_coefficients_of_a_d_part():
-    x = G.type_of(G.make_label(2, 3, (), [((2, 0), (1,))]))
+    x = L.type_of(G.make_label(2, 3, (), [((2, 0), (1,))]))
     assert compose_steps((3,), x.components, 3) == {(1,): 1}
     for lam in compose_steps((2, 2), x.components, 3):
         assert d_core(lam, 2) == d_core((2, 2), 2)
 
 
 def test_alpha_paths_factors_nonzero():
-    x = G.type_of(G.make_label(4, 3, (), [((2, 0), (1,)), ((2, 1), (1,))]))
+    x = L.type_of(G.make_label(4, 3, (), [((2, 0), (1,)), ((2, 1), (1,))]))
     for mu in partitions_of(6):
         paths = peel_sequences(mu, x.components, 3)
         for chain, coef in paths:
@@ -405,9 +406,9 @@ def test_vanishing_beyond_weight():
     for (n, q, d) in [(4, 3, 2), (4, 2, 3), (5, 2, 2)]:
         for nu in partitions_of(n):
             w = d_weight(nu, d)
-            for c in G.all_classes(n, q):
-                if class_d_weight(G.type_of(c), d) > w:
-                    assert nu not in C.class_values(G.type_of(c), q)
+            for c in L.all_classes(n, q):
+                if class_d_weight(L.type_of(c), d) > w:
+                    assert nu not in C.class_values(L.type_of(c), q)
 
 
 def test_orthonormality_full_group():
@@ -415,9 +416,9 @@ def test_orthonormality_full_group():
     # pins every value those coefficients feed
     for (n, q) in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3),
                    (5, 2), (5, 3), (6, 2), (8, 2)]:
-        classes = G.all_classes(n, q)
-        cents = [G.centralizer_order(G.type_of(c), q) for c in classes]
-        vectors = [C.class_values(G.type_of(c), q) for c in classes]
+        classes = L.all_classes(n, q)
+        cents = [G.centralizer_order(L.type_of(c), q) for c in classes]
+        vectors = [C.class_values(L.type_of(c), q) for c in classes]
         for nu in partitions_of(n):
             for nu2 in partitions_of(n):
                 total = sum(Fraction(v.get(nu, 0) * v.get(nu2, 0), z)
@@ -448,7 +449,8 @@ def test_table_exports():
     assert data["signs"] == {"[2]": 1, "[1, 1]": 1}
     # values at the identity are the degrees
     from test_glclass import identity_label
-    ident = identity_label(2, 3)
+    ident = identity_label(2, 3).key()
+    assert list(tab.classes) == [c.key() for c in L.all_classes(2, 3)]
     assert tab.chi((1, 1), ident) == 3
     assert tab.chi((2,), ident) == 1
 
@@ -465,10 +467,10 @@ def test_size_mismatch_errors():
 def test_class_values_match_label_fold(n, q):
     # every label's vector equals the per-label fold it replaced, zeros omitted
     labels = partitions_of(n)
-    for c in G.all_classes(n, q):
+    for c in L.all_classes(n, q):
         expected = {nu: v for nu in labels if (v := label_chi_value(nu, c))}
-        assert C.class_values(G.type_of(c), q) == expected, c.key()
-        assert list(C.class_values(G.type_of(c), q)) == list(expected)
+        assert C.class_values(L.type_of(c), q) == expected, c.key()
+        assert list(C.class_values(L.type_of(c), q)) == list(expected)
 
 
 @pytest.mark.parametrize("n, q, d, variant", [

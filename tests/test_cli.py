@@ -312,8 +312,9 @@ ENGINE_COMMANDS = [
 
 
 def test_engine_commands_build_no_class_label():
-    # with label construction made to fail, every type-level command still
-    # gives its usual exit code in a fresh process; a label command does not
+    # with label construction made to fail, every engine command, the class
+    # list and the value table included, still gives its usual exit code in
+    # a fresh process; the element-level oracle, which builds labels, does not
     script = "\n".join([
         "import contextlib, io, json, sys",
         "from glblocks import cli, glclass",
@@ -328,8 +329,12 @@ def test_engine_commands_build_no_class_label():
         "        codes.append(cli.main(argv))",
         "print(json.dumps(codes))",
     ])
-    commands = ENGINE_COMMANDS + [["classes", "--n", "2", "--q", "3"]]
+    commands = ENGINE_COMMANDS + [
+        ["classes", "--n", "4", "--q", "3", "--d", "2"], ["classes", "--n", "3", "--q", "4"],
+        ["table", "--n", "4", "--q", "3", "--output", "csv"], ["table", "--n", "3", "--q", "4"],
+        ["oracle", "--n", "2", "--q", "2"]]
     env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("GLBLOCKS_CACHE_DIR", None)  # the oracle must build its labels
     codes = {mode: json.loads(subprocess.run(
         [sys.executable, "-c", script, mode, json.dumps(commands)], env=env,
         capture_output=True, text=True, check=True).stdout) for mode in ("plain", "patched")}

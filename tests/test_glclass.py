@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import os
@@ -9,11 +10,13 @@ from pathlib import Path
 import pytest
 
 from glblocks import charvalue as C
+from glblocks import cli
 from glblocks import glclass as G
 from glblocks import partitions as P
 from glblocks import qarith as Q
 from glblocks.glclass import ClassType, GLClassLabel, d_type, make_label
 from test_charvalue import label_chi_value
+import labelref as L
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -28,11 +31,11 @@ def class_d_weight(t: ClassType, d: int, variant: str = "divisible") -> int:
 
 def test_class_counts():
     for q in (2, 3, 4, 5):
-        assert len(G.all_classes(1, q)) == q - 1
-    assert len(G.all_classes(2, 2)) == 3
-    assert len(G.all_classes(2, 3)) == 8
-    assert len(G.all_classes(3, 2)) == 6
-    assert len(G.all_classes(0, 5)) == 1
+        assert len(L.all_classes(1, q)) == q - 1
+    assert len(L.all_classes(2, 2)) == 3
+    assert len(L.all_classes(2, 3)) == 8
+    assert len(L.all_classes(3, 2)) == 6
+    assert len(L.all_classes(0, 5)) == 1
 
 
 def _assignments_for_degree(q, degree, budget):
@@ -84,7 +87,7 @@ def label_level_classes(n, q):
 @pytest.mark.parametrize("n, q", [(n, q) for n in range(6) for q in (2, 3, 4, 5)]
                          + [(6, 2), (6, 3), (6, 4)])
 def test_all_classes_match_label_enumerator(n, q):
-    assert G.all_classes(n, q) == label_level_classes(n, q)
+    assert L.all_classes(n, q) == label_level_classes(n, q)
 
 
 def _class_count_series(q, top):
@@ -125,8 +128,8 @@ def test_class_types_examples():
 def test_class_equation():
     for n in range(1, 5):
         for q in (2, 3, 4, 5):
-            classes = G.all_classes(n, q)
-            assert sum(G.class_size(G.type_of(c), q) for c in classes) == Q.gl_order(n, q)
+            classes = L.all_classes(n, q)
+            assert sum(G.class_size(L.type_of(c), q) for c in classes) == Q.gl_order(n, q)
 
 
 def test_label_validation():
@@ -141,7 +144,7 @@ def test_label_checks_survive_python_O():
     script = "\n".join([
         "from glblocks import glclass as G",
         "for bad in (lambda: G.make_label(2, 3, (), [((1, 0), (1,)), ((1, 0), (1,))]),",
-        "            lambda: G.all_classes(-1, 2)):",
+        "            lambda: G.class_keys(-1, 2)):",
         "    try:",
         "        bad()",
         "    except ValueError as exc:",
@@ -161,12 +164,12 @@ def test_label_checks_survive_python_O():
 def test_class_type_agrees_with_its_labels(n, q):
     # the round trip: every label's type is enumerated, as often as it has
     # labels, and agrees with the label on values, centralizer order and d-tests
-    classes = G.all_classes(n, q)
+    classes = L.all_classes(n, q)
     types = G.class_types(n, q)
     reps = {}
     for c in classes:
-        t = G.type_of(c)
-        assert t in types and G.type_of(make_label(n, q, t.unipotent, [
+        t = L.type_of(c)
+        assert t in types and L.type_of(make_label(n, q, t.unipotent, [
             ((degree, i), part) for i, (degree, part) in enumerate(t.components)])) == t
         kind = (c.unipotent, sorted((k.degree, p) for k, p in c.support))
         assert reps.setdefault(repr(kind), t) == t  # one representative per type
@@ -177,7 +180,7 @@ def test_class_type_agrees_with_its_labels(n, q):
         assert G.class_size(t, q) == Q.gl_order(n, q) // cent
         for d in (1, 2, 3):
             for variant in G.VARIANTS:
-                d_part = G.section_label(c, d, variant)
+                d_part = L.section_label(c, d, variant)
                 assert G.is_d_regular(t, d, variant) == (not d_part)
                 assert G.is_d_element(t, d, variant) == (
                     set(c.unipotent) <= {1} and len(d_part) == len(c.support))
@@ -186,55 +189,55 @@ def test_class_type_agrees_with_its_labels(n, q):
         for nu in P.partitions_of(n):
             assert C.class_values(t, q).get(nu, 0) == label_chi_value(nu, c)
     assert len(set(reps.values())) == len(reps)
-    assert Counter(map(G.type_of, classes)) == types
+    assert Counter(map(L.type_of, classes)) == types
 
 
 def test_class_type_examples():
     c = G.make_label(8, 5, (1,), [((1, 2), (1,)), ((1, 0), (2,)), ((2, 5), (1,)), ((2, 3), (1,))])
-    assert G.type_of(c) == ClassType(8, (1,), ((1, (1,)), (1, (2,)), (2, (1,)), (2, (1,))))
-    assert G.type_of(identity_label(3, 2)) == ClassType(3, (1, 1, 1), ())
+    assert L.type_of(c) == ClassType(8, (1,), ((1, (1,)), (1, (2,)), (2, (1,)), (2, (1,))))
+    assert L.type_of(identity_label(3, 2)) == ClassType(3, (1, 1, 1), ())
 
 
 def test_identity_and_centralizers():
     for n, q in [(2, 2), (3, 2), (2, 3), (4, 3)]:
-        ident = G.type_of(identity_label(n, q))
+        ident = L.type_of(identity_label(n, q))
         assert G.centralizer_order(ident, q) == Q.gl_order(n, q)
         assert G.class_size(ident, q) == 1
     # a single companion block of an irreducible of degree n
-    lab = G.type_of(G.make_label(3, 2, (), [((3, 0), (1,))]))
+    lab = L.type_of(G.make_label(3, 2, (), [((3, 0), (1,))]))
     assert G.centralizer_order(lab, 2) == 2 ** 3 - 1
-    reg_unip = G.type_of(G.make_label(3, 2, (3,), ()))
+    reg_unip = L.type_of(G.make_label(3, 2, (3,), ()))
     assert G.centralizer_order(reg_unip, 2) == 4
 
 
 def test_is_d_element():
     q = 3
-    ident = G.type_of(identity_label(3, q))
+    ident = L.type_of(identity_label(3, q))
     assert G.is_d_element(ident, 2)
-    quad = G.type_of(G.make_label(3, q, (1,), [((2, 0), (1,))]))
+    quad = L.type_of(G.make_label(3, q, (1,), [((2, 0), (1,))]))
     assert G.is_d_element(quad, 2)
-    bad_unip = G.type_of(G.make_label(3, q, (2, 1), ()))
+    bad_unip = L.type_of(G.make_label(3, q, (2, 1), ()))
     assert not G.is_d_element(bad_unip, 2)
-    lin = G.type_of(G.make_label(3, q, (1,), [((1, 0), (1, 1))]))
+    lin = L.type_of(G.make_label(3, q, (1,), [((1, 0), (1, 1))]))
     assert not G.is_d_element(lin, 2)
     assert G.is_d_element(lin, 1)
 
 
 def test_is_d_regular():
     q = 2
-    unip = G.type_of(G.make_label(3, q, (2, 1), ()))
+    unip = L.type_of(G.make_label(3, q, (2, 1), ()))
     assert G.is_d_regular(unip, 1)          # unipotent iff 1-regular
     assert G.is_d_regular(unip, 2) and G.is_d_regular(unip, 3)
-    cubic = G.type_of(G.make_label(3, q, (), [((3, 0), (1,))]))
+    cubic = L.type_of(G.make_label(3, q, (), [((3, 0), (1,))]))
     assert not G.is_d_regular(cubic, 3)
     assert not G.is_d_regular(cubic, 1)
     assert G.is_d_regular(cubic, 2)
     assert not G.is_d_regular(cubic, 3, "exact")
     assert G.is_d_regular(cubic, 2, "exact")
-    for c in G.all_classes(3, 2):
-        assert G.is_d_regular(G.type_of(c), 1) == (not c.support)
+    for c in L.all_classes(3, 2):
+        assert G.is_d_regular(L.type_of(c), 1) == (not c.support)
     # scalar classes are d-regular for every d >= 2
-    scalar = G.type_of(G.make_label(2, 3, (), [((1, 0), (1, 1))]))
+    scalar = L.type_of(G.make_label(2, 3, (), [((1, 0), (1, 1))]))
     for d in (2, 3, 4):
         assert G.is_d_regular(scalar, d)
     assert not G.is_d_regular(scalar, 1)
@@ -242,7 +245,7 @@ def test_is_d_regular():
 
 def test_xy_decompose():
     # mixed class: an irreducible quadratic with a nontrivial unipotent part
-    c = G.type_of(G.make_label(4, 3, (2,), [((2, 0), (1,))]))
+    c = L.type_of(G.make_label(4, 3, (2,), [((2, 0), (1,))]))
     x, y = G.xy_decompose(c, 2)
     assert x.n == 2 and x.components == ((2, (1,)),)
     assert y.n == 2 and y.unipotent == (2,) and not y.components
@@ -276,14 +279,14 @@ def test_decomposition_is_injective():
 
 
 def test_d_type_examples():
-    ident = G.type_of(identity_label(4, 3))
+    ident = L.type_of(identity_label(4, 3))
     assert G.d_type(ident, 2) == ()
-    one = G.type_of(G.make_label(4, 3, (1, 1), [((2, 1), (1,))]))
+    one = L.type_of(G.make_label(4, 3, (1, 1), [((2, 1), (1,))]))
     assert G.d_type(one, 2) == ((1, 1),)
-    two = G.type_of(G.make_label(4, 3, (), [((2, 0), (1,)), ((2, 2), (1,))]))
+    two = L.type_of(G.make_label(4, 3, (), [((2, 0), (1,)), ((2, 2), (1,))]))
     assert G.d_type(two, 2) == ((1, 1), (1, 1))
     assert class_d_weight(two, 2) == 2
-    deg4 = G.type_of(G.make_label(4, 3, (), [((4, 7), (1,))]))
+    deg4 = L.type_of(G.make_label(4, 3, (), [((4, 7), (1,))]))
     assert G.d_type(deg4, 2) == ((1, 2),)
 
 
@@ -308,8 +311,8 @@ def test_section_heads_examples():
 
 def test_weight_bound():
     for (n, q, d) in [(2, 3, 2), (3, 2, 2), (4, 3, 2), (4, 2, 3)]:
-        for c in G.all_classes(n, q):
-            assert class_d_weight(G.type_of(c), d) * d <= n
+        for c in L.all_classes(n, q):
+            assert class_d_weight(L.type_of(c), d) * d <= n
 
 
 def test_sections_partition_classes():
@@ -317,24 +320,24 @@ def test_sections_partition_classes():
     contexts = [(n, q, d) for (n, q) in pairs for d in (1, 2, 3)]
     for (n, q, d) in contexts:
         for variant in ("divisible", "exact"):
-            classes = G.all_classes(n, q)
-            secs = G.sections(n, q, d, variant)
+            classes = L.all_classes(n, q)
+            secs = L.sections(n, q, d, variant)
             covered = [c for group in secs.values() for c in group]
             assert sorted(c.key() for c in covered) == sorted(c.key() for c in classes)
             # identity section is exactly the d-regular classes
             assert set(secs[()]) == {c for c in classes
-                                     if G.is_d_regular(G.type_of(c), d, variant)}
+                                     if G.is_d_regular(L.type_of(c), d, variant)}
             # each d-element class heads its own section
             for key, group in secs.items():
-                heads = [c for c in group if G.is_d_element(G.type_of(c), d, variant)
-                         and G.section_label(c, d, variant) == key]
+                heads = [c for c in group if G.is_d_element(L.type_of(c), d, variant)
+                         and L.section_label(c, d, variant) == key]
                 if key != ():
                     assert heads, key
 
 
 def test_section_class_sizes_sum_to_group_order():
-    secs = G.sections(2, 3, 2)
-    total = sum(G.class_size(G.type_of(c), 3) for group in secs.values() for c in group)
+    secs = L.sections(2, 3, 2)
+    total = sum(G.class_size(L.type_of(c), 3) for group in secs.values() for c in group)
     assert total == Q.gl_order(2, 3)
 
 
@@ -347,3 +350,36 @@ def test_classes_json_deterministic():
     assert len(payload["classes"]) == 6
     rec = payload["classes"][0]
     assert set(rec) == {"assignment", "size", "centralizer_order", "d_type", "section"}
+
+
+def _stdout(argv, capsys):
+    assert cli.main(argv) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n, q", [(n, q) for n in range(6) for q in (2, 3, 4, 5)] + [(6, 4)])
+def test_classes_and_table_match_label_reference(n, q, monkeypatch, capsys):
+    # stdout of `classes` and `table`, built from class types, is byte-identical
+    # to the label-level reference in every format; GL(6,4) d=3 exact places
+    # repeated partitions on one degree, and n = 0 is the class `id0`
+    contexts = ([(3, "exact")] if n == 6 else
+                [(d, variant) for d in (1, 2, 3) for variant in G.VARIANTS])
+    size = ["--n", str(n), "--q", str(q)]
+    argvs = [["classes", *size, *d_args, "--output", fmt]
+             for d_args in [[]] + [["--d", str(d), "--variant", v] for d, v in contexts]
+             for fmt in ("json", "text")]
+    argvs += [["table", *size, "--output", fmt] for fmt in ("json", "csv")]
+    engine = [_stdout(argv, capsys) for argv in argvs]
+    monkeypatch.setattr(G, "classes_report", functools.cache(L.classes_report))
+    monkeypatch.setattr(C, "table", L.LabelValueTable)
+    for argv, out in zip(argvs, engine):
+        assert out == _stdout(argv, capsys), argv
+
+
+def test_class_keys_raise_on_a_missed_class(monkeypatch):
+    # the types of GL(3,2) are counted with the true pools; one polynomial
+    # fewer per degree leaves classes unlisted
+    G.class_types(3, 2)
+    monkeypatch.setattr(G, "non_unipotent_count", lambda q, e: Q.non_unipotent_count(q, e) - 1)
+    with pytest.raises(AssertionError, match="repeat or miss a class"):
+        G.class_keys(3, 2)
