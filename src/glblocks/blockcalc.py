@@ -15,11 +15,11 @@ degree-preserving relabeling of polynomials, so no conjugation is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import factorial
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .charvalue import class_values, mn_step, peel
 from .errors import HypothesisError
@@ -48,8 +48,7 @@ from .qarith import count_irreducibles, gl_order
 from .symchar import linked_components, same_core_grouping
 
 
-@dataclass(frozen=True)
-class Context:
+class Context(NamedTuple):
     """One (n, q, d, variant) computation context."""
     n: int
     q: int
@@ -129,8 +128,7 @@ def inner_product(nu, nu2, domain, ctx: Context) -> Fraction:
 
 # -- block partitions ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class BlockPartition:
+class BlockPartition(NamedTuple):
     blocks: tuple[frozenset[tuple[int, ...]], ...]
     kind: str
 
@@ -400,8 +398,7 @@ def centralizer_blocks(head: ClassType, ctx: Context):
     }
 
 
-@dataclass(frozen=True)
-class DominationDatum:
+class DominationDatum(NamedTuple):
     head: ClassType
     core: tuple[int, ...]
     members: frozenset[tuple[int, ...]]

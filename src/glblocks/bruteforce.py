@@ -7,6 +7,15 @@ with exact cyclotomic lifting.  No floating point: the modular table is
 lifted to integer vectors of root-of-unity multiplicities and verified
 against the orthogonality relations exactly.
 
+The oracle brings its own finite fields, its own enumeration of the
+monic irreducibles over F_q (checked against the engine's counts only)
+and the validated class labels (`GLClassLabel`) it reads off matrices,
+so it shares no class-level code with the engine.  Polynomials over F_q
+are tuples of field-element encodings, lowest degree first, with the
+leading coefficient present (monic throughout).  Field elements are
+integers 0..q-1 whose base-p digits are the coefficients in the fixed
+generator basis of F_q over F_p.
+
 The class algebra is split one restricted class matrix at a time; its
 eigenvalues are the roots mod the chosen prime of its characteristic
 polynomial (from a Hessenberg form), so a kernel is only computed at a
@@ -27,19 +36,185 @@ from math import isqrt, lcm
 
 from . import __version__
 from .errors import ScaleGuardError, TieError
-from .glclass import GLClassLabel, PolyKey, make_label
-from .partitions import conjugate, n_stat, partitions_of
-from .qarith import (
-    enumerate_irreducibles,
-    field,
-    gl_order,
-    non_unipotent_irreducibles,
-    x_minus_one,
-)
+from .partitions import check_partition, conjugate, n_stat, partitions_of
+from .qarith import count_irreducibles, gl_order, prime_power
 
 GROUP_GUARD = 25000
 TABLE_GUARD = 2500      # conjugation-table route needs |G|^2 ids in memory
 CLASS_GUARD = 40
+ENUM_GUARD = 10 ** 6
+
+
+# -- small finite fields -----------------------------------------------------
+
+class SmallField:
+    """F_q arithmetic with precomputed tables; elements are ints 0..q-1."""
+
+    def __init__(self, q: int):
+        p, e = prime_power(q)
+        self.q, self.p, self.e = q, p, e
+        if e == 1:
+            self.add = [[(a + b) % p for b in range(p)] for a in range(p)]
+            self.mul = [[(a * b) % p for b in range(p)] for a in range(p)]
+        else:
+            modulus = self._find_modulus(p, e)
+            self.modulus = modulus
+            self.add = [[self._vec_to_int([(x + y) % p for x, y in
+                                           zip(self._int_to_vec(a), self._int_to_vec(b))])
+                         for b in range(q)] for a in range(q)]
+            self.mul = [[self._poly_mul_mod(a, b) for b in range(q)] for a in range(q)]
+        self.neg = [self.add[a].index(0) for a in range(q)]
+        self.inv = [0] * q
+        for a in range(1, q):
+            self.inv[a] = self.mul[a].index(1)
+        self.minus_one = self.neg[1]
+
+    def _int_to_vec(self, a: int) -> list[int]:
+        p, e = self.p, self.e
+        return [(a // p ** i) % p for i in range(e)]
+
+    def _vec_to_int(self, v) -> int:
+        return sum(c * self.p ** i for i, c in enumerate(v))
+
+    def _find_modulus(self, p: int, e: int) -> list[int]:
+        # smallest monic irreducible of degree e over F_p in the canonical order
+        for enc in range(p ** e):
+            low = [(enc // p ** i) % p for i in range(e)]
+            if self._is_irreducible_prime_field(low + [1], p):
+                return low + [1]
+        raise AssertionError("no modulus found")
+
+    @staticmethod
+    def _is_irreducible_prime_field(coeffs, p: int) -> bool:
+        """No monic polynomial of degree 1 .. deg/2 over F_p divides coeffs."""
+        deg = len(coeffs) - 1
+        for k in range(1, deg // 2 + 1):
+            for enc in range(p ** k):
+                div = [(enc // p ** i) % p for i in range(k)] + [1]
+                if _poly_divides_prime_field(div, coeffs, p):
+                    return False
+        return True
+
+    def _poly_mul_mod(self, a: int, b: int) -> int:
+        p, e = self.p, self.e
+        va, vb = self._int_to_vec(a), self._int_to_vec(b)
+        prod = [0] * (2 * e - 1)
+        for i, x in enumerate(va):
+            for j, y in enumerate(vb):
+                prod[i + j] = (prod[i + j] + x * y) % p
+        for top in range(2 * e - 2, e - 1, -1):
+            c = prod[top]
+            if c:
+                prod[top] = 0
+                for i, m in enumerate(self.modulus[:-1]):
+                    prod[top - self.e + i] = (prod[top - self.e + i] - c * m) % p
+        return self._vec_to_int(prod[:e])
+
+
+def _poly_divides_prime_field(div, poly, p: int) -> bool:
+    rem = list(poly)
+    dd = len(div) - 1
+    while len(rem) - 1 >= dd:
+        lead = rem[-1] % p
+        if lead:
+            for i in range(dd + 1):
+                rem[len(rem) - 1 - dd + i] = (rem[len(rem) - 1 - dd + i] - lead * div[i]) % p
+        rem.pop()
+    return all(c % p == 0 for c in rem)
+
+
+@cache
+def field(q: int) -> SmallField:
+    return SmallField(q)
+
+
+# -- monic irreducibles over F_q ---------------------------------------------
+
+@dataclass(frozen=True)
+class PolyLabel:
+    """A monic irreducible over F_q, identified by (q, degree, index)."""
+    q: int
+    degree: int
+    index: int
+    coeffs: tuple[int, ...] | None = None
+
+
+def _product_codes(fq: SmallField, f: tuple[int, ...], m: int) -> list[int]:
+    """Codes of f*g for every monic g of degree m, g in code order.
+
+    A monic polynomial of degree d has the code sum_{t<d} c_t q^t of its
+    lower coefficients.  The product is formed one coefficient at a time,
+    as a list over all g at once."""
+    q = fq.q
+    size = q ** m
+    g_coeffs = [[(enc // q ** t) % q for enc in range(size)] for t in range(m)]
+    g_coeffs.append([1] * size)
+    add, mul = fq.add, fq.mul
+    codes = [0] * size
+    for pos in range(len(f) - 1 + m):
+        coeff = [0] * size
+        for i, a in enumerate(f):
+            if a and 0 <= pos - i <= m:
+                times_a = mul[a]
+                coeff = [add[x][times_a[y]] for x, y in zip(coeff, g_coeffs[pos - i])]
+        weight = q ** pos
+        codes = [c + x * weight for c, x in zip(codes, coeff)]
+    return codes
+
+
+@cache
+def enumerate_irreducibles(q: int, d: int) -> tuple[PolyLabel, ...]:
+    """Monic irreducibles of degree d over F_q except X, canonical order.
+
+    Order is lexicographic on the coefficient vector read from the top
+    coefficient down to the constant term, field elements ordered by
+    their integer encoding.  X-1 is included (at d = 1) and carries its
+    position in this order like any other polynomial.
+
+    A sieve: a reducible monic of degree d is f*g with f monic irreducible
+    (X included) of degree k <= d/2 and g monic of degree d - k, so every
+    such product is marked and the unmarked codes are kept in code order,
+    which is the canonical order.
+    """
+    if q ** d > ENUM_GUARD:
+        raise ScaleGuardError(f"q^d = {q ** d} exceeds enumeration guard {ENUM_GUARD}")
+    fq = field(q)
+    reducible = bytearray(q ** d)
+    for k in range(1, d // 2 + 1):
+        factors = [lab.coeffs for lab in enumerate_irreducibles(q, k)]
+        if k == 1:
+            factors.append((0, 1))  # X itself divides reducibles too
+        for f in factors:
+            for code in _product_codes(fq, f, d - k):
+                reducible[code] = 1
+    out = []
+    for enc in range(q ** d):
+        if reducible[enc] or (d == 1 and enc == 0):
+            continue  # at d = 1 the code 0 is X, excluded from the universe
+        out.append(tuple((enc // q ** t) % q for t in range(d)) + (1,))
+    labels = tuple(PolyLabel(q, d, i, c) for i, c in enumerate(out))
+    if len(labels) != count_irreducibles(q, d, frozenset({"X"})):
+        raise AssertionError(f"found {len(labels)} irreducibles of degree {d} over F_{q},"
+                             " not the necklace count")
+    return labels
+
+
+def x_minus_one(q: int) -> tuple[int, ...]:
+    return (field(q).minus_one, 1)
+
+
+def non_unipotent_irreducibles(q: int, d: int) -> tuple[PolyLabel, ...]:
+    """Canonical pool of irreducibles of degree d excluding X and X-1.
+
+    These are the polynomials class labels index into; at d = 1 the index
+    skips X-1, which the labels track separately.
+    """
+    labs = enumerate_irreducibles(q, d)
+    if d == 1:
+        target = x_minus_one(q)
+        labs = tuple(l for l in labs if l.coeffs != target)
+        labs = tuple(PolyLabel(q, 1, i, l.coeffs) for i, l in enumerate(labs))
+    return labs
 
 
 # -- linear algebra over a small field ----------------------------------------
@@ -251,6 +426,52 @@ class MatrixGroup:
 @cache
 def build_group(n: int, q: int) -> MatrixGroup:
     return MatrixGroup(n, q)
+
+
+# -- class labels ------------------------------------------------------------
+
+@dataclass(frozen=True, order=True)
+class PolyKey:
+    """(degree, index) into the canonical pool without X and X-1."""
+    degree: int
+    index: int
+
+
+@dataclass(frozen=True)
+class GLClassLabel:
+    """A class of GL(n,q) as its X-1 partition and its (PolyKey, partition)
+    pairs, validated when built; `key()` is the engine's assignment key."""
+    n: int
+    q: int
+    unipotent: tuple[int, ...]
+    support: tuple[tuple[PolyKey, tuple[int, ...]], ...]
+
+    def __post_init__(self):
+        check_partition(self.unipotent)
+        total = sum(self.unipotent)
+        seen = set()
+        for key, part in self.support:
+            if key in seen or not part:
+                raise ValueError(f"support entry {key} is repeated or empty")
+            seen.add(key)
+            check_partition(part)
+            total += key.degree * sum(part)
+        if total != self.n:
+            raise ValueError(f"support sizes sum to {total}, not n = {self.n}")
+
+    def key(self) -> str:
+        bits = []
+        if self.unipotent:
+            bits.append("u:" + ",".join(map(str, self.unipotent)))
+        for pk, part in sorted(self.support):
+            bits.append(f"f{pk.degree}.{pk.index}:" + ",".join(map(str, part)))
+        return "|".join(bits) if bits else "id0"
+
+
+def make_label(n: int, q: int, unipotent, support) -> GLClassLabel:
+    support = tuple(sorted((PolyKey(*k) if not isinstance(k, PolyKey) else k, tuple(p))
+                           for k, p in support))
+    return GLClassLabel(n, q, tuple(unipotent), support)
 
 
 # -- labels from matrices --------------------------------------------------------

@@ -22,8 +22,6 @@ formula), which the tests check against the oracle.
 
 from __future__ import annotations
 
-import csv
-import io
 from collections.abc import Mapping
 from functools import cache
 from math import factorial
@@ -196,6 +194,9 @@ class CharValueTable:
         }
 
     def to_csv(self) -> str:
+        # imported here, so that no other output loads them
+        import csv
+        import io
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["nu", *self.classes])

@@ -33,7 +33,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import traceback
 
 from . import blockcalc, charvalue, glclass, partitions, qarith
 from .blockcalc import Context
@@ -82,12 +81,15 @@ def _prime_power(text: str) -> int:
 
 
 def _emit(args, payload, text_lines, csv_text=None):
+    """Write the form --output asks for.  Each form is a function of no
+    arguments that builds it: the json dict, the text lines or the csv text;
+    only the one asked for is called."""
     if args.output == "json":
-        blob = json.dumps(payload, sort_keys=True)
+        blob = json.dumps(payload(), sort_keys=True)
     elif args.output == "csv":
-        blob = csv_text
+        blob = csv_text()
     else:
-        blob = "\n".join(text_lines)
+        blob = "\n".join(text_lines())
     if not blob.endswith("\n"):
         blob += "\n"
     if args.out_path:
@@ -105,85 +107,84 @@ def cmd_partition(args) -> int:
     d = args.d
     if args.verb == "core":
         core = partitions.d_core(lam, d)
-        _emit(args, {"core": list(core)}, [str(list(core))])
+        _emit(args, lambda: {"core": list(core)}, lambda: [str(list(core))])
     elif args.verb == "quotient":
         quo = partitions.d_quotient(lam, d)
-        _emit(args, {"quotient": [list(c) for c in quo]},
-              ["(" + ", ".join(str(list(c)) for c in quo) + ")"])
+        _emit(args, lambda: {"quotient": [list(c) for c in quo]},
+              lambda: ["(" + ", ".join(str(list(c)) for c in quo) + ")"])
     elif args.verb == "weight":
         w = partitions.d_weight(lam, d)
-        _emit(args, {"weight": w}, [str(w)])
+        _emit(args, lambda: {"weight": w}, lambda: [str(w)])
     elif args.verb == "abacus":
         ab = partitions.AbacusState.from_partition(lam, d)
-        payload = {
-            "runners": [list(r) for r in ab.runners],
-            "origin_offset": ab.origin_offset,
-            "edge_sequence": ab.edge_sequence(),
-        }
-        _emit(args, payload, [ab.render(), "", ab.edge_sequence()])
+        _emit(args, lambda: {"runners": [list(r) for r in ab.runners],
+                             "origin_offset": ab.origin_offset,
+                             "edge_sequence": ab.edge_sequence()},
+              lambda: [ab.render(), "", ab.edge_sequence()])
     elif args.verb == "paths":
         gamma = partitions.d_core(lam, d)
         paths = partitions.removal_paths(lam, gamma, d)
-        payload = {
-            "core": list(gamma),
-            "count": len(paths),
-            "paths": [
-                {"total_leg": p.total_leg,
-                 "steps": [list(s.result) for s in p.steps]}
-                for p in paths
-            ],
-        }
-        lines = [f"core {list(gamma)}  paths {len(paths)}"]
-        for p in paths:
-            chain = " -> ".join(str(list(s.result)) for s in p.steps)
-            lines.append(f"  legs {p.total_leg}: {list(lam)} -> {chain}")
+
+        def payload():
+            return {"core": list(gamma), "count": len(paths),
+                    "paths": [{"total_leg": p.total_leg,
+                               "steps": [list(s.result) for s in p.steps]} for p in paths]}
+
+        def lines():
+            out = [f"core {list(gamma)}  paths {len(paths)}"]
+            for p in paths:
+                chain = " -> ".join(str(list(s.result)) for s in p.steps)
+                out.append(f"  legs {p.total_leg}: {list(lam)} -> {chain}")
+            return out
         _emit(args, payload, lines)
     return 0
 
 
 def cmd_classes(args) -> int:
     payload = glclass.classes_report(args.n, args.q, args.d, args.variant)
-    lines = [f"{rec['assignment']}  size {rec['size']}  cent {rec['centralizer_order']}"
-             for rec in payload["classes"]]
-    _emit(args, payload, lines)
+    _emit(args, lambda: payload,
+          lambda: [f"{rec['assignment']}  size {rec['size']}  cent {rec['centralizer_order']}"
+                   for rec in payload["classes"]])
     return 0
 
 
 def cmd_table(args) -> int:
     tab = charvalue.table(args.n, args.q)
-    csv_text = tab.to_csv()
-    _emit(args, tab.report(), csv_text.splitlines(), csv_text)
+    _emit(args, tab.report, lambda: tab.to_csv().splitlines(), tab.to_csv)
     return 0
 
 
 def cmd_matrix(args) -> int:
     ctx = Context(args.n, args.q, args.d, args.variant)
-    domain = args.domain
-    report = blockcalc.inner_product_matrix_report(ctx, domain)
-    lines = [f"{k} = {v}" for k, v in sorted(report["matrix"].items())]
-    _emit(args, report, lines, blockcalc.inner_product_matrix_csv(ctx, domain))
+
+    def report():
+        return blockcalc.inner_product_matrix_report(ctx, args.domain)
+    _emit(args, report, lambda: [f"{k} = {v}" for k, v in sorted(report()["matrix"].items())],
+          lambda: blockcalc.inner_product_matrix_csv(ctx, args.domain))
     return 0
 
 
 def cmd_oracle(args) -> int:
     from . import bruteforce
     blob = bruteforce.cached_oracle_dump(args.n, args.q)
-    payload = json.loads(blob)
-    _emit(args, payload, [blob])
+    _emit(args, lambda: json.loads(blob), lambda: [blob])
     return 0
 
 
 def cmd_blocks(args) -> int:
     ctx = Context(args.n, args.q, args.d, args.variant)
     report = blockcalc.blocks_report(ctx)
-    lines = [f"computed blocks ({len(report['computed_blocks'])}):"]
-    for b in report["computed_blocks"]:
-        lines.append("  " + "  ".join(map(str, b)))
-    lines.append(f"combinatorial blocks ({len(report['combinatorial_blocks'])}):")
-    for b in report["combinatorial_blocks"]:
-        lines.append("  " + "  ".join(map(str, b)))
-    lines.append(f"verdict: {report['verdict']}")
-    _emit(args, report, lines)
+
+    def lines():
+        out = [f"computed blocks ({len(report['computed_blocks'])}):"]
+        for b in report["computed_blocks"]:
+            out.append("  " + "  ".join(map(str, b)))
+        out.append(f"combinatorial blocks ({len(report['combinatorial_blocks'])}):")
+        for b in report["combinatorial_blocks"]:
+            out.append("  " + "  ".join(map(str, b)))
+        out.append(f"verdict: {report['verdict']}")
+        return out
+    _emit(args, lambda: report, lines)
     return 0 if report["verdict"] != "VIOLATION" else 1
 
 
@@ -309,12 +310,11 @@ def cmd_verify(args) -> int:
     try:
         ok, details = VERIFIERS[args.check](args)
     except HypothesisError as exc:
-        payload = {"check": args.check, "pass": False, "hypothesis_error": str(exc)}
-        _emit(args, payload, [f"{args.check}: HYPOTHESIS ERROR: {exc}"])
+        _emit(args, lambda: {"check": args.check, "pass": False, "hypothesis_error": str(exc)},
+              lambda: [f"{args.check}: HYPOTHESIS ERROR: {exc}"])
         return 3
-    payload = {"check": args.check, "pass": ok, "details": details}
-    _emit(args, payload, [f"{args.check}: {'PASS' if ok else 'FAIL'}",
-                          json.dumps(details, sort_keys=True)])
+    _emit(args, lambda: {"check": args.check, "pass": ok, "details": details},
+          lambda: [f"{args.check}: {'PASS' if ok else 'FAIL'}", json.dumps(details, sort_keys=True)])
     return 0 if ok else 1
 
 
@@ -389,6 +389,7 @@ def main(argv=None) -> int:
         print(f"glblocks: scale guard: {exc}", file=sys.stderr)
         return 4
     except Exception:
+        import traceback  # imported here, so that only a crash loads it
         traceback.print_exc()
         return 5
 

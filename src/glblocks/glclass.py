@@ -1,4 +1,4 @@
-"""Conjugacy class types and labels of GL(n,q), d-elements, d-types and sections.
+"""Conjugacy class types and keys of GL(n,q), d-elements, d-types and sections.
 
 A class is a finitely supported assignment of partitions to monic
 irreducibles distinct from X, with sizes weighted by degree summing to n.
@@ -18,22 +18,22 @@ classes, and of their sections, without building a label; `classes_report`
 and the value table show those keys.  The part of a class supported on
 polynomials of degree divisible by d (variant "divisible") or exactly d
 (variant "exact") determines its section, and `section_heads` lists the
-section heads by type.  A label (`GLClassLabel`) is the validated form of
-a key, built only by the element-level oracle.
+section heads by type.  The validated label behind a key
+(`bruteforce.GLClassLabel`) belongs to the element-level oracle, which
+reads one off each matrix; nothing here builds one.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
 from math import factorial, perm, prod
 from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import ScaleGuardError
-from .partitions import check_partition, partitions_of
+from .partitions import partitions_of
 from .qarith import (
     gl_order,
     non_unipotent_count,
@@ -52,48 +52,6 @@ class ClassType(NamedTuple):
     n: int
     unipotent: tuple[int, ...]
     components: tuple[tuple[int, tuple[int, ...]], ...]
-
-
-@dataclass(frozen=True, order=True)
-class PolyKey:
-    """(degree, index) into the canonical pool without X and X-1."""
-    degree: int
-    index: int
-
-
-@dataclass(frozen=True)
-class GLClassLabel:
-    n: int
-    q: int
-    unipotent: tuple[int, ...]
-    support: tuple[tuple[PolyKey, tuple[int, ...]], ...]
-
-    def __post_init__(self):
-        check_partition(self.unipotent)
-        total = sum(self.unipotent)
-        seen = set()
-        for key, part in self.support:
-            if key in seen or not part:
-                raise ValueError(f"support entry {key} is repeated or empty")
-            seen.add(key)
-            check_partition(part)
-            total += key.degree * sum(part)
-        if total != self.n:
-            raise ValueError(f"support sizes sum to {total}, not n = {self.n}")
-
-    def key(self) -> str:
-        bits = []
-        if self.unipotent:
-            bits.append("u:" + ",".join(map(str, self.unipotent)))
-        for pk, part in sorted(self.support):
-            bits.append(f"f{pk.degree}.{pk.index}:" + ",".join(map(str, part)))
-        return "|".join(bits) if bits else "id0"
-
-
-def make_label(n: int, q: int, unipotent, support) -> GLClassLabel:
-    support = tuple(sorted((PolyKey(*k) if not isinstance(k, PolyKey) else k, tuple(p))
-                           for k, p in support))
-    return GLClassLabel(n, q, tuple(unipotent), support)
 
 
 def _multisets(pool, budget: int, counts, last=(0, 0)):

@@ -16,7 +16,6 @@ abacus origin elsewhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple
 
@@ -237,32 +236,6 @@ def epsilon(lam: tuple[int, ...], d: int) -> int:
         cur = hooks[0].result
 
 
-@cache
-def path_sign_set(lam: tuple[int, ...], d: int) -> frozenset[int]:
-    """All values of (-1)**L achieved over full removal paths (tests want {eps})."""
-    hooks = rim_hooks(lam, d)
-    if not hooks:
-        return frozenset({1})
-    out = set()
-    for hk in hooks:
-        s = (-1) ** hk.leg_length
-        out.update(s * t for t in path_sign_set(hk.result, d))
-    return frozenset(out)
-
-
-@cache
-def l_set_iterate(lam: tuple[int, ...], d: int, i: int) -> frozenset[tuple[int, ...]]:
-    """Partitions reachable from lam by removing i d-hooks."""
-    if i < 0:
-        raise ValueError(f"hook count must be at least 0, got {i}")
-    if i == 0:
-        return frozenset({lam})
-    out = set()
-    for hk in rim_hooks(lam, d):
-        out.update(l_set_iterate(hk.result, d, i - 1))
-    return frozenset(out)
-
-
 def single_runner_partition(gamma, w: int, d: int, runner: int,
                             shape: tuple[int, ...] | None = None) -> tuple[int, ...]:
     """Partition with d-core gamma whose weight-w quotient sits on one runner."""
@@ -297,21 +270,19 @@ def find_simple_disjoint(gamma, w: int, d: int, avoid=frozenset()) -> tuple[int,
 
 # -- abacus -----------------------------------------------------------------
 
-@dataclass(frozen=True)
 class AbacusState:
     """Bead positions on d runners plus the beta-set length they came from."""
-    d: int
-    runners: tuple[tuple[int, ...], ...]
-    origin_offset: int
+    __slots__ = ("d", "runners", "origin_offset")
 
-    def __post_init__(self):
-        if len(self.runners) != self.d:
-            raise ValueError(f"{len(self.runners)} runners, not d = {self.d}")
-        for runner in self.runners:
+    def __init__(self, d: int, runners: tuple[tuple[int, ...], ...], origin_offset: int):
+        if len(runners) != d:
+            raise ValueError(f"{len(runners)} runners, not d = {d}")
+        for runner in runners:
             if any(runner[i] >= runner[i + 1] for i in range(len(runner) - 1)):
                 raise ValueError(f"runner {runner} is not strictly increasing")
-        if sum(len(r) for r in self.runners) != self.origin_offset:
-            raise ValueError(f"bead count differs from origin offset {self.origin_offset}")
+        if sum(len(r) for r in runners) != origin_offset:
+            raise ValueError(f"bead count differs from origin offset {origin_offset}")
+        self.d, self.runners, self.origin_offset = d, runners, origin_offset
 
     @staticmethod
     def from_partition(lam, d: int, length: int | None = None) -> "AbacusState":

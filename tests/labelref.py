@@ -2,9 +2,10 @@
 
 The engine expands each class type straight into key strings
 (`glclass.class_keys`).  This module keeps the path it replaced: every
-class as a validated `GLClassLabel`, keyed and sorted by `key()`, with
-its orders, d-type and section taken label by label.  The tests compare
-the engine against it, and use its labels where an index is compared.
+class as a validated `bruteforce.GLClassLabel`, keyed and sorted by
+`key()`, with its orders, d-type and section taken label by label.  The
+tests compare the engine against it, and use its labels where an index
+is compared.
 """
 
 from __future__ import annotations
@@ -15,19 +16,17 @@ import itertools
 from functools import cache
 from types import MappingProxyType
 
+from glblocks.bruteforce import GLClassLabel, PolyKey, make_label
 from glblocks.charvalue import class_values
 from glblocks.errors import ScaleGuardError
 from glblocks.glclass import (
     CLASS_GUARD,
     ClassType,
-    GLClassLabel,
-    PolyKey,
     _degree_matches,
     centralizer_order,
     class_size,
     class_types,
     d_type,
-    make_label,
 )
 from glblocks.partitions import partitions_of
 from glblocks.qarith import non_unipotent_count

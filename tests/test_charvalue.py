@@ -9,8 +9,9 @@ from glblocks import charvalue as C
 from glblocks import glclass as G
 from glblocks import qarith as Q
 from glblocks.charvalue import _unipotent_values
-from glblocks.partitions import conjugate, d_core, l_set_iterate, n_stat, partitions_of
+from glblocks.partitions import conjugate, d_core, n_stat, partitions_of
 from glblocks.symchar import sn_char, z_order
+from hookref import l_set_iterate
 import labelref as L
 
 
@@ -375,20 +376,20 @@ def test_mn_step_targets_share_core():
 
 
 def test_alpha_coefficients_identity():
-    x0 = L.type_of(G.make_label(0, 3, (), ()))
+    x0 = L.type_of(BF.make_label(0, 3, (), ()))
     for mu in partitions_of(4):
         assert compose_steps(mu, x0.components, 3) == {mu: 1}
 
 
 def test_alpha_coefficients_of_a_d_part():
-    x = L.type_of(G.make_label(2, 3, (), [((2, 0), (1,))]))
+    x = L.type_of(BF.make_label(2, 3, (), [((2, 0), (1,))]))
     assert compose_steps((3,), x.components, 3) == {(1,): 1}
     for lam in compose_steps((2, 2), x.components, 3):
         assert d_core(lam, 2) == d_core((2, 2), 2)
 
 
 def test_alpha_paths_factors_nonzero():
-    x = L.type_of(G.make_label(4, 3, (), [((2, 0), (1,)), ((2, 1), (1,))]))
+    x = L.type_of(BF.make_label(4, 3, (), [((2, 0), (1,)), ((2, 1), (1,))]))
     for mu in partitions_of(6):
         paths = peel_sequences(mu, x.components, 3)
         for chain, coef in paths:

@@ -285,6 +285,30 @@ def test_csv_stdout_equals_out_path_file(tmp_path, capsys, argv):
     assert out.endswith("\n") and not out.endswith("\n\n") and "\r" not in out
 
 
+TABLE_ARGV = ["table", "--n", "3", "--q", "2"]
+MATRIX_ARGV = ["matrix", "--n", "4", "--q", "3", "--d", "2"]
+
+
+@pytest.mark.parametrize("argv, output, unbuilt", [
+    (TABLE_ARGV, "json", (cli.charvalue.CharValueTable, "to_csv")),
+    (TABLE_ARGV, "csv", (cli.charvalue.CharValueTable, "report")),
+    (TABLE_ARGV, "text", (cli.charvalue.CharValueTable, "report")),
+    (MATRIX_ARGV, "json", (cli.blockcalc, "inner_product_matrix_csv")),
+    (MATRIX_ARGV, "csv", (cli.blockcalc, "inner_product_matrix_report")),
+    (MATRIX_ARGV, "text", (cli.blockcalc, "inner_product_matrix_csv")),
+], ids=["table-json", "table-csv", "table-text", "matrix-json", "matrix-csv", "matrix-text"])
+def test_only_the_requested_form_is_built(capsys, monkeypatch, argv, output, unbuilt):
+    # the form --output does not ask for is never built: making its builder
+    # fail leaves exit code and output as they were
+    expected = run(argv + ["--output", output], capsys)
+
+    def refuse(*args):
+        raise RuntimeError("a form that --output did not ask for was built")
+    monkeypatch.setattr(*unbuilt, refuse)
+    assert run(argv + ["--output", output], capsys) == expected
+    assert capsys.readouterr().err == ""
+
+
 def test_out_path(tmp_path, capsys):
     target = tmp_path / "core.json"
     code, _ = run(["partition", "core", "[4]", "--d", "2",
@@ -317,11 +341,11 @@ def test_engine_commands_build_no_class_label():
     # a fresh process; the element-level oracle, which builds labels, does not
     script = "\n".join([
         "import contextlib, io, json, sys",
-        "from glblocks import cli, glclass",
+        "from glblocks import bruteforce, cli",
         "def refuse(self):",
         "    raise RuntimeError('a class label was built')",
         "if sys.argv[1] == 'patched':",
-        "    glclass.GLClassLabel.__post_init__ = refuse",
+        "    bruteforce.GLClassLabel.__post_init__ = refuse",
         "codes = []",
         "for argv in json.loads(sys.argv[2]):",
         "    with contextlib.redirect_stdout(io.StringIO()), \\",
@@ -342,16 +366,36 @@ def test_engine_commands_build_no_class_label():
     assert codes["plain"][-1] == 0 and codes["patched"][-1] == 5
 
 
-def test_label_level_commands_do_not_load_the_oracle():
-    # only oracle, verify prop32 and verify thm45 need the element-level module
+def test_engine_commands_import_only_what_they_run():
+    # only oracle, verify prop32 and verify thm45 need the element-level
+    # module; no engine command needs dataclasses (which loads inspect, ast
+    # and dis), traceback (only a crash prints one) or csv (only table, to
+    # print its CSV, loads it).  The same script with no command is the
+    # baseline, so modules that the interpreter's site set-up loads do not count.
     script = "\n".join([
-        "import contextlib, io, sys",
-        "from glblocks import cli",
-        "with contextlib.redirect_stdout(io.StringIO()):",
-        "    code = cli.main(['blocks', '--n', '4', '--q', '3', '--d', '2'])",
-        "print(code, 'glblocks.bruteforce' in sys.modules)",
+        "import contextlib, io, json, sys",
+        "code = None",
+        "if sys.argv[1:]:",
+        "    from glblocks import cli",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        code = cli.main(sys.argv[1:])",
+        "print(json.dumps([code, sorted(sys.modules)]))",
     ])
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run([sys.executable, "-c", script], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    assert out.splitlines() == ["0 False"]
+
+    def loaded(argv):
+        out = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        return json.loads(out)
+
+    _, baseline = loaded([])
+    forbidden = {"dataclasses", "inspect", "traceback", "csv", "glblocks.bruteforce"}
+    for argv in (["blocks", "--n", "4", "--q", "3", "--d", "2"],
+                 ["matrix", "--n", "4", "--q", "3", "--d", "2", "--output", "json"],
+                 ["classes", "--n", "3", "--q", "3", "--d", "2"],
+                 ["table", "--n", "3", "--q", "2", "--output", "json"],
+                 ["verify", "smt55", "--n", "4", "--q", "3", "--d", "2"]):
+        code, modules = loaded(argv)
+        assert code == 0 and "glblocks.blockcalc" in modules, argv
+        unwanted = (set(modules) - set(baseline)) & forbidden
+        assert not unwanted, (argv, unwanted)

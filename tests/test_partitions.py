@@ -8,6 +8,7 @@ import pytest
 from glblocks import partitions as P
 from glblocks.errors import CoreMismatchError, InfeasibleError
 from glblocks.partitions import AbacusState, rim_hooks
+from hookref import l_set_iterate, path_sign_set
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -239,7 +240,7 @@ def test_epsilon_examples():
 def test_sign_path_independence_exhaustive():
     for lam in all_partitions_upto(12):
         for d in range(1, 6):
-            signs = P.path_sign_set(lam, d)
+            signs = path_sign_set(lam, d)
             assert len(signs) == 1
             assert signs == frozenset({P.epsilon(lam, d)})
 
@@ -310,9 +311,9 @@ def test_l_sets():
         for d in (2, 3):
             w = P.d_weight(lam, d)
             gamma = P.d_core(lam, d)
-            assert P.l_set_iterate(lam, d, 0) == frozenset({lam})
-            assert P.l_set_iterate(lam, d, w) == frozenset({gamma})
-            assert P.l_set_iterate(lam, d, w + 1) == frozenset()
+            assert l_set_iterate(lam, d, 0) == frozenset({lam})
+            assert l_set_iterate(lam, d, w) == frozenset({gamma})
+            assert l_set_iterate(lam, d, w + 1) == frozenset()
             assert l_set_single(lam, d, 0) == frozenset({lam})
 
 
@@ -330,11 +331,11 @@ def test_l_set_single():
     for lam in all_partitions_upto(10):
         for d in (1, 2, 3):
             # one hook of length d is one step of the iterated removal
-            assert l_set_single(lam, d, 1) == P.l_set_iterate(lam, d, 1)
+            assert l_set_single(lam, d, 1) == l_set_iterate(lam, d, 1)
             for i in range(2, P.d_weight(lam, d) + 1):
                 single = l_set_single(lam, d, i)
                 # a hook of length i*d is i steps of d-hook removal
-                assert single <= P.l_set_iterate(lam, d, i), (lam, d, i)
+                assert single <= l_set_iterate(lam, d, i), (lam, d, i)
                 assert len(single) == len(rim_hooks_by_diagram(lam, i * d))
 
 
@@ -381,7 +382,7 @@ def test_argument_checks_survive_python_O():
     script = "\n".join([
         "from glblocks import partitions as P",
         "for bad in (lambda: P.rim_hooks((2,), 0), lambda: P.d_core((2,), 0),",
-        "            lambda: P.l_set_iterate((2,), 1, -1)):",
+        "            lambda: P.beta_set((2, 1), 1)):",
         "    try:",
         "        bad()",
         "    except ValueError as exc:",
@@ -394,7 +395,7 @@ def test_argument_checks_survive_python_O():
                          capture_output=True, text=True, check=True).stdout
     assert out.splitlines() == ["raised hook length must be at least 1, got 0",
                                 "raised d must be at least 1, got 0",
-                                "raised hook count must be at least 0, got -1"]
+                                "raised beta-set length smaller than number of parts"]
 
 
 def test_abacus_state_checks_its_beads():

@@ -3,8 +3,9 @@ import itertools
 import pytest
 
 from glblocks import symchar as S
-from glblocks.partitions import l_set_iterate, partitions_of, find_simple_disjoint, rim_hooks
+from glblocks.partitions import partitions_of, find_simple_disjoint, rim_hooks
 from glblocks.symchar import signed_removal_map
+from hookref import l_set_iterate
 
 
 def scaled_type(alpha: tuple[int, ...], d: int) -> tuple[int, ...]:
