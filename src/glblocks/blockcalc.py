@@ -1,4 +1,5 @@
-"""Restricted inner products, unipotent d-blocks, closed forms and domination.
+"""Restricted inner products, unipotent d-blocks, closed forms, chains and the
+second-main-theorem check.
 
 All inner products are exact: the matrix of a domain is
 sum_t w_t v_t v_t^T / |G| over its class types t, with v_t = (chi^nu(t))_nu
@@ -11,6 +12,10 @@ merged with those of every d-regular type of GL(n-|x|, q), and sections
 with heads of one type are summed alike.
 Values are integers and every class is closed under inversion up to a
 degree-preserving relabeling of polynomials, so no conjugation is needed.
+The unipotent d-blocks are a tuple of frozensets of partition labels in
+`symchar`'s canonical order, as is the same-core grouping that
+`blocks_report` compares them with.  `smt_check` returns nothing and
+raises AssertionError when a check fails.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from .partitions import (
     runners_used,
     single_runner_partition,
 )
-from .qarith import count_irreducibles, gl_order
+from .qarith import gl_order, non_unipotent_count
 from .symchar import linked_components, same_core_grouping
 
 
@@ -58,8 +63,7 @@ class Context(NamedTuple):
     @property
     def f_number(self) -> int:
         """Count of monic irreducibles of degree exactly d (without X, X-1)."""
-        exclusions = frozenset({"X", "X-1"}) if self.d == 1 else frozenset({"X"})
-        return count_irreducibles(self.q, self.d, exclusions)
+        return non_unipotent_count(self.q, self.d)
 
     @property
     def f_hypothesis_holds(self) -> bool:
@@ -126,33 +130,13 @@ def inner_product(nu, nu2, domain, ctx: Context) -> Fraction:
     return inner_matrix(ctx, domain)[(tuple(nu), tuple(nu2))]
 
 
-# -- block partitions ----------------------------------------------------------
-
-class BlockPartition(NamedTuple):
-    blocks: tuple[frozenset[tuple[int, ...]], ...]
-    kind: str
-
-    def block_of(self, lam) -> frozenset:
-        lam = tuple(lam)
-        for b in self.blocks:
-            if lam in b:
-                return b
-        raise KeyError(lam)
-
-    def refines(self, other: "BlockPartition") -> bool:
-        return all(any(b <= o for o in other.blocks) for b in self.blocks)
-
+# -- blocks ----------------------------------------------------------------------
 
 @cache
-def unipotent_blocks(ctx: Context) -> BlockPartition:
+def unipotent_blocks(ctx: Context) -> tuple[frozenset[tuple[int, ...]], ...]:
     """Connected components under nonzero inner products over d-regular classes."""
     links = (pair for pair, val in inner_matrix(ctx, "d_regular").items() if val != 0)
-    return BlockPartition(linked_components(partitions_of(ctx.n), links), "computed")
-
-
-def combinatorial_blocks(n: int, d: int) -> BlockPartition:
-    """Same-d-core grouping of the partitions of n."""
-    return BlockPartition(same_core_grouping(n, d), "combinatorial")
+    return linked_components(partitions_of(ctx.n), links)
 
 
 # -- closed forms ----------------------------------------------------------------
@@ -184,21 +168,6 @@ def theorem46_rhs(lam, mu, ctx: Context) -> Fraction:
     sign = (-1) ** w * epsilon(lam, d) * epsilon(mu, d)
     return Fraction(sign * F ** w * removal_path_count(lam, d) * removal_path_count(mu, d),
                     factorial(w) * (ctx.q ** d - 1) ** w)
-
-
-def weight_one_singular_value(lam, mu, ctx: Context) -> Fraction:
-    """d-singular inner product F/(q^d-1) * eps_lam * eps_mu for distinct
-    weight-1 partitions with the same d-core (no simplicity needed)."""
-    lam, mu = tuple(lam), tuple(mu)
-    d = ctx.d
-    if lam == mu:
-        raise HypothesisError("partitions must be distinct")
-    if d_core(lam, d) != d_core(mu, d):
-        raise HypothesisError("distinct d-cores")
-    if d_weight(lam, d) != 1 or d_weight(mu, d) != 1:
-        raise HypothesisError("weights must both be 1")
-    return Fraction(ctx.f_number * epsilon(lam, d) * epsilon(mu, d),
-                    ctx.q ** d - 1)
 
 
 def find_theorem46_pairs(ctx: Context):
@@ -267,15 +236,21 @@ def _clean_chain(chain, lam, mu):
     return tuple(out)
 
 
+def chain_constructible(w: int, d: int) -> bool:
+    """Whether the runner construction of Theorem 4.10 covers weight w at d:
+    w <= 1 for any d, w = 2 with d >= 4, and w > 2 with d >= 2w-1."""
+    return w <= 1 or (w == 2 and d >= 4) or (w > 2 and d >= 2 * w - 1)
+
+
 def link_chain(lam, mu, d: int, F: int | None = None) -> tuple[tuple[int, ...], ...]:
     """Chain of partitions from lam to mu in which every consecutive pair
     satisfies the closed form's hypotheses in one direction.
 
     Follows the constructive case analysis on abacus runners.  Domain:
-    weight w <= 1 for any d, w = 2 with d >= 2w, and w > 2 with
-    d >= 2w-1 (and F >= w when F is supplied).  Outside that the
-    elementary-link graph can be disconnected, so a HypothesisError is
-    raised rather than a fake chain.
+    `chain_constructible(w, d)` for the common weight w (and F >= w when
+    F is supplied).  Outside that the elementary-link graph can be
+    disconnected (w = 2, d = 3), so a HypothesisError is raised rather
+    than a fake chain, unless lam and mu are linked directly.
     """
     lam, mu = tuple(lam), tuple(mu)
     gamma = d_core(lam, d)
@@ -293,12 +268,10 @@ def link_chain(lam, mu, d: int, F: int | None = None) -> tuple[tuple[int, ...], 
         return (lam, mu)
     if disjoint(lam, mu, d) and (is_simple(lam, d) or is_simple(mu, d)):
         return (lam, mu)
-    if w == 2 and d < 2 * w:
+    if not chain_constructible(w, d):
         raise HypothesisError(
-            "w = 2 needs d >= 4 for the runner construction (the elementary-link"
-            " graph is disconnected at d = 3)")
-    if w > 2 and d < 2 * w - 1:
-        raise HypothesisError("need d >= 2w-1")
+            f"weight {w} at d = {d} is outside the runner construction: w = 2 needs"
+            " d >= 4 (the elementary-link graph is disconnected at d = 3), w > 2 needs d >= 2w-1")
 
     r_lam = runners_used(lam, d)
     r_mu = runners_used(mu, d)
@@ -379,46 +352,20 @@ def chain_link_ok(a, b, d: int) -> bool:
             (is_simple(a, d) and disjoint(a, b, d)))
 
 
-# -- centralizer blocks and domination --------------------------------------------
+# -- the second main theorem ------------------------------------------------------
 
-def centralizer_blocks(head: ClassType, ctx: Context):
-    """Block structure of the centralizer of a d-element section head of type `head`.
-
-    The centralizer splits as an opaque factor times GL(l,q); its blocks
-    are full character sets of the opaque factor tensored with the
-    computed unipotent d-blocks of GL(l,q).
-    """
-    l = ctx.n - head.n
-    sub = Context(l, ctx.q, ctx.d, ctx.variant)
-    return {
-        "x": head,
-        "l": l,
-        "h0": "Irr(H0) (opaque tensor factor)",
-        "blocks": unipotent_blocks(sub).blocks,
-    }
-
-
-class DominationDatum(NamedTuple):
-    head: ClassType
-    core: tuple[int, ...]
-    members: frozenset[tuple[int, ...]]
-
-
-def smt_check(ctx: Context, collect=False):
-    """Reconstruction and disjoint domination data across every section head type.
+def smt_check(ctx: Context) -> None:
+    """Reconstruction and disjoint domination across every section head type.
 
     For every section head type x, `peel` takes x's components back onto
     the values of GL(l,q), l = n - |x|, on the d-regular part y of each
     class type t of the section, which must give t's values at every mu of
     size n.  Every mn_step row of x's steps keeps the d-core, so peel
     targets stay in the same-core block of GL(l,q); distinct cores then
-    give disjoint unions of centralizer blocks.  Returns (ok, data), data
-    holding one set of DominationDatum per head type when `collect`; a
-    failed check raises AssertionError.
+    give disjoint unions of centralizer blocks.  Returns nothing; a failed
+    check raises AssertionError.
     """
-    data = []
     for head in section_heads(ctx.n, ctx.q, ctx.d, ctx.variant):
-        blocks_of_l = {d_core(min(b), ctx.d): b for b in same_core_grouping(ctx.n - head.n, ctx.d)}
         steps, size = [], ctx.n - head.n
         for degree, jordan in reversed(head.components):
             size += degree * sum(jordan)
@@ -438,33 +385,29 @@ def smt_check(ctx: Context, collect=False):
                 a, b = direct.get(mu, 0), recon.get(mu, 0)
                 if a != b:
                     raise AssertionError(f"reconstruction failed for {mu} at {t}: {a} != {b}")
-        # the dominated set for the block labeled gamma is the same-core
-        # block of GL(l,q); distinct cores give disjoint sets by construction,
-        # asserted here from the recorded members
-        for gamma, members in sorted(blocks_of_l.items()):
-            data.append(DominationDatum(head, gamma, members))
+        # the set dominated by the block with core gamma is the same-core
+        # block of GL(l,q); distinct cores give disjoint sets
         seen: set = set()
-        for gamma, members in sorted(blocks_of_l.items()):
+        for members in same_core_grouping(ctx.n - head.n, ctx.d):
             if seen & members:
                 raise AssertionError("beta sets for distinct blocks intersect")
             seen |= members
-    return True, (data if collect else None)
 
 
 # -- reports ------------------------------------------------------------------------
 
 def blocks_report(ctx: Context) -> dict:
     computed = unipotent_blocks(ctx)
-    comb = combinatorial_blocks(ctx.n, ctx.d)
-    refines = computed.refines(comb)
-    equal = set(computed.blocks) == set(comb.blocks)
+    comb = same_core_grouping(ctx.n, ctx.d)
+    refined = all(any(b <= c for c in comb) for b in computed)
+    equal = set(computed) == set(comb)
     return {
         "context": {"n": ctx.n, "q": ctx.q, "d": ctx.d, "variant": ctx.variant},
         "f_number": ctx.f_number,
         "f_hypothesis_holds": ctx.f_hypothesis_holds,
-        "computed_blocks": [sorted(map(list, b)) for b in computed.blocks],
-        "combinatorial_blocks": [sorted(map(list, b)) for b in comb.blocks],
-        "verdict": "equal" if equal else ("refinement" if refines else "VIOLATION"),
+        "computed_blocks": [sorted(map(list, b)) for b in computed],
+        "combinatorial_blocks": [sorted(map(list, b)) for b in comb],
+        "verdict": "equal" if equal else ("refinement" if refined else "VIOLATION"),
     }
 
 

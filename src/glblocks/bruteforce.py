@@ -37,7 +37,7 @@ from math import isqrt, lcm
 from . import __version__
 from .errors import ScaleGuardError, TieError
 from .partitions import check_partition, conjugate, n_stat, partitions_of
-from .qarith import count_irreducibles, gl_order, prime_power
+from .qarith import gl_order, necklace_count, prime_power
 
 GROUP_GUARD = 25000
 TABLE_GUARD = 2500      # conjugation-table route needs |G|^2 ids in memory
@@ -193,7 +193,7 @@ def enumerate_irreducibles(q: int, d: int) -> tuple[PolyLabel, ...]:
             continue  # at d = 1 the code 0 is X, excluded from the universe
         out.append(tuple((enc // q ** t) % q for t in range(d)) + (1,))
     labels = tuple(PolyLabel(q, d, i, c) for i, c in enumerate(out))
-    if len(labels) != count_irreducibles(q, d, frozenset({"X"})):
+    if len(labels) != necklace_count(q, d) - (d == 1):
         raise AssertionError(f"found {len(labels)} irreducibles of degree {d} over F_{q},"
                              " not the necklace count")
     return labels

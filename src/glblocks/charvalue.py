@@ -171,9 +171,6 @@ class CharValueTable:
         self.classes = MappingProxyType({key: t for key, _, t in class_keys(n, q)})
         self.labels = partitions_of(n)
 
-    def chi(self, nu, key: str) -> int:
-        return class_values(self.classes[key], self.q).get(tuple(nu), 0)
-
     def _rows(self):
         """(nu, the values chi^nu at every class in key order) for each nu."""
         columns = {}

@@ -20,9 +20,10 @@ Exit codes:
   1  a failed check (verify FAIL, blocks VIOLATION)
   2  usage error: a negative --n, a --q that is not a prime power, a --d
      or --k below 1, --n 0 for the element-level oracle (oracle, verify
-     prop32, verify thm45), a partition literal that does not parse,
-     --output csv on a command without a csv form, or an --out-path that
-     cannot be opened for writing
+     prop32, verify thm45), a partition literal that is not a JSON list
+     of positive integers in weakly decreasing order, --output csv on a
+     command without a csv form, or an --out-path that cannot be opened
+     for writing
   3  HypothesisError: a verify check's inputs fall outside its hypotheses
   4  ScaleGuardError: the computation is over a size guard (one line)
   5  any other exception (traceback on stderr)
@@ -116,14 +117,14 @@ def cmd_partition(args) -> int:
         w = partitions.d_weight(lam, d)
         _emit(args, lambda: {"weight": w}, lambda: [str(w)])
     elif args.verb == "abacus":
-        ab = partitions.AbacusState.from_partition(lam, d)
+        ab = partitions.AbacusState(lam, d)
         _emit(args, lambda: {"runners": [list(r) for r in ab.runners],
                              "origin_offset": ab.origin_offset,
                              "edge_sequence": ab.edge_sequence()},
               lambda: [ab.render(), "", ab.edge_sequence()])
     elif args.verb == "paths":
         gamma = partitions.d_core(lam, d)
-        paths = partitions.removal_paths(lam, gamma, d)
+        paths = partitions.removal_paths(lam, d)
 
         def payload():
             return {"core": list(gamma), "count": len(paths),
@@ -192,7 +193,7 @@ def _verify_prop32(args):
     from . import bruteforce
     ok_all = True
     details = {}
-    for variant in ([args.variant] if args.variant_given else ["divisible", "exact"]):
+    for variant in ([args.variant] if args.variant else ["divisible", "exact"]):
         check = bruteforce.oracle_sections(args.n, args.q, args.d, variant)
         details[variant] = check.parts
         ok_all = ok_all and check.ok
@@ -225,8 +226,7 @@ def _verify_thm44(args):
 def _verify_thm45(args):
     from . import bruteforce
     ctx = Context(args.n, args.q, 1, args.variant)
-    blocks = blockcalc.unipotent_blocks(ctx)
-    single = len(blocks.blocks) == 1
+    single = len(blockcalc.unipotent_blocks(ctx)) == 1
     duality = bruteforce.check_d1_duality_identity(args.n, args.q)
     ok = single and duality["all_nonzero"] and duality["unipotent_identity"]
     return ok, {"single_unipotent_block": single, **duality}
@@ -268,8 +268,7 @@ def _verify_thm410chain(args):
             w = partitions.d_weight(lam, d)
             if w != partitions.d_weight(mu, d):
                 continue
-            constructive = (w <= 1) or (w == 2 and d >= 4) or (w > 2 and d >= 2 * w - 1)
-            if not constructive:
+            if not blockcalc.chain_constructible(w, d):
                 continue
             try:
                 chain = blockcalc.link_chain(lam, mu, d)
@@ -288,10 +287,10 @@ def _verify_thm410chain(args):
 def _verify_smt55(args):
     ctx = Context(args.n, args.q, args.d, args.variant)
     try:
-        good, _ = blockcalc.smt_check(ctx)
+        blockcalc.smt_check(ctx)
     except AssertionError as exc:
         return False, {"error": str(exc)}
-    return good, {"reconstruction": "exact", "beta_disjoint": True}
+    return True, {"reconstruction": "exact", "beta_disjoint": True}
 
 
 VERIFIERS = {
@@ -307,6 +306,8 @@ VERIFIERS = {
 
 
 def cmd_verify(args) -> int:
+    if args.variant is None and args.check != "prop32":
+        args.variant = "divisible"  # only prop32 runs both variants when --variant is omitted
     try:
         ok, details = VERIFIERS[args.check](args)
     except HypothesisError as exc:
@@ -370,14 +371,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_ver, need_nq=False)
     p_ver.add_argument("--k", type=_at_least(1), default=4)
     p_ver.add_argument("--F", dest="big_f", type=int, default=6)
-    p_ver.set_defaults(func=cmd_verify)
+    p_ver.set_defaults(func=cmd_verify, variant=None)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.variant_given = "--variant" in (argv if argv is not None else sys.argv[1:])
     if args.output == "csv" and args.command not in ("table", "matrix"):
         raise _usage_error("this command has no csv form; use --output json")
     if args.command == "oracle" or getattr(args, "check", None) in ("prop32", "thm45"):

@@ -9,10 +9,6 @@ class HypothesisError(ValueError):
     """Inputs violate the hypotheses a closed form or construction needs."""
 
 
-class CoreMismatchError(ValueError):
-    """A target partition is not the d-core of the source."""
-
-
 class InfeasibleError(ValueError):
     """No object with the requested combinatorial constraints exists."""
 

@@ -19,12 +19,14 @@ from __future__ import annotations
 from functools import cache
 from typing import NamedTuple
 
-from .errors import CoreMismatchError, InfeasibleError
+from .errors import InfeasibleError
 
 
 def check_partition(parts) -> tuple[int, ...]:
-    """Validate and canonicalize a partition given as any iterable."""
-    lam = tuple(int(p) for p in parts)
+    """Validate and canonicalize a partition given as any iterable of ints."""
+    lam = tuple(parts)
+    if any(type(p) is not int for p in lam):
+        raise ValueError(f"partition parts must be integers: {lam}")
     if any(p <= 0 for p in lam):
         raise ValueError(f"partition parts must be positive: {lam}")
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
@@ -194,10 +196,9 @@ def disjoint(lam: tuple[int, ...], mu: tuple[int, ...], d: int) -> bool:
     return not (runners_used(lam, d) & runners_used(mu, d))
 
 
-def removal_paths(lam, gamma, d: int) -> tuple[RemovalPath, ...]:
-    """All maximal d-hook removal sequences from lam down to its core gamma."""
-    if gamma != d_core(lam, d):
-        raise CoreMismatchError(f"{gamma} is not the {d}-core of {lam}")
+def removal_paths(lam, d: int) -> tuple[RemovalPath, ...]:
+    """All maximal d-hook removal sequences from lam down to its d-core."""
+    gamma = d_core(lam, d)
     out = []
 
     def rec(cur, steps, legs):
@@ -236,15 +237,12 @@ def epsilon(lam: tuple[int, ...], d: int) -> int:
         cur = hooks[0].result
 
 
-def single_runner_partition(gamma, w: int, d: int, runner: int,
-                            shape: tuple[int, ...] | None = None) -> tuple[int, ...]:
-    """Partition with d-core gamma whose weight-w quotient sits on one runner."""
-    if shape is None:
-        shape = (w,)
-    if sum(shape) != w or not 0 <= runner < d:
-        raise ValueError(f"shape {shape} of weight {w} on runner {runner} of {d}")
+def single_runner_partition(gamma, w: int, d: int, runner: int) -> tuple[int, ...]:
+    """Partition with d-core gamma whose d-quotient is the one-row (w) on one runner."""
+    if not 0 <= runner < d:
+        raise ValueError(f"weight {w} on runner {runner} of {d}")
     quotient = [()] * d
-    quotient[runner] = tuple(shape)
+    quotient[runner] = (w,)
     return from_core_quotient(gamma, quotient, d)
 
 
@@ -271,49 +269,24 @@ def find_simple_disjoint(gamma, w: int, d: int, avoid=frozenset()) -> tuple[int,
 # -- abacus -----------------------------------------------------------------
 
 class AbacusState:
-    """Bead positions on d runners plus the beta-set length they came from."""
+    """The beads of lam's beta-set on d runners; origin_offset is the beta-set length."""
     __slots__ = ("d", "runners", "origin_offset")
 
-    def __init__(self, d: int, runners: tuple[tuple[int, ...], ...], origin_offset: int):
-        if len(runners) != d:
-            raise ValueError(f"{len(runners)} runners, not d = {d}")
-        for runner in runners:
-            if any(runner[i] >= runner[i + 1] for i in range(len(runner) - 1)):
-                raise ValueError(f"runner {runner} is not strictly increasing")
-        if sum(len(r) for r in runners) != origin_offset:
-            raise ValueError(f"bead count differs from origin offset {origin_offset}")
-        self.d, self.runners, self.origin_offset = d, runners, origin_offset
-
-    @staticmethod
-    def from_partition(lam, d: int, length: int | None = None) -> "AbacusState":
-        lam = tuple(lam)
-        if length is None:
-            length = max(d, _quotient_length(lam, d))
-        if length % d != 0:
-            raise ValueError("beta-set length must be a multiple of d")
+    def __init__(self, lam, d: int):
+        length = max(d, _quotient_length(lam, d))
         beta = beta_set(lam, length)
-        runners = tuple(
-            tuple(sorted((b - r) // d for b in beta if b % d == r)) for r in range(d))
-        return AbacusState(d, runners, length)
+        self.d, self.origin_offset = d, length
+        self.runners = tuple(tuple((b - r) // d for b in beta if b % d == r) for r in range(d))
 
-    def to_partition(self) -> tuple[int, ...]:
-        beta = [self.d * pos + r for r, runner in enumerate(self.runners) for pos in runner]
-        return partition_from_beta(beta)
-
-    def quotient(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(partition_from_beta(runner) for runner in self.runners)
-
-    def edge_sequence(self, pad: int = 2) -> str:
+    def edge_sequence(self) -> str:
         """The 0/1 rim encoding read off the abacus, origin marked with '>'.
 
         1 is a bead (vertical rim step), 0 a gap (horizontal step); the
-        marker sits before position 0.  `pad` extra all-1 spots below and
-        all-0 spots above the interesting window are shown.
+        marker sits before position 0.  Two extra all-1 spots below and
+        two all-0 spots above the interesting window are shown.
         """
         beads = {self.d * pos + r for r, runner in enumerate(self.runners) for pos in runner}
-        top = max(beads) + 1 + pad if beads else pad
-        chars = ["1" if i in beads else "0" for i in range(top)]
-        return "1" * pad + ">" + "".join(chars)
+        return "11>" + "".join("1" if i in beads else "0" for i in range(max(beads) + 3))
 
     def render(self) -> str:
         """Runner-per-column text art, origin row at the bottom."""

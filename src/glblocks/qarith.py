@@ -1,10 +1,9 @@
 """Irreducible counts and exact order formulas for GL(n,q).
 
 The engine needs only how many monic irreducibles of each degree there
-are (the necklace count, less X and X-1 where a class label excludes
-them), never the polynomials themselves: those are enumerated by the
-element-level oracle in `bruteforce`, which checks its lists against
-these counts.
+are (the necklace count, less X and X-1 at degree 1), never the
+polynomials themselves: those are enumerated by the element-level oracle
+in `bruteforce`, which checks its lists against the necklace count.
 """
 
 from __future__ import annotations
@@ -58,27 +57,12 @@ def necklace_count(q: int, d: int) -> int:
     return sum(moebius(e) * q ** (d // e) for e in divisors(d)) // d
 
 
-def count_irreducibles(q: int, d: int, exclusions=frozenset({"X"})) -> int:
-    """Necklace count minus the excluded degree-1 polynomials.
-
-    `exclusions` is a subset of {"X", "X-1"}; it only bites at d = 1.
-    """
+def non_unipotent_count(q: int, d: int) -> int:
+    """Number of monic irreducibles of degree d over F_q other than X and X-1."""
     prime_power(q)
     if d < 1:
         raise ValueError(f"d must be at least 1, got {d}")
-    bad = set(exclusions) - {"X", "X-1"}
-    if bad:
-        raise ValueError(f"unknown exclusions {bad}")
-    n = necklace_count(q, d)
-    if d == 1:
-        n -= len(set(exclusions))
-    return n
-
-
-def non_unipotent_count(q: int, d: int) -> int:
-    if d == 1:
-        return count_irreducibles(q, 1, frozenset({"X", "X-1"}))
-    return count_irreducibles(q, d, frozenset({"X"}))
+    return necklace_count(q, d) - 2 * (d == 1)
 
 
 # -- order formulas -----------------------------------------------------------

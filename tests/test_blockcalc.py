@@ -13,6 +13,7 @@ from glblocks import partitions as P
 from glblocks import symchar as S
 from glblocks.blockcalc import Context
 from glblocks.errors import HypothesisError
+from paperref import weight_one_singular_value
 from test_charvalue import compose_steps, label_chi_value
 import labelref as L
 
@@ -102,7 +103,7 @@ def test_cached_results_are_read_only():
             table[key] = table[key]
         with pytest.raises(AttributeError):
             table.clear()
-    assert set(B.unipotent_blocks.__wrapped__(ctx).blocks) == {
+    assert set(B.unipotent_blocks.__wrapped__(ctx)) == {
         frozenset({(2, 1)}), frozenset({(3,), (1, 1, 1)})}
 
 
@@ -161,7 +162,7 @@ def test_weight_one_pairs_directly_linked():
             for mu in labels[i + 1:]:
                 if P.d_core(lam, ctx.d) != P.d_core(mu, ctx.d):
                     continue
-                expected = B.weight_one_singular_value(lam, mu, ctx)
+                expected = weight_one_singular_value(lam, mu, ctx)
                 assert expected != 0
                 assert B.inner_product(lam, mu, "d_singular", ctx) == expected
                 assert B.inner_product(lam, mu, "d_regular", ctx) == -expected
@@ -217,40 +218,37 @@ def test_sign_bookkeeping_same_epsilon():
 
 def test_unipotent_blocks_d1_single_block():
     for (n, q) in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)]:
-        blocks = B.unipotent_blocks(Context(n, q, 1))
-        assert len(blocks.blocks) == 1
+        assert len(B.unipotent_blocks(Context(n, q, 1))) == 1
 
 
 def test_unipotent_blocks_large_d_singletons():
-    blocks = B.unipotent_blocks(Context(3, 2, 5))
-    assert all(len(b) == 1 for b in blocks.blocks)
-    comb = B.combinatorial_blocks(3, 5)
-    assert all(len(b) == 1 for b in comb.blocks)
+    assert all(len(b) == 1 for b in B.unipotent_blocks(Context(3, 2, 5)))
+    assert all(len(b) == 1 for b in S.same_core_grouping(3, 5))
 
 
 def test_weight_zero_characters_alone():
     ctx = Context(3, 3, 2)
-    blocks = B.unipotent_blocks(ctx)
-    assert blocks.block_of((2, 1)) == frozenset({(2, 1)})
+    assert frozenset({(2, 1)}) in B.unipotent_blocks(ctx)
 
 
 def test_combinatorial_blocks():
-    comb = B.combinatorial_blocks(4, 2)
-    assert len(comb.blocks) == 1  # every partition of 4 has empty 2-core
-    comb = B.combinatorial_blocks(4, 3)
+    # the combinatorial blocks are the same-core grouping
+    assert len(S.same_core_grouping(4, 2)) == 1  # every partition of 4 has empty 2-core
     cores = {P.d_core(lam, 3) for lam in P.partitions_of(4)}
-    assert len(comb.blocks) == len(cores) == 3
-    one = B.combinatorial_blocks(5, 1)
-    assert len(one.blocks) == 1
+    assert len(S.same_core_grouping(4, 3)) == len(cores) == 3
+    assert len(S.same_core_grouping(5, 1)) == 1
+
+
+def refines(blocks, coarser):
+    """Every block lies inside one block of `coarser`."""
+    return all(any(b <= c for c in coarser) for b in blocks)
 
 
 def test_blocks_refine_and_reports():
     for ctx in CONTEXTS + [Context(5, 2, 2)]:
         rep = B.blocks_report(ctx)
         assert rep["verdict"] in ("equal", "refinement")
-        computed = B.unipotent_blocks(ctx)
-        comb = B.combinatorial_blocks(ctx.n, ctx.d)
-        assert computed.refines(comb)
+        assert refines(B.unipotent_blocks(ctx), S.same_core_grouping(ctx.n, ctx.d))
     # the weight-2 observation: blocks equal the same-core grouping here
     assert B.blocks_report(Context(4, 3, 2))["verdict"] == "equal"
 
@@ -263,8 +261,7 @@ def test_blocks_beyond_proved_weights_observed_equal():
     for ctx in [Context(6, 2, 2), Context(6, 3, 2), Context(7, 2, 2),
                 Context(8, 2, 2)]:
         rep = B.blocks_report(ctx)
-        assert B.unipotent_blocks(ctx).refines(
-            B.combinatorial_blocks(ctx.n, ctx.d))
+        assert refines(B.unipotent_blocks(ctx), S.same_core_grouping(ctx.n, ctx.d))
         assert rep["verdict"] == "equal"
 
 
@@ -295,14 +292,14 @@ def test_exact_variant_carries_the_results():
                     if P.d_core(nu, d) == P.d_core(nu2, d):
                         continue
                     assert B.inner_product(nu, nu2, ("section", head_type(key, ctx.q)), ctx) == 0
-        assert B.unipotent_blocks(ctx).refines(B.combinatorial_blocks(n, d))
+        assert refines(B.unipotent_blocks(ctx), S.same_core_grouping(n, d))
         weight1 = [lam for lam in labels if P.d_weight(lam, d) == 1]
         for i, lam in enumerate(weight1):
             for mu in weight1[i + 1:]:
                 if P.d_core(lam, d) != P.d_core(mu, d):
                     continue
                 assert B.inner_product(lam, mu, "d_singular", ctx) == \
-                    B.weight_one_singular_value(lam, mu, ctx)
+                    weight_one_singular_value(lam, mu, ctx)
 
 
 def test_lemma49_exact_and_polynomial():
@@ -383,40 +380,35 @@ def test_link_chain_weight_three():
 
 
 def test_centralizer_blocks():
+    # the centralizer of a section head of type x contributes the unipotent
+    # d-blocks of GL(l,q), l = n - |x|
     ctx = Context(4, 3, 2)
-    # head of the identity section: blocks of the group itself
-    whole = B.centralizer_blocks(G.ClassType(0, (), ()), ctx)
-    assert whole["l"] == 4
-    assert whole["blocks"] == B.unipotent_blocks(ctx).blocks
     # a weight-2 head leaves nothing: single empty-label block
-    key = G.ClassType(4, (), ((2, (2,)),))
-    zero = B.centralizer_blocks(key, ctx)
-    assert zero["l"] == 0 and len(zero["blocks"]) == 1
-    # l < d: no singular classes, blocks are singletons
-    key1 = G.ClassType(2, (), ((2, (1,)),))
-    small = B.centralizer_blocks(key1, ctx)
-    assert small["l"] == 2
-    assert all(len(b) == 1 for b in small["blocks"]) or \
-        len(B.unipotent_blocks(Context(2, 3, 2)).blocks) < 2
+    head = G.ClassType(4, (), ((2, (2,)),))
+    zero = B.unipotent_blocks(Context(ctx.n - head.n, ctx.q, ctx.d, ctx.variant))
+    assert zero == (frozenset({()}),)
+    head = G.ClassType(2, (), ((2, (1,)),))
+    small = B.unipotent_blocks(Context(ctx.n - head.n, ctx.q, ctx.d, ctx.variant))
+    assert all(len(b) == 1 for b in small) or len(small) < 2
 
 
 def test_centralizer_blocks_below_d_are_singletons():
     ctx = Context(4, 2, 3)
-    key = G.ClassType(3, (), ((3, (1,)),))
-    sub = B.centralizer_blocks(key, ctx)
-    assert sub["l"] == 1
-    assert all(len(b) == 1 for b in sub["blocks"])
+    head = G.ClassType(3, (), ((3, (1,)),))
+    sub = B.unipotent_blocks(Context(ctx.n - head.n, ctx.q, ctx.d, ctx.variant))
+    assert sub == (frozenset({(1,)}),)
 
 
 def test_smt_check():
     for ctx in [Context(3, 3, 2), Context(4, 3, 2), Context(4, 2, 3),
                 Context(5, 2, 2), Context(3, 3, 2, "exact")]:
-        ok, data = B.smt_check(ctx, collect=True)
-        assert ok
-        assert data
-        for datum in data:
-            for lam in datum.members:
-                assert P.d_core(lam, ctx.d) == datum.core
+        assert B.smt_check(ctx) is None
+        heads = G.section_heads(ctx.n, ctx.q, ctx.d, ctx.variant)
+        assert heads
+        # the set each block dominates: one same-core set of GL(l,q) per core
+        for head in heads:
+            for members in S.same_core_grouping(ctx.n - head.n, ctx.d):
+                assert len({P.d_core(lam, ctx.d) for lam in members}) == 1
 
 
 def test_wrong_peel_coefficient_fails_smt_check(monkeypatch, capsys):
@@ -476,12 +468,12 @@ def test_section_inner_products_factor_through_peels():
 def test_blocks_orthogonal_across_sections():
     # characters in distinct computed blocks: zero product on every section
     for ctx in [Context(3, 3, 2), Context(4, 2, 3)]:
-        blocks = B.unipotent_blocks(ctx)
+        block_of = {nu: b for b in B.unipotent_blocks(ctx) for nu in b}
         secs = L.sections(ctx.n, ctx.q, ctx.d, ctx.variant)
         labels = P.partitions_of(ctx.n)
         for i, nu in enumerate(labels):
             for nu2 in labels[i + 1:]:
-                if blocks.block_of(nu) == blocks.block_of(nu2):
+                if block_of[nu] == block_of[nu2]:
                     continue
                 for key in secs:
                     domain = ("section", head_type(key, ctx.q))

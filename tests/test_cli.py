@@ -141,6 +141,14 @@ def test_verify_prop32(capsys):
     assert set(details) == {"divisible", "exact"}
 
 
+@pytest.mark.parametrize("argv", [["--variant=exact"], ["--var", "exact"], ["--variant", "exact"]])
+def test_verify_prop32_runs_only_the_named_variant(capsys, argv):
+    code, out = run(["verify", "prop32", "--n", "2", "--q", "2", "--d", "2",
+                     "--output", "json", *argv], capsys)
+    assert code == 0
+    assert set(json.loads(out)["details"]) == {"exact"}
+
+
 def test_verify_thm410chain(capsys):
     code, out = run(["verify", "thm410chain", "--n", "4", "--d", "3",
                      "--output", "json"], capsys)
@@ -196,6 +204,13 @@ def test_verify_prop32_over_field_of_64(capsys):
     (["verify", "prop32", "--n", "0", "--q", "2"], "the element-level oracle needs at least 1, got 0"),
     (["verify", "thm45", "--n", "0", "--q", "2"], "the element-level oracle needs at least 1, got 0"),
     (["blocks", "--n", "2", "--q", "2", "--output", "csv"], "this command has no csv form; use --output json"),
+    # a part that is not a JSON integer is neither coerced nor a crash
+    (["partition", "core", "[2.5,1]", "--d", "2"], "partition parts must be integers: (2.5, 1)"),
+    (["partition", "core", "[true]", "--d", "2"], "partition parts must be integers: (True,)"),
+    (["partition", "core", '["3"]', "--d", "2"], "partition parts must be integers: ('3',)"),
+    (["partition", "core", "[[1]]", "--d", "2"], "partition parts must be integers: ([1],)"),
+    (["partition", "core", "[null]", "--d", "2"], "partition parts must be integers: (None,)"),
+    (["partition", "core", "[1e400]", "--d", "2"], "partition parts must be integers: (inf,)"),
 ])
 def test_bad_input_is_a_usage_error(capsys, argv, message):
     with pytest.raises(SystemExit) as err:
@@ -204,6 +219,8 @@ def test_bad_input_is_a_usage_error(capsys, argv, message):
     assert err.value.code == 2 and captured.out == ""
     assert captured.err.splitlines()[-1].endswith(message)
     assert "Traceback" not in captured.err
+    if argv[0] == "partition":
+        assert captured.err == f"glblocks: error: {message}\n"
 
 
 def test_oracle_command(capsys, tmp_path, monkeypatch):

@@ -22,13 +22,14 @@ def test_moebius():
 
 
 def test_count_examples():
-    assert Q.count_irreducibles(2, 2, frozenset({"X"})) == 1
-    assert Q.count_irreducibles(3, 2, frozenset({"X"})) == 3
-    assert Q.count_irreducibles(2, 1, frozenset({"X"})) == 1
-    assert Q.count_irreducibles(2, 1, frozenset({"X", "X-1"})) == 0
-    assert Q.count_irreducibles(3, 1, frozenset({"X", "X-1"})) == 1
-    with pytest.raises(ValueError):
-        Q.count_irreducibles(3, 1, frozenset({"X-2"}))
+    assert Q.necklace_count(2, 2) == Q.non_unipotent_count(2, 2) == 1
+    assert Q.necklace_count(3, 2) == Q.non_unipotent_count(3, 2) == 3
+    assert Q.necklace_count(2, 1) == 2
+    assert Q.non_unipotent_count(2, 1) == 0
+    assert Q.non_unipotent_count(3, 1) == 1
+    for bad in ((6, 2), (3, 0)):
+        with pytest.raises(ValueError):
+            Q.non_unipotent_count(*bad)
 
 
 def test_enumeration_matches_count():
@@ -37,7 +38,7 @@ def test_enumeration_matches_count():
             if q ** d > 10 ** 5:
                 continue
             labels = BF.enumerate_irreducibles(q, d)
-            assert len(labels) == Q.count_irreducibles(q, d, frozenset({"X"}))
+            assert len(labels) == Q.necklace_count(q, d) - (d == 1)  # X is not listed
             assert [l.index for l in labels] == list(range(len(labels)))
 
 

@@ -6,9 +6,6 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "glblocks"
 
-# Paper statements with no command yet; each is to get a `verify` verb.
-UNREFERENCED_ALLOWED = {"sn_l_blocks", "centralizer_blocks", "weight_one_singular_value"}
-
 
 def _names(tree):
     """Every name, attribute and imported name under `tree`, one per use."""
@@ -21,21 +18,36 @@ def _names(tree):
             yield node.name
 
 
+def _attributes(tree):
+    """Every attribute name (the `name` of `x.name`) under `tree`, one per use."""
+    return Counter(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+
+
+def _public(node, kinds=(ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+    return isinstance(node, kinds) and not node.name.startswith("_")
+
+
 def test_every_public_definition_is_used_in_src():
-    # a public top-level function or class that src/ names only where it is
-    # defined serves the tests alone, and belongs in tests/; a name inside
-    # its own definition (a recursive call, a method returning its class)
-    # is not a use
-    defined, named = {}, Counter()
+    # src/ holds what a command runs: a public top-level function or class,
+    # or a public method, that src/ uses only where it is defined serves the
+    # tests alone, and belongs in tests/.  A name inside its own definition
+    # (a recursive call, a method returning its class) is not a use, and a
+    # method counts as used only through an attribute, x.name, outside its
+    # own body
+    defined, named, attributes, methods = {}, Counter(), Counter(), []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
         named.update(_names(tree))
+        attributes.update(_attributes(tree))
         for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                defined[node.name] = path.name
-                named[node.name] -= sum(name == node.name for name in _names(node))
-    unused = {name: module for name, module in defined.items()
-              if named[name] <= 0 and name not in UNREFERENCED_ALLOWED}
+            if not _public(node):
+                continue
+            defined[node.name] = path.name
+            named[node.name] -= sum(name == node.name for name in _names(node))
+            if isinstance(node, ast.ClassDef):
+                methods += [(f"{node.name}.{item.name}", path.name, item) for item in node.body
+                            if _public(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    unused = {name: module for name, module in defined.items() if named[name] <= 0}
+    unused.update((name, module) for name, module, method in methods
+                  if attributes[method.name] - _attributes(method)[method.name] <= 0)
     assert not unused, unused
-    assert UNREFERENCED_ALLOWED <= set(defined)

