@@ -20,8 +20,8 @@ The class algebra is split one restricted class matrix at a time; its
 eigenvalues are the roots mod the chosen prime of its characteristic
 polynomial (from a Hessenberg form), so a kernel is only computed at a
 root.  Each element's primary spaces are computed once and shared by
-every d and variant; the d-part and the section tests conjugate by the
-basis of those spaces through the conjugation table.
+every d and variant; the d-part and the section sets are conjugated into
+and out of the basis of those spaces one element at a time.
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import isqrt, lcm
+from typing import NamedTuple
 
 from . import __version__
 from .errors import ScaleGuardError, TieError
@@ -40,7 +40,7 @@ from .partitions import check_partition, conjugate, n_stat, partitions_of
 from .qarith import gl_order, necklace_count, prime_power
 
 GROUP_GUARD = 25000
-TABLE_GUARD = 2500      # conjugation-table route needs |G|^2 ids in memory
+TABLE_GUARD = 2500      # lookup tables hold |G| * q^n row codes, a conjugation row |G| ids
 CLASS_GUARD = 40
 ENUM_GUARD = 10 ** 6
 
@@ -130,8 +130,7 @@ def field(q: int) -> SmallField:
 
 # -- monic irreducibles over F_q ---------------------------------------------
 
-@dataclass(frozen=True)
-class PolyLabel:
+class PolyLabel(NamedTuple):
     """A monic irreducible over F_q, identified by (q, degree, index)."""
     q: int
     degree: int
@@ -318,8 +317,8 @@ def is_invertible(fq, A):
 
 def poly_at_matrix(fq, coeffs, A):
     n = len(A)
-    out = scalar_matrix(n, 0)
-    for c in reversed(coeffs):
+    out = scalar_matrix(n, coeffs[-1])
+    for c in reversed(coeffs[:-1]):
         out = mat_mul(fq, out, A)
         out = mat_add(fq, out, scalar_matrix(n, c))
     return out
@@ -327,7 +326,6 @@ def poly_at_matrix(fq, coeffs, A):
 
 # -- the group ------------------------------------------------------------------
 
-@dataclass
 class MatrixGroup:
     """GL(n,q) as the invertible matrices in the order of their codes.
 
@@ -337,33 +335,31 @@ class MatrixGroup:
     on first use behind TABLE_GUARD: `act[b][r]`, the code of the row with
     code r times element b, and `id_of[code]`, the element id of a matrix
     code (-1 if singular).  A row of A*B is that row of A times B.
+    Conjugation rows h -> h^-1 g h are built one g at a time, on demand.
     """
-    n: int
-    q: int
 
-    def __post_init__(self):
-        order = gl_order(self.n, self.q)
+    def __init__(self, n: int, q: int):
+        order = gl_order(n, q)
         if order > GROUP_GUARD:
-            raise ScaleGuardError(f"|GL({self.n},{self.q})| = {order} over guard {GROUP_GUARD}")
-        self.fq = field(self.q)
+            raise ScaleGuardError(f"|GL({n},{q})| = {order} over guard {GROUP_GUARD}")
+        self.n, self.q, self.fq = n, q, field(q)
         els = []
-        for enc in range(self.q ** (self.n * self.n)):
+        for enc in range(q ** (n * n)):
             digits = []
             e = enc
-            for _ in range(self.n * self.n):
-                digits.append(e % self.q)
-                e //= self.q
-            A = tuple(tuple(digits[i * self.n + j] for j in range(self.n))
-                      for i in range(self.n))
+            for _ in range(n * n):
+                digits.append(e % q)
+                e //= q
+            A = tuple(tuple(digits[i * n + j] for j in range(n)) for i in range(n))
             if is_invertible(self.fq, A):
                 els.append(A)
         if len(els) != order:
-            raise ArithmeticError(f"{len(els)} invertible matrices, not |GL({self.n},{self.q})| = {order}")
+            raise ArithmeticError(f"{len(els)} invertible matrices, not |GL({n},{q})| = {order}")
         self.elements = tuple(els)
         self.index = {A: i for i, A in enumerate(els)}
-        self.id_index = self.index[identity_matrix(self.n)]
-        self._conj = None
+        self.id_index = self.index[identity_matrix(n)]
         self._lookup = None
+        self._conj_rows = {}
 
     def _row_code(self, row):
         code = 0
@@ -397,30 +393,35 @@ class MatrixGroup:
             code = code * step + a_j[r]
         return id_of[code]
 
-    @property
+    @cached_property
     def inverses(self):
-        if not hasattr(self, "_inv"):
-            self._inv = tuple(self.index[mat_inverse(self.fq, A)] for A in self.elements)
-        return self._inv
+        return tuple(self.index[mat_inverse(self.fq, A)] for A in self.elements)
 
-    def conj_table(self):
-        """conj[g][h] = index of h^-1 g h; also the source of classes.
+    def conj(self, g, h):
+        """Index of h^-1 g h."""
+        return self.mul(self.mul(self.inverses[h], g), h)
 
-        Built one g at a time for all h at once: the rows of h^-1 go
-        through act[g] and then act[h]."""
-        if self._conj is None:
-            act, rows, id_of = self.lookup_tables()
+    def conj_row(self, g):
+        """conj_row(g)[h] = index of h^-1 g h for every h, cached per g.
+
+        Built for all h at once: the rows of h^-1 go through act[g] and
+        then act[h]."""
+        row = self._conj_rows.get(g)
+        if row is None:
+            act, _, id_of = self.lookup_tables()
             step = self.q ** self.n
-            # code of row k of h^-1 for every h, highest k first (Horner order)
-            inverse_rows = list(zip(*(rows[i] for i in self.inverses)))[::-1]
-            conj = []
-            for a_g in act:
-                codes = [0] * len(act)
-                for col in inverse_rows:
-                    codes = [c * step + a_h[a_g[r]] for c, a_h, r in zip(codes, act, col)]
-                conj.append([id_of[c] for c in codes])
-            self._conj = conj
-        return self._conj
+            a_g = act[g]
+            codes = [0] * len(act)
+            for col in self._inverse_rows:
+                codes = [c * step + a_h[a_g[r]] for c, a_h, r in zip(codes, act, col)]
+            row = self._conj_rows[g] = [id_of[c] for c in codes]
+        return row
+
+    @cached_property
+    def _inverse_rows(self):
+        # code of row k of h^-1 for every h, highest k first (Horner order)
+        rows = self.lookup_tables()[1]
+        return list(zip(*(rows[i] for i in self.inverses)))[::-1]
 
 
 @cache
@@ -430,21 +431,26 @@ def build_group(n: int, q: int) -> MatrixGroup:
 
 # -- class labels ------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
-class PolyKey:
+class PolyKey(NamedTuple):
     """(degree, index) into the canonical pool without X and X-1."""
     degree: int
     index: int
 
 
-@dataclass(frozen=True)
-class GLClassLabel:
-    """A class of GL(n,q) as its X-1 partition and its (PolyKey, partition)
-    pairs, validated when built; `key()` is the engine's assignment key."""
+class _LabelFields(NamedTuple):
     n: int
     q: int
     unipotent: tuple[int, ...]
     support: tuple[tuple[PolyKey, tuple[int, ...]], ...]
+
+
+class GLClassLabel(_LabelFields):
+    """A class of GL(n,q) as its X-1 partition and its (PolyKey, partition)
+    pairs, validated when built; `key()` is the engine's assignment key."""
+    __slots__ = ()
+
+    def __init__(self, n, q, unipotent, support):
+        self.__post_init__()
 
     def __post_init__(self):
         check_partition(self.unipotent)
@@ -469,8 +475,7 @@ class GLClassLabel:
 
 
 def make_label(n: int, q: int, unipotent, support) -> GLClassLabel:
-    support = tuple(sorted((PolyKey(*k) if not isinstance(k, PolyKey) else k, tuple(p))
-                           for k, p in support))
+    support = tuple(sorted((PolyKey(*k), tuple(p)) for k, p in support))
     return GLClassLabel(n, q, tuple(unipotent), support)
 
 
@@ -529,8 +534,7 @@ def element_label(group: MatrixGroup, A) -> GLClassLabel:
     return make_label(n, group.q, unip, tuple(support))
 
 
-@dataclass
-class OracleClassData:
+class OracleClassData(NamedTuple):
     group: MatrixGroup
     reps: tuple[int, ...]
     class_of: tuple[int, ...]
@@ -544,33 +548,32 @@ class OracleClassData:
 
 @cache
 def oracle_classes(n: int, q: int) -> OracleClassData:
-    """Conjugation orbits matched to labels; the matching is asserted."""
+    """Conjugation orbits matched to labels; the matching is asserted.
+
+    One conjugation row per class representative gives its orbit and,
+    as the count of its own id, its centralizer order."""
     group = build_group(n, q)
-    conj = group.conj_table()
     size = len(group.elements)
     class_of = [-1] * size
-    reps = []
-    sizes = []
+    reps, sizes, cents = [], [], []
     for g in range(size):
         if class_of[g] != -1:
             continue
-        orbit = set(conj[g])
-        cid = len(reps)
+        row = group.conj_row(g)
+        orbit = set(row)
         for x in orbit:
-            class_of[x] = cid
+            class_of[x] = len(reps)
         reps.append(g)
         sizes.append(len(orbit))
+        cents.append(row.count(g))
     labels = tuple(element_label(group, group.elements[r]) for r in reps)
     if len(set(l.key() for l in labels)) != len(labels):
         raise AssertionError(f"two conjugation orbits of GL({n},{q}) share a label")
     if sum(sizes) != size:
         raise ArithmeticError(f"class sizes sum to {sum(sizes)}, not |G| = {size}")
-    cents = []
-    for cid, r in enumerate(reps):
-        c = sum(1 for h in range(size) if conj[r][h] == r)
-        if c * sizes[cid] != size:
-            raise ArithmeticError(f"centralizer {c} times class size {sizes[cid]} is not |G|")
-        cents.append(c)
+    for c, class_size in zip(cents, sizes):
+        if c * class_size != size:
+            raise ArithmeticError(f"centralizer {c} times class size {class_size} is not |G|")
     return OracleClassData(group, tuple(reps), tuple(class_of), tuple(sizes),
                            labels, tuple(cents))
 
@@ -580,16 +583,16 @@ def oracle_classes(n: int, q: int) -> OracleClassData:
 @cache
 def _primary_spaces(n: int, q: int, g_id: int) -> tuple:
     """(coeffs, is_x_minus_one, basis) for each nonzero primary space of an
-    element: the kernel of f(A)^n for each irreducible f, found once per
-    element and shared by every d and variant."""
+    element: the kernel of f(A)^(n // deg f) for each irreducible f (an
+    f-primary space has dimension at most n), found once per element and
+    shared by every d and variant."""
     group = build_group(n, q)
     fq = group.fq
     A = group.elements[g_id]
     spaces = []
     for coeffs, is_unip, _ in _poly_pool(n, q):
-        M = poly_at_matrix(fq, coeffs, A)
-        P = identity_matrix(n)
-        for _ in range(n):
+        P = M = poly_at_matrix(fq, coeffs, A)
+        for _ in range(n // (len(coeffs) - 1) - 1):
             P = mat_mul(fq, P, M)
         basis = kernel_basis(fq, P)
         if basis:
@@ -627,11 +630,10 @@ def x_part_element(group: MatrixGroup, g_id: int, d: int, variant: str) -> int:
     In the basis C, g is block diagonal, C^-1 g C; the d-part D keeps its
     first k columns and is the identity on the rest, and is C D C^-1."""
     c_id, k = _d_part_basis(group, g_id, d, variant)
-    conj = group.conj_table()
-    B = group.elements[conj[g_id][c_id]]
+    B = group.elements[group.conj(g_id, c_id)]
     D = tuple(row[:k] + tuple(1 if j == i else 0 for j in range(k, group.n))
               for i, row in enumerate(B))
-    return conj[group.index[D]][group.inverses[c_id]]
+    return group.conj(group.index[D], group.inverses[c_id])
 
 
 @cache
@@ -654,41 +656,40 @@ def d_element_ids(n: int, q: int, d: int, variant: str) -> tuple[int, ...]:
 
 
 @cache
+def _y_candidates(n: int, q: int, d: int, variant: str, k: int) -> tuple[int, ...]:
+    """Ids of the elements diag(I_k, B) where B has no factor of matching
+    degree other than X-1."""
+    group = build_group(n, q)
+    fq = group.fq
+    bad_polys = [coeffs for coeffs, is_unip, key in _poly_pool(n, q)
+                 if (not is_unip) and _degree_matches(len(coeffs) - 1, d, variant)]
+    out = []
+    for z_id, Z in enumerate(group.elements):
+        if any(Z[i][j] != (1 if i == j else 0) for i in range(n) for j in range(n)
+               if i < k or j < k):
+            continue
+        block = tuple(row[k:] for row in Z[k:])
+        if block and any(kernel_basis(fq, poly_at_matrix(fq, coeffs, block))
+                         for coeffs in bad_polys):
+            continue
+        out.append(z_id)
+    return tuple(out)
+
+
+@cache
 def y_set(n: int, q: int, d: int, variant: str, u_id: int) -> frozenset[int]:
     """Elements fixing the d-part spaces of u pointwise, stabilizing the
     complement, with no matching-degree factor there besides X-1.
 
-    Every element y is tested in the basis C of u, as C^-1 y C: its first
-    k columns must be the unit vectors and its top right block zero."""
+    In the basis C of u such an element is diag(I_k, B), so the set is
+    C Z C^-1 over the candidates Z of that k."""
     group = build_group(n, q)
-    fq = group.fq
-    conj = group.conj_table()
     c_id, k = _d_part_basis(group, u_id, d, variant)
-    bad_polys = [coeffs for coeffs, is_unip, key in _poly_pool(n, q)
-                 if (not is_unip) and _degree_matches(len(coeffs) - 1, d, variant)]
-    out = []
-    for y_id in range(len(group.elements)):
-        YC = group.elements[conj[y_id][c_id]]
-        if any(YC[i][j] != (1 if i == j else 0) for j in range(k) for i in range(n)):
-            continue
-        if any(YC[i][j] != 0 for j in range(k, n) for i in range(k)):
-            continue
-        block = tuple(row[k:] for row in YC[k:])
-        if block:
-            reducible = False
-            for coeffs in bad_polys:
-                M = poly_at_matrix(fq, coeffs, block)
-                if kernel_basis(fq, M):
-                    reducible = True
-                    break
-            if reducible:
-                continue
-        out.append(y_id)
-    return frozenset(out)
+    c_inv = group.inverses[c_id]
+    return frozenset(group.conj(z, c_inv) for z in _y_candidates(n, q, d, variant, k))
 
 
-@dataclass
-class SectionCheck:
+class SectionCheck(NamedTuple):
     ok: bool
     parts: dict
     section_of: tuple[int, ...]
@@ -704,8 +705,9 @@ def oracle_sections(n: int, q: int, d: int, variant: str = "divisible") -> Secti
     """
     data = oracle_classes(n, q)
     group = data.group
-    conj = group.conj_table()
     size = len(group.elements)
+    # the centralizer of every product u*y is read, and the sections cover G
+    conj = [group.conj_row(g) for g in range(size)]
     xs = d_element_ids(n, q, d, variant)
     x_set = set(xs)
     ys = {u: y_set(n, q, d, variant, u) for u in xs}
@@ -779,17 +781,17 @@ def oracle_sections(n: int, q: int, d: int, variant: str = "divisible") -> Secti
 # -- exact cyclotomic arithmetic ---------------------------------------------------
 
 def _int_poly_divmod(num, den):
-    """Division with remainder of integer polynomials, den monic."""
+    """Remainder of integer polynomials, den monic; each step visits only
+    the nonzero coefficients of den below its leading one."""
     num = list(num)
     dd = len(den) - 1
-    while len(num) - 1 >= dd:
-        lead = num[-1]
+    terms = [(i, c) for i, c in enumerate(den[:-1]) if c]
+    for top in range(len(num) - 1, dd - 1, -1):
+        lead = num[top]
         if lead:
-            shift = len(num) - 1 - dd
-            for i in range(dd + 1):
-                num[shift + i] -= lead * den[i]
-        num.pop()
-    return num
+            for i, c in terms:
+                num[top - dd + i] -= lead * c
+    return num[:dd]
 
 
 @cache
@@ -829,7 +831,7 @@ def cyc_add(a, b):
 def cyc_reduce(a):
     """Canonical remainder mod the e-th cyclotomic polynomial."""
     e = len(a)
-    return tuple(_int_poly_divmod(list(a), list(cyclotomic_poly(e))) + [0] * e)[:e]
+    return tuple(_int_poly_divmod(a, cyclotomic_poly(e)) + [0] * e)[:e]
 
 
 def cyc_is_zero(a) -> bool:
@@ -1007,8 +1009,7 @@ def _roots_mod(coeffs, ell):
     return roots
 
 
-@dataclass
-class CharacterTable:
+class CharacterTable(NamedTuple):
     order: int
     exponent: int
     reps: tuple[int, ...]
@@ -1240,8 +1241,7 @@ def q_hook_degree(lam, q: int) -> int:
     return degree
 
 
-@dataclass
-class BorelDecomposition:
+class BorelDecomposition(NamedTuple):
     table: CharacterTable
     perm_values: tuple[int, ...]
     constituents: dict              # partition -> (char index, multiplicity)

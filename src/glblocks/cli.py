@@ -58,7 +58,9 @@ def _parse_partition(text: str) -> tuple[int, ...]:
     try:
         return partitions.check_partition(data)
     except ValueError as exc:
-        raise _usage_error(str(exc))
+        # name the parts as typed: the parsed tuple shows true as True and 1e400 as inf
+        reason = str(exc).split(": ", 1)[0]
+        raise _usage_error(f"{reason}: {text}")
 
 
 def _at_least(low: int):

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from glblocks import __version__
 from glblocks import bruteforce as BF
@@ -116,15 +117,27 @@ def test_regular_unipotent_centralizer_gl32():
 
 @pytest.mark.parametrize("n,q", ORACLE_GROUPS)
 def test_lookup_products_and_conjugates_match_tuples(n, q):
-    # every product and every conjugate, against matrix products of tuples
+    # every product, every conjugation-row entry and every conj(g, h),
+    # against matrix products of tuples
     group = BF.build_group(n, q)
     fq, els, index = group.fq, group.elements, group.index
-    conj = group.conj_table()
+    inverses = [BF.mat_inverse(fq, B) for B in els]
     for i, A in enumerate(els):
+        row = group.conj_row(i)
+        assert len(row) == len(els)
         for j, B in enumerate(els):
             assert group.mul(i, j) == index[BF.mat_mul(fq, A, B)]
-            h_inv = els[group.inverses[j]]
-            assert conj[i][j] == index[BF.mat_mul(fq, BF.mat_mul(fq, h_inv, A), B)]
+            conjugate = index[BF.mat_mul(fq, BF.mat_mul(fq, inverses[j], A), B)]
+            assert row[j] == group.conj(i, j) == conjugate
+
+
+@pytest.mark.parametrize("n,q", ORACLE_GROUPS + [(2, 5)])
+def test_oracle_classes_build_one_conjugation_row_per_class(n, q):
+    BF.build_group.cache_clear()
+    BF.oracle_classes.cache_clear()
+    data = BF.oracle_classes(n, q)
+    assert sorted(data.group._conj_rows) == list(data.reps)
+    assert len(data.group._conj_rows) == data.class_count()
 
 
 def test_conj_table_guard_builds_no_tables():
@@ -133,10 +146,12 @@ def test_conj_table_guard_builds_no_tables():
     group = BF.MatrixGroup(2, 11)
     assert BF.TABLE_GUARD < len(group.elements) <= BF.GROUP_GUARD
     with pytest.raises(ScaleGuardError, match="conjugation table"):
-        group.conj_table()
+        group.conj_row(0)
+    with pytest.raises(ScaleGuardError):
+        group.conj(0, 0)
     with pytest.raises(ScaleGuardError):
         group.mul(0, 0)
-    assert group._lookup is None and group._conj is None
+    assert group._lookup is None and group._conj_rows == {}
 
 
 def full_power_classes(group, class_of, reps, e):
@@ -349,6 +364,40 @@ def cyc_mul(a, b, e):
                 if y:
                     out[(i + j) % e] += x * y
     return tuple(out)
+
+
+def dense_remainder(num, den):
+    """Reference: division with remainder by a monic den over all of its
+    coefficients, the loop that the sparse one replaced."""
+    num = list(num)
+    dd = len(den) - 1
+    while len(num) - 1 >= dd:
+        lead = num[-1]
+        if lead:
+            shift = len(num) - 1 - dd
+            for i in range(dd + 1):
+                num[shift + i] -= lead * den[i]
+        num.pop()
+    return num
+
+
+def int_vectors(e):
+    """Integer vectors of length e, one 16-bit signed entry per two bytes."""
+    return st.binary(min_size=2 * e, max_size=2 * e).map(
+        lambda raw: [int.from_bytes(raw[i:i + 2], "little", signed=True)
+                     for i in range(0, 2 * e, 2)])
+
+
+# every e <= 120 draws a vector of fixed length e, so even the smallest
+# input is large by construction; the four residues of e mod 4 split them
+@pytest.mark.parametrize("start", range(1, 5))
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.large_base_example])
+@given(data=st.data())
+def test_sparse_cyclotomic_reduction_matches_dense_division(start, data):
+    for e in range(start, 121, 4):
+        a = data.draw(int_vectors(e))
+        rem = dense_remainder(a, BF.cyclotomic_poly(e))
+        assert BF.cyc_reduce(tuple(a)) == tuple(rem + [0] * (e - len(rem)))
 
 
 def test_cyclotomic_helpers():

@@ -205,12 +205,12 @@ def test_verify_prop32_over_field_of_64(capsys):
     (["verify", "thm45", "--n", "0", "--q", "2"], "the element-level oracle needs at least 1, got 0"),
     (["blocks", "--n", "2", "--q", "2", "--output", "csv"], "this command has no csv form; use --output json"),
     # a part that is not a JSON integer is neither coerced nor a crash
-    (["partition", "core", "[2.5,1]", "--d", "2"], "partition parts must be integers: (2.5, 1)"),
-    (["partition", "core", "[true]", "--d", "2"], "partition parts must be integers: (True,)"),
-    (["partition", "core", '["3"]', "--d", "2"], "partition parts must be integers: ('3',)"),
-    (["partition", "core", "[[1]]", "--d", "2"], "partition parts must be integers: ([1],)"),
-    (["partition", "core", "[null]", "--d", "2"], "partition parts must be integers: (None,)"),
-    (["partition", "core", "[1e400]", "--d", "2"], "partition parts must be integers: (inf,)"),
+    (["partition", "core", "[2.5,1]", "--d", "2"], "partition parts must be integers: [2.5,1]"),
+    (["partition", "core", "[true]", "--d", "2"], "partition parts must be integers: [true]"),
+    (["partition", "core", '["3"]', "--d", "2"], 'partition parts must be integers: ["3"]'),
+    (["partition", "core", "[[1]]", "--d", "2"], "partition parts must be integers: [[1]]"),
+    (["partition", "core", "[null]", "--d", "2"], "partition parts must be integers: [null]"),
+    (["partition", "core", "[1e400]", "--d", "2"], "partition parts must be integers: [1e400]"),
 ])
 def test_bad_input_is_a_usage_error(capsys, argv, message):
     with pytest.raises(SystemExit) as err:
@@ -385,7 +385,7 @@ def test_engine_commands_build_no_class_label():
 
 def test_engine_commands_import_only_what_they_run():
     # only oracle, verify prop32 and verify thm45 need the element-level
-    # module; no engine command needs dataclasses (which loads inspect, ast
+    # module; no command needs dataclasses (which loads inspect, ast
     # and dis), traceback (only a crash prints one) or csv (only table, to
     # print its CSV, loads it).  The same script with no command is the
     # baseline, so modules that the interpreter's site set-up loads do not count.
@@ -415,4 +415,13 @@ def test_engine_commands_import_only_what_they_run():
         code, modules = loaded(argv)
         assert code == 0 and "glblocks.blockcalc" in modules, argv
         unwanted = (set(modules) - set(baseline)) & forbidden
+        assert not unwanted, (argv, unwanted)
+    # the element-level oracle loads bruteforce, but neither dataclasses nor inspect
+    env.pop("GLBLOCKS_CACHE_DIR", None)
+    for argv in (["oracle", "--n", "2", "--q", "2"],
+                 ["verify", "prop32", "--n", "2", "--q", "2", "--d", "2"],
+                 ["verify", "thm45", "--n", "2", "--q", "2"]):
+        code, modules = loaded(argv)
+        assert code == 0 and "glblocks.bruteforce" in modules, argv
+        unwanted = (set(modules) - set(baseline)) & {"dataclasses", "inspect"}
         assert not unwanted, (argv, unwanted)
