@@ -14,8 +14,9 @@ Values are integers and every class is closed under inversion up to a
 degree-preserving relabeling of polynomials, so no conjugation is needed.
 The unipotent d-blocks are a tuple of frozensets of partition labels in
 `symchar`'s canonical order, as is the same-core grouping that
-`blocks_report` compares them with.  `smt_check` returns nothing and
-raises AssertionError when a check fails.
+`blocks_report` compares them with.  `smt_check` returns None, or the
+message of the check that failed; an invariant of the engine that breaks
+on the way still raises.
 """
 
 from __future__ import annotations
@@ -242,13 +243,12 @@ def chain_constructible(w: int, d: int) -> bool:
     return w <= 1 or (w == 2 and d >= 4) or (w > 2 and d >= 2 * w - 1)
 
 
-def link_chain(lam, mu, d: int, F: int | None = None) -> tuple[tuple[int, ...], ...]:
+def link_chain(lam, mu, d: int) -> tuple[tuple[int, ...], ...]:
     """Chain of partitions from lam to mu in which every consecutive pair
     satisfies the closed form's hypotheses in one direction.
 
     Follows the constructive case analysis on abacus runners.  Domain:
-    `chain_constructible(w, d)` for the common weight w (and F >= w when
-    F is supplied).  Outside that the elementary-link graph can be
+    `chain_constructible(w, d)` for the common weight w.  Outside that the elementary-link graph can be
     disconnected (w = 2, d = 3), so a HypothesisError is raised rather
     than a fake chain, unless lam and mu are linked directly.
     """
@@ -261,8 +261,6 @@ def link_chain(lam, mu, d: int, F: int | None = None) -> tuple[tuple[int, ...], 
         raise HypothesisError("weights differ")
     if lam == mu:
         return (lam,)
-    if F is not None and F < w:
-        raise HypothesisError("F < w")
     if w == 1:
         # distinct weight-1 partitions sit on distinct runners: direct link
         return (lam, mu)
@@ -280,7 +278,7 @@ def link_chain(lam, mu, d: int, F: int | None = None) -> tuple[tuple[int, ...], 
 
     if mu_simple and not lam_simple:
         # run the analysis from the simple end and flip at the end
-        chain = tuple(reversed(link_chain(mu, lam, d, F)))
+        chain = tuple(reversed(link_chain(mu, lam, d)))
     elif lam_simple and mu_simple:
         if disjoint(lam, mu, d):
             chain = (lam, mu)
@@ -354,7 +352,7 @@ def chain_link_ok(a, b, d: int) -> bool:
 
 # -- the second main theorem ------------------------------------------------------
 
-def smt_check(ctx: Context) -> None:
+def smt_check(ctx: Context) -> str | None:
     """Reconstruction and disjoint domination across every section head type.
 
     For every section head type x, `peel` takes x's components back onto
@@ -362,8 +360,9 @@ def smt_check(ctx: Context) -> None:
     class type t of the section, which must give t's values at every mu of
     size n.  Every mn_step row of x's steps keeps the d-core, so peel
     targets stay in the same-core block of GL(l,q); distinct cores then
-    give disjoint unions of centralizer blocks.  Returns nothing; a failed
-    check raises AssertionError.
+    give disjoint unions of centralizer blocks.  Returns None when every
+    check holds, else the message of the first that fails; an engine
+    invariant that breaks on the way raises as anywhere else.
     """
     for head in section_heads(ctx.n, ctx.q, ctx.d, ctx.variant):
         steps, size = [], ctx.n - head.n
@@ -373,25 +372,26 @@ def smt_check(ctx: Context) -> None:
             for nu in partitions_of(size):
                 if any(d_core(lam, ctx.d) != d_core(nu, ctx.d)
                        for lam, _ in mn_step(nu, degree, jordan, ctx.q)):
-                    raise AssertionError("peel target escaped the source's d-core")
+                    return "peel target escaped the source's d-core"
         for t in _type_weights(ctx, ("section", head)):
             x_of_t, y = xy_decompose(t, ctx.d, ctx.variant)
             if x_of_t != head:
-                raise AssertionError(f"class {t} is not in the section of its head")
+                return f"class {t} is not in the section of its head"
             direct, recon = class_values(t, ctx.q), class_values(y, ctx.q)
             for step in steps:
                 recon = peel(recon, *step, ctx.q)
             for mu in partitions_of(ctx.n):
                 a, b = direct.get(mu, 0), recon.get(mu, 0)
                 if a != b:
-                    raise AssertionError(f"reconstruction failed for {mu} at {t}: {a} != {b}")
+                    return f"reconstruction failed for {mu} at {t}: {a} != {b}"
         # the set dominated by the block with core gamma is the same-core
         # block of GL(l,q); distinct cores give disjoint sets
         seen: set = set()
         for members in same_core_grouping(ctx.n - head.n, ctx.d):
             if seen & members:
-                raise AssertionError("beta sets for distinct blocks intersect")
+                return "beta sets for distinct blocks intersect"
             seen |= members
+    return None
 
 
 # -- reports ------------------------------------------------------------------------

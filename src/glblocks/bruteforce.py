@@ -7,10 +7,11 @@ with exact cyclotomic lifting.  No floating point: the modular table is
 lifted to integer vectors of root-of-unity multiplicities and verified
 against the orthogonality relations exactly.
 
-The oracle brings its own finite fields, its own enumeration of the
-monic irreducibles over F_q (checked against the engine's counts only)
-and the validated class labels (`GLClassLabel`) it reads off matrices,
-so it shares no class-level code with the engine.  Polynomials over F_q
+The oracle brings its own finite fields (F_p[x] modulo the first monic
+irreducible of its own sieve), its own enumeration of the monic
+irreducibles over F_q (checked against the engine's counts only) and the
+validated class labels (`GLClassLabel`) it reads off matrices, so it
+shares no class-level code with the engine.  Polynomials over F_q
 are tuples of field-element encodings, lowest degree first, with the
 leading coefficient present (monic throughout).  Field elements are
 integers 0..q-1 whose base-p digits are the coefficients in the fixed
@@ -19,9 +20,10 @@ generator basis of F_q over F_p.
 The class algebra is split one restricted class matrix at a time; its
 eigenvalues are the roots mod the chosen prime of its characteristic
 polynomial (from a Hessenberg form), so a kernel is only computed at a
-root.  Each element's primary spaces are computed once and shared by
-every d and variant; the d-part and the section sets are conjugated into
-and out of the basis of those spaces one element at a time.
+root.  One pass over the kernels of f(A)^j gives an element both its
+class label and its primary spaces, shared by every d and variant; the
+d-part and the section sets are conjugated into and out of the basis of
+those spaces one element at a time.
 """
 
 from __future__ import annotations
@@ -57,8 +59,8 @@ class SmallField:
             self.add = [[(a + b) % p for b in range(p)] for a in range(p)]
             self.mul = [[(a * b) % p for b in range(p)] for a in range(p)]
         else:
-            modulus = self._find_modulus(p, e)
-            self.modulus = modulus
+            # the least monic irreducible of degree e over F_p, from the sieve
+            self.modulus = enumerate_irreducibles(p, e)[0].coeffs
             self.add = [[self._vec_to_int([(x + y) % p for x, y in
                                            zip(self._int_to_vec(a), self._int_to_vec(b))])
                          for b in range(q)] for a in range(q)]
@@ -76,25 +78,6 @@ class SmallField:
     def _vec_to_int(self, v) -> int:
         return sum(c * self.p ** i for i, c in enumerate(v))
 
-    def _find_modulus(self, p: int, e: int) -> list[int]:
-        # smallest monic irreducible of degree e over F_p in the canonical order
-        for enc in range(p ** e):
-            low = [(enc // p ** i) % p for i in range(e)]
-            if self._is_irreducible_prime_field(low + [1], p):
-                return low + [1]
-        raise AssertionError("no modulus found")
-
-    @staticmethod
-    def _is_irreducible_prime_field(coeffs, p: int) -> bool:
-        """No monic polynomial of degree 1 .. deg/2 over F_p divides coeffs."""
-        deg = len(coeffs) - 1
-        for k in range(1, deg // 2 + 1):
-            for enc in range(p ** k):
-                div = [(enc // p ** i) % p for i in range(k)] + [1]
-                if _poly_divides_prime_field(div, coeffs, p):
-                    return False
-        return True
-
     def _poly_mul_mod(self, a: int, b: int) -> int:
         p, e = self.p, self.e
         va, vb = self._int_to_vec(a), self._int_to_vec(b)
@@ -109,18 +92,6 @@ class SmallField:
                 for i, m in enumerate(self.modulus[:-1]):
                     prod[top - self.e + i] = (prod[top - self.e + i] - c * m) % p
         return self._vec_to_int(prod[:e])
-
-
-def _poly_divides_prime_field(div, poly, p: int) -> bool:
-    rem = list(poly)
-    dd = len(div) - 1
-    while len(rem) - 1 >= dd:
-        lead = rem[-1] % p
-        if lead:
-            for i in range(dd + 1):
-                rem[len(rem) - 1 - dd + i] = (rem[len(rem) - 1 - dd + i] - lead * div[i]) % p
-        rem.pop()
-    return all(c % p == 0 for c in rem)
 
 
 @cache
@@ -251,15 +222,6 @@ def identity_matrix(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def scalar_matrix(n, a):
-    return tuple(tuple(a if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def mat_add(fq, A, B):
-    return tuple(tuple(fq.add[a][b] for a, b in zip(ra, rb))
-                 for ra, rb in zip(A, B))
-
-
 def row_reduce(fq, rows):
     """Return (rank, pivot columns, reduced rows)."""
     rows = [list(r) for r in rows]
@@ -316,11 +278,13 @@ def is_invertible(fq, A):
 
 
 def poly_at_matrix(fq, coeffs, A):
-    n = len(A)
-    out = scalar_matrix(n, coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        out = mat_mul(fq, out, A)
-        out = mat_add(fq, out, scalar_matrix(n, c))
+    """f(A) for a monic f by Horner's rule, (A + c_{d-1}) A + ... + c_0,
+    each coefficient added on the diagonal."""
+    out = A
+    for t, c in enumerate(reversed(coeffs[:-1])):
+        if t:
+            out = mat_mul(fq, out, A)
+        out = tuple(row[:i] + (fq.add[row[i]][c],) + row[i + 1:] for i, row in enumerate(out))
     return out
 
 
@@ -481,6 +445,7 @@ def make_label(n: int, q: int, unipotent, support) -> GLClassLabel:
 
 # -- labels from matrices --------------------------------------------------------
 
+@cache
 def _poly_pool(n: int, q: int):
     """(coeffs, is_x_minus_one, PolyKey or None) for degrees up to n."""
     target = x_minus_one(q)
@@ -492,46 +457,55 @@ def _poly_pool(n: int, q: int):
                 pool.append((lab.coeffs, True, None))
             else:
                 pool.append((lab.coeffs, False, PolyKey(deg, indexed[lab.coeffs])))
-    return pool
+    return tuple(pool)
 
 
-def element_label(group: MatrixGroup, A) -> GLClassLabel:
-    """Class label via generalized kernel dimensions per irreducible."""
+@cache
+def _primary_spaces(n: int, q: int, g_id: int) -> tuple:
+    """(coeffs, is_x_minus_one, PolyKey or None, partition, basis) for each
+    nonzero primary space of an element, in pool order.
+
+    The kernels of f(A)^j grow with j until j reaches the largest block;
+    the j-th step, over deg f, counts the blocks of size at least j, and
+    the last kernel is the f-primary space.  Found once per element and
+    shared by its label and by every d and variant."""
+    group = build_group(n, q)
     fq = group.fq
-    n = group.n
-    unip = ()
-    support = []
-    accounted = 0
-    for coeffs, is_unip, key in _poly_pool(n, group.q):
-        if accounted == n:
+    A = group.elements[g_id]
+    spaces, dim = [], 0
+    for coeffs, is_unip, key in _poly_pool(n, q):
+        if dim == n:
             break
         deg = len(coeffs) - 1
-        M = poly_at_matrix(fq, coeffs, A)
-        dims = [0]
-        P = identity_matrix(n)
+        P = M = poly_at_matrix(fq, coeffs, A)
+        basis, counts = [], []
         while True:
-            P = mat_mul(fq, P, M)
-            dim = len(kernel_basis(fq, P))
-            if dim == dims[-1]:
+            kernel = kernel_basis(fq, P)
+            if len(kernel) == len(basis):
                 break
-            dims.append(dim)
-        if dims[-1] == 0:
-            continue
-        counts = []  # number of Jordan-type blocks of size >= j
-        for j in range(1, len(dims)):
-            step, rem = divmod(dims[j] - dims[j - 1], deg)
+            step, rem = divmod(len(kernel) - len(basis), deg)
             if rem:
                 raise ArithmeticError(f"kernel dimension step not a multiple of degree {deg}")
             counts.append(step)
-        part = conjugate(tuple(counts))
-        accounted += deg * sum(part)
+            basis = kernel
+            P = mat_mul(fq, P, M)
+        if basis:
+            spaces.append((coeffs, is_unip, key, conjugate(tuple(counts)), tuple(basis)))
+            dim += len(basis)
+    if dim != n:
+        raise ArithmeticError(f"primary spaces span {dim} of {n} dimensions")
+    return tuple(spaces)
+
+
+def element_label(group: MatrixGroup, g_id: int) -> GLClassLabel:
+    """Class label of an element, read off its primary spaces."""
+    unip, support = (), []
+    for _, is_unip, key, part, _ in _primary_spaces(group.n, group.q, g_id):
         if is_unip:
             unip = part
         else:
             support.append((key, part))
-    if accounted != n:
-        raise ArithmeticError(f"primary components cover {accounted} of {n} dimensions")
-    return make_label(n, group.q, unip, tuple(support))
+    return make_label(group.n, group.q, unip, support)
 
 
 class OracleClassData(NamedTuple):
@@ -566,7 +540,7 @@ def oracle_classes(n: int, q: int) -> OracleClassData:
         reps.append(g)
         sizes.append(len(orbit))
         cents.append(row.count(g))
-    labels = tuple(element_label(group, group.elements[r]) for r in reps)
+    labels = tuple(element_label(group, r) for r in reps)
     if len(set(l.key() for l in labels)) != len(labels):
         raise AssertionError(f"two conjugation orbits of GL({n},{q}) share a label")
     if sum(sizes) != size:
@@ -578,30 +552,7 @@ def oracle_classes(n: int, q: int) -> OracleClassData:
                            labels, tuple(cents))
 
 
-# -- primary decomposition of elements -------------------------------------------
-
-@cache
-def _primary_spaces(n: int, q: int, g_id: int) -> tuple:
-    """(coeffs, is_x_minus_one, basis) for each nonzero primary space of an
-    element: the kernel of f(A)^(n // deg f) for each irreducible f (an
-    f-primary space has dimension at most n), found once per element and
-    shared by every d and variant."""
-    group = build_group(n, q)
-    fq = group.fq
-    A = group.elements[g_id]
-    spaces = []
-    for coeffs, is_unip, _ in _poly_pool(n, q):
-        P = M = poly_at_matrix(fq, coeffs, A)
-        for _ in range(n // (len(coeffs) - 1) - 1):
-            P = mat_mul(fq, P, M)
-        basis = kernel_basis(fq, P)
-        if basis:
-            spaces.append((coeffs, is_unip, tuple(basis)))
-    dim = sum(len(basis) for _, _, basis in spaces)
-    if dim != n:
-        raise ArithmeticError(f"primary spaces span {dim} of {n} dimensions")
-    return tuple(spaces)
-
+# -- sections ---------------------------------------------------------------------
 
 def _degree_matches(degree, d, variant):
     return degree % d == 0 if variant == "divisible" else degree == d
@@ -612,7 +563,7 @@ def _d_part_basis(group: MatrixGroup, g_id: int, d: int, variant: str):
     g, the first k of them spanning the primary spaces of matching degree
     other than that of X-1."""
     sel, rest = [], []
-    for coeffs, is_unip, basis in _primary_spaces(group.n, group.q, g_id):
+    for coeffs, is_unip, _, _, basis in _primary_spaces(group.n, group.q, g_id):
         if not is_unip and _degree_matches(len(coeffs) - 1, d, variant):
             sel.extend(basis)
         else:
@@ -637,21 +588,13 @@ def x_part_element(group: MatrixGroup, g_id: int, d: int, variant: str) -> int:
 
 
 @cache
-def x_is_d_element(n: int, q: int, d: int, variant: str) -> tuple[int, ...]:
-    """Ids of the class representatives whose classes lie in the d-element set."""
-    data = oracle_classes(n, q)
-    out = []
-    for cid, lab in enumerate(data.labels):
-        if all(p == 1 for p in lab.unipotent) and \
-           all(_degree_matches(k.degree, d, variant) for k, _ in lab.support):
-            out.append(cid)
-    return tuple(out)
-
-
 def d_element_ids(n: int, q: int, d: int, variant: str) -> tuple[int, ...]:
-    """All element ids in the d-element union of classes."""
+    """All element ids in the d-element union of classes: semisimple on X-1,
+    every other factor of matching degree."""
     data = oracle_classes(n, q)
-    good = set(x_is_d_element(n, q, d, variant))
+    good = {cid for cid, lab in enumerate(data.labels)
+            if all(p == 1 for p in lab.unipotent)
+            and all(_degree_matches(k.degree, d, variant) for k, _ in lab.support)}
     return tuple(g for g, cid in enumerate(data.class_of) if cid in good)
 
 
@@ -713,55 +656,24 @@ def oracle_sections(n: int, q: int, d: int, variant: str = "divisible") -> Secti
     ys = {u: y_set(n, q, d, variant, u) for u in xs}
     centralizer = [frozenset(h for h in range(size) if conj[g][h] == g)
                    for g in range(size)]
+    prods = {u: {group.mul(u, y) for y in ys[u]} for u in xs}
 
     parts = {}
     # (i) closure under centralizer conjugation
     parts["i"] = all(conj[y][h] in ys[u]
                      for u in xs for y in ys[u] for h in centralizer[u])
     # (ii) centralizer containment
-    ok2 = True
-    for u in xs:
-        for y in ys[u]:
-            p = group.mul(u, y)
-            if not centralizer[p] <= centralizer[u]:
-                ok2 = False
-    parts["ii"] = ok2
+    parts["ii"] = all(centralizer[p] <= centralizer[u] for u in xs for p in prods[u])
     # (iii) conjugation equivariance of the complementary sets
-    ok3 = True
-    for u in xs:
-        for h in range(size):
-            target = ys[conj[u][h]]
-            moved = frozenset(conj[y][h] for y in ys[u])
-            if target != moved:
-                ok3 = False
-    parts["iii"] = ok3
-    # (iv) fusion: products G-conjugate iff centralizer-conjugate
-    ok4 = True
-    for u in xs:
-        prods = sorted({group.mul(u, y) for y in ys[u]})
-        pidx = {p: i for i, p in enumerate(prods)}
-        parent = list(range(len(prods)))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for p in prods:
-            for h in centralizer[u]:
-                t = conj[p][h]
-                if t in pidx:
-                    ra, rb = find(pidx[p]), find(pidx[t])
-                    if ra != rb:
-                        parent[ra] = rb
-        for i, p in enumerate(prods):
-            for p2 in prods[i + 1:]:
-                g_conj = data.class_of[p] == data.class_of[p2]
-                c_conj = find(pidx[p]) == find(pidx[p2])
-                if g_conj != c_conj:
-                    ok4 = False
-    parts["iv"] = ok4
+    parts["iii"] = all(ys[conj[u][h]] == frozenset(conj[y][h] for y in ys[u])
+                       for u in xs for h in range(size))
+    # (iv) fusion: products G-conjugate iff centralizer-conjugate.  A
+    # C(u)-conjugate never leaves its G-class, so this holds exactly when the
+    # products fall into as many C(u)-orbits as G-classes; each orbit is
+    # keyed by its least element
+    parts["iv"] = all(
+        len({min(conj[p][h] for h in centralizer[u]) for p in prods[u]})
+        == len({data.class_of[p] for p in prods[u]}) for u in xs)
     # (v) sections partition the group
     section_of = []
     for g in range(size):
@@ -769,11 +681,7 @@ def oracle_sections(n: int, q: int, d: int, variant: str = "divisible") -> Secti
         if x not in x_set:
             raise AssertionError(f"d-part of element {g} is not a d-element")
         section_of.append(data.class_of[x])
-    counted = {}
-    for cid in section_of:
-        counted[cid] = counted.get(cid, 0) + 1
-    parts["v"] = sum(counted.values()) == size and \
-        set(counted) == {data.class_of[u] for u in xs}
+    parts["v"] = set(section_of) == {data.class_of[u] for u in xs}
     ok = all(parts.values())
     return SectionCheck(ok, parts, tuple(section_of))
 
@@ -781,8 +689,9 @@ def oracle_sections(n: int, q: int, d: int, variant: str = "divisible") -> Secti
 # -- exact cyclotomic arithmetic ---------------------------------------------------
 
 def _int_poly_divmod(num, den):
-    """Remainder of integer polynomials, den monic; each step visits only
-    the nonzero coefficients of den below its leading one."""
+    """(quotient, remainder) of integer polynomials, den monic; each step
+    visits only the nonzero coefficients of den below its leading one, and
+    the leading coefficient each step leaves in place is the quotient's."""
     num = list(num)
     dd = len(den) - 1
     terms = [(i, c) for i, c in enumerate(den[:-1]) if c]
@@ -791,7 +700,7 @@ def _int_poly_divmod(num, den):
         if lead:
             for i, c in terms:
                 num[top - dd + i] -= lead * c
-    return num[:dd]
+    return num[dd:], num[:dd]
 
 
 @cache
@@ -799,43 +708,16 @@ def cyclotomic_poly(e: int) -> tuple[int, ...]:
     num = [-1] + [0] * (e - 1) + [1]
     for d in range(1, e):
         if e % d == 0:
-            phi = cyclotomic_poly(d)
-            # exact division
-            out = [0] * (len(num) - len(phi) + 1)
-            rem = list(num)
-            for shift in range(len(out) - 1, -1, -1):
-                coef = rem[shift + len(phi) - 1]
-                out[shift] = coef
-                if coef:
-                    for i in range(len(phi)):
-                        rem[shift + i] -= coef * phi[i]
+            num, rem = _int_poly_divmod(num, cyclotomic_poly(d))
             if any(rem):
                 raise ArithmeticError(f"cyclotomic polynomial {d} does not divide x^{e} - 1")
-            num = out
     return tuple(num)
-
-
-def cyc_conj(a):
-    e = len(a)
-    return tuple(a[(-j) % e] for j in range(e))
-
-
-def cyc_scale(c, a):
-    return tuple(c * x for x in a)
-
-
-def cyc_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def cyc_reduce(a):
     """Canonical remainder mod the e-th cyclotomic polynomial."""
     e = len(a)
-    return tuple(_int_poly_divmod(a, cyclotomic_poly(e)) + [0] * e)[:e]
-
-
-def cyc_is_zero(a) -> bool:
-    return all(c == 0 for c in cyc_reduce(a))
+    return tuple(_int_poly_divmod(a, cyclotomic_poly(e))[1] + [0] * e)[:e]
 
 
 def cyc_as_int(a):
@@ -896,58 +778,50 @@ def _matvec_mod(M, v, ell):
     return [sum(a * x for a, x in zip(row, v)) % ell for row in M]
 
 
-def _restrict_mod(M, basis, ell):
-    """Matrix of M on an M-invariant subspace, in the given basis, mod ell."""
-    m = len(basis)
-    k = len(basis[0])
-    images = [_matvec_mod(M, b, ell) for b in basis]
-    aug = [[basis[i][r] for i in range(m)] + [images[j][r] for j in range(m)]
-           for r in range(k)]
-    # reduce; the first m columns have full rank
-    rows = [list(r) for r in aug]
+def _rref_mod(rows, ell, n_cols):
+    """(pivot columns, rows) of the reduced row echelon form mod ell, with
+    pivots sought in the first n_cols columns."""
+    rows = [list(r) for r in rows]
     pivots = []
-    rr = 0
-    for c in range(m):
-        piv = next((i for i in range(rr, k) if rows[i][c] % ell), None)
-        if piv is None:
-            raise ArithmeticError("basis vectors are dependent")
-        rows[rr], rows[piv] = rows[piv], rows[rr]
-        inv = _modinv(rows[rr][c] % ell, ell)
-        rows[rr] = [(x * inv) % ell for x in rows[rr]]
-        for i in range(k):
-            if i != rr and rows[i][c] % ell:
-                coef = rows[i][c] % ell
-                rows[i] = [(x - coef * y) % ell for x, y in zip(rows[i], rows[rr])]
-        pivots.append(c)
-        rr += 1
-    for i in range(m, k):
-        if any(x % ell for x in rows[i][m:]):
-            raise ArithmeticError("image escaped the subspace")
-    return [[rows[i][m + j] for j in range(m)] for i in range(m)]
-
-
-def _kernel_mod(M, ell):
-    """Basis of the kernel of M mod ell."""
-    n = len(M)
-    rows = [list(r) for r in M]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if rows[i][c] % ell), None)
+    for c in range(n_cols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] % ell), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         inv = _modinv(rows[r][c] % ell, ell)
         rows[r] = [(x * inv) % ell for x in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][c] % ell:
-                coef = rows[i][c] % ell
-                rows[i] = [(x - coef * y) % ell for x, y in zip(rows[i], rows[r])]
+        for i, row in enumerate(rows):
+            if i != r and row[c] % ell:
+                coef = row[c] % ell
+                rows[i] = [(x - coef * y) % ell for x, y in zip(row, rows[r])]
         pivots.append(c)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
+    return pivots, rows
+
+
+def _restrict_mod(M, basis, ell):
+    """Matrix of M on an M-invariant subspace, in the given basis, mod ell:
+    [basis | images] reduced, whose first m columns must have full rank."""
+    m = len(basis)
+    images = [_matvec_mod(M, b, ell) for b in basis]
+    aug = [[b[r] for b in basis] + [image[r] for image in images]
+           for r in range(len(basis[0]))]
+    pivots, rows = _rref_mod(aug, ell, m)
+    if pivots != list(range(m)):
+        raise ArithmeticError("basis vectors are dependent")
+    if any(x % ell for row in rows[m:] for x in row[m:]):
+        raise ArithmeticError("image escaped the subspace")
+    return [row[m:] for row in rows[:m]]
+
+
+def _kernel_mod(M, ell):
+    """Basis of the kernel of M mod ell."""
+    n = len(M)
+    pivots, rows = _rref_mod(M, ell, n)
     basis = []
-    for fc in free:
+    for fc in range(n):
+        if fc in pivots:
+            continue
         v = [0] * n
         v[fc] = 1
         for i, pc in enumerate(pivots):
@@ -1259,14 +1133,16 @@ def borel_unipotent_constituents(n: int, q: int) -> BorelDecomposition:
     group = data.group
     tab = dixon_table(n, q)
     perm = tuple(flag_fixed_points(group, group.elements[r]) for r in tab.reps)
-    k = len(tab.reps)
     e = tab.exponent
     mults = []
-    for chi in range(len(tab.degrees)):
-        acc = tuple([0] * e)
-        for i in range(k):
-            acc = cyc_add(acc, cyc_scale(tab.sizes[i] * perm[i],
-                                         cyc_conj(tab.values[chi][i])))
+    for chi, row in enumerate(tab.values):
+        # sum_i |C_i| perm(C_i) conj(chi(C_i)), each multiplicity added at
+        # the exponent of its conjugate root of unity
+        acc = [0] * e
+        for size, fixed, value in zip(tab.sizes, perm, row):
+            for j, m in enumerate(value):
+                if m:
+                    acc[-j % e] += size * fixed * m
         val = cyc_as_int(acc)
         if val is None or val % tab.order:
             raise ArithmeticError(f"Borel multiplicity of character {chi} is not an integer")
@@ -1318,11 +1194,13 @@ def check_d1_duality_identity(n: int, q: int) -> dict:
     order_p_prime = tab.order // order_p
     e = tab.exponent
     all_nonzero = True
-    for chi in range(len(tab.degrees)):
-        acc = tuple([0] * e)
+    for row in tab.values:
+        acc = [0] * e
         for i in unip_classes:
-            acc = cyc_add(acc, cyc_scale(tab.sizes[i], tab.values[chi][i]))
-        if cyc_is_zero(acc):
+            for j, m in enumerate(row[i]):
+                if m:
+                    acc[j] += tab.sizes[i] * m
+        if not any(cyc_reduce(acc)):
             all_nonzero = False
     exact_match = True
     for lam, (chi, _) in dec.constituents.items():

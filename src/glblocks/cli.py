@@ -287,11 +287,9 @@ def _verify_thm410chain(args):
 
 
 def _verify_smt55(args):
-    ctx = Context(args.n, args.q, args.d, args.variant)
-    try:
-        blockcalc.smt_check(ctx)
-    except AssertionError as exc:
-        return False, {"error": str(exc)}
+    error = blockcalc.smt_check(Context(args.n, args.q, args.d, args.variant))
+    if error is not None:
+        return False, {"error": error}
     return True, {"reconstruction": "exact", "beta_disjoint": True}
 
 

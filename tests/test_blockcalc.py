@@ -339,8 +339,6 @@ def test_link_chain_hypothesis_cutoffs():
         B.link_chain(lam, mu, 3)
     with pytest.raises(HypothesisError):
         B.link_chain((3,), (2, 1), 2)   # different cores
-    with pytest.raises(HypothesisError):
-        B.link_chain(lam, mu, 3, F=1)
 
 
 def test_link_chain_exhaustive_small():
@@ -372,7 +370,7 @@ def test_link_chain_weight_three():
     sample = labels[::7]
     for i, lam in enumerate(sample):
         for mu in sample[i + 1:]:
-            chain = B.link_chain(lam, mu, 5, F=ctx.f_number)
+            chain = B.link_chain(lam, mu, 5)
             for a, b in zip(chain, chain[1:]):
                 assert B.chain_link_ok(a, b, 5)
                 pair = (a, b) if P.is_simple(b, 5) and P.disjoint(a, b, 5) else (b, a)
@@ -415,8 +413,7 @@ def test_wrong_peel_coefficient_fails_smt_check(monkeypatch, capsys):
     real = B.peel
     monkeypatch.setattr(B, "peel", lambda values, n, degree, jordan, q: {
         nu: 2 * v for nu, v in real(values, n, degree, jordan, q).items()})
-    with pytest.raises(AssertionError, match="reconstruction failed"):
-        B.smt_check(Context(4, 3, 2))
+    assert B.smt_check(Context(4, 3, 2)).startswith("reconstruction failed")
     code = cli.main(["verify", "smt55", "--n", "4", "--q", "3", "--d", "2", "--output", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 1 and payload["pass"] is False
@@ -429,8 +426,7 @@ def test_peel_target_leaving_the_core_fails_smt_check(monkeypatch, capsys):
     monkeypatch.setattr(B, "mn_step", lambda nu, degree, jordan, q: (
         real(nu, degree, jordan, q) + (((1,), 1),)))
     message = "peel target escaped the source's d-core"
-    with pytest.raises(AssertionError, match=message):
-        B.smt_check(Context(4, 3, 2))
+    assert B.smt_check(Context(4, 3, 2)) == message
     code = cli.main(["verify", "smt55", "--n", "4", "--q", "3", "--d", "2", "--output", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 1 and payload["pass"] is False

@@ -31,6 +31,78 @@ def test_build_group_guard():
         BF.build_group(4, 3)
 
 
+def poly_divides(div, poly, p):
+    """Reference: monic div divides poly over F_p, by long division."""
+    rem = list(poly)
+    dd = len(div) - 1
+    while len(rem) - 1 >= dd:
+        lead = rem[-1] % p
+        if lead:
+            for i in range(dd + 1):
+                rem[len(rem) - 1 - dd + i] = (rem[len(rem) - 1 - dd + i] - lead * div[i]) % p
+        rem.pop()
+    return all(c % p == 0 for c in rem)
+
+
+def trial_division_modulus(p, e):
+    """Reference: the least code among the monic irreducibles of degree e
+    over F_p, each candidate tried against every monic of degree 1 .. e/2."""
+    def monic(enc, k):
+        return [(enc // p ** i) % p for i in range(k)] + [1]
+    for enc in range(p ** e):
+        poly = monic(enc, e)
+        if not any(poly_divides(monic(k_enc, k), poly, p)
+                   for k in range(1, e // 2 + 1) for k_enc in range(p ** k)):
+            return tuple(poly)
+
+
+def reference_field_tables(p, e, modulus):
+    """Reference add and mul tables of F_p[x]/(modulus) on base-p codes: add
+    digit by digit, and each row of mul by linearity, a*b = sum_i b_i a x^i."""
+    q = p ** e
+    digits = [[(a // p ** i) % p for i in range(e)] for a in range(q)]
+    add = []
+    for da in digits:
+        row = [0]
+        for i, x in enumerate(da):
+            row = [r + (x + t) % p * p ** i for t in range(p) for r in row]
+        add.append(row)
+    mul = []
+    for a in range(q):
+        vec, row = list(digits[a]), [0]
+        for i in range(e):
+            code = sum(x * p ** t for t, x in enumerate(vec))
+            multiples = [0]
+            for _ in range(1, p):
+                multiples.append(add[multiples[-1]][code])
+            row = [add[r][m] for m in multiples for r in row]
+            top = vec.pop()  # times x: shift up, then reduce by the modulus
+            vec = [(x - top * c) % p for x, c in zip([0] + vec, modulus)]
+        mul.append(row)
+    return add, mul
+
+
+def test_field_tables_match_trial_division_modulus():
+    # the sieve's first irreducible is the modulus trial division finds, and
+    # every table of every F_q with q < 300 is that of F_p[x]/(modulus)
+    factored = {}
+    for q in range(2, 300):
+        try:
+            factored[q] = Q.prime_power(q)
+        except ValueError:
+            continue
+    assert len(factored) == 79
+    for q, (p, e) in factored.items():
+        fq = BF.field(q)
+        modulus = trial_division_modulus(p, e)
+        if e > 1:
+            assert fq.modulus == modulus, q
+        add, mul = reference_field_tables(p, e, modulus)
+        assert fq.add == add and fq.mul == mul, q
+        assert all(add[a][fq.neg[a]] == 0 for a in range(q)), q
+        assert fq.inv[0] == 0 and all(mul[a][fq.inv[a]] == 1 for a in range(1, q)), q
+
+
 def test_class_counts_and_sizes():
     expected = {(2, 2): 3, (2, 3): 8, (3, 2): 6, (2, 4): 15}
     for (n, q), count in expected.items():
@@ -105,7 +177,7 @@ def test_label_roundtrip_through_canonical_matrix():
         for lab in L.all_classes(n, q):
             mat = canonical_matrix(group, lab)
             assert mat in group.index
-            assert BF.element_label(group, mat) == lab
+            assert BF.element_label(group, group.index[mat]) == lab
 
 
 def test_regular_unipotent_centralizer_gl32():
@@ -221,6 +293,64 @@ def test_section_properties(n, q, d, variant):
     assert check.ok
 
 
+def union_find_fusion(n, q, d, variant):
+    """Reference part (iv): the products u*y of each d-element u joined by
+    a union-find along every conjugation by C(u) that stays among them,
+    then every pair compared for G-conjugacy against C(u)-conjugacy."""
+    data = BF.oracle_classes(n, q)
+    group = data.group
+    ok = True
+    for u in BF.d_element_ids(n, q, d, variant):
+        centralizer = [h for h, c in enumerate(group.conj_row(u)) if c == u]
+        prods = sorted({group.mul(u, y) for y in BF.y_set(n, q, d, variant, u)})
+        pidx = {p: i for i, p in enumerate(prods)}
+        parent = list(range(len(prods)))
+
+        def find(a):
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            return a
+
+        for p in prods:
+            for h in centralizer:
+                t = group.conj_row(p)[h]
+                if t in pidx:
+                    ra, rb = find(pidx[p]), find(pidx[t])
+                    if ra != rb:
+                        parent[ra] = rb
+        for i, p in enumerate(prods):
+            for p2 in prods[i + 1:]:
+                g_conj = data.class_of[p] == data.class_of[p2]
+                c_conj = find(pidx[p]) == find(pidx[p2])
+                if g_conj != c_conj:
+                    ok = False
+    return ok
+
+
+@pytest.mark.parametrize("n,q", ORACLE_GROUPS)
+def test_fusion_orbit_count_matches_union_find(n, q):
+    for d in (1, 2, 3):
+        for variant in ("divisible", "exact"):
+            verdict = BF.oracle_sections(n, q, d, variant).parts["iv"]
+            assert verdict == union_find_fusion(n, q, d, variant), (d, variant)
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2)])
+def test_fusion_orbit_count_matches_union_find_on_all_of_g(n, q, monkeypatch):
+    # with all of G as every complementary set, two G-conjugate products
+    # need not be C(u)-conjugate, and at d = 2 some are not (GL(2,4) is
+    # left out: its d = 1 pass alone takes 2 s)
+    whole = frozenset(range(Q.gl_order(n, q)))
+    monkeypatch.setattr(BF, "y_set", lambda n, q, d, variant, u_id: whole)
+    for d in (1, 2, 3):
+        for variant in ("divisible", "exact"):
+            verdict = BF.oracle_sections(n, q, d, variant).parts["iv"]
+            assert verdict == union_find_fusion(n, q, d, variant), (d, variant)
+            if d == 2:
+                assert verdict is False, variant
+
+
 def test_unipotent_set_is_identity_section_at_d1():
     # 1-regular elements are exactly the unipotent elements
     data = BF.oracle_classes(3, 2)
@@ -271,8 +401,8 @@ def dense_orthogonality(tab):
         for b in range(a, len(tab.degrees)):
             acc = tuple([0] * e)
             for i in range(len(tab.reps)):
-                term = cyc_mul(tab.values[a][i], BF.cyc_conj(tab.values[b][i]), e)
-                acc = BF.cyc_add(acc, BF.cyc_scale(tab.sizes[i], term))
+                term = cyc_mul(tab.values[a][i], cyc_conj(tab.values[b][i]), e)
+                acc = cyc_add(acc, cyc_scale(tab.sizes[i], term))
             assert BF.cyc_as_int(acc) == (tab.order if a == b else 0)
 
 
@@ -366,6 +496,21 @@ def cyc_mul(a, b, e):
     return tuple(out)
 
 
+# dense vectors of root-of-unity multiplicities, the reference for the
+# sparse sums of the oracle
+def cyc_conj(a):
+    e = len(a)
+    return tuple(a[(-j) % e] for j in range(e))
+
+
+def cyc_scale(c, a):
+    return tuple(c * x for x in a)
+
+
+def cyc_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
 def dense_remainder(num, den):
     """Reference: division with remainder by a monic den over all of its
     coefficients, the loop that the sparse one replaced."""
@@ -379,6 +524,32 @@ def dense_remainder(num, den):
                 num[shift + i] -= lead * den[i]
         num.pop()
     return num
+
+
+def poly_times_plus(a, b, c):
+    """Coefficients of a*b + c, integer polynomials lowest degree first."""
+    out = [0] * max(len(a) + len(b) - 1, len(c))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    for i, z in enumerate(c):
+        out[i] += z
+    return out
+
+
+monic_divisors = st.one_of(
+    st.lists(st.integers(-50, 50), max_size=12).map(lambda low: low + [1]),
+    st.integers(1, 120).map(lambda e: list(BF.cyclotomic_poly(e))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(num=st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=40), den=monic_divisors)
+def test_int_poly_divmod_quotient_times_den_plus_remainder(num, den):
+    quotient, remainder = BF._int_poly_divmod(num, den)
+    assert len(remainder) == min(len(num), len(den) - 1)
+    assert len(quotient) == max(len(num) - len(den) + 1, 0)
+    total = poly_times_plus(quotient, den, remainder)
+    assert total[:len(num)] == num and not any(total[len(num):])
 
 
 def int_vectors(e):
@@ -410,7 +581,7 @@ def test_cyclotomic_helpers():
     assert BF.cyc_as_int(z6) == -1
     assert BF.cyc_as_int(cyc_mul(z6, z6, e)) == 1
     assert BF.cyclotomic_poly(12) == (1, 0, -1, 0, 1)
-    assert BF.cyc_is_zero(BF.cyc_add(z6, tuple([1] + [0] * (e - 1))))
+    assert not any(BF.cyc_reduce(cyc_add(z6, tuple([1] + [0] * (e - 1)))))
 
 
 def test_oracle_dump_deterministic(tmp_path, monkeypatch):

@@ -383,6 +383,29 @@ def test_engine_commands_build_no_class_label():
     assert codes["plain"][-1] == 0 and codes["patched"][-1] == 5
 
 
+def test_engine_fault_under_smt55_exits_5():
+    # a Green value bumped at alpha = (1^k) makes an mn_step coefficient
+    # non-integral; that raise is a fault of the engine, not a failed
+    # check, so verify smt55 exits 5 with a traceback, as blocks does
+    script = "\n".join([
+        "import sys",
+        "from glblocks import charvalue, cli",
+        "real = charvalue.green_polynomial",
+        "def bumped(mu, rho, q):",
+        "    return real(mu, rho, q) + (rho == (1,) * len(rho))",
+        "charvalue.green_polynomial = bumped",
+        "sys.exit(cli.main(sys.argv[1:]))",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for verb in (["verify", "smt55"], ["blocks"]):
+        run = subprocess.run([sys.executable, "-c", script, *verb, "--n", "4", "--q", "3",
+                              "--d", "2", "--output", "json"],
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == 5 and run.stdout == "", verb
+        assert run.stderr.endswith(
+            "AssertionError: hook-removal coefficient 3/2 not integral\n"), verb
+
+
 def test_engine_commands_import_only_what_they_run():
     # only oracle, verify prop32 and verify thm45 need the element-level
     # module; no command needs dataclasses (which loads inspect, ast

@@ -51,3 +51,11 @@ def test_every_public_definition_is_used_in_src():
     unused.update((name, module) for name, module, method in methods
                   if attributes[method.name] - _attributes(method)[method.name] <= 0)
     assert not unused, unused
+
+
+def test_no_assert_statements_in_src():
+    # python -O strips assert statements, so an invariant that carries
+    # correctness is an explicit raise
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert not found, found
