@@ -16,7 +16,8 @@ The unipotent d-blocks are a tuple of frozensets of partition labels in
 `symchar`'s canonical order, as is the same-core grouping that
 `blocks_report` compares them with.  `smt_check` returns None, or the
 message of the check that failed; an invariant of the engine that breaks
-on the way still raises.
+on the way still raises.  No check is made that holds by construction:
+each section type, for one, is built from its head and a d-regular type.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .glclass import (
     is_d_element,
     is_d_regular,
     section_heads,
-    xy_decompose,
 )
 from .partitions import (
     d_core,
@@ -59,7 +59,7 @@ class Context(NamedTuple):
     n: int
     q: int
     d: int
-    variant: str = "divisible"
+    variant: str
 
     @property
     def f_number(self) -> int:
@@ -74,6 +74,14 @@ class Context(NamedTuple):
 
 def _ratio(val: Fraction) -> str:
     return f"{val.numerator}/{val.denominator}"
+
+
+def _section_types(ctx: Context, x: ClassType):
+    """(y, t) for each d-regular type y of GL(n-|x|, q), with t the type of
+    the section of head x that merges x's components with y's."""
+    for y in class_types(ctx.n - x.n, ctx.q):
+        if is_d_regular(y, ctx.d, ctx.variant):
+            yield y, ClassType(ctx.n, y.unipotent, tuple(sorted(x.components + y.components)))
 
 
 @cache
@@ -93,9 +101,8 @@ def _type_weights(ctx: Context, domain):
         x = domain[1]
         if x.unipotent or not is_d_element(x, ctx.d, ctx.variant):
             raise ValueError(f"{x} is not the d-part of a section head")
-        types = {ClassType(ctx.n, y.unipotent, tuple(sorted(x.components + y.components))): m
-                 for y, m in class_types(ctx.n - x.n, ctx.q).items()
-                 if is_d_regular(y, ctx.d, ctx.variant)}
+        ys = class_types(ctx.n - x.n, ctx.q)
+        types = {t: ys[y] for y, t in _section_types(ctx, x)}
     else:
         raise ValueError(f"unknown domain {domain!r}")
     return MappingProxyType({t: m * class_size(t, ctx.q) for t, m in types.items()})
@@ -126,11 +133,6 @@ def inner_matrix(ctx: Context, domain="d_regular"):
     return MappingProxyType(out)
 
 
-def inner_product(nu, nu2, domain, ctx: Context) -> Fraction:
-    """Exact restricted scalar product of two unipotent characters."""
-    return inner_matrix(ctx, domain)[(tuple(nu), tuple(nu2))]
-
-
 # -- blocks ----------------------------------------------------------------------
 
 @cache
@@ -142,52 +144,39 @@ def unipotent_blocks(ctx: Context) -> tuple[frozenset[tuple[int, ...]], ...]:
 
 # -- closed forms ----------------------------------------------------------------
 
+def _closed_form_pair(lam, mu, d: int) -> bool:
+    """The closed form's hypotheses on (lam, mu): distinct, one d-core, one
+    d-weight (so w >= 1), mu simple and the two disjoint."""
+    return (lam != mu and d_core(lam, d) == d_core(mu, d)
+            and d_weight(lam, d) == d_weight(mu, d)
+            and is_simple(mu, d) and disjoint(lam, mu, d))
+
+
 def theorem46_rhs(lam, mu, ctx: Context) -> Fraction:
     """Closed-form inner product over d-regular classes for a simple,
     disjoint partner:  (-1)^w F^w / (w! (q^d-1)^w) |P_lam| |P_mu| eps eps.
 
-    Validates its own hypotheses: same d-core, same weight w >= 1, mu
-    simple and disjoint from lam, and the standing bound F >= n/d.
+    Validates its own hypotheses: lam and mu of size n form a closed-form
+    pair, and the standing bound F >= n/d holds.
     """
     lam, mu = tuple(lam), tuple(mu)
     d = ctx.d
-    if sum(lam) != ctx.n or sum(mu) != ctx.n:
-        raise HypothesisError("partitions must have size n")
-    gamma = d_core(lam, d)
-    if d_core(mu, d) != gamma:
-        raise HypothesisError("distinct d-cores")
-    w = d_weight(lam, d)
-    if d_weight(mu, d) != w or w < 1:
-        raise HypothesisError("weights differ or vanish")
-    if not is_simple(mu, d):
-        raise HypothesisError("mu is not simple")
-    if not disjoint(lam, mu, d):
-        raise HypothesisError("lam and mu are not disjoint")
+    if sum(lam) != ctx.n or not _closed_form_pair(lam, mu, d):
+        raise HypothesisError("not a closed-form pair of size n: distinct partitions"
+                              " of one d-core and weight, mu simple and disjoint from lam")
     if not ctx.f_hypothesis_holds:
         raise HypothesisError("F < n/d: outside the standing hypothesis")
-    F = ctx.f_number
+    F, w = ctx.f_number, d_weight(lam, d)
     sign = (-1) ** w * epsilon(lam, d) * epsilon(mu, d)
     return Fraction(sign * F ** w * removal_path_count(lam, d) * removal_path_count(mu, d),
                     factorial(w) * (ctx.q ** d - 1) ** w)
 
 
 def find_theorem46_pairs(ctx: Context):
-    """Ordered pairs (lam, mu) of size n satisfying the closed form's
-    hypotheses: same core, same weight w >= 1, mu simple disjoint from lam."""
+    """Ordered closed-form pairs (lam, mu) of partitions of n."""
     labels = partitions_of(ctx.n)
-    out = []
-    for lam in labels:
-        for mu in labels:
-            if lam == mu:
-                continue
-            if d_core(lam, ctx.d) != d_core(mu, ctx.d):
-                continue
-            w = d_weight(lam, ctx.d)
-            if w < 1 or d_weight(mu, ctx.d) != w:
-                continue
-            if is_simple(mu, ctx.d) and disjoint(lam, mu, ctx.d):
-                out.append((lam, mu))
-    return tuple(out)
+    return tuple((lam, mu) for lam in labels for mu in labels
+                 if _closed_form_pair(lam, mu, ctx.d))
 
 
 # -- combinatorial identity ------------------------------------------------------
@@ -224,7 +213,8 @@ def lemma49_polynomial_check(k: int) -> bool:
 
 # -- constructive chains -----------------------------------------------------------
 
-def _clean_chain(chain, lam, mu):
+def _clean_chain(chain, mu):
+    """The chain without repeats, cut at the first mu."""
     out = [chain[0]]
     for p in chain[1:]:
         if p == out[-1]:
@@ -232,8 +222,6 @@ def _clean_chain(chain, lam, mu):
         out.append(p)
         if p == mu:
             break
-    if out[0] != lam or out[-1] != mu:
-        raise AssertionError(f"chain {out} does not run from {lam} to {mu}")
     return tuple(out)
 
 
@@ -261,10 +249,8 @@ def link_chain(lam, mu, d: int) -> tuple[tuple[int, ...], ...]:
         raise HypothesisError("weights differ")
     if lam == mu:
         return (lam,)
-    if w == 1:
-        # distinct weight-1 partitions sit on distinct runners: direct link
-        return (lam, mu)
-    if disjoint(lam, mu, d) and (is_simple(lam, d) or is_simple(mu, d)):
+    if chain_link_ok(lam, mu, d):
+        # a direct link, as every weight-1 pair is: a (1) on each of two runners
         return (lam, mu)
     if not chain_constructible(w, d):
         raise HypothesisError(
@@ -280,27 +266,22 @@ def link_chain(lam, mu, d: int) -> tuple[tuple[int, ...], ...]:
         # run the analysis from the simple end and flip at the end
         chain = tuple(reversed(link_chain(mu, lam, d)))
     elif lam_simple and mu_simple:
-        if disjoint(lam, mu, d):
-            chain = (lam, mu)
+        free = [r for r in range(d) if r not in r_lam | r_mu]
+        if free:
+            nu = single_runner_partition(gamma, w, d, free[0])
+            chain = (lam, nu, mu)
         else:
-            free = [r for r in range(d) if r not in r_lam | r_mu]
-            if free:
-                nu = single_runner_partition(gamma, w, d, free[0])
-                chain = (lam, nu, mu)
-            else:
-                # all runners covered: forces d = 2w-1, one shared runner, w > 2
-                if w <= 2:
-                    raise AssertionError(f"runners all covered at weight {w}")
-                mu_only = sorted(r_mu - r_lam)
-                lam_only = sorted(r_lam - r_mu)
-                nu = single_runner_partition(gamma, w, d, mu_only[0])
-                zeta = find_simple_disjoint(gamma, w, d, {mu_only[0], lam_only[0]})
-                xi = single_runner_partition(gamma, w, d, lam_only[0])
-                chain = (lam, nu, zeta, xi, mu)
+            # all runners covered: forces d = 2w-1, one shared runner, w > 2
+            if w <= 2:
+                raise AssertionError(f"runners all covered at weight {w}")
+            mu_only = sorted(r_mu - r_lam)
+            lam_only = sorted(r_lam - r_mu)
+            nu = single_runner_partition(gamma, w, d, mu_only[0])
+            zeta = find_simple_disjoint(gamma, w, d, {mu_only[0], lam_only[0]})
+            xi = single_runner_partition(gamma, w, d, lam_only[0])
+            chain = (lam, nu, zeta, xi, mu)
     elif lam_simple:
-        if disjoint(lam, mu, d):
-            chain = (lam, mu)
-        elif r_mu <= r_lam:
+        if r_mu <= r_lam:
             free = [r for r in range(d) if r not in r_lam]
             nu = single_runner_partition(gamma, w, d, free[0])
             zeta = find_simple_disjoint(gamma, w, d, {free[0], min(r_mu)})
@@ -333,7 +314,7 @@ def link_chain(lam, mu, d: int) -> tuple[tuple[int, ...], ...]:
             eta = find_simple_disjoint(gamma, w, d, r_mu)
             chain = (lam, nu, zeta, xi, delta, eta, mu)
 
-    chain = _clean_chain(chain, lam, mu)
+    chain = _clean_chain(chain, mu)
     for a, b in zip(chain, chain[1:]):
         if not chain_link_ok(a, b, d):
             raise AssertionError(f"bad link {a} -- {b}")
@@ -342,27 +323,22 @@ def link_chain(lam, mu, d: int) -> tuple[tuple[int, ...], ...]:
 
 def chain_link_ok(a, b, d: int) -> bool:
     """Consecutive chain entries must form a closed-form pair either way."""
-    if a == b:
-        return False
-    if d_core(a, d) != d_core(b, d) or d_weight(a, d) != d_weight(b, d):
-        return False
-    return ((is_simple(b, d) and disjoint(a, b, d)) or
-            (is_simple(a, d) and disjoint(a, b, d)))
+    return _closed_form_pair(a, b, d) or _closed_form_pair(b, a, d)
 
 
 # -- the second main theorem ------------------------------------------------------
 
 def smt_check(ctx: Context) -> str | None:
-    """Reconstruction and disjoint domination across every section head type.
+    """Reconstruction and the d-core test of domination, for every section head type.
 
-    For every section head type x, `peel` takes x's components back onto
-    the values of GL(l,q), l = n - |x|, on the d-regular part y of each
-    class type t of the section, which must give t's values at every mu of
-    size n.  Every mn_step row of x's steps keeps the d-core, so peel
-    targets stay in the same-core block of GL(l,q); distinct cores then
-    give disjoint unions of centralizer blocks.  Returns None when every
-    check holds, else the message of the first that fails; an engine
-    invariant that breaks on the way raises as anywhere else.
+    For every section head type x and every d-regular type y of GL(l,q),
+    l = n - |x|, `peel` takes x's components back onto the values of y,
+    which must give the values of the type t that merges x and y at every
+    mu of size n.  Every mn_step row of x's steps must keep the d-core, so
+    that peel targets stay in the same-core group of GL(l,q); the report's
+    "beta_disjoint" rests on this row test.  Returns None when every check
+    holds, else the message of the first that fails; an engine invariant
+    that breaks on the way raises as anywhere else.
     """
     for head in section_heads(ctx.n, ctx.q, ctx.d, ctx.variant):
         steps, size = [], ctx.n - head.n
@@ -373,10 +349,7 @@ def smt_check(ctx: Context) -> str | None:
                 if any(d_core(lam, ctx.d) != d_core(nu, ctx.d)
                        for lam, _ in mn_step(nu, degree, jordan, ctx.q)):
                     return "peel target escaped the source's d-core"
-        for t in _type_weights(ctx, ("section", head)):
-            x_of_t, y = xy_decompose(t, ctx.d, ctx.variant)
-            if x_of_t != head:
-                return f"class {t} is not in the section of its head"
+        for y, t in _section_types(ctx, head):
             direct, recon = class_values(t, ctx.q), class_values(y, ctx.q)
             for step in steps:
                 recon = peel(recon, *step, ctx.q)
@@ -384,13 +357,6 @@ def smt_check(ctx: Context) -> str | None:
                 a, b = direct.get(mu, 0), recon.get(mu, 0)
                 if a != b:
                     return f"reconstruction failed for {mu} at {t}: {a} != {b}"
-        # the set dominated by the block with core gamma is the same-core
-        # block of GL(l,q); distinct cores give disjoint sets
-        seen: set = set()
-        for members in same_core_grouping(ctx.n - head.n, ctx.d):
-            if seen & members:
-                return "beta sets for distinct blocks intersect"
-            seen |= members
     return None
 
 

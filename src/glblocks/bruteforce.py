@@ -96,6 +96,10 @@ class SmallField:
 
 @cache
 def field(q: int) -> SmallField:
+    """F_q with its q x q tables, refused when q - 1 > TABLE_GUARD: GL(n,q)
+    has at least q - 1 elements, so lookup_tables would refuse its group."""
+    if q - 1 > TABLE_GUARD:
+        raise ScaleGuardError(f"F_{q} has {q - 1} units, over table guard {TABLE_GUARD}")
     return SmallField(q)
 
 
@@ -1071,29 +1075,24 @@ def _normalize(fq, v):
     return tuple(fq.mul[inv][x] for x in v)
 
 
-def flag_fixed_points(group: MatrixGroup, A) -> int:
-    """Number of complete flags fixed by A (n <= 3)."""
-    fq = group.fq
-    n = group.n
-    if n == 1:
+def flag_fixed_points(fq, A) -> int:
+    """Number of complete flags of F_q^n fixed by A.
+
+    A fixed flag is an A-stable line <v> followed by a fixed flag of the
+    map A induces on F_q^n/<v>: the lower-right block of C^-1 A C, where
+    C has v as its first column and the standard vectors e_j after it,
+    j past the first nonzero coordinate of v (which is 1)."""
+    n = len(A)
+    if n <= 1:
         return 1
-    pts = _proj_points(fq, n)
-    if n == 2:
-        return sum(1 for v in pts if _normalize(fq, mat_vec(fq, A, v)) == v)
-    if n == 3:
-        A_t = tuple(tuple(A[j][i] for j in range(n)) for i in range(n))
-        fixed_lines = [v for v in pts if _normalize(fq, mat_vec(fq, A, v)) == v]
-        fixed_planes = [w for w in pts if _normalize(fq, mat_vec(fq, A_t, w)) == w]
-        count = 0
-        for v in fixed_lines:
-            for w in fixed_planes:
-                dot = 0
-                for x, y in zip(v, w):
-                    dot = fq.add[dot][fq.mul[x][y]]
-                if dot == 0:
-                    count += 1
-        return count
-    raise ScaleGuardError("flag counting implemented for n <= 3")
+    count = 0
+    for v in _proj_points(fq, n):
+        if _normalize(fq, mat_vec(fq, A, v)) == v:
+            k = v.index(1)
+            C = tuple(zip(v, *(e for j, e in enumerate(identity_matrix(n)) if j != k)))
+            quotient = mat_mul(fq, mat_inverse(fq, C), mat_mul(fq, A, C))
+            count += flag_fixed_points(fq, tuple(row[1:] for row in quotient[1:]))
+    return count
 
 
 def q_hook_degree(lam, q: int) -> int:
@@ -1132,7 +1131,7 @@ def borel_unipotent_constituents(n: int, q: int) -> BorelDecomposition:
     data = oracle_classes(n, q)
     group = data.group
     tab = dixon_table(n, q)
-    perm = tuple(flag_fixed_points(group, group.elements[r]) for r in tab.reps)
+    perm = tuple(flag_fixed_points(group.fq, group.elements[r]) for r in tab.reps)
     e = tab.exponent
     mults = []
     for chi, row in enumerate(tab.values):

@@ -155,20 +155,6 @@ def is_d_regular(t: ClassType, d: int, variant: str = "divisible") -> bool:
     return not any(_degree_matches(degree, d, variant) for degree, _ in t.components)
 
 
-def xy_decompose(t: ClassType, d: int, variant: str = "divisible"):
-    """Split a type into its d-part and the complementary part.
-
-    Returns (x_part, y_part): x_part collects the components of matching
-    degree (a type of GL(m,q) with m its own size, X-1 excluded), and
-    y_part the rest including the whole X-1 component, a type of
-    GL(n-m, q).  Merging the components recovers t.
-    """
-    x_comp = tuple(c for c in t.components if _degree_matches(c[0], d, variant))
-    y_comp = tuple(c for c in t.components if not _degree_matches(c[0], d, variant))
-    x_size = sum(degree * sum(p) for degree, p in x_comp)
-    return ClassType(x_size, (), x_comp), ClassType(t.n - x_size, t.unipotent, y_comp)
-
-
 def d_type(t: ClassType, d: int, variant: str = "divisible"):
     """Multiset of (k_i, m_i) pairs of the d-part, with weight sum k_i*m_i."""
     pairs = []
@@ -187,19 +173,11 @@ def section_heads(n: int, q: int, d: int, variant: str = "divisible") -> tuple[C
                  if not t.unipotent and is_d_element(t, d, variant))
 
 
-def classes_report(n: int, q: int, d: int | None = None,
-                   variant: str = "divisible") -> dict:
+def classes_report(n: int, q: int, d: int, variant: str = "divisible") -> dict:
     """The class list as a JSON-ready dict, one record per class in key order."""
     keys = class_keys(n, q, d, variant)
-    per_type = {}
-    for t in class_types(n, q):
-        per_type[t] = {"size": class_size(t, q), "centralizer_order": centralizer_order(t, q)}
-        if d is not None:
-            per_type[t]["d_type"] = list(map(list, d_type(t, d, variant)))
-    records = []
-    for key, section, t in keys:
-        rec = {"assignment": key, **per_type[t]}
-        if d is not None:
-            rec["section"] = section
-        records.append(rec)
-    return {"n": n, "q": q, "classes": records}
+    per_type = {t: {"size": class_size(t, q), "centralizer_order": centralizer_order(t, q),
+                    "d_type": list(map(list, d_type(t, d, variant)))}
+                for t in class_types(n, q)}
+    return {"n": n, "q": q, "classes": [{"assignment": key, **per_type[t], "section": section}
+                                        for key, section, t in keys]}

@@ -246,7 +246,7 @@ def single_runner_partition(gamma, w: int, d: int, runner: int) -> tuple[int, ..
     return from_core_quotient(gamma, quotient, d)
 
 
-def find_simple_disjoint(gamma, w: int, d: int, avoid=frozenset()) -> tuple[int, ...]:
+def find_simple_disjoint(gamma, w: int, d: int, avoid) -> tuple[int, ...]:
     """Simple partition of |gamma| + w*d with core gamma avoiding given runners.
 
     Puts a single elementary bead move, component (1), on each of the w

@@ -5,7 +5,9 @@ The engine expands each class type straight into key strings
 class as a validated `bruteforce.GLClassLabel`, keyed and sorted by
 `key()`, with its orders, d-type and section taken label by label.  The
 tests compare the engine against it, and use its labels where an index
-is compared.
+is compared.  It also keeps `xy_decompose`, the split of a type into
+its d-part and the rest, which the engine no longer needs: it builds
+each section type from its head instead.
 """
 
 from __future__ import annotations
@@ -55,6 +57,20 @@ def all_classes(n: int, q: int) -> tuple[GLClassLabel, ...]:
     if len(out) != total or len(set(c.key() for c in out)) != total:
         raise AssertionError(f"class labels of GL({n},{q}) repeat or miss a class")
     return tuple(sorted(out, key=lambda c: c.key()))
+
+
+def xy_decompose(t: ClassType, d: int, variant: str = "divisible"):
+    """Split a type into its d-part and the complementary part.
+
+    Returns (x_part, y_part): x_part collects the components of matching
+    degree (a type of GL(m,q) with m its own size, X-1 excluded), and
+    y_part the rest including the whole X-1 component, a type of
+    GL(n-m, q).  Merging the components recovers t.
+    """
+    x_comp = tuple(c for c in t.components if _degree_matches(c[0], d, variant))
+    y_comp = tuple(c for c in t.components if not _degree_matches(c[0], d, variant))
+    x_size = sum(degree * sum(p) for degree, p in x_comp)
+    return ClassType(x_size, (), x_comp), ClassType(t.n - x_size, t.unipotent, y_comp)
 
 
 def section_label(c: GLClassLabel, d: int, variant: str = "divisible"):

@@ -15,6 +15,7 @@ from glblocks.errors import HypothesisError
 import hookref
 import labelref as L
 from paperref import sn_l_blocks, weight_one_singular_value
+from test_blockcalc import inner_product
 
 ORACLE_GROUPS = [(2, 2), (2, 3), (3, 2), (2, 4)]
 
@@ -84,14 +85,14 @@ CONTEXTS_45 = [(3, 2, 2), (3, 3, 2), (4, 3, 2), (4, 2, 3), (5, 2, 2)]
 def test_criterion_05_cross_core_orthogonality_and_refinement():
     ok = True
     for n, q, d in CONTEXTS_45:
-        ctx = Context(n, q, d)
+        ctx = Context(n, q, d, "divisible")
         labels = P.partitions_of(n)
         for head in G.section_heads(n, q, d, ctx.variant):
             for i, nu in enumerate(labels):
                 for nu2 in labels[i + 1:]:
                     if P.d_core(nu, d) == P.d_core(nu2, d):
                         continue
-                    if B.inner_product(nu, nu2, ("section", head), ctx) != 0:
+                    if inner_product(nu, nu2, ("section", head), ctx) != 0:
                         ok = False
         comb = S.same_core_grouping(n, d)
         if not all(any(b <= c for c in comb) for b in B.unipotent_blocks(ctx)):
@@ -103,12 +104,12 @@ def test_criterion_06_closed_form_inner_products():
     ok = True
     found_pairs = 0
     for n, q, d in [(3, 3, 2), (4, 3, 2)]:
-        ctx = Context(n, q, d)
+        ctx = Context(n, q, d, "divisible")
         pairs = B.find_theorem46_pairs(ctx)
         found_pairs += len(pairs)
         for lam, mu in pairs:
             rhs = B.theorem46_rhs(lam, mu, ctx)
-            lhs = B.inner_product(lam, mu, "d_regular", ctx)
+            lhs = inner_product(lam, mu, "d_regular", ctx)
             if lhs != rhs or rhs == 0:
                 ok = False
         # weight-1 singular values for every same-core distinct pair
@@ -117,14 +118,14 @@ def test_criterion_06_closed_form_inner_products():
             for mu in weight1[i + 1:]:
                 if P.d_core(lam, d) != P.d_core(mu, d):
                     continue
-                if B.inner_product(lam, mu, "d_singular", ctx) != \
+                if inner_product(lam, mu, "d_singular", ctx) != \
                         weight_one_singular_value(lam, mu, ctx):
                     ok = False
     # the (3,3,2) context supplies pairs; in (4,3,2) the only simple
     # partition occupies both runners, so the hypothesis set is empty
     if found_pairs == 0:
         ok = False
-    if B.find_theorem46_pairs(Context(4, 3, 2)) != ():
+    if B.find_theorem46_pairs(Context(4, 3, 2, "divisible")) != ():
         ok = False
     announce(6, "closed-form restricted inner products", ok)
 
@@ -154,7 +155,7 @@ def test_criterion_09_constructive_chains():
     # chains with direct inner-product verification where tables fit guards
     direct = [(4, 2, 3), (5, 2, 3), (6, 2, 3), (6, 2, 5), (7, 2, 5)]
     for n, q, d in direct:
-        ctx = Context(n, q, d)
+        ctx = Context(n, q, d, "divisible")
         labels = P.partitions_of(n)
         for i, lam in enumerate(labels):
             for mu in labels[i + 1:]:
@@ -169,7 +170,7 @@ def test_criterion_09_constructive_chains():
                     if direct:
                         chain = B.link_chain(lam, mu, d)
                         if chain != (lam, mu) or \
-                                B.inner_product(lam, mu, "d_regular", ctx) == 0:
+                                inner_product(lam, mu, "d_regular", ctx) == 0:
                             ok = False
                     else:
                         # genuinely outside the constructive hypotheses:
@@ -186,10 +187,10 @@ def test_criterion_09_constructive_chains():
                 for a, b in zip(chain, chain[1:]):
                     if not B.chain_link_ok(a, b, d):
                         ok = False
-                    if B.inner_product(a, b, "d_regular", ctx) == 0:
+                    if inner_product(a, b, "d_regular", ctx) == 0:
                         ok = False
     # larger weights: combinatorial chains, nonzero by the closed form
-    big = Context(15, 2, 5)
+    big = Context(15, 2, 5, "divisible")
     labels = [lam for lam in P.partitions_of(15)
               if P.d_core(lam, 5) == () and P.d_weight(lam, 5) == 3]
     for i, lam in enumerate(labels):
@@ -208,7 +209,7 @@ def test_criterion_09_constructive_chains():
 def test_criterion_10_domination_and_reconstruction():
     ok = True
     for n, q, d in [(4, 3, 2), (3, 3, 2)]:
-        if B.smt_check(Context(n, q, d)) is not None:
+        if B.smt_check(Context(n, q, d, "divisible")) is not None:
             ok = False
         # each head's dominated sets: the same-core sets of GL(n - |x|, q)
         for head in G.section_heads(n, q, d, "divisible"):

@@ -18,16 +18,22 @@ from test_charvalue import compose_steps, label_chi_value
 import labelref as L
 
 
-CONTEXTS = [Context(3, 2, 2), Context(3, 3, 2), Context(4, 2, 3), Context(4, 3, 2)]
+CONTEXTS = [Context(3, 2, 2, "divisible"), Context(3, 3, 2, "divisible"),
+            Context(4, 2, 3, "divisible"), Context(4, 3, 2, "divisible")]
 
 
 def test_f_number_and_hypothesis_flag():
-    assert Context(3, 3, 2).f_number == 3
-    assert Context(3, 3, 2).f_hypothesis_holds
-    assert Context(3, 2, 2).f_number == 1
-    assert not Context(3, 2, 2).f_hypothesis_holds
-    assert Context(4, 2, 3).f_number == 2
-    assert Context(2, 4, 1).f_number == 2  # degree-1 count omits X and X-1
+    assert Context(3, 3, 2, "divisible").f_number == 3
+    assert Context(3, 3, 2, "divisible").f_hypothesis_holds
+    assert Context(3, 2, 2, "divisible").f_number == 1
+    assert not Context(3, 2, 2, "divisible").f_hypothesis_holds
+    assert Context(4, 2, 3, "divisible").f_number == 2
+    assert Context(2, 4, 1, "divisible").f_number == 2  # degree-1 count omits X and X-1
+
+
+def inner_product(nu, nu2, domain, ctx):
+    """Exact restricted scalar product of two unipotent characters."""
+    return B.inner_matrix(ctx, domain)[(tuple(nu), tuple(nu2))]
 
 
 def head_type(key, q):
@@ -49,8 +55,8 @@ def label_level_inner_product(nu, nu2, domain, ctx):
                 for c in classes), Fraction(0))
 
 
-@pytest.mark.parametrize("ctx", [Context(4, 3, 2), Context(4, 3, 2, "exact"),
-                                 Context(5, 2, 2), Context(4, 4, 3)])
+@pytest.mark.parametrize("ctx", [Context(4, 3, 2, "divisible"), Context(4, 3, 2, "exact"),
+                                 Context(5, 2, 2, "divisible"), Context(4, 4, 3, "divisible")])
 def test_type_weighted_product_matches_label_sum(ctx):
     secs = L.sections(ctx.n, ctx.q, ctx.d, ctx.variant)
     # pairs (domain by type, the same domain by label key)
@@ -60,7 +66,7 @@ def test_type_weighted_product_matches_label_sum(ctx):
     for domain, label_domain in domains:
         for nu in labels:
             for nu2 in labels:
-                assert (B.inner_product(nu, nu2, domain, ctx)
+                assert (inner_product(nu, nu2, domain, ctx)
                         == label_level_inner_product(nu, nu2, label_domain, ctx)), \
                     (label_domain, nu, nu2)
 
@@ -70,8 +76,8 @@ def label_level_weights(classes, q):
     return {t: m * G.class_size(t, q) for t, m in Counter(map(L.type_of, classes)).items()}
 
 
-@pytest.mark.parametrize("ctx", [Context(4, 3, 2), Context(4, 3, 2, "exact"),
-                                 Context(5, 2, 2), Context(4, 4, 3)])
+@pytest.mark.parametrize("ctx", [Context(4, 3, 2, "divisible"), Context(4, 3, 2, "exact"),
+                                 Context(5, 2, 2, "divisible"), Context(4, 4, 3, "divisible")])
 def test_section_heads_match_label_sections(ctx):
     secs = L.sections(ctx.n, ctx.q, ctx.d, ctx.variant)
     heads = {head_type(key, ctx.q) for key in secs}
@@ -85,14 +91,14 @@ def test_section_heads_match_label_sections(ctx):
 
 def test_section_key_must_be_a_d_element():
     with pytest.raises(ValueError, match="not the d-part of a section head"):
-        B.inner_product((2, 2), (2, 2), ("section", G.ClassType(1, (), ((1, (1,)),))),
-                        Context(4, 3, 2))
+        inner_product((2, 2), (2, 2), ("section", G.ClassType(1, (), ((1, (1,)),))),
+                      Context(4, 3, 2, "divisible"))
 
 
 def test_cached_results_are_read_only():
     # a caller cannot corrupt a memo table: clearing inner_matrix used to
     # leave three singleton blocks behind
-    ctx = Context(3, 2, 2)
+    ctx = Context(3, 2, 2, "divisible")
     tables = [G.class_types(3, 2), B._type_weights(ctx, "d_regular"),
               B.inner_matrix(ctx), C._unipotent_values(3, 2),
               S.signed_removal_map((2, 1), (1,), 1), C.class_values(G.ClassType(3, (3,), ()), 2),
@@ -112,7 +118,7 @@ def test_inner_product_full_group_orthonormal():
         labels = P.partitions_of(ctx.n)
         for nu in labels:
             for nu2 in labels:
-                v = B.inner_product(nu, nu2, "full", ctx)
+                v = inner_product(nu, nu2, "full", ctx)
                 assert v == (1 if nu == nu2 else 0)
 
 
@@ -121,9 +127,9 @@ def test_regular_plus_singular_is_full():
         labels = P.partitions_of(ctx.n)
         for nu in labels:
             for nu2 in labels:
-                reg = B.inner_product(nu, nu2, "d_regular", ctx)
-                sing = B.inner_product(nu, nu2, "d_singular", ctx)
-                full = B.inner_product(nu, nu2, "full", ctx)
+                reg = inner_product(nu, nu2, "d_regular", ctx)
+                sing = inner_product(nu, nu2, "d_singular", ctx)
+                full = inner_product(nu, nu2, "full", ctx)
                 assert reg + sing == full
                 if nu != nu2:
                     assert reg == -sing
@@ -135,13 +141,13 @@ def test_section_additivity():
         labels = P.partitions_of(ctx.n)
         for nu in labels:
             for nu2 in labels:
-                total = sum(B.inner_product(nu, nu2, ("section", head_type(key, ctx.q)), ctx)
+                total = sum(inner_product(nu, nu2, ("section", head_type(key, ctx.q)), ctx)
                             for key in secs)
                 assert total == (1 if nu == nu2 else 0)
 
 
 def test_cross_core_sections_vanish():
-    for ctx in CONTEXTS + [Context(5, 2, 2)]:
+    for ctx in CONTEXTS + [Context(5, 2, 2, "divisible")]:
         secs = L.sections(ctx.n, ctx.q, ctx.d, ctx.variant)
         labels = P.partitions_of(ctx.n)
         for key in secs:
@@ -149,13 +155,14 @@ def test_cross_core_sections_vanish():
                 for nu2 in labels[i + 1:]:
                     if P.d_core(nu, ctx.d) == P.d_core(nu2, ctx.d):
                         continue
-                    assert B.inner_product(nu, nu2, ("section", head_type(key, ctx.q)), ctx) == 0
+                    assert inner_product(nu, nu2, ("section", head_type(key, ctx.q)), ctx) == 0
 
 
 def test_weight_one_pairs_directly_linked():
     # same-core weight-1 pairs: the singular value has the closed form and
     # the regular product is its negative, both nonzero
-    for ctx in [Context(3, 3, 2), Context(4, 2, 3), Context(5, 2, 2)]:
+    for ctx in [Context(3, 3, 2, "divisible"), Context(4, 2, 3, "divisible"),
+                Context(5, 2, 2, "divisible")]:
         labels = [lam for lam in P.partitions_of(ctx.n)
                   if P.d_weight(lam, ctx.d) == 1]
         for i, lam in enumerate(labels):
@@ -164,42 +171,42 @@ def test_weight_one_pairs_directly_linked():
                     continue
                 expected = weight_one_singular_value(lam, mu, ctx)
                 assert expected != 0
-                assert B.inner_product(lam, mu, "d_singular", ctx) == expected
-                assert B.inner_product(lam, mu, "d_regular", ctx) == -expected
+                assert inner_product(lam, mu, "d_singular", ctx) == expected
+                assert inner_product(lam, mu, "d_regular", ctx) == -expected
 
 
 def test_theorem46_pairs_and_closed_form():
-    ctx = Context(3, 3, 2)
+    ctx = Context(3, 3, 2, "divisible")
     pairs = B.find_theorem46_pairs(ctx)
     assert set(pairs) == {((3,), (1, 1, 1)), ((1, 1, 1), (3,))}
     for lam, mu in pairs:
         rhs = B.theorem46_rhs(lam, mu, ctx)
-        assert rhs == B.inner_product(lam, mu, "d_regular", ctx)
+        assert rhs == inner_product(lam, mu, "d_regular", ctx)
         assert rhs == Fraction(3, 8)
     # no simple partition of 4 leaves a runner free at d = 2
-    assert B.find_theorem46_pairs(Context(4, 3, 2)) == ()
+    assert B.find_theorem46_pairs(Context(4, 3, 2, "divisible")) == ()
 
 
 def test_theorem46_weight_two_context():
-    ctx = Context(6, 2, 3)
+    ctx = Context(6, 2, 3, "divisible")
     pairs = B.find_theorem46_pairs(ctx)
     assert pairs
     assert {P.d_weight(lam, 3) for lam, _ in pairs} == {2}
     for lam, mu in pairs:
         rhs = B.theorem46_rhs(lam, mu, ctx)
         assert rhs != 0
-        assert rhs == B.inner_product(lam, mu, "d_regular", ctx)
+        assert rhs == inner_product(lam, mu, "d_regular", ctx)
 
 
 def test_theorem46_hypothesis_errors():
-    ctx = Context(3, 3, 2)
+    ctx = Context(3, 3, 2, "divisible")
     with pytest.raises(HypothesisError):
         B.theorem46_rhs((2, 1), (2, 1), ctx)       # weight 0
     with pytest.raises(HypothesisError):
         B.theorem46_rhs((3,), (2, 1), ctx)         # different cores
     with pytest.raises(HypothesisError):
-        B.theorem46_rhs((3,), (1, 1, 1), Context(3, 2, 2))  # F < n/d
-    ctx6 = Context(6, 2, 3)
+        B.theorem46_rhs((3,), (1, 1, 1), Context(3, 2, 2, "divisible"))  # F < n/d
+    ctx6 = Context(6, 2, 3, "divisible")
     simple = P.find_simple_disjoint((), 2, 3, frozenset())
     with pytest.raises(HypothesisError):
         B.theorem46_rhs(simple, simple, ctx6)      # not disjoint from itself
@@ -207,7 +214,7 @@ def test_theorem46_hypothesis_errors():
 
 def test_sign_bookkeeping_same_epsilon():
     # equal signs make the closed form's sign (-1)^w
-    ctx = Context(6, 2, 3)
+    ctx = Context(6, 2, 3, "divisible")
     for lam, mu in B.find_theorem46_pairs(ctx):
         w = P.d_weight(lam, ctx.d)
         rhs = B.theorem46_rhs(lam, mu, ctx)
@@ -218,16 +225,16 @@ def test_sign_bookkeeping_same_epsilon():
 
 def test_unipotent_blocks_d1_single_block():
     for (n, q) in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)]:
-        assert len(B.unipotent_blocks(Context(n, q, 1))) == 1
+        assert len(B.unipotent_blocks(Context(n, q, 1, "divisible"))) == 1
 
 
 def test_unipotent_blocks_large_d_singletons():
-    assert all(len(b) == 1 for b in B.unipotent_blocks(Context(3, 2, 5)))
+    assert all(len(b) == 1 for b in B.unipotent_blocks(Context(3, 2, 5, "divisible")))
     assert all(len(b) == 1 for b in S.same_core_grouping(3, 5))
 
 
 def test_weight_zero_characters_alone():
-    ctx = Context(3, 3, 2)
+    ctx = Context(3, 3, 2, "divisible")
     assert frozenset({(2, 1)}) in B.unipotent_blocks(ctx)
 
 
@@ -245,12 +252,12 @@ def refines(blocks, coarser):
 
 
 def test_blocks_refine_and_reports():
-    for ctx in CONTEXTS + [Context(5, 2, 2)]:
+    for ctx in CONTEXTS + [Context(5, 2, 2, "divisible")]:
         rep = B.blocks_report(ctx)
         assert rep["verdict"] in ("equal", "refinement")
         assert refines(B.unipotent_blocks(ctx), S.same_core_grouping(ctx.n, ctx.d))
     # the weight-2 observation: blocks equal the same-core grouping here
-    assert B.blocks_report(Context(4, 3, 2))["verdict"] == "equal"
+    assert B.blocks_report(Context(4, 3, 2, "divisible"))["verdict"] == "equal"
 
 
 def test_blocks_beyond_proved_weights_observed_equal():
@@ -258,8 +265,8 @@ def test_blocks_beyond_proved_weights_observed_equal():
     # case; the computed partitions still agree with the same-core
     # grouping on these contexts (recorded observation, refinement is
     # the proved assertion)
-    for ctx in [Context(6, 2, 2), Context(6, 3, 2), Context(7, 2, 2),
-                Context(8, 2, 2)]:
+    for ctx in [Context(6, 2, 2, "divisible"), Context(6, 3, 2, "divisible"),
+                Context(7, 2, 2, "divisible"), Context(8, 2, 2, "divisible")]:
         rep = B.blocks_report(ctx)
         assert refines(B.unipotent_blocks(ctx), S.same_core_grouping(ctx.n, ctx.d))
         assert rep["verdict"] == "equal"
@@ -267,8 +274,8 @@ def test_blocks_beyond_proved_weights_observed_equal():
 
 def test_blocks_equal_when_n_at_most_d_triangle():
     # n <= d(d+1)/2 with the count hypothesis: equality, not just refinement
-    for ctx in [Context(3, 3, 2), Context(2, 3, 2), Context(5, 2, 3),
-                Context(6, 2, 3)]:
+    for ctx in [Context(3, 3, 2, "divisible"), Context(2, 3, 2, "divisible"),
+                Context(5, 2, 3, "divisible"), Context(6, 2, 3, "divisible")]:
         if ctx.n <= ctx.d * (ctx.d + 1) // 2 and ctx.f_hypothesis_holds:
             assert B.blocks_report(ctx)["verdict"] == "equal"
 
@@ -291,14 +298,14 @@ def test_exact_variant_carries_the_results():
                 for nu2 in labels[i + 1:]:
                     if P.d_core(nu, d) == P.d_core(nu2, d):
                         continue
-                    assert B.inner_product(nu, nu2, ("section", head_type(key, ctx.q)), ctx) == 0
+                    assert inner_product(nu, nu2, ("section", head_type(key, ctx.q)), ctx) == 0
         assert refines(B.unipotent_blocks(ctx), S.same_core_grouping(n, d))
         weight1 = [lam for lam in labels if P.d_weight(lam, d) == 1]
         for i, lam in enumerate(weight1):
             for mu in weight1[i + 1:]:
                 if P.d_core(lam, d) != P.d_core(mu, d):
                     continue
-                assert B.inner_product(lam, mu, "d_singular", ctx) == \
+                assert inner_product(lam, mu, "d_singular", ctx) == \
                     weight_one_singular_value(lam, mu, ctx)
 
 
@@ -315,13 +322,13 @@ def test_lemma49_exact_and_polynomial():
 def test_link_chain_trivial_and_direct():
     assert B.link_chain((2, 1), (2, 1), 2) == ((2, 1),)
     # weight-1 pairs: direct link
-    ctx = Context(4, 2, 3)
+    ctx = Context(4, 2, 3, "divisible")
     labels = [lam for lam in P.partitions_of(4) if P.d_weight(lam, 3) == 1]
     for i, lam in enumerate(labels):
         for mu in labels[i + 1:]:
             chain = B.link_chain(lam, mu, 3)
             assert chain == (lam, mu)
-            assert B.inner_product(lam, mu, "d_regular", ctx) != 0
+            assert inner_product(lam, mu, "d_regular", ctx) != 0
 
 
 def test_link_chain_simple_disjoint_direct():
@@ -366,7 +373,7 @@ def test_link_chain_weight_three():
     labels = [lam for lam in P.partitions_of(15)
               if P.d_core(lam, 5) == () and P.d_weight(lam, 5) == 3]
     assert len(labels) == 65
-    ctx = Context(15, 2, 5)
+    ctx = Context(15, 2, 5, "divisible")
     sample = labels[::7]
     for i, lam in enumerate(sample):
         for mu in sample[i + 1:]:
@@ -380,7 +387,7 @@ def test_link_chain_weight_three():
 def test_centralizer_blocks():
     # the centralizer of a section head of type x contributes the unipotent
     # d-blocks of GL(l,q), l = n - |x|
-    ctx = Context(4, 3, 2)
+    ctx = Context(4, 3, 2, "divisible")
     # a weight-2 head leaves nothing: single empty-label block
     head = G.ClassType(4, (), ((2, (2,)),))
     zero = B.unipotent_blocks(Context(ctx.n - head.n, ctx.q, ctx.d, ctx.variant))
@@ -391,15 +398,19 @@ def test_centralizer_blocks():
 
 
 def test_centralizer_blocks_below_d_are_singletons():
-    ctx = Context(4, 2, 3)
+    ctx = Context(4, 2, 3, "divisible")
     head = G.ClassType(3, (), ((3, (1,)),))
     sub = B.unipotent_blocks(Context(ctx.n - head.n, ctx.q, ctx.d, ctx.variant))
     assert sub == (frozenset({(1,)}),)
 
 
+SMT_CONTEXTS = [Context(3, 3, 2, "divisible"), Context(4, 3, 2, "divisible"),
+                Context(4, 2, 3, "divisible"), Context(5, 2, 2, "divisible"),
+                Context(3, 3, 2, "exact")]
+
+
 def test_smt_check():
-    for ctx in [Context(3, 3, 2), Context(4, 3, 2), Context(4, 2, 3),
-                Context(5, 2, 2), Context(3, 3, 2, "exact")]:
+    for ctx in SMT_CONTEXTS:
         assert B.smt_check(ctx) is None
         heads = G.section_heads(ctx.n, ctx.q, ctx.d, ctx.variant)
         assert heads
@@ -409,11 +420,23 @@ def test_smt_check():
                 assert len({P.d_core(lam, ctx.d) for lam in members}) == 1
 
 
+def test_section_types_split_back_into_head_and_y():
+    # smt_check builds each type t of a section from its head x and a
+    # d-regular type y; splitting t by degree gives (x, y) back
+    for ctx in SMT_CONTEXTS:
+        for head in G.section_heads(ctx.n, ctx.q, ctx.d, ctx.variant):
+            pairs = list(B._section_types(ctx, head))
+            assert [t for _, t in pairs] == list(B._type_weights(ctx, ("section", head)))
+            for y, t in pairs:
+                assert G.is_d_regular(y, ctx.d, ctx.variant)
+                assert L.xy_decompose(t, ctx.d, ctx.variant) == (head, y)
+
+
 def test_wrong_peel_coefficient_fails_smt_check(monkeypatch, capsys):
     real = B.peel
     monkeypatch.setattr(B, "peel", lambda values, n, degree, jordan, q: {
         nu: 2 * v for nu, v in real(values, n, degree, jordan, q).items()})
-    assert B.smt_check(Context(4, 3, 2)).startswith("reconstruction failed")
+    assert B.smt_check(Context(4, 3, 2, "divisible")).startswith("reconstruction failed")
     code = cli.main(["verify", "smt55", "--n", "4", "--q", "3", "--d", "2", "--output", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 1 and payload["pass"] is False
@@ -426,7 +449,7 @@ def test_peel_target_leaving_the_core_fails_smt_check(monkeypatch, capsys):
     monkeypatch.setattr(B, "mn_step", lambda nu, degree, jordan, q: (
         real(nu, degree, jordan, q) + (((1,), 1),)))
     message = "peel target escaped the source's d-core"
-    assert B.smt_check(Context(4, 3, 2)) == message
+    assert B.smt_check(Context(4, 3, 2, "divisible")) == message
     code = cli.main(["verify", "smt55", "--n", "4", "--q", "3", "--d", "2", "--output", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 1 and payload["pass"] is False
@@ -439,13 +462,13 @@ def test_section_inner_products_factor_through_peels():
     from glblocks import qarith as Q
 
     for (n, q, d) in [(4, 3, 2), (4, 2, 3)]:
-        ctx = Context(n, q, d)
+        ctx = Context(n, q, d, "divisible")
         secs = L.sections(n, q, d, "divisible")
         labels = P.partitions_of(n)
         for key in secs:
             x_size = sum(k.degree * sum(p) for k, p in key)
             l = n - x_size
-            sub = Context(l, q, d)
+            sub = Context(l, q, d, "divisible")
             x_part = L.type_of(BF.make_label(x_size, q, (), key))
             x_in_g = BF.make_label(n, q, (1,) * l, key)
             x_class_size = G.class_size(L.type_of(x_in_g), q)
@@ -454,16 +477,16 @@ def test_section_inner_products_factor_through_peels():
                 amu = compose_steps(mu, x_part.components, q)
                 for mu2 in labels:
                     amu2 = compose_steps(mu2, x_part.components, q)
-                    lhs = B.inner_product(mu, mu2, ("section", x_part), ctx) / x_class_size
+                    lhs = inner_product(mu, mu2, ("section", x_part), ctx) / x_class_size
                     rhs = scale * sum(
-                        a * b * B.inner_product(lam, lam2, "d_regular", sub)
+                        a * b * inner_product(lam, lam2, "d_regular", sub)
                         for lam, a in amu.items() for lam2, b in amu2.items())
                     assert lhs == rhs, (n, q, d, key, mu, mu2)
 
 
 def test_blocks_orthogonal_across_sections():
     # characters in distinct computed blocks: zero product on every section
-    for ctx in [Context(3, 3, 2), Context(4, 2, 3)]:
+    for ctx in [Context(3, 3, 2, "divisible"), Context(4, 2, 3, "divisible")]:
         block_of = {nu: b for b in B.unipotent_blocks(ctx) for nu in b}
         secs = L.sections(ctx.n, ctx.q, ctx.d, ctx.variant)
         labels = P.partitions_of(ctx.n)
@@ -473,14 +496,14 @@ def test_blocks_orthogonal_across_sections():
                     continue
                 for key in secs:
                     domain = ("section", head_type(key, ctx.q))
-                    assert B.inner_product(nu, nu2, domain, ctx) == 0
+                    assert inner_product(nu, nu2, domain, ctx) == 0
 
 
 def test_reports_serializable():
-    ctx = Context(3, 3, 2)
+    ctx = Context(3, 3, 2, "divisible")
     rep = B.blocks_report(ctx)
     assert json.loads(json.dumps(rep, sort_keys=True)) == rep
     mat = B.inner_product_matrix_report(ctx)
     assert "matrix" in mat
     assert all("/" in v for v in mat["matrix"].values())
-    assert B.inner_product((3,), (3,), "full", ctx) == 1
+    assert inner_product((3,), (3,), "full", ctx) == 1

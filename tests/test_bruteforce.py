@@ -449,8 +449,19 @@ def test_green_split_torus_counts_fixed_flags():
             if lab.support:
                 continue
             rep = group.elements[data.reps[cid]]
-            assert BF.flag_fixed_points(group, rep) == \
+            assert BF.flag_fixed_points(group.fq, rep) == \
                 C.green_polynomial(lab.unipotent, (1,) * n, q)
+
+
+def test_flag_fixed_points_past_n_3():
+    # the identity, a transvection and the regular unipotent element of
+    # GL(4,2), without building the group: 315, 51 and 1 fixed flags
+    fq = BF.field(2)
+    transvection = ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    regular = ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (0, 0, 0, 1))
+    for A, mu in [(BF.identity_matrix(4), (1, 1, 1, 1)), (transvection, (2, 1, 1)),
+                  (regular, (4,))]:
+        assert BF.flag_fixed_points(fq, A) == C.green_polynomial(mu, (1, 1, 1, 1), 2)
 
 
 def test_engine_values_match_oracle_rows():

@@ -255,6 +255,32 @@ def test_scale_guard_is_one_line_exit_4(capsys):
     assert captured.err == "glblocks: scale guard: |GL(4,3)| = 24261120 over guard 25000\n"
 
 
+@pytest.mark.parametrize("command", [["oracle"], ["verify", "prop32"], ["verify", "thm45"]])
+def test_field_guard_refuses_q_before_building_tables(capsys, monkeypatch, command):
+    # |GL(1,q)| = q - 1 passes the group guard, but every GL(n,q) of such
+    # a q is over the table guard; the field is refused before its q x q
+    # tables are built
+    monkeypatch.delenv("GLBLOCKS_CACHE_DIR", raising=False)
+    code = cli.main(command + ["--n", "1", "--q", "10007"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err == "glblocks: scale guard: F_10007 has 10006 units, over table guard 2500\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--n", "2", "--q", "2", "--d", "2"],
+    ["oracle", "--n", "2", "--q", "2", "--variant", "exact"],
+    ["partition", "core", "[2,1]", "--variant", "exact"],
+])
+def test_unread_option_is_a_usage_error(capsys, argv):
+    # table and oracle read neither --d nor --variant, partition reads no --variant
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == ""
+    assert "unrecognized arguments" in captured.err.splitlines()[-1]
+
+
 def test_class_guard_applies_to_labels_only(capsys):
     # GL(8,5) has 390,480 classes: too many labels, but blocks work on types
     code, out = run(["blocks", "--n", "8", "--q", "5", "--d", "2"], capsys)

@@ -248,14 +248,14 @@ def test_is_d_regular():
 def test_xy_decompose():
     # mixed class: an irreducible quadratic with a nontrivial unipotent part
     c = L.type_of(BF.make_label(4, 3, (2,), [((2, 0), (1,))]))
-    x, y = G.xy_decompose(c, 2)
+    x, y = L.xy_decompose(c, 2)
     assert x.n == 2 and x.components == ((2, (1,)),)
     assert y.n == 2 and y.unipotent == (2,) and not y.components
     assert G.d_type(c, 2) == ((1, 1),)
     assert class_d_weight(c, 2) == 1
 
     for c in G.class_types(4, 3):
-        x, y = G.xy_decompose(c, 2)
+        x, y = L.xy_decompose(c, 2)
         assert x.n + y.n == 4
         rebuilt = ClassType(4, y.unipotent,
                             tuple(sorted(tuple(x.components) + tuple(y.components))))
@@ -264,7 +264,7 @@ def test_xy_decompose():
 
 def test_xy_decompose_degenerate_cases():
     for c in G.class_types(3, 3):
-        x, y = G.xy_decompose(c, 2)
+        x, y = L.xy_decompose(c, 2)
         if G.is_d_regular(c, 2):
             assert x.n == 0 and y == c
         if G.is_d_element(c, 2):
@@ -274,7 +274,7 @@ def test_xy_decompose_degenerate_cases():
 def test_decomposition_is_injective():
     seen = {}
     for c in G.class_types(4, 2):
-        x, y = G.xy_decompose(c, 2)
+        x, y = L.xy_decompose(c, 2)
         key = (x.components, y)
         assert key not in seen
         seen[key] = c
@@ -297,7 +297,7 @@ def test_d_type_reads_the_d_part(n, q):
     for c in G.class_types(n, q):
         for d in (1, 2, 3):
             for variant in G.VARIANTS:
-                x_part = G.xy_decompose(c, d, variant)[0]
+                x_part = L.xy_decompose(c, d, variant)[0]
                 pairs = sorted((sum(p), degree // d) for degree, p in x_part.components)
                 assert G.d_type(c, d, variant) == tuple(pairs)
 
