@@ -34,6 +34,7 @@ import tempfile
 from fractions import Fraction
 from functools import cache, cached_property
 from math import isqrt, lcm
+from operator import mul
 from typing import NamedTuple
 
 from . import __version__
@@ -41,9 +42,14 @@ from .errors import ScaleGuardError, TieError
 from .partitions import check_partition, conjugate, n_stat, partitions_of
 from .qarith import gl_order, necklace_count, prime_power
 
+# Each guard bounds what it names, set from measured costs (median of
+# three cold runs, 2 vCPUs): `oracle` on GL(2,9), with 524,880 table
+# entries and 80 classes, takes 4.2 s and 50 MB; `verify prop32 --d 2`
+# takes 3.8 s and 39 MB on GL(3,3) and 7.7 s and 57 MB on GL(4,2) (20,160
+# elements).  GL(2,11) would need 1,597,200 table entries and is refused.
 GROUP_GUARD = 25000
-TABLE_GUARD = 2500      # lookup tables hold |G| * q^n row codes, a conjugation row |G| ids
-CLASS_GUARD = 40
+TABLE_GUARD = 600_000   # lookup tables hold |G| * q^n row codes
+CLASS_GUARD = 80        # the Dixon class constants number k^3
 ENUM_GUARD = 10 ** 6
 
 
@@ -59,47 +65,38 @@ class SmallField:
             self.add = [[(a + b) % p for b in range(p)] for a in range(p)]
             self.mul = [[(a * b) % p for b in range(p)] for a in range(p)]
         else:
-            # the least monic irreducible of degree e over F_p, from the sieve
+            # the least monic irreducible of degree e over F_p, from the sieve;
+            # under addition F_q is F_p^e, whose tables also give the multiples
             self.modulus = enumerate_irreducibles(p, e)[0].coeffs
-            self.add = [[self._vec_to_int([(x + y) % p for x, y in
-                                           zip(self._int_to_vec(a), self._int_to_vec(b))])
-                         for b in range(q)] for a in range(q)]
-            self.mul = [[self._poly_mul_mod(a, b) for b in range(q)] for a in range(q)]
+            self.add, scale, vectors = _vector_tables(e, p)
+            self.mul = [self._mul_row(list(vectors[a]), scale) for a in range(q)]
         self.neg = [self.add[a].index(0) for a in range(q)]
         self.inv = [0] * q
         for a in range(1, q):
             self.inv[a] = self.mul[a].index(1)
         self.minus_one = self.neg[1]
 
-    def _int_to_vec(self, a: int) -> list[int]:
-        p, e = self.p, self.e
-        return [(a // p ** i) % p for i in range(e)]
-
-    def _vec_to_int(self, v) -> int:
-        return sum(c * self.p ** i for i, c in enumerate(v))
-
-    def _poly_mul_mod(self, a: int, b: int) -> int:
-        p, e = self.p, self.e
-        va, vb = self._int_to_vec(a), self._int_to_vec(b)
-        prod = [0] * (2 * e - 1)
-        for i, x in enumerate(va):
-            for j, y in enumerate(vb):
-                prod[i + j] = (prod[i + j] + x * y) % p
-        for top in range(2 * e - 2, e - 1, -1):
-            c = prod[top]
-            if c:
-                prod[top] = 0
-                for i, m in enumerate(self.modulus[:-1]):
-                    prod[top - self.e + i] = (prod[top - self.e + i] - c * m) % p
-        return self._vec_to_int(prod[:e])
+    def _mul_row(self, vec, scale) -> list[int]:
+        """Row a of the multiplication table, a given by its digit vector,
+        by linearity in b: a*b is sum_i b_i a x^i, so the row over all b is
+        built one digit of b at a time from the multiples of a x^i, with
+        table additions only."""
+        p, add = self.p, self.add
+        row = [0]
+        for _ in range(self.e):
+            code = sum(x * p ** t for t, x in enumerate(vec))
+            row = [v for times in scale for v in map(add[times[code]].__getitem__, row)]
+            top = vec.pop()  # times x: shift up, then reduce by the modulus
+            vec = [(x - top * c) % p for x, c in zip([0] + vec, self.modulus)]
+        return row
 
 
 @cache
 def field(q: int) -> SmallField:
-    """F_q with its q x q tables, refused when q - 1 > TABLE_GUARD: GL(n,q)
-    has at least q - 1 elements, so lookup_tables would refuse its group."""
-    if q - 1 > TABLE_GUARD:
-        raise ScaleGuardError(f"F_{q} has {q - 1} units, over table guard {TABLE_GUARD}")
+    """F_q with its q x q tables, refused when q^2 > TABLE_GUARD, before they
+    are built."""
+    if q * q > TABLE_GUARD:
+        raise ScaleGuardError(f"F_{q} has {q * q} table entries, over table guard {TABLE_GUARD}")
     return SmallField(q)
 
 
@@ -194,20 +191,17 @@ def non_unipotent_irreducibles(q: int, d: int) -> tuple[PolyLabel, ...]:
 # -- linear algebra over a small field ----------------------------------------
 
 def mat_mul(fq, A, B):
-    n = len(A)
-    m = len(B[0])
-    inner = len(B)
-    add, mul = fq.add, fq.mul
+    """A*B, each row of A times B summed from the codes of B's rows: row i
+    of the product is sum_k A[i][k] (row k of B)."""
+    add, scale, vectors = _vector_tables(len(B[0]), fq.q)
+    codes = [sum(x * fq.q ** j for j, x in enumerate(row)) for row in B]
     out = []
-    for i in range(n):
-        row = []
-        Ai = A[i]
-        for j in range(m):
-            acc = 0
-            for k in range(inner):
-                acc = add[acc][mul[Ai[k]][B[k][j]]]
-            row.append(acc)
-        out.append(tuple(row))
+    for row in A:
+        acc = 0
+        for a, c in zip(row, codes):
+            if a:
+                acc = add[acc][scale[a][c]]
+        out.append(vectors[acc])
     return tuple(out)
 
 
@@ -230,6 +224,7 @@ def row_reduce(fq, rows):
     """Return (rank, pivot columns, reduced rows)."""
     rows = [list(r) for r in rows]
     n_cols = len(rows[0]) if rows else 0
+    add = fq.add
     pivots = []
     r = 0
     for c in range(n_cols):
@@ -237,13 +232,12 @@ def row_reduce(fq, rows):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = fq.inv[rows[r][c]]
-        rows[r] = [fq.mul[inv][x] for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                coef = rows[i][c]
-                rows[i] = [fq.add[x][fq.neg[fq.mul[coef][y]]]
-                           for x, y in zip(rows[i], rows[r])]
+        times_inv = fq.mul[fq.inv[rows[r][c]]]
+        top = rows[r] = [times_inv[x] for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c] != 0:
+                times = fq.mul[fq.neg[row[c]]]
+                rows[i] = [add[x][times[y]] for x, y in zip(row, top)]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -266,21 +260,6 @@ def kernel_basis(fq, A):
     return basis
 
 
-def mat_inverse(fq, A):
-    n = len(A)
-    aug = [list(A[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    _, pivots, rows = row_reduce(fq, aug)
-    # [A | I] always has rank n; A is invertible iff A's own columns hold the pivots
-    if pivots != list(range(n)):
-        raise ArithmeticError("matrix not invertible")
-    return tuple(tuple(row[n:]) for row in rows)
-
-
-def is_invertible(fq, A):
-    rank, _, _ = row_reduce(fq, A)
-    return rank == len(A)
-
-
 def poly_at_matrix(fq, coeffs, A):
     """f(A) for a monic f by Horner's rule, (A + c_{d-1}) A + ... + c_0,
     each coefficient added on the diagonal."""
@@ -294,6 +273,31 @@ def poly_at_matrix(fq, coeffs, A):
 
 # -- the group ------------------------------------------------------------------
 
+@cache
+def _vector_tables(n: int, q: int):
+    """(add, scale, vectors) on the codes of F_q^n: add[a][b] is the code of
+    a + b and scale[s][a] that of s*a, both built one digit at a time from
+    the field, and vectors[a] the digit tuple of a.  The q^2n sums are held
+    under TABLE_GUARD, as for every group the lookup tables admit: there
+    q^2n <= |G| q^n when n >= 2, and field(q) bounds q^2."""
+    if q ** (2 * n) > TABLE_GUARD:
+        raise ScaleGuardError(f"F_{q}^{n} has {q ** (2 * n)} sums, over table guard {TABLE_GUARD}")
+    fq = field(q)
+
+    def digitwise(maps):
+        # the code of (maps[t][v_t])_t for every code v, in code order
+        codes = [0]
+        for t, images in enumerate(maps):
+            codes = [c + image * q ** t for image in images for c in codes]
+        return codes
+    vectors = [()]
+    for _ in range(n):
+        vectors = [v + (x,) for x in range(q) for v in vectors]
+    add = [digitwise([fq.add[x] for x in a]) for a in vectors]
+    scale = [digitwise([fq.mul[s]] * n) for s in range(q)]
+    return add, scale, vectors
+
+
 class MatrixGroup:
     """GL(n,q) as the invertible matrices in the order of their codes.
 
@@ -303,7 +307,8 @@ class MatrixGroup:
     on first use behind TABLE_GUARD: `act[b][r]`, the code of the row with
     code r times element b, and `id_of[code]`, the element id of a matrix
     code (-1 if singular).  A row of A*B is that row of A times B.
-    Conjugation rows h -> h^-1 g h are built one g at a time, on demand.
+    Conjugation rows h -> h^-1 g h are built one g at a time, on demand;
+    the list methods take products and conjugates of many pairs at once.
     """
 
     def __init__(self, n: int, q: int):
@@ -311,44 +316,55 @@ class MatrixGroup:
         if order > GROUP_GUARD:
             raise ScaleGuardError(f"|GL({n},{q})| = {order} over guard {GROUP_GUARD}")
         self.n, self.q, self.fq = n, q, field(q)
-        els = []
-        for enc in range(q ** (n * n)):
-            digits = []
-            e = enc
-            for _ in range(n * n):
-                digits.append(e % q)
-                e //= q
-            A = tuple(tuple(digits[i * n + j] for j in range(n)) for i in range(n))
-            if is_invertible(self.fq, A):
-                els.append(A)
-        if len(els) != order:
-            raise ArithmeticError(f"{len(els)} invertible matrices, not |GL({n},{q})| = {order}")
-        self.elements = tuple(els)
-        self.index = {A: i for i, A in enumerate(els)}
+        add, scale, vectors = _vector_tables(n, q)
+        # the rows are chosen from the last to the first, each outside the
+        # span of those already chosen and in ascending code, so the row
+        # codes come out in ascending matrix code
+        partial = [((), frozenset([0]))]
+        for i in range(n):
+            grown = []
+            for chosen, span in partial:
+                for r in range(q ** n):
+                    if r in span:
+                        continue
+                    if i + 1 < n:  # the last row's span is never read
+                        span_r = frozenset(add[x][scale[s][r]] for s in range(q) for x in span)
+                    else:
+                        span_r = span
+                    grown.append(((r,) + chosen, span_r))
+            partial = grown
+        if len(partial) != order:
+            raise ArithmeticError(f"{len(partial)} invertible matrices, not |GL({n},{q})| = {order}")
+        self._rows = [rows for rows, _ in partial]
+        self.elements = tuple(tuple(vectors[r] for r in rows) for rows in self._rows)
+        self.index = {A: i for i, A in enumerate(self.elements)}
         self.id_index = self.index[identity_matrix(n)]
         self._lookup = None
         self._conj_rows = {}
 
-    def _row_code(self, row):
-        code = 0
-        for x in reversed(row):
-            code = code * self.q + x
-        return code
-
     def lookup_tables(self):
         """(act, rows, id_of): act[b][r] is the code of row r times element b,
-        rows[i] the row codes of element i, id_of[code] an element id or -1."""
+        rows[i] the row codes of element i, id_of[code] an element id or -1.
+
+        The row r times b is sum_j r_j (row j of b), so act[b] over the codes
+        below q^(j+1) is that over the codes below q^j, shifted by each
+        multiple of row j: one table addition per entry."""
         if self._lookup is None:
-            if len(self.elements) > TABLE_GUARD:
-                raise ScaleGuardError("group too large for the conjugation table")
-            q, n, fq = self.q, self.n, self.fq
-            vectors = [tuple((r // q ** j) % q for j in range(n)) for r in range(q ** n)]
-            rows = [tuple(self._row_code(row) for row in A) for A in self.elements]
-            act = [[self._row_code(mat_vec(fq, B_t, v)) for v in vectors]
-                   for B_t in (tuple(zip(*B)) for B in self.elements)]
+            q, n, rows = self.q, self.n, self._rows
+            entries = len(rows) * q ** n
+            if entries > TABLE_GUARD:
+                raise ScaleGuardError(f"lookup tables of GL({n},{q}) hold {entries} row codes,"
+                                      f" over table guard {TABLE_GUARD}")
+            add, scale, _ = _vector_tables(n, q)
+            act = []
+            for b_rows in rows:
+                a = [0]
+                for r in b_rows:
+                    a = [v for s in range(q) for v in map(add[scale[s][r]].__getitem__, a)]
+                act.append(a)
             id_of = [-1] * q ** (n * n)
-            for i, A in enumerate(self.elements):
-                id_of[self._row_code(sum(A, ()))] = i
+            for i, b_rows in enumerate(rows):
+                id_of[sum(r * q ** (n * k) for k, r in enumerate(b_rows))] = i
             self._lookup = (act, rows, id_of)
         return self._lookup
 
@@ -361,13 +377,38 @@ class MatrixGroup:
             code = code * step + a_j[r]
         return id_of[code]
 
+    def mul_pairs(self, xs, ys):
+        """[x*y for x, y in zip(xs, ys)], one row position at a time."""
+        act, rows, id_of = self.lookup_tables()
+        step = self.q ** self.n
+        acts, x_rows = [act[y] for y in ys], [rows[x] for x in xs]
+        codes = [0] * len(acts)
+        for k in reversed(range(self.n)):
+            codes = [c * step + a[r[k]] for c, a, r in zip(codes, acts, x_rows)]
+        return [id_of[c] for c in codes]
+
     @cached_property
     def inverses(self):
-        return tuple(self.index[mat_inverse(self.fq, A)] for A in self.elements)
+        """Row i of g^-1 is the row whose product with g is e_i, read off act[g]."""
+        act, _, id_of = self.lookup_tables()
+        step = self.q ** self.n
+        return tuple(id_of[sum(a.index(self.q ** i) * step ** i for i in range(self.n))]
+                     for a in act)
 
     def conj(self, g, h):
         """Index of h^-1 g h."""
         return self.mul(self.mul(self.inverses[h], g), h)
+
+    def conj_pairs(self, gs, hs):
+        """[h^-1 g h for g, h in zip(gs, hs)]: row k of h^-1 goes through
+        act[g] and then act[h]."""
+        act, rows, id_of = self.lookup_tables()
+        step, inverses = self.q ** self.n, self.inverses
+        triples = [(act[g], act[h], rows[inverses[h]]) for g, h in zip(gs, hs)]
+        codes = [0] * len(triples)
+        for k in reversed(range(self.n)):
+            codes = [c * step + a_h[a_g[r[k]]] for c, (a_g, a_h, r) in zip(codes, triples)]
+        return [id_of[c] for c in codes]
 
     def conj_row(self, g):
         """conj_row(g)[h] = index of h^-1 g h for every h, cached per g.
@@ -390,6 +431,12 @@ class MatrixGroup:
         # code of row k of h^-1 for every h, highest k first (Horner order)
         rows = self.lookup_tables()[1]
         return list(zip(*(rows[i] for i in self.inverses)))[::-1]
+
+    def generated(self, gens):
+        """The subgroup generated by gens: the identity closed under right
+        multiplication by each generator (a finite group)."""
+        return _close({self.id_index}, [self.id_index], gens,
+                      lambda xs, s: self.mul_pairs(xs, [s] * len(xs)))
 
 
 @cache
@@ -605,22 +652,17 @@ def d_element_ids(n: int, q: int, d: int, variant: str) -> tuple[int, ...]:
 @cache
 def _y_candidates(n: int, q: int, d: int, variant: str, k: int) -> tuple[int, ...]:
     """Ids of the elements diag(I_k, B) where B has no factor of matching
-    degree other than X-1."""
+    degree other than X-1, read off the primary spaces of B in GL(n-k, q)."""
     group = build_group(n, q)
-    fq = group.fq
-    bad_polys = [coeffs for coeffs, is_unip, key in _poly_pool(n, q)
-                 if (not is_unip) and _degree_matches(len(coeffs) - 1, d, variant)]
+    if k == n:
+        return (group.id_index,)
+    top = identity_matrix(n)[:k]
     out = []
-    for z_id, Z in enumerate(group.elements):
-        if any(Z[i][j] != (1 if i == j else 0) for i in range(n) for j in range(n)
-               if i < k or j < k):
-            continue
-        block = tuple(row[k:] for row in Z[k:])
-        if block and any(kernel_basis(fq, poly_at_matrix(fq, coeffs, block))
-                         for coeffs in bad_polys):
-            continue
-        out.append(z_id)
-    return tuple(out)
+    for b_id, B in enumerate(build_group(n - k, q).elements):
+        if not any(not is_unip and _degree_matches(len(coeffs) - 1, d, variant)
+                   for coeffs, is_unip, _, _, _ in _primary_spaces(n - k, q, b_id)):
+            out.append(group.index[top + tuple((0,) * k + row for row in B)])
+    return tuple(sorted(out))
 
 
 @cache
@@ -632,14 +674,42 @@ def y_set(n: int, q: int, d: int, variant: str, u_id: int) -> frozenset[int]:
     C Z C^-1 over the candidates Z of that k."""
     group = build_group(n, q)
     c_id, k = _d_part_basis(group, u_id, d, variant)
-    c_inv = group.inverses[c_id]
-    return frozenset(group.conj(z, c_inv) for z in _y_candidates(n, q, d, variant, k))
+    candidates = _y_candidates(n, q, d, variant, k)
+    return frozenset(group.conj_pairs(candidates, [group.inverses[c_id]] * len(candidates)))
 
 
 class SectionCheck(NamedTuple):
     ok: bool
     parts: dict
     section_of: tuple[int, ...]
+
+
+def centralizer_generators(group: MatrixGroup, cent) -> list[int]:
+    """Generators of the subgroup `cent` (ascending ids), chosen greedily:
+    each one the first element outside the subgroup generated so far,
+    until that subgroup has the order of `cent`."""
+    gens, sub = [], {group.id_index}
+    for c in cent:
+        if len(sub) == len(cent):
+            break
+        if c not in sub:
+            gens.append(c)
+            sub = group.generated(gens)
+    return gens
+
+
+def _close(seen: set, frontier, gens, image) -> set:
+    """Add to `seen` everything reached from `frontier` by image(xs, s),
+    s in gens, taking the images of the newly reached elements only."""
+    while frontier:
+        found = []
+        for s in gens:
+            for x in image(frontier, s):
+                if x not in seen:
+                    seen.add(x)
+                    found.append(x)
+        frontier = found
+    return seen
 
 
 def oracle_sections(n: int, q: int, d: int, variant: str = "divisible") -> SectionCheck:
@@ -649,40 +719,75 @@ def oracle_sections(n: int, q: int, d: int, variant: str = "divisible") -> Secti
     centralizer classes, centralizers of products embed in the
     centralizer of u, conjugation equivariance, fusion control, and that
     the sections partition the group.
+
+    Only class representatives get a conjugation row.  Each element g has
+    a transporter t with g = t^-1 r t, r its representative, read off the
+    row of r, so C(g) = t^-1 C(r) t is generated by the conjugates of the
+    generators of C(r), which are checked to generate a group of order
+    |C(r)|.  The complementary sets and d-parts are still found for every
+    element from its own primary spaces, so that parts (iii) and (v)
+    compare independent computations.
     """
     data = oracle_classes(n, q)
     group = data.group
     size = len(group.elements)
-    # the centralizer of every product u*y is read, and the sections cover G
-    conj = [group.conj_row(g) for g in range(size)]
     xs = d_element_ids(n, q, d, variant)
-    x_set = set(xs)
     ys = {u: y_set(n, q, d, variant, u) for u in xs}
-    centralizer = [frozenset(h for h in range(size) if conj[g][h] == g)
-                   for g in range(size)]
-    prods = {u: {group.mul(u, y) for y in ys[u]} for u in xs}
+    transporter = {}
+    # C(r) read off the row of r; representatives with one centralizer
+    # (the central elements, say) share its generators and its check
+    rep_gens, checked = [], {}
+    for r, order in zip(data.reps, data.centralizer_orders):
+        row = group.conj_row(r)
+        transporter.update(zip(row, range(size)))
+        cent = tuple(h for h, x in enumerate(row) if x == r)
+        if cent not in checked:
+            checked[cent] = centralizer_generators(group, cent)
+            if len(group.generated(checked[cent])) != order:
+                raise ArithmeticError(f"generators of C({r}) do not generate a group of order {order}")
+        rep_gens.append(checked[cent])
 
+    def conj_by(gs, h):
+        return group.conj_pairs(gs, [h] * len(gs))
+
+    def cent_gens(g):
+        gens = rep_gens[data.class_of[g]]
+        return group.conj_pairs(gens, [transporter[g]] * len(gens))
+
+    def orbit_count(u):
+        seen, count, gens = set(), 0, cent_gens(u)
+        for p in prods[u]:
+            if p not in seen:
+                count += 1
+                seen.add(p)
+                _close(seen, [p], gens, conj_by)
+        return count
+
+    y_lists = {u: sorted(ys[u]) for u in xs}
+    prods = {u: group.mul_pairs([u] * len(y_lists[u]), y_lists[u]) for u in xs}
     parts = {}
-    # (i) closure under centralizer conjugation
-    parts["i"] = all(conj[y][h] in ys[u]
-                     for u in xs for y in ys[u] for h in centralizer[u])
-    # (ii) centralizer containment
-    parts["ii"] = all(centralizer[p] <= centralizer[u] for u in xs for p in prods[u])
-    # (iii) conjugation equivariance of the complementary sets
-    parts["iii"] = all(ys[conj[u][h]] == frozenset(conj[y][h] for y in ys[u])
-                       for u in xs for h in range(size))
+    # (i) closure under centralizer conjugation: for a finite group,
+    # closure under each generator of C(u) is closure under C(u)
+    parts["i"] = all(ys[u].issuperset(conj_by(y_lists[u], s)) for u in xs for s in cent_gens(u))
+    # (ii) centralizer containment: every generator of C(p) commutes with u
+    parts["ii"] = all(group.conj(u, s) == u for u in xs for p in prods[u] for s in cent_gens(p))
+    # (iii) conjugation equivariance, ys[h^-1 u h] = h^-1 ys[u] h for all u
+    # and h.  Once (i) holds, h and c h with c in C(u) act alike, so one h
+    # per coset of C(u) suffices; and (iii) at the representative r of u's
+    # class carries over to u by its transporter, so the cosets of C(r)
+    # suffice: one transporter per element of the class
+    parts["iii"] = all(ys[v] == frozenset(conj_by(y_lists[data.reps[data.class_of[v]]],
+                                                  transporter[v])) for v in xs)
     # (iv) fusion: products G-conjugate iff centralizer-conjugate.  A
     # C(u)-conjugate never leaves its G-class, so this holds exactly when the
     # products fall into as many C(u)-orbits as G-classes; each orbit is
-    # keyed by its least element
-    parts["iv"] = all(
-        len({min(conj[p][h] for h in centralizer[u]) for p in prods[u]})
-        == len({data.class_of[p] for p in prods[u]}) for u in xs)
+    # found by closing one product under conjugation by the generators of C(u)
+    parts["iv"] = all(orbit_count(u) == len({data.class_of[p] for p in prods[u]}) for u in xs)
     # (v) sections partition the group
     section_of = []
     for g in range(size):
         x = x_part_element(group, g, d, variant)
-        if x not in x_set:
+        if x not in ys:
             raise AssertionError(f"d-part of element {g} is not a d-element")
         section_of.append(data.class_of[x])
     parts["v"] = set(section_of) == {data.class_of[u] for u in xs}
@@ -779,7 +884,7 @@ def _primitive_root_power(ell, e):
 
 
 def _matvec_mod(M, v, ell):
-    return [sum(a * x for a, x in zip(row, v)) % ell for row in M]
+    return [sum(map(mul, row, v)) % ell for row in M]
 
 
 def _rref_mod(rows, ell, n_cols):
@@ -911,21 +1016,28 @@ def _lift(chars_mod, degrees, power_class, e, ell, z):
     ell because z^(-jo) is a root of unity other than 1."""
     e_inv = _modinv(e, ell)
     z_pows = [pow(z, m, ell) for m in range(e)]
+    # (e/o) z^(-jm) for m < o, one row per (order o, exponent j), shared by
+    # every character
+    root_rows = {}
+    for powers in power_class:
+        o = len(powers)
+        stride = e // o
+        for j in range(0, e, stride):
+            if (o, j) not in root_rows:
+                root_rows[o, j] = [stride * z_pows[(-j * m) % e] for m in range(o)]
     values = []
     for chi, cm in enumerate(chars_mod):
         rows = []
         for i, powers in enumerate(power_class):
             chi_powers = [cm[c] for c in powers]
-            stride = e // len(powers)
+            o = len(powers)
             mults = [0] * e
-            for j in range(0, e, stride):
-                s = stride * sum(v * z_pows[(-j * m) % e] for m, v in enumerate(chi_powers))
-                mj = s * e_inv % ell
+            for j in range(0, e, e // o):
+                mj = sum(map(mul, chi_powers, root_rows[o, j])) * e_inv % ell
                 if mj > degrees[chi]:
                     raise ArithmeticError("lifted multiplicity exceeds the degree")
                 mults[j] = mj
-            back = sum(mults[j] * z_pows[j] for j in range(e)) % ell
-            if back != cm[i]:
+            if sum(map(mul, mults, z_pows)) % ell != cm[i]:
                 raise ArithmeticError("modular roundtrip failed")
             rows.append(tuple(mults))
         values.append(tuple(rows))
@@ -958,13 +1070,12 @@ def dixon_table(n: int, q: int) -> CharacterTable:
     z = _primitive_root_power(ell, e)
 
     # class multiplication constants: A_i[j][k] = c_{ijk}
+    # counted from one row [x^-1 z_k for every x] per representative z_k
     const = [[[0] * k for _ in range(k)] for _ in range(k)]
-    inv = group.inverses
+    class_of = data.class_of
     for kk in range(k):
-        zk = reps[kk]
-        for x in range(size):
-            i = data.class_of[x]
-            j = data.class_of[group.mul(inv[x], zk)]
+        row = group.mul_pairs(group.inverses, [reps[kk]] * size)
+        for i, j in zip(class_of, map(class_of.__getitem__, row)):
             const[i][j][kk] += 1
     mats = []
     for i in range(k):
@@ -1048,50 +1159,27 @@ def _verify_orthogonality(tab: CharacterTable):
 
 # -- Borel permutation character and constituents ------------------------------------
 
-def _proj_points(fq, n):
-    """One representative per line of F_q^n (first nonzero coordinate 1)."""
-    pts = []
-    for enc in range(fq.q ** n):
-        v = []
-        ee = enc
-        for _ in range(n):
-            v.append(ee % fq.q)
-            ee //= fq.q
-        v = tuple(v)
-        if all(x == 0 for x in v):
-            continue
-        first = next(x for x in v if x != 0)
-        if first != 1:
-            continue
-        pts.append(v)
-    return pts
-
-
-def _normalize(fq, v):
-    first = next((x for x in v if x != 0), None)
-    if first is None:
-        return None
-    inv = fq.inv[first]
-    return tuple(fq.mul[inv][x] for x in v)
-
-
 def flag_fixed_points(fq, A) -> int:
     """Number of complete flags of F_q^n fixed by A.
 
     A fixed flag is an A-stable line <v> followed by a fixed flag of the
-    map A induces on F_q^n/<v>: the lower-right block of C^-1 A C, where
-    C has v as its first column and the standard vectors e_j after it,
-    j past the first nonzero coordinate of v (which is 1)."""
+    map A induces on F_q^n/<v>.  With v normalized so that its first
+    nonzero coordinate v_k is 1, the e_j (j != k) give a basis of the
+    quotient, and A e_j = A_kj v + sum_{i != k} (A_ij - v_i A_kj) e_i."""
     n = len(A)
     if n <= 1:
         return 1
     count = 0
-    for v in _proj_points(fq, n):
-        if _normalize(fq, mat_vec(fq, A, v)) == v:
-            k = v.index(1)
-            C = tuple(zip(v, *(e for j, e in enumerate(identity_matrix(n)) if j != k)))
-            quotient = mat_mul(fq, mat_inverse(fq, C), mat_mul(fq, A, C))
-            count += flag_fixed_points(fq, tuple(row[1:] for row in quotient[1:]))
+    for v in _vector_tables(n, fq.q)[2]:
+        k = next((i for i, x in enumerate(v) if x), None)
+        if k is None or v[k] != 1:
+            continue
+        image = mat_vec(fq, A, v)
+        if image != tuple(fq.mul[image[k]][x] for x in v):
+            continue  # A v is not a multiple of v
+        rest = [i for i in range(n) if i != k]
+        count += flag_fixed_points(fq, tuple(
+            tuple(fq.add[A[i][j]][fq.neg[fq.mul[v[i]][A[k][j]]]] for j in rest) for i in rest))
     return count
 
 

@@ -11,6 +11,7 @@ Subcommands:
 
 --d is taken by partition, classes, blocks, matrix and verify; --variant
 by classes, blocks, matrix and verify.  table and oracle take neither.
+Each command imports the engine modules it calls when it runs.
 
 Output is text, json or csv, ending in exactly one newline whether it
 goes to stdout or to --out-path; json maps are serialized with sorted keys
@@ -29,7 +30,8 @@ Exit codes:
      form, or an --out-path that cannot be opened for writing
   3  HypothesisError: a verify check's inputs fall outside its hypotheses
   4  ScaleGuardError: the computation is over a size guard (one line),
-     the oracle's field guard on q included
+     the oracle's field guard on q and the count of partition paths
+     included
   5  any other exception (traceback on stderr)
 """
 
@@ -39,8 +41,7 @@ import argparse
 import json
 import sys
 
-from . import blockcalc, charvalue, glclass, partitions, qarith
-from .blockcalc import Context
+from . import partitions
 from .errors import HypothesisError, ScaleGuardError
 
 
@@ -79,6 +80,7 @@ def _at_least(low: int):
 
 def _prime_power(text: str) -> int:
     """argparse type: a prime power, the order of a finite field."""
+    from . import qarith
     try:
         q = int(text)
         qarith.prime_power(q)
@@ -148,6 +150,7 @@ def cmd_partition(args) -> int:
 
 
 def cmd_classes(args) -> int:
+    from . import glclass
     payload = glclass.classes_report(args.n, args.q, args.d, args.variant)
     _emit(args, lambda: payload,
           lambda: [f"{rec['assignment']}  size {rec['size']}  cent {rec['centralizer_order']}"
@@ -156,13 +159,15 @@ def cmd_classes(args) -> int:
 
 
 def cmd_table(args) -> int:
+    from . import charvalue
     tab = charvalue.table(args.n, args.q)
     _emit(args, tab.report, lambda: tab.to_csv().splitlines(), tab.to_csv)
     return 0
 
 
 def cmd_matrix(args) -> int:
-    ctx = Context(args.n, args.q, args.d, args.variant)
+    from . import blockcalc
+    ctx = blockcalc.Context(args.n, args.q, args.d, args.variant)
 
     def report():
         return blockcalc.inner_product_matrix_report(ctx, args.domain)
@@ -179,7 +184,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_blocks(args) -> int:
-    ctx = Context(args.n, args.q, args.d, args.variant)
+    from . import blockcalc
+    ctx = blockcalc.Context(args.n, args.q, args.d, args.variant)
     report = blockcalc.blocks_report(ctx)
 
     def lines():
@@ -207,7 +213,8 @@ def _verify_prop32(args):
 
 
 def _verify_thm43(args):
-    ctx = Context(args.n, args.q, args.d, args.variant)
+    from . import blockcalc, glclass
+    ctx = blockcalc.Context(args.n, args.q, args.d, args.variant)
     labels = partitions.partitions_of(ctx.n)
     worst = []
     ok = True
@@ -225,14 +232,18 @@ def _verify_thm43(args):
 
 
 def _verify_thm44(args):
-    ctx = Context(args.n, args.q, args.d, args.variant)
+    from . import blockcalc
+    ctx = blockcalc.Context(args.n, args.q, args.d, args.variant)
     report = blockcalc.blocks_report(ctx)
     return report["verdict"] != "VIOLATION", report
 
 
 def _verify_thm45(args):
+    # bruteforce first: compiled before the engine modules are loaded, its
+    # compilation peak sits lower, and with it the peak RSS of the command
     from . import bruteforce
-    ctx = Context(args.n, args.q, 1, args.variant)
+    from . import blockcalc
+    ctx = blockcalc.Context(args.n, args.q, 1, args.variant)
     single = len(blockcalc.unipotent_blocks(ctx)) == 1
     duality = bruteforce.check_d1_duality_identity(args.n, args.q)
     ok = single and duality["all_nonzero"] and duality["unipotent_identity"]
@@ -240,7 +251,8 @@ def _verify_thm45(args):
 
 
 def _verify_thm46(args):
-    ctx = Context(args.n, args.q, args.d, args.variant)
+    from . import blockcalc
+    ctx = blockcalc.Context(args.n, args.q, args.d, args.variant)
     pairs = blockcalc.find_theorem46_pairs(ctx)
     matrix = blockcalc.inner_matrix(ctx, "d_regular")
     results = []
@@ -256,6 +268,7 @@ def _verify_thm46(args):
 
 
 def _verify_lemma49(args):
+    from . import blockcalc
     eq = blockcalc.lemma49_check(args.k, args.big_f)
     poly = blockcalc.lemma49_polynomial_check(args.k) if args.k <= 5 else None
     ok = eq and (poly is not False)
@@ -266,6 +279,7 @@ def _verify_lemma49(args):
 def _verify_thm410chain(args):
     """A chain for every pair of one core and a constructible weight; link_chain
     raises on a bad link itself, so every chain reported has good links."""
+    from . import blockcalc
     d = args.d
     results = []
     labels = partitions.partitions_of(args.n)
@@ -285,7 +299,8 @@ def _verify_thm410chain(args):
 
 
 def _verify_smt55(args):
-    error = blockcalc.smt_check(Context(args.n, args.q, args.d, args.variant))
+    from . import blockcalc
+    error = blockcalc.smt_check(blockcalc.Context(args.n, args.q, args.d, args.variant))
     if error is not None:
         return False, {"error": error}
     return True, {"reconstruction": "exact", "beta_disjoint": True}

@@ -1,8 +1,5 @@
 import ast
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -187,20 +184,89 @@ def test_regular_unipotent_centralizer_gl32():
             assert data.centralizer_orders[cid] == 4
 
 
+def mat_inverse(fq, A):
+    """Reference inverse: [A | I] row reduced."""
+    n = len(A)
+    _, pivots, rows = BF.row_reduce(fq, [A[i] + BF.identity_matrix(n)[i] for i in range(n)])
+    assert pivots == list(range(n)), "matrix not invertible"
+    return tuple(tuple(row[n:]) for row in rows)
+
+
+def schoolbook_mat_mul(fq, A, B):
+    """Reference product: each entry a sum of field products, by table."""
+    out = []
+    for row in A:
+        entries = []
+        for j in range(len(B[0])):
+            acc = 0
+            for a, b_row in zip(row, B):
+                acc = fq.add[acc][fq.mul[a][b_row[j]]]
+            entries.append(acc)
+        out.append(tuple(entries))
+    return tuple(out)
+
+
 @pytest.mark.parametrize("n,q", ORACLE_GROUPS)
 def test_lookup_products_and_conjugates_match_tuples(n, q):
     # every product, every conjugation-row entry and every conj(g, h),
-    # against matrix products of tuples
+    # against matrix products of tuples; the list forms and the inverses too
     group = BF.build_group(n, q)
     fq, els, index = group.fq, group.elements, group.index
-    inverses = [BF.mat_inverse(fq, B) for B in els]
+    inverses = [mat_inverse(fq, B) for B in els]
+    assert group.inverses == tuple(index[B] for B in inverses)
+    everyone = range(len(els))
     for i, A in enumerate(els):
         row = group.conj_row(i)
         assert len(row) == len(els)
+        products = group.mul_pairs([i] * len(els), everyone)
+        assert group.conj_pairs([i] * len(els), everyone) == row
         for j, B in enumerate(els):
-            assert group.mul(i, j) == index[BF.mat_mul(fq, A, B)]
-            conjugate = index[BF.mat_mul(fq, BF.mat_mul(fq, inverses[j], A), B)]
+            assert group.mul(i, j) == products[j] == index[schoolbook_mat_mul(fq, A, B)]
+            conjugate = index[schoolbook_mat_mul(fq, schoolbook_mat_mul(fq, inverses[j], A), B)]
             assert row[j] == group.conj(i, j) == conjugate
+
+
+def test_mat_mul_matches_schoolbook_product():
+    import random
+    rng = random.Random(17)
+    for q in (2, 3, 4, 5, 8, 9):
+        fq = BF.field(q)
+        for rows, inner, cols in [(1, 1, 1), (2, 2, 2), (3, 3, 3), (4, 4, 4), (2, 3, 4), (3, 1, 2)]:
+            if q ** (2 * cols) > BF.TABLE_GUARD:
+                # the sums of F_8^4 and F_9^4 are over the table guard
+                with pytest.raises(ScaleGuardError, match="sums, over table guard"):
+                    BF.mat_mul(fq, ((0,) * inner,) * rows, ((0,) * cols,) * inner)
+                continue
+            for _ in range(20):
+                A = tuple(tuple(rng.randrange(q) for _ in range(inner)) for _ in range(rows))
+                B = tuple(tuple(rng.randrange(q) for _ in range(cols)) for _ in range(inner))
+                assert BF.mat_mul(fq, A, B) == schoolbook_mat_mul(fq, A, B)
+
+
+@pytest.mark.parametrize("n,q", ORACLE_GROUPS + [(1, 7), (2, 5)])
+def test_row_by_row_enumeration_is_every_invertible_matrix_in_code_order(n, q):
+    # reference: every matrix code, kept when row reduction finds rank n
+    fq = BF.field(q)
+    expected = []
+    for code in range(q ** (n * n)):
+        digits = [(code // q ** t) % q for t in range(n * n)]
+        A = tuple(tuple(digits[i * n:(i + 1) * n]) for i in range(n))
+        if BF.row_reduce(fq, A)[0] == n:
+            expected.append(A)
+    assert BF.build_group(n, q).elements == tuple(expected)
+
+
+def test_lookup_tables_match_row_times_matrix():
+    # act[b][r] against the row vector with code r times b, entry by entry
+    group = BF.build_group(2, 4)
+    act, rows, id_of = group.lookup_tables()
+    fq, q, n = group.fq, group.q, group.n
+    vectors = [tuple((r // q ** j) % q for j in range(n)) for r in range(q ** n)]
+    for b, B in enumerate(group.elements):
+        assert rows[b] == tuple(vectors.index(row) for row in B)
+        for r, v in enumerate(vectors):
+            assert vectors[act[b][r]] == schoolbook_mat_mul(fq, (v,), B)[0]
+    assert sorted(i for i in id_of if i >= 0) == list(range(len(group.elements)))
 
 
 @pytest.mark.parametrize("n,q", ORACLE_GROUPS + [(2, 5)])
@@ -213,11 +279,11 @@ def test_oracle_classes_build_one_conjugation_row_per_class(n, q):
 
 
 def test_conj_table_guard_builds_no_tables():
-    # |GL(2,11)| = 13,200 passes GROUP_GUARD but not TABLE_GUARD, where the
-    # lookup tables would hold 13,200 * 121 row codes
+    # |GL(2,11)| = 13,200 passes GROUP_GUARD, but its lookup tables would
+    # hold 13,200 * 121 = 1,597,200 row codes, over TABLE_GUARD
     group = BF.MatrixGroup(2, 11)
-    assert BF.TABLE_GUARD < len(group.elements) <= BF.GROUP_GUARD
-    with pytest.raises(ScaleGuardError, match="conjugation table"):
+    assert len(group.elements) <= BF.GROUP_GUARD < BF.TABLE_GUARD < 13200 * 121
+    with pytest.raises(ScaleGuardError, match="lookup tables of GL.2,11. hold 1597200 row codes"):
         group.conj_row(0)
     with pytest.raises(ScaleGuardError):
         group.conj(0, 0)
@@ -293,15 +359,118 @@ def test_section_properties(n, q, d, variant):
     assert check.ok
 
 
+def uncached_conj_row(group, g):
+    """h -> h^-1 g h for every h, not stored in the group's row cache."""
+    size = len(group.elements)
+    return group.conj_pairs([g] * size, range(size))
+
+
+def all_rows_oracle_sections(n, q, d, variant):
+    """Reference: the section checks over every conjugation row, each
+    centralizer as a set and part (iii) over every h in G."""
+    data = BF.oracle_classes(n, q)
+    group = data.group
+    size = len(group.elements)
+    conj = [uncached_conj_row(group, g) for g in range(size)]
+    xs = BF.d_element_ids(n, q, d, variant)
+    x_set = set(xs)
+    ys = {u: BF.y_set(n, q, d, variant, u) for u in xs}
+    centralizer = [frozenset(h for h in range(size) if conj[g][h] == g)
+                   for g in range(size)]
+    prods = {u: {group.mul(u, y) for y in ys[u]} for u in xs}
+    parts = {}
+    parts["i"] = all(conj[y][h] in ys[u]
+                     for u in xs for y in ys[u] for h in centralizer[u])
+    parts["ii"] = all(centralizer[p] <= centralizer[u] for u in xs for p in prods[u])
+    parts["iii"] = all(ys[conj[u][h]] == frozenset(conj[y][h] for y in ys[u])
+                       for u in xs for h in range(size))
+    parts["iv"] = all(
+        len({min(conj[p][h] for h in centralizer[u]) for p in prods[u]})
+        == len({data.class_of[p] for p in prods[u]}) for u in xs)
+    section_of = []
+    for g in range(size):
+        x = BF.x_part_element(group, g, d, variant)
+        assert x in x_set
+        section_of.append(data.class_of[x])
+    parts["v"] = set(section_of) == {data.class_of[u] for u in xs}
+    return parts, tuple(section_of)
+
+
+@pytest.mark.parametrize("n,q", ORACLE_GROUPS + [(2, 5)])
+def test_sections_by_generators_match_all_rows_reference(n, q):
+    for d in (1, 2, 3):
+        for variant in ("divisible", "exact"):
+            check = BF.oracle_sections(n, q, d, variant)
+            assert (check.parts, check.section_of) == \
+                all_rows_oracle_sections(n, q, d, variant), (d, variant)
+
+
+@pytest.mark.parametrize("n,q", [(3, 2), (2, 5)])
+def test_section_checks_build_rows_only_for_representatives(n, q):
+    BF.build_group.cache_clear()
+    BF.oracle_classes.cache_clear()
+    for d in (1, 2):
+        for variant in ("divisible", "exact"):
+            assert BF.oracle_sections(n, q, d, variant).ok
+    data = BF.oracle_classes(n, q)
+    assert sorted(data.group._conj_rows) == list(data.reps)
+
+
+@pytest.mark.parametrize("n,q,d", [(2, 3, 1), (2, 3, 2), (3, 2, 2), (3, 2, 3)])
+@pytest.mark.parametrize("pick", [0, -1])
+def test_dropped_complementary_element_fails_section_checks(n, q, d, pick, monkeypatch):
+    # one element dropped from the complementary set of a non-central
+    # d-element, the first (a class representative) or the last of them
+    data = BF.oracle_classes(n, q)
+    u = [u for u in BF.d_element_ids(n, q, d, "divisible")
+         if data.sizes[data.class_of[u]] > 1][pick]
+    real = BF.y_set
+    dropped = real(n, q, d, "divisible", u) - {max(real(n, q, d, "divisible", u))}
+
+    def y_set(n_, q_, d_, variant, u_id):
+        return dropped if u_id == u else real(n_, q_, d_, variant, u_id)
+
+    monkeypatch.setattr(BF, "y_set", y_set)
+    parts = BF.oracle_sections(n, q, d, "divisible").parts
+    assert not (parts["i"] and parts["iii"]), parts
+
+
+def test_one_generator_fails_the_centralizer_order_check(monkeypatch):
+    # C(1) = GL(2,3) is not cyclic, nor are all the other centralizers, so
+    # the first generator alone fails the order check at one of them
+    real = BF.centralizer_generators
+    monkeypatch.setattr(BF, "centralizer_generators", lambda group, cent: real(group, cent)[:1])
+    with pytest.raises(ArithmeticError, match="do not generate a group of order"):
+        BF.oracle_sections(2, 3, 2, "divisible")
+
+
+@pytest.mark.parametrize("n,q", ORACLE_GROUPS + [(2, 5)])
+def test_centralizer_generators_lie_in_and_generate_each_centralizer(n, q):
+    data = BF.oracle_classes(n, q)
+    group = data.group
+    for r, order in zip(data.reps, data.centralizer_orders):
+        cent = tuple(h for h, x in enumerate(group.conj_row(r)) if x == r)
+        gens = BF.centralizer_generators(group, cent)
+        assert set(gens) <= set(cent) and group.generated(gens) == set(cent)
+        assert len(cent) == order
+
+
 def union_find_fusion(n, q, d, variant):
     """Reference part (iv): the products u*y of each d-element u joined by
     a union-find along every conjugation by C(u) that stays among them,
     then every pair compared for G-conjugacy against C(u)-conjugacy."""
     data = BF.oracle_classes(n, q)
     group = data.group
+    rows = {}
+
+    def conj_row(g):
+        if g not in rows:
+            rows[g] = uncached_conj_row(group, g)
+        return rows[g]
+
     ok = True
     for u in BF.d_element_ids(n, q, d, variant):
-        centralizer = [h for h, c in enumerate(group.conj_row(u)) if c == u]
+        centralizer = [h for h, c in enumerate(conj_row(u)) if c == u]
         prods = sorted({group.mul(u, y) for y in BF.y_set(n, q, d, variant, u)})
         pidx = {p: i for i, p in enumerate(prods)}
         parent = list(range(len(prods)))
@@ -313,8 +482,9 @@ def union_find_fusion(n, q, d, variant):
             return a
 
         for p in prods:
+            row = conj_row(p)
             for h in centralizer:
-                t = group.conj_row(p)[h]
+                t = row[h]
                 if t in pidx:
                     ra, rb = find(pidx[p]), find(pidx[t])
                     if ra != rb:
@@ -496,6 +666,37 @@ def test_fifth_group_gl25():
         {"all_nonzero": True, "unipotent_identity": True}
 
 
+# groups past the first five that the table and class guards admit;
+# GL(2,9) (80 classes, 4.6 s here, half of it in the orthogonality check)
+# is left to the README's timing table
+LARGER_ORACLE_GROUPS = [(2, 7), (2, 8), (3, 3), (4, 2)]
+
+
+@pytest.mark.parametrize("n,q", LARGER_ORACLE_GROUPS)
+def test_engine_values_match_oracle_rows_on_larger_groups(n, q):
+    data = BF.oracle_classes(n, q)
+    assert len(data.group.elements) * q ** n <= BF.TABLE_GUARD
+    assert data.class_count() <= BF.CLASS_GUARD
+    dec = BF.borel_unipotent_constituents(n, q)
+    tab = dec.table
+    for lam, (chi, _) in dec.constituents.items():
+        for i, r in enumerate(tab.reps):
+            label = data.labels[data.class_of[r]]
+            assert tab.value_int(chi, i) == C.class_values(L.type_of(label), q).get(lam, 0)
+    assert BF.check_d1_duality_identity(n, q) == \
+        {"all_nonzero": True, "unipotent_identity": True}
+
+
+def test_class_and_enumeration_guards_still_fire():
+    # GL(1,83) passes the table guard, but its 82 classes are over the
+    # class guard; 2^20 polynomial codes are over the enumeration guard
+    assert 82 * 83 <= BF.TABLE_GUARD
+    with pytest.raises(ScaleGuardError, match="82 classes over guard 80"):
+        BF.dixon_table(1, 83)
+    with pytest.raises(ScaleGuardError, match="enumeration guard"):
+        BF.enumerate_irreducibles(2, 20)
+
+
 def cyc_mul(a, b, e):
     """Product in Z[zeta_e] of two vectors of root-of-unity multiplicities."""
     out = [0] * e
@@ -640,24 +841,6 @@ def test_oracle_does_not_import_the_engine():
                 names.append(node.module)
             imported.update(name.rsplit(".", 1)[-1] for name in names)
     assert not imported & {"charvalue", "blockcalc", "glclass"}, imported
-
-
-def test_mat_inverse_rejects_a_singular_matrix():
-    fq = BF.field(2)
-    assert BF.mat_inverse(fq, ((1, 1), (0, 1))) == ((1, 1), (0, 1))
-    with pytest.raises(ArithmeticError, match="not invertible"):
-        BF.mat_inverse(fq, ((1, 1), (1, 1)))
-    script = "\n".join([
-        "from glblocks import bruteforce as BF",
-        "try:",
-        "    print(BF.mat_inverse(BF.field(2), ((1, 1), (1, 1))))",
-        "except ArithmeticError as exc:",
-        "    print('raised', exc)",
-    ])
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    assert out.splitlines() == ["raised matrix not invertible"]
 
 
 # -- the eigenvalue split by characteristic polynomial ----------------------------
@@ -867,7 +1050,7 @@ def tuple_x_part_element(group, g_id, d, variant):
     sel, rest = tuple_primary_basis(group, A, matching(d, variant))
     cols = sel + rest
     C = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    C_inv = BF.mat_inverse(fq, C)
+    C_inv = mat_inverse(fq, C)
     D = [[0] * n for _ in range(n)]
     for j, v in enumerate(sel):
         coords = BF.mat_vec(fq, C_inv, BF.mat_vec(fq, A, v))
@@ -885,7 +1068,7 @@ def tuple_y_set(group, d, variant, u_id):
     sel, rest = tuple_primary_basis(group, group.elements[u_id], matching(d, variant))
     cols = sel + rest
     C = tuple(tuple(cols[j][i] for j in range(nn)) for i in range(nn))
-    C_inv = BF.mat_inverse(fq, C)
+    C_inv = mat_inverse(fq, C)
     k = len(sel)
     bad_polys = [coeffs for coeffs, is_unip, key in BF._poly_pool(nn, group.q)
                  if matching(d, variant)(coeffs, is_unip, key)]

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from glblocks import __version__, cli
+from glblocks import __version__, blockcalc, charvalue, cli
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -232,6 +232,15 @@ def test_oracle_command(capsys, tmp_path, monkeypatch):
     assert (tmp_path / f"oracle_{__version__}_2_2.json").exists()
 
 
+def test_oracle_runs_on_gl33(capsys, monkeypatch):
+    # 11,232 elements and 303,264 lookup-table entries, under the table guard
+    monkeypatch.delenv("GLBLOCKS_CACHE_DIR", raising=False)
+    code, out = run(["oracle", "--n", "3", "--q", "3", "--output", "json"], capsys)
+    payload = json.loads(out)
+    assert code == 0 and payload["order"] == 11232 and len(payload["classes"]) == 24
+    assert len(payload["borel_constituents"]) == 3
+
+
 def test_verify_failure_exits_nonzero(capsys, monkeypatch):
     monkeypatch.setitem(cli.VERIFIERS, "lemma49",
                         lambda args: (False, {"forced": True}))
@@ -257,14 +266,24 @@ def test_scale_guard_is_one_line_exit_4(capsys):
 
 @pytest.mark.parametrize("command", [["oracle"], ["verify", "prop32"], ["verify", "thm45"]])
 def test_field_guard_refuses_q_before_building_tables(capsys, monkeypatch, command):
-    # |GL(1,q)| = q - 1 passes the group guard, but every GL(n,q) of such
-    # a q is over the table guard; the field is refused before its q x q
-    # tables are built
+    # |GL(1,q)| = q - 1 passes the group guard, but the field's q x q
+    # tables are over the table guard, and refused before they are built
     monkeypatch.delenv("GLBLOCKS_CACHE_DIR", raising=False)
     code = cli.main(command + ["--n", "1", "--q", "10007"])
     captured = capsys.readouterr()
     assert code == 4 and captured.out == ""
-    assert captured.err == "glblocks: scale guard: F_10007 has 10006 units, over table guard 2500\n"
+    assert captured.err == ("glblocks: scale guard: F_10007 has 100140049 table entries,"
+                            " over table guard 600000\n")
+
+
+def test_partition_paths_guard_counts_before_listing(capsys):
+    # the standard tableaux of a 19-box shape: 17,459,442 paths, counted
+    # without listing any, over the guard
+    code = cli.main(["partition", "paths", "[6,5,5,2,1]", "--d", "1"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err == ("glblocks: scale guard: 17459442 removal paths of [6, 5, 5, 2, 1]"
+                            " at d = 1 exceed guard 100000\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -295,7 +314,7 @@ def test_class_guard_applies_to_labels_only(capsys):
 def test_csv_usage_error_comes_before_any_work(capsys, monkeypatch):
     def computing(ctx):
         raise RuntimeError("the report was computed")
-    monkeypatch.setattr(cli.blockcalc, "blocks_report", computing)
+    monkeypatch.setattr(blockcalc, "blocks_report", computing)
     with pytest.raises(SystemExit) as err:
         cli.main(["blocks", "--n", "6", "--q", "5", "--d", "2", "--output", "csv"])
     captured = capsys.readouterr()
@@ -333,12 +352,12 @@ MATRIX_ARGV = ["matrix", "--n", "4", "--q", "3", "--d", "2"]
 
 
 @pytest.mark.parametrize("argv, output, unbuilt", [
-    (TABLE_ARGV, "json", (cli.charvalue.CharValueTable, "to_csv")),
-    (TABLE_ARGV, "csv", (cli.charvalue.CharValueTable, "report")),
-    (TABLE_ARGV, "text", (cli.charvalue.CharValueTable, "report")),
-    (MATRIX_ARGV, "json", (cli.blockcalc, "inner_product_matrix_csv")),
-    (MATRIX_ARGV, "csv", (cli.blockcalc, "inner_product_matrix_report")),
-    (MATRIX_ARGV, "text", (cli.blockcalc, "inner_product_matrix_csv")),
+    (TABLE_ARGV, "json", (charvalue.CharValueTable, "to_csv")),
+    (TABLE_ARGV, "csv", (charvalue.CharValueTable, "report")),
+    (TABLE_ARGV, "text", (charvalue.CharValueTable, "report")),
+    (MATRIX_ARGV, "json", (blockcalc, "inner_product_matrix_csv")),
+    (MATRIX_ARGV, "csv", (blockcalc, "inner_product_matrix_report")),
+    (MATRIX_ARGV, "text", (blockcalc, "inner_product_matrix_csv")),
 ], ids=["table-json", "table-csv", "table-text", "matrix-json", "matrix-csv", "matrix-text"])
 def test_only_the_requested_form_is_built(capsys, monkeypatch, argv, output, unbuilt):
     # the form --output does not ask for is never built: making its builder
@@ -462,15 +481,20 @@ def test_engine_commands_import_only_what_they_run():
                  ["table", "--n", "3", "--q", "2", "--output", "json"],
                  ["verify", "smt55", "--n", "4", "--q", "3", "--d", "2"]):
         code, modules = loaded(argv)
-        assert code == 0 and "glblocks.blockcalc" in modules, argv
+        assert code == 0 and "glblocks.glclass" in modules, argv
         unwanted = (set(modules) - set(baseline)) & forbidden
         assert not unwanted, (argv, unwanted)
-    # the element-level oracle loads bruteforce, but neither dataclasses nor inspect
+    # the element-level oracle loads bruteforce, but neither dataclasses nor
+    # inspect; oracle and verify prop32 load no label-level engine module,
+    # and partition loads none beyond partitions
+    engine = {"glblocks.blockcalc", "glblocks.charvalue", "glblocks.glclass", "glblocks.symchar"}
     env.pop("GLBLOCKS_CACHE_DIR", None)
-    for argv in (["oracle", "--n", "2", "--q", "2"],
-                 ["verify", "prop32", "--n", "2", "--q", "2", "--d", "2"],
-                 ["verify", "thm45", "--n", "2", "--q", "2"]):
+    for argv, forbidden in ((["oracle", "--n", "2", "--q", "2"], engine),
+                            (["verify", "prop32", "--n", "2", "--q", "2", "--d", "2"], engine),
+                            (["verify", "thm45", "--n", "2", "--q", "2"], set())):
         code, modules = loaded(argv)
         assert code == 0 and "glblocks.bruteforce" in modules, argv
-        unwanted = (set(modules) - set(baseline)) & {"dataclasses", "inspect"}
+        unwanted = (set(modules) - set(baseline)) & ({"dataclasses", "inspect"} | forbidden)
         assert not unwanted, (argv, unwanted)
+    code, modules = loaded(["partition", "core", "[3,1]", "--d", "2"])
+    assert code == 0 and not (set(modules) & (engine | {"glblocks.bruteforce", "glblocks.qarith"}))
