@@ -109,7 +109,7 @@ def _type_weights(ctx: Context, domain):
 
 
 @cache
-def inner_matrix(ctx: Context, domain="d_regular"):
+def inner_matrix(ctx: Context, domain):
     """{(nu, nu2): Fraction} over the domain's classes, for every ordered pair, read-only.
 
     One pass over the domain's types adds w_t x y for each unordered pair
@@ -377,7 +377,7 @@ def blocks_report(ctx: Context) -> dict:
     }
 
 
-def inner_product_matrix_report(ctx: Context, domain="d_regular") -> dict:
+def inner_product_matrix_report(ctx: Context, domain) -> dict:
     labels = partitions_of(ctx.n)
     matrix = inner_matrix(ctx, domain)
     return {
@@ -388,7 +388,7 @@ def inner_product_matrix_report(ctx: Context, domain="d_regular") -> dict:
     }
 
 
-def inner_product_matrix_csv(ctx: Context, domain="d_regular") -> str:
+def inner_product_matrix_csv(ctx: Context, domain) -> str:
     labels = partitions_of(ctx.n)
     matrix = inner_matrix(ctx, domain)
     lines = ["nu\\nu2," + ",".join(str(list(nu)).replace(",", " ") for nu in labels)]

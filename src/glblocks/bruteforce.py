@@ -17,13 +17,17 @@ leading coefficient present (monic throughout).  Field elements are
 integers 0..q-1 whose base-p digits are the coefficients in the fixed
 generator basis of F_q over F_p.
 
-The class algebra is split one restricted class matrix at a time; its
-eigenvalues are the roots mod the chosen prime of its characteristic
-polynomial (from a Hessenberg form), so a kernel is only computed at a
-root.  One pass over the kernels of f(A)^j gives an element both its
-class label and its primary spaces, shared by every d and variant; the
-d-part and the section sets are conjugated into and out of the basis of
-those spaces one element at a time.
+A matrix is held in one form only, the tuple of its row codes (see
+MatrixGroup), and the linear algebra works on those codes through the
+add and scale tables of F_q^n, one lookup per row operation.  One pass
+over the kernels of f(A)^j gives an element both its class label and its
+primary spaces, shared by every d and variant; the d-part and the section
+sets are conjugated into and out of the basis of those spaces one element
+at a time.  The class algebra is split one restricted class matrix at a
+time; its eigenvalues are the roots mod the chosen prime of its
+characteristic polynomial (from a Hessenberg form), so a kernel is only
+computed at a root.  The Borel permutation character is the character
+induced from the trivial character of the upper triangular matrices.
 """
 
 from __future__ import annotations
@@ -44,8 +48,8 @@ from .qarith import gl_order, necklace_count, prime_power
 
 # Each guard bounds what it names, set from measured costs (median of
 # three cold runs, 2 vCPUs): `oracle` on GL(2,9), with 524,880 table
-# entries and 80 classes, takes 4.2 s and 50 MB; `verify prop32 --d 2`
-# takes 3.8 s and 39 MB on GL(3,3) and 7.7 s and 57 MB on GL(4,2) (20,160
+# entries and 80 classes, takes 4.1 s and 49 MB; `verify prop32 --d 2`
+# takes 3.1 s and 35 MB on GL(3,3) and 6.2 s and 48 MB on GL(4,2) (20,160
 # elements).  GL(2,11) would need 1,597,200 table entries and is refused.
 GROUP_GUARD = 25000
 TABLE_GUARD = 600_000   # lookup tables hold |G| * q^n row codes
@@ -189,85 +193,64 @@ def non_unipotent_irreducibles(q: int, d: int) -> tuple[PolyLabel, ...]:
 
 
 # -- linear algebra over a small field ----------------------------------------
+#
+# An n x n matrix is the tuple of its row codes (see MatrixGroup), and each
+# row operation is one lookup in the tables of _vector_tables(n, q).
 
-def mat_mul(fq, A, B):
-    """A*B, each row of A times B summed from the codes of B's rows: row i
-    of the product is sum_k A[i][k] (row k of B)."""
-    add, scale, vectors = _vector_tables(len(B[0]), fq.q)
-    codes = [sum(x * fq.q ** j for j, x in enumerate(row)) for row in B]
+def mat_mul(n, q, A, B):
+    """A*B: row i of the product is sum_k A[i][k] (row k of B)."""
+    add, scale, vectors = _vector_tables(n, q)
     out = []
-    for row in A:
+    for r in A:
         acc = 0
-        for a, c in zip(row, codes):
+        for a, b in zip(vectors[r], B):
             if a:
-                acc = add[acc][scale[a][c]]
-        out.append(vectors[acc])
-    return tuple(out)
-
-
-def mat_vec(fq, A, v):
-    add, mul = fq.add, fq.mul
-    out = []
-    for row in A:
-        acc = 0
-        for a, x in zip(row, v):
-            acc = add[acc][mul[a][x]]
+                acc = add[acc][scale[a][b]]
         out.append(acc)
     return tuple(out)
 
 
-def identity_matrix(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def row_reduce(fq, rows):
-    """Return (rank, pivot columns, reduced rows)."""
-    rows = [list(r) for r in rows]
-    n_cols = len(rows[0]) if rows else 0
-    add = fq.add
+def row_reduce(n, q, rows):
+    """Return (rank, pivot columns, reduced rows) of rows of width n."""
+    fq = field(q)
+    add, scale, vectors = _vector_tables(n, q)
+    rows = list(rows)
     pivots = []
     r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+    for c in range(n):
+        pivot = next((i for i in range(r, len(rows)) if vectors[rows[i]][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        times_inv = fq.mul[fq.inv[rows[r][c]]]
-        top = rows[r] = [times_inv[x] for x in rows[r]]
+        top = rows[r] = scale[fq.inv[vectors[rows[r]][c]]][rows[r]]
         for i, row in enumerate(rows):
-            if i != r and row[c] != 0:
-                times = fq.mul[fq.neg[row[c]]]
-                rows[i] = [add[x][times[y]] for x, y in zip(row, top)]
+            x = vectors[row][c]
+            if i != r and x:
+                rows[i] = add[row][scale[fq.neg[x]][top]]
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
-    return r, pivots, [tuple(row) for row in rows]
+    return r, pivots, rows
 
 
-def kernel_basis(fq, A):
-    """Basis of the right kernel of A."""
-    n_cols = len(A[0])
-    rank, pivots, rows = row_reduce(fq, A)
-    free = [c for c in range(n_cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * n_cols
-        vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = fq.neg[rows[r][fc]]
-        basis.append(tuple(vec))
-    return basis
+def kernel_basis(n, q, A):
+    """Codes of a basis of the right kernel of A."""
+    neg, vectors = field(q).neg, _vector_tables(n, q)[2]
+    _, pivots, rows = row_reduce(n, q, A)
+    return [q ** fc + sum(neg[vectors[row][fc]] * q ** pc for row, pc in zip(rows, pivots))
+            for fc in range(n) if fc not in pivots]
 
 
-def poly_at_matrix(fq, coeffs, A):
+def poly_at_matrix(n, q, coeffs, A):
     """f(A) for a monic f by Horner's rule, (A + c_{d-1}) A + ... + c_0,
-    each coefficient added on the diagonal."""
+    each coefficient added on the diagonal: c at digit i of row i."""
+    add = _vector_tables(n, q)[0]
     out = A
     for t, c in enumerate(reversed(coeffs[:-1])):
         if t:
-            out = mat_mul(fq, out, A)
-        out = tuple(row[:i] + (fq.add[row[i]][c],) + row[i + 1:] for i, row in enumerate(out))
+            out = mat_mul(n, q, out, A)
+        out = tuple(add[r][c * q ** i] for i, r in enumerate(out))
     return out
 
 
@@ -301,12 +284,13 @@ def _vector_tables(n: int, q: int):
 class MatrixGroup:
     """GL(n,q) as the invertible matrices in the order of their codes.
 
-    A row vector (r_0, ..., r_{n-1}) has the base-q code sum_j r_j q^j, and
-    a matrix the code sum_i code(row i) (q^n)^i, so `elements` is sorted by
-    code.  Products and conjugates are read from two lookup tables, built
-    on first use behind TABLE_GUARD: `act[b][r]`, the code of the row with
-    code r times element b, and `id_of[code]`, the element id of a matrix
-    code (-1 if singular).  A row of A*B is that row of A times B.
+    A matrix is the tuple of its row codes: the row (r_0, ..., r_{n-1}) has
+    the base-q code sum_j r_j q^j, and the matrix the code
+    sum_i code(row i) (q^n)^i.  `rows[g]` holds the row codes of element g,
+    ascending in matrix code, and `id_of[code]` the element id of a matrix
+    code (-1 if singular).  Products and conjugates are read from `act[b][r]`,
+    the code of the row with code r times element b, built on first use
+    behind TABLE_GUARD: a row of A*B is that row of A times B.
     Conjugation rows h -> h^-1 g h are built one g at a time, on demand;
     the list methods take products and conjugates of many pairs at once.
     """
@@ -316,7 +300,7 @@ class MatrixGroup:
         if order > GROUP_GUARD:
             raise ScaleGuardError(f"|GL({n},{q})| = {order} over guard {GROUP_GUARD}")
         self.n, self.q, self.fq = n, q, field(q)
-        add, scale, vectors = _vector_tables(n, q)
+        add, scale, _ = _vector_tables(n, q)
         # the rows are chosen from the last to the first, each outside the
         # span of those already chosen and in ascending code, so the row
         # codes come out in ascending matrix code
@@ -335,51 +319,50 @@ class MatrixGroup:
             partial = grown
         if len(partial) != order:
             raise ArithmeticError(f"{len(partial)} invertible matrices, not |GL({n},{q})| = {order}")
-        self._rows = [rows for rows, _ in partial]
-        self.elements = tuple(tuple(vectors[r] for r in rows) for rows in self._rows)
-        self.index = {A: i for i, A in enumerate(self.elements)}
-        self.id_index = self.index[identity_matrix(n)]
-        self._lookup = None
+        self.rows = [rows for rows, _ in partial]
+        # q^(n^2) matrix codes, under 4 |G| for every group GROUP_GUARD admits
+        self.id_of = [-1] * q ** (n * n)
+        for i, rows in enumerate(self.rows):
+            self.id_of[sum(r * q ** (n * k) for k, r in enumerate(rows))] = i
+        self.id_index = self.element_id([q ** i for i in range(n)])
         self._conj_rows = {}
 
-    def lookup_tables(self):
-        """(act, rows, id_of): act[b][r] is the code of row r times element b,
-        rows[i] the row codes of element i, id_of[code] an element id or -1.
+    def element_id(self, rows):
+        """Id of the matrix with these row codes, -1 if it is singular."""
+        return self.id_of[sum(r * self.q ** (self.n * k) for k, r in enumerate(rows))]
+
+    @cached_property
+    def act(self):
+        """act[b][r], the code of row r times element b.
 
         The row r times b is sum_j r_j (row j of b), so act[b] over the codes
         below q^(j+1) is that over the codes below q^j, shifted by each
         multiple of row j: one table addition per entry."""
-        if self._lookup is None:
-            q, n, rows = self.q, self.n, self._rows
-            entries = len(rows) * q ** n
-            if entries > TABLE_GUARD:
-                raise ScaleGuardError(f"lookup tables of GL({n},{q}) hold {entries} row codes,"
-                                      f" over table guard {TABLE_GUARD}")
-            add, scale, _ = _vector_tables(n, q)
-            act = []
-            for b_rows in rows:
-                a = [0]
-                for r in b_rows:
-                    a = [v for s in range(q) for v in map(add[scale[s][r]].__getitem__, a)]
-                act.append(a)
-            id_of = [-1] * q ** (n * n)
-            for i, b_rows in enumerate(rows):
-                id_of[sum(r * q ** (n * k) for k, r in enumerate(b_rows))] = i
-            self._lookup = (act, rows, id_of)
-        return self._lookup
+        q, n = self.q, self.n
+        entries = len(self.rows) * q ** n
+        if entries > TABLE_GUARD:
+            raise ScaleGuardError(f"lookup tables of GL({n},{q}) hold {entries} row codes,"
+                                  f" over table guard {TABLE_GUARD}")
+        add, scale, _ = _vector_tables(n, q)
+        act = []
+        for b_rows in self.rows:
+            a = [0]
+            for r in b_rows:
+                a = [v for s in range(q) for v in map(add[scale[s][r]].__getitem__, a)]
+            act.append(a)
+        return act
 
     def mul(self, i, j):
-        act, rows, id_of = self.lookup_tables()
-        a_j = act[j]
+        a_j = self.act[j]
         step = self.q ** self.n
         code = 0
-        for r in reversed(rows[i]):
+        for r in reversed(self.rows[i]):
             code = code * step + a_j[r]
-        return id_of[code]
+        return self.id_of[code]
 
     def mul_pairs(self, xs, ys):
         """[x*y for x, y in zip(xs, ys)], one row position at a time."""
-        act, rows, id_of = self.lookup_tables()
+        act, rows, id_of = self.act, self.rows, self.id_of
         step = self.q ** self.n
         acts, x_rows = [act[y] for y in ys], [rows[x] for x in xs]
         codes = [0] * len(acts)
@@ -390,10 +373,8 @@ class MatrixGroup:
     @cached_property
     def inverses(self):
         """Row i of g^-1 is the row whose product with g is e_i, read off act[g]."""
-        act, _, id_of = self.lookup_tables()
-        step = self.q ** self.n
-        return tuple(id_of[sum(a.index(self.q ** i) * step ** i for i in range(self.n))]
-                     for a in act)
+        return tuple(self.element_id([a.index(self.q ** i) for i in range(self.n)])
+                     for a in self.act)
 
     def conj(self, g, h):
         """Index of h^-1 g h."""
@@ -402,7 +383,7 @@ class MatrixGroup:
     def conj_pairs(self, gs, hs):
         """[h^-1 g h for g, h in zip(gs, hs)]: row k of h^-1 goes through
         act[g] and then act[h]."""
-        act, rows, id_of = self.lookup_tables()
+        act, rows, id_of = self.act, self.rows, self.id_of
         step, inverses = self.q ** self.n, self.inverses
         triples = [(act[g], act[h], rows[inverses[h]]) for g, h in zip(gs, hs)]
         codes = [0] * len(triples)
@@ -417,7 +398,7 @@ class MatrixGroup:
         then act[h]."""
         row = self._conj_rows.get(g)
         if row is None:
-            act, _, id_of = self.lookup_tables()
+            act, id_of = self.act, self.id_of
             step = self.q ** self.n
             a_g = act[g]
             codes = [0] * len(act)
@@ -429,8 +410,7 @@ class MatrixGroup:
     @cached_property
     def _inverse_rows(self):
         # code of row k of h^-1 for every h, highest k first (Horner order)
-        rows = self.lookup_tables()[1]
-        return list(zip(*(rows[i] for i in self.inverses)))[::-1]
+        return list(zip(*(self.rows[i] for i in self.inverses)))[::-1]
 
     def generated(self, gens):
         """The subgroup generated by gens: the identity closed under right
@@ -520,18 +500,16 @@ def _primary_spaces(n: int, q: int, g_id: int) -> tuple:
     the j-th step, over deg f, counts the blocks of size at least j, and
     the last kernel is the f-primary space.  Found once per element and
     shared by its label and by every d and variant."""
-    group = build_group(n, q)
-    fq = group.fq
-    A = group.elements[g_id]
+    A = build_group(n, q).rows[g_id]
     spaces, dim = [], 0
     for coeffs, is_unip, key in _poly_pool(n, q):
         if dim == n:
             break
         deg = len(coeffs) - 1
-        P = M = poly_at_matrix(fq, coeffs, A)
+        P = M = poly_at_matrix(n, q, coeffs, A)
         basis, counts = [], []
         while True:
-            kernel = kernel_basis(fq, P)
+            kernel = kernel_basis(n, q, P)
             if len(kernel) == len(basis):
                 break
             step, rem = divmod(len(kernel) - len(basis), deg)
@@ -539,7 +517,7 @@ def _primary_spaces(n: int, q: int, g_id: int) -> tuple:
                 raise ArithmeticError(f"kernel dimension step not a multiple of degree {deg}")
             counts.append(step)
             basis = kernel
-            P = mat_mul(fq, P, M)
+            P = mat_mul(n, q, P, M)
         if basis:
             spaces.append((coeffs, is_unip, key, conjugate(tuple(counts)), tuple(basis)))
             dim += len(basis)
@@ -578,7 +556,7 @@ def oracle_classes(n: int, q: int) -> OracleClassData:
     One conjugation row per class representative gives its orbit and,
     as the count of its own id, its centralizer order."""
     group = build_group(n, q)
-    size = len(group.elements)
+    size = len(group.rows)
     class_of = [-1] * size
     reps, sizes, cents = [], [], []
     for g in range(size):
@@ -612,30 +590,32 @@ def _degree_matches(degree, d, variant):
 def _d_part_basis(group: MatrixGroup, g_id: int, d: int, variant: str):
     """(id of C, k): the columns of the invertible C are the primary bases of
     g, the first k of them spanning the primary spaces of matching degree
-    other than that of X-1."""
+    other than that of X-1; C is the transpose of the bases as rows."""
     sel, rest = [], []
     for coeffs, is_unip, _, _, basis in _primary_spaces(group.n, group.q, g_id):
         if not is_unip and _degree_matches(len(coeffs) - 1, d, variant):
             sel.extend(basis)
         else:
             rest.extend(basis)
-    cols = sel + rest
-    C = tuple(tuple(col[i] for col in cols) for i in range(group.n))
-    if C not in group.index:
+    vectors = _vector_tables(group.n, group.q)[2]
+    c_id = group.element_id([sum(x * group.q ** j for j, x in enumerate(col))
+                             for col in zip(*map(vectors.__getitem__, sel + rest))])
+    if c_id < 0:
         raise ArithmeticError("primary bases are dependent")
-    return group.index[C], len(sel)
+    return c_id, len(sel)
 
 
 def x_part_element(group: MatrixGroup, g_id: int, d: int, variant: str) -> int:
     """Index of the unique d-part: g on the matching primary spaces, 1 elsewhere.
 
-    In the basis C, g is block diagonal, C^-1 g C; the d-part D keeps its
-    first k columns and is the identity on the rest, and is C D C^-1."""
+    In the basis C, g is block diagonal, B = C^-1 g C; the d-part D keeps
+    the first k columns of B, row i's code mod q^k, and is the identity on
+    the rest, and is C D C^-1."""
     c_id, k = _d_part_basis(group, g_id, d, variant)
-    B = group.elements[group.conj(g_id, c_id)]
-    D = tuple(row[:k] + tuple(1 if j == i else 0 for j in range(k, group.n))
-              for i, row in enumerate(B))
-    return group.conj(group.index[D], group.inverses[c_id])
+    q = group.q
+    D = [r % q ** k + (q ** i if i >= k else 0)
+         for i, r in enumerate(group.rows[group.conj(g_id, c_id)])]
+    return group.conj(group.element_id(D), group.inverses[c_id])
 
 
 @cache
@@ -652,16 +632,18 @@ def d_element_ids(n: int, q: int, d: int, variant: str) -> tuple[int, ...]:
 @cache
 def _y_candidates(n: int, q: int, d: int, variant: str, k: int) -> tuple[int, ...]:
     """Ids of the elements diag(I_k, B) where B has no factor of matching
-    degree other than X-1, read off the primary spaces of B in GL(n-k, q)."""
+    degree other than X-1, read off the primary spaces of B in GL(n-k, q).
+    Row i < k of diag(I_k, B) is e_i, with code q^i, and row k + j is row j
+    of B shifted past k digits."""
     group = build_group(n, q)
     if k == n:
         return (group.id_index,)
-    top = identity_matrix(n)[:k]
+    top = [q ** i for i in range(k)]
     out = []
-    for b_id, B in enumerate(build_group(n - k, q).elements):
+    for b_id, B in enumerate(build_group(n - k, q).rows):
         if not any(not is_unip and _degree_matches(len(coeffs) - 1, d, variant)
                    for coeffs, is_unip, _, _, _ in _primary_spaces(n - k, q, b_id)):
-            out.append(group.index[top + tuple((0,) * k + row for row in B)])
+            out.append(group.element_id(top + [r * q ** k for r in B]))
     return tuple(sorted(out))
 
 
@@ -712,7 +694,7 @@ def _close(seen: set, frontier, gens, image) -> set:
     return seen
 
 
-def oracle_sections(n: int, q: int, d: int, variant: str = "divisible") -> SectionCheck:
+def oracle_sections(n: int, q: int, d: int, variant: str) -> SectionCheck:
     """Element-level section partition plus the literal property checks.
 
     Verifies, for every d-element u: the complementary set is a union of
@@ -730,7 +712,7 @@ def oracle_sections(n: int, q: int, d: int, variant: str = "divisible") -> Secti
     """
     data = oracle_classes(n, q)
     group = data.group
-    size = len(group.elements)
+    size = len(group.rows)
     xs = d_element_ids(n, q, d, variant)
     ys = {u: y_set(n, q, d, variant, u) for u in xs}
     transporter = {}
@@ -835,6 +817,22 @@ def cyc_as_int(a):
     if any(red[1:]):
         return None
     return red[0]
+
+
+def _sparse(row):
+    """Each value of a row as its nonzero (exponent, multiplicity) pairs."""
+    return [[(j, m) for j, m in enumerate(value) if m] for value in row]
+
+
+def _pairing(e, sizes, a, b):
+    """sum_i |C_i| a_i conj(b_i) in Z[zeta_e] as a rational integer, or None;
+    a_i and b_i are sparse values, conj(zeta^j) = zeta^-j."""
+    acc = [0] * e
+    for size, va, vb in zip(sizes, a, b):
+        for ja, ma in va:
+            for jb, mb in vb:
+                acc[(ja - jb) % e] += size * ma * mb
+    return cyc_as_int(acc)
 
 
 # -- Dixon character table ----------------------------------------------------------
@@ -1051,7 +1049,7 @@ def dixon_table(n: int, q: int) -> CharacterTable:
     group = data.group
     if data.class_count() > CLASS_GUARD:
         raise ScaleGuardError(f"{data.class_count()} classes over guard {CLASS_GUARD}")
-    size = len(group.elements)
+    size = len(group.rows)
     k = data.class_count()
     reps = data.reps
     sizes = data.sizes
@@ -1140,48 +1138,15 @@ def dixon_table(n: int, q: int) -> CharacterTable:
 
 
 def _verify_orthogonality(tab: CharacterTable):
-    """sum_i |C_i| chi_a(C_i) conj(chi_b(C_i)) = |G| [a = b], exactly in Z[zeta_e];
-    each value is read as its nonzero (exponent, multiplicity) pairs."""
-    e = tab.exponent
-    sparse = [[[(j, m) for j, m in enumerate(value) if m] for value in row]
-              for row in tab.values]
+    """sum_i |C_i| chi_a(C_i) conj(chi_b(C_i)) = |G| [a = b], exactly in Z[zeta_e]."""
+    sparse = [_sparse(row) for row in tab.values]
     for a, row_a in enumerate(sparse):
         for b in range(a, len(sparse)):
-            acc = [0] * e
-            for size, va, vb in zip(tab.sizes, row_a, sparse[b]):
-                for ja, ma in va:
-                    for jb, mb in vb:
-                        acc[(ja - jb) % e] += size * ma * mb
-            expected = tab.order if a == b else 0
-            if cyc_as_int(acc) != expected:
+            if _pairing(tab.exponent, tab.sizes, row_a, sparse[b]) != (tab.order if a == b else 0):
                 raise ArithmeticError("row orthogonality failed exactly")
 
 
-# -- Borel permutation character and constituents ------------------------------------
-
-def flag_fixed_points(fq, A) -> int:
-    """Number of complete flags of F_q^n fixed by A.
-
-    A fixed flag is an A-stable line <v> followed by a fixed flag of the
-    map A induces on F_q^n/<v>.  With v normalized so that its first
-    nonzero coordinate v_k is 1, the e_j (j != k) give a basis of the
-    quotient, and A e_j = A_kj v + sum_{i != k} (A_ij - v_i A_kj) e_i."""
-    n = len(A)
-    if n <= 1:
-        return 1
-    count = 0
-    for v in _vector_tables(n, fq.q)[2]:
-        k = next((i for i, x in enumerate(v) if x), None)
-        if k is None or v[k] != 1:
-            continue
-        image = mat_vec(fq, A, v)
-        if image != tuple(fq.mul[image[k]][x] for x in v):
-            continue  # A v is not a multiple of v
-        rest = [i for i in range(n) if i != k]
-        count += flag_fixed_points(fq, tuple(
-            tuple(fq.add[A[i][j]][fq.neg[fq.mul[v[i]][A[k][j]]]] for j in rest) for i in rest))
-    return count
-
+# -- the Borel permutation character and its constituents ------------------------------------
 
 def q_hook_degree(lam, q: int) -> int:
     """Degree of the unipotent character lam by the q-hook formula,
@@ -1212,29 +1177,29 @@ class BorelDecomposition(NamedTuple):
 def borel_unipotent_constituents(n: int, q: int) -> BorelDecomposition:
     """Decompose the Borel-coset permutation character; label by degree.
 
-    The unipotent constituents are matched to partition labels through
-    their q-hook degrees; a tie between two degrees raises instead of
-    guessing.
+    The permutation character is induced from the trivial character of B,
+    the upper triangular matrices (row i's code divisible by q^i): on the
+    class of g it is |C(g)| |g^G intersect B| / |B|.  The unipotent constituents
+    are matched to partition labels through their q-hook degrees; a tie
+    between two degrees raises instead of guessing.
     """
     data = oracle_classes(n, q)
-    group = data.group
     tab = dixon_table(n, q)
-    perm = tuple(flag_fixed_points(group.fq, group.elements[r]) for r in tab.reps)
-    e = tab.exponent
-    mults = []
+    in_borel = [0] * data.class_count()
+    for g, rows in enumerate(data.group.rows):
+        if all(r % q ** i == 0 for i, r in enumerate(rows)):
+            in_borel[data.class_of[g]] += 1
+    borel_order = (q - 1) ** n * q ** (n * (n - 1) // 2)
+    if sum(in_borel) != borel_order:
+        raise ArithmeticError(f"{sum(in_borel)} upper triangular matrices, not |B| = {borel_order}")
+    perm = tuple(c * m // borel_order for c, m in zip(data.centralizer_orders, in_borel))
+    perm_values, mults = [[(0, x)] for x in perm], []
     for chi, row in enumerate(tab.values):
-        # sum_i |C_i| perm(C_i) conj(chi(C_i)), each multiplicity added at
-        # the exponent of its conjugate root of unity
-        acc = [0] * e
-        for size, fixed, value in zip(tab.sizes, perm, row):
-            for j, m in enumerate(value):
-                if m:
-                    acc[-j % e] += size * fixed * m
-        val = cyc_as_int(acc)
+        val = _pairing(tab.exponent, tab.sizes, perm_values, _sparse(row))
         if val is None or val % tab.order:
             raise ArithmeticError(f"Borel multiplicity of character {chi} is not an integer")
         mults.append(val // tab.order)
-    if sum(m * tab.degrees[i] for i, m in enumerate(mults)) != perm[data.class_of[group.id_index]]:
+    if sum(m * d for m, d in zip(mults, tab.degrees)) != perm[data.class_of[data.group.id_index]]:
         raise ArithmeticError("Borel constituents do not add up to the permutation degree")
     degree_to_label = {}
     for lam in partitions_of(n):
@@ -1279,16 +1244,11 @@ def check_d1_duality_identity(n: int, q: int) -> dict:
         order //= p
         order_p *= p
     order_p_prime = tab.order // order_p
-    e = tab.exponent
-    all_nonzero = True
-    for row in tab.values:
-        acc = [0] * e
-        for i in unip_classes:
-            for j, m in enumerate(row[i]):
-                if m:
-                    acc[j] += tab.sizes[i] * m
-        if not any(cyc_reduce(acc)):
-            all_nonzero = False
+    # sum over unipotent classes of |C_i| conj(chi(C_i)), zero iff its conjugate is
+    sizes = [tab.sizes[i] for i in unip_classes]
+    ones = [[(0, 1)]] * len(unip_classes)
+    all_nonzero = all(_pairing(tab.exponent, sizes, ones, _sparse([row[i] for i in unip_classes]))
+                      != 0 for row in tab.values)
     exact_match = True
     for lam, (chi, _) in dec.constituents.items():
         total = 0

@@ -9,9 +9,14 @@ Subcommands:
   oracle                                         element-level dump
   verify {prop32,thm43,thm44,thm45,thm46,lemma49,thm410chain,smt55}
 
---d is taken by partition, classes, blocks, matrix and verify; --variant
-by classes, blocks, matrix and verify.  table and oracle take neither.
-Each command imports the engine modules it calls when it runs.
+--d is taken by partition, classes, blocks and matrix; --variant by
+classes, blocks and matrix.  table and oracle take neither.  Each verify
+check takes only the options it reads (VERIFY_OPTIONS, with their
+defaults): prop32, thm43, thm44, thm46 and smt55 take --n, --q, --d and
+--variant; thm45 takes --n, --q and --variant; thm410chain takes --n and
+--d; lemma49 takes --k and --F.  --variant defaults to divisible, except
+that prop32 runs both variants when it is omitted.  Each command imports
+the engine modules it calls when it runs.
 
 Output is text, json or csv, ending in exactly one newline whether it
 goes to stdout or to --out-path; json maps are serialized with sorted keys
@@ -22,12 +27,13 @@ to cache oracle dumps.
 Exit codes:
   0  pass
   1  a failed check (verify FAIL, blocks VIOLATION)
-  2  usage error: an option the subcommand does not take, a negative
-     --n, a --q that is not a prime power, a --d or --k below 1, --n 0
-     for the element-level oracle (oracle, verify prop32, verify thm45),
-     a partition literal that is not a JSON list of positive integers in
-     weakly decreasing order, --output csv on a command without a csv
-     form, or an --out-path that cannot be opened for writing
+  2  usage error: an option the subcommand or verify check does not
+     take, a negative --n, a --q that is not a prime power, a --d or --k
+     below 1, --n 0 for the element-level oracle (oracle, verify prop32,
+     verify thm45), a partition literal that is not a JSON list of
+     positive integers in weakly decreasing order, --output csv on a
+     command without a csv form, or an --out-path that cannot be opened
+     for writing
   3  HypothesisError: a verify check's inputs fall outside its hypotheses
   4  ScaleGuardError: the computation is over a size guard (one line),
      the oracle's field guard on q and the count of partition paths
@@ -317,10 +323,33 @@ VERIFIERS = {
     "smt55": _verify_smt55,
 }
 
+# the options each check reads, with their defaults; prop32 runs both
+# variants when --variant is omitted
+_GROUP_OPTIONS = {"n": 3, "q": 2, "d": 1, "variant": "divisible"}
+VERIFY_OPTIONS = {
+    "prop32": {**_GROUP_OPTIONS, "variant": None},
+    "thm43": _GROUP_OPTIONS,
+    "thm44": _GROUP_OPTIONS,
+    "thm45": {"n": 3, "q": 2, "variant": "divisible"},
+    "thm46": _GROUP_OPTIONS,
+    "lemma49": {"k": 4, "big_f": 6},
+    "thm410chain": {"n": 3, "d": 1},
+    "smt55": _GROUP_OPTIONS,
+}
+_FLAGS = {"n": "--n", "q": "--q", "d": "--d", "variant": "--variant", "k": "--k", "big_f": "--F"}
+
+
+def _verify_options(args):
+    """Refuse the options the check does not read; default the others."""
+    takes = VERIFY_OPTIONS[args.check]
+    unread = [flag for name, flag in _FLAGS.items() if name in vars(args) and name not in takes]
+    if unread:
+        raise _usage_error(f"verify {args.check} does not take {', '.join(unread)}")
+    for name, default in takes.items():
+        vars(args).setdefault(name, default)
+
 
 def cmd_verify(args) -> int:
-    if args.variant is None and args.check != "prop32":
-        args.variant = "divisible"  # only prop32 runs both variants when --variant is omitted
     try:
         ok, details = VERIFIERS[args.check](args)
     except HypothesisError as exc:
@@ -379,20 +408,27 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_orc, d=False, variant=False)
     p_orc.set_defaults(func=cmd_oracle)
 
-    p_ver = sub.add_parser("verify", help="machine-checkable pass/fail reports")
+    # an option left out is absent from the namespace, so that
+    # _verify_options can tell it from one given with its default value
+    p_ver = sub.add_parser("verify", help="machine-checkable pass/fail reports",
+                           argument_default=argparse.SUPPRESS)
     p_ver.add_argument("check", choices=sorted(VERIFIERS))
-    p_ver.add_argument("--n", type=_at_least(0), default=3)
-    p_ver.add_argument("--q", type=_prime_power, default=2)
-    common(p_ver, need_nq=False)
-    p_ver.add_argument("--k", type=_at_least(1), default=4)
-    p_ver.add_argument("--F", dest="big_f", type=int, default=6)
-    p_ver.set_defaults(func=cmd_verify, variant=None)
+    p_ver.add_argument("--n", type=_at_least(0))
+    p_ver.add_argument("--q", type=_prime_power)
+    p_ver.add_argument("--d", type=_at_least(1))
+    p_ver.add_argument("--variant", choices=["divisible", "exact"])
+    p_ver.add_argument("--k", type=_at_least(1))
+    p_ver.add_argument("--F", dest="big_f", type=int)
+    common(p_ver, need_nq=False, d=False, variant=False)
+    p_ver.set_defaults(func=cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "verify":
+        _verify_options(args)
     if args.output == "csv" and args.command not in ("table", "matrix"):
         raise _usage_error("this command has no csv form; use --output json")
     if args.command == "oracle" or getattr(args, "check", None) in ("prop32", "thm45"):

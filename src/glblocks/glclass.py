@@ -143,19 +143,19 @@ def _degree_matches(degree: int, d: int, variant: str) -> bool:
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def is_d_element(t: ClassType, d: int, variant: str = "divisible") -> bool:
+def is_d_element(t: ClassType, d: int, variant: str) -> bool:
     """Components only on matching degrees, X-1 part absent or all ones."""
     if any(p != 1 for p in t.unipotent):
         return False
     return all(_degree_matches(degree, d, variant) for degree, _ in t.components)
 
 
-def is_d_regular(t: ClassType, d: int, variant: str = "divisible") -> bool:
+def is_d_regular(t: ClassType, d: int, variant: str) -> bool:
     """No component of matching degree besides X-1."""
     return not any(_degree_matches(degree, d, variant) for degree, _ in t.components)
 
 
-def d_type(t: ClassType, d: int, variant: str = "divisible"):
+def d_type(t: ClassType, d: int, variant: str):
     """Multiset of (k_i, m_i) pairs of the d-part, with weight sum k_i*m_i."""
     pairs = []
     for degree, part in t.components:
@@ -167,13 +167,13 @@ def d_type(t: ClassType, d: int, variant: str = "divisible"):
     return tuple(sorted(pairs))
 
 
-def section_heads(n: int, q: int, d: int, variant: str = "divisible") -> tuple[ClassType, ...]:
+def section_heads(n: int, q: int, d: int, variant: str) -> tuple[ClassType, ...]:
     """Types of the section heads: d-elements of GL(m,q), m <= n, without X-1."""
     return tuple(t for m in range(n + 1) for t in class_types(m, q)
                  if not t.unipotent and is_d_element(t, d, variant))
 
 
-def classes_report(n: int, q: int, d: int, variant: str = "divisible") -> dict:
+def classes_report(n: int, q: int, d: int, variant: str) -> dict:
     """The class list as a JSON-ready dict, one record per class in key order."""
     keys = class_keys(n, q, d, variant)
     per_type = {t: {"size": class_size(t, q), "centralizer_order": centralizer_order(t, q),

@@ -100,7 +100,7 @@ def test_cached_results_are_read_only():
     # leave three singleton blocks behind
     ctx = Context(3, 2, 2, "divisible")
     tables = [G.class_types(3, 2), B._type_weights(ctx, "d_regular"),
-              B.inner_matrix(ctx), C._unipotent_values(3, 2),
+              B.inner_matrix(ctx, "d_regular"), C._unipotent_values(3, 2),
               S.signed_removal_map((2, 1), (1,), 1), C.class_values(G.ClassType(3, (3,), ()), 2),
               C.table(3, 2).classes]
     for table in tables:
@@ -503,7 +503,7 @@ def test_reports_serializable():
     ctx = Context(3, 3, 2, "divisible")
     rep = B.blocks_report(ctx)
     assert json.loads(json.dumps(rep, sort_keys=True)) == rep
-    mat = B.inner_product_matrix_report(ctx)
+    mat = B.inner_product_matrix_report(ctx, "d_regular")
     assert "matrix" in mat
     assert all("/" in v for v in mat["matrix"].values())
     assert inner_product((3,), (3,), "full", ctx) == 1

@@ -20,7 +20,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 def test_build_group_sizes():
     for n, q in ORACLE_GROUPS:
         group = BF.build_group(n, q)
-        assert len(group.elements) == Q.gl_order(n, q)
+        assert len(group.rows) == Q.gl_order(n, q)
 
 
 def test_build_group_guard():
@@ -172,9 +172,9 @@ def test_label_roundtrip_through_canonical_matrix():
     for n, q in ORACLE_GROUPS:
         group = BF.build_group(n, q)
         for lab in L.all_classes(n, q):
-            mat = canonical_matrix(group, lab)
-            assert mat in group.index
-            assert BF.element_label(group, group.index[mat]) == lab
+            g = group.element_id(as_codes(q, canonical_matrix(group, lab)))
+            assert g >= 0
+            assert BF.element_label(group, g) == lab
 
 
 def test_regular_unipotent_centralizer_gl32():
@@ -184,12 +184,31 @@ def test_regular_unipotent_centralizer_gl32():
             assert data.centralizer_orders[cid] == 4
 
 
-def mat_inverse(fq, A):
-    """Reference inverse: [A | I] row reduced."""
-    n = len(A)
-    _, pivots, rows = BF.row_reduce(fq, [A[i] + BF.identity_matrix(n)[i] for i in range(n)])
-    assert pivots == list(range(n)), "matrix not invertible"
-    return tuple(tuple(row[n:]) for row in rows)
+# -- matrices as tuples of digit rows, the reference for the row codes ---------
+
+def as_codes(q, A):
+    """Row codes of a matrix of digit rows."""
+    return tuple(sum(x * q ** j for j, x in enumerate(row)) for row in A)
+
+
+def as_tuples(group, g):
+    """Element g as a tuple of digit rows."""
+    q, n = group.q, group.n
+    return tuple(tuple(r // q ** j % q for j in range(n)) for r in group.rows[g])
+
+
+def identity_matrix(n):
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def mat_vec(fq, A, v):
+    out = []
+    for row in A:
+        acc = 0
+        for a, x in zip(row, v):
+            acc = fq.add[acc][fq.mul[a][x]]
+        out.append(acc)
+    return tuple(out)
 
 
 def schoolbook_mat_mul(fq, A, B):
@@ -206,12 +225,98 @@ def schoolbook_mat_mul(fq, A, B):
     return tuple(out)
 
 
+def tuple_row_reduce(fq, rows):
+    """Reference (rank, pivot columns, reduced rows), entry by entry."""
+    rows = [list(r) for r in rows]
+    n_cols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(n_cols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        times_inv = fq.mul[fq.inv[rows[r][c]]]
+        top = rows[r] = [times_inv[x] for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c] != 0:
+                times = fq.mul[fq.neg[row[c]]]
+                rows[i] = [fq.add[x][times[y]] for x, y in zip(row, top)]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return r, pivots, [tuple(row) for row in rows]
+
+
+def tuple_kernel_basis(fq, A):
+    """Reference basis of the right kernel of A, as digit tuples."""
+    n_cols = len(A[0])
+    _, pivots, rows = tuple_row_reduce(fq, A)
+    basis = []
+    for fc in range(n_cols):
+        if fc in pivots:
+            continue
+        vec = [0] * n_cols
+        vec[fc] = 1
+        for r, pc in enumerate(pivots):
+            vec[pc] = fq.neg[rows[r][fc]]
+        basis.append(tuple(vec))
+    return basis
+
+
+def tuple_poly_at_matrix(fq, coeffs, A):
+    """Reference f(A) = sum_t c_t A^t, by schoolbook powers."""
+    n = len(A)
+    out, power = [[0] * n for _ in range(n)], identity_matrix(n)
+    for t, c in enumerate(coeffs):
+        if t:
+            power = schoolbook_mat_mul(fq, power, A)
+        out = [[fq.add[x][fq.mul[c][y]] for x, y in zip(o, p)] for o, p in zip(out, power)]
+    return tuple(map(tuple, out))
+
+
+def mat_inverse(fq, A):
+    """Reference inverse: [A | I] row reduced."""
+    n = len(A)
+    _, pivots, rows = tuple_row_reduce(fq, [A[i] + identity_matrix(n)[i] for i in range(n)])
+    assert pivots == list(range(n)), "matrix not invertible"
+    return tuple(tuple(row[n:]) for row in rows)
+
+
+def flag_fixed_points(fq, A) -> int:
+    """Reference: the number of complete flags of F_q^n fixed by A.
+
+    A fixed flag is an A-stable line <v> followed by a fixed flag of the
+    map A induces on F_q^n/<v>.  With v normalized so that its first
+    nonzero coordinate v_k is 1, the e_j (j != k) give a basis of the
+    quotient, and A e_j = A_kj v + sum_{i != k} (A_ij - v_i A_kj) e_i."""
+    n = len(A)
+    if n <= 1:
+        return 1
+    count = 0
+    for code in range(fq.q ** n):
+        v = tuple(code // fq.q ** j % fq.q for j in range(n))
+        k = next((i for i, x in enumerate(v) if x), None)
+        if k is None or v[k] != 1:
+            continue
+        image = mat_vec(fq, A, v)
+        if image != tuple(fq.mul[image[k]][x] for x in v):
+            continue  # A v is not a multiple of v
+        rest = [i for i in range(n) if i != k]
+        count += flag_fixed_points(fq, tuple(
+            tuple(fq.add[A[i][j]][fq.neg[fq.mul[v[i]][A[k][j]]]] for j in rest) for i in rest))
+    return count
+
+
 @pytest.mark.parametrize("n,q", ORACLE_GROUPS)
 def test_lookup_products_and_conjugates_match_tuples(n, q):
     # every product, every conjugation-row entry and every conj(g, h),
     # against matrix products of tuples; the list forms and the inverses too
     group = BF.build_group(n, q)
-    fq, els, index = group.fq, group.elements, group.index
+    fq = group.fq
+    els = [as_tuples(group, g) for g in range(len(group.rows))]
+    index = {A: g for g, A in enumerate(els)}
     inverses = [mat_inverse(fq, B) for B in els]
     assert group.inverses == tuple(index[B] for B in inverses)
     everyone = range(len(els))
@@ -226,21 +331,52 @@ def test_lookup_products_and_conjugates_match_tuples(n, q):
             assert row[j] == group.conj(i, j) == conjugate
 
 
+def random_matrices(rng, q):
+    """Square matrices of each size n <= 4 whose sums F_q^n x F_q^n pass the
+    table guard, random and with a repeated row; the sizes over it, apart."""
+    sizes = [n for n in range(1, 5) if q ** (2 * n) <= BF.TABLE_GUARD]
+    out = []
+    for n in sizes:
+        for _ in range(20):
+            A = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(n)]
+            out.append((n, tuple(A)))
+            out.append((n, tuple(A[:-1] + A[:1])))
+    return out, [n for n in range(1, 5) if n not in sizes]
+
+
 def test_mat_mul_matches_schoolbook_product():
     import random
     rng = random.Random(17)
     for q in (2, 3, 4, 5, 8, 9):
         fq = BF.field(q)
-        for rows, inner, cols in [(1, 1, 1), (2, 2, 2), (3, 3, 3), (4, 4, 4), (2, 3, 4), (3, 1, 2)]:
-            if q ** (2 * cols) > BF.TABLE_GUARD:
-                # the sums of F_8^4 and F_9^4 are over the table guard
-                with pytest.raises(ScaleGuardError, match="sums, over table guard"):
-                    BF.mat_mul(fq, ((0,) * inner,) * rows, ((0,) * cols,) * inner)
-                continue
-            for _ in range(20):
-                A = tuple(tuple(rng.randrange(q) for _ in range(inner)) for _ in range(rows))
-                B = tuple(tuple(rng.randrange(q) for _ in range(cols)) for _ in range(inner))
-                assert BF.mat_mul(fq, A, B) == schoolbook_mat_mul(fq, A, B)
+        matrices, over = random_matrices(rng, q)
+        for n, A in matrices:
+            B = tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(n))
+            assert BF.mat_mul(n, q, as_codes(q, A), as_codes(q, B)) == \
+                as_codes(q, schoolbook_mat_mul(fq, A, B))
+        assert over == ([4] if q in (8, 9) else [])
+        for n in over:
+            # the sums of F_8^4 and F_9^4 are over the table guard
+            with pytest.raises(ScaleGuardError, match="sums, over table guard"):
+                BF.mat_mul(n, q, (0,) * n, (0,) * n)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_row_code_elimination_matches_tuple_references(q):
+    # row_reduce, kernel_basis and poly_at_matrix on row codes, against the
+    # entry-by-entry forms, on random and on rank-deficient matrices
+    import random
+    rng = random.Random(q)
+    fq = BF.field(q)
+    for n, A in random_matrices(rng, q)[0]:
+        codes = as_codes(q, A)
+        rank, pivots, rows = BF.row_reduce(n, q, codes)
+        ref_rank, ref_pivots, ref_rows = tuple_row_reduce(fq, A)
+        assert (rank, pivots, rows) == (ref_rank, ref_pivots, list(as_codes(q, ref_rows)))
+        assert BF.kernel_basis(n, q, codes) == list(as_codes(q, tuple_kernel_basis(fq, A)))
+        coeffs = tuple(rng.randrange(q) for _ in range(rng.randrange(1, 4))) + (1,)
+        assert BF.poly_at_matrix(n, q, coeffs, codes) == \
+            as_codes(q, tuple_poly_at_matrix(fq, coeffs, A))
 
 
 @pytest.mark.parametrize("n,q", ORACLE_GROUPS + [(1, 7), (2, 5)])
@@ -251,22 +387,23 @@ def test_row_by_row_enumeration_is_every_invertible_matrix_in_code_order(n, q):
     for code in range(q ** (n * n)):
         digits = [(code // q ** t) % q for t in range(n * n)]
         A = tuple(tuple(digits[i * n:(i + 1) * n]) for i in range(n))
-        if BF.row_reduce(fq, A)[0] == n:
-            expected.append(A)
-    assert BF.build_group(n, q).elements == tuple(expected)
+        if tuple_row_reduce(fq, A)[0] == n:
+            expected.append(as_codes(q, A))
+    group = BF.build_group(n, q)
+    assert group.rows == expected
+    assert [group.element_id(rows) for rows in expected] == list(range(len(expected)))
 
 
 def test_lookup_tables_match_row_times_matrix():
     # act[b][r] against the row vector with code r times b, entry by entry
     group = BF.build_group(2, 4)
-    act, rows, id_of = group.lookup_tables()
     fq, q, n = group.fq, group.q, group.n
     vectors = [tuple((r // q ** j) % q for j in range(n)) for r in range(q ** n)]
-    for b, B in enumerate(group.elements):
-        assert rows[b] == tuple(vectors.index(row) for row in B)
+    for b, rows in enumerate(group.rows):
+        B = tuple(vectors[r] for r in rows)
         for r, v in enumerate(vectors):
-            assert vectors[act[b][r]] == schoolbook_mat_mul(fq, (v,), B)[0]
-    assert sorted(i for i in id_of if i >= 0) == list(range(len(group.elements)))
+            assert vectors[group.act[b][r]] == schoolbook_mat_mul(fq, (v,), B)[0]
+    assert sorted(i for i in group.id_of if i >= 0) == list(range(len(group.rows)))
 
 
 @pytest.mark.parametrize("n,q", ORACLE_GROUPS + [(2, 5)])
@@ -282,14 +419,14 @@ def test_conj_table_guard_builds_no_tables():
     # |GL(2,11)| = 13,200 passes GROUP_GUARD, but its lookup tables would
     # hold 13,200 * 121 = 1,597,200 row codes, over TABLE_GUARD
     group = BF.MatrixGroup(2, 11)
-    assert len(group.elements) <= BF.GROUP_GUARD < BF.TABLE_GUARD < 13200 * 121
+    assert len(group.rows) <= BF.GROUP_GUARD < BF.TABLE_GUARD < 13200 * 121
     with pytest.raises(ScaleGuardError, match="lookup tables of GL.2,11. hold 1597200 row codes"):
         group.conj_row(0)
     with pytest.raises(ScaleGuardError):
         group.conj(0, 0)
     with pytest.raises(ScaleGuardError):
         group.mul(0, 0)
-    assert group._lookup is None and group._conj_rows == {}
+    assert "act" not in vars(group) and group._conj_rows == {}
 
 
 def full_power_classes(group, class_of, reps, e):
@@ -361,7 +498,7 @@ def test_section_properties(n, q, d, variant):
 
 def uncached_conj_row(group, g):
     """h -> h^-1 g h for every h, not stored in the group's row cache."""
-    size = len(group.elements)
+    size = len(group.rows)
     return group.conj_pairs([g] * size, range(size))
 
 
@@ -370,7 +507,7 @@ def all_rows_oracle_sections(n, q, d, variant):
     centralizer as a set and part (iii) over every h in G."""
     data = BF.oracle_classes(n, q)
     group = data.group
-    size = len(group.elements)
+    size = len(group.rows)
     conj = [uncached_conj_row(group, g) for g in range(size)]
     xs = BF.d_element_ids(n, q, d, variant)
     x_set = set(xs)
@@ -618,8 +755,8 @@ def test_green_split_torus_counts_fixed_flags():
         for cid, lab in enumerate(data.labels):
             if lab.support:
                 continue
-            rep = group.elements[data.reps[cid]]
-            assert BF.flag_fixed_points(group.fq, rep) == \
+            rep = as_tuples(group, data.reps[cid])
+            assert flag_fixed_points(group.fq, rep) == \
                 C.green_polynomial(lab.unipotent, (1,) * n, q)
 
 
@@ -629,9 +766,9 @@ def test_flag_fixed_points_past_n_3():
     fq = BF.field(2)
     transvection = ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     regular = ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (0, 0, 0, 1))
-    for A, mu in [(BF.identity_matrix(4), (1, 1, 1, 1)), (transvection, (2, 1, 1)),
+    for A, mu in [(identity_matrix(4), (1, 1, 1, 1)), (transvection, (2, 1, 1)),
                   (regular, (4,))]:
-        assert BF.flag_fixed_points(fq, A) == C.green_polynomial(mu, (1, 1, 1, 1), 2)
+        assert flag_fixed_points(fq, A) == C.green_polynomial(mu, (1, 1, 1, 1), 2)
 
 
 def test_engine_values_match_oracle_rows():
@@ -675,7 +812,7 @@ LARGER_ORACLE_GROUPS = [(2, 7), (2, 8), (3, 3), (4, 2)]
 @pytest.mark.parametrize("n,q", LARGER_ORACLE_GROUPS)
 def test_engine_values_match_oracle_rows_on_larger_groups(n, q):
     data = BF.oracle_classes(n, q)
-    assert len(data.group.elements) * q ** n <= BF.TABLE_GUARD
+    assert len(data.group.rows) * q ** n <= BF.TABLE_GUARD
     assert data.class_count() <= BF.CLASS_GUARD
     dec = BF.borel_unipotent_constituents(n, q)
     tab = dec.table
@@ -685,6 +822,16 @@ def test_engine_values_match_oracle_rows_on_larger_groups(n, q):
             assert tab.value_int(chi, i) == C.class_values(L.type_of(label), q).get(lam, 0)
     assert BF.check_d1_duality_identity(n, q) == \
         {"all_nonzero": True, "unipotent_identity": True}
+
+
+@pytest.mark.parametrize("n,q", ORACLE_GROUPS + [(2, 5)] + LARGER_ORACLE_GROUPS)
+def test_induced_borel_character_counts_fixed_flags(n, q):
+    # |C(g)| |g^G n B| / |B| on each class against the complete flags its
+    # representative fixes, counted from the matrix
+    data = BF.oracle_classes(n, q)
+    perm = BF.borel_unipotent_constituents(n, q).perm_values
+    assert perm == tuple(flag_fixed_points(data.group.fq, as_tuples(data.group, r))
+                         for r in data.reps)
 
 
 def test_class_and_enumeration_guards_still_fire():
@@ -1027,11 +1174,11 @@ def tuple_primary_basis(group, A, match):
     fq, n = group.fq, group.n
     sel, rest = [], []
     for coeffs, is_unip, key in BF._poly_pool(n, group.q):
-        M = BF.poly_at_matrix(fq, coeffs, A)
-        P = BF.identity_matrix(n)
+        M = tuple_poly_at_matrix(fq, coeffs, A)
+        P = identity_matrix(n)
         for _ in range(n):
-            P = BF.mat_mul(fq, P, M)
-        basis = BF.kernel_basis(fq, P)
+            P = schoolbook_mat_mul(fq, P, M)
+        basis = tuple_kernel_basis(fq, P)
         if basis:
             (sel if match(coeffs, is_unip, key) else rest).extend(basis)
     assert len(sel) + len(rest) == n
@@ -1045,7 +1192,7 @@ def matching(d, variant):
 
 def tuple_x_part_element(group, g_id, d, variant):
     """Reference d-part: C D C^-1 by tuple products and an inverse."""
-    A = group.elements[g_id]
+    A = as_tuples(group, g_id)
     fq, n = group.fq, group.n
     sel, rest = tuple_primary_basis(group, A, matching(d, variant))
     cols = sel + rest
@@ -1053,19 +1200,19 @@ def tuple_x_part_element(group, g_id, d, variant):
     C_inv = mat_inverse(fq, C)
     D = [[0] * n for _ in range(n)]
     for j, v in enumerate(sel):
-        coords = BF.mat_vec(fq, C_inv, BF.mat_vec(fq, A, v))
+        coords = mat_vec(fq, C_inv, mat_vec(fq, A, v))
         for i in range(n):
             D[i][j] = coords[i]
     for j in range(len(sel), n):
         D[j][j] = 1
-    x = BF.mat_mul(fq, BF.mat_mul(fq, C, tuple(map(tuple, D))), C_inv)
-    return group.index[x]
+    x = schoolbook_mat_mul(fq, schoolbook_mat_mul(fq, C, tuple(map(tuple, D))), C_inv)
+    return group.element_id(as_codes(group.q, x))
 
 
 def tuple_y_set(group, d, variant, u_id):
     """Reference complementary set: each y tested by tuple products."""
     fq, nn = group.fq, group.n
-    sel, rest = tuple_primary_basis(group, group.elements[u_id], matching(d, variant))
+    sel, rest = tuple_primary_basis(group, as_tuples(group, u_id), matching(d, variant))
     cols = sel + rest
     C = tuple(tuple(cols[j][i] for j in range(nn)) for i in range(nn))
     C_inv = mat_inverse(fq, C)
@@ -1073,14 +1220,15 @@ def tuple_y_set(group, d, variant, u_id):
     bad_polys = [coeffs for coeffs, is_unip, key in BF._poly_pool(nn, group.q)
                  if matching(d, variant)(coeffs, is_unip, key)]
     out = []
-    for y_id, Y in enumerate(group.elements):
-        if any(BF.mat_vec(fq, Y, v) != v for v in sel):
+    for y_id in range(len(group.rows)):
+        Y = as_tuples(group, y_id)
+        if any(mat_vec(fq, Y, v) != v for v in sel):
             continue
-        YC = BF.mat_mul(fq, C_inv, BF.mat_mul(fq, Y, C))
+        YC = schoolbook_mat_mul(fq, C_inv, schoolbook_mat_mul(fq, Y, C))
         if any(YC[i][j] != 0 for j in range(k, nn) for i in range(k)):
             continue
         block = tuple(tuple(YC[i][j] for j in range(k, nn)) for i in range(k, nn))
-        if block and any(BF.kernel_basis(fq, BF.poly_at_matrix(fq, coeffs, block))
+        if block and any(tuple_kernel_basis(fq, tuple_poly_at_matrix(fq, coeffs, block))
                          for coeffs in bad_polys):
             continue
         out.append(y_id)
@@ -1092,7 +1240,7 @@ def tuple_y_set(group, d, variant, u_id):
 def test_lookup_sections_match_tuple_arithmetic(n, q, variant):
     group = BF.build_group(n, q)
     for d in (1, 2, 3):
-        for g in range(len(group.elements)):
+        for g in range(len(group.rows)):
             assert BF.x_part_element(group, g, d, variant) == \
                 tuple_x_part_element(group, g, d, variant)
         for u in BF.d_element_ids(n, q, d, variant):

@@ -300,6 +300,44 @@ def test_unread_option_is_a_usage_error(capsys, argv):
     assert "unrecognized arguments" in captured.err.splitlines()[-1]
 
 
+@pytest.mark.parametrize("argv, unread", [
+    (["verify", "thm45", "--d", "5"], "--d"),
+    (["verify", "thm45", "--n", "2", "--q", "3", "--d", "1"], "--d"),
+    (["verify", "thm410chain", "--q", "9", "--variant", "exact"], "--q, --variant"),
+    (["verify", "lemma49", "--n", "3", "--q", "2", "--d", "2", "--variant", "exact"],
+     "--n, --q, --d, --variant"),
+    (["verify", "prop32", "--k", "4"], "--k"),
+    (["verify", "smt55", "--n", "3", "--F", "6"], "--F"),
+])
+def test_unread_verify_option_is_a_usage_error(capsys, argv, unread):
+    # each check takes only the options it reads, so one given with its
+    # default value is refused too; the message is one line
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == ""
+    assert captured.err == f"glblocks: error: verify {argv[1]} does not take {unread}\n"
+
+
+def test_verify_defaults_are_per_check(capsys, monkeypatch):
+    # an omitted option takes its check's default: both variants for prop32
+    # (variant None), divisible elsewhere; the namespace holds no other option
+    seen = {}
+
+    def record(args):
+        seen[args.check] = {k: v for k, v in vars(args).items()
+                            if k not in ("command", "check", "output", "out_path", "func")}
+        return True, {}
+    for check in cli.VERIFIERS:
+        monkeypatch.setitem(cli.VERIFIERS, check, record)
+        assert run(["verify", check], capsys)[0] == 0
+    group = {"n": 3, "q": 2, "d": 1, "variant": "divisible"}
+    assert seen == {"prop32": {**group, "variant": None}, "thm43": group, "thm44": group,
+                    "thm45": {"n": 3, "q": 2, "variant": "divisible"}, "thm46": group,
+                    "lemma49": {"k": 4, "big_f": 6}, "thm410chain": {"n": 3, "d": 1},
+                    "smt55": group}
+
+
 def test_class_guard_applies_to_labels_only(capsys):
     # GL(8,5) has 390,480 classes: too many labels, but blocks work on types
     code, out = run(["blocks", "--n", "8", "--q", "5", "--d", "2"], capsys)

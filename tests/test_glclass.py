@@ -215,34 +215,34 @@ def test_identity_and_centralizers():
 def test_is_d_element():
     q = 3
     ident = L.type_of(identity_label(3, q))
-    assert G.is_d_element(ident, 2)
+    assert G.is_d_element(ident, 2, "divisible")
     quad = L.type_of(BF.make_label(3, q, (1,), [((2, 0), (1,))]))
-    assert G.is_d_element(quad, 2)
+    assert G.is_d_element(quad, 2, "divisible")
     bad_unip = L.type_of(BF.make_label(3, q, (2, 1), ()))
-    assert not G.is_d_element(bad_unip, 2)
+    assert not G.is_d_element(bad_unip, 2, "divisible")
     lin = L.type_of(BF.make_label(3, q, (1,), [((1, 0), (1, 1))]))
-    assert not G.is_d_element(lin, 2)
-    assert G.is_d_element(lin, 1)
+    assert not G.is_d_element(lin, 2, "divisible")
+    assert G.is_d_element(lin, 1, "divisible")
 
 
 def test_is_d_regular():
     q = 2
     unip = L.type_of(BF.make_label(3, q, (2, 1), ()))
-    assert G.is_d_regular(unip, 1)          # unipotent iff 1-regular
-    assert G.is_d_regular(unip, 2) and G.is_d_regular(unip, 3)
+    assert G.is_d_regular(unip, 1, "divisible")          # unipotent iff 1-regular
+    assert G.is_d_regular(unip, 2, "divisible") and G.is_d_regular(unip, 3, "divisible")
     cubic = L.type_of(BF.make_label(3, q, (), [((3, 0), (1,))]))
-    assert not G.is_d_regular(cubic, 3)
-    assert not G.is_d_regular(cubic, 1)
-    assert G.is_d_regular(cubic, 2)
+    assert not G.is_d_regular(cubic, 3, "divisible")
+    assert not G.is_d_regular(cubic, 1, "divisible")
+    assert G.is_d_regular(cubic, 2, "divisible")
     assert not G.is_d_regular(cubic, 3, "exact")
     assert G.is_d_regular(cubic, 2, "exact")
     for c in L.all_classes(3, 2):
-        assert G.is_d_regular(L.type_of(c), 1) == (not c.support)
+        assert G.is_d_regular(L.type_of(c), 1, "divisible") == (not c.support)
     # scalar classes are d-regular for every d >= 2
     scalar = L.type_of(BF.make_label(2, 3, (), [((1, 0), (1, 1))]))
     for d in (2, 3, 4):
-        assert G.is_d_regular(scalar, d)
-    assert not G.is_d_regular(scalar, 1)
+        assert G.is_d_regular(scalar, d, "divisible")
+    assert not G.is_d_regular(scalar, 1, "divisible")
 
 
 def test_xy_decompose():
@@ -251,7 +251,7 @@ def test_xy_decompose():
     x, y = L.xy_decompose(c, 2)
     assert x.n == 2 and x.components == ((2, (1,)),)
     assert y.n == 2 and y.unipotent == (2,) and not y.components
-    assert G.d_type(c, 2) == ((1, 1),)
+    assert G.d_type(c, 2, "divisible") == ((1, 1),)
     assert class_d_weight(c, 2) == 1
 
     for c in G.class_types(4, 3):
@@ -265,9 +265,9 @@ def test_xy_decompose():
 def test_xy_decompose_degenerate_cases():
     for c in G.class_types(3, 3):
         x, y = L.xy_decompose(c, 2)
-        if G.is_d_regular(c, 2):
+        if G.is_d_regular(c, 2, "divisible"):
             assert x.n == 0 and y == c
-        if G.is_d_element(c, 2):
+        if G.is_d_element(c, 2, "divisible"):
             assert not y.components and all(p == 1 for p in y.unipotent)
 
 
@@ -282,14 +282,14 @@ def test_decomposition_is_injective():
 
 def test_d_type_examples():
     ident = L.type_of(identity_label(4, 3))
-    assert G.d_type(ident, 2) == ()
+    assert G.d_type(ident, 2, "divisible") == ()
     one = L.type_of(BF.make_label(4, 3, (1, 1), [((2, 1), (1,))]))
-    assert G.d_type(one, 2) == ((1, 1),)
+    assert G.d_type(one, 2, "divisible") == ((1, 1),)
     two = L.type_of(BF.make_label(4, 3, (), [((2, 0), (1,)), ((2, 2), (1,))]))
-    assert G.d_type(two, 2) == ((1, 1), (1, 1))
+    assert G.d_type(two, 2, "divisible") == ((1, 1), (1, 1))
     assert class_d_weight(two, 2) == 2
     deg4 = L.type_of(BF.make_label(4, 3, (), [((4, 7), (1,))]))
-    assert G.d_type(deg4, 2) == ((1, 2),)
+    assert G.d_type(deg4, 2, "divisible") == ((1, 2),)
 
 
 @pytest.mark.parametrize("n, q", [(4, 3), (5, 2)])
@@ -303,12 +303,12 @@ def test_d_type_reads_the_d_part(n, q):
 
 
 def test_section_heads_examples():
-    heads = G.section_heads(3, 3, 2)
+    heads = G.section_heads(3, 3, 2, "divisible")
     assert heads == (ClassType(0, (), ()), ClassType(2, (), ((2, (1,)),)))
     # at d = 1 every type without an X-1 part heads a section
-    assert set(G.section_heads(3, 3, 1)) == {
+    assert set(G.section_heads(3, 3, 1, "divisible")) == {
         t for m in range(4) for t in G.class_types(m, 3) if not t.unipotent}
-    assert len(G.section_heads(3, 3, 1)) == 10
+    assert len(G.section_heads(3, 3, 1, "divisible")) == 10
 
 
 def test_weight_bound():
@@ -344,8 +344,8 @@ def test_section_class_sizes_sum_to_group_order():
 
 
 def test_classes_json_deterministic():
-    a = json.dumps(G.classes_report(3, 2, 2), sort_keys=True)
-    b = json.dumps(G.classes_report(3, 2, 2), sort_keys=True)
+    a = json.dumps(G.classes_report(3, 2, 2, "divisible"), sort_keys=True)
+    b = json.dumps(G.classes_report(3, 2, 2, "divisible"), sort_keys=True)
     assert a == b
     payload = json.loads(a)
     assert payload["n"] == 3 and payload["q"] == 2
