@@ -4,7 +4,7 @@ second-main-theorem check.
 All inner products are exact: the matrix of a domain is
 sum_t w_t v_t v_t^T / |G| over its class types t, with v_t = (chi^nu(t))_nu
 the value vector of t and w_t the total size of the domain's classes of
-type t, summed in integers and divided once per entry.
+type t, each entry one integer row product over the types, divided once.
 Domains are read off `class_types` and hold `ClassType`s only, so no
 class label is built here.  A section domain is keyed by its head type x
 (a d-element of GL(|x|, q) without X-1): its types are x's components
@@ -25,6 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import factorial
+from operator import mul
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -112,24 +113,20 @@ def _type_weights(ctx: Context, domain):
 def inner_matrix(ctx: Context, domain):
     """{(nu, nu2): Fraction} over the domain's classes, for every ordered pair, read-only.
 
-    One pass over the domain's types adds w_t x y for each unordered pair
-    of nonzero entries x, y of the value vector of t; each total is then
+    With V the value vectors of the domain's types as columns and w their
+    weights, each entry is one row product sum_t w_t V[nu][t] V[nu2][t],
     divided by |G| once and stored under both orders.
     """
     labels = partitions_of(ctx.n)
-    index = {nu: i for i, nu in enumerate(labels)}
-    totals = [[0] * len(labels) for _ in labels]
-    for t, w in _type_weights(ctx, domain).items():
-        vector = [(index[nu], x) for nu, x in class_values(t, ctx.q).items()]
-        for a, (i, x) in enumerate(vector):
-            row, wx = totals[i], w * x
-            for j, y in vector[a:]:
-                row[j] += wx * y
+    weights = _type_weights(ctx, domain)
+    rows = list(zip(*(class_values(t, ctx.q) for t in weights))) or [()] * len(labels)
     order = gl_order(ctx.n, ctx.q)
     out = {}
     for i, nu in enumerate(labels):
+        weighted = tuple(map(mul, weights.values(), rows[i]))
         for j in range(i, len(labels)):
-            out[(nu, labels[j])] = out[(labels[j], nu)] = Fraction(totals[i][j], order)
+            out[(nu, labels[j])] = out[(labels[j], nu)] = Fraction(
+                sum(map(mul, weighted, rows[j])), order)
     return MappingProxyType(out)
 
 
@@ -345,16 +342,15 @@ def smt_check(ctx: Context) -> str | None:
         for degree, jordan in reversed(head.components):
             size += degree * sum(jordan)
             steps.append((size, degree, jordan))
-            for nu in partitions_of(size):
-                if any(d_core(lam, ctx.d) != d_core(nu, ctx.d)
-                       for lam, _ in mn_step(nu, degree, jordan, ctx.q)):
+            lams = partitions_of(size - degree * sum(jordan))
+            for nu, (targets, _) in zip(partitions_of(size), mn_step(size, degree, jordan, ctx.q)):
+                if any(d_core(lams[i], ctx.d) != d_core(nu, ctx.d) for i in targets):
                     return "peel target escaped the source's d-core"
         for y, t in _section_types(ctx, head):
             direct, recon = class_values(t, ctx.q), class_values(y, ctx.q)
             for step in steps:
                 recon = peel(recon, *step, ctx.q)
-            for mu in partitions_of(ctx.n):
-                a, b = direct.get(mu, 0), recon.get(mu, 0)
+            for mu, a, b in zip(partitions_of(ctx.n), direct, recon):
                 if a != b:
                     return f"reconstruction failed for {mu} at {t}: {a} != {b}"
     return None

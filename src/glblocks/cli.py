@@ -51,6 +51,12 @@ from . import partitions
 from .errors import HypothesisError, ScaleGuardError
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Report a usage error in one stderr line, without the usage block."""
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _usage_error(message: str) -> SystemExit:
     """Report bad input in one stderr line; raising the result exits with 2."""
     print(f"glblocks: error: {message}", file=sys.stderr)
@@ -209,13 +215,9 @@ def cmd_blocks(args) -> int:
 
 def _verify_prop32(args):
     from . import bruteforce
-    ok_all = True
-    details = {}
-    for variant in ([args.variant] if args.variant else ["divisible", "exact"]):
-        check = bruteforce.oracle_sections(args.n, args.q, args.d, variant)
-        details[variant] = check.parts
-        ok_all = ok_all and check.ok
-    return ok_all, details
+    checks = {variant: bruteforce.oracle_sections(args.n, args.q, args.d, variant)
+              for variant in ([args.variant] if args.variant else ["divisible", "exact"])}
+    return all(c.ok for c in checks.values()), {v: c.parts for v, c in checks.items()}
 
 
 def _verify_thm43(args):
@@ -223,7 +225,6 @@ def _verify_thm43(args):
     ctx = blockcalc.Context(args.n, args.q, args.d, args.variant)
     labels = partitions.partitions_of(ctx.n)
     worst = []
-    ok = True
     for head in glclass.section_heads(ctx.n, ctx.q, ctx.d, ctx.variant):
         matrix = blockcalc.inner_matrix(ctx, ("section", head))
         for i, nu in enumerate(labels):
@@ -232,9 +233,8 @@ def _verify_thm43(args):
                     continue
                 val = matrix[(nu, nu2)]
                 if val != 0:
-                    ok = False
                     worst.append([list(nu), list(nu2), f"{val}"])
-    return ok, {"cross_core_nonzeros": worst}
+    return not worst, {"cross_core_nonzeros": worst}
 
 
 def _verify_thm44(args):
@@ -262,15 +262,12 @@ def _verify_thm46(args):
     pairs = blockcalc.find_theorem46_pairs(ctx)
     matrix = blockcalc.inner_matrix(ctx, "d_regular")
     results = []
-    ok = True
     for lam, mu in pairs:
         rhs = blockcalc.theorem46_rhs(lam, mu, ctx)
         lhs = matrix[(lam, mu)]
-        match = lhs == rhs
-        ok = ok and match
         results.append({"lam": list(lam), "mu": list(mu),
-                        "lhs": f"{lhs}", "rhs": f"{rhs}", "match": match})
-    return ok, {"pairs": results, "pair_count": len(pairs)}
+                        "lhs": f"{lhs}", "rhs": f"{rhs}", "match": lhs == rhs})
+    return all(r["match"] for r in results), {"pairs": results, "pair_count": len(pairs)}
 
 
 def _verify_lemma49(args):
@@ -362,7 +359,7 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="glblocks",
         description="Exact computations with generalized sections and "
                     "unipotent blocks of finite general linear groups.")
@@ -431,9 +428,8 @@ def main(argv=None) -> int:
         _verify_options(args)
     if args.output == "csv" and args.command not in ("table", "matrix"):
         raise _usage_error("this command has no csv form; use --output json")
-    if args.command == "oracle" or getattr(args, "check", None) in ("prop32", "thm45"):
-        if args.n < 1:
-            parser.error(f"argument --n: the element-level oracle needs at least 1, got {args.n}")
+    if (args.command == "oracle" or getattr(args, "check", None) in ("prop32", "thm45")) and args.n < 1:
+        parser.error(f"argument --n: the element-level oracle needs at least 1, got {args.n}")
     try:
         return args.func(args)
     except ScaleGuardError as exc:

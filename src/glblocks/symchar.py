@@ -1,22 +1,21 @@
-"""Symmetric group characters via the hook-removal recursion, and signed removal maps.
+"""The character table of S_n, signed removal maps, and blocks of partition labels.
 
-Cycle types are partitions (tuples).  The recursion peels the largest
-cycle first; order does not affect values and the tests exercise that.
-Partition labels are grouped into blocks here too: by linking pairs, or
-by their d-cores.
+Cycle types are partitions (tuples), and tables are integer columns in the
+order of `partitions_of`.  The column of a cycle type is one
+Murnaghan-Nakayama step, its largest cycle, from the column of the rest;
+the order of the cycles does not affect the values, and the tests check
+the table against the per-entry recursion.  Partition labels are grouped
+into blocks here too: by linking pairs, or by their d-cores.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import cache
 from math import factorial
 from types import MappingProxyType
 
-from .partitions import (
-    d_core,
-    partitions_of,
-    rim_hooks,
-)
+from .partitions import d_core, partitions_of, rim_hooks
 
 
 @cache
@@ -30,16 +29,29 @@ def z_order(alpha: tuple[int, ...]) -> int:
 
 
 @cache
-def sn_char(lam: tuple[int, ...], rho: tuple[int, ...]) -> int:
-    """Irreducible character of S_n labeled lam at cycle type rho."""
-    if sum(lam) != sum(rho):
-        raise ValueError("partition and cycle type have different sizes")
-    if not lam:
-        return 1
-    t = rho[0]
-    rest = rho[1:]
-    return sum((-1) ** hk.leg_length * sn_char(hk.result, rest)
-               for hk in rim_hooks(lam, t))
+def partition_index(n: int) -> Mapping[tuple[int, ...], int]:
+    """{lam: position of lam in partitions_of(n)}, read-only."""
+    return MappingProxyType({lam: i for i, lam in enumerate(partitions_of(n))})
+
+
+@cache
+def _column(rho: tuple[int, ...]) -> tuple[int, ...]:
+    """(chi^lam(rho))_lam over partitions_of(|rho|): each lam sums the leg
+    signs of its rim hooks of length rho[0] times the column of rho[1:] at
+    what the hooks leave."""
+    if not rho:
+        return (1,)
+    tail, at = _column(rho[1:]), partition_index(sum(rho[1:]))
+    return tuple(sum([(-1) ** hk.leg_length * tail[at[hk.result]] for hk in rim_hooks(lam, rho[0])])
+                 for lam in partitions_of(sum(rho)))
+
+
+@cache
+def character_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """The character table of S_n by columns: entry [j][i] is chi^lam(rho)
+    for rho the j-th and lam the i-th partition of n.  Smaller tables are
+    never built whole, only the columns of the tails."""
+    return tuple(_column(rho) for rho in partitions_of(n))
 
 
 @cache

@@ -1,5 +1,7 @@
-"""Hook-removal sets that only the tests read.
+"""Hook-removal recursions that only the tests read.
 
+`sn_char` is the per-entry recursion for the characters of S_n, the
+reference for `symchar.character_table`;
 `path_sign_set` collects the sign of every full d-hook removal path, which
 the tests compare with the engine's single-path `partitions.epsilon`;
 `l_set_iterate` lists what i d-hook removals reach, the targets a
@@ -11,6 +13,17 @@ from __future__ import annotations
 from functools import cache
 
 from glblocks.partitions import rim_hooks
+
+
+@cache
+def sn_char(lam: tuple[int, ...], rho: tuple[int, ...]) -> int:
+    """Irreducible character of S_n labeled lam at cycle type rho."""
+    if sum(lam) != sum(rho):
+        raise ValueError("partition and cycle type have different sizes")
+    if not lam:
+        return 1
+    return sum((-1) ** hk.leg_length * sn_char(hk.result, rho[1:])
+               for hk in rim_hooks(lam, rho[0]))
 
 
 @cache

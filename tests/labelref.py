@@ -31,12 +31,18 @@ from glblocks.glclass import (
     d_type,
 )
 from glblocks.partitions import partitions_of
+from glblocks.symchar import partition_index
 from glblocks.qarith import non_unipotent_count
 
 
 def type_of(c: GLClassLabel) -> ClassType:
     """The type of the class c: its polynomials forgotten, their degrees and partitions kept."""
     return ClassType(c.n, c.unipotent, tuple(sorted((key.degree, part) for key, part in c.support)))
+
+
+def label_value(nu, c: GLClassLabel) -> int:
+    """chi^nu at the class c, read off the engine's value vector of its type."""
+    return class_values(type_of(c), c.q)[partition_index(c.n)[tuple(nu)]]
 
 
 @cache
@@ -117,8 +123,7 @@ class LabelValueTable:
         self.labels = partitions_of(n)
         values = {}
         for c in self.classes:
-            vector = class_values(type_of(c), q)
-            values.update(((nu, c), vector.get(nu, 0)) for nu in self.labels)
+            values.update(zip(((nu, c) for nu in self.labels), class_values(type_of(c), q)))
         self.values = MappingProxyType(values)
 
     def chi(self, nu, c) -> int:

@@ -15,7 +15,8 @@ from fractions import Fraction
 from glblocks.blockcalc import Context
 from glblocks.errors import HypothesisError
 from glblocks.partitions import d_core, d_weight, epsilon, partitions_of
-from glblocks.symchar import linked_components, sn_char, z_order
+from glblocks.symchar import linked_components, z_order
+from hookref import sn_char
 
 
 def regular_classes(n: int, ell: int) -> tuple[tuple[int, ...], ...]:

@@ -5,7 +5,6 @@ Everything is exact (tolerance zero); run with -s to watch the lines go by.
 
 from glblocks import blockcalc as B
 from glblocks import bruteforce as BF
-from glblocks import charvalue as C
 from glblocks import glclass as G
 from glblocks import partitions as P
 from glblocks import qarith as Q
@@ -74,7 +73,7 @@ def test_criterion_04_character_value_oracle_equivalence():
         for lam, (chi, _) in dec.constituents.items():
             for i, r in enumerate(tab.reps):
                 label = data.labels[data.class_of[r]]
-                if tab.value_int(chi, i) != C.class_values(L.type_of(label), q).get(lam, 0):
+                if tab.value_int(chi, i) != L.label_value(lam, label):
                     ok = False
     announce(4, "unipotent values equal oracle constituent rows", ok)
 

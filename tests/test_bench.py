@@ -3,8 +3,11 @@
 Each op of every workload in bench/run.py goes through cli.main and is
 compared with bench/reference/ by the runner's own payload_of and
 first_mismatch, so an output change the benchmark would count as a failed
-op fails here first."""
+op fails here first.  The whole stdout must also hash to the reference's
+stdout_sha256, which covers the keys the payload leaves out (an oracle
+dump's order and Borel permutation values, for one)."""
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -34,5 +37,7 @@ def test_every_op_has_a_reference():
 def test_workload_op_matches_its_reference(op, capsys, monkeypatch):
     monkeypatch.delenv("GLBLOCKS_CACHE_DIR", raising=False)
     assert cli.main(op.split() + ["--output", "json"]) == 0
-    payload = RUNNER.payload_of(op, capsys.readouterr().out)
-    assert RUNNER.first_mismatch(RUNNER.load_reference(op)["payload"], payload) is None
+    out = capsys.readouterr().out
+    reference = RUNNER.load_reference(op)
+    assert RUNNER.first_mismatch(reference["payload"], RUNNER.payload_of(op, out)) is None
+    assert hashlib.sha256(out.encode()).hexdigest() == reference["stdout_sha256"]

@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
@@ -104,7 +105,7 @@ def test_cached_results_are_read_only():
               S.signed_removal_map((2, 1), (1,), 1), C.class_values(G.ClassType(3, (3,), ()), 2),
               C.table(3, 2).classes]
     for table in tables:
-        key = next(iter(table))
+        key = next(iter(table)) if isinstance(table, Mapping) else 0
         with pytest.raises(TypeError):
             table[key] = table[key]
         with pytest.raises(AttributeError):
@@ -434,8 +435,8 @@ def test_section_types_split_back_into_head_and_y():
 
 def test_wrong_peel_coefficient_fails_smt_check(monkeypatch, capsys):
     real = B.peel
-    monkeypatch.setattr(B, "peel", lambda values, n, degree, jordan, q: {
-        nu: 2 * v for nu, v in real(values, n, degree, jordan, q).items()})
+    monkeypatch.setattr(B, "peel", lambda values, n, degree, jordan, q: tuple(
+        2 * v for v in real(values, n, degree, jordan, q)))
     assert B.smt_check(Context(4, 3, 2, "divisible")).startswith("reconstruction failed")
     code = cli.main(["verify", "smt55", "--n", "4", "--q", "3", "--d", "2", "--output", "json"])
     payload = json.loads(capsys.readouterr().out)
@@ -444,13 +445,15 @@ def test_wrong_peel_coefficient_fails_smt_check(monkeypatch, capsys):
 
 
 def test_peel_target_leaving_the_core_fails_smt_check(monkeypatch, capsys):
-    # (1,) has 2-core (1,), so it is foreign to every even-sized source
+    # every row gains the target (m), the first partition of its size m; on
+    # GL(5,3) the peel of a degree-2 head from size 3 to 5 reaches (3,),
+    # whose 2-core (1,) is foreign to the source (2, 2, 1), of 2-core (2, 1)
     real = B.mn_step
-    monkeypatch.setattr(B, "mn_step", lambda nu, degree, jordan, q: (
-        real(nu, degree, jordan, q) + (((1,), 1),)))
+    monkeypatch.setattr(B, "mn_step", lambda n, degree, jordan, q: tuple(
+        (targets + (0,), coefficients + (1,)) for targets, coefficients in real(n, degree, jordan, q)))
     message = "peel target escaped the source's d-core"
-    assert B.smt_check(Context(4, 3, 2, "divisible")) == message
-    code = cli.main(["verify", "smt55", "--n", "4", "--q", "3", "--d", "2", "--output", "json"])
+    assert B.smt_check(Context(5, 3, 2, "divisible")) == message
+    code = cli.main(["verify", "smt55", "--n", "5", "--q", "3", "--d", "2", "--output", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 1 and payload["pass"] is False
     assert payload["details"]["error"] == message

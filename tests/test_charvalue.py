@@ -10,8 +10,9 @@ from glblocks import glclass as G
 from glblocks import qarith as Q
 from glblocks.charvalue import _unipotent_values
 from glblocks.partitions import conjugate, d_core, n_stat, partitions_of
-from glblocks.symchar import sn_char, z_order
-from hookref import l_set_iterate
+from glblocks.symchar import partition_index, z_order
+from greenref import green_polynomial, unipotent_values
+from hookref import l_set_iterate, sn_char
 import labelref as L
 
 
@@ -23,7 +24,27 @@ def value_on_unipotent(nu: tuple[int, ...], mu: tuple[int, ...], q: int) -> int:
     """
     if sum(nu) != sum(mu):
         raise ValueError("size mismatch")
-    return _unipotent_values(sum(mu), q).get((nu, mu), 0)
+    at = partition_index(sum(mu))
+    return _unipotent_values(sum(mu), q)[at[mu]][at[nu]]
+
+
+def green(mu: tuple[int, ...], rho: tuple[int, ...], q: int) -> int:
+    """The engine's Green value Q^mu_rho(q), read off its table."""
+    at = partition_index(sum(mu))
+    return C.green_values(sum(mu), q)[at[mu]][at[rho]]
+
+
+def step(nu: tuple[int, ...], degree: int, jordan: tuple[int, ...], q: int):
+    """The mn_step row of nu as (target partition, coefficient) pairs."""
+    n = sum(nu)
+    targets, coefficients = C.mn_step(n, degree, jordan, q)[partition_index(n)[nu]]
+    lams = partitions_of(n - degree * sum(jordan))
+    return tuple((lams[i], a) for i, a in zip(targets, coefficients))
+
+
+def vector(t, q) -> dict[tuple[int, ...], int]:
+    """{nu: chi^nu(t)} over the partitions of t.n, zeros omitted."""
+    return {nu: v for nu, v in zip(partitions_of(t.n), C.class_values(t, q)) if v}
 
 
 def poly(*coeffs):
@@ -144,7 +165,7 @@ def compose_steps(start: tuple[int, ...], components, q: int):
     for degree, jordan in components:
         nxt: dict[tuple[int, ...], int] = {}
         for part, coef in state.items():
-            for lam, a in C.mn_step(part, degree, jordan, q):
+            for lam, a in step(part, degree, jordan, q):
                 nxt[lam] = nxt.get(lam, 0) + coef * a
         state = {p: c for p, c in nxt.items() if c != 0}
         if not state:
@@ -181,7 +202,7 @@ def peel_sequences(start: tuple[int, ...], components, q: int):
     for degree, jordan in components:
         nxt = []
         for chain, coef in seqs:
-            for lam, a in C.mn_step(chain[-1], degree, jordan, q):
+            for lam, a in step(chain[-1], degree, jordan, q):
                 nxt.append((chain + (lam,), coef * a))
         seqs = nxt
     return seqs
@@ -226,10 +247,10 @@ def test_charge_examples():
 
 def test_green_polynomial_rank_two():
     for q in (2, 3, 5, 7):
-        assert C.green_polynomial((2,), (1, 1), q) == 1
-        assert C.green_polynomial((2,), (2,), q) == 1
-        assert C.green_polynomial((1, 1), (1, 1), q) == q + 1
-        assert C.green_polynomial((1, 1), (2,), q) == 1 - q
+        assert green((2,), (1, 1), q) == 1
+        assert green((2,), (2,), q) == 1
+        assert green((1, 1), (1, 1), q) == q + 1
+        assert green((1, 1), (2,), q) == 1 - q
 
 
 def test_green_orthogonality():
@@ -242,8 +263,8 @@ def test_green_orthogonality():
                     t_alpha *= big_q ** part - 1
                 for beta in partitions_of(k):
                     total = sum(
-                        Fraction(C.green_polynomial(mu, alpha, big_q) *
-                                 C.green_polynomial(mu, beta, big_q),
+                        Fraction(green(mu, alpha, big_q) *
+                                 green(mu, beta, big_q),
                                  Q.unipotent_centralizer_order(mu, big_q))
                         for mu in partitions_of(k))
                     expected = Fraction(z_order(alpha), t_alpha) if alpha == beta else 0
@@ -265,7 +286,7 @@ def test_value_on_unipotent_matches_torus_sum():
         for q in (2, 3, 4, 5):
             for nu in partitions_of(n):
                 for mu in partitions_of(n):
-                    total = sum((Fraction(sn_char(nu, rho) * C.green_polynomial(mu, rho, q),
+                    total = sum((Fraction(sn_char(nu, rho) * green(mu, rho, q),
                                           z_order(rho)) for rho in partitions_of(n)),
                                 Fraction(0))
                     assert total.denominator == 1, (nu, mu, q)
@@ -310,16 +331,16 @@ def test_unipotent_values_reject_wrong_centralizer_orders(monkeypatch, wrong, me
 def test_trivial_label_value_is_one():
     for (n, q) in [(2, 3), (3, 2), (4, 3)]:
         for c in L.all_classes(n, q):
-            assert C.class_values(L.type_of(c), q)[(n,)] == 1
+            assert C.class_values(L.type_of(c), q)[0] == 1  # (n,) comes first
 
 
 def test_mn_step_single_hook_is_leg_sign():
     # peeling one companion block of a degree-D polynomial with k = 1
-    out = dict(C.mn_step((1, 1), 2, (1,), 3))
+    out = dict(step((1, 1), 2, (1,), 3))
     assert out == {(): -1}
-    out = dict(C.mn_step((4,), 2, (1,), 3))
+    out = dict(step((4,), 2, (1,), 3))
     assert out == {(2,): 1}
-    out = dict(C.mn_step((2, 1), 2, (1,), 5))
+    out = dict(step((2, 1), 2, (1,), 5))
     assert out == {}  # no 2-hook in the staircase
 
 
@@ -332,7 +353,7 @@ def test_mn_step_nonzero_on_reachable_targets_semisimple():
                 for k in (1, 2, 3):
                     if k * hook_degree > size:
                         continue
-                    out = dict(C.mn_step(nu, hook_degree, (1,) * k, 3))
+                    out = dict(step(nu, hook_degree, (1,) * k, 3))
                     reachable = l_set_iterate(nu, hook_degree, k)
                     assert set(out) <= set(reachable)
                     for lam in reachable:
@@ -343,10 +364,10 @@ def test_mn_step_can_vanish_for_non_semisimple_parts():
     # with a single Jordan block of size 2 the two torus terms cancel
     # exactly on some reachable targets; the values stay consistent (the
     # orthonormality suite pins them), so the map simply omits the target
-    out = dict(C.mn_step((3, 2), 2, (2,), 3))
+    out = dict(step((3, 2), 2, (2,), 3))
     assert out == {}
     assert l_set_iterate((3, 2), 2, 2) == frozenset({(1,)})
-    out = dict(C.mn_step((2, 1, 1, 1), 1, (2, 1), 3))
+    out = dict(step((2, 1, 1, 1), 1, (2, 1), 3))
     assert (2,) in l_set_iterate((2, 1, 1, 1), 1, 3)
     assert (2,) not in out and out[(1, 1)] == 3
 
@@ -354,24 +375,25 @@ def test_mn_step_can_vanish_for_non_semisimple_parts():
 def test_mn_step_rejects_a_non_integral_peel(monkeypatch):
     # a Green value off by one at alpha = (1^k) leaves the scaled sum
     # indivisible by k!
-    real = C.green_polynomial
+    real = C.green_values
 
-    def wrong(mu, alpha, big_q):
-        bump = 1 if len(alpha) >= 2 and set(alpha) == {1} else 0
-        return real(mu, alpha, big_q) + bump
+    def wrong(k, big_q):
+        # (1^k) is the last partition of k
+        bump = 1 if k >= 2 else 0
+        return tuple(row[:-1] + (row[-1] + bump,) for row in real(k, big_q))
 
-    monkeypatch.setattr(C, "green_polynomial", wrong)
+    monkeypatch.setattr(C, "green_values", wrong)
     C.mn_step.cache_clear()
     try:
         with pytest.raises(AssertionError, match="not integral"):
-            C.mn_step((2,), 1, (2,), 3)
+            C.mn_step(2, 1, (2,), 3)
     finally:
         C.mn_step.cache_clear()
 
 
 def test_mn_step_targets_share_core():
     for nu in partitions_of(6):
-        for out_lam, coef in C.mn_step(nu, 2, (2,), 2):
+        for out_lam, coef in step(nu, 2, (2,), 2):
             assert d_core(out_lam, 2) == d_core(nu, 2)
 
 
@@ -409,7 +431,7 @@ def test_vanishing_beyond_weight():
             w = d_weight(nu, d)
             for c in L.all_classes(n, q):
                 if class_d_weight(L.type_of(c), d) > w:
-                    assert nu not in C.class_values(L.type_of(c), q)
+                    assert nu not in vector(L.type_of(c), q)
 
 
 def test_orthonormality_full_group():
@@ -419,7 +441,7 @@ def test_orthonormality_full_group():
                    (5, 2), (5, 3), (6, 2), (8, 2)]:
         classes = L.all_classes(n, q)
         cents = [G.centralizer_order(L.type_of(c), q) for c in classes]
-        vectors = [C.class_values(L.type_of(c), q) for c in classes]
+        vectors = [vector(L.type_of(c), q) for c in classes]
         for nu in partitions_of(n):
             for nu2 in partitions_of(n):
                 total = sum(Fraction(v.get(nu, 0) * v.get(nu2, 0), z)
@@ -452,12 +474,12 @@ def test_table_exports():
     from test_glclass import identity_label
     ident = identity_label(2, 3).key()
     assert list(tab.classes) == [c.key() for c in L.all_classes(2, 3)]
-    assert C.class_values(tab.classes[ident], 3) == {(1, 1): 3, (2,): 1}
+    assert vector(tab.classes[ident], 3) == {(1, 1): 3, (2,): 1}
 
 
 def test_size_mismatch_errors():
     with pytest.raises(ValueError):
-        C.green_polynomial((2,), (1, 1, 1), 2)
+        green_polynomial((2,), (1, 1, 1), 2)
     with pytest.raises(ValueError):
         value_on_unipotent((2, 1), (1, 1), 2)
 
@@ -465,12 +487,12 @@ def test_size_mismatch_errors():
 @pytest.mark.parametrize("n, q", [(n, q) for n in range(6) for q in (2, 3, 4, 5)]
                          + [(6, 2), (6, 3)])
 def test_class_values_match_label_fold(n, q):
-    # every label's vector equals the per-label fold it replaced, zeros omitted
+    # every label's vector equals the per-label fold it replaced, entry for
+    # entry in the order of partitions_of
     labels = partitions_of(n)
     for c in L.all_classes(n, q):
-        expected = {nu: v for nu in labels if (v := label_chi_value(nu, c))}
+        expected = tuple(label_chi_value(nu, c) for nu in labels)
         assert C.class_values(L.type_of(c), q) == expected, c.key()
-        assert list(C.class_values(L.type_of(c), q)) == list(expected)
 
 
 @pytest.mark.parametrize("n, q, d, variant", [
@@ -478,19 +500,31 @@ def test_class_values_match_label_fold(n, q):
     for variant in ("divisible", "exact")])
 def test_peel_chain_matches_alpha_fold(n, q, d, variant):
     # peeling a head's components onto the vector of a d-regular y gives the
-    # fold's alpha_x(mu, lam) applied to that vector, key order included
+    # fold's alpha_x(mu, lam) applied to that vector, entry for entry
     for head in G.section_heads(n, q, d, variant):
         components = head.components
         alphas = {mu: compose_steps(mu, components, q) for mu in partitions_of(n)}
         for y in G.class_types(n - head.n, q):
             if not G.is_d_regular(y, d, variant):
                 continue
-            y_values = C.class_values(y, q)
-            chain, size = y_values, y.n
+            y_values = vector(y, q)
+            chain, size = C.class_values(y, q), y.n
             for degree, jordan in reversed(components):
                 size += degree * sum(jordan)
                 chain = C.peel(chain, size, degree, jordan, q)
-            expected = {mu: v for mu, alpha in alphas.items()
-                        if (v := sum(a * y_values.get(lam, 0) for lam, a in alpha.items()))}
+            expected = tuple(sum(a * y_values.get(lam, 0) for lam, a in alphas[mu].items())
+                             for mu in partitions_of(n))
             assert chain == expected, (head, y)
-            assert list(chain) == list(expected)
+
+
+@pytest.mark.parametrize("n, q", [(n, q) for n in range(9) for q in (2, 3, 4, 5)]
+                         + [(10, 2), (9, 3)])
+def test_row_factorisation_matches_the_entry_reference(n, q):
+    # K~ and the Green values by rows against the per-entry generator sums
+    # they replaced, every entry, zeros included
+    labels = partitions_of(n)
+    ref = unipotent_values(n, q)
+    assert _unipotent_values(n, q) == tuple(tuple(ref.get((nu, mu), 0) for nu in labels)
+                                            for mu in labels)
+    assert C.green_values(n, q) == tuple(tuple(green_polynomial(mu, rho, q) for rho in labels)
+                                         for mu in labels)

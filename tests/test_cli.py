@@ -223,6 +223,24 @@ def test_bad_input_is_a_usage_error(capsys, argv, message):
         assert captured.err == f"glblocks: error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, prefix, phrase", [
+    (["blocks", "--n", "3", "--q", "6"], "glblocks blocks", "argument --q: must be a prime power"),
+    (["blocks", "--n", "3", "--q", "4", "--foo"], "glblocks", "unrecognized arguments: --foo"),
+    (["matrix", "--n", "3", "--q", "4", "--domain", "all"], "glblocks matrix",
+     "argument --domain: invalid choice: 'all'"),
+    (["oracle", "--n", "0", "--q", "2"], "glblocks",
+     "argument --n: the element-level oracle needs at least 1, got 0"),
+])
+def test_usage_error_is_one_line(capsys, argv, prefix, phrase):
+    # argparse's own errors drop the usage block: one stderr line and exit 2
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == ""
+    assert captured.err.startswith(f"{prefix}: error: {phrase}")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
 def test_oracle_command(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("GLBLOCKS_CACHE_DIR", str(tmp_path))
     code, out = run(["oracle", "--n", "2", "--q", "2", "--output", "json"], capsys)
@@ -473,10 +491,10 @@ def test_engine_fault_under_smt55_exits_5():
     script = "\n".join([
         "import sys",
         "from glblocks import charvalue, cli",
-        "real = charvalue.green_polynomial",
-        "def bumped(mu, rho, q):",
-        "    return real(mu, rho, q) + (rho == (1,) * len(rho))",
-        "charvalue.green_polynomial = bumped",
+        "real = charvalue.green_values",
+        "def bumped(k, q):",  # (1^k) is the last torus type of each row
+        "    return tuple(row[:-1] + (row[-1] + 1,) for row in real(k, q))",
+        "charvalue.green_values = bumped",
         "sys.exit(cli.main(sys.argv[1:]))",
     ])
     env = dict(os.environ, PYTHONPATH=str(SRC))

@@ -189,7 +189,7 @@ def test_class_type_agrees_with_its_labels(n, q):
                 assert G.d_type(t, d, variant) == tuple(sorted(
                     (sum(p), k.degree // d) for k, p in d_part))
         for nu in P.partitions_of(n):
-            assert C.class_values(t, q).get(nu, 0) == label_chi_value(nu, c)
+            assert L.label_value(nu, c) == label_chi_value(nu, c)
     assert len(set(reps.values())) == len(reps)
     assert Counter(map(L.type_of, classes)) == types
 

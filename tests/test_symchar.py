@@ -1,11 +1,12 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
 from glblocks import symchar as S
 from glblocks.partitions import partitions_of, find_simple_disjoint, rim_hooks
 from glblocks.symchar import signed_removal_map
-from hookref import l_set_iterate
+from hookref import l_set_iterate, sn_char
 from paperref import restricted_inner_product, sn_l_blocks
 
 
@@ -22,6 +23,12 @@ def phi_coeff(mu, eta, alpha: tuple[int, ...], d: int) -> int:
     if eta not in l_set_iterate(mu, d, sum(alpha)):
         raise ValueError(f"{eta} is not reachable from {mu} by removing {sum(alpha)} {d}-hooks")
     return signed_removal_map(mu, alpha, d).get(eta, 0)
+
+
+def chi(lam, rho) -> int:
+    """chi^lam(rho), read off the engine's character table of S_n."""
+    at = S.partition_index(sum(lam))
+    return S.character_table(sum(lam))[at[rho]][at[lam]]
 
 
 def perm_cycle_type(perm):
@@ -51,25 +58,25 @@ def test_standard_representation_oracle_s3():
         values.setdefault(rho, set()).add(fix - 1)
         counts[rho] = counts.get(rho, 0) + 1
     for rho, vals in values.items():
-        assert vals == {S.sn_char((2, 1), rho)}
-    assert S.sn_char((2, 1), (1, 1, 1)) == 2
-    assert S.sn_char((2, 1), (2, 1)) == 0
-    assert S.sn_char((2, 1), (3,)) == -1
+        assert vals == {chi((2, 1), rho)}
+    assert chi((2, 1), (1, 1, 1)) == 2
+    assert chi((2, 1), (2, 1)) == 0
+    assert chi((2, 1), (3,)) == -1
     assert counts == {(1, 1, 1): 1, (2, 1): 3, (3,): 2}
 
 
 def test_trivial_and_sign_characters():
     for n in range(1, 8):
         for rho in partitions_of(n):
-            assert S.sn_char((n,), rho) == 1
+            assert chi((n,), rho) == 1
             sign = (-1) ** (n - len(rho))
-            assert S.sn_char((1,) * n, rho) == sign
-    assert S.sn_char((1, 1, 1), (3,)) == 1
+            assert chi((1,) * n, rho) == sign
+    assert chi((1, 1, 1), (3,)) == 1
 
 
 def test_size_mismatch_rejected():
     with pytest.raises(ValueError):
-        S.sn_char((2, 1), (2, 2))
+        sn_char((2, 1), (2, 2))
 
 
 def test_column_orthogonality():
@@ -77,9 +84,29 @@ def test_column_orthogonality():
         parts = partitions_of(n)
         for alpha in parts:
             for beta in parts:
-                total = sum(S.sn_char(lam, alpha) * S.sn_char(lam, beta)
+                total = sum(chi(lam, alpha) * chi(lam, beta)
                             for lam in parts)
                 assert total == (S.z_order(alpha) if alpha == beta else 0)
+
+
+def test_character_table_matches_the_entry_recursion():
+    # one Murnaghan-Nakayama step per column against the per-entry recursion
+    for n in range(11):
+        parts = partitions_of(n)
+        assert S.character_table(n) == tuple(tuple(sn_char(lam, rho) for lam in parts)
+                                             for rho in parts)
+
+
+def test_row_orthogonality():
+    # sum_rho chi^lam(rho) chi^mu(rho) / z_rho = delta_{lam, mu}
+    for n in range(11):
+        parts = partitions_of(n)
+        rows = list(zip(*S.character_table(n)))
+        for i, row in enumerate(rows):
+            for j, other in enumerate(rows):
+                total = sum(Fraction(x * y, S.z_order(rho))
+                            for x, y, rho in zip(row, other, parts))
+                assert total == (i == j), (n, parts[i], parts[j])
 
 
 def sn_char_peel_order(lam, rho, largest_first: bool = True) -> int:
@@ -98,7 +125,7 @@ def test_peel_order_independence():
             for rho in partitions_of(n):
                 a = sn_char_peel_order(lam, rho, largest_first=True)
                 b = sn_char_peel_order(lam, rho, largest_first=False)
-                assert a == b == S.sn_char(lam, rho)
+                assert a == b == chi(lam, rho)
 
 
 def test_z_order():
@@ -125,8 +152,8 @@ def test_phi_expansion_reproduces_characters():
                         for rho in partitions_of(rest):
                             full_type = tuple(sorted(scaled_type(alpha, d) + rho,
                                                      reverse=True))
-                            direct = S.sn_char(mu, full_type)
-                            expanded = sum(c * S.sn_char(eta, rho)
+                            direct = chi(mu, full_type)
+                            expanded = sum(c * chi(eta, rho)
                                            for eta, c in coeffs.items())
                             assert direct == expanded, (mu, alpha, d, rho)
 
