@@ -8,26 +8,27 @@ lifted to integer vectors of root-of-unity multiplicities and verified
 against the orthogonality relations exactly.
 
 The oracle brings its own finite fields (F_p[x] modulo the first monic
-irreducible of its own sieve), its own enumeration of the monic
-irreducibles over F_q (checked against the engine's counts only) and the
-validated class labels (`GLClassLabel`) it reads off matrices, so it
-shares no class-level code with the engine.  Polynomials over F_q
-are tuples of field-element encodings, lowest degree first, with the
-leading coefficient present (monic throughout).  Field elements are
-integers 0..q-1 whose base-p digits are the coefficients in the fixed
-generator basis of F_q over F_p.
+irreducible of its own sieve) and its own enumeration of the monic
+irreducibles over F_q (checked against the engine's counts only), and it
+names each class by the primary spaces of its elements, so it shares no
+class-level code with the engine.  Polynomials over F_q are tuples of
+field-element encodings, lowest degree first, with the leading coefficient
+present (monic throughout).  Field elements are integers 0..q-1 whose
+base-p digits are the coefficients in the fixed generator basis of F_q
+over F_p.
 
 A matrix is held in one form only, the tuple of its row codes (see
 MatrixGroup), and the linear algebra works on those codes through the
 add and scale tables of F_q^n, one lookup per row operation.  One pass
-over the kernels of f(A)^j gives an element both its class label and its
-primary spaces, shared by every d and variant; the d-part and the section
-sets are conjugated into and out of the basis of those spaces one element
-at a time.  The class algebra is split one restricted class matrix at a
-time; its eigenvalues are the roots mod the chosen prime of its
-characteristic polynomial (from a Hessenberg form), so a kernel is only
-computed at a root.  The Borel permutation character is the character
-induced from the trivial character of the upper triangular matrices.
+over the kernels of f(A)^j gives an element its primary spaces, which
+name its class (the engine's assignment key) and are shared by every d
+and variant; the d-part and the section sets are conjugated into and out
+of the basis of those spaces one element at a time.  The class algebra is
+split one restricted class matrix at a time; its eigenvalues are the
+roots mod the chosen prime of its characteristic polynomial (from a
+Hessenberg form), so a kernel is only computed at a root.  The Borel
+permutation character is the character induced from the trivial
+character of the upper triangular matrices.
 """
 
 from __future__ import annotations
@@ -43,15 +44,15 @@ from typing import NamedTuple
 
 from . import __version__
 from .errors import ScaleGuardError, TieError
-from .partitions import check_partition, conjugate, n_stat, partitions_of
-from .qarith import gl_order, necklace_count, prime_power
+from .partitions import conjugate, n_stat, partitions_of
+from .qarith import gl_order, necklace_count, prime_factors, prime_power
 
 # Each guard bounds what it names, set from measured costs (median of
 # three cold runs, 2 vCPUs): `oracle` on GL(2,9), with 524,880 table
 # entries and 80 classes, takes 4.1 s and 49 MB; `verify prop32 --d 2`
 # takes 3.1 s and 35 MB on GL(3,3) and 6.2 s and 48 MB on GL(4,2) (20,160
-# elements).  GL(2,11) would need 1,597,200 table entries and is refused.
-GROUP_GUARD = 25000
+# elements).  GL(2,11) would need 1,597,200 table entries and is refused;
+# every group the table guard admits has at most 20,160 elements.
 TABLE_GUARD = 600_000   # lookup tables hold |G| * q^n row codes
 CLASS_GUARD = 80        # the Dixon class constants number k^3
 ENUM_GUARD = 10 ** 6
@@ -71,7 +72,7 @@ class SmallField:
         else:
             # the least monic irreducible of degree e over F_p, from the sieve;
             # under addition F_q is F_p^e, whose tables also give the multiples
-            self.modulus = enumerate_irreducibles(p, e)[0].coeffs
+            self.modulus = enumerate_irreducibles(p, e)[0]
             self.add, scale, vectors = _vector_tables(e, p)
             self.mul = [self._mul_row(list(vectors[a]), scale) for a in range(q)]
         self.neg = [self.add[a].index(0) for a in range(q)]
@@ -106,14 +107,6 @@ def field(q: int) -> SmallField:
 
 # -- monic irreducibles over F_q ---------------------------------------------
 
-class PolyLabel(NamedTuple):
-    """A monic irreducible over F_q, identified by (q, degree, index)."""
-    q: int
-    degree: int
-    index: int
-    coeffs: tuple[int, ...] | None = None
-
-
 def _product_codes(fq: SmallField, f: tuple[int, ...], m: int) -> list[int]:
     """Codes of f*g for every monic g of degree m, g in code order.
 
@@ -138,13 +131,14 @@ def _product_codes(fq: SmallField, f: tuple[int, ...], m: int) -> list[int]:
 
 
 @cache
-def enumerate_irreducibles(q: int, d: int) -> tuple[PolyLabel, ...]:
-    """Monic irreducibles of degree d over F_q except X, canonical order.
+def enumerate_irreducibles(q: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """Coefficients of the monic irreducibles of degree d over F_q except X,
+    in canonical order.
 
     Order is lexicographic on the coefficient vector read from the top
     coefficient down to the constant term, field elements ordered by
-    their integer encoding.  X-1 is included (at d = 1) and carries its
-    position in this order like any other polynomial.
+    their integer encoding.  X-1 is included (at d = 1) in its place in
+    this order like any other polynomial.
 
     A sieve: a reducible monic of degree d is f*g with f monic irreducible
     (X included) of degree k <= d/2 and g monic of degree d - k, so every
@@ -156,40 +150,19 @@ def enumerate_irreducibles(q: int, d: int) -> tuple[PolyLabel, ...]:
     fq = field(q)
     reducible = bytearray(q ** d)
     for k in range(1, d // 2 + 1):
-        factors = [lab.coeffs for lab in enumerate_irreducibles(q, k)]
+        factors = list(enumerate_irreducibles(q, k))
         if k == 1:
             factors.append((0, 1))  # X itself divides reducibles too
         for f in factors:
             for code in _product_codes(fq, f, d - k):
                 reducible[code] = 1
-    out = []
-    for enc in range(q ** d):
-        if reducible[enc] or (d == 1 and enc == 0):
-            continue  # at d = 1 the code 0 is X, excluded from the universe
-        out.append(tuple((enc // q ** t) % q for t in range(d)) + (1,))
-    labels = tuple(PolyLabel(q, d, i, c) for i, c in enumerate(out))
-    if len(labels) != necklace_count(q, d) - (d == 1):
-        raise AssertionError(f"found {len(labels)} irreducibles of degree {d} over F_{q},"
+    # at d = 1 the code 0 is X, excluded from the universe
+    out = tuple(tuple((enc // q ** t) % q for t in range(d)) + (1,)
+                for enc in range(q ** d) if not reducible[enc] and (d > 1 or enc))
+    if len(out) != necklace_count(q, d) - (d == 1):
+        raise AssertionError(f"found {len(out)} irreducibles of degree {d} over F_{q},"
                              " not the necklace count")
-    return labels
-
-
-def x_minus_one(q: int) -> tuple[int, ...]:
-    return (field(q).minus_one, 1)
-
-
-def non_unipotent_irreducibles(q: int, d: int) -> tuple[PolyLabel, ...]:
-    """Canonical pool of irreducibles of degree d excluding X and X-1.
-
-    These are the polynomials class labels index into; at d = 1 the index
-    skips X-1, which the labels track separately.
-    """
-    labs = enumerate_irreducibles(q, d)
-    if d == 1:
-        target = x_minus_one(q)
-        labs = tuple(l for l in labs if l.coeffs != target)
-        labs = tuple(PolyLabel(q, 1, i, l.coeffs) for i, l in enumerate(labs))
-    return labs
+    return out
 
 
 # -- linear algebra over a small field ----------------------------------------
@@ -289,17 +262,19 @@ class MatrixGroup:
     sum_i code(row i) (q^n)^i.  `rows[g]` holds the row codes of element g,
     ascending in matrix code, and `id_of[code]` the element id of a matrix
     code (-1 if singular).  Products and conjugates are read from `act[b][r]`,
-    the code of the row with code r times element b, built on first use
-    behind TABLE_GUARD: a row of A*B is that row of A times B.
-    Conjugation rows h -> h^-1 g h are built one g at a time, on demand;
-    the list methods take products and conjugates of many pairs at once.
+    the code of the row with code r times element b, built on first use: a
+    row of A*B is that row of A times B.  A group whose tables would be
+    over TABLE_GUARD is refused before any matrix is listed.  Conjugation
+    rows h -> h^-1 g h are built one g at a time, on demand; the list
+    methods take products and conjugates of many pairs at once.
     """
 
     def __init__(self, n: int, q: int):
-        order = gl_order(n, q)
-        if order > GROUP_GUARD:
-            raise ScaleGuardError(f"|GL({n},{q})| = {order} over guard {GROUP_GUARD}")
         self.n, self.q, self.fq = n, q, field(q)
+        order = gl_order(n, q)
+        if order * q ** n > TABLE_GUARD:
+            raise ScaleGuardError(f"lookup tables of GL({n},{q}) hold {order * q ** n} row codes,"
+                                  f" over table guard {TABLE_GUARD}")
         add, scale, _ = _vector_tables(n, q)
         # the rows are chosen from the last to the first, each outside the
         # span of those already chosen and in ascending code, so the row
@@ -320,7 +295,7 @@ class MatrixGroup:
         if len(partial) != order:
             raise ArithmeticError(f"{len(partial)} invertible matrices, not |GL({n},{q})| = {order}")
         self.rows = [rows for rows, _ in partial]
-        # q^(n^2) matrix codes, under 4 |G| for every group GROUP_GUARD admits
+        # q^(n^2) matrix codes, under 4 |G| for every n and q
         self.id_of = [-1] * q ** (n * n)
         for i, rows in enumerate(self.rows):
             self.id_of[sum(r * q ** (n * k) for k, r in enumerate(rows))] = i
@@ -339,10 +314,6 @@ class MatrixGroup:
         below q^(j+1) is that over the codes below q^j, shifted by each
         multiple of row j: one table addition per entry."""
         q, n = self.q, self.n
-        entries = len(self.rows) * q ** n
-        if entries > TABLE_GUARD:
-            raise ScaleGuardError(f"lookup tables of GL({n},{q}) hold {entries} row codes,"
-                                  f" over table guard {TABLE_GUARD}")
         add, scale, _ = _vector_tables(n, q)
         act = []
         for b_rows in self.rows:
@@ -424,85 +395,34 @@ def build_group(n: int, q: int) -> MatrixGroup:
     return MatrixGroup(n, q)
 
 
-# -- class labels ------------------------------------------------------------
-
-class PolyKey(NamedTuple):
-    """(degree, index) into the canonical pool without X and X-1."""
-    degree: int
-    index: int
-
-
-class _LabelFields(NamedTuple):
-    n: int
-    q: int
-    unipotent: tuple[int, ...]
-    support: tuple[tuple[PolyKey, tuple[int, ...]], ...]
-
-
-class GLClassLabel(_LabelFields):
-    """A class of GL(n,q) as its X-1 partition and its (PolyKey, partition)
-    pairs, validated when built; `key()` is the engine's assignment key."""
-    __slots__ = ()
-
-    def __init__(self, n, q, unipotent, support):
-        self.__post_init__()
-
-    def __post_init__(self):
-        check_partition(self.unipotent)
-        total = sum(self.unipotent)
-        seen = set()
-        for key, part in self.support:
-            if key in seen or not part:
-                raise ValueError(f"support entry {key} is repeated or empty")
-            seen.add(key)
-            check_partition(part)
-            total += key.degree * sum(part)
-        if total != self.n:
-            raise ValueError(f"support sizes sum to {total}, not n = {self.n}")
-
-    def key(self) -> str:
-        bits = []
-        if self.unipotent:
-            bits.append("u:" + ",".join(map(str, self.unipotent)))
-        for pk, part in sorted(self.support):
-            bits.append(f"f{pk.degree}.{pk.index}:" + ",".join(map(str, part)))
-        return "|".join(bits) if bits else "id0"
-
-
-def make_label(n: int, q: int, unipotent, support) -> GLClassLabel:
-    support = tuple(sorted((PolyKey(*k), tuple(p)) for k, p in support))
-    return GLClassLabel(n, q, tuple(unipotent), support)
-
-
-# -- labels from matrices --------------------------------------------------------
+# -- classes from matrices -------------------------------------------------------
 
 @cache
 def _poly_pool(n: int, q: int):
-    """(coeffs, is_x_minus_one, PolyKey or None) for degrees up to n."""
-    target = x_minus_one(q)
-    pool = []
+    """(coeffs, name) of the monic irreducibles other than X of degree up to n:
+    X-1 first, named "u", then "f<e>.<i>" for the i-th of degree e in
+    canonical order, X-1 not counted, so names come out in key order."""
+    x_minus_one = (field(q).minus_one, 1)
+    pool = [(x_minus_one, "u")]
     for deg in range(1, n + 1):
-        indexed = {lab.coeffs: lab.index for lab in non_unipotent_irreducibles(q, deg)}
-        for lab in enumerate_irreducibles(q, deg):
-            if deg == 1 and lab.coeffs == target:
-                pool.append((lab.coeffs, True, None))
-            else:
-                pool.append((lab.coeffs, False, PolyKey(deg, indexed[lab.coeffs])))
+        others = [f for f in enumerate_irreducibles(q, deg) if f != x_minus_one]
+        pool.extend((f, f"f{deg}.{i}") for i, f in enumerate(others))
     return tuple(pool)
 
 
 @cache
 def _primary_spaces(n: int, q: int, g_id: int) -> tuple:
-    """(coeffs, is_x_minus_one, PolyKey or None, partition, basis) for each
-    nonzero primary space of an element, in pool order.
+    """(coeffs, name, partition, basis) for each nonzero primary space of an
+    element, in pool order: the element's class, as the engine names it.
 
     The kernels of f(A)^j grow with j until j reaches the largest block;
-    the j-th step, over deg f, counts the blocks of size at least j, and
-    the last kernel is the f-primary space.  Found once per element and
-    shared by its label and by every d and variant."""
+    the j-th step, over deg f, counts the blocks of size at least j, so the
+    steps are non-increasing multiples of deg f, and the last kernel is the
+    f-primary space.  Found once per element and shared by its class name
+    and by every d and variant."""
     A = build_group(n, q).rows[g_id]
     spaces, dim = [], 0
-    for coeffs, is_unip, key in _poly_pool(n, q):
+    for coeffs, name in _poly_pool(n, q):
         if dim == n:
             break
         deg = len(coeffs) - 1
@@ -515,26 +435,24 @@ def _primary_spaces(n: int, q: int, g_id: int) -> tuple:
             step, rem = divmod(len(kernel) - len(basis), deg)
             if rem:
                 raise ArithmeticError(f"kernel dimension step not a multiple of degree {deg}")
+            if counts and step > counts[-1]:
+                raise ArithmeticError(f"kernel dimension steps of {name} grow: {counts + [step]}")
             counts.append(step)
             basis = kernel
             P = mat_mul(n, q, P, M)
         if basis:
-            spaces.append((coeffs, is_unip, key, conjugate(tuple(counts)), tuple(basis)))
+            spaces.append((coeffs, name, conjugate(tuple(counts)), tuple(basis)))
             dim += len(basis)
     if dim != n:
         raise ArithmeticError(f"primary spaces span {dim} of {n} dimensions")
     return tuple(spaces)
 
 
-def element_label(group: MatrixGroup, g_id: int) -> GLClassLabel:
-    """Class label of an element, read off its primary spaces."""
-    unip, support = (), []
-    for _, is_unip, key, part, _ in _primary_spaces(group.n, group.q, g_id):
-        if is_unip:
-            unip = part
-        else:
-            support.append((key, part))
-    return make_label(group.n, group.q, unip, support)
+def element_key(group: MatrixGroup, g_id: int) -> str:
+    """The engine's assignment key of an element's class: "name:partition"
+    for each primary space, joined by "|", or "id0" when there is none."""
+    return "|".join(f"{name}:" + ",".join(map(str, part))
+                    for _, name, part, _ in _primary_spaces(group.n, group.q, g_id)) or "id0"
 
 
 class OracleClassData(NamedTuple):
@@ -542,16 +460,14 @@ class OracleClassData(NamedTuple):
     reps: tuple[int, ...]
     class_of: tuple[int, ...]
     sizes: tuple[int, ...]
-    labels: tuple[GLClassLabel, ...]
+    labels: tuple[str, ...]
     centralizer_orders: tuple[int, ...]
-
-    def class_count(self) -> int:
-        return len(self.reps)
 
 
 @cache
 def oracle_classes(n: int, q: int) -> OracleClassData:
-    """Conjugation orbits matched to labels; the matching is asserted.
+    """Conjugation orbits, each named by the key of its representative;
+    distinct orbits are checked to have distinct keys.
 
     One conjugation row per class representative gives its orbit and,
     as the count of its own id, its centralizer order."""
@@ -569,8 +485,8 @@ def oracle_classes(n: int, q: int) -> OracleClassData:
         reps.append(g)
         sizes.append(len(orbit))
         cents.append(row.count(g))
-    labels = tuple(element_label(group, r) for r in reps)
-    if len(set(l.key() for l in labels)) != len(labels):
+    labels = tuple(element_key(group, r) for r in reps)
+    if len(set(labels)) != len(labels):
         raise AssertionError(f"two conjugation orbits of GL({n},{q}) share a label")
     if sum(sizes) != size:
         raise ArithmeticError(f"class sizes sum to {sum(sizes)}, not |G| = {size}")
@@ -592,8 +508,8 @@ def _d_part_basis(group: MatrixGroup, g_id: int, d: int, variant: str):
     g, the first k of them spanning the primary spaces of matching degree
     other than that of X-1; C is the transpose of the bases as rows."""
     sel, rest = [], []
-    for coeffs, is_unip, _, _, basis in _primary_spaces(group.n, group.q, g_id):
-        if not is_unip and _degree_matches(len(coeffs) - 1, d, variant):
+    for coeffs, name, _, basis in _primary_spaces(group.n, group.q, g_id):
+        if name != "u" and _degree_matches(len(coeffs) - 1, d, variant):
             sel.extend(basis)
         else:
             rest.extend(basis)
@@ -621,11 +537,11 @@ def x_part_element(group: MatrixGroup, g_id: int, d: int, variant: str) -> int:
 @cache
 def d_element_ids(n: int, q: int, d: int, variant: str) -> tuple[int, ...]:
     """All element ids in the d-element union of classes: semisimple on X-1,
-    every other factor of matching degree."""
+    every other factor of matching degree, read off the class representatives."""
     data = oracle_classes(n, q)
-    good = {cid for cid, lab in enumerate(data.labels)
-            if all(p == 1 for p in lab.unipotent)
-            and all(_degree_matches(k.degree, d, variant) for k, _ in lab.support)}
+    good = {cid for cid, r in enumerate(data.reps)
+            if all(max(part) == 1 if name == "u" else _degree_matches(len(coeffs) - 1, d, variant)
+                   for coeffs, name, part, _ in _primary_spaces(n, q, r))}
     return tuple(g for g, cid in enumerate(data.class_of) if cid in good)
 
 
@@ -641,8 +557,8 @@ def _y_candidates(n: int, q: int, d: int, variant: str, k: int) -> tuple[int, ..
     top = [q ** i for i in range(k)]
     out = []
     for b_id, B in enumerate(build_group(n - k, q).rows):
-        if not any(not is_unip and _degree_matches(len(coeffs) - 1, d, variant)
-                   for coeffs, is_unip, _, _, _ in _primary_spaces(n - k, q, b_id)):
+        if not any(name != "u" and _degree_matches(len(coeffs) - 1, d, variant)
+                   for coeffs, name, _, _ in _primary_spaces(n - k, q, b_id)):
             out.append(group.element_id(top + [r * q ** k for r in B]))
     return tuple(sorted(out))
 
@@ -837,26 +753,11 @@ def _pairing(e, sizes, a, b):
 
 # -- Dixon character table ----------------------------------------------------------
 
-def _modinv(a, m):
-    return pow(a, -1, m)
-
-
-def _is_prime(m):
-    if m < 2:
-        return False
-    i = 2
-    while i * i <= m:
-        if m % i == 0:
-            return False
-        i += 1
-    return True
-
-
 def _find_prime(e, order):
     bound = 2 * isqrt(order) + 1
     ell = e + 1
     while True:
-        if ell > bound and _is_prime(ell) and order % ell != 0:
+        if ell > bound and prime_factors(ell) == (ell,) and order % ell != 0:
             return ell
         ell += e
 
@@ -864,25 +765,10 @@ def _find_prime(e, order):
 def _primitive_root_power(ell, e):
     """g^((ell-1)/e) for the least primitive root g mod ell."""
     m = ell - 1
-    facs = set()
-    mm = m
-    f = 2
-    while f * f <= mm:
-        if mm % f == 0:
-            facs.add(f)
-            while mm % f == 0:
-                mm //= f
-        f += 1
-    if mm > 1:
-        facs.add(mm)
     for g in range(2, ell):
-        if all(pow(g, m // p, ell) != 1 for p in facs):
+        if all(pow(g, m // p, ell) != 1 for p in prime_factors(m)):
             return pow(g, m // e, ell)
     raise AssertionError("no generator found")
-
-
-def _matvec_mod(M, v, ell):
-    return [sum(map(mul, row, v)) % ell for row in M]
 
 
 def _rref_mod(rows, ell, n_cols):
@@ -896,7 +782,7 @@ def _rref_mod(rows, ell, n_cols):
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = _modinv(rows[r][c] % ell, ell)
+        inv = pow(rows[r][c], -1, ell)
         rows[r] = [(x * inv) % ell for x in rows[r]]
         for i, row in enumerate(rows):
             if i != r and row[c] % ell:
@@ -910,7 +796,7 @@ def _restrict_mod(M, basis, ell):
     """Matrix of M on an M-invariant subspace, in the given basis, mod ell:
     [basis | images] reduced, whose first m columns must have full rank."""
     m = len(basis)
-    images = [_matvec_mod(M, b, ell) for b in basis]
+    images = [[sum(map(mul, row, b)) % ell for row in M] for b in basis]
     aug = [[b[r] for b in basis] + [image[r] for image in images]
            for r in range(len(basis[0]))]
     pivots, rows = _rref_mod(aug, ell, m)
@@ -955,7 +841,7 @@ def _charpoly_mod(M, ell):
             H[piv], H[j + 1] = H[j + 1], H[piv]
             for row in H:
                 row[piv], row[j + 1] = row[j + 1], row[piv]
-        inv = _modinv(H[j + 1][j], ell)
+        inv = pow(H[j + 1][j], -1, ell)
         for i in range(j + 2, m):
             if H[i][j]:
                 f = H[i][j] * inv % ell
@@ -1012,7 +898,7 @@ def _lift(chars_mod, degrees, power_class, e, ell, z):
     o, so the sum is (e/o) times the sum over m < o when (e/o) divides j.
     Otherwise it is that sum times sum_{t < e/o} z^(-jot), which is 0 mod
     ell because z^(-jo) is a root of unity other than 1."""
-    e_inv = _modinv(e, ell)
+    e_inv = pow(e, -1, ell)
     z_pows = [pow(z, m, ell) for m in range(e)]
     # (e/o) z^(-jm) for m < o, one row per (order o, exponent j), shared by
     # every character
@@ -1047,10 +933,10 @@ def dixon_table(n: int, q: int) -> CharacterTable:
     """Exact complex character table of GL(n,q) for small groups."""
     data = oracle_classes(n, q)
     group = data.group
-    if data.class_count() > CLASS_GUARD:
-        raise ScaleGuardError(f"{data.class_count()} classes over guard {CLASS_GUARD}")
+    k = len(data.reps)
+    if k > CLASS_GUARD:
+        raise ScaleGuardError(f"{k} classes over guard {CLASS_GUARD}")
     size = len(group.rows)
-    k = data.class_count()
     reps = data.reps
     sizes = data.sizes
     inv_class = tuple(data.class_of[group.inverses[r]] for r in reps)
@@ -1118,15 +1004,15 @@ def dixon_table(n: int, q: int) -> CharacterTable:
     for v in vectors:
         if v[id_cls] % ell == 0:
             raise ArithmeticError("eigenvector vanishes at the identity class")
-        norm = _modinv(v[id_cls], ell)
+        norm = pow(v[id_cls], -1, ell)
         omega = [(x * norm) % ell for x in v]
-        t = sum(omega[i] * omega[inv_class[i]] * _modinv(sizes[i], ell)
+        t = sum(omega[i] * omega[inv_class[i]] * pow(sizes[i], -1, ell)
                 for i in range(k)) % ell
-        target = size * _modinv(t, ell) % ell
+        target = size * pow(t, -1, ell) % ell
         deg = next((s for s in range(1, isqrt(size) + 1) if s * s % ell == target), None)
         if deg is None:
             raise ArithmeticError(f"no degree s <= isqrt(|G|) has s^2 = {target} mod {ell}")
-        chars_mod.append([deg * omega[i] * _modinv(sizes[i], ell) % ell for i in range(k)])
+        chars_mod.append([deg * omega[i] * pow(sizes[i], -1, ell) % ell for i in range(k)])
         degrees.append(deg)
     if sum(d * d for d in degrees) != size:
         raise ArithmeticError("squared degrees do not sum to |G|")
@@ -1185,7 +1071,7 @@ def borel_unipotent_constituents(n: int, q: int) -> BorelDecomposition:
     """
     data = oracle_classes(n, q)
     tab = dixon_table(n, q)
-    in_borel = [0] * data.class_count()
+    in_borel = [0] * len(data.reps)
     for g, rows in enumerate(data.group.rows):
         if all(r % q ** i == 0 for i, r in enumerate(rows)):
             in_borel[data.class_of[g]] += 1
@@ -1234,7 +1120,7 @@ def check_d1_duality_identity(n: int, q: int) -> dict:
     tab = dixon_table(n, q)
     dec = borel_unipotent_constituents(n, q)
     unip_classes = [i for i, r in enumerate(tab.reps)
-                    if not data.labels[data.class_of[r]].support]
+                    if all(name == "u" for _, name, _, _ in _primary_spaces(n, q, r))]
     if sum(tab.sizes[i] for i in unip_classes) != q ** (n * (n - 1)):
         raise ArithmeticError("unipotent classes do not hold q^(n(n-1)) elements")
     order = tab.order
@@ -1272,9 +1158,8 @@ def oracle_dump(n: int, q: int) -> str:
     blob = {
         "n": n, "q": q, "order": tab.order,
         "classes": [
-            {"label": data.labels[i].key(), "size": data.sizes[i],
-             "centralizer": data.centralizer_orders[i]}
-            for i in range(data.class_count())
+            {"label": label, "size": size, "centralizer": cent}
+            for label, size, cent in zip(data.labels, data.sizes, data.centralizer_orders)
         ],
         "degrees": sorted(tab.degrees),
         "borel_permutation_values": list(dec.perm_values),

@@ -55,7 +55,7 @@ def _unipotent_values(n: int, q: int) -> tuple[tuple[int, ...], ...]:
 
     labels = partitions_of(n)[::-1]
     order = gl_order(n, q)
-    weights = [exact(order, z_order(rho) * torus_order(rho, 1, q)) if rho else 1
+    weights = [exact(order, z_order(rho) * torus_order(rho, q)) if rho else 1
                for rho in labels][::-1]
     rows = list(zip(*character_table(n)))[::-1]
     weighted = [tuple(map(mul, row, weights)) for row in rows]

@@ -75,9 +75,9 @@ def _parse_partition(text: str) -> tuple[int, ...]:
     try:
         return partitions.check_partition(data)
     except ValueError as exc:
-        # name the parts as typed: the parsed tuple shows true as True and 1e400 as inf
+        # the parts as typed, on one line: the parsed tuple shows true as True, 1e400 as inf
         reason = str(exc).split(": ", 1)[0]
-        raise _usage_error(f"{reason}: {text}")
+        raise _usage_error(f"{reason}: {' '.join(text.split())}")
 
 
 def _at_least(low: int):

@@ -18,9 +18,9 @@ classes, and of their sections, without building a label; `classes_report`
 and the value table show those keys.  The part of a class supported on
 polynomials of degree divisible by d (variant "divisible") or exactly d
 (variant "exact") determines its section, and `section_heads` lists the
-section heads by type.  The validated label behind a key
-(`bruteforce.GLClassLabel`) belongs to the element-level oracle, which
-reads one off each matrix; nothing here builds one.
+section heads by type.  The element-level oracle names each class by the
+same key, read off the primary spaces of a matrix (`bruteforce.element_key`);
+the validated label type behind a key is a test reference (`tests/labelref.py`).
 """
 
 from __future__ import annotations

@@ -13,39 +13,33 @@ from functools import cache
 from .partitions import n_stat
 
 
-def prime_power(q: int) -> tuple[int, int]:
-    """Factor q = p**e with p prime, or raise."""
-    if q < 2:
-        raise ValueError(f"{q} is not a prime power")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            e = 0
-            m = q
+@cache
+def prime_factors(m: int) -> tuple[int, ...]:
+    """The distinct primes dividing m, ascending, by trial division; () for m < 2."""
+    out, p = [], 2
+    while p * p <= m:
+        if m % p == 0:
+            out.append(p)
             while m % p == 0:
                 m //= p
-                e += 1
-            if m != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return p, e
-    raise ValueError(f"{q} is not a prime power")
+        p += 1
+    return tuple(out + [m] if m > 1 else out)
+
+
+def prime_power(q: int) -> tuple[int, int]:
+    """Factor q = p**e with p prime, or raise."""
+    if len(prime_factors(q)) != 1:
+        raise ValueError(f"{q} is not a prime power")
+    p, e = prime_factors(q)[0], 1
+    while p ** e != q:
+        e += 1
+    return p, e
 
 
 @cache
 def moebius(n: int) -> int:
-    if n == 1:
-        return 1
-    out, m = 1, n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            out = -out
-        p += 1
-    if m > 1:
-        out = -out
-    return out
+    primes = prime_factors(n)
+    return 0 if any(n % (p * p) == 0 for p in primes) else (-1) ** len(primes)
 
 
 def divisors(n: int):
@@ -78,13 +72,13 @@ def gl_order(n: int, q: int) -> int:
     return out
 
 
-def torus_order(alpha: tuple[int, ...], d: int, q: int) -> int:
-    """Order prod_i (q^(d*i) - 1)^(r_i) of the torus of scaled type alpha."""
+def torus_order(alpha: tuple[int, ...], q: int) -> int:
+    """Order prod_i (q^i - 1)^(r_i) of the torus of type alpha."""
     if not alpha:
         raise ValueError("torus type must be a non-empty partition")
     out = 1
     for part in alpha:
-        out *= q ** (d * part) - 1
+        out *= q ** part - 1
     return out
 
 

@@ -27,7 +27,7 @@ def unipotent_values(n: int, q: int) -> dict[tuple[tuple[int, ...], tuple[int, .
 
     labels = partitions_of(n)[::-1]
     order = gl_order(n, q)
-    weight = {rho: exact(order, z_order(rho) * torus_order(rho, 1, q)) if rho else 1
+    weight = {rho: exact(order, z_order(rho) * torus_order(rho, q)) if rho else 1
               for rho in labels}
     size = {lam: exact(order, unipotent_centralizer_order(lam, q)) for lam in labels}
     out: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}

@@ -1,13 +1,16 @@
 """Label-level reference for the class list, the sections and the value table.
 
 The engine expands each class type straight into key strings
-(`glclass.class_keys`).  This module keeps the path it replaced: every
-class as a validated `bruteforce.GLClassLabel`, keyed and sorted by
-`key()`, with its orders, d-type and section taken label by label.  The
-tests compare the engine against it, and use its labels where an index
-is compared.  It also keeps `xy_decompose`, the split of a type into
-its d-part and the rest, which the engine no longer needs: it builds
-each section type from its head instead.
+(`glclass.class_keys`), and the element-level oracle reads the same keys
+off the primary spaces of matrices (`bruteforce.element_key`).  This
+module keeps the validated label type behind a key (`GLClassLabel`, built
+by `make_label`, read back from a key by `parse_key`) and the path the
+engine replaced: every class as a label, keyed and sorted by `key()`,
+with its orders, d-type and section taken label by label.  The tests
+compare the engine and the oracle against it, and use its labels where
+an index is compared.  It also keeps `xy_decompose`, the split of a type
+into its d-part and the rest, which the engine no longer needs: it
+builds each section type from its head instead.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ import io
 import itertools
 from functools import cache
 from types import MappingProxyType
+from typing import NamedTuple
 
-from glblocks.bruteforce import GLClassLabel, PolyKey, make_label
 from glblocks.charvalue import class_values
 from glblocks.errors import ScaleGuardError
 from glblocks.glclass import (
@@ -30,9 +33,78 @@ from glblocks.glclass import (
     class_types,
     d_type,
 )
-from glblocks.partitions import partitions_of
+from glblocks.partitions import check_partition, partitions_of
 from glblocks.symchar import partition_index
 from glblocks.qarith import non_unipotent_count
+
+
+class PolyKey(NamedTuple):
+    """(degree, index) into the canonical pool without X and X-1."""
+    degree: int
+    index: int
+
+
+class _LabelFields(NamedTuple):
+    n: int
+    q: int
+    unipotent: tuple[int, ...]
+    support: tuple[tuple[PolyKey, tuple[int, ...]], ...]
+
+
+class GLClassLabel(_LabelFields):
+    """A class of GL(n,q) as its X-1 partition and its (PolyKey, partition)
+    pairs, validated when built; `key()` is the engine's assignment key."""
+    __slots__ = ()
+
+    def __init__(self, n, q, unipotent, support):
+        self.__post_init__()
+
+    def __post_init__(self):
+        check_partition(self.unipotent)
+        total = sum(self.unipotent)
+        seen = set()
+        for key, part in self.support:
+            if key in seen or not part:
+                raise ValueError(f"support entry {key} is repeated or empty")
+            seen.add(key)
+            check_partition(part)
+            total += key.degree * sum(part)
+        if total != self.n:
+            raise ValueError(f"support sizes sum to {total}, not n = {self.n}")
+
+    def key(self) -> str:
+        bits = []
+        if self.unipotent:
+            bits.append("u:" + ",".join(map(str, self.unipotent)))
+        for pk, part in sorted(self.support):
+            bits.append(f"f{pk.degree}.{pk.index}:" + ",".join(map(str, part)))
+        return "|".join(bits) if bits else "id0"
+
+
+def make_label(n: int, q: int, unipotent, support) -> GLClassLabel:
+    support = tuple(sorted((PolyKey(*k), tuple(p)) for k, p in support))
+    return GLClassLabel(n, q, tuple(unipotent), support)
+
+
+def parse_key(n: int, q: int, key: str) -> GLClassLabel:
+    """The label of GL(n,q) whose `key()` is key, validated as it is built."""
+    unipotent, support = (), []
+    for bit in key.split("|") if key != "id0" else ():
+        name, part = bit.split(":")
+        part = tuple(map(int, part.split(",")))
+        if name == "u":
+            unipotent = part
+        else:
+            support.append((tuple(map(int, name[1:].split("."))), part))
+    label = make_label(n, q, unipotent, support)
+    if label.key() != key:
+        raise ValueError(f"{key!r} is not the key of its own label {label.key()!r}")
+    return label
+
+
+def oracle_labels(data) -> tuple[GLClassLabel, ...]:
+    """The labels of the classes of `bruteforce.oracle_classes`, read back from their keys."""
+    return tuple(parse_key(data.group.n, data.group.q, key) for key in data.labels)
 
 
 def type_of(c: GLClassLabel) -> ClassType:

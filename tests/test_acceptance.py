@@ -37,14 +37,15 @@ def test_criterion_02_section_properties():
     ok = True
     for n, q in [(2, 2), (2, 3), (3, 2)]:
         data = BF.oracle_classes(n, q)
+        labels = L.oracle_labels(data)
         for d in (1, 2, 3):
             for variant in ("divisible", "exact"):
                 check = BF.oracle_sections(n, q, d, variant)
                 ok = ok and check.ok
                 for g, cid in enumerate(data.class_of):
                     x_cid = check.section_of[g]
-                    if L.section_label(data.labels[cid], d, variant) != \
-                            L.section_label(data.labels[x_cid], d, variant):
+                    if L.section_label(labels[cid], d, variant) != \
+                            L.section_label(labels[x_cid], d, variant):
                         ok = False
     announce(2, "element-level section properties and label agreement", ok)
 
@@ -58,7 +59,7 @@ def test_criterion_03_class_equation_and_centralizers():
                 ok = False
     for n, q in ORACLE_GROUPS:
         data = BF.oracle_classes(n, q)
-        for cid, lab in enumerate(data.labels):
+        for cid, lab in enumerate(L.oracle_labels(data)):
             if G.centralizer_order(L.type_of(lab), q) != data.centralizer_orders[cid]:
                 ok = False
     announce(3, "class equation and centralizer formula vs oracle", ok)
@@ -68,11 +69,12 @@ def test_criterion_04_character_value_oracle_equivalence():
     ok = True
     for n, q in ORACLE_GROUPS:
         data = BF.oracle_classes(n, q)
+        labels = L.oracle_labels(data)
         dec = BF.borel_unipotent_constituents(n, q)
         tab = dec.table
         for lam, (chi, _) in dec.constituents.items():
             for i, r in enumerate(tab.reps):
-                label = data.labels[data.class_of[r]]
+                label = labels[data.class_of[r]]
                 if tab.value_int(chi, i) != L.label_value(lam, label):
                     ok = False
     announce(4, "unipotent values equal oracle constituent rows", ok)

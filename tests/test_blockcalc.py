@@ -39,7 +39,7 @@ def inner_product(nu, nu2, domain, ctx):
 
 def head_type(key, q):
     """The head type of the section with the label-level key `key`."""
-    return L.type_of(BF.make_label(sum(k.degree * sum(p) for k, p in key), q, (), key))
+    return L.type_of(L.make_label(sum(k.degree * sum(p) for k, p in key), q, (), key))
 
 
 def label_level_inner_product(nu, nu2, domain, ctx):
@@ -472,8 +472,8 @@ def test_section_inner_products_factor_through_peels():
             x_size = sum(k.degree * sum(p) for k, p in key)
             l = n - x_size
             sub = Context(l, q, d, "divisible")
-            x_part = L.type_of(BF.make_label(x_size, q, (), key))
-            x_in_g = BF.make_label(n, q, (1,) * l, key)
+            x_part = L.type_of(L.make_label(x_size, q, (), key))
+            x_in_g = L.make_label(n, q, (1,) * l, key)
             x_class_size = G.class_size(L.type_of(x_in_g), q)
             scale = Fraction(Q.gl_order(l, q), Q.gl_order(n, q))
             for mu in labels:

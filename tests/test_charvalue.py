@@ -398,20 +398,20 @@ def test_mn_step_targets_share_core():
 
 
 def test_alpha_coefficients_identity():
-    x0 = L.type_of(BF.make_label(0, 3, (), ()))
+    x0 = L.type_of(L.make_label(0, 3, (), ()))
     for mu in partitions_of(4):
         assert compose_steps(mu, x0.components, 3) == {mu: 1}
 
 
 def test_alpha_coefficients_of_a_d_part():
-    x = L.type_of(BF.make_label(2, 3, (), [((2, 0), (1,))]))
+    x = L.type_of(L.make_label(2, 3, (), [((2, 0), (1,))]))
     assert compose_steps((3,), x.components, 3) == {(1,): 1}
     for lam in compose_steps((2, 2), x.components, 3):
         assert d_core(lam, 2) == d_core((2, 2), 2)
 
 
 def test_alpha_paths_factors_nonzero():
-    x = L.type_of(BF.make_label(4, 3, (), [((2, 0), (1,)), ((2, 1), (1,))]))
+    x = L.type_of(L.make_label(4, 3, (), [((2, 0), (1,)), ((2, 1), (1,))]))
     for mu in partitions_of(6):
         paths = peel_sequences(mu, x.components, 3)
         for chain, coef in paths:

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from glblocks import __version__, blockcalc, charvalue, cli
 
@@ -241,6 +244,101 @@ def test_usage_error_is_one_line(capsys, argv, prefix, phrase):
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
+# every subcommand with options that are all good, as (head, {flag: value});
+# each verify check gets exactly the options it takes
+GOOD_VALUES = {"n": "2", "q": "3", "d": "1", "k": "4", "big_f": "6"}
+CONTRACT_COMMANDS = {
+    **{f"partition {verb}": (["partition", verb, "[3,1]"], {"--d": "2"})
+       for verb in ("core", "quotient", "weight", "abacus", "paths")},
+    **{cmd: ([cmd], {"--n": "2", "--q": "3", "--d": "1"})
+       for cmd in ("classes", "blocks", "matrix")},
+    **{cmd: ([cmd], {"--n": "2", "--q": "3"}) for cmd in ("table", "oracle")},
+    **{f"verify {check}": (["verify", check],
+                           {cli._FLAGS[name]: GOOD_VALUES[name] for name in takes if name in GOOD_VALUES})
+       for check, takes in cli.VERIFY_OPTIONS.items()},
+}
+OPTION_STRINGS = ["--n", "--q", "--d", "--k", "--F", "--variant", "--output", "--out-path",
+                  "--domain", "--help"]
+SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 101, 997]
+
+# q that is not a prime power: at most 1, two distinct primes, or not an integer
+BAD_Q = st.one_of(
+    st.integers(max_value=1),
+    st.tuples(st.sampled_from(SMALL_PRIMES), st.sampled_from(SMALL_PRIMES),
+              st.integers(1, 3), st.integers(1, 3))
+    .filter(lambda t: t[0] != t[1]).map(lambda t: t[0] ** t[2] * t[1] ** t[3]),
+    st.from_regex(r"[a-z][a-z0-9.]{0,5}", fullmatch=True),
+    st.floats(0.5, 1e6).map(lambda x: f"{x:.3f}")).map(str)
+# a JSON document that is no partition: not a list, or a list with one bad part
+NOT_A_LIST = st.one_of(st.integers(), st.text(max_size=4), st.none(), st.booleans(),
+                       st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+BAD_PART = st.one_of(st.integers(max_value=0), st.floats(allow_nan=False, allow_infinity=False),
+                     st.text(max_size=3), st.booleans(), st.none(),
+                     st.lists(st.integers(), max_size=2))
+BAD_LIST = st.one_of(
+    st.tuples(st.lists(st.integers(1, 9), max_size=3), BAD_PART, st.integers(0, 3))
+    .map(lambda t: sorted(t[0], reverse=True)[:t[2]] + [t[1]] + sorted(t[0], reverse=True)[t[2]:]),
+    st.tuples(st.integers(1, 8), st.integers(1, 8)).map(lambda t: [t[0], t[0] + t[1]]))
+BAD_PARTITION = st.one_of(
+    st.tuples(st.one_of(NOT_A_LIST, BAD_LIST), st.sampled_from([None, 1, "\t"]))
+    .map(lambda t: json.dumps(t[0], indent=t[1])),
+    st.text(min_size=1, max_size=8).filter(lambda t: not t.startswith("-") and not _is_json(t)))
+UNKNOWN_OPTION = st.from_regex(r"--[a-zA-Z][a-zA-Z0-9-]{0,8}", fullmatch=True).filter(
+    lambda o: not any(known.startswith(o) for known in OPTION_STRINGS))
+
+
+def _is_json(text):
+    try:
+        json.loads(text)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def bad_argv(draw):
+    """A command line with exactly one defect of the kinds that exit 2."""
+    head, options = CONTRACT_COMMANDS[draw(st.sampled_from(sorted(CONTRACT_COMMANDS)))]
+    head, options = list(head), dict(options)
+    kinds = ["unknown option"]
+    kinds += [kind for kind, flag in [("q", "--q"), ("n", "--n"), ("d", "--d"), ("k", "--k")]
+              if flag in options]
+    kinds += ["partition"] if head[0] == "partition" else []
+    kinds += ["csv"] if head[0] not in ("table", "matrix") else []
+    kind = draw(st.sampled_from(kinds))
+    tail = []
+    if kind == "q":
+        options["--q"] = draw(BAD_Q)
+    elif kind == "n":
+        # the element-level oracle needs n >= 1, every other command n >= 0
+        oracle = head[0] == "oracle" or head[1:] in (["prop32"], ["thm45"])
+        options["--n"] = str(draw(st.integers(max_value=0 if oracle else -1)))
+    elif kind in ("d", "k"):
+        options[f"--{kind}"] = str(draw(st.integers(max_value=0)))
+    elif kind == "partition":
+        head[2] = draw(BAD_PARTITION)
+    elif kind == "csv":
+        tail = ["--output", "csv"]
+    else:
+        tail = [draw(UNKNOWN_OPTION)] + draw(st.sampled_from([[], ["1"]]))
+    return head + [x for item in options.items() for x in item] + tail
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(bad_argv())
+def test_bad_input_exits_2_with_one_stderr_line(argv):
+    # the CLI contract on bad input, over every subcommand: exit 2, nothing
+    # on stdout, exactly one line on stderr, and no work done
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+    assert exc.value.code == 2, argv
+    assert out.getvalue() == "", argv
+    message = err.getvalue()
+    assert message.endswith("\n") and len(message.splitlines()) == 1, (argv, message)
+
+
 def test_oracle_command(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("GLBLOCKS_CACHE_DIR", str(tmp_path))
     code, out = run(["oracle", "--n", "2", "--q", "2", "--output", "json"], capsys)
@@ -279,13 +377,14 @@ def test_scale_guard_is_one_line_exit_4(capsys):
     code = cli.main(["oracle", "--n", "4", "--q", "3"])
     captured = capsys.readouterr()
     assert code == 4 and captured.out == ""
-    assert captured.err == "glblocks: scale guard: |GL(4,3)| = 24261120 over guard 25000\n"
+    assert captured.err == ("glblocks: scale guard: lookup tables of GL(4,3) hold 1965150720"
+                            " row codes, over table guard 600000\n")
 
 
 @pytest.mark.parametrize("command", [["oracle"], ["verify", "prop32"], ["verify", "thm45"]])
 def test_field_guard_refuses_q_before_building_tables(capsys, monkeypatch, command):
-    # |GL(1,q)| = q - 1 passes the group guard, but the field's q x q
-    # tables are over the table guard, and refused before they are built
+    # the lookup tables of GL(1,q) are refused too, but the field's q x q
+    # tables are over the table guard first, and refused before they are built
     monkeypatch.delenv("GLBLOCKS_CACHE_DIR", raising=False)
     code = cli.main(command + ["--n", "1", "--q", "10007"])
     captured = capsys.readouterr()
@@ -454,16 +553,17 @@ ENGINE_COMMANDS = [
 
 
 def test_engine_commands_build_no_class_label():
-    # with label construction made to fail, every engine command, the class
-    # list and the value table included, still gives its usual exit code in
-    # a fresh process; the element-level oracle, which builds labels, does not
+    # with the oracle's class names (the primary spaces of a matrix) made to
+    # fail, every engine command, the class list and the value table
+    # included, still gives its usual exit code in a fresh process; the
+    # element-level oracle, which names its classes so, does not
     script = "\n".join([
         "import contextlib, io, json, sys",
         "from glblocks import bruteforce, cli",
-        "def refuse(self):",
-        "    raise RuntimeError('a class label was built')",
+        "def refuse(*args):",
+        "    raise RuntimeError('a class was named from a matrix')",
         "if sys.argv[1] == 'patched':",
-        "    bruteforce.GLClassLabel.__post_init__ = refuse",
+        "    bruteforce._primary_spaces = refuse",
         "codes = []",
         "for argv in json.loads(sys.argv[2]):",
         "    with contextlib.redirect_stdout(io.StringIO()), \\",
@@ -476,7 +576,7 @@ def test_engine_commands_build_no_class_label():
         ["table", "--n", "4", "--q", "3", "--output", "csv"], ["table", "--n", "3", "--q", "4"],
         ["oracle", "--n", "2", "--q", "2"]]
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    env.pop("GLBLOCKS_CACHE_DIR", None)  # the oracle must build its labels
+    env.pop("GLBLOCKS_CACHE_DIR", None)  # the oracle must name its classes
     codes = {mode: json.loads(subprocess.run(
         [sys.executable, "-c", script, mode, json.dumps(commands)], env=env,
         capture_output=True, text=True, check=True).stdout) for mode in ("plain", "patched")}

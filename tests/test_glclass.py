@@ -9,13 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from glblocks import bruteforce as BF
 from glblocks import charvalue as C
 from glblocks import cli
 from glblocks import glclass as G
 from glblocks import partitions as P
 from glblocks import qarith as Q
-from glblocks.bruteforce import GLClassLabel, make_label
+from labelref import GLClassLabel, make_label
 from glblocks.glclass import ClassType, d_type
 from test_charvalue import label_chi_value
 import labelref as L
@@ -52,7 +51,7 @@ def _assignments_for_degree(q, degree, budget):
             for sizes in _compositions(budget, used):
                 pools = [P.partitions_of(s) for s in sizes]
                 for parts in itertools.product(*pools):
-                    yield tuple((BF.PolyKey(degree, indices[i]), parts[i])
+                    yield tuple((L.PolyKey(degree, indices[i]), parts[i])
                                 for i in range(used))
 
 
@@ -70,14 +69,14 @@ def label_level_classes(n, q):
     """Reference: the label enumerator `all_classes` had before it was
     built from `class_types`, degree by degree over indexed polynomials."""
     if n == 0:
-        return (BF.make_label(0, q, (), ()),)
+        return (L.make_label(0, q, (), ()),)
     out = []
     for u_size in range(n + 1):
         for u_part in P.partitions_of(u_size):
             def rec(degree, remaining, acc, u_part=u_part):
                 if degree > remaining:
                     if remaining == 0:
-                        out.append(BF.make_label(n, q, u_part, tuple(acc)))
+                        out.append(L.make_label(n, q, u_part, tuple(acc)))
                     return
                 for budget in range(remaining // degree + 1):
                     for chunk in _assignments_for_degree(q, degree, budget):
@@ -136,16 +135,21 @@ def test_class_equation():
 
 def test_label_validation():
     with pytest.raises(ValueError):
-        BF.make_label(3, 2, (2,), ())  # sizes do not sum to n
-    lab = BF.make_label(3, 2, (1,), [((2, 0), (1,))])
+        L.make_label(3, 2, (2,), ())  # sizes do not sum to n
+    lab = L.make_label(3, 2, (1,), [((2, 0), (1,))])
     assert lab.key() == "u:1|f2.0:1"
+    assert L.parse_key(3, 2, "u:1|f2.0:1") == lab and L.parse_key(0, 2, "id0").key() == "id0"
+    for bad in ("u:1|f2.0:2", "f2.0:1|u:1", "u:1|f2.0:1|f2.0:1", "u:1,2", "u:1|f2.0:0"):
+        with pytest.raises(ValueError):
+            L.parse_key(3, 2, bad)
 
 
 def test_label_checks_survive_python_O():
     # argument checks are explicit raises, so `python -O` keeps them
     script = "\n".join([
-        "from glblocks import bruteforce as BF, glclass as G",
-        "for bad in (lambda: BF.make_label(2, 3, (), [((1, 0), (1,)), ((1, 0), (1,))]),",
+        "import labelref as L",
+        "from glblocks import glclass as G",
+        "for bad in (lambda: L.make_label(2, 3, (), [((1, 0), (1,)), ((1, 0), (1,))]),",
         "            lambda: G.class_keys(-1, 2)):",
         "    try:",
         "        bad()",
@@ -154,7 +158,7 @@ def test_label_checks_survive_python_O():
         "    else:",
         "        print('accepted')",
     ])
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(Path(__file__).parent)]))
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.splitlines() == ["raised support entry PolyKey(degree=1, index=0) is repeated or empty",
@@ -195,7 +199,7 @@ def test_class_type_agrees_with_its_labels(n, q):
 
 
 def test_class_type_examples():
-    c = BF.make_label(8, 5, (1,), [((1, 2), (1,)), ((1, 0), (2,)), ((2, 5), (1,)), ((2, 3), (1,))])
+    c = L.make_label(8, 5, (1,), [((1, 2), (1,)), ((1, 0), (2,)), ((2, 5), (1,)), ((2, 3), (1,))])
     assert L.type_of(c) == ClassType(8, (1,), ((1, (1,)), (1, (2,)), (2, (1,)), (2, (1,))))
     assert L.type_of(identity_label(3, 2)) == ClassType(3, (1, 1, 1), ())
 
@@ -206,9 +210,9 @@ def test_identity_and_centralizers():
         assert G.centralizer_order(ident, q) == Q.gl_order(n, q)
         assert G.class_size(ident, q) == 1
     # a single companion block of an irreducible of degree n
-    lab = L.type_of(BF.make_label(3, 2, (), [((3, 0), (1,))]))
+    lab = L.type_of(L.make_label(3, 2, (), [((3, 0), (1,))]))
     assert G.centralizer_order(lab, 2) == 2 ** 3 - 1
-    reg_unip = L.type_of(BF.make_label(3, 2, (3,), ()))
+    reg_unip = L.type_of(L.make_label(3, 2, (3,), ()))
     assert G.centralizer_order(reg_unip, 2) == 4
 
 
@@ -216,21 +220,21 @@ def test_is_d_element():
     q = 3
     ident = L.type_of(identity_label(3, q))
     assert G.is_d_element(ident, 2, "divisible")
-    quad = L.type_of(BF.make_label(3, q, (1,), [((2, 0), (1,))]))
+    quad = L.type_of(L.make_label(3, q, (1,), [((2, 0), (1,))]))
     assert G.is_d_element(quad, 2, "divisible")
-    bad_unip = L.type_of(BF.make_label(3, q, (2, 1), ()))
+    bad_unip = L.type_of(L.make_label(3, q, (2, 1), ()))
     assert not G.is_d_element(bad_unip, 2, "divisible")
-    lin = L.type_of(BF.make_label(3, q, (1,), [((1, 0), (1, 1))]))
+    lin = L.type_of(L.make_label(3, q, (1,), [((1, 0), (1, 1))]))
     assert not G.is_d_element(lin, 2, "divisible")
     assert G.is_d_element(lin, 1, "divisible")
 
 
 def test_is_d_regular():
     q = 2
-    unip = L.type_of(BF.make_label(3, q, (2, 1), ()))
+    unip = L.type_of(L.make_label(3, q, (2, 1), ()))
     assert G.is_d_regular(unip, 1, "divisible")          # unipotent iff 1-regular
     assert G.is_d_regular(unip, 2, "divisible") and G.is_d_regular(unip, 3, "divisible")
-    cubic = L.type_of(BF.make_label(3, q, (), [((3, 0), (1,))]))
+    cubic = L.type_of(L.make_label(3, q, (), [((3, 0), (1,))]))
     assert not G.is_d_regular(cubic, 3, "divisible")
     assert not G.is_d_regular(cubic, 1, "divisible")
     assert G.is_d_regular(cubic, 2, "divisible")
@@ -239,7 +243,7 @@ def test_is_d_regular():
     for c in L.all_classes(3, 2):
         assert G.is_d_regular(L.type_of(c), 1, "divisible") == (not c.support)
     # scalar classes are d-regular for every d >= 2
-    scalar = L.type_of(BF.make_label(2, 3, (), [((1, 0), (1, 1))]))
+    scalar = L.type_of(L.make_label(2, 3, (), [((1, 0), (1, 1))]))
     for d in (2, 3, 4):
         assert G.is_d_regular(scalar, d, "divisible")
     assert not G.is_d_regular(scalar, 1, "divisible")
@@ -247,7 +251,7 @@ def test_is_d_regular():
 
 def test_xy_decompose():
     # mixed class: an irreducible quadratic with a nontrivial unipotent part
-    c = L.type_of(BF.make_label(4, 3, (2,), [((2, 0), (1,))]))
+    c = L.type_of(L.make_label(4, 3, (2,), [((2, 0), (1,))]))
     x, y = L.xy_decompose(c, 2)
     assert x.n == 2 and x.components == ((2, (1,)),)
     assert y.n == 2 and y.unipotent == (2,) and not y.components
@@ -283,12 +287,12 @@ def test_decomposition_is_injective():
 def test_d_type_examples():
     ident = L.type_of(identity_label(4, 3))
     assert G.d_type(ident, 2, "divisible") == ()
-    one = L.type_of(BF.make_label(4, 3, (1, 1), [((2, 1), (1,))]))
+    one = L.type_of(L.make_label(4, 3, (1, 1), [((2, 1), (1,))]))
     assert G.d_type(one, 2, "divisible") == ((1, 1),)
-    two = L.type_of(BF.make_label(4, 3, (), [((2, 0), (1,)), ((2, 2), (1,))]))
+    two = L.type_of(L.make_label(4, 3, (), [((2, 0), (1,)), ((2, 2), (1,))]))
     assert G.d_type(two, 2, "divisible") == ((1, 1), (1, 1))
     assert class_d_weight(two, 2) == 2
-    deg4 = L.type_of(BF.make_label(4, 3, (), [((4, 7), (1,))]))
+    deg4 = L.type_of(L.make_label(4, 3, (), [((4, 7), (1,))]))
     assert G.d_type(deg4, 2, "divisible") == ((1, 2),)
 
 

@@ -21,6 +21,17 @@ def test_moebius():
     assert [Q.moebius(n) for n in range(1, 11)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
 
 
+def test_prime_factors_match_a_sieve():
+    # the distinct prime factors of every m <= 2,000, from a sieve of Eratosthenes
+    top = 2000
+    factors = [[] for _ in range(top + 1)]
+    for p in range(2, top + 1):
+        if not factors[p]:  # no smaller prime divides p
+            for m in range(p, top + 1, p):
+                factors[m].append(p)
+    assert [Q.prime_factors(m) for m in range(top + 1)] == [tuple(f) for f in factors]
+
+
 def test_count_examples():
     assert Q.necklace_count(2, 2) == Q.non_unipotent_count(2, 2) == 1
     assert Q.necklace_count(3, 2) == Q.non_unipotent_count(3, 2) == 3
@@ -37,14 +48,15 @@ def test_enumeration_matches_count():
         for d in range(1, 9):
             if q ** d > 10 ** 5:
                 continue
-            labels = BF.enumerate_irreducibles(q, d)
-            assert len(labels) == Q.necklace_count(q, d) - (d == 1)  # X is not listed
-            assert [l.index for l in labels] == list(range(len(labels)))
+            polys = BF.enumerate_irreducibles(q, d)
+            assert len(polys) == Q.necklace_count(q, d) - (d == 1)  # X is not listed
+            # canonical order: coefficients read from the top down, distinct
+            assert sorted(set(polys), key=lambda f: f[::-1]) == list(polys)
 
 
 def test_enumeration_examples():
-    assert [l.coeffs for l in BF.enumerate_irreducibles(2, 2)] == [(1, 1, 1)]
-    assert [l.coeffs for l in BF.enumerate_irreducibles(3, 1)] == [(1, 1), (2, 1)]
+    assert BF.enumerate_irreducibles(2, 2) == ((1, 1, 1),)
+    assert BF.enumerate_irreducibles(3, 1) == ((1, 1), (2, 1))
     assert len(BF.enumerate_irreducibles(2, 3)) == 2
 
 
@@ -74,11 +86,10 @@ def test_enumerated_polynomials_are_irreducible():
     # no roots and no proper monic factor, checked by exhaustive division
     for q, d in [(2, 4), (3, 3), (4, 2), (5, 2)]:
         fq = BF.field(q)
-        lower = [lab.coeffs for dd in range(1, d)
-                 for lab in BF.enumerate_irreducibles(q, dd)] + [(0, 1)]
-        for lab in BF.enumerate_irreducibles(q, d):
+        lower = [f for dd in range(1, d) for f in BF.enumerate_irreducibles(q, dd)] + [(0, 1)]
+        for f in BF.enumerate_irreducibles(q, d):
             for div in lower:
-                _, rem = poly_divmod(fq, lab.coeffs, div)
+                _, rem = poly_divmod(fq, f, div)
                 assert any(rem)
 
 
@@ -88,13 +99,14 @@ def test_enumeration_guard():
 
 
 def test_x_minus_one_pool():
-    # degree-1 pool omits X-1 and reindexes
-    pool = BF.non_unipotent_irreducibles(3, 1)
-    assert [l.coeffs for l in pool] == [(1, 1)]
+    # X-1 comes first, named "u"; the degree-1 names skip it and reindex
+    assert BF._poly_pool(1, 3) == (((2, 1), "u"), ((1, 1), "f1.0"))
     assert Q.non_unipotent_count(3, 1) == 1
     assert Q.non_unipotent_count(2, 1) == 0
     assert Q.non_unipotent_count(4, 1) == 2
-    assert BF.x_minus_one(4) == (1, 1)  # -1 = 1 in characteristic 2
+    assert BF._poly_pool(1, 4)[0] == ((1, 1), "u")  # -1 = 1 in characteristic 2
+    assert [name for _, name in BF._poly_pool(2, 4)] == \
+        ["u", "f1.0", "f1.1"] + [f"f2.{i}" for i in range(Q.non_unipotent_count(4, 2))]
 
 
 def _det_prime_field(p, A):
@@ -135,11 +147,12 @@ def test_gl_order_brute_force():
 
 
 def test_torus_order():
+    # a torus over F_(q^d) is one over F_q with its parts scaled by d
     q, d = 3, 2
     for k in (1, 2, 3):
-        assert Q.torus_order((1,) * k, d, q) == (q ** d - 1) ** k
-    assert Q.torus_order((2,), 3, 2) == 2 ** 6 - 1
-    assert Q.torus_order((2, 1), 1, 2) == 3
+        assert Q.torus_order((1,) * k, q ** d) == (q ** d - 1) ** k
+    assert Q.torus_order((2,), 2 ** 3) == 2 ** 6 - 1
+    assert Q.torus_order((2, 1), 2) == 3
 
 
 def test_unipotent_centralizer_special_cases():
