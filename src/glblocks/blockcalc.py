@@ -1,10 +1,14 @@
 """Restricted inner products, unipotent d-blocks, closed forms, chains and the
 second-main-theorem check.
 
-All inner products are exact: the matrix of a domain is
-sum_t w_t v_t v_t^T / |G| over its class types t, with v_t = (chi^nu(t))_nu
-the value vector of t and w_t the total size of the domain's classes of
-type t, each entry one integer row product over the types, divided once.
+All inner products are exact and held as integers: the matrix of a domain is
+|G| times the Gram over its classes, sum_t w_t v_t v_t^T over its class
+types t, with v_t = (chi^nu(t))_nu the value vector of t and w_t the total
+size of the domain's classes of type t, each entry one integer row product
+over the types.  The unipotent characters are orthonormal, so the d-regular
+and d-singular matrices add up to |G| times the identity, and each is read
+off whichever of the two has fewer types.  A report divides by |G| once per
+entry it prints; `blocks` only tests entries for zero.
 Domains are read off `class_types` and hold `ClassType`s only, so no
 class label is built here.  A section domain is keyed by its head type x
 (a d-element of GL(|x|, q) without X-1): its types are x's components
@@ -22,12 +26,11 @@ each section type, for one, is built from its head and a d-regular type.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from math import factorial
 from operator import mul
 from types import MappingProxyType
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .charvalue import class_values, mn_step, peel
 from .errors import HypothesisError
@@ -53,6 +56,11 @@ from .partitions import (
 )
 from .qarith import gl_order, non_unipotent_count
 from .symchar import linked_components, same_core_grouping
+
+if TYPE_CHECKING:
+    # a Fraction is built only where a rational is returned or printed, so
+    # that `blocks` never loads `fractions`
+    from fractions import Fraction
 
 
 class Context(NamedTuple):
@@ -106,27 +114,40 @@ def _type_weights(ctx: Context, domain):
         types = {t: ys[y] for y, t in _section_types(ctx, x)}
     else:
         raise ValueError(f"unknown domain {domain!r}")
-    return MappingProxyType({t: m * class_size(t, ctx.q) for t, m in types.items()})
+    weights = {t: m * class_size(t, ctx.q) for t, m in types.items()}
+    # the class equation: inner_matrix's cheaper side rests on the full
+    # group's classes being exactly these
+    if domain == "full" and sum(weights.values()) != gl_order(ctx.n, ctx.q):
+        raise ArithmeticError(f"class sizes of GL({ctx.n},{ctx.q}) do not sum to its order")
+    return MappingProxyType(weights)
 
 
 @cache
 def inner_matrix(ctx: Context, domain):
-    """{(nu, nu2): Fraction} over the domain's classes, for every ordered pair, read-only.
+    """{(nu, nu2): |G| <chi^nu, chi^nu2>} over the domain's classes, integers
+    for every ordered pair, read-only.
 
-    With V the value vectors of the domain's types as columns and w their
+    With V the value vectors of the summed types as columns and w their
     weights, each entry is one row product sum_t w_t V[nu][t] V[nu2][t],
-    divided by |G| once and stored under both orders.
+    stored under both orders.  For "d_regular" and "d_singular" the sum runs
+    over the other side when that has fewer types, and the entry is
+    |G| delta - that sum, since the full Gram is the identity.
     """
     labels = partitions_of(ctx.n)
     weights = _type_weights(ctx, domain)
+    other = {"d_regular": "d_singular", "d_singular": "d_regular"}.get(domain)
+    complement = other is not None and len(_type_weights(ctx, other)) < len(weights)
+    if complement:
+        weights = _type_weights(ctx, other)
     rows = list(zip(*(class_values(t, ctx.q) for t in weights))) or [()] * len(labels)
     order = gl_order(ctx.n, ctx.q)
     out = {}
     for i, nu in enumerate(labels):
         weighted = tuple(map(mul, weights.values(), rows[i]))
         for j in range(i, len(labels)):
-            out[(nu, labels[j])] = out[(labels[j], nu)] = Fraction(
-                sum(map(mul, weighted, rows[j])), order)
+            val = sum(map(mul, weighted, rows[j]))
+            out[(nu, labels[j])] = out[(labels[j], nu)] = \
+                order * (i == j) - val if complement else val
     return MappingProxyType(out)
 
 
@@ -135,7 +156,7 @@ def inner_matrix(ctx: Context, domain):
 @cache
 def unipotent_blocks(ctx: Context) -> tuple[frozenset[tuple[int, ...]], ...]:
     """Connected components under nonzero inner products over d-regular classes."""
-    links = (pair for pair, val in inner_matrix(ctx, "d_regular").items() if val != 0)
+    links = (pair for pair, val in inner_matrix(ctx, "d_regular").items() if val)
     return linked_components(partitions_of(ctx.n), links)
 
 
@@ -156,6 +177,7 @@ def theorem46_rhs(lam, mu, ctx: Context) -> Fraction:
     Validates its own hypotheses: lam and mu of size n form a closed-form
     pair, and the standing bound F >= n/d holds.
     """
+    from fractions import Fraction
     lam, mu = tuple(lam), tuple(mu)
     d = ctx.d
     if sum(lam) != ctx.n or not _closed_form_pair(lam, mu, d):
@@ -181,6 +203,7 @@ def find_theorem46_pairs(ctx: Context):
 def lemma49_lhs(k: int, F: int) -> Fraction:
     """Sum over partitions of k of falling factorials of F over the
     product of part-factorials and multiplicity factorials."""
+    from fractions import Fraction
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     total = Fraction(0)
@@ -199,6 +222,7 @@ def lemma49_lhs(k: int, F: int) -> Fraction:
 
 def lemma49_check(k: int, F: int) -> bool:
     """Exact equality of the partition sum with F^k / k!."""
+    from fractions import Fraction
     return lemma49_lhs(k, F) == Fraction(F ** k, factorial(k))
 
 
@@ -374,22 +398,23 @@ def blocks_report(ctx: Context) -> dict:
 
 
 def inner_product_matrix_report(ctx: Context, domain) -> dict:
+    from fractions import Fraction
     labels = partitions_of(ctx.n)
-    matrix = inner_matrix(ctx, domain)
+    matrix, order = inner_matrix(ctx, domain), gl_order(ctx.n, ctx.q)
     return {
         "context": {"n": ctx.n, "q": ctx.q, "d": ctx.d, "variant": ctx.variant},
         "domain": domain if isinstance(domain, str) else f"section:{domain[1]}",
-        "matrix": {f"{list(nu)}|{list(nu2)}": _ratio(matrix[(nu, nu2)])
+        "matrix": {f"{list(nu)}|{list(nu2)}": _ratio(Fraction(matrix[(nu, nu2)], order))
                    for nu in labels for nu2 in labels},
     }
 
 
 def inner_product_matrix_csv(ctx: Context, domain) -> str:
+    from fractions import Fraction
     labels = partitions_of(ctx.n)
-    matrix = inner_matrix(ctx, domain)
+    matrix, order = inner_matrix(ctx, domain), gl_order(ctx.n, ctx.q)
     lines = ["nu\\nu2," + ",".join(str(list(nu)).replace(",", " ") for nu in labels)]
     for nu in labels:
         lines.append(",".join([str(list(nu)).replace(",", " ")] +
-                              [_ratio(matrix[(nu, nu2)]) for nu2 in labels]))
+                              [_ratio(Fraction(matrix[(nu, nu2)], order)) for nu2 in labels]))
     return "\n".join(lines) + "\n"
-

@@ -28,7 +28,8 @@ Exit codes:
   0  pass
   1  a failed check (verify FAIL, blocks VIOLATION)
   2  usage error: an option the subcommand or verify check does not
-     take, a negative --n, a --q that is not a prime power, a --d or --k
+     take, a negative --n, a --q that is not a prime power or not below
+     3317044064679887385961981 (qarith.PRIME_TEST_BOUND), a --d or --k
      below 1, --n 0 for the element-level oracle (oracle, verify prop32,
      verify thm45), a partition literal that is not a JSON list of
      positive integers in weakly decreasing order, --output csv on a
@@ -53,8 +54,9 @@ from .errors import HypothesisError, ScaleGuardError
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        """Report a usage error in one stderr line, without the usage block."""
-        self.exit(2, f"{self.prog}: error: {message}\n")
+        """Report a usage error in one stderr line, without the usage block; runs
+        of whitespace, line breaks in an echoed unknown option among them, become one space."""
+        self.exit(2, f"{self.prog}: error: {' '.join(message.split())}\n")
 
 
 def _usage_error(message: str) -> SystemExit:
@@ -98,6 +100,8 @@ def _prime_power(text: str) -> int:
         qarith.prime_power(q)
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be a prime power, got {text!r}") from None
+    except OverflowError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return q
 
 
@@ -118,7 +122,8 @@ def _emit(args, payload, text_lines, csv_text=None):
             with open(args.out_path, "w") as fh:
                 fh.write(blob)
         except OSError as exc:
-            raise _usage_error(f"cannot write {args.out_path}: {exc.strerror}") from None
+            path = " ".join(args.out_path.split())
+            raise _usage_error(f"cannot write {path}: {exc.strerror}") from None
     else:
         sys.stdout.write(blob)
 
@@ -221,9 +226,9 @@ def _verify_prop32(args):
 
 
 def _verify_thm43(args):
-    from . import blockcalc, glclass
+    from . import blockcalc, glclass, qarith
     ctx = blockcalc.Context(args.n, args.q, args.d, args.variant)
-    labels = partitions.partitions_of(ctx.n)
+    labels, order = partitions.partitions_of(ctx.n), qarith.gl_order(ctx.n, ctx.q)
     worst = []
     for head in glclass.section_heads(ctx.n, ctx.q, ctx.d, ctx.variant):
         matrix = blockcalc.inner_matrix(ctx, ("section", head))
@@ -232,8 +237,9 @@ def _verify_thm43(args):
                 if partitions.d_core(nu, ctx.d) == partitions.d_core(nu2, ctx.d):
                     continue
                 val = matrix[(nu, nu2)]
-                if val != 0:
-                    worst.append([list(nu), list(nu2), f"{val}"])
+                if val:
+                    from fractions import Fraction  # loaded only when an entry is reported
+                    worst.append([list(nu), list(nu2), f"{Fraction(val, order)}"])
     return not worst, {"cross_core_nonzeros": worst}
 
 
@@ -257,16 +263,17 @@ def _verify_thm45(args):
 
 
 def _verify_thm46(args):
-    from . import blockcalc
+    from fractions import Fraction
+    from . import blockcalc, qarith
     ctx = blockcalc.Context(args.n, args.q, args.d, args.variant)
     pairs = blockcalc.find_theorem46_pairs(ctx)
-    matrix = blockcalc.inner_matrix(ctx, "d_regular")
+    matrix, order = blockcalc.inner_matrix(ctx, "d_regular"), qarith.gl_order(ctx.n, ctx.q)
     results = []
     for lam, mu in pairs:
         rhs = blockcalc.theorem46_rhs(lam, mu, ctx)
         lhs = matrix[(lam, mu)]
-        results.append({"lam": list(lam), "mu": list(mu),
-                        "lhs": f"{lhs}", "rhs": f"{rhs}", "match": lhs == rhs})
+        results.append({"lam": list(lam), "mu": list(mu), "lhs": f"{Fraction(lhs, order)}",
+                        "rhs": f"{rhs}", "match": lhs == rhs * order})
     return all(r["match"] for r in results), {"pairs": results, "pair_count": len(pairs)}
 
 

@@ -26,14 +26,60 @@ def prime_factors(m: int) -> tuple[int, ...]:
     return tuple(out + [m] if m > 1 else out)
 
 
+# Miller-Rabin with the first 13 prime bases decides primality exactly below
+# this bound (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(m: int) -> bool:
+    """Deterministic Miller-Rabin, for 1 < m < PRIME_TEST_BOUND."""
+    for a in _MR_BASES:
+        if m % a == 0:
+            return m == a
+    odd, s = m - 1, 0
+    while odd % 2 == 0:
+        odd, s = odd // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, odd, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _integer_root(m: int, e: int) -> int:
+    """floor(m ** (1/e)) for m >= 1, by Newton's method in integers."""
+    x = 1 << -(-m.bit_length() // e)  # at least the root
+    while True:
+        y = ((e - 1) * x + m // x ** (e - 1)) // e
+        if y >= x:
+            return x
+        x = y
+
+
+@cache
 def prime_power(q: int) -> tuple[int, int]:
-    """Factor q = p**e with p prime, or raise."""
-    if len(prime_factors(q)) != 1:
-        raise ValueError(f"{q} is not a prime power")
-    p, e = prime_factors(q)[0], 1
-    while p ** e != q:
-        e += 1
-    return p, e
+    """Factor q = p**e with p prime, or raise: ValueError when q is no prime
+    power, OverflowError when q is not below PRIME_TEST_BOUND.
+
+    q = p**e is a perfect k-th power for each k dividing e, with a prime
+    root only at k = e, so each exponent from the largest possible down is
+    tried once: an integer k-th root, then a primality test of the root.
+    """
+    if q >= PRIME_TEST_BOUND:
+        raise OverflowError(f"{q} is not below {PRIME_TEST_BOUND}, the bound of the exact"
+                            " prime test")
+    for e in range(q.bit_length() - 1, 0, -1) if q > 1 else ():
+        p = _integer_root(q, e)
+        if p ** e == q and _is_prime(p):
+            return p, e
+    raise ValueError(f"{q} is not a prime power")
 
 
 @cache

@@ -11,6 +11,7 @@ from glblocks import charvalue as C
 from glblocks import cli
 from glblocks import glclass as G
 from glblocks import partitions as P
+from glblocks import qarith as Q
 from glblocks import symchar as S
 from glblocks.blockcalc import Context
 from glblocks.errors import HypothesisError
@@ -34,7 +35,46 @@ def test_f_number_and_hypothesis_flag():
 
 def inner_product(nu, nu2, domain, ctx):
     """Exact restricted scalar product of two unipotent characters."""
-    return B.inner_matrix(ctx, domain)[(tuple(nu), tuple(nu2))]
+    return Fraction(B.inner_matrix(ctx, domain)[(tuple(nu), tuple(nu2))], Q.gl_order(ctx.n, ctx.q))
+
+
+def direct_inner_matrix(ctx, domain):
+    """Reference: |G| times the Gram summed over the domain's own types,
+    sum_t w_t v_t v_t^T, with no use of the other side."""
+    weights = B._type_weights(ctx, domain)
+    values = {t: C.class_values(t, ctx.q) for t in weights}
+    labels = P.partitions_of(ctx.n)
+    return {(nu, nu2): sum(w * values[t][i] * values[t][j] for t, w in weights.items())
+            for i, nu in enumerate(labels) for j, nu2 in enumerate(labels)}
+
+
+def test_cheaper_side_matches_the_direct_sum():
+    # inner_matrix sums d_regular and d_singular over the side with fewer
+    # types; both must equal the direct sum, and both routes must be taken
+    routes = set()
+    for n in range(7):
+        for q in (2, 3, 4, 5):
+            for d in (1, 2, 3):
+                for variant in ("divisible", "exact"):
+                    ctx = Context(n, q, d, variant)
+                    sizes = {dom: len(B._type_weights(ctx, dom))
+                             for dom in ("d_regular", "d_singular")}
+                    for domain, other in (("d_regular", "d_singular"),
+                                          ("d_singular", "d_regular")):
+                        assert dict(B.inner_matrix(ctx, domain)) == \
+                            direct_inner_matrix(ctx, domain), (ctx, domain)
+                        routes.add(sizes[other] < sizes[domain])
+    assert routes == {True, False}
+
+
+def test_class_equation_guards_the_full_weights(monkeypatch):
+    # a wrong class size breaks sum_t m_t |G|/|C_t| = |G|, which the
+    # cheaper side of inner_matrix rests on
+    ctx = Context(4, 3, 2, "divisible")
+    monkeypatch.setattr(B, "class_size",
+                        lambda t, q: G.class_size(t, q) + (t == G.ClassType(4, (4,), ())))
+    with pytest.raises(ArithmeticError, match="do not sum to its order"):
+        B._type_weights.__wrapped__(ctx, "full")
 
 
 def head_type(key, q):

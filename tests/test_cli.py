@@ -118,10 +118,28 @@ def test_verify_thm46_and_smt(capsys):
     code, out = run(["verify", "thm46", "--n", "3", "--q", "3", "--d", "2",
                      "--output", "json"], capsys)
     assert code == 0
-    assert json.loads(out)["details"]["pair_count"] == 2
+    details = json.loads(out)["details"]
+    assert details["pair_count"] == 2
+    # the integer Gram entry is printed divided by |G|, in lowest terms
+    assert {(r["lhs"], r["rhs"], r["match"]) for r in details["pairs"]} == {("3/8", "3/8", True)}
     code, out = run(["verify", "smt55", "--n", "3", "--q", "3", "--d", "2",
                      "--output", "json"], capsys)
     assert code == 0
+
+
+def test_verify_thm43_reports_a_nonzero_as_a_rational(capsys, monkeypatch):
+    # a cross-core entry k of an integer section Gram is reported as k/|G|
+    real = blockcalc.inner_matrix
+
+    def corrupted(ctx, domain):
+        matrix = dict(real(ctx, domain))
+        matrix[((3,), (2, 1))] = matrix[((2, 1), (3,))] = 12  # 12/|GL(3,2)| = 1/14
+        return matrix
+    monkeypatch.setattr(blockcalc, "inner_matrix", corrupted)
+    code, out = run(["verify", "thm43", "--n", "3", "--q", "2", "--d", "2",
+                     "--output", "json"], capsys)
+    nonzeros = json.loads(out)["details"]["cross_core_nonzeros"]
+    assert code == 1 and nonzeros and all(entry == [[3], [2, 1], "1/14"] for entry in nonzeros)
 
 
 def test_verify_batch_examples(capsys):
@@ -283,8 +301,13 @@ BAD_PARTITION = st.one_of(
     st.tuples(st.one_of(NOT_A_LIST, BAD_LIST), st.sampled_from([None, 1, "\t"]))
     .map(lambda t: json.dumps(t[0], indent=t[1])),
     st.text(min_size=1, max_size=8).filter(lambda t: not t.startswith("-") and not _is_json(t)))
-UNKNOWN_OPTION = st.from_regex(r"--[a-zA-Z][a-zA-Z0-9-]{0,8}", fullmatch=True).filter(
+# str.split breaks on every character str.splitlines breaks on, these included
+LINE_BREAKS = "\n\r\x85"
+UNKNOWN_OPTION = st.from_regex(r"--[a-zA-Z][a-zA-Z0-9\n\r\x85-]{0,8}", fullmatch=True).filter(
     lambda o: not any(known.startswith(o) for known in OPTION_STRINGS))
+# a file in a directory that does not exist
+BAD_OUT_PATH = st.text(alphabet="ab" + LINE_BREAKS, max_size=6).map(
+    lambda name: f"/nonexistent-glblocks-dir/{name}")
 
 
 def _is_json(text):
@@ -300,7 +323,7 @@ def bad_argv(draw):
     """A command line with exactly one defect of the kinds that exit 2."""
     head, options = CONTRACT_COMMANDS[draw(st.sampled_from(sorted(CONTRACT_COMMANDS)))]
     head, options = list(head), dict(options)
-    kinds = ["unknown option"]
+    kinds = ["unknown option", "out-path"]
     kinds += [kind for kind, flag in [("q", "--q"), ("n", "--n"), ("d", "--d"), ("k", "--k")]
               if flag in options]
     kinds += ["partition"] if head[0] == "partition" else []
@@ -319,6 +342,8 @@ def bad_argv(draw):
         head[2] = draw(BAD_PARTITION)
     elif kind == "csv":
         tail = ["--output", "csv"]
+    elif kind == "out-path":
+        tail = ["--out-path", draw(BAD_OUT_PATH)]
     else:
         tail = [draw(UNKNOWN_OPTION)] + draw(st.sampled_from([[], ["1"]]))
     return head + [x for item in options.items() for x in item] + tail
@@ -328,7 +353,8 @@ def bad_argv(draw):
 @given(bad_argv())
 def test_bad_input_exits_2_with_one_stderr_line(argv):
     # the CLI contract on bad input, over every subcommand: exit 2, nothing
-    # on stdout, exactly one line on stderr, and no work done
+    # on stdout and exactly one line on stderr, even where the input has
+    # line breaks; no work is done unless the defect is the out-path
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         with pytest.raises(SystemExit) as exc:
@@ -605,6 +631,26 @@ def test_engine_fault_under_smt55_exits_5():
         assert run.returncode == 5 and run.stdout == "", verb
         assert run.stderr.endswith(
             "AssertionError: hook-removal coefficient 3/2 not integral\n"), verb
+
+
+def test_blocks_builds_no_fraction():
+    # blocks tests integer Gram entries for zero, so it never loads fractions
+    # (nor decimal, which fractions imports)
+    script = ("import sys\nfrom glblocks import cli\ncode = cli.main(sys.argv[1:])\n"
+              "print(code, 'fractions' in sys.modules, 'decimal' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", script, "blocks", "--n", "6", "--q", "4",
+                          "--d", "3"], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "0 False False"
+
+
+def test_large_prime_q_reaches_the_class_guard_at_once():
+    # --q = 2^61 - 1 is checked by roots and Miller-Rabin, not trial division
+    run = subprocess.run([sys.executable, "-m", "glblocks.cli", "classes", "--n", "1",
+                          "--q", str(2 ** 61 - 1)], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                         capture_output=True, text=True, timeout=2)
+    assert run.returncode == 4 and run.stdout == ""
+    assert run.stderr.startswith("glblocks: scale guard:") and len(run.stderr.splitlines()) == 1
 
 
 def test_engine_commands_import_only_what_they_run():

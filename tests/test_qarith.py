@@ -17,6 +17,31 @@ def test_prime_power():
     assert Q.prime_power(49) == (7, 2)
 
 
+def test_prime_power_agrees_with_prime_factors():
+    for q in range(10_001):
+        factors = Q.prime_factors(q)
+        if len(factors) != 1:
+            with pytest.raises(ValueError):
+                Q.prime_power(q)
+            continue
+        p, e = Q.prime_power(q)
+        assert p == factors[0] and p ** e == q, q
+
+
+def test_prime_power_at_scale():
+    # roots and a deterministic prime test, no trial division: Mersenne
+    # primes and their powers answer at once
+    assert Q.prime_power(2 ** 61 - 1) == (2 ** 61 - 1, 1)
+    assert Q.prime_power((2 ** 31 - 1) ** 2) == (2 ** 31 - 1, 2)
+    assert Q.prime_power(3 ** 40) == (3, 40)
+    # a Carmichael number, and a strong pseudoprime to bases 2, 3, 5 and 7
+    for composite in (561, 3_215_031_751):
+        with pytest.raises(ValueError):
+            Q.prime_power(composite)
+    with pytest.raises(OverflowError):
+        Q.prime_power(Q.PRIME_TEST_BOUND)
+
+
 def test_moebius():
     assert [Q.moebius(n) for n in range(1, 11)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
 
