@@ -26,8 +26,9 @@ each section type, for one, is built from its head and a d-regular type.
 
 from __future__ import annotations
 
-from functools import cache
-from math import factorial
+from collections import Counter
+from functools import cache, wraps
+from math import factorial, prod
 from operator import mul
 from types import MappingProxyType
 from typing import TYPE_CHECKING, NamedTuple
@@ -93,7 +94,16 @@ def _section_types(ctx: Context, x: ClassType):
             yield y, ClassType(ctx.n, y.unipotent, tuple(sorted(x.components + y.components)))
 
 
-@cache
+def _named_domains_cached(fn):
+    """fn(ctx, domain), memoised for "full", "d_regular" and "d_singular" only:
+    a section domain is rebuilt on each call, as `verify thm43` reads each once."""
+    named = cache(fn)
+    call = wraps(fn)(lambda ctx, domain: (named if isinstance(domain, str) else fn)(ctx, domain))
+    call.cache_info, call.cache_clear = named.cache_info, named.cache_clear
+    return call
+
+
+@_named_domains_cached
 def _type_weights(ctx: Context, domain):
     """{type: number of the domain's classes of that type * class size}, read-only.
 
@@ -122,7 +132,7 @@ def _type_weights(ctx: Context, domain):
     return MappingProxyType(weights)
 
 
-@cache
+@_named_domains_cached
 def inner_matrix(ctx: Context, domain):
     """{(nu, nu2): |G| <chi^nu, chi^nu2>} over the domain's classes, integers
     for every ordered pair, read-only.
@@ -170,6 +180,9 @@ def _closed_form_pair(lam, mu, d: int) -> bool:
             and is_simple(mu, d) and disjoint(lam, mu, d))
 
 
+_OUTSIDE_F = "F < n/d: outside the standing hypothesis"
+
+
 def theorem46_rhs(lam, mu, ctx: Context) -> Fraction:
     """Closed-form inner product over d-regular classes for a simple,
     disjoint partner:  (-1)^w F^w / (w! (q^d-1)^w) |P_lam| |P_mu| eps eps.
@@ -184,7 +197,7 @@ def theorem46_rhs(lam, mu, ctx: Context) -> Fraction:
         raise HypothesisError("not a closed-form pair of size n: distinct partitions"
                               " of one d-core and weight, mu simple and disjoint from lam")
     if not ctx.f_hypothesis_holds:
-        raise HypothesisError("F < n/d: outside the standing hypothesis")
+        raise HypothesisError(_OUTSIDE_F)
     F, w = ctx.f_number, d_weight(lam, d)
     sign = (-1) ** w * epsilon(lam, d) * epsilon(mu, d)
     return Fraction(sign * F ** w * removal_path_count(lam, d) * removal_path_count(mu, d),
@@ -192,7 +205,10 @@ def theorem46_rhs(lam, mu, ctx: Context) -> Fraction:
 
 
 def find_theorem46_pairs(ctx: Context):
-    """Ordered closed-form pairs (lam, mu) of partitions of n."""
+    """Ordered closed-form pairs (lam, mu) of partitions of n; outside the
+    standing hypothesis F >= n/d it raises before looking for any."""
+    if not ctx.f_hypothesis_holds:
+        raise HypothesisError(_OUTSIDE_F)
     labels = partitions_of(ctx.n)
     return tuple((lam, mu) for lam in labels for mu in labels
                  if _closed_form_pair(lam, mu, ctx.d))
@@ -206,18 +222,9 @@ def lemma49_lhs(k: int, F: int) -> Fraction:
     from fractions import Fraction
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    total = Fraction(0)
-    for part in partitions_of(k):
-        r = len(part)
-        falling = 1
-        for i in range(r):
-            falling *= F - i
-        denom = 1
-        for j in set(part):
-            m = part.count(j)
-            denom *= factorial(j) ** m * factorial(m)
-        total += Fraction(falling, denom)
-    return total
+    return sum((Fraction(prod(F - i for i in range(len(part))),
+                         prod(factorial(j) ** m * factorial(m) for j, m in Counter(part).items()))
+                for part in partitions_of(k)), Fraction(0))
 
 
 def lemma49_check(k: int, F: int) -> bool:
@@ -235,15 +242,9 @@ def lemma49_polynomial_check(k: int) -> bool:
 # -- constructive chains -----------------------------------------------------------
 
 def _clean_chain(chain, mu):
-    """The chain without repeats, cut at the first mu."""
-    out = [chain[0]]
-    for p in chain[1:]:
-        if p == out[-1]:
-            continue
-        out.append(p)
-        if p == mu:
-            break
-    return tuple(out)
+    """The chain cut at the first mu, without repeats."""
+    chain = chain[:chain.index(mu) + 1]
+    return tuple(p for i, p in enumerate(chain) if not i or p != chain[i - 1])
 
 
 def chain_constructible(w: int, d: int) -> bool:

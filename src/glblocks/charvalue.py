@@ -15,7 +15,9 @@ smaller GL(m,q).  All values are exact integers at a concrete q: a peel
 of k boxes is summed scaled by k!, which every z_alpha divides, and ends
 in an exact division that is checked.  No sign correction is needed:
 every unipotent degree is positive (q-hook formula), which the tests
-check against the oracle.
+check against the oracle.  `CharValueTable` writes the whole table, for
+`table`, as JSON or CSV text chunks, one per nu, each value turned into a
+string once per type.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from math import factorial
 from operator import mul
 from types import MappingProxyType
 
-from .glclass import ClassType, class_keys
+from .glclass import ClassType, class_keys, class_types
 from .partitions import n_stat, partitions_of
 from .qarith import gl_order, torus_order, unipotent_centralizer_order
 from .symchar import character_table, partition_index, signed_removal_map, z_order
@@ -172,30 +174,34 @@ class CharValueTable:
         self.classes = MappingProxyType({key: t for key, _, t in class_keys(n, q)})
         self.labels = partitions_of(n)
 
-    def _rows(self):
-        """(nu, the values chi^nu at every class in key order) for each nu."""
-        return zip(self.labels, zip(*(class_values(t, self.q) for t in self.classes.values())))
+    def _value_texts(self):
+        """{type: its values as text, in the order of partitions_of}: each value
+        is turned into a string once, and every vector is computed here."""
+        return {t: [str(v) for v in class_values(t, self.q)] for t in class_types(self.n, self.q)}
 
-    def report(self) -> dict:
-        """The table as a JSON-ready dict."""
-        return {
-            "n": self.n,
-            "q": self.q,
-            # every degree is positive, so every sign is 1; kept for the format
-            "signs": {str(list(nu)): 1 for nu in self.labels},
-            "values": {str(list(nu)): dict(zip(self.classes, row)) for nu, row in self._rows()},
-        }
+    def json_chunks(self):
+        """The table as JSON chunks, one per nu, byte for byte json.dumps(...,
+        sort_keys=True) of {"n", "q", "signs", "values": {nu: {key: value}}}."""
+        texts = self._value_texts()
+        nus = sorted((str(list(nu)), i) for i, nu in enumerate(self.labels))
+        # every degree is positive, so every sign is 1; kept for the format
+        yield (f'{{"n": {self.n}, "q": {self.q}, "signs": {{'
+               + ", ".join(f'"{nu}": 1' for nu, _ in nus) + '}, "values": {')
+        for k, (nu, i) in enumerate(nus):
+            yield (", " if k else "") + f'"{nu}": {{' + ", ".join(
+                f'"{key}": {texts[t][i]}' for key, t in self.classes.items()) + "}"
+        yield "}}"
 
-    def to_csv(self) -> str:
-        # imported here, so that no other output loads them
-        import csv
-        import io
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["nu", *self.classes])
-        for nu, row in self._rows():
-            writer.writerow([str(list(nu)), *row])
-        return buf.getvalue()
+    def csv_chunks(self):
+        """The table as CSV chunks, the header and then one row per nu; a
+        field is quoted when it holds a comma, as csv.writer does (no key or
+        label holds a quote or a line break)."""
+        def field(text):
+            return f'"{text}"' if "," in text else text
+        texts, types = self._value_texts(), self.classes.values()
+        yield ",".join(["nu", *map(field, self.classes)]) + "\n"
+        for i, nu in enumerate(self.labels):
+            yield ",".join([field(str(list(nu))), *(texts[t][i] for t in types)]) + "\n"
 
 
 @cache

@@ -19,10 +19,12 @@ that prop32 runs both variants when it is omitted.  Each command imports
 the engine modules it calls when it runs.
 
 Output is text, json or csv, ending in exactly one newline whether it
-goes to stdout or to --out-path; json maps are serialized with sorted keys
-so identical configurations give byte-identical reports.  Rationals are
-always "p/q" strings, never floats.  GLBLOCKS_CACHE_DIR, when set, is used
-to cache oracle dumps.
+goes to stdout or to --out-path.  A form is a json dict, or text as one str
+or an iterable of str chunks (classes and table stream theirs); nothing is
+written, nor --out-path opened, before the first chunk is built.  json maps
+are serialized with sorted keys so identical configurations give
+byte-identical reports.  Rationals are always "p/q" strings, never floats.
+GLBLOCKS_CACHE_DIR, when set, is used to cache oracle dumps.
 
 Exit codes:
   0  pass
@@ -105,27 +107,32 @@ def _prime_power(text: str) -> int:
     return q
 
 
-def _emit(args, payload, text_lines, csv_text=None):
-    """Write the form --output asks for.  Each form is a function of no
-    arguments that builds it: the json dict, the text lines or the csv text;
-    only the one asked for is called."""
-    if args.output == "json":
-        blob = json.dumps(payload(), sort_keys=True)
-    elif args.output == "csv":
-        blob = csv_text()
-    else:
-        blob = "\n".join(text_lines())
-    if not blob.endswith("\n"):
-        blob += "\n"
-    if args.out_path:
-        try:
-            with open(args.out_path, "w") as fh:
-                fh.write(blob)
-        except OSError as exc:
-            path = " ".join(args.out_path.split())
-            raise _usage_error(f"cannot write {path}: {exc.strerror}") from None
-    else:
-        sys.stdout.write(blob)
+def _emit(args, payload, text, csv_text=None):
+    """Write the form --output asks for; only its builder, a function of no
+    arguments, is called, and a form raising before its first chunk writes nothing."""
+    form = {"json": payload, "csv": csv_text}.get(args.output, text)()
+    if isinstance(form, dict):
+        form = json.dumps(form, sort_keys=True)
+    chunks = iter([form] if isinstance(form, str) else form)
+    first = next(chunks, "")
+    if not args.out_path:
+        return _write(sys.stdout, first, chunks)
+    try:
+        with open(args.out_path, "w") as fh:
+            _write(fh, first, chunks)
+    except OSError as exc:
+        path = " ".join(args.out_path.split())
+        raise _usage_error(f"cannot write {path}: {exc.strerror}") from None
+
+
+def _write(fh, end, chunks):
+    """Write `end`, the chunks, and a newline unless the output ends in one."""
+    fh.write(end)
+    for chunk in chunks:
+        fh.write(chunk)
+        end = chunk or end
+    if not end.endswith("\n"):
+        fh.write("\n")
 
 
 def cmd_partition(args) -> int:
@@ -133,20 +140,20 @@ def cmd_partition(args) -> int:
     d = args.d
     if args.verb == "core":
         core = partitions.d_core(lam, d)
-        _emit(args, lambda: {"core": list(core)}, lambda: [str(list(core))])
+        _emit(args, lambda: {"core": list(core)}, lambda: str(list(core)))
     elif args.verb == "quotient":
         quo = partitions.d_quotient(lam, d)
         _emit(args, lambda: {"quotient": [list(c) for c in quo]},
-              lambda: ["(" + ", ".join(str(list(c)) for c in quo) + ")"])
+              lambda: "(" + ", ".join(str(list(c)) for c in quo) + ")")
     elif args.verb == "weight":
         w = partitions.d_weight(lam, d)
-        _emit(args, lambda: {"weight": w}, lambda: [str(w)])
+        _emit(args, lambda: {"weight": w}, lambda: str(w))
     elif args.verb == "abacus":
         ab = partitions.AbacusState(lam, d)
         _emit(args, lambda: {"runners": [list(r) for r in ab.runners],
                              "origin_offset": ab.origin_offset,
                              "edge_sequence": ab.edge_sequence()},
-              lambda: [ab.render(), "", ab.edge_sequence()])
+              lambda: f"{ab.render()}\n\n{ab.edge_sequence()}")
     elif args.verb == "paths":
         gamma = partitions.d_core(lam, d)
         paths = partitions.removal_paths(lam, d)
@@ -157,28 +164,25 @@ def cmd_partition(args) -> int:
                                "steps": [list(s.result) for s in p.steps]} for p in paths]}
 
         def lines():
-            out = [f"core {list(gamma)}  paths {len(paths)}"]
+            yield f"core {list(gamma)}  paths {len(paths)}"
             for p in paths:
                 chain = " -> ".join(str(list(s.result)) for s in p.steps)
-                out.append(f"  legs {p.total_leg}: {list(lam)} -> {chain}")
-            return out
+                yield f"\n  legs {p.total_leg}: {list(lam)} -> {chain}"
         _emit(args, payload, lines)
     return 0
 
 
 def cmd_classes(args) -> int:
     from . import glclass
-    payload = glclass.classes_report(args.n, args.q, args.d, args.variant)
-    _emit(args, lambda: payload,
-          lambda: [f"{rec['assignment']}  size {rec['size']}  cent {rec['centralizer_order']}"
-                   for rec in payload["classes"]])
+    ctx = args.n, args.q, args.d, args.variant
+    _emit(args, lambda: glclass.classes_json(*ctx), lambda: glclass.classes_text(*ctx))
     return 0
 
 
 def cmd_table(args) -> int:
     from . import charvalue
     tab = charvalue.table(args.n, args.q)
-    _emit(args, tab.report, lambda: tab.to_csv().splitlines(), tab.to_csv)
+    _emit(args, tab.json_chunks, tab.csv_chunks, tab.csv_chunks)
     return 0
 
 
@@ -188,7 +192,7 @@ def cmd_matrix(args) -> int:
 
     def report():
         return blockcalc.inner_product_matrix_report(ctx, args.domain)
-    _emit(args, report, lambda: [f"{k} = {v}" for k, v in sorted(report()["matrix"].items())],
+    _emit(args, report, lambda: (f"{k} = {v}\n" for k, v in sorted(report()["matrix"].items())),
           lambda: blockcalc.inner_product_matrix_csv(ctx, args.domain))
     return 0
 
@@ -196,7 +200,7 @@ def cmd_matrix(args) -> int:
 def cmd_oracle(args) -> int:
     from . import bruteforce
     blob = bruteforce.cached_oracle_dump(args.n, args.q)
-    _emit(args, lambda: json.loads(blob), lambda: [blob])
+    _emit(args, lambda: json.loads(blob), lambda: blob)
     return 0
 
 
@@ -206,14 +210,11 @@ def cmd_blocks(args) -> int:
     report = blockcalc.blocks_report(ctx)
 
     def lines():
-        out = [f"computed blocks ({len(report['computed_blocks'])}):"]
-        for b in report["computed_blocks"]:
-            out.append("  " + "  ".join(map(str, b)))
-        out.append(f"combinatorial blocks ({len(report['combinatorial_blocks'])}):")
-        for b in report["combinatorial_blocks"]:
-            out.append("  " + "  ".join(map(str, b)))
-        out.append(f"verdict: {report['verdict']}")
-        return out
+        for name in ("computed", "combinatorial"):
+            yield f"{name} blocks ({len(report[name + '_blocks'])}):\n"
+            for b in report[name + "_blocks"]:
+                yield "  " + "  ".join(map(str, b)) + "\n"
+        yield f"verdict: {report['verdict']}"
     _emit(args, lambda: report, lines)
     return 0 if report["verdict"] != "VIOLATION" else 1
 
@@ -287,20 +288,14 @@ def _verify_lemma49(args):
 
 
 def _verify_thm410chain(args):
-    """A chain for every pair of one core and a constructible weight; link_chain
-    raises on a bad link itself, so every chain reported has good links."""
+    """A chain for every pair of one core (so of one weight) and a constructible
+    weight; link_chain raises on a bad link itself, so every chain reported has good links."""
     from . import blockcalc
-    d = args.d
-    results = []
-    labels = partitions.partitions_of(args.n)
+    d, results, labels = args.d, [], partitions.partitions_of(args.n)
     for i, lam in enumerate(labels):
         for mu in labels[i + 1:]:
-            if partitions.d_core(lam, d) != partitions.d_core(mu, d):
-                continue
-            w = partitions.d_weight(lam, d)
-            if w != partitions.d_weight(mu, d):
-                continue
-            if not blockcalc.chain_constructible(w, d):
+            if (partitions.d_core(lam, d) != partitions.d_core(mu, d)
+                    or not blockcalc.chain_constructible(partitions.d_weight(lam, d), d)):
                 continue
             chain = blockcalc.link_chain(lam, mu, d)
             results.append({"lam": list(lam), "mu": list(mu),
@@ -358,10 +353,10 @@ def cmd_verify(args) -> int:
         ok, details = VERIFIERS[args.check](args)
     except HypothesisError as exc:
         _emit(args, lambda: {"check": args.check, "pass": False, "hypothesis_error": str(exc)},
-              lambda: [f"{args.check}: HYPOTHESIS ERROR: {exc}"])
+              lambda: f"{args.check}: HYPOTHESIS ERROR: {exc}")
         return 3
     _emit(args, lambda: {"check": args.check, "pass": ok, "details": details},
-          lambda: [f"{args.check}: {'PASS' if ok else 'FAIL'}", json.dumps(details, sort_keys=True)])
+          lambda: f"{args.check}: {'PASS' if ok else 'FAIL'}\n{json.dumps(details, sort_keys=True)}")
     return 0 if ok else 1
 
 

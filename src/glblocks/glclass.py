@@ -14,8 +14,10 @@ A class is named by its assignment key: the X-1 partition ("u:..."),
 then each other polynomial as (degree, index) into the canonical pool
 that excludes X and X-1 ("f<degree>.<index>:..."), so keys never need
 actual coefficients.  `class_keys` expands each type into the keys of its
-classes, and of their sections, without building a label; `classes_report`
-and the value table show those keys.  The part of a class supported on
+classes, and of their sections, without building a label.  `classes_json`
+and `classes_text` write the class list, and the value table its rows, as
+text chunks from fragments formatted once per type: no record is built per
+class and no whole report is held.  The part of a class supported on
 polynomials of degree divisible by d (variant "divisible") or exactly d
 (variant "exact") determines its section, and `section_heads` lists the
 section heads by type.  The element-level oracle names each class by the
@@ -173,11 +175,30 @@ def section_heads(n: int, q: int, d: int, variant: str) -> tuple[ClassType, ...]
                  if not t.unipotent and is_d_element(t, d, variant))
 
 
-def classes_report(n: int, q: int, d: int, variant: str) -> dict:
-    """The class list as a JSON-ready dict, one record per class in key order."""
+def classes_json(n: int, q: int, d: int, variant: str):
+    """The class list as JSON chunks, byte for byte json.dumps(..., sort_keys=True)
+    of {"classes": [a record per class in key order], "n": n, "q": q}.  Each
+    type's record is formatted once, and a class splices in its assignment and
+    section keys, which JSON never escapes (digits and "u f i . , : |").  All
+    that can raise, the class guard and class-size divisions among it, runs
+    before the first chunk."""
     keys = class_keys(n, q, d, variant)
-    per_type = {t: {"size": class_size(t, q), "centralizer_order": centralizer_order(t, q),
-                    "d_type": list(map(list, d_type(t, d, variant)))}
-                for t in class_types(n, q)}
-    return {"n": n, "q": q, "classes": [{"assignment": key, **per_type[t], "section": section}
-                                        for key, section, t in keys]}
+    # str() of a list of int lists is its JSON text
+    records = {t: f'{{"assignment": "%s", "centralizer_order": {centralizer_order(t, q)}, '
+                  f'"d_type": {[list(p) for p in d_type(t, d, variant)]}, "section": "%s", '
+                  f'"size": {class_size(t, q)}}}' for t in class_types(n, q)}
+    sep = '{"classes": ['
+    for key, section, t in keys:
+        yield sep + records[t] % (key, section)
+        sep = ", "
+    yield f'], "n": {n}, "q": {q}}}'
+
+
+def classes_text(n: int, q: int, d: int, variant: str):
+    """The class list as text chunks, a line "key  size S  cent C" per class
+    in key order, built like classes_json."""
+    keys = class_keys(n, q, d, variant)
+    lines = {t: f"%s  size {class_size(t, q)}  cent {centralizer_order(t, q)}\n"
+             for t in class_types(n, q)}
+    for key, _, t in keys:
+        yield lines[t] % key

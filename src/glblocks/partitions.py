@@ -16,6 +16,7 @@ abacus origin elsewhere.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cache
 from typing import NamedTuple
 
@@ -136,15 +137,8 @@ def d_core(lam: tuple[int, ...], d: int) -> tuple[int, ...]:
     """The partition left after removing all d-hooks; order independent."""
     if d < 1:
         raise ValueError(f"d must be at least 1, got {d}")
-    length = _quotient_length(lam, d)
-    beta = beta_set(lam, length)
-    new_beta = []
-    counts = [0] * d
-    for b in beta:
-        counts[b % d] += 1
-    for r in range(d):
-        new_beta.extend(d * j + r for j in range(counts[r]))
-    return partition_from_beta(new_beta)
+    counts = Counter(b % d for b in beta_set(lam, _quotient_length(lam, d)))
+    return partition_from_beta([d * j + r for r in range(d) for j in range(counts[r])])
 
 
 @cache
@@ -163,10 +157,7 @@ def from_core_quotient(core: tuple[int, ...], quotient, d: int) -> tuple[int, ..
         raise ValueError("quotient must have exactly d components")
     extra = max([len(c) for c in quotient] + [0]) + 1
     length = _quotient_length(core, d) + d * extra
-    beta = beta_set(core, length)
-    counts = [0] * d
-    for b in beta:
-        counts[b % d] += 1
+    counts = Counter(b % d for b in beta_set(core, length))
     new_beta = []
     for r in range(d):
         if len(quotient[r]) > counts[r]:

@@ -9,6 +9,7 @@ in `bruteforce`, which checks its lists against the necklace count.
 from __future__ import annotations
 
 from functools import cache
+from math import prod
 
 from .partitions import n_stat
 
@@ -112,20 +113,14 @@ def gl_order(n: int, q: int) -> int:
     """|GL(n,q)| = prod_{i<n} (q^n - q^i); 1 for n = 0."""
     if n < 0:
         raise ValueError(f"n must be at least 0, got {n}")
-    out = 1
-    for i in range(n):
-        out *= q ** n - q ** i
-    return out
+    return prod(q ** n - q ** i for i in range(n))
 
 
 def torus_order(alpha: tuple[int, ...], q: int) -> int:
     """Order prod_i (q^i - 1)^(r_i) of the torus of type alpha."""
     if not alpha:
         raise ValueError("torus type must be a non-empty partition")
-    out = 1
-    for part in alpha:
-        out *= q ** part - 1
-    return out
+    return prod(q ** part - 1 for part in alpha)
 
 
 @cache
@@ -137,15 +132,9 @@ def unipotent_centralizer_order(nu: tuple[int, ...], t: int) -> int:
     """
     if not nu:
         return 1
-    size = sum(nu)
-    exponent = size + 2 * n_stat(nu)
-    num, den = 1, 1
-    for part in set(nu):
-        m = nu.count(part)
-        for j in range(1, m + 1):
-            num *= t ** j - 1
-            den *= t ** j
-    val, rem = divmod(t ** exponent * num, den)
+    js = [j for part in set(nu) for j in range(1, nu.count(part) + 1)]
+    num = t ** (sum(nu) + 2 * n_stat(nu)) * prod(t ** j - 1 for j in js)
+    val, rem = divmod(num, t ** sum(js))
     if rem:
         raise ArithmeticError(f"centralizer order of {nu} at t = {t} is not an integer")
     return val

@@ -10,9 +10,10 @@ into blocks here too: by linking pairs, or by their d-cores.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping
 from functools import cache
-from math import factorial
+from math import factorial, prod
 from types import MappingProxyType
 
 from .partitions import d_core, partitions_of, rim_hooks
@@ -21,11 +22,7 @@ from .partitions import d_core, partitions_of, rim_hooks
 @cache
 def z_order(alpha: tuple[int, ...]) -> int:
     """Centralizer order of a permutation of cycle type alpha."""
-    out = 1
-    for part in set(alpha):
-        r = alpha.count(part)
-        out *= part ** r * factorial(r)
-    return out
+    return prod(part ** r * factorial(r) for part, r in Counter(alpha).items())
 
 
 @cache

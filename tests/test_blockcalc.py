@@ -136,6 +136,20 @@ def test_section_key_must_be_a_d_element():
                       Context(4, 3, 2, "divisible"))
 
 
+def test_only_named_domains_are_memoised():
+    # a section domain's weights and Gram are rebuilt on each call and kept
+    # by no cache (verify thm43 reads each once); the named domains are cached
+    ctx = Context(5, 3, 2, "divisible")
+    head = G.section_heads(5, 3, 2, "divisible")[-1]
+    B.inner_matrix(ctx, "d_regular")
+    sizes = B.inner_matrix.cache_info().currsize, B._type_weights.cache_info().currsize
+    first = B.inner_matrix(ctx, ("section", head))
+    assert B.inner_matrix(ctx, ("section", head)) == first
+    assert B.inner_matrix(ctx, ("section", head)) is not first
+    assert (B.inner_matrix.cache_info().currsize, B._type_weights.cache_info().currsize) == sizes
+    assert B.inner_matrix(ctx, "d_regular") is B.inner_matrix(ctx, "d_regular")
+
+
 def test_cached_results_are_read_only():
     # a caller cannot corrupt a memo table: clearing inner_matrix used to
     # leave three singleton blocks behind

@@ -461,11 +461,11 @@ def test_unipotent_degrees():
 
 def test_table_exports():
     tab = C.table(2, 3)
-    blob = json.dumps(tab.report(), sort_keys=True)
-    assert blob == json.dumps(C.CharValueTable(2, 3).report(), sort_keys=True)
+    blob = "".join(tab.json_chunks())
+    assert blob == "".join(C.CharValueTable(2, 3).json_chunks())
     data = json.loads(blob)
     assert data["n"] == 2 and data["q"] == 3
-    csv_text = tab.to_csv()
+    csv_text = "".join(tab.csv_chunks())
     lines = csv_text.strip().splitlines()
     assert len(lines) == 1 + 2  # header + one row per partition of 2
     assert lines[0].startswith("nu,")

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glblocks import __version__, blockcalc, charvalue, cli
+from glblocks import __version__, blockcalc, charvalue, cli, glclass
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -399,6 +399,26 @@ def test_verify_hypothesis_violation_reported(capsys):
     assert "hypothesis_error" in json.loads(out)
 
 
+def test_verify_thm46_checks_the_hypothesis_before_the_pairs(capsys):
+    # GL(10,2) d=2 has no closed-form pair, but F = 1 < n/d = 5, so it exits
+    # 3 with the same error as GL(3,2) d=2 rather than pass with no pair
+    reports = [run(["verify", "thm46", "--n", n, "--q", "2", "--d", "2", "--output", "json"],
+                   capsys) for n in ("3", "10")]
+    assert reports[0] == reports[1]
+    assert reports[0][0] == 3
+    assert json.loads(reports[0][1])["hypothesis_error"] == "F < n/d: outside the standing hypothesis"
+
+
+def test_verify_thm46_passes_with_no_pair_inside_the_hypothesis(capsys):
+    # GL(7,5) d=2: F = 10 >= 7/2, and no pair has the closed form's shape,
+    # so the check passes having checked no pair
+    code, out = run(["verify", "thm46", "--n", "7", "--q", "5", "--d", "2", "--output", "json"],
+                    capsys)
+    assert code == 0
+    assert json.loads(out) == {"check": "thm46", "pass": True,
+                               "details": {"pair_count": 0, "pairs": []}}
+
+
 def test_scale_guard_is_one_line_exit_4(capsys):
     code = cli.main(["oracle", "--n", "4", "--q", "3"])
     captured = capsys.readouterr()
@@ -530,16 +550,20 @@ def test_csv_stdout_equals_out_path_file(tmp_path, capsys, argv):
 
 TABLE_ARGV = ["table", "--n", "3", "--q", "2"]
 MATRIX_ARGV = ["matrix", "--n", "4", "--q", "3", "--d", "2"]
+CLASSES_ARGV = ["classes", "--n", "4", "--q", "3", "--d", "2"]
 
 
 @pytest.mark.parametrize("argv, output, unbuilt", [
-    (TABLE_ARGV, "json", (charvalue.CharValueTable, "to_csv")),
-    (TABLE_ARGV, "csv", (charvalue.CharValueTable, "report")),
-    (TABLE_ARGV, "text", (charvalue.CharValueTable, "report")),
+    (TABLE_ARGV, "json", (charvalue.CharValueTable, "csv_chunks")),
+    (TABLE_ARGV, "csv", (charvalue.CharValueTable, "json_chunks")),
+    (TABLE_ARGV, "text", (charvalue.CharValueTable, "json_chunks")),
     (MATRIX_ARGV, "json", (blockcalc, "inner_product_matrix_csv")),
     (MATRIX_ARGV, "csv", (blockcalc, "inner_product_matrix_report")),
     (MATRIX_ARGV, "text", (blockcalc, "inner_product_matrix_csv")),
-], ids=["table-json", "table-csv", "table-text", "matrix-json", "matrix-csv", "matrix-text"])
+    (CLASSES_ARGV, "json", (glclass, "classes_text")),
+    (CLASSES_ARGV, "text", (glclass, "classes_json")),
+], ids=["table-json", "table-csv", "table-text", "matrix-json", "matrix-csv", "matrix-text",
+        "classes-json", "classes-text"])
 def test_only_the_requested_form_is_built(capsys, monkeypatch, argv, output, unbuilt):
     # the form --output does not ask for is never built: making its builder
     # fail leaves exit code and output as they were
@@ -550,6 +574,72 @@ def test_only_the_requested_form_is_built(capsys, monkeypatch, argv, output, unb
     monkeypatch.setattr(*unbuilt, refuse)
     assert run(argv + ["--output", output], capsys) == expected
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["classes", "--n", "4", "--q", "3", "--d", "2", "--output", "json"],
+    ["classes", "--n", "4", "--q", "3", "--d", "2", "--output", "text"],
+    ["table", "--n", "4", "--q", "3", "--output", "json"],
+    ["table", "--n", "4", "--q", "3", "--output", "text"],
+], ids=["classes-json", "classes-text", "table-json", "table-text"])
+def test_streamed_out_path_bytes_equal_stdout(tmp_path, capsys, argv):
+    # the chunks reach --out-path as they reach stdout, ending in one newline;
+    # the csv forms are covered by test_csv_stdout_equals_out_path_file
+    target = tmp_path / "out"
+    code, out = run(argv, capsys)
+    assert code == 0
+    assert run(argv + ["--out-path", str(target)], capsys) == (0, "")
+    assert out.encode() == target.read_bytes()
+    assert out.endswith("\n") and not out.endswith("\n\n")
+
+
+@pytest.mark.parametrize("command", ["classes", "table"])
+def test_class_guard_writes_nothing(tmp_path, capsys, command):
+    # the class guard is checked before the first chunk, so a refused list
+    # leaves stdout empty and creates no --out-path file
+    argv = [command, "--n", "9", "--q", "5", "--output", "json"]
+    target = tmp_path / "out.json"
+    for extra in ([], ["--out-path", str(target)]):
+        assert cli.main(argv + extra) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("glblocks: scale guard:")
+    assert not target.exists()
+
+
+def test_emit_writes_chunks_in_order_then_one_newline(capsys):
+    args = cli.build_parser().parse_args(["classes", "--n", "1", "--q", "2"])
+    for form, expected in [(iter(["a", "", "b\n"]), "ab\n"), (iter(["a\n", "b", ""]), "a\nb\n"),
+                           (iter([]), "\n"), ("text", "text\n")]:
+        cli._emit(args, None, lambda: form)
+        assert capsys.readouterr().out == expected
+
+
+def test_classes_peak_memory_is_near_the_interpreter_baseline():
+    # the class list of GL(6,5) (15,600 classes, 2 MB of JSON) is streamed,
+    # so the process peaks within a few MB of a one-class run: no per-class
+    # record and no whole-report string are held
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("VmHWM is read from /proc/self/status")
+    script = "\n".join([
+        "import sys",
+        "from glblocks import cli",
+        "code = cli.main(sys.argv[1:])",
+        "sys.stdout.flush()",
+        "hwm = [l for l in open('/proc/self/status') if l.startswith('VmHWM:')][0]",
+        "print(code, int(hwm.split()[1]), file=sys.stderr)",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+
+    def peak_kb(argv):
+        err = subprocess.run([sys.executable, "-c", script, *argv], env=env, check=True,
+                             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True).stderr
+        code, kb = map(int, err.split())
+        assert code == 0, argv
+        return kb
+
+    small = peak_kb(["classes", "--n", "1", "--q", "2"])
+    large = peak_kb(["classes", "--n", "6", "--q", "5", "--d", "2", "--output", "json"])
+    assert large - small < 6 * 1024, (small, large)
 
 
 def test_out_path(tmp_path, capsys):
@@ -656,8 +746,8 @@ def test_large_prime_q_reaches_the_class_guard_at_once():
 def test_engine_commands_import_only_what_they_run():
     # only oracle, verify prop32 and verify thm45 need the element-level
     # module; no command needs dataclasses (which loads inspect, ast
-    # and dis), traceback (only a crash prints one) or csv (only table, to
-    # print its CSV, loads it).  The same script with no command is the
+    # and dis), traceback (only a crash prints one) or csv (table quotes
+    # its own CSV fields).  The same script with no command is the
     # baseline, so modules that the interpreter's site set-up loads do not count.
     script = "\n".join([
         "import contextlib, io, json, sys",

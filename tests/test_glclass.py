@@ -1,4 +1,3 @@
-import functools
 import itertools
 import json
 import os
@@ -348,8 +347,8 @@ def test_section_class_sizes_sum_to_group_order():
 
 
 def test_classes_json_deterministic():
-    a = json.dumps(G.classes_report(3, 2, 2, "divisible"), sort_keys=True)
-    b = json.dumps(G.classes_report(3, 2, 2, "divisible"), sort_keys=True)
+    a = "".join(G.classes_json(3, 2, 2, "divisible"))
+    b = "".join(G.classes_json(3, 2, 2, "divisible"))
     assert a == b
     payload = json.loads(a)
     assert payload["n"] == 3 and payload["q"] == 2
@@ -363,23 +362,58 @@ def _stdout(argv, capsys):
     return capsys.readouterr().out
 
 
-@pytest.mark.parametrize("n, q", [(n, q) for n in range(6) for q in (2, 3, 4, 5)] + [(6, 4)])
+def _reference_classes_json(n, q, d, variant):
+    return [json.dumps(L.classes_report(n, q, d, variant), sort_keys=True)]
+
+
+def _reference_classes_text(n, q, d, variant):
+    return [f"{rec['assignment']}  size {rec['size']}  cent {rec['centralizer_order']}\n"
+            for rec in L.classes_report(n, q, d, variant)["classes"]]
+
+
+class _ReferenceTable(L.LabelValueTable):
+    """The label-level table behind the streamed forms' entry points."""
+
+    def json_chunks(self):
+        return [json.dumps(self.report(), sort_keys=True)]
+
+    def csv_chunks(self):
+        return [self.to_csv()]
+
+
+# contexts (d, variant) beyond the default d = 1; GL(6,4) d=3 exact places
+# repeated partitions on one degree, GL(6,5) is the benchmark's classes size
+CONTEXTS = {(6, 4): [(3, "exact")], (6, 5): [(2, "divisible")]}
+
+
+@pytest.mark.parametrize("n, q", [(n, q) for n in range(6) for q in (2, 3, 4, 5)] + list(CONTEXTS))
 def test_classes_and_table_match_label_reference(n, q, monkeypatch, capsys):
-    # stdout of `classes` and `table`, built from class types, is byte-identical
-    # to the label-level reference in every format; GL(6,4) d=3 exact places
-    # repeated partitions on one degree, and n = 0 is the class `id0`
-    contexts = ([(3, "exact")] if n == 6 else
-                [(d, variant) for d in (1, 2, 3) for variant in G.VARIANTS])
+    # stdout of `classes` and `table`, streamed from per-type fragments, is
+    # byte-identical to json.dumps of the label-level reference (or its text
+    # lines and CSV) in every format, with the reference patched in at the
+    # streamed forms' entry points; n = 0 is the class `id0`
+    contexts = CONTEXTS.get((n, q), [(d, variant) for d in (1, 2, 3) for variant in G.VARIANTS])
     size = ["--n", str(n), "--q", str(q)]
     argvs = [["classes", *size, *d_args, "--output", fmt]
              for d_args in [[]] + [["--d", str(d), "--variant", v] for d, v in contexts]
              for fmt in ("json", "text")]
-    argvs += [["table", *size, "--output", fmt] for fmt in ("json", "csv")]
+    argvs += [["table", *size, "--output", fmt] for fmt in ("json", "csv", "text")]
     engine = [_stdout(argv, capsys) for argv in argvs]
-    monkeypatch.setattr(G, "classes_report", functools.cache(L.classes_report))
-    monkeypatch.setattr(C, "table", L.LabelValueTable)
+    monkeypatch.setattr(G, "classes_json", _reference_classes_json)
+    monkeypatch.setattr(G, "classes_text", _reference_classes_text)
+    monkeypatch.setattr(C, "table", _ReferenceTable)
     for argv, out in zip(argvs, engine):
         assert out == _stdout(argv, capsys), argv
+
+
+@pytest.mark.parametrize("d, variant", [(d, variant) for d in (2, 3) for variant in G.VARIANTS])
+def test_streamed_class_list_is_the_reference_dump(d, variant):
+    # the chunks join to json.dumps of the label-level records, and the text
+    # chunks to one line per record
+    reference = L.classes_report(6, 5, d, variant)
+    assert "".join(G.classes_json(6, 5, d, variant)) == json.dumps(reference, sort_keys=True)
+    assert "".join(G.classes_text(6, 5, d, variant)) == "".join(
+        _reference_classes_text(6, 5, d, variant))
 
 
 def test_class_keys_raise_on_a_missed_class(monkeypatch):
