@@ -15,8 +15,9 @@ check takes only the options it reads (VERIFY_OPTIONS, with their
 defaults): prop32, thm43, thm44, thm46 and smt55 take --n, --q, --d and
 --variant; thm45 takes --n, --q and --variant; thm410chain takes --n and
 --d; lemma49 takes --k and --F.  --variant defaults to divisible, except
-that prop32 runs both variants when it is omitted.  Each command imports
-the engine modules it calls when it runs.
+that prop32 runs both variants when it is omitted.  Each command compiles
+only the modules it runs: it imports the engine, oracle and `verify`
+modules it calls when it runs, and a verify check only its own.
 
 Output is text, json or csv, ending in exactly one newline whether it
 goes to stdout or to --out-path.  A form is a json dict, or text as one str
@@ -198,8 +199,8 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    from . import bruteforce
-    blob = bruteforce.cached_oracle_dump(args.n, args.q)
+    from .bftable import cached_oracle_dump
+    blob = cached_oracle_dump(args.n, args.q)
     _emit(args, lambda: json.loads(blob), lambda: blob)
     return 0
 
@@ -218,109 +219,6 @@ def cmd_blocks(args) -> int:
     _emit(args, lambda: report, lines)
     return 0 if report["verdict"] != "VIOLATION" else 1
 
-
-def _verify_prop32(args):
-    from . import bruteforce
-    checks = {variant: bruteforce.oracle_sections(args.n, args.q, args.d, variant)
-              for variant in ([args.variant] if args.variant else ["divisible", "exact"])}
-    return all(c.ok for c in checks.values()), {v: c.parts for v, c in checks.items()}
-
-
-def _verify_thm43(args):
-    from . import blockcalc, glclass, qarith
-    ctx = blockcalc.Context(args.n, args.q, args.d, args.variant)
-    labels, order = partitions.partitions_of(ctx.n), qarith.gl_order(ctx.n, ctx.q)
-    worst = []
-    for head in glclass.section_heads(ctx.n, ctx.q, ctx.d, ctx.variant):
-        matrix = blockcalc.inner_matrix(ctx, ("section", head))
-        for i, nu in enumerate(labels):
-            for nu2 in labels[i + 1:]:
-                if partitions.d_core(nu, ctx.d) == partitions.d_core(nu2, ctx.d):
-                    continue
-                val = matrix[(nu, nu2)]
-                if val:
-                    from fractions import Fraction  # loaded only when an entry is reported
-                    worst.append([list(nu), list(nu2), f"{Fraction(val, order)}"])
-    return not worst, {"cross_core_nonzeros": worst}
-
-
-def _verify_thm44(args):
-    from . import blockcalc
-    ctx = blockcalc.Context(args.n, args.q, args.d, args.variant)
-    report = blockcalc.blocks_report(ctx)
-    return report["verdict"] != "VIOLATION", report
-
-
-def _verify_thm45(args):
-    # bruteforce first: compiled before the engine modules are loaded, its
-    # compilation peak sits lower, and with it the peak RSS of the command
-    from . import bruteforce
-    from . import blockcalc
-    ctx = blockcalc.Context(args.n, args.q, 1, args.variant)
-    single = len(blockcalc.unipotent_blocks(ctx)) == 1
-    duality = bruteforce.check_d1_duality_identity(args.n, args.q)
-    ok = single and duality["all_nonzero"] and duality["unipotent_identity"]
-    return ok, {"single_unipotent_block": single, **duality}
-
-
-def _verify_thm46(args):
-    from fractions import Fraction
-    from . import blockcalc, qarith
-    ctx = blockcalc.Context(args.n, args.q, args.d, args.variant)
-    pairs = blockcalc.find_theorem46_pairs(ctx)
-    matrix, order = blockcalc.inner_matrix(ctx, "d_regular"), qarith.gl_order(ctx.n, ctx.q)
-    results = []
-    for lam, mu in pairs:
-        rhs = blockcalc.theorem46_rhs(lam, mu, ctx)
-        lhs = matrix[(lam, mu)]
-        results.append({"lam": list(lam), "mu": list(mu), "lhs": f"{Fraction(lhs, order)}",
-                        "rhs": f"{rhs}", "match": lhs == rhs * order})
-    return all(r["match"] for r in results), {"pairs": results, "pair_count": len(pairs)}
-
-
-def _verify_lemma49(args):
-    from . import blockcalc
-    eq = blockcalc.lemma49_check(args.k, args.big_f)
-    poly = blockcalc.lemma49_polynomial_check(args.k) if args.k <= 5 else None
-    ok = eq and (poly is not False)
-    return ok, {"k": args.k, "F": args.big_f, "exact_equality": eq,
-                "polynomial_identity": poly}
-
-
-def _verify_thm410chain(args):
-    """A chain for every pair of one core (so of one weight) and a constructible
-    weight; link_chain raises on a bad link itself, so every chain reported has good links."""
-    from . import blockcalc
-    d, results, labels = args.d, [], partitions.partitions_of(args.n)
-    for i, lam in enumerate(labels):
-        for mu in labels[i + 1:]:
-            if (partitions.d_core(lam, d) != partitions.d_core(mu, d)
-                    or not blockcalc.chain_constructible(partitions.d_weight(lam, d), d)):
-                continue
-            chain = blockcalc.link_chain(lam, mu, d)
-            results.append({"lam": list(lam), "mu": list(mu),
-                            "chain": [list(p) for p in chain], "links_ok": True})
-    return True, {"n": args.n, "d": d, "chains": results}
-
-
-def _verify_smt55(args):
-    from . import blockcalc
-    error = blockcalc.smt_check(blockcalc.Context(args.n, args.q, args.d, args.variant))
-    if error is not None:
-        return False, {"error": error}
-    return True, {"reconstruction": "exact", "beta_disjoint": True}
-
-
-VERIFIERS = {
-    "prop32": _verify_prop32,
-    "thm43": _verify_thm43,
-    "thm44": _verify_thm44,
-    "thm45": _verify_thm45,
-    "thm46": _verify_thm46,
-    "lemma49": _verify_lemma49,
-    "thm410chain": _verify_thm410chain,
-    "smt55": _verify_smt55,
-}
 
 # the options each check reads, with their defaults; prop32 runs both
 # variants when --variant is omitted
@@ -349,6 +247,7 @@ def _verify_options(args):
 
 
 def cmd_verify(args) -> int:
+    from .verify import VERIFIERS
     try:
         ok, details = VERIFIERS[args.check](args)
     except HypothesisError as exc:
@@ -411,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     # _verify_options can tell it from one given with its default value
     p_ver = sub.add_parser("verify", help="machine-checkable pass/fail reports",
                            argument_default=argparse.SUPPRESS)
-    p_ver.add_argument("check", choices=sorted(VERIFIERS))
+    p_ver.add_argument("check", choices=sorted(VERIFY_OPTIONS))
     p_ver.add_argument("--n", type=_at_least(0))
     p_ver.add_argument("--q", type=_prime_power)
     p_ver.add_argument("--d", type=_at_least(1))

@@ -20,7 +20,7 @@ from collections import Counter
 from functools import cache
 from typing import NamedTuple
 
-from .errors import InfeasibleError, ScaleGuardError
+from .errors import ScaleGuardError
 
 
 def check_partition(parts) -> tuple[int, ...]:
@@ -96,21 +96,27 @@ class RemovalPath(NamedTuple):
 def rim_hooks(lam: tuple[int, ...], h: int) -> tuple[HookRemoval, ...]:
     """Every rim hook of length h in lam, ordered by start row of the hook.
 
-    A hook of length h corresponds to a beta number b with b-h >= 0 not in
-    the beta-set; its leg length is the number of beta numbers strictly
-    between b-h and b.  Returned in decreasing b, which is increasing
-    start row of the removed strip.
+    Read off the beta-set of lam as a descending list, in one pass: a hook
+    of length h is a bead b with b-h >= 0 not a bead, its leg length is the
+    number of beads strictly between b-h and b, and the hook's removal
+    moves b to b-h, splicing b-h in after those beads.  Returned in
+    decreasing b, which is increasing start row of the removed strip.
     """
     if h < 1:
         raise ValueError(f"hook length must be at least 1, got {h}")
-    beta = beta_set(lam, len(lam))
-    bset = set(beta)
+    top = len(lam) - 1
+    beta = [p + top - i for i, p in enumerate(lam)]
     out = []
-    for b in sorted(beta, reverse=True):
-        if b - h >= 0 and (b - h) not in bset:
-            leg = sum(1 for b2 in beta if b - h < b2 < b)
-            new = (bset - {b}) | {b - h}
-            out.append(HookRemoval(h, leg, partition_from_beta(new)))
+    for i, b in enumerate(beta):
+        if b < h:
+            break
+        k = i + 1
+        while k <= top and beta[k] > b - h:
+            k += 1
+        if k > top or beta[k] < b - h:
+            new = beta[:i] + beta[i + 1:k] + [b - h] + beta[k:]
+            out.append(HookRemoval(h, k - i - 1,
+                                   tuple(x - top + j for j, x in enumerate(new) if x > top - j)))
     return tuple(out)
 
 
@@ -150,43 +156,6 @@ def d_weight(lam: tuple[int, ...], d: int) -> int:
     return w
 
 
-def from_core_quotient(core: tuple[int, ...], quotient, d: int) -> tuple[int, ...]:
-    """Rebuild the unique partition with the given d-core and d-quotient."""
-    quotient = tuple(tuple(c) for c in quotient)
-    if len(quotient) != d:
-        raise ValueError("quotient must have exactly d components")
-    extra = max([len(c) for c in quotient] + [0]) + 1
-    length = _quotient_length(core, d) + d * extra
-    counts = Counter(b % d for b in beta_set(core, length))
-    new_beta = []
-    for r in range(d):
-        if len(quotient[r]) > counts[r]:
-            raise ValueError("quotient component too long for runner")
-        new_beta.extend(d * pos + r for pos in beta_set(quotient[r], counts[r]))
-    return partition_from_beta(new_beta)
-
-
-@cache
-def runners_used(lam: tuple[int, ...], d: int) -> frozenset[int]:
-    """Indices of runners carrying a nonempty quotient component."""
-    return frozenset(r for r, c in enumerate(d_quotient(lam, d)) if c)
-
-
-@cache
-def is_simple(lam: tuple[int, ...], d: int) -> bool:
-    """True iff lam has no hook of length m*d for any m >= 2.
-
-    Equivalent to every quotient component being empty or (1): hooks of
-    length k*d in lam biject with k-hooks in the quotient.
-    """
-    return all(c in ((), (1,)) for c in d_quotient(lam, d))
-
-
-def disjoint(lam: tuple[int, ...], mu: tuple[int, ...], d: int) -> bool:
-    """True iff the quotient supports of lam and mu use distinct runners."""
-    return not (runners_used(lam, d) & runners_used(mu, d))
-
-
 # removal paths listed at most: `partition paths` took 4.0 s and 234 MB for
 # the 96,525 paths of (5,5,3,2) at d = 1 as JSON, and 13.7 s and 694 MB for
 # the 292,864 of (5,4,3,2,1)
@@ -224,48 +193,6 @@ def removal_path_count(lam: tuple[int, ...], d: int) -> int:
     if not hooks:
         return 1
     return sum(removal_path_count(hk.result, d) for hk in hooks)
-
-
-@cache
-def epsilon(lam: tuple[int, ...], d: int) -> int:
-    """(-1)**(sum of leg lengths) along any full d-hook removal path."""
-    sign = 1
-    cur = lam
-    while True:
-        hooks = rim_hooks(cur, d)
-        if not hooks:
-            return sign
-        sign *= (-1) ** hooks[0].leg_length
-        cur = hooks[0].result
-
-
-def single_runner_partition(gamma, w: int, d: int, runner: int) -> tuple[int, ...]:
-    """Partition with d-core gamma whose d-quotient is the one-row (w) on one runner."""
-    if not 0 <= runner < d:
-        raise ValueError(f"weight {w} on runner {runner} of {d}")
-    quotient = [()] * d
-    quotient[runner] = (w,)
-    return from_core_quotient(gamma, quotient, d)
-
-
-def find_simple_disjoint(gamma, w: int, d: int, avoid) -> tuple[int, ...]:
-    """Simple partition of |gamma| + w*d with core gamma avoiding given runners.
-
-    Puts a single elementary bead move, component (1), on each of the w
-    smallest free runners.
-    """
-    avoid = frozenset(avoid)
-    free = [r for r in range(d) if r not in avoid]
-    if len(free) < w:
-        raise InfeasibleError(
-            f"need {w} free runners among {d}, only {len(free)} outside {sorted(avoid)}")
-    quotient = [()] * d
-    for r in free[:w]:
-        quotient[r] = (1,)
-    result = from_core_quotient(gamma, quotient, d)
-    if not is_simple(result, d) or d_weight(result, d) != w:
-        raise AssertionError(f"{result} is not simple of {d}-weight {w}")
-    return result
 
 
 # -- abacus -----------------------------------------------------------------

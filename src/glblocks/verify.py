@@ -1,0 +1,431 @@
+"""The `verify` checks, and the code that only they run.
+
+Only `verify` imports this module, and each check imports the engine or
+oracle modules it calls when it runs, so that `verify prop32` loads no
+label-level engine module and no character table.  Besides the checks
+(`VERIFIERS`, one per check name, each returning (pass, details)) it
+holds the closed form of the d-regular inner product for a simple,
+disjoint partner and its pair search, the partition identity of
+Lemma 4.9, the link chains of Theorem 4.10 with the abacus-runner
+helpers they are built from, and the second-main-theorem check.
+
+`smt_check` returns None, or the message of the check that failed; an
+invariant of the engine that breaks on the way still raises.  No check is
+made that holds by construction: each section type, for one, is built
+from its head and a d-regular type.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from functools import cache
+from math import factorial, prod
+from typing import TYPE_CHECKING
+
+from .errors import HypothesisError, InfeasibleError
+from .partitions import (_quotient_length, beta_set, d_core, d_quotient, d_weight,
+                         partition_from_beta, partitions_of, removal_path_count, rim_hooks)
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .blockcalc import Context
+
+
+# -- abacus runners ------------------------------------------------------------
+
+def from_core_quotient(core: tuple[int, ...], quotient, d: int) -> tuple[int, ...]:
+    """Rebuild the unique partition with the given d-core and d-quotient."""
+    quotient = tuple(tuple(c) for c in quotient)
+    if len(quotient) != d:
+        raise ValueError("quotient must have exactly d components")
+    extra = max([len(c) for c in quotient] + [0]) + 1
+    length = _quotient_length(core, d) + d * extra
+    counts = Counter(b % d for b in beta_set(core, length))
+    new_beta = []
+    for r in range(d):
+        if len(quotient[r]) > counts[r]:
+            raise ValueError("quotient component too long for runner")
+        new_beta.extend(d * pos + r for pos in beta_set(quotient[r], counts[r]))
+    return partition_from_beta(new_beta)
+
+
+@cache
+def runners_used(lam: tuple[int, ...], d: int) -> frozenset[int]:
+    """Indices of runners carrying a nonempty quotient component."""
+    return frozenset(r for r, c in enumerate(d_quotient(lam, d)) if c)
+
+
+@cache
+def is_simple(lam: tuple[int, ...], d: int) -> bool:
+    """True iff lam has no hook of length m*d for any m >= 2.
+
+    Equivalent to every quotient component being empty or (1): hooks of
+    length k*d in lam biject with k-hooks in the quotient.
+    """
+    return all(c in ((), (1,)) for c in d_quotient(lam, d))
+
+
+def disjoint(lam: tuple[int, ...], mu: tuple[int, ...], d: int) -> bool:
+    """True iff the quotient supports of lam and mu use distinct runners."""
+    return not (runners_used(lam, d) & runners_used(mu, d))
+
+
+def single_runner_partition(gamma, w: int, d: int, runner: int) -> tuple[int, ...]:
+    """Partition with d-core gamma whose d-quotient is the one-row (w) on one runner."""
+    if not 0 <= runner < d:
+        raise ValueError(f"weight {w} on runner {runner} of {d}")
+    quotient = [()] * d
+    quotient[runner] = (w,)
+    return from_core_quotient(gamma, quotient, d)
+
+
+def find_simple_disjoint(gamma, w: int, d: int, avoid) -> tuple[int, ...]:
+    """Simple partition of |gamma| + w*d with core gamma avoiding given runners.
+
+    Puts a single elementary bead move, component (1), on each of the w
+    smallest free runners.
+    """
+    avoid = frozenset(avoid)
+    free = [r for r in range(d) if r not in avoid]
+    if len(free) < w:
+        raise InfeasibleError(
+            f"need {w} free runners among {d}, only {len(free)} outside {sorted(avoid)}")
+    quotient = [()] * d
+    for r in free[:w]:
+        quotient[r] = (1,)
+    result = from_core_quotient(gamma, quotient, d)
+    if not is_simple(result, d) or d_weight(result, d) != w:
+        raise AssertionError(f"{result} is not simple of {d}-weight {w}")
+    return result
+
+
+# -- closed forms ----------------------------------------------------------------
+
+def _closed_form_pair(lam, mu, d: int) -> bool:
+    """The closed form's hypotheses on (lam, mu): distinct, one d-core, one
+    d-weight (so w >= 1), mu simple and the two disjoint."""
+    return (lam != mu and d_core(lam, d) == d_core(mu, d)
+            and d_weight(lam, d) == d_weight(mu, d)
+            and is_simple(mu, d) and disjoint(lam, mu, d))
+
+
+_OUTSIDE_F = "F < n/d: outside the standing hypothesis"
+
+
+@cache
+def epsilon(lam: tuple[int, ...], d: int) -> int:
+    """(-1)**(sum of leg lengths) along any full d-hook removal path."""
+    sign = 1
+    cur = lam
+    while True:
+        hooks = rim_hooks(cur, d)
+        if not hooks:
+            return sign
+        sign *= (-1) ** hooks[0].leg_length
+        cur = hooks[0].result
+
+
+def theorem46_rhs(lam, mu, ctx: Context) -> Fraction:
+    """Closed-form inner product over d-regular classes for a simple,
+    disjoint partner:  (-1)^w F^w / (w! (q^d-1)^w) |P_lam| |P_mu| eps eps.
+
+    Validates its own hypotheses: lam and mu of size n form a closed-form
+    pair, and the standing bound F >= n/d holds.
+    """
+    from fractions import Fraction
+    lam, mu = tuple(lam), tuple(mu)
+    d = ctx.d
+    if sum(lam) != ctx.n or not _closed_form_pair(lam, mu, d):
+        raise HypothesisError("not a closed-form pair of size n: distinct partitions"
+                              " of one d-core and weight, mu simple and disjoint from lam")
+    if not ctx.f_hypothesis_holds:
+        raise HypothesisError(_OUTSIDE_F)
+    F, w = ctx.f_number, d_weight(lam, d)
+    sign = (-1) ** w * epsilon(lam, d) * epsilon(mu, d)
+    return Fraction(sign * F ** w * removal_path_count(lam, d) * removal_path_count(mu, d),
+                    factorial(w) * (ctx.q ** d - 1) ** w)
+
+
+def find_theorem46_pairs(ctx: Context):
+    """Ordered closed-form pairs (lam, mu) of partitions of n; outside the
+    standing hypothesis F >= n/d it raises before looking for any."""
+    if not ctx.f_hypothesis_holds:
+        raise HypothesisError(_OUTSIDE_F)
+    labels = partitions_of(ctx.n)
+    return tuple((lam, mu) for lam in labels for mu in labels
+                 if _closed_form_pair(lam, mu, ctx.d))
+
+
+# -- combinatorial identity ------------------------------------------------------
+
+def lemma49_lhs(k: int, F: int) -> Fraction:
+    """Sum over partitions of k of falling factorials of F over the
+    product of part-factorials and multiplicity factorials."""
+    from fractions import Fraction
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    return sum((Fraction(prod(F - i for i in range(len(part))),
+                         prod(factorial(j) ** m * factorial(m) for j, m in Counter(part).items()))
+                for part in partitions_of(k)), Fraction(0))
+
+
+def lemma49_check(k: int, F: int) -> bool:
+    """Exact equality of the partition sum with F^k / k!."""
+    from fractions import Fraction
+    return lemma49_lhs(k, F) == Fraction(F ** k, factorial(k))
+
+
+def lemma49_polynomial_check(k: int) -> bool:
+    """Both sides agree as polynomials in F: check at k+2 points, which
+    over-determines polynomials of degree at most k."""
+    return all(lemma49_check(k, F) for F in range(1, k + 3))
+
+
+# -- constructive chains -----------------------------------------------------------
+
+def _clean_chain(chain, mu):
+    """The chain cut at the first mu, without repeats."""
+    chain = chain[:chain.index(mu) + 1]
+    return tuple(p for i, p in enumerate(chain) if not i or p != chain[i - 1])
+
+
+def chain_constructible(w: int, d: int) -> bool:
+    """Whether the runner construction of Theorem 4.10 covers weight w at d:
+    w <= 1 for any d, w = 2 with d >= 4, and w > 2 with d >= 2w-1."""
+    return w <= 1 or (w == 2 and d >= 4) or (w > 2 and d >= 2 * w - 1)
+
+
+def link_chain(lam, mu, d: int) -> tuple[tuple[int, ...], ...]:
+    """Chain of partitions from lam to mu in which every consecutive pair
+    satisfies the closed form's hypotheses in one direction.
+
+    Follows the constructive case analysis on abacus runners.  Domain:
+    `chain_constructible(w, d)` for the common weight w.  Outside that the elementary-link graph can be
+    disconnected (w = 2, d = 3), so a HypothesisError is raised rather
+    than a fake chain, unless lam and mu are linked directly.
+    """
+    lam, mu = tuple(lam), tuple(mu)
+    gamma = d_core(lam, d)
+    if d_core(mu, d) != gamma:
+        raise HypothesisError("distinct d-cores")
+    w = d_weight(lam, d)
+    if d_weight(mu, d) != w:
+        raise HypothesisError("weights differ")
+    if lam == mu:
+        return (lam,)
+    if chain_link_ok(lam, mu, d):
+        # a direct link, as every weight-1 pair is: a (1) on each of two runners
+        return (lam, mu)
+    if not chain_constructible(w, d):
+        raise HypothesisError(
+            f"weight {w} at d = {d} is outside the runner construction: w = 2 needs"
+            " d >= 4 (the elementary-link graph is disconnected at d = 3), w > 2 needs d >= 2w-1")
+
+    r_lam = runners_used(lam, d)
+    r_mu = runners_used(mu, d)
+    lam_simple = is_simple(lam, d)
+    mu_simple = is_simple(mu, d)
+
+    if mu_simple and not lam_simple:
+        # run the analysis from the simple end and flip at the end
+        chain = tuple(reversed(link_chain(mu, lam, d)))
+    elif lam_simple and mu_simple:
+        free = [r for r in range(d) if r not in r_lam | r_mu]
+        if free:
+            nu = single_runner_partition(gamma, w, d, free[0])
+            chain = (lam, nu, mu)
+        else:
+            # all runners covered: forces d = 2w-1, one shared runner, w > 2
+            if w <= 2:
+                raise AssertionError(f"runners all covered at weight {w}")
+            mu_only = sorted(r_mu - r_lam)
+            lam_only = sorted(r_lam - r_mu)
+            nu = single_runner_partition(gamma, w, d, mu_only[0])
+            zeta = find_simple_disjoint(gamma, w, d, {mu_only[0], lam_only[0]})
+            xi = single_runner_partition(gamma, w, d, lam_only[0])
+            chain = (lam, nu, zeta, xi, mu)
+    elif lam_simple:
+        if r_mu <= r_lam:
+            free = [r for r in range(d) if r not in r_lam]
+            nu = single_runner_partition(gamma, w, d, free[0])
+            zeta = find_simple_disjoint(gamma, w, d, {free[0], min(r_mu)})
+            mu_free = sorted(r_mu - runners_used(zeta, d))
+            xi = single_runner_partition(gamma, w, d, mu_free[0])
+            eta = find_simple_disjoint(gamma, w, d, r_mu)
+            chain = (lam, nu, zeta, xi, eta, mu)
+        else:
+            shared_free = sorted(r_mu - r_lam)
+            nu = single_runner_partition(gamma, w, d, shared_free[0])
+            zeta = find_simple_disjoint(gamma, w, d, r_mu)
+            chain = (lam, nu, zeta, mu)
+    else:
+        # neither simple: both use at most w-1 runners
+        if len(r_lam) > w - 1 or len(r_mu) > w - 1:
+            raise AssertionError(f"non-simple {lam} or {mu} uses more than {w - 1} runners")
+        nu = find_simple_disjoint(gamma, w, d, r_lam)
+        r_nu = runners_used(nu, d)
+        if not r_mu <= r_nu:
+            pick = sorted(r_mu - r_nu)
+            zeta = single_runner_partition(gamma, w, d, pick[0])
+            xi = find_simple_disjoint(gamma, w, d, r_mu)
+            chain = (lam, nu, zeta, xi, mu)
+        else:
+            pick = [r for r in range(d) if r not in r_nu and r not in r_mu][0]
+            zeta = single_runner_partition(gamma, w, d, pick)
+            xi = find_simple_disjoint(gamma, w, d, {pick, min(r_mu)})
+            mu_free = sorted(r_mu - runners_used(xi, d))
+            delta = single_runner_partition(gamma, w, d, mu_free[0])
+            eta = find_simple_disjoint(gamma, w, d, r_mu)
+            chain = (lam, nu, zeta, xi, delta, eta, mu)
+
+    chain = _clean_chain(chain, mu)
+    for a, b in zip(chain, chain[1:]):
+        if not chain_link_ok(a, b, d):
+            raise AssertionError(f"bad link {a} -- {b}")
+    return chain
+
+
+def chain_link_ok(a, b, d: int) -> bool:
+    """Consecutive chain entries must form a closed-form pair either way."""
+    return _closed_form_pair(a, b, d) or _closed_form_pair(b, a, d)
+
+
+# -- the second main theorem ------------------------------------------------------
+
+def smt_check(ctx: Context) -> str | None:
+    """Reconstruction and the d-core test of domination, for every section head type.
+
+    For every section head type x and every d-regular type y of GL(l,q),
+    l = n - |x|, `peel` takes x's components back onto the values of y,
+    which must give the values of the type t that merges x and y at every
+    mu of size n.  Every mn_step row of x's steps must keep the d-core, so
+    that peel targets stay in the same-core group of GL(l,q); the report's
+    "beta_disjoint" rests on this row test.  Returns None when every check
+    holds, else the message of the first that fails; an engine invariant
+    that breaks on the way raises as anywhere else.
+    """
+    from .blockcalc import _section_types
+    from .charvalue import class_values, mn_step, peel
+    from .glclass import section_heads
+    for head in section_heads(ctx.n, ctx.q, ctx.d, ctx.variant):
+        steps, size = [], ctx.n - head.n
+        for degree, jordan in reversed(head.components):
+            size += degree * sum(jordan)
+            steps.append((size, degree, jordan))
+            lams = partitions_of(size - degree * sum(jordan))
+            for nu, (targets, _) in zip(partitions_of(size), mn_step(size, degree, jordan, ctx.q)):
+                if any(d_core(lams[i], ctx.d) != d_core(nu, ctx.d) for i in targets):
+                    return "peel target escaped the source's d-core"
+        for y, t in _section_types(ctx, head):
+            direct, recon = class_values(t, ctx.q), class_values(y, ctx.q)
+            for step in steps:
+                recon = peel(recon, *step, ctx.q)
+            for mu, a, b in zip(partitions_of(ctx.n), direct, recon):
+                if a != b:
+                    return f"reconstruction failed for {mu} at {t}: {a} != {b}"
+    return None
+
+
+# -- the checks ------------------------------------------------------------------
+
+def _verify_prop32(args):
+    from .bfsections import oracle_sections
+    checks = {variant: oracle_sections(args.n, args.q, args.d, variant)
+              for variant in ([args.variant] if args.variant else ["divisible", "exact"])}
+    return all(c.ok for c in checks.values()), {v: c.parts for v, c in checks.items()}
+
+
+def _verify_thm43(args):
+    from . import blockcalc, glclass, qarith
+    ctx = blockcalc.Context(args.n, args.q, args.d, args.variant)
+    labels, order = partitions_of(ctx.n), qarith.gl_order(ctx.n, ctx.q)
+    worst = []
+    for head in glclass.section_heads(ctx.n, ctx.q, ctx.d, ctx.variant):
+        matrix = blockcalc.inner_matrix(ctx, ("section", head))
+        for i, nu in enumerate(labels):
+            for nu2 in labels[i + 1:]:
+                if d_core(nu, ctx.d) == d_core(nu2, ctx.d):
+                    continue
+                val = matrix[(nu, nu2)]
+                if val:
+                    from fractions import Fraction  # loaded only when an entry is reported
+                    worst.append([list(nu), list(nu2), f"{Fraction(val, order)}"])
+    return not worst, {"cross_core_nonzeros": worst}
+
+
+def _verify_thm44(args):
+    from . import blockcalc
+    ctx = blockcalc.Context(args.n, args.q, args.d, args.variant)
+    report = blockcalc.blocks_report(ctx)
+    return report["verdict"] != "VIOLATION", report
+
+
+def _verify_thm45(args):
+    # bftable first: compiled before the engine modules are loaded, its
+    # compilation peak sits lower, and with it the peak RSS of the command
+    # (16.5 against 16.6 MB at GL(3,2) without bytecode caches)
+    from .bftable import check_d1_duality_identity
+    from . import blockcalc
+    ctx = blockcalc.Context(args.n, args.q, 1, args.variant)
+    single = len(blockcalc.unipotent_blocks(ctx)) == 1
+    duality = check_d1_duality_identity(args.n, args.q)
+    ok = single and duality["all_nonzero"] and duality["unipotent_identity"]
+    return ok, {"single_unipotent_block": single, **duality}
+
+
+def _verify_thm46(args):
+    from fractions import Fraction
+    from . import blockcalc, qarith
+    ctx = blockcalc.Context(args.n, args.q, args.d, args.variant)
+    pairs = find_theorem46_pairs(ctx)
+    matrix, order = blockcalc.inner_matrix(ctx, "d_regular"), qarith.gl_order(ctx.n, ctx.q)
+    results = []
+    for lam, mu in pairs:
+        rhs = theorem46_rhs(lam, mu, ctx)
+        lhs = matrix[(lam, mu)]
+        results.append({"lam": list(lam), "mu": list(mu), "lhs": f"{Fraction(lhs, order)}",
+                        "rhs": f"{rhs}", "match": lhs == rhs * order})
+    return all(r["match"] for r in results), {"pairs": results, "pair_count": len(pairs)}
+
+
+def _verify_lemma49(args):
+    eq = lemma49_check(args.k, args.big_f)
+    poly = lemma49_polynomial_check(args.k) if args.k <= 5 else None
+    ok = eq and (poly is not False)
+    return ok, {"k": args.k, "F": args.big_f, "exact_equality": eq,
+                "polynomial_identity": poly}
+
+
+def _verify_thm410chain(args):
+    """A chain for every pair of one core (so of one weight) and a constructible
+    weight; link_chain raises on a bad link itself, so every chain reported has good links."""
+    d, results, labels = args.d, [], partitions_of(args.n)
+    for i, lam in enumerate(labels):
+        for mu in labels[i + 1:]:
+            if d_core(lam, d) != d_core(mu, d) or not chain_constructible(d_weight(lam, d), d):
+                continue
+            chain = link_chain(lam, mu, d)
+            results.append({"lam": list(lam), "mu": list(mu),
+                            "chain": [list(p) for p in chain], "links_ok": True})
+    return True, {"n": args.n, "d": d, "chains": results}
+
+
+def _verify_smt55(args):
+    from .blockcalc import Context
+    error = smt_check(Context(args.n, args.q, args.d, args.variant))
+    if error is not None:
+        return False, {"error": error}
+    return True, {"reconstruction": "exact", "beta_disjoint": True}
+
+
+VERIFIERS = {
+    "prop32": _verify_prop32,
+    "thm43": _verify_thm43,
+    "thm44": _verify_thm44,
+    "thm45": _verify_thm45,
+    "thm46": _verify_thm46,
+    "lemma49": _verify_lemma49,
+    "thm410chain": _verify_thm410chain,
+    "smt55": _verify_smt55,
+}

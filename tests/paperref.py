@@ -14,8 +14,9 @@ from fractions import Fraction
 
 from glblocks.blockcalc import Context
 from glblocks.errors import HypothesisError
-from glblocks.partitions import d_core, d_weight, epsilon, partitions_of
+from glblocks.partitions import d_core, d_weight, partitions_of
 from glblocks.symchar import linked_components, z_order
+from glblocks.verify import epsilon
 from hookref import sn_char
 
 

@@ -4,11 +4,14 @@ Everything is exact (tolerance zero); run with -s to watch the lines go by.
 """
 
 from glblocks import blockcalc as B
+from glblocks import bfsections as BS
+from glblocks import bftable as BT
 from glblocks import bruteforce as BF
 from glblocks import glclass as G
 from glblocks import partitions as P
 from glblocks import qarith as Q
 from glblocks import symchar as S
+from glblocks import verify as V
 from glblocks.blockcalc import Context
 from glblocks.errors import HypothesisError
 import hookref
@@ -40,7 +43,7 @@ def test_criterion_02_section_properties():
         labels = L.oracle_labels(data)
         for d in (1, 2, 3):
             for variant in ("divisible", "exact"):
-                check = BF.oracle_sections(n, q, d, variant)
+                check = BS.oracle_sections(n, q, d, variant)
                 ok = ok and check.ok
                 for g, cid in enumerate(data.class_of):
                     x_cid = check.section_of[g]
@@ -70,7 +73,7 @@ def test_criterion_04_character_value_oracle_equivalence():
     for n, q in ORACLE_GROUPS:
         data = BF.oracle_classes(n, q)
         labels = L.oracle_labels(data)
-        dec = BF.borel_unipotent_constituents(n, q)
+        dec = BT.borel_unipotent_constituents(n, q)
         tab = dec.table
         for lam, (chi, _) in dec.constituents.items():
             for i, r in enumerate(tab.reps):
@@ -106,10 +109,10 @@ def test_criterion_06_closed_form_inner_products():
     found_pairs = 0
     for n, q, d in [(3, 3, 2), (4, 3, 2)]:
         ctx = Context(n, q, d, "divisible")
-        pairs = B.find_theorem46_pairs(ctx)
+        pairs = V.find_theorem46_pairs(ctx)
         found_pairs += len(pairs)
         for lam, mu in pairs:
-            rhs = B.theorem46_rhs(lam, mu, ctx)
+            rhs = V.theorem46_rhs(lam, mu, ctx)
             lhs = inner_product(lam, mu, "d_regular", ctx)
             if lhs != rhs or rhs == 0:
                 ok = False
@@ -126,7 +129,7 @@ def test_criterion_06_closed_form_inner_products():
     # partition occupies both runners, so the hypothesis set is empty
     if found_pairs == 0:
         ok = False
-    if B.find_theorem46_pairs(Context(4, 3, 2, "divisible")) != ():
+    if V.find_theorem46_pairs(Context(4, 3, 2, "divisible")) != ():
         ok = False
     announce(6, "closed-form restricted inner products", ok)
 
@@ -134,16 +137,16 @@ def test_criterion_06_closed_form_inner_products():
 def test_criterion_07_duality_identity():
     ok = True
     for n, q in ORACLE_GROUPS:
-        result = BF.check_d1_duality_identity(n, q)
+        result = BT.check_d1_duality_identity(n, q)
         if not (result["all_nonzero"] and result["unipotent_identity"]):
             ok = False
     announce(7, "unipotent-support scalar products match dual degrees", ok)
 
 
 def test_criterion_08_partition_sum_identity():
-    ok = all(B.lemma49_check(k, F)
+    ok = all(V.lemma49_check(k, F)
              for k in range(1, 9) for F in range(1, 13))
-    ok = ok and all(B.lemma49_polynomial_check(k) for k in range(1, 6))
+    ok = ok and all(V.lemma49_polynomial_check(k) for k in range(1, 6))
     announce(8, "falling-factorial partition sum identity", ok)
 
 
@@ -166,10 +169,10 @@ def test_criterion_09_constructive_chains():
                 if w != P.d_weight(mu, d) or w == 0:
                     continue
                 if not constructive(w, d):
-                    direct = P.disjoint(lam, mu, d) and (
-                        P.is_simple(lam, d) or P.is_simple(mu, d))
+                    direct = V.disjoint(lam, mu, d) and (
+                        V.is_simple(lam, d) or V.is_simple(mu, d))
                     if direct:
-                        chain = B.link_chain(lam, mu, d)
+                        chain = V.link_chain(lam, mu, d)
                         if chain != (lam, mu) or \
                                 inner_product(lam, mu, "d_regular", ctx) == 0:
                             ok = False
@@ -177,16 +180,16 @@ def test_criterion_09_constructive_chains():
                         # genuinely outside the constructive hypotheses:
                         # the builder must refuse, not fabricate a chain
                         try:
-                            B.link_chain(lam, mu, d)
+                            V.link_chain(lam, mu, d)
                             ok = False
                         except HypothesisError:
                             pass
                     continue
                 if ctx.f_number < w:
                     continue
-                chain = B.link_chain(lam, mu, d)
+                chain = V.link_chain(lam, mu, d)
                 for a, b in zip(chain, chain[1:]):
-                    if not B.chain_link_ok(a, b, d):
+                    if not V.chain_link_ok(a, b, d):
                         ok = False
                     if inner_product(a, b, "d_regular", ctx) == 0:
                         ok = False
@@ -196,13 +199,13 @@ def test_criterion_09_constructive_chains():
               if P.d_core(lam, 5) == () and P.d_weight(lam, 5) == 3]
     for i, lam in enumerate(labels):
         for mu in labels[i + 1:]:
-            chain = B.link_chain(lam, mu, 5)
+            chain = V.link_chain(lam, mu, 5)
             for a, b in zip(chain, chain[1:]):
-                if not B.chain_link_ok(a, b, 5):
+                if not V.chain_link_ok(a, b, 5):
                     ok = False
-                pair = (a, b) if P.is_simple(b, 5) and P.disjoint(a, b, 5) \
+                pair = (a, b) if V.is_simple(b, 5) and V.disjoint(a, b, 5) \
                     else (b, a)
-                if B.theorem46_rhs(pair[0], pair[1], big) == 0:
+                if V.theorem46_rhs(pair[0], pair[1], big) == 0:
                     ok = False
     announce(9, "constructive chains link same-core same-weight pairs", ok)
 
@@ -210,7 +213,7 @@ def test_criterion_09_constructive_chains():
 def test_criterion_10_domination_and_reconstruction():
     ok = True
     for n, q, d in [(4, 3, 2), (3, 3, 2)]:
-        if B.smt_check(Context(n, q, d, "divisible")) is not None:
+        if V.smt_check(Context(n, q, d, "divisible")) is not None:
             ok = False
         # each head's dominated sets: the same-core sets of GL(n - |x|, q)
         for head in G.section_heads(n, q, d, "divisible"):
@@ -227,6 +230,6 @@ def test_criterion_11_sign_well_definedness():
     for size in range(13):
         for lam in P.partitions_of(size):
             for d in range(1, 6):
-                if hookref.path_sign_set(lam, d) != frozenset({P.epsilon(lam, d)}):
+                if hookref.path_sign_set(lam, d) != frozenset({V.epsilon(lam, d)}):
                     ok = False
     announce(11, "hook-removal sign independent of the path", ok)

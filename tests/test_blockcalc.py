@@ -6,13 +6,13 @@ from fractions import Fraction
 import pytest
 
 from glblocks import blockcalc as B
-from glblocks import bruteforce as BF
 from glblocks import charvalue as C
 from glblocks import cli
 from glblocks import glclass as G
 from glblocks import partitions as P
 from glblocks import qarith as Q
 from glblocks import symchar as S
+from glblocks import verify as V
 from glblocks.blockcalc import Context
 from glblocks.errors import HypothesisError
 from paperref import weight_one_singular_value
@@ -232,23 +232,23 @@ def test_weight_one_pairs_directly_linked():
 
 def test_theorem46_pairs_and_closed_form():
     ctx = Context(3, 3, 2, "divisible")
-    pairs = B.find_theorem46_pairs(ctx)
+    pairs = V.find_theorem46_pairs(ctx)
     assert set(pairs) == {((3,), (1, 1, 1)), ((1, 1, 1), (3,))}
     for lam, mu in pairs:
-        rhs = B.theorem46_rhs(lam, mu, ctx)
+        rhs = V.theorem46_rhs(lam, mu, ctx)
         assert rhs == inner_product(lam, mu, "d_regular", ctx)
         assert rhs == Fraction(3, 8)
     # no simple partition of 4 leaves a runner free at d = 2
-    assert B.find_theorem46_pairs(Context(4, 3, 2, "divisible")) == ()
+    assert V.find_theorem46_pairs(Context(4, 3, 2, "divisible")) == ()
 
 
 def test_theorem46_weight_two_context():
     ctx = Context(6, 2, 3, "divisible")
-    pairs = B.find_theorem46_pairs(ctx)
+    pairs = V.find_theorem46_pairs(ctx)
     assert pairs
     assert {P.d_weight(lam, 3) for lam, _ in pairs} == {2}
     for lam, mu in pairs:
-        rhs = B.theorem46_rhs(lam, mu, ctx)
+        rhs = V.theorem46_rhs(lam, mu, ctx)
         assert rhs != 0
         assert rhs == inner_product(lam, mu, "d_regular", ctx)
 
@@ -256,25 +256,25 @@ def test_theorem46_weight_two_context():
 def test_theorem46_hypothesis_errors():
     ctx = Context(3, 3, 2, "divisible")
     with pytest.raises(HypothesisError):
-        B.theorem46_rhs((2, 1), (2, 1), ctx)       # weight 0
+        V.theorem46_rhs((2, 1), (2, 1), ctx)       # weight 0
     with pytest.raises(HypothesisError):
-        B.theorem46_rhs((3,), (2, 1), ctx)         # different cores
+        V.theorem46_rhs((3,), (2, 1), ctx)         # different cores
     with pytest.raises(HypothesisError):
-        B.theorem46_rhs((3,), (1, 1, 1), Context(3, 2, 2, "divisible"))  # F < n/d
+        V.theorem46_rhs((3,), (1, 1, 1), Context(3, 2, 2, "divisible"))  # F < n/d
     ctx6 = Context(6, 2, 3, "divisible")
-    simple = P.find_simple_disjoint((), 2, 3, frozenset())
+    simple = V.find_simple_disjoint((), 2, 3, frozenset())
     with pytest.raises(HypothesisError):
-        B.theorem46_rhs(simple, simple, ctx6)      # not disjoint from itself
+        V.theorem46_rhs(simple, simple, ctx6)      # not disjoint from itself
 
 
 def test_sign_bookkeeping_same_epsilon():
     # equal signs make the closed form's sign (-1)^w
     ctx = Context(6, 2, 3, "divisible")
-    for lam, mu in B.find_theorem46_pairs(ctx):
+    for lam, mu in V.find_theorem46_pairs(ctx):
         w = P.d_weight(lam, ctx.d)
-        rhs = B.theorem46_rhs(lam, mu, ctx)
+        rhs = V.theorem46_rhs(lam, mu, ctx)
         sign = 1 if rhs > 0 else -1
-        eps = P.epsilon(lam, 3) * P.epsilon(mu, 3)
+        eps = V.epsilon(lam, 3) * V.epsilon(mu, 3)
         assert sign == (-1) ** w * eps
 
 
@@ -367,40 +367,40 @@ def test_exact_variant_carries_the_results():
 def test_lemma49_exact_and_polynomial():
     for k in range(1, 9):
         for F in range(1, 13):
-            assert B.lemma49_check(k, F), (k, F)
+            assert V.lemma49_check(k, F), (k, F)
     for k in range(1, 6):
-        assert B.lemma49_polynomial_check(k)
-    assert B.lemma49_lhs(3, 5) == Fraction(125, 6)
-    assert B.lemma49_lhs(2, 7) == Fraction(7, 2) + Fraction(7 * 6, 2)
+        assert V.lemma49_polynomial_check(k)
+    assert V.lemma49_lhs(3, 5) == Fraction(125, 6)
+    assert V.lemma49_lhs(2, 7) == Fraction(7, 2) + Fraction(7 * 6, 2)
 
 
 def test_link_chain_trivial_and_direct():
-    assert B.link_chain((2, 1), (2, 1), 2) == ((2, 1),)
+    assert V.link_chain((2, 1), (2, 1), 2) == ((2, 1),)
     # weight-1 pairs: direct link
     ctx = Context(4, 2, 3, "divisible")
     labels = [lam for lam in P.partitions_of(4) if P.d_weight(lam, 3) == 1]
     for i, lam in enumerate(labels):
         for mu in labels[i + 1:]:
-            chain = B.link_chain(lam, mu, 3)
+            chain = V.link_chain(lam, mu, 3)
             assert chain == (lam, mu)
             assert inner_product(lam, mu, "d_regular", ctx) != 0
 
 
 def test_link_chain_simple_disjoint_direct():
-    lam = P.single_runner_partition((), 2, 4, 0)
-    mu = P.find_simple_disjoint((), 2, 4, frozenset({0}))
-    chain = B.link_chain(lam, mu, 4)
+    lam = V.single_runner_partition((), 2, 4, 0)
+    mu = V.find_simple_disjoint((), 2, 4, frozenset({0}))
+    chain = V.link_chain(lam, mu, 4)
     assert chain == (lam, mu)
 
 
 def test_link_chain_hypothesis_cutoffs():
     # the problematic weight-2 narrow case and mismatched inputs
-    lam = P.single_runner_partition((), 2, 3, 0)
-    mu = P.single_runner_partition((), 2, 3, 1)
+    lam = V.single_runner_partition((), 2, 3, 0)
+    mu = V.single_runner_partition((), 2, 3, 1)
     with pytest.raises(HypothesisError):
-        B.link_chain(lam, mu, 3)
+        V.link_chain(lam, mu, 3)
     with pytest.raises(HypothesisError):
-        B.link_chain((3,), (2, 1), 2)   # different cores
+        V.link_chain((3,), (2, 1), 2)   # different cores
 
 
 def test_link_chain_exhaustive_small():
@@ -417,10 +417,10 @@ def test_link_chain_exhaustive_small():
                     if not ((w <= 1) or (w == 2 and d >= 4) or
                             (w > 2 and d >= 2 * w - 1)):
                         continue
-                    chain = B.link_chain(lam, mu, d)
+                    chain = V.link_chain(lam, mu, d)
                     assert chain[0] == lam and chain[-1] == mu
                     for a, b in zip(chain, chain[1:]):
-                        assert B.chain_link_ok(a, b, d)
+                        assert V.chain_link_ok(a, b, d)
 
 
 def test_link_chain_weight_three():
@@ -432,11 +432,11 @@ def test_link_chain_weight_three():
     sample = labels[::7]
     for i, lam in enumerate(sample):
         for mu in sample[i + 1:]:
-            chain = B.link_chain(lam, mu, 5)
+            chain = V.link_chain(lam, mu, 5)
             for a, b in zip(chain, chain[1:]):
-                assert B.chain_link_ok(a, b, 5)
-                pair = (a, b) if P.is_simple(b, 5) and P.disjoint(a, b, 5) else (b, a)
-                assert B.theorem46_rhs(pair[0], pair[1], ctx) != 0
+                assert V.chain_link_ok(a, b, 5)
+                pair = (a, b) if V.is_simple(b, 5) and V.disjoint(a, b, 5) else (b, a)
+                assert V.theorem46_rhs(pair[0], pair[1], ctx) != 0
 
 
 def test_centralizer_blocks():
@@ -466,7 +466,7 @@ SMT_CONTEXTS = [Context(3, 3, 2, "divisible"), Context(4, 3, 2, "divisible"),
 
 def test_smt_check():
     for ctx in SMT_CONTEXTS:
-        assert B.smt_check(ctx) is None
+        assert V.smt_check(ctx) is None
         heads = G.section_heads(ctx.n, ctx.q, ctx.d, ctx.variant)
         assert heads
         # the set each block dominates: one same-core set of GL(l,q) per core
@@ -488,10 +488,15 @@ def test_section_types_split_back_into_head_and_y():
 
 
 def test_wrong_peel_coefficient_fails_smt_check(monkeypatch, capsys):
-    real = B.peel
-    monkeypatch.setattr(B, "peel", lambda values, n, degree, jordan, q: tuple(
+    # smt_check reads peel from charvalue, where class_values reads it too:
+    # an unpatched run caches the direct values first, so that the doubling
+    # reaches the reconstruction alone
+    ctx = Context(4, 3, 2, "divisible")
+    assert V.smt_check(ctx) is None
+    real = C.peel
+    monkeypatch.setattr(C, "peel", lambda values, n, degree, jordan, q: tuple(
         2 * v for v in real(values, n, degree, jordan, q)))
-    assert B.smt_check(Context(4, 3, 2, "divisible")).startswith("reconstruction failed")
+    assert V.smt_check(ctx).startswith("reconstruction failed")
     code = cli.main(["verify", "smt55", "--n", "4", "--q", "3", "--d", "2", "--output", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 1 and payload["pass"] is False
@@ -501,12 +506,15 @@ def test_wrong_peel_coefficient_fails_smt_check(monkeypatch, capsys):
 def test_peel_target_leaving_the_core_fails_smt_check(monkeypatch, capsys):
     # every row gains the target (m), the first partition of its size m; on
     # GL(5,3) the peel of a degree-2 head from size 3 to 5 reaches (3,),
-    # whose 2-core (1,) is foreign to the source (2, 2, 1), of 2-core (2, 1)
-    real = B.mn_step
-    monkeypatch.setattr(B, "mn_step", lambda n, degree, jordan, q: tuple(
+    # whose 2-core (1,) is foreign to the source (2, 2, 1), of 2-core (2, 1);
+    # smt_check reads mn_step from charvalue, so the values are cached unpatched first
+    ctx = Context(5, 3, 2, "divisible")
+    assert V.smt_check(ctx) is None
+    real = C.mn_step
+    monkeypatch.setattr(C, "mn_step", lambda n, degree, jordan, q: tuple(
         (targets + (0,), coefficients + (1,)) for targets, coefficients in real(n, degree, jordan, q)))
     message = "peel target escaped the source's d-core"
-    assert B.smt_check(Context(5, 3, 2, "divisible")) == message
+    assert V.smt_check(ctx) == message
     code = cli.main(["verify", "smt55", "--n", "5", "--q", "3", "--d", "2", "--output", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 1 and payload["pass"] is False

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from glblocks import __version__
+from glblocks import bfsections as BS
+from glblocks import bftable as BT
 from glblocks import bruteforce as BF
 from glblocks import charvalue as C
 from glblocks import glclass as G
@@ -464,17 +466,17 @@ def full_length_lift(power_class, chars_mod, degrees, e, ell, z):
 @pytest.mark.parametrize("n,q", [(2, 4), (3, 2), (2, 5)])
 def test_lift_over_element_orders_matches_full_length_lift(n, q, monkeypatch):
     seen = []
-    lift = BF._lift
+    lift = BT._lift
 
     def recording_lift(chars_mod, degrees, power_class, e, ell, z):
         seen.append((chars_mod, degrees, power_class, e, ell, z))
         return lift(chars_mod, degrees, power_class, e, ell, z)
 
-    monkeypatch.setattr(BF, "_lift", recording_lift)
-    BF.dixon_table.__wrapped__(n, q)
+    monkeypatch.setattr(BT, "_lift", recording_lift)
+    BT.dixon_table.__wrapped__(n, q)
     (chars_mod, degrees, power_class, e, ell, z), = seen
     data = BF.oracle_classes(n, q)
-    tab = BF.dixon_table(n, q)
+    tab = BT.dixon_table(n, q)
     assert tab.exponent == e
     full = full_power_classes(data.group, data.class_of, tab.reps, e)
     # each short row runs up to the first return to the identity class,
@@ -490,7 +492,7 @@ def test_lift_over_element_orders_matches_full_length_lift(n, q, monkeypatch):
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("variant", ["divisible", "exact"])
 def test_section_properties(n, q, d, variant):
-    check = BF.oracle_sections(n, q, d, variant)
+    check = BS.oracle_sections(n, q, d, variant)
     assert check.parts == {"i": True, "ii": True, "iii": True,
                            "iv": True, "v": True}
     assert check.ok
@@ -509,9 +511,9 @@ def all_rows_oracle_sections(n, q, d, variant):
     group = data.group
     size = len(group.rows)
     conj = [uncached_conj_row(group, g) for g in range(size)]
-    xs = BF.d_element_ids(n, q, d, variant)
+    xs = BS.d_element_ids(n, q, d, variant)
     x_set = set(xs)
-    ys = {u: BF.y_set(n, q, d, variant, u) for u in xs}
+    ys = {u: BS.y_set(n, q, d, variant, u) for u in xs}
     centralizer = [frozenset(h for h in range(size) if conj[g][h] == g)
                    for g in range(size)]
     prods = {u: {group.mul(u, y) for y in ys[u]} for u in xs}
@@ -526,7 +528,7 @@ def all_rows_oracle_sections(n, q, d, variant):
         == len({data.class_of[p] for p in prods[u]}) for u in xs)
     section_of = []
     for g in range(size):
-        x = BF.x_part_element(group, g, d, variant)
+        x = BS.x_part_element(group, g, d, variant)
         assert x in x_set
         section_of.append(data.class_of[x])
     parts["v"] = set(section_of) == {data.class_of[u] for u in xs}
@@ -537,7 +539,7 @@ def all_rows_oracle_sections(n, q, d, variant):
 def test_sections_by_generators_match_all_rows_reference(n, q):
     for d in (1, 2, 3):
         for variant in ("divisible", "exact"):
-            check = BF.oracle_sections(n, q, d, variant)
+            check = BS.oracle_sections(n, q, d, variant)
             assert (check.parts, check.section_of) == \
                 all_rows_oracle_sections(n, q, d, variant), (d, variant)
 
@@ -548,7 +550,7 @@ def test_section_checks_build_rows_only_for_representatives(n, q):
     BF.oracle_classes.cache_clear()
     for d in (1, 2):
         for variant in ("divisible", "exact"):
-            assert BF.oracle_sections(n, q, d, variant).ok
+            assert BS.oracle_sections(n, q, d, variant).ok
     data = BF.oracle_classes(n, q)
     assert sorted(data.group._conj_rows) == list(data.reps)
 
@@ -559,26 +561,26 @@ def test_dropped_complementary_element_fails_section_checks(n, q, d, pick, monke
     # one element dropped from the complementary set of a non-central
     # d-element, the first (a class representative) or the last of them
     data = BF.oracle_classes(n, q)
-    u = [u for u in BF.d_element_ids(n, q, d, "divisible")
+    u = [u for u in BS.d_element_ids(n, q, d, "divisible")
          if data.sizes[data.class_of[u]] > 1][pick]
-    real = BF.y_set
+    real = BS.y_set
     dropped = real(n, q, d, "divisible", u) - {max(real(n, q, d, "divisible", u))}
 
     def y_set(n_, q_, d_, variant, u_id):
         return dropped if u_id == u else real(n_, q_, d_, variant, u_id)
 
-    monkeypatch.setattr(BF, "y_set", y_set)
-    parts = BF.oracle_sections(n, q, d, "divisible").parts
+    monkeypatch.setattr(BS, "y_set", y_set)
+    parts = BS.oracle_sections(n, q, d, "divisible").parts
     assert not (parts["i"] and parts["iii"]), parts
 
 
 def test_one_generator_fails_the_centralizer_order_check(monkeypatch):
     # C(1) = GL(2,3) is not cyclic, nor are all the other centralizers, so
     # the first generator alone fails the order check at one of them
-    real = BF.centralizer_generators
-    monkeypatch.setattr(BF, "centralizer_generators", lambda group, cent: real(group, cent)[:1])
+    real = BS.centralizer_generators
+    monkeypatch.setattr(BS, "centralizer_generators", lambda group, cent: real(group, cent)[:1])
     with pytest.raises(ArithmeticError, match="do not generate a group of order"):
-        BF.oracle_sections(2, 3, 2, "divisible")
+        BS.oracle_sections(2, 3, 2, "divisible")
 
 
 @pytest.mark.parametrize("n,q", ORACLE_GROUPS + [(2, 5)])
@@ -587,7 +589,7 @@ def test_centralizer_generators_lie_in_and_generate_each_centralizer(n, q):
     group = data.group
     for r, order in zip(data.reps, data.centralizer_orders):
         cent = tuple(h for h, x in enumerate(group.conj_row(r)) if x == r)
-        gens = BF.centralizer_generators(group, cent)
+        gens = BS.centralizer_generators(group, cent)
         assert set(gens) <= set(cent) and group.generated(gens) == set(cent)
         assert len(cent) == order
 
@@ -606,9 +608,9 @@ def union_find_fusion(n, q, d, variant):
         return rows[g]
 
     ok = True
-    for u in BF.d_element_ids(n, q, d, variant):
+    for u in BS.d_element_ids(n, q, d, variant):
         centralizer = [h for h, c in enumerate(conj_row(u)) if c == u]
-        prods = sorted({group.mul(u, y) for y in BF.y_set(n, q, d, variant, u)})
+        prods = sorted({group.mul(u, y) for y in BS.y_set(n, q, d, variant, u)})
         pidx = {p: i for i, p in enumerate(prods)}
         parent = list(range(len(prods)))
 
@@ -639,7 +641,7 @@ def union_find_fusion(n, q, d, variant):
 def test_fusion_orbit_count_matches_union_find(n, q):
     for d in (1, 2, 3):
         for variant in ("divisible", "exact"):
-            verdict = BF.oracle_sections(n, q, d, variant).parts["iv"]
+            verdict = BS.oracle_sections(n, q, d, variant).parts["iv"]
             assert verdict == union_find_fusion(n, q, d, variant), (d, variant)
 
 
@@ -649,10 +651,10 @@ def test_fusion_orbit_count_matches_union_find_on_all_of_g(n, q, monkeypatch):
     # need not be C(u)-conjugate, and at d = 2 some are not (GL(2,4) is
     # left out: its d = 1 pass alone takes 2 s)
     whole = frozenset(range(Q.gl_order(n, q)))
-    monkeypatch.setattr(BF, "y_set", lambda n, q, d, variant, u_id: whole)
+    monkeypatch.setattr(BS, "y_set", lambda n, q, d, variant, u_id: whole)
     for d in (1, 2, 3):
         for variant in ("divisible", "exact"):
-            verdict = BF.oracle_sections(n, q, d, variant).parts["iv"]
+            verdict = BS.oracle_sections(n, q, d, variant).parts["iv"]
             assert verdict == union_find_fusion(n, q, d, variant), (d, variant)
             if d == 2:
                 assert verdict is False, variant
@@ -663,7 +665,7 @@ def test_unipotent_set_is_identity_section_at_d1():
     data = BF.oracle_classes(3, 2)
     group = data.group
     ident = group.id_index
-    y1 = BF.y_set(3, 2, 1, "divisible", ident)
+    y1 = BS.y_set(3, 2, 1, "divisible", ident)
     labels = L.oracle_labels(data)
     unipotent = {g for g, cid in enumerate(data.class_of) if not labels[cid].support}
     assert y1 == frozenset(unipotent)
@@ -674,10 +676,10 @@ def test_identity_section_size_is_regular_count():
     for n, q, d in [(2, 3, 2), (3, 2, 2), (3, 2, 3)]:
         data = BF.oracle_classes(n, q)
         group = data.group
-        check = BF.oracle_sections(n, q, d, "divisible")
+        check = BS.oracle_sections(n, q, d, "divisible")
         ident_cls = data.class_of[group.id_index]
         in_identity_section = sum(1 for cid in check.section_of if cid == ident_cls)
-        regular = BF.y_set(n, q, d, "divisible", group.id_index)
+        regular = BS.y_set(n, q, d, "divisible", group.id_index)
         assert in_identity_section == len(regular)
 
 
@@ -687,7 +689,7 @@ def test_element_sections_match_label_sections():
         labels = L.oracle_labels(data)
         for d in (1, 2, 3):
             for variant in ("divisible", "exact"):
-                check = BF.oracle_sections(n, q, d, variant)
+                check = BS.oracle_sections(n, q, d, variant)
                 for g, cid in enumerate(data.class_of):
                     x_cid = check.section_of[g]
                     assert L.section_label(labels[cid], d, variant) == \
@@ -695,9 +697,9 @@ def test_element_sections_match_label_sections():
 
 
 def test_dixon_degrees():
-    assert sorted(BF.dixon_table(2, 2).degrees) == [1, 1, 2]
-    assert sorted(BF.dixon_table(3, 2).degrees) == [1, 3, 3, 6, 7, 8]
-    tab = BF.dixon_table(2, 3)
+    assert sorted(BT.dixon_table(2, 2).degrees) == [1, 1, 2]
+    assert sorted(BT.dixon_table(3, 2).degrees) == [1, 3, 3, 6, 7, 8]
+    tab = BT.dixon_table(2, 3)
     assert sorted(tab.degrees) == [1, 1, 2, 2, 2, 3, 3, 4]
     assert sum(d * d for d in tab.degrees) == 48
 
@@ -711,36 +713,36 @@ def dense_orthogonality(tab):
             for i in range(len(tab.reps)):
                 term = cyc_mul(tab.values[a][i], cyc_conj(tab.values[b][i]), e)
                 acc = cyc_add(acc, cyc_scale(tab.sizes[i], term))
-            assert BF.cyc_as_int(acc) == (tab.order if a == b else 0)
+            assert BT.cyc_as_int(acc) == (tab.order if a == b else 0)
 
 
 def test_dixon_orthogonality_reverified():
     for n, q in ORACLE_GROUPS:
-        tab = BF.dixon_table(n, q)
-        BF._verify_orthogonality(tab)
+        tab = BT.dixon_table(n, q)
+        BT._verify_orthogonality(tab)
         dense_orthogonality(tab)
     # one multiplicity moved to another root of unity breaks a relation
-    tab = BF.dixon_table(2, 3)
+    tab = BT.dixon_table(2, 3)
     chi = tab.degrees.index(2)
     value = list(tab.values[chi][0])
     value[0], value[1] = value[1], value[0]
     rows = list(tab.values[chi])
     rows[0] = tuple(value)
     values = tab.values[:chi] + (tuple(rows),) + tab.values[chi + 1:]
-    broken = BF.CharacterTable(tab.order, tab.exponent, tab.reps, tab.sizes,
+    broken = BT.CharacterTable(tab.order, tab.exponent, tab.reps, tab.sizes,
                                tab.inverse_class, tab.degrees, values)
     with pytest.raises(ArithmeticError, match="orthogonality"):
-        BF._verify_orthogonality(broken)
+        BT._verify_orthogonality(broken)
 
 
 def test_borel_constituents():
     for q in (2, 3, 4):
-        dec = BF.borel_unipotent_constituents(2, q)
+        dec = BT.borel_unipotent_constituents(2, q)
         degrees = sorted(dec.table.degrees[chi]
                          for chi, _ in dec.constituents.values())
         assert degrees == [1, q]
         assert all(m == 1 for _, m in dec.constituents.values())
-    dec = BF.borel_unipotent_constituents(3, 2)
+    dec = BT.borel_unipotent_constituents(3, 2)
     # multiplicity equals the number of standard tableaux of the label
     assert dec.constituents[(3,)][1] == 1
     assert dec.constituents[(2, 1)][1] == 2
@@ -775,7 +777,7 @@ def test_flag_fixed_points_past_n_3():
 def test_engine_values_match_oracle_rows():
     for n, q in ORACLE_GROUPS:
         data = BF.oracle_classes(n, q)
-        dec = BF.borel_unipotent_constituents(n, q)
+        dec = BT.borel_unipotent_constituents(n, q)
         tab, labels = dec.table, L.oracle_labels(data)
         for lam, (chi, _) in dec.constituents.items():
             for i, r in enumerate(tab.reps):
@@ -785,7 +787,7 @@ def test_engine_values_match_oracle_rows():
 
 def test_duality_identity():
     for n, q in ORACLE_GROUPS:
-        result = BF.check_d1_duality_identity(n, q)
+        result = BT.check_d1_duality_identity(n, q)
         assert result == {"all_nonzero": True, "unipotent_identity": True}
 
 
@@ -793,14 +795,14 @@ def test_fifth_group_gl25():
     # one more guard-passing group beyond the standard four
     data = BF.oracle_classes(2, 5)
     assert len(data.reps) == 24
-    dec = BF.borel_unipotent_constituents(2, 5)
+    dec = BT.borel_unipotent_constituents(2, 5)
     tab, labels = dec.table, L.oracle_labels(data)
     assert sorted(set(tab.degrees)) == [1, 4, 5, 6]
     for lam, (chi, _) in dec.constituents.items():
         for i, r in enumerate(tab.reps):
             label = labels[data.class_of[r]]
             assert tab.value_int(chi, i) == L.label_value(lam, label)
-    assert BF.check_d1_duality_identity(2, 5) == \
+    assert BT.check_d1_duality_identity(2, 5) == \
         {"all_nonzero": True, "unipotent_identity": True}
 
 
@@ -814,14 +816,14 @@ LARGER_ORACLE_GROUPS = [(2, 7), (2, 8), (3, 3), (4, 2)]
 def test_engine_values_match_oracle_rows_on_larger_groups(n, q):
     data = BF.oracle_classes(n, q)
     assert len(data.group.rows) * q ** n <= BF.TABLE_GUARD
-    assert len(data.reps) <= BF.CLASS_GUARD
-    dec = BF.borel_unipotent_constituents(n, q)
+    assert len(data.reps) <= BT.CLASS_GUARD
+    dec = BT.borel_unipotent_constituents(n, q)
     tab, labels = dec.table, L.oracle_labels(data)
     for lam, (chi, _) in dec.constituents.items():
         for i, r in enumerate(tab.reps):
             label = labels[data.class_of[r]]
             assert tab.value_int(chi, i) == L.label_value(lam, label)
-    assert BF.check_d1_duality_identity(n, q) == \
+    assert BT.check_d1_duality_identity(n, q) == \
         {"all_nonzero": True, "unipotent_identity": True}
 
 
@@ -830,7 +832,7 @@ def test_induced_borel_character_counts_fixed_flags(n, q):
     # |C(g)| |g^G n B| / |B| on each class against the complete flags its
     # representative fixes, counted from the matrix
     data = BF.oracle_classes(n, q)
-    perm = BF.borel_unipotent_constituents(n, q).perm_values
+    perm = BT.borel_unipotent_constituents(n, q).perm_values
     assert perm == tuple(flag_fixed_points(data.group.fq, as_tuples(data.group, r))
                          for r in data.reps)
 
@@ -840,7 +842,7 @@ def test_class_and_enumeration_guards_still_fire():
     # class guard; 2^20 polynomial codes are over the enumeration guard
     assert 82 * 83 <= BF.TABLE_GUARD
     with pytest.raises(ScaleGuardError, match="82 classes over guard 80"):
-        BF.dixon_table(1, 83)
+        BT.dixon_table(1, 83)
     with pytest.raises(ScaleGuardError, match="enumeration guard"):
         BF.enumerate_irreducibles(2, 20)
 
@@ -899,13 +901,13 @@ def poly_times_plus(a, b, c):
 
 monic_divisors = st.one_of(
     st.lists(st.integers(-50, 50), max_size=12).map(lambda low: low + [1]),
-    st.integers(1, 120).map(lambda e: list(BF.cyclotomic_poly(e))))
+    st.integers(1, 120).map(lambda e: list(BT.cyclotomic_poly(e))))
 
 
 @settings(max_examples=300, deadline=None)
 @given(num=st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=40), den=monic_divisors)
 def test_int_poly_divmod_quotient_times_den_plus_remainder(num, den):
-    quotient, remainder = BF._int_poly_divmod(num, den)
+    quotient, remainder = BT._int_poly_divmod(num, den)
     assert len(remainder) == min(len(num), len(den) - 1)
     assert len(quotient) == max(len(num) - len(den) + 1, 0)
     total = poly_times_plus(quotient, den, remainder)
@@ -927,8 +929,8 @@ def int_vectors(e):
 def test_sparse_cyclotomic_reduction_matches_dense_division(start, data):
     for e in range(start, 121, 4):
         a = data.draw(int_vectors(e))
-        rem = dense_remainder(a, BF.cyclotomic_poly(e))
-        assert BF.cyc_reduce(tuple(a)) == tuple(rem + [0] * (e - len(rem)))
+        rem = dense_remainder(a, BT.cyclotomic_poly(e))
+        assert BT.cyc_reduce(tuple(a)) == tuple(rem + [0] * (e - len(rem)))
 
 
 def test_cyclotomic_helpers():
@@ -938,20 +940,20 @@ def test_cyclotomic_helpers():
     assert prod[2] == 1 and sum(map(abs, prod)) == 1
     # zeta^6 = -1 in the 12th cyclotomic field
     z6 = tuple(1 if i == 6 else 0 for i in range(e))
-    assert BF.cyc_as_int(z6) == -1
-    assert BF.cyc_as_int(cyc_mul(z6, z6, e)) == 1
-    assert BF.cyclotomic_poly(12) == (1, 0, -1, 0, 1)
-    assert not any(BF.cyc_reduce(cyc_add(z6, tuple([1] + [0] * (e - 1)))))
+    assert BT.cyc_as_int(z6) == -1
+    assert BT.cyc_as_int(cyc_mul(z6, z6, e)) == 1
+    assert BT.cyclotomic_poly(12) == (1, 0, -1, 0, 1)
+    assert not any(BT.cyc_reduce(cyc_add(z6, tuple([1] + [0] * (e - 1)))))
 
 
 def test_oracle_dump_deterministic(tmp_path, monkeypatch):
-    a = BF.oracle_dump(2, 3)
-    assert a == BF.oracle_dump(2, 3)
+    a = BT.oracle_dump(2, 3)
+    assert a == BT.oracle_dump(2, 3)
     blob = json.loads(a)
     assert blob["order"] == 48
     monkeypatch.setenv("GLBLOCKS_CACHE_DIR", str(tmp_path))
-    first = BF.cached_oracle_dump(2, 3)
-    second = BF.cached_oracle_dump(2, 3)
+    first = BT.cached_oracle_dump(2, 3)
+    second = BT.cached_oracle_dump(2, 3)
     assert first == second == a
     assert [p.name for p in tmp_path.iterdir()] == [f"oracle_{__version__}_2_3.json"]
 
@@ -959,10 +961,10 @@ def test_oracle_dump_deterministic(tmp_path, monkeypatch):
 def test_oracle_cache_ignores_other_versions(tmp_path, monkeypatch):
     # truncated dumps under another version's name and the unversioned name
     monkeypatch.setenv("GLBLOCKS_CACHE_DIR", str(tmp_path))
-    truncated = BF.oracle_dump(2, 3)[:40]
+    truncated = BT.oracle_dump(2, 3)[:40]
     for name in ("oracle_0.0.0-other_2_3.json", "oracle_2_3.json"):
         (tmp_path / name).write_text(truncated)
-    assert BF.cached_oracle_dump(2, 3) == BF.oracle_dump(2, 3)
+    assert BT.cached_oracle_dump(2, 3) == BT.oracle_dump(2, 3)
 
 
 def test_oracle_cache_failed_write_leaves_nothing(tmp_path, monkeypatch):
@@ -971,24 +973,32 @@ def test_oracle_cache_failed_write_leaves_nothing(tmp_path, monkeypatch):
     def broken_fsync(fd):
         raise OSError("disk full")
 
-    monkeypatch.setattr(BF.os, "fsync", broken_fsync)
+    monkeypatch.setattr(BT.os, "fsync", broken_fsync)
     with pytest.raises(OSError):
-        BF.cached_oracle_dump(2, 2)
+        BT.cached_oracle_dump(2, 2)
     assert list(tmp_path.iterdir()) == []
+
+
+ORACLE_MODULES = ("bruteforce", "bfsections", "bftable")
 
 
 def test_oracle_does_not_import_the_engine():
     # the engine-versus-oracle tests are only independent if the oracle
-    # derives its degrees and values without the label-level engine
-    tree = ast.parse((SRC / "glblocks" / "bruteforce.py").read_text())
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            names = [alias.name for alias in node.names]
-            if isinstance(node, ast.ImportFrom) and node.module:
-                names.append(node.module)
-            imported.update(name.rsplit(".", 1)[-1] for name in names)
-    assert not imported & {"charvalue", "blockcalc", "glclass"}, imported
+    # derives its degrees and values without the label-level engine: no
+    # module of the oracle imports one, nor verify, whose checks load it
+    # (imports inside functions included)
+    assert {"bruteforce", *(p.stem for p in (SRC / "glblocks").glob("bf*.py"))} == set(ORACLE_MODULES)
+    for module in ORACLE_MODULES:
+        tree = ast.parse((SRC / "glblocks" / f"{module}.py").read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names]
+                if isinstance(node, ast.ImportFrom) and node.module:
+                    names.append(node.module)
+                imported.update(name.rsplit(".", 1)[-1] for name in names)
+        engine = {"charvalue", "blockcalc", "glclass", "symchar", "verify"}
+        assert not imported & engine, (module, imported & engine)
 
 
 # -- the eigenvalue split by characteristic polynomial ----------------------------
@@ -1002,7 +1012,7 @@ def every_x_eigenvalues(R, ell):
     for x in range(ell):
         shifted = [[(R[a][b] - (x if a == b else 0)) % ell for b in range(m)]
                    for a in range(m)]
-        ker = BF._kernel_mod(shifted, ell)
+        ker = BT._kernel_mod(shifted, ell)
         if ker:
             out.append(x)
             found += len(ker)
@@ -1035,15 +1045,15 @@ def det_mod(M, ell):
 def restricted_matrices(n, q, monkeypatch):
     """Every (R, ell) whose characteristic polynomial dixon_table asks for."""
     seen = []
-    charpoly = BF._charpoly_mod
+    charpoly = BT._charpoly_mod
 
     def recording_charpoly(R, ell):
         seen.append((R, ell))
         return charpoly(R, ell)
 
     with monkeypatch.context() as patch:
-        patch.setattr(BF, "_charpoly_mod", recording_charpoly)
-        BF.dixon_table.__wrapped__(n, q)
+        patch.setattr(BT, "_charpoly_mod", recording_charpoly)
+        BT.dixon_table.__wrapped__(n, q)
     return seen
 
 
@@ -1055,16 +1065,16 @@ def test_charpoly_split_matches_every_x_scan(n, q, monkeypatch):
     # the old scan stands in for the root search: the table is the same,
     # and on every restricted matrix the roots are the eigenvalues it found
     pairs = []
-    charpoly, roots_mod = BF._charpoly_mod, BF._roots_mod
+    charpoly, roots_mod = BT._charpoly_mod, BT._roots_mod
 
     def scan(R, ell):
         expected = every_x_eigenvalues(R, ell)
         pairs.append((roots_mod(charpoly(R, ell), ell), expected))
         return expected
 
-    monkeypatch.setattr(BF, "_charpoly_mod", lambda R, ell: R)
-    monkeypatch.setattr(BF, "_roots_mod", scan)
-    assert BF.dixon_table.__wrapped__(n, q) == BF.dixon_table(n, q)
+    monkeypatch.setattr(BT, "_charpoly_mod", lambda R, ell: R)
+    monkeypatch.setattr(BT, "_roots_mod", scan)
+    assert BT.dixon_table.__wrapped__(n, q) == BT.dixon_table(n, q)
     monkeypatch.undo()
     assert pairs and all(roots == expected for roots, expected in pairs)
 
@@ -1078,7 +1088,7 @@ def charpoly_value(coeffs, x, ell):
 
 def assert_charpoly_is_det(M, ell):
     m = len(M)
-    coeffs = BF._charpoly_mod(M, ell)
+    coeffs = BT._charpoly_mod(M, ell)
     assert len(coeffs) == m + 1 and coeffs[-1] == 1
     for x in range(ell):
         shifted = [[((x if a == b else 0) - M[a][b]) % ell for b in range(m)]
@@ -1117,20 +1127,20 @@ def test_charpoly_of_random_matrices():
 
 
 def test_split_raises_when_a_root_is_dropped_or_added(monkeypatch):
-    roots_mod = BF._roots_mod
-    monkeypatch.setattr(BF, "_roots_mod", lambda coeffs, ell: roots_mod(coeffs, ell)[1:])
+    roots_mod = BT._roots_mod
+    monkeypatch.setattr(BT, "_roots_mod", lambda coeffs, ell: roots_mod(coeffs, ell)[1:])
     with pytest.raises(ArithmeticError, match="failed to split"):
-        BF.dixon_table.__wrapped__(2, 3)
+        BT.dixon_table.__wrapped__(2, 3)
     # a non-root has an empty kernel
-    monkeypatch.setattr(BF, "_roots_mod", lambda coeffs, ell: list(range(ell)))
+    monkeypatch.setattr(BT, "_roots_mod", lambda coeffs, ell: list(range(ell)))
     with pytest.raises(ArithmeticError, match="failed to split"):
-        BF.dixon_table.__wrapped__(2, 3)
+        BT.dixon_table.__wrapped__(2, 3)
 
 
 def test_kernels_only_at_roots_gl25(monkeypatch):
     # 5,598 kernels with the every-x scan; now one per (space, root)
     kernels, roots = [], []
-    kernel_mod, roots_mod = BF._kernel_mod, BF._roots_mod
+    kernel_mod, roots_mod = BT._kernel_mod, BT._roots_mod
 
     def counting_kernel(M, ell):
         kernels.append(len(M))
@@ -1141,30 +1151,30 @@ def test_kernels_only_at_roots_gl25(monkeypatch):
         roots.append(len(found))
         return found
 
-    monkeypatch.setattr(BF, "_kernel_mod", counting_kernel)
-    monkeypatch.setattr(BF, "_roots_mod", counting_roots)
-    BF.dixon_table.__wrapped__(2, 5)
+    monkeypatch.setattr(BT, "_kernel_mod", counting_kernel)
+    monkeypatch.setattr(BT, "_roots_mod", counting_roots)
+    BT.dixon_table.__wrapped__(2, 5)
     assert len(kernels) == sum(roots) < 100
 
 
 def test_degree_search_miss_raises(monkeypatch):
     # with isqrt patched to 0 the degree range is empty; on GL(2,2) the
     # prime is still 7, as its search bound only rises above 5
-    monkeypatch.setattr(BF, "isqrt", lambda m: 0)
+    monkeypatch.setattr(BT, "isqrt", lambda m: 0)
     with pytest.raises(ArithmeticError, match="no degree"):
-        BF.dixon_table.__wrapped__(2, 2)
+        BT.dixon_table.__wrapped__(2, 2)
 
 
 def test_primitive_root_power():
     for ell, e in [(3, 2), (7, 6), (7, 3), (13, 12), (241, 120), (241, 8)]:
-        z = BF._primitive_root_power(ell, e)
+        z = BT._primitive_root_power(ell, e)
         assert pow(z, e, ell) == 1
         assert all(pow(z, e // p, ell) != 1 for p in range(2, e + 1)
                    if e % p == 0 and all(p % r for r in range(2, p)))
     # the least primitive root: 3 mod 7, 2 mod 13, 7 mod 241
-    assert BF._primitive_root_power(7, 6) == 3
-    assert BF._primitive_root_power(13, 12) == 2
-    assert BF._primitive_root_power(241, 240) == 7
+    assert BT._primitive_root_power(7, 6) == 3
+    assert BT._primitive_root_power(13, 12) == 2
+    assert BT._primitive_root_power(241, 240) == 7
 
 
 # -- primary spaces once per element -------------------------------------------------
@@ -1198,7 +1208,7 @@ def tuple_primary_basis(group, A, match):
 
 def matching(d, variant):
     return lambda coeffs, name: name != "u" and \
-        BF._degree_matches(len(coeffs) - 1, d, variant)
+        BS._degree_matches(len(coeffs) - 1, d, variant)
 
 
 def tuple_x_part_element(group, g_id, d, variant):
@@ -1252,7 +1262,7 @@ def test_lookup_sections_match_tuple_arithmetic(n, q, variant):
     group = BF.build_group(n, q)
     for d in (1, 2, 3):
         for g in range(len(group.rows)):
-            assert BF.x_part_element(group, g, d, variant) == \
+            assert BS.x_part_element(group, g, d, variant) == \
                 tuple_x_part_element(group, g, d, variant)
-        for u in BF.d_element_ids(n, q, d, variant):
-            assert BF.y_set(n, q, d, variant, u) == tuple_y_set(group, d, variant, u)
+        for u in BS.d_element_ids(n, q, d, variant):
+            assert BS.y_set(n, q, d, variant, u) == tuple_y_set(group, d, variant, u)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from glblocks import bruteforce as BF
+from glblocks import bftable as BT
 from glblocks import charvalue as C
 from glblocks import glclass as G
 from glblocks import qarith as Q
@@ -311,7 +311,7 @@ def test_degrees_match_q_hook_formula():
     for n in range(0, 13):
         for q in (2, 3):
             for nu in partitions_of(n):
-                assert unipotent_degree(nu, q) == BF.q_hook_degree(nu, q), (nu, q)
+                assert unipotent_degree(nu, q) == BT.q_hook_degree(nu, q), (nu, q)
 
 
 @pytest.mark.parametrize("wrong, message", [

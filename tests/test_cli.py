@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glblocks import __version__, blockcalc, charvalue, cli, glclass
+from glblocks import __version__, blockcalc, charvalue, cli, glclass, verify
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -384,7 +384,7 @@ def test_oracle_runs_on_gl33(capsys, monkeypatch):
 
 
 def test_verify_failure_exits_nonzero(capsys, monkeypatch):
-    monkeypatch.setitem(cli.VERIFIERS, "lemma49",
+    monkeypatch.setitem(verify.VERIFIERS, "lemma49",
                         lambda args: (False, {"forced": True}))
     code, out = run(["verify", "lemma49", "--output", "json"], capsys)
     assert code == 1
@@ -491,8 +491,8 @@ def test_verify_defaults_are_per_check(capsys, monkeypatch):
         seen[args.check] = {k: v for k, v in vars(args).items()
                             if k not in ("command", "check", "output", "out_path", "func")}
         return True, {}
-    for check in cli.VERIFIERS:
-        monkeypatch.setitem(cli.VERIFIERS, check, record)
+    for check in verify.VERIFIERS:
+        monkeypatch.setitem(verify.VERIFIERS, check, record)
         assert run(["verify", check], capsys)[0] == 0
     group = {"n": 3, "q": 2, "d": 1, "variant": "divisible"}
     assert seen == {"prop32": {**group, "variant": None}, "thm43": group, "thm44": group,
@@ -526,7 +526,7 @@ def test_csv_usage_error_comes_before_any_work(capsys, monkeypatch):
 def test_internal_error_exits_5_with_traceback(capsys, monkeypatch):
     def broken(args):
         raise RuntimeError("broken verifier")
-    monkeypatch.setitem(cli.VERIFIERS, "lemma49", broken)
+    monkeypatch.setitem(verify.VERIFIERS, "lemma49", broken)
     code = cli.main(["verify", "lemma49"])
     captured = capsys.readouterr()
     assert code == 5 and captured.out == ""
@@ -745,10 +745,11 @@ def test_large_prime_q_reaches_the_class_guard_at_once():
 
 def test_engine_commands_import_only_what_they_run():
     # only oracle, verify prop32 and verify thm45 need the element-level
-    # module; no command needs dataclasses (which loads inspect, ast
-    # and dis), traceback (only a crash prints one) or csv (table quotes
-    # its own CSV fields).  The same script with no command is the
-    # baseline, so modules that the interpreter's site set-up loads do not count.
+    # modules, and only verify the verify module; no command needs
+    # dataclasses (which loads inspect, ast and dis), traceback (only a
+    # crash prints one) or csv (table quotes its own CSV fields).  The same
+    # script with no command is the baseline, so modules that the
+    # interpreter's site set-up loads do not count.
     script = "\n".join([
         "import contextlib, io, json, sys",
         "code = None",
@@ -766,7 +767,8 @@ def test_engine_commands_import_only_what_they_run():
         return json.loads(out)
 
     _, baseline = loaded([])
-    forbidden = {"dataclasses", "inspect", "traceback", "csv", "glblocks.bruteforce"}
+    oracle = {"glblocks.bruteforce", "glblocks.bfsections", "glblocks.bftable"}
+    forbidden = {"dataclasses", "inspect", "traceback", "csv"} | oracle
     for argv in (["blocks", "--n", "4", "--q", "3", "--d", "2"],
                  ["matrix", "--n", "4", "--q", "3", "--d", "2", "--output", "json"],
                  ["classes", "--n", "3", "--q", "3", "--d", "2"],
@@ -774,19 +776,25 @@ def test_engine_commands_import_only_what_they_run():
                  ["verify", "smt55", "--n", "4", "--q", "3", "--d", "2"]):
         code, modules = loaded(argv)
         assert code == 0 and "glblocks.glclass" in modules, argv
-        unwanted = (set(modules) - set(baseline)) & forbidden
+        unwanted = (set(modules) - set(baseline)) & (
+            forbidden if argv[0] == "verify" else forbidden | {"glblocks.verify"})
         assert not unwanted, (argv, unwanted)
     # the element-level oracle loads bruteforce, but neither dataclasses nor
-    # inspect; oracle and verify prop32 load no label-level engine module,
-    # and partition loads none beyond partitions
+    # inspect; oracle loads no section check, verify prop32 no character
+    # table, and neither a label-level engine module
     engine = {"glblocks.blockcalc", "glblocks.charvalue", "glblocks.glclass", "glblocks.symchar"}
     env.pop("GLBLOCKS_CACHE_DIR", None)
-    for argv, forbidden in ((["oracle", "--n", "2", "--q", "2"], engine),
-                            (["verify", "prop32", "--n", "2", "--q", "2", "--d", "2"], engine),
-                            (["verify", "thm45", "--n", "2", "--q", "2"], set())):
+    for argv, forbidden in ((["oracle", "--n", "2", "--q", "2"],
+                             engine | {"glblocks.bfsections", "glblocks.verify"}),
+                            (["verify", "prop32", "--n", "2", "--q", "2", "--d", "2"],
+                             engine | {"glblocks.bftable"}),
+                            (["verify", "thm45", "--n", "2", "--q", "2"], {"glblocks.bfsections"})):
         code, modules = loaded(argv)
         assert code == 0 and "glblocks.bruteforce" in modules, argv
         unwanted = (set(modules) - set(baseline)) & ({"dataclasses", "inspect"} | forbidden)
         assert not unwanted, (argv, unwanted)
+    # partition loads no glblocks module beyond partitions
     code, modules = loaded(["partition", "core", "[3,1]", "--d", "2"])
-    assert code == 0 and not (set(modules) & (engine | {"glblocks.bruteforce", "glblocks.qarith"}))
+    assert code == 0
+    assert {m for m in modules if m.startswith("glblocks")} == {
+        "glblocks", "glblocks.cli", "glblocks.errors", "glblocks.partitions"}

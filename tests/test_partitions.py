@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from glblocks import partitions as P
+from glblocks import verify as V
 from glblocks.errors import InfeasibleError
 from glblocks.partitions import AbacusState, rim_hooks
 from hookref import l_set_iterate, path_sign_set
@@ -214,7 +215,7 @@ def test_core_quotient_bijection_and_weight_consistency():
         for d in range(1, 7):
             core = P.d_core(lam, d)
             quo = P.d_quotient(lam, d)
-            assert P.from_core_quotient(core, quo, d) == lam
+            assert V.from_core_quotient(core, quo, d) == lam
             assert sum(lam) == sum(core) + d * P.d_weight(lam, d)
             assert P.d_weight(lam, d) == sum(sum(c) for c in quo)
 
@@ -245,12 +246,12 @@ def test_removal_path_count_matches_enumeration():
 
 
 def test_epsilon_examples():
-    assert P.epsilon((2,), 2) == 1
-    assert P.epsilon((1, 1), 2) == -1
+    assert V.epsilon((2,), 2) == 1
+    assert V.epsilon((1, 1), 2) == -1
     # both complete paths of the 2x2 square have even total leg (0 and 2)
     legs = {p.total_leg for p in P.removal_paths((2, 2), 2)}
     assert legs == {0, 2}
-    assert P.epsilon((2, 2), 2) == 1
+    assert V.epsilon((2, 2), 2) == 1
 
 
 def test_sign_path_independence_exhaustive():
@@ -258,7 +259,7 @@ def test_sign_path_independence_exhaustive():
         for d in range(1, 6):
             signs = path_sign_set(lam, d)
             assert len(signs) == 1
-            assert signs == frozenset({P.epsilon(lam, d)})
+            assert signs == frozenset({V.epsilon(lam, d)})
 
 
 # -- simplicity, disjointness, construction ------------------------------------------
@@ -267,9 +268,9 @@ def test_is_simple_examples():
     for lam in all_partitions_upto(8):
         for d in (2, 3):
             gamma = P.d_core(lam, d)
-            assert P.is_simple(gamma, d)
-    assert not P.is_simple((4,), 2)
-    assert not P.is_simple((6, 5, 5, 2, 1), 3)
+            assert V.is_simple(gamma, d)
+    assert not V.is_simple((4,), 2)
+    assert not V.is_simple((6, 5, 5, 2, 1), 3)
 
 
 def test_simple_iff_no_multiple_hooks():
@@ -277,13 +278,13 @@ def test_simple_iff_no_multiple_hooks():
         for d in (2, 3):
             expected = all(not P.rim_hooks(lam, m * d)
                            for m in range(2, sum(lam) // d + 1))
-            assert P.is_simple(lam, d) == expected
+            assert V.is_simple(lam, d) == expected
 
 
 def test_simple_implies_weight_at_most_d():
     for lam in all_partitions_upto(14):
         for d in (2, 3, 4):
-            if P.is_simple(lam, d):
+            if V.is_simple(lam, d):
                 assert P.d_weight(lam, d) <= d
 
 
@@ -291,35 +292,35 @@ def test_disjointness():
     for lam in all_partitions_upto(8):
         for d in (2, 3):
             gamma = P.d_core(lam, d)
-            assert P.disjoint(lam, gamma, d)
+            assert V.disjoint(lam, gamma, d)
             if P.d_weight(lam, d) > 0:
-                assert not P.disjoint(lam, lam, d)
+                assert not V.disjoint(lam, lam, d)
 
 
 def test_weight_one_partitions_over_a_core_are_disjoint():
     # one weight-1 partition per runner, pairwise on distinct runners
     for d, gamma in [(2, (1,)), (2, (2, 1)), (3, ())]:
-        singles = [P.single_runner_partition(gamma, 1, d, r) for r in range(d)]
+        singles = [V.single_runner_partition(gamma, 1, d, r) for r in range(d)]
         with pytest.raises(ValueError, match=f"runner {d} of {d}"):
-            P.single_runner_partition(gamma, 1, d, d)
+            V.single_runner_partition(gamma, 1, d, d)
         assert len(set(singles)) == d
         for i, a in enumerate(singles):
             assert P.d_weight(a, d) == 1 and P.d_core(a, d) == gamma
             for b in singles[i + 1:]:
-                assert P.disjoint(a, b, d)
+                assert V.disjoint(a, b, d)
 
 
 def test_find_simple_disjoint():
-    lam = P.find_simple_disjoint((), 1, 3, frozenset())
+    lam = V.find_simple_disjoint((), 1, 3, frozenset())
     assert P.d_core(lam, 3) == () and P.d_weight(lam, 3) == 1
-    assert P.is_simple(lam, 3)
+    assert V.is_simple(lam, 3)
 
-    lam = P.find_simple_disjoint((), 2, 5, frozenset({0}))
-    assert P.is_simple(lam, 5) and P.d_weight(lam, 5) == 2
-    assert 0 not in P.runners_used(lam, 5)
+    lam = V.find_simple_disjoint((), 2, 5, frozenset({0}))
+    assert V.is_simple(lam, 5) and P.d_weight(lam, 5) == 2
+    assert 0 not in V.runners_used(lam, 5)
 
     with pytest.raises(InfeasibleError):
-        P.find_simple_disjoint((2, 1), 1, 3, frozenset({0, 1, 2}))
+        V.find_simple_disjoint((2, 1), 1, 3, frozenset({0, 1, 2}))
 
 
 # -- reachability sets ------------------------------------------------------------------
@@ -336,7 +337,7 @@ def test_l_sets():
 
 
 def test_l_set_single_hook_empty_for_simple():
-    mu = P.find_simple_disjoint((), 2, 3, frozenset())
+    mu = V.find_simple_disjoint((), 2, 3, frozenset())
     for i in range(2, P.d_weight(mu, 3) + 1):
         assert l_set_single(mu, 3, i) == frozenset()
 

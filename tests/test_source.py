@@ -1,8 +1,13 @@
 """Source-level checks on src/glblocks."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "glblocks"
 
@@ -59,3 +64,14 @@ def test_no_assert_statements_in_src():
     found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in SRC.glob("*.py")))
+def test_each_module_imports_alone_in_a_fresh_interpreter(module):
+    # an import cycle among the modules shows only for an import order that
+    # closes it, so each module is imported first, on its own
+    name = "glblocks" if module == "__init__" else f"glblocks.{module}"
+    run = subprocess.run([sys.executable, "-c", f"import {name}"],
+                         env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
