@@ -27,7 +27,7 @@ from math import factorial
 from operator import mul
 from types import MappingProxyType
 
-from .glclass import ClassType, class_keys, class_types
+from .glclass import ClassType, class_types
 from .partitions import n_stat, partitions_of
 from .qarith import gl_order, torus_order, unipotent_centralizer_order
 from .symchar import character_table, partition_index, signed_removal_map, z_order
@@ -168,6 +168,7 @@ class CharValueTable:
     """All unipotent character values for one GL(n,q), one value vector per class type."""
 
     def __init__(self, n: int, q: int):
+        from .classlist import class_keys  # only the table lists classes
         self.n, self.q = n, q
         # {assignment key: type} in key order, read-only: table(n, q) is
         # cached and shared by every caller

@@ -174,9 +174,9 @@ def cmd_partition(args) -> int:
 
 
 def cmd_classes(args) -> int:
-    from . import glclass
+    from . import classlist
     ctx = args.n, args.q, args.d, args.variant
-    _emit(args, lambda: glclass.classes_json(*ctx), lambda: glclass.classes_text(*ctx))
+    _emit(args, lambda: classlist.classes_json(*ctx), lambda: classlist.classes_text(*ctx))
     return 0
 
 

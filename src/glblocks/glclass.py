@@ -10,40 +10,28 @@ so the engine works on types alone: `class_types` enumerates them with
 the number of classes of each type, and every order, size and d-test here
 takes a type.  A type has no q and no index, and is not validated.
 
-A class is named by its assignment key: the X-1 partition ("u:..."),
-then each other polynomial as (degree, index) into the canonical pool
-that excludes X and X-1 ("f<degree>.<index>:..."), so keys never need
-actual coefficients.  `class_keys` expands each type into the keys of its
-classes, and of their sections, without building a label.  `classes_json`
-and `classes_text` write the class list, and the value table its rows, as
-text chunks from fragments formatted once per type: no record is built per
-class and no whole report is held.  The part of a class supported on
-polynomials of degree divisible by d (variant "divisible") or exactly d
-(variant "exact") determines its section, and `section_heads` lists the
-section heads by type.  The element-level oracle names each class by the
-same key, read off the primary spaces of a matrix (`bruteforce.element_key`);
-the validated label type behind a key is a test reference (`tests/labelref.py`).
+A class is named by its assignment key: the X-1 partition ("u:..."), then
+each other polynomial as (degree, index) into the canonical pool that
+excludes X and X-1 ("f<degree>.<index>:..."), so keys never need actual
+coefficients; `classlist` lists every class's keys.  The part of a class
+supported on polynomials of degree divisible by d (variant "divisible") or
+exactly d (variant "exact") determines its section, and `section_heads`
+lists the section heads by type.  The element-level oracle names each class
+by the same key, read off the primary spaces of a matrix
+(`bruteforce.element_key`); the validated label type behind a key is a test
+reference (`tests/labelref.py`).
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from functools import cache
 from math import factorial, perm, prod
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .errors import ScaleGuardError
 from .partitions import partitions_of
-from .qarith import (
-    gl_order,
-    non_unipotent_count,
-    prime_power,
-    unipotent_centralizer_order,
-)
-
-CLASS_GUARD = 200_000
+from .qarith import gl_order, non_unipotent_count, prime_power, unipotent_centralizer_order
 
 VARIANTS = ("divisible", "exact")
 
@@ -83,39 +71,6 @@ def class_types(n: int, q: int) -> MappingProxyType[ClassType, int]:
         for u in partitions_of(n - sum(e * sum(p) for e, p in pairs)):
             out[ClassType(n, u, pairs)] = ways
     return MappingProxyType(out)
-
-
-def class_keys(n: int, q: int, d: int | None = None,
-               variant: str = "divisible") -> list[tuple[str, str, ClassType]]:
-    """(assignment key, section key, type) of every class of GL(n,q), in key order.
-
-    A type's classes are its placements: per degree e, each order of its
-    partitions on each set of indices of the degree-e pool.  Indices come
-    ascending and degrees in turn, so each key is built sorted.  The
-    section key is the part on matching degrees, "1" when there is none.
-    """
-    types = class_types(n, q)
-    total = sum(types.values())
-    if total > CLASS_GUARD:
-        raise ScaleGuardError(f"{total} classes of GL({n},{q}) exceed guard {CLASS_GUARD}")
-    out = []
-    for t in types:
-        head = ("u:" + ",".join(map(str, t.unipotent)),) if t.unipotent else ()
-        options, in_section = [], []
-        for e, group in itertools.groupby(t.components, key=lambda x: x[0]):
-            parts = [",".join(map(str, p)) for _, p in group]
-            options.append(["|".join(f"f{e}.{i}:{p}" for i, p in zip(at, order))
-                            for order in set(itertools.permutations(parts))
-                            for at in itertools.combinations(range(non_unipotent_count(q, e)),
-                                                             len(order))])
-            in_section.append(d is not None and _degree_matches(e, d, variant))
-        for pick in itertools.product(*options):
-            section = "|".join(itertools.compress(pick, in_section)) or "1"
-            out.append(("|".join(head + pick) or "id0", section, t))
-    if len(out) != total or len({key for key, _, _ in out}) != total:
-        raise AssertionError(f"class keys of GL({n},{q}) repeat or miss a class")
-    out.sort(key=lambda rec: rec[0])
-    return out
 
 
 def centralizer_order(t: ClassType, q: int) -> int:
@@ -173,32 +128,3 @@ def section_heads(n: int, q: int, d: int, variant: str) -> tuple[ClassType, ...]
     """Types of the section heads: d-elements of GL(m,q), m <= n, without X-1."""
     return tuple(t for m in range(n + 1) for t in class_types(m, q)
                  if not t.unipotent and is_d_element(t, d, variant))
-
-
-def classes_json(n: int, q: int, d: int, variant: str):
-    """The class list as JSON chunks, byte for byte json.dumps(..., sort_keys=True)
-    of {"classes": [a record per class in key order], "n": n, "q": q}.  Each
-    type's record is formatted once, and a class splices in its assignment and
-    section keys, which JSON never escapes (digits and "u f i . , : |").  All
-    that can raise, the class guard and class-size divisions among it, runs
-    before the first chunk."""
-    keys = class_keys(n, q, d, variant)
-    # str() of a list of int lists is its JSON text
-    records = {t: f'{{"assignment": "%s", "centralizer_order": {centralizer_order(t, q)}, '
-                  f'"d_type": {[list(p) for p in d_type(t, d, variant)]}, "section": "%s", '
-                  f'"size": {class_size(t, q)}}}' for t in class_types(n, q)}
-    sep = '{"classes": ['
-    for key, section, t in keys:
-        yield sep + records[t] % (key, section)
-        sep = ", "
-    yield f'], "n": {n}, "q": {q}}}'
-
-
-def classes_text(n: int, q: int, d: int, variant: str):
-    """The class list as text chunks, a line "key  size S  cent C" per class
-    in key order, built like classes_json."""
-    keys = class_keys(n, q, d, variant)
-    lines = {t: f"%s  size {class_size(t, q)}  cent {centralizer_order(t, q)}\n"
-             for t in class_types(n, q)}
-    for key, _, t in keys:
-        yield lines[t] % key

@@ -1,12 +1,13 @@
 """Label-level reference for the class list, the sections and the value table.
 
-The engine expands each class type straight into key strings
-(`glclass.class_keys`), and the element-level oracle reads the same keys
-off the primary spaces of matrices (`bruteforce.element_key`).  This
-module keeps the validated label type behind a key (`GLClassLabel`, built
-by `make_label`, read back from a key by `parse_key`) and the path the
-engine replaced: every class as a label, keyed and sorted by `key()`,
-with its orders, d-type and section taken label by label.  The tests
+The engine streams the key strings of every class in key order from a
+walk of the polynomial pool (`classlist.class_keys`), and the
+element-level oracle reads the same keys off the primary spaces of
+matrices (`bruteforce.element_key`).  This module keeps the validated
+label type behind a key (`GLClassLabel`, built by `make_label`, read back
+from a key by `parse_key`) and the path the engine replaced: every class
+as a label, held in one tuple sorted by `key()`, with its orders, d-type
+and section (`section_key`) taken label by label.  The tests
 compare the engine and the oracle against it, and use its labels where
 an index is compared.  It also keeps `xy_decompose`, the split of a type
 into its d-part and the rest, which the engine no longer needs: it
@@ -23,9 +24,9 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from glblocks.charvalue import class_values
+from glblocks.classlist import CLASS_GUARD
 from glblocks.errors import ScaleGuardError
 from glblocks.glclass import (
-    CLASS_GUARD,
     ClassType,
     _degree_matches,
     centralizer_order,
@@ -157,6 +158,12 @@ def section_label(c: GLClassLabel, d: int, variant: str = "divisible"):
                  if _degree_matches(k.degree, d, variant)))
 
 
+def section_key(c: GLClassLabel, d: int, variant: str = "divisible") -> str:
+    """The section's key string: the d-part of c's key, "1" when there is none."""
+    return "|".join(f"f{k.degree}.{k.index}:" + ",".join(map(str, p))
+                    for k, p in section_label(c, d, variant)) or "1"
+
+
 @cache
 def sections(n: int, q: int, d: int, variant: str = "divisible"):
     """Map section key -> tuple of classes, keyed by the d-part support."""
@@ -179,9 +186,7 @@ def classes_report(n: int, q: int, d: int | None = None,
         }
         if d is not None:
             rec["d_type"] = list(map(list, d_type(t, d, variant)))
-            sec = section_label(c, d, variant)
-            rec["section"] = "|".join(
-                f"f{k.degree}.{k.index}:" + ",".join(map(str, p)) for k, p in sec) or "1"
+            rec["section"] = section_key(c, d, variant)
         records.append(rec)
     return {"n": n, "q": q, "classes": records}
 

@@ -10,6 +10,7 @@ from glblocks import bfsections as BS
 from glblocks import bftable as BT
 from glblocks import bruteforce as BF
 from glblocks import charvalue as C
+from glblocks import classlist as CL
 from glblocks import glclass as G
 from glblocks import qarith as Q
 from glblocks.errors import ScaleGuardError
@@ -117,7 +118,7 @@ def test_oracle_labels_match_engine_classes():
     for n, q in ORACLE_GROUPS:
         data = BF.oracle_classes(n, q)
         # every engine key names an oracle class of the same type, and back
-        engine = {key: t for key, _, t in G.class_keys(n, q)}
+        engine = {key: t for key, _, t in CL.class_keys(n, q)}
         oracle = {lab.key(): L.type_of(lab) for lab in L.oracle_labels(data)}
         assert engine == oracle
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glblocks import __version__, blockcalc, charvalue, cli, glclass, verify
+from glblocks import __version__, blockcalc, charvalue, classlist, cli, verify
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -560,8 +560,8 @@ CLASSES_ARGV = ["classes", "--n", "4", "--q", "3", "--d", "2"]
     (MATRIX_ARGV, "json", (blockcalc, "inner_product_matrix_csv")),
     (MATRIX_ARGV, "csv", (blockcalc, "inner_product_matrix_report")),
     (MATRIX_ARGV, "text", (blockcalc, "inner_product_matrix_csv")),
-    (CLASSES_ARGV, "json", (glclass, "classes_text")),
-    (CLASSES_ARGV, "text", (glclass, "classes_json")),
+    (CLASSES_ARGV, "json", (classlist, "classes_text")),
+    (CLASSES_ARGV, "text", (classlist, "classes_json")),
 ], ids=["table-json", "table-csv", "table-text", "matrix-json", "matrix-csv", "matrix-text",
         "classes-json", "classes-text"])
 def test_only_the_requested_form_is_built(capsys, monkeypatch, argv, output, unbuilt):
@@ -745,7 +745,8 @@ def test_large_prime_q_reaches_the_class_guard_at_once():
 
 def test_engine_commands_import_only_what_they_run():
     # only oracle, verify prop32 and verify thm45 need the element-level
-    # modules, and only verify the verify module; no command needs
+    # modules, only verify the verify module, and only classes and table
+    # the class list (classes loads no value engine); no command needs
     # dataclasses (which loads inspect, ast and dis), traceback (only a
     # crash prints one) or csv (table quotes its own CSV fields).  The same
     # script with no command is the baseline, so modules that the
@@ -773,12 +774,19 @@ def test_engine_commands_import_only_what_they_run():
                  ["matrix", "--n", "4", "--q", "3", "--d", "2", "--output", "json"],
                  ["classes", "--n", "3", "--q", "3", "--d", "2"],
                  ["table", "--n", "3", "--q", "2", "--output", "json"],
+                 ["verify", "thm43", "--n", "4", "--q", "3", "--d", "2"],
                  ["verify", "smt55", "--n", "4", "--q", "3", "--d", "2"]):
         code, modules = loaded(argv)
         assert code == 0 and "glblocks.glclass" in modules, argv
-        unwanted = (set(modules) - set(baseline)) & (
-            forbidden if argv[0] == "verify" else forbidden | {"glblocks.verify"})
+        unread = {"glblocks.verify"} if argv[0] != "verify" else set()
+        if argv[0] not in ("classes", "table"):
+            unread.add("glblocks.classlist")
+        unwanted = (set(modules) - set(baseline)) & (forbidden | unread)
         assert not unwanted, (argv, unwanted)
+        if argv[0] == "classes":
+            assert {m for m in modules if m.startswith("glblocks.")} == {
+                "glblocks.cli", "glblocks.errors", "glblocks.partitions", "glblocks.qarith",
+                "glblocks.glclass", "glblocks.classlist"}
     # the element-level oracle loads bruteforce, but neither dataclasses nor
     # inspect; oracle loads no section check, verify prop32 no character
     # table, and neither a label-level engine module

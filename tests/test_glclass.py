@@ -3,12 +3,15 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from glblocks import charvalue as C
+from glblocks import classlist as CL
 from glblocks import cli
 from glblocks import glclass as G
 from glblocks import partitions as P
@@ -144,12 +147,13 @@ def test_label_validation():
 
 
 def test_label_checks_survive_python_O():
-    # argument checks are explicit raises, so `python -O` keeps them
+    # argument checks are explicit raises, so `python -O` keeps them; those
+    # of class_keys run on the call, before its stream yields anything
     script = "\n".join([
         "import labelref as L",
-        "from glblocks import glclass as G",
+        "from glblocks import classlist as CL",
         "for bad in (lambda: L.make_label(2, 3, (), [((1, 0), (1,)), ((1, 0), (1,))]),",
-        "            lambda: G.class_keys(-1, 2)):",
+        "            lambda: CL.class_keys(-1, 2), lambda: CL.class_keys(3, 2, 2, 'bogus')):",
         "    try:",
         "        bad()",
         "    except ValueError as exc:",
@@ -161,7 +165,8 @@ def test_label_checks_survive_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.splitlines() == ["raised support entry PolyKey(degree=1, index=0) is repeated or empty",
-                                "raised n must be at least 0, got -1"]
+                                "raised n must be at least 0, got -1",
+                                "raised unknown variant 'bogus'"]
 
 
 @pytest.mark.parametrize("n, q", [(n, q) for n in range(5) for q in (2, 3, 4, 5)]
@@ -347,8 +352,8 @@ def test_section_class_sizes_sum_to_group_order():
 
 
 def test_classes_json_deterministic():
-    a = "".join(G.classes_json(3, 2, 2, "divisible"))
-    b = "".join(G.classes_json(3, 2, 2, "divisible"))
+    a = "".join(CL.classes_json(3, 2, 2, "divisible"))
+    b = "".join(CL.classes_json(3, 2, 2, "divisible"))
     assert a == b
     payload = json.loads(a)
     assert payload["n"] == 3 and payload["q"] == 2
@@ -399,8 +404,8 @@ def test_classes_and_table_match_label_reference(n, q, monkeypatch, capsys):
              for fmt in ("json", "text")]
     argvs += [["table", *size, "--output", fmt] for fmt in ("json", "csv", "text")]
     engine = [_stdout(argv, capsys) for argv in argvs]
-    monkeypatch.setattr(G, "classes_json", _reference_classes_json)
-    monkeypatch.setattr(G, "classes_text", _reference_classes_text)
+    monkeypatch.setattr(CL, "classes_json", _reference_classes_json)
+    monkeypatch.setattr(CL, "classes_text", _reference_classes_text)
     monkeypatch.setattr(C, "table", _ReferenceTable)
     for argv, out in zip(argvs, engine):
         assert out == _stdout(argv, capsys), argv
@@ -411,15 +416,75 @@ def test_streamed_class_list_is_the_reference_dump(d, variant):
     # the chunks join to json.dumps of the label-level records, and the text
     # chunks to one line per record
     reference = L.classes_report(6, 5, d, variant)
-    assert "".join(G.classes_json(6, 5, d, variant)) == json.dumps(reference, sort_keys=True)
-    assert "".join(G.classes_text(6, 5, d, variant)) == "".join(
+    assert "".join(CL.classes_json(6, 5, d, variant)) == json.dumps(reference, sort_keys=True)
+    assert "".join(CL.classes_text(6, 5, d, variant)) == "".join(
         _reference_classes_text(6, 5, d, variant))
 
 
 def test_class_keys_raise_on_a_missed_class(monkeypatch):
-    # the types of GL(3,2) are counted with the true pools; one polynomial
-    # fewer per degree leaves classes unlisted
-    G.class_types(3, 2)
-    monkeypatch.setattr(G, "non_unipotent_count", lambda q, e: Q.non_unipotent_count(q, e) - 1)
+    # class_types counts the types of GL(3,2) with the true pools; one
+    # polynomial fewer per degree in the walk leaves classes unlisted, which
+    # the count at the end of the stream catches
+    monkeypatch.setattr(CL, "non_unipotent_count", lambda q, e: Q.non_unipotent_count(q, e) - 1)
     with pytest.raises(AssertionError, match="repeat or miss a class"):
-        G.class_keys(3, 2)
+        list(CL.class_keys(3, 2))
+
+
+@pytest.mark.parametrize("extra", [lambda e: 1, lambda e: e == 3], ids=["every-degree", "degree-3"])
+def test_class_keys_raise_on_an_extra_class(monkeypatch, extra):
+    # one polynomial more per degree places partitions on a linear
+    # polynomial of F_2, a type that class_types(3, 2) does not have; one
+    # more of degree 3 only adds a class of a known type, which the count
+    # at the end of the stream catches
+    monkeypatch.setattr(CL, "non_unipotent_count",
+                        lambda q, e: Q.non_unipotent_count(q, e) + extra(e))
+    with pytest.raises(AssertionError, match="repeat or miss a class"):
+        list(CL.class_keys(3, 2))
+
+
+@pytest.mark.parametrize("change, kept", [(lambda keys: keys[:2] + keys[1:], 2),
+                                          (lambda keys: keys[::-1], 1)], ids=["repeat", "reverse"])
+def test_class_keys_raise_mid_stream_on_a_key_out_of_order(monkeypatch, change, kept):
+    # each key must follow the one before: a repeated or a reversed key
+    # raises as it comes, after the keys before it were yielded
+    walk = CL._walk
+    monkeypatch.setattr(CL, "_walk", lambda *args: iter(change(list(walk(*args)))))
+    yielded = []
+    with pytest.raises(AssertionError, match="follows"):
+        yielded.extend(CL.class_keys(3, 2))
+    assert len(yielded) == kept
+
+
+# the groups of the property test below: n <= 5, q up to 13, and at most
+# 15,000 classes, so that the label-level reference stays quick
+STREAM_GROUPS = [(n, q) for n in range(6) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13)
+                 if sum(G.class_types(n, q).values()) <= 15_000]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(STREAM_GROUPS), st.sampled_from((1, 2, 3)), st.sampled_from(G.VARIANTS))
+def test_class_keys_stream_the_label_reference(group, d, variant):
+    # the streamed keys and section keys are the label-level reference's,
+    # every label sorted by key(); each type equals the label's, and is the
+    # very key object of class_types, so dicts keyed by type find it at once
+    n, q = group
+    streamed = list(CL.class_keys(n, q, d, variant))
+    reference = L.all_classes(n, q)
+    assert [(key, section) for key, section, _ in streamed] == [
+        (c.key(), L.section_key(c, d, variant)) for c in reference]
+    types = {id(t) for t in G.class_types(n, q)}
+    assert all(t == L.type_of(c) and id(t) in types for (_, _, t), c in zip(streamed, reference))
+
+
+def test_class_list_stream_holds_no_per_class_list():
+    # the JSON class list of GL(6,5) d=2 (15,600 classes) is written while
+    # only the walk's open nodes are held; a sorted list of every class's
+    # keys, which the stream replaced, peaked at about 3 MB traced
+    G.class_types(6, 5)
+    tracemalloc.start()
+    try:
+        size = sum(map(len, CL.classes_json(6, 5, 2, "divisible")))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size > 2_000_000 and peak < 2_000_000, peak

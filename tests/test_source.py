@@ -75,3 +75,13 @@ def test_each_module_imports_alone_in_a_fresh_interpreter(module):
                          env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
+
+
+def test_readme_layout_names_every_module():
+    # the Layout block of README.md is the module map: each module of
+    # src/glblocks has its line there
+    readme = (SRC.parent.parent / "README.md").read_text()
+    layout = readme.split("\n## Layout\n", 1)[1].split("```")[1]
+    named = {line.split()[0] for line in layout.splitlines() if line.startswith("  ")}
+    missing = sorted(path.name for path in SRC.glob("*.py") if path.name not in named)
+    assert not missing, missing
