@@ -10,7 +10,7 @@ restricted class matrix at a time; its eigenvalues are the roots mod the
 chosen prime of its characteristic polynomial (from a Hessenberg form), so
 a kernel is only computed at a root.  The Borel permutation character is
 the character induced from the trivial character of the upper triangular
-matrices.
+matrices.  `cmd_oracle` is the handler of the `oracle` command.
 """
 
 from __future__ import annotations
@@ -538,3 +538,8 @@ def cached_oracle_dump(n: int, q: int) -> str:
         os.unlink(tmp)
         raise
     return blob
+
+
+def cmd_oracle(args):
+    blob = cached_oracle_dump(args.n, args.q)
+    return 0, lambda: json.loads(blob), lambda: blob

@@ -18,7 +18,8 @@ degree-preserving relabeling of polynomials, so no conjugation is needed.
 The unipotent d-blocks are a tuple of frozensets of partition labels in
 `symchar`'s canonical order, as is the same-core grouping that
 `blocks_report` compares them with.  The closed forms, chains and the
-second-main-theorem check, which only `verify` runs, are in `verify`.
+second-main-theorem check, which only `verify` runs, are in `verify` and
+`chains`; the handlers of the `blocks` and `matrix` commands are here.
 """
 
 from __future__ import annotations
@@ -184,3 +185,26 @@ def inner_product_matrix_csv(ctx: Context, domain) -> str:
         lines.append(",".join([str(list(nu)).replace(",", " ")] +
                               [_ratio(Fraction(matrix[(nu, nu2)], order)) for nu2 in labels]))
     return "\n".join(lines) + "\n"
+
+
+# -- the blocks and matrix commands --------------------------------------------------
+
+def cmd_blocks(args):
+    report = blocks_report(Context(args.n, args.q, args.d, args.variant))
+
+    def lines():
+        for name in ("computed", "combinatorial"):
+            yield f"{name} blocks ({len(report[name + '_blocks'])}):\n"
+            for b in report[name + "_blocks"]:
+                yield "  " + "  ".join(map(str, b)) + "\n"
+        yield f"verdict: {report['verdict']}"
+    return 0 if report["verdict"] != "VIOLATION" else 1, lambda: report, lines
+
+
+def cmd_matrix(args):
+    ctx = Context(args.n, args.q, args.d, args.variant)
+
+    def report():
+        return inner_product_matrix_report(ctx, args.domain)
+    return (0, report, lambda: (f"{k} = {v}\n" for k, v in sorted(report()["matrix"].items())),
+            lambda: inner_product_matrix_csv(ctx, args.domain))

@@ -15,9 +15,7 @@ smaller GL(m,q).  All values are exact integers at a concrete q: a peel
 of k boxes is summed scaled by k!, which every z_alpha divides, and ends
 in an exact division that is checked.  No sign correction is needed:
 every unipotent degree is positive (q-hook formula), which the tests
-check against the oracle.  `CharValueTable` writes the whole table, for
-`table`, as JSON or CSV text chunks, one per nu, each value turned into a
-string once per type.
+check against the oracle.  The `table` report is written by `classlist`.
 """
 
 from __future__ import annotations
@@ -25,9 +23,8 @@ from __future__ import annotations
 from functools import cache
 from math import factorial
 from operator import mul
-from types import MappingProxyType
 
-from .glclass import ClassType, class_types
+from .glclass import ClassType
 from .partitions import n_stat, partitions_of
 from .qarith import gl_order, torus_order, unipotent_centralizer_order
 from .symchar import character_table, partition_index, signed_removal_map, z_order
@@ -160,51 +157,3 @@ def class_values(t: ClassType, q: int) -> tuple[int, ...]:
     (degree, jordan), rest = t.components[0], t.components[1:]
     inner = ClassType(t.n - degree * sum(jordan), t.unipotent, rest)
     return peel(class_values(inner, q), t.n, degree, jordan, q)
-
-
-# -- assembled tables ----------------------------------------------------------
-
-class CharValueTable:
-    """All unipotent character values for one GL(n,q), one value vector per class type."""
-
-    def __init__(self, n: int, q: int):
-        from .classlist import class_keys  # only the table lists classes
-        self.n, self.q = n, q
-        # {assignment key: type} in key order, read-only: table(n, q) is
-        # cached and shared by every caller
-        self.classes = MappingProxyType({key: t for key, _, t in class_keys(n, q)})
-        self.labels = partitions_of(n)
-
-    def _value_texts(self):
-        """{type: its values as text, in the order of partitions_of}: each value
-        is turned into a string once, and every vector is computed here."""
-        return {t: [str(v) for v in class_values(t, self.q)] for t in class_types(self.n, self.q)}
-
-    def json_chunks(self):
-        """The table as JSON chunks, one per nu, byte for byte json.dumps(...,
-        sort_keys=True) of {"n", "q", "signs", "values": {nu: {key: value}}}."""
-        texts = self._value_texts()
-        nus = sorted((str(list(nu)), i) for i, nu in enumerate(self.labels))
-        # every degree is positive, so every sign is 1; kept for the format
-        yield (f'{{"n": {self.n}, "q": {self.q}, "signs": {{'
-               + ", ".join(f'"{nu}": 1' for nu, _ in nus) + '}, "values": {')
-        for k, (nu, i) in enumerate(nus):
-            yield (", " if k else "") + f'"{nu}": {{' + ", ".join(
-                f'"{key}": {texts[t][i]}' for key, t in self.classes.items()) + "}"
-        yield "}}"
-
-    def csv_chunks(self):
-        """The table as CSV chunks, the header and then one row per nu; a
-        field is quoted when it holds a comma, as csv.writer does (no key or
-        label holds a quote or a line break)."""
-        def field(text):
-            return f'"{text}"' if "," in text else text
-        texts, types = self._value_texts(), self.classes.values()
-        yield ",".join(["nu", *map(field, self.classes)]) + "\n"
-        for i, nu in enumerate(self.labels):
-            yield ",".join([field(str(list(nu))), *(texts[t][i] for t in types)]) + "\n"
-
-
-@cache
-def table(n: int, q: int) -> CharValueTable:
-    return CharValueTable(n, q)

@@ -1,12 +1,20 @@
-"""The class list of GL(n,q) in key order, which only `classes` and `table` load.
+"""The class list of GL(n,q) in key order, and the `classes` and `table`
+reports, which only those two commands load.
 
 `class_keys` streams every class's assignment key (see `glclass`), section
 key and type from a depth-first walk of the polynomial pool, with no list,
 set or sort of every class.  `classes_json` and `classes_text` write the
 class list as text chunks from fragments formatted once per type.
+`CharValueTable` writes the value table as JSON or CSV text chunks of at
+most PIECE values each, every value turned into a string once per type;
+only it loads the value engine, `charvalue`, so `classes` does not.
 """
 
 from __future__ import annotations
+
+from functools import cache
+from itertools import chain, islice
+from types import MappingProxyType
 
 from .errors import ScaleGuardError
 from .glclass import ClassType, _degree_matches, centralizer_order, class_size, class_types, d_type
@@ -111,3 +119,80 @@ def classes_text(n: int, q: int, d: int, variant: str):
              for t in class_types(n, q)}
     for key, _, t in keys:
         yield lines[t] % key
+
+
+def cmd_classes(args):
+    ctx = args.n, args.q, args.d, args.variant
+    return 0, lambda: classes_json(*ctx), lambda: classes_text(*ctx)
+
+
+# -- the value table ---------------------------------------------------------------
+
+# values (or keys) joined into one chunk at most: each nu's row is written in
+# pieces, so no string of a whole row is held
+PIECE = 1024
+
+
+def _pieces(texts, sep):
+    """sep.join(texts) as chunks of at most PIECE texts, each led by sep but
+    the first; no text is empty, so only an exhausted stream joins to ""."""
+    texts, lead = iter(texts), ""
+    while piece := sep.join(islice(texts, PIECE)):
+        yield lead + piece
+        lead = sep
+
+
+class CharValueTable:
+    """All unipotent character values for one GL(n,q), one value vector per class type."""
+
+    def __init__(self, n: int, q: int):
+        self.n, self.q = n, q
+        # {assignment key: type} in key order, read-only: table(n, q) is
+        # cached and shared by every caller
+        self.classes = MappingProxyType({key: t for key, _, t in class_keys(n, q)})
+        self.labels = partitions_of(n)
+
+    def _columns(self):
+        """For each nu, in the order of partitions_of, {type: its value at nu as
+        text}: each value is turned into a string once, and every vector is computed here."""
+        from .charvalue import class_values  # only the table reads values
+        texts = {t: [str(v) for v in class_values(t, self.q)] for t in class_types(self.n, self.q)}
+        return [{t: values[i] for t, values in texts.items()} for i in range(len(self.labels))]
+
+    def json_chunks(self):
+        """The table as JSON chunks, byte for byte json.dumps(..., sort_keys=True)
+        of {"n", "q", "signs", "values": {nu: {key: value}}}."""
+        columns = self._columns()
+        nus = sorted((str(list(nu)), i) for i, nu in enumerate(self.labels))
+        # every degree is positive, so every sign is 1; kept for the format
+        yield (f'{{"n": {self.n}, "q": {self.q}, "signs": {{'
+               + ", ".join(f'"{nu}": 1' for nu, _ in nus) + '}, "values": {')
+        for k, (nu, i) in enumerate(nus):
+            column = columns[i]
+            yield (", " if k else "") + f'"{nu}": {{'
+            yield from _pieces((f'"{key}": {column[t]}' for key, t in self.classes.items()), ", ")
+            yield "}"
+        yield "}}"
+
+    def csv_chunks(self):
+        """The table as CSV chunks, the header and then one row per nu; a
+        field is quoted when it holds a comma, as csv.writer does (no key or
+        label holds a quote or a line break)."""
+        def field(text):
+            return f'"{text}"' if "," in text else text
+        columns, types = self._columns(), self.classes.values()
+        yield from _pieces(chain(["nu"], map(field, self.classes)), ",")
+        for nu, column in zip(self.labels, columns):
+            yield "\n"
+            yield from _pieces(chain([field(str(list(nu)))], map(column.__getitem__, types)), ",")
+        yield "\n"
+
+
+@cache
+def table(n: int, q: int) -> CharValueTable:
+    return CharValueTable(n, q)
+
+
+def cmd_table(args):
+    tab = table(args.n, args.q)
+    return 0, tab.json_chunks, tab.csv_chunks, tab.csv_chunks

@@ -1,4 +1,5 @@
-"""Partition combinatorics: hooks, beta-sets, abacus, d-cores and d-quotients.
+"""Partition combinatorics that the engine and the oracle read: the
+partitions of n, conjugates, beta-sets, rim hooks and d-cores.
 
 Partitions are tuples of positive integers sorted weakly decreasing; the
 empty tuple is the empty partition of 0.
@@ -11,7 +12,8 @@ the bottom of each runner, so the residue-labeled quotient components do
 not depend on the choice among valid lengths.  Runner r always means
 "beta numbers congruent to r mod d"; quotient component r comes from
 runner r.  This may be a cyclic relabeling of conventions that put the
-abacus origin elsewhere.
+abacus origin elsewhere.  d-quotients, d-weights, removal paths and the
+abacus itself are in `abacus`, which only `partition` and `verify` load.
 """
 
 from __future__ import annotations
@@ -19,20 +21,6 @@ from __future__ import annotations
 from collections import Counter
 from functools import cache
 from typing import NamedTuple
-
-from .errors import ScaleGuardError
-
-
-def check_partition(parts) -> tuple[int, ...]:
-    """Validate and canonicalize a partition given as any iterable of ints."""
-    lam = tuple(parts)
-    if any(type(p) is not int for p in lam):
-        raise ValueError(f"partition parts must be integers: {lam}")
-    if any(p <= 0 for p in lam):
-        raise ValueError(f"partition parts must be positive: {lam}")
-    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
-        raise ValueError(f"partition parts must be weakly decreasing: {lam}")
-    return lam
 
 
 @cache
@@ -87,11 +75,6 @@ class HookRemoval(NamedTuple):
     result: tuple[int, ...]
 
 
-class RemovalPath(NamedTuple):
-    steps: tuple[HookRemoval, ...]
-    total_leg: int
-
-
 @cache
 def rim_hooks(lam: tuple[int, ...], h: int) -> tuple[HookRemoval, ...]:
     """Every rim hook of length h in lam, ordered by start row of the hook.
@@ -125,104 +108,9 @@ def _quotient_length(lam: tuple[int, ...], d: int) -> int:
 
 
 @cache
-def d_quotient(lam: tuple[int, ...], d: int) -> tuple[tuple[int, ...], ...]:
-    """d-tuple of partitions read off the runners of the canonical abacus."""
-    if d < 1:
-        raise ValueError(f"d must be at least 1, got {d}")
-    length = _quotient_length(lam, d)
-    beta = beta_set(lam, length)
-    comps = []
-    for r in range(d):
-        positions = tuple((b - r) // d for b in beta if b % d == r)
-        comps.append(partition_from_beta(positions))
-    return tuple(comps)
-
-
-@cache
 def d_core(lam: tuple[int, ...], d: int) -> tuple[int, ...]:
     """The partition left after removing all d-hooks; order independent."""
     if d < 1:
         raise ValueError(f"d must be at least 1, got {d}")
     counts = Counter(b % d for b in beta_set(lam, _quotient_length(lam, d)))
     return partition_from_beta([d * j + r for r in range(d) for j in range(counts[r])])
-
-
-@cache
-def d_weight(lam: tuple[int, ...], d: int) -> int:
-    core = d_core(lam, d)
-    w, rem = divmod(sum(lam) - sum(core), d)
-    if rem:
-        raise ArithmeticError(f"{lam} and its {d}-core {core} differ by {rem} mod {d}")
-    return w
-
-
-# removal paths listed at most: `partition paths` took 4.0 s and 234 MB for
-# the 96,525 paths of (5,5,3,2) at d = 1 as JSON, and 13.7 s and 694 MB for
-# the 292,864 of (5,4,3,2,1)
-PATH_GUARD = 100_000
-
-
-def removal_paths(lam, d: int) -> tuple[RemovalPath, ...]:
-    """All maximal d-hook removal sequences from lam down to its d-core,
-    counted first and refused over PATH_GUARD."""
-    count = removal_path_count(tuple(lam), d)
-    if count > PATH_GUARD:
-        raise ScaleGuardError(f"{count} removal paths of {list(lam)} at d = {d}"
-                              f" exceed guard {PATH_GUARD}")
-    gamma = d_core(lam, d)
-    out = []
-
-    def rec(cur, steps, legs):
-        hooks = rim_hooks(cur, d)
-        if not hooks:
-            if cur != gamma:
-                raise AssertionError(f"hook removal from {lam} ended at {cur}, not {gamma}")
-            out.append(RemovalPath(tuple(steps), legs))
-            return
-        for hk in hooks:
-            rec(hk.result, steps + [hk], legs + hk.leg_length)
-
-    rec(lam, [], 0)
-    return tuple(out)
-
-
-@cache
-def removal_path_count(lam: tuple[int, ...], d: int) -> int:
-    """|P| over all maximal d-hook removal sequences, without enumerating."""
-    hooks = rim_hooks(lam, d)
-    if not hooks:
-        return 1
-    return sum(removal_path_count(hk.result, d) for hk in hooks)
-
-
-# -- abacus -----------------------------------------------------------------
-
-class AbacusState:
-    """The beads of lam's beta-set on d runners; origin_offset is the beta-set length."""
-    __slots__ = ("d", "runners", "origin_offset")
-
-    def __init__(self, lam, d: int):
-        length = max(d, _quotient_length(lam, d))
-        beta = beta_set(lam, length)
-        self.d, self.origin_offset = d, length
-        self.runners = tuple(tuple((b - r) // d for b in beta if b % d == r) for r in range(d))
-
-    def edge_sequence(self) -> str:
-        """The 0/1 rim encoding read off the abacus, origin marked with '>'.
-
-        1 is a bead (vertical rim step), 0 a gap (horizontal step); the
-        marker sits before position 0.  Two extra all-1 spots below and
-        two all-0 spots above the interesting window are shown.
-        """
-        beads = {self.d * pos + r for r, runner in enumerate(self.runners) for pos in runner}
-        return "11>" + "".join("1" if i in beads else "0" for i in range(max(beads) + 3))
-
-    def render(self) -> str:
-        """Runner-per-column text art, origin row at the bottom."""
-        height = max((max(r) for r in self.runners if r), default=0) + 2
-        lines = []
-        for row in range(height - 1, -1, -1):
-            cells = ["O" if row in self.runners[r] else "." for r in range(self.d)]
-            marker = "> " if row == 0 else "  "
-            lines.append(marker + " ".join(cells))
-        return "\n".join(lines)

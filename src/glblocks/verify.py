@@ -1,13 +1,15 @@
-"""The `verify` checks, and the code that only they run.
+"""The `verify` command: its options, its checks, and the code that only they run.
 
 Only `verify` imports this module, and each check imports the engine or
 oracle modules it calls when it runs, so that `verify prop32` loads no
-label-level engine module and no character table.  Besides the checks
-(`VERIFIERS`, one per check name, each returning (pass, details)) it
-holds the closed form of the d-regular inner product for a simple,
-disjoint partner and its pair search, the partition identity of
-Lemma 4.9, the link chains of Theorem 4.10 with the abacus-runner
-helpers they are built from, and the second-main-theorem check.
+label-level engine module and no character table, and only thm46 and
+thm410chain load the partition combinatorics of `abacus` (thm410chain
+also the chains of Theorem 4.10, in `chains`).  Besides the checks
+(`VERIFIERS`, one per check name, each returning (pass, details)) and the
+options each takes (`VERIFY_OPTIONS`) it holds the closed form of the
+d-regular inner product for a simple, disjoint partner and its pair
+search, the partition identity of Lemma 4.9, and the second-main-theorem
+check.
 
 `smt_check` returns None, or the message of the check that failed; an
 invariant of the engine that breaks on the way still raises.  No check is
@@ -17,14 +19,14 @@ from its head and a d-regular type.
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from functools import cache
 from math import factorial, prod
 from typing import TYPE_CHECKING
 
-from .errors import HypothesisError, InfeasibleError
-from .partitions import (_quotient_length, beta_set, d_core, d_quotient, d_weight,
-                         partition_from_beta, partitions_of, removal_path_count, rim_hooks)
+from .errors import HypothesisError, UsageError
+from .partitions import d_core, partitions_of, rim_hooks
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -32,72 +34,32 @@ if TYPE_CHECKING:
     from .blockcalc import Context
 
 
-# -- abacus runners ------------------------------------------------------------
+# -- options -----------------------------------------------------------------------
 
-def from_core_quotient(core: tuple[int, ...], quotient, d: int) -> tuple[int, ...]:
-    """Rebuild the unique partition with the given d-core and d-quotient."""
-    quotient = tuple(tuple(c) for c in quotient)
-    if len(quotient) != d:
-        raise ValueError("quotient must have exactly d components")
-    extra = max([len(c) for c in quotient] + [0]) + 1
-    length = _quotient_length(core, d) + d * extra
-    counts = Counter(b % d for b in beta_set(core, length))
-    new_beta = []
-    for r in range(d):
-        if len(quotient[r]) > counts[r]:
-            raise ValueError("quotient component too long for runner")
-        new_beta.extend(d * pos + r for pos in beta_set(quotient[r], counts[r]))
-    return partition_from_beta(new_beta)
-
-
-@cache
-def runners_used(lam: tuple[int, ...], d: int) -> frozenset[int]:
-    """Indices of runners carrying a nonempty quotient component."""
-    return frozenset(r for r, c in enumerate(d_quotient(lam, d)) if c)
+# the options each check reads, with their defaults; prop32 runs both
+# variants when --variant is omitted
+_GROUP_OPTIONS = {"n": 3, "q": 2, "d": 1, "variant": "divisible"}
+VERIFY_OPTIONS = {
+    "prop32": {**_GROUP_OPTIONS, "variant": None},
+    "thm43": _GROUP_OPTIONS,
+    "thm44": _GROUP_OPTIONS,
+    "thm45": {"n": 3, "q": 2, "variant": "divisible"},
+    "thm46": _GROUP_OPTIONS,
+    "lemma49": {"k": 4, "big_f": 6},
+    "thm410chain": {"n": 3, "d": 1},
+    "smt55": _GROUP_OPTIONS,
+}
+_FLAGS = {"n": "--n", "q": "--q", "d": "--d", "variant": "--variant", "k": "--k", "big_f": "--F"}
 
 
-@cache
-def is_simple(lam: tuple[int, ...], d: int) -> bool:
-    """True iff lam has no hook of length m*d for any m >= 2.
-
-    Equivalent to every quotient component being empty or (1): hooks of
-    length k*d in lam biject with k-hooks in the quotient.
-    """
-    return all(c in ((), (1,)) for c in d_quotient(lam, d))
-
-
-def disjoint(lam: tuple[int, ...], mu: tuple[int, ...], d: int) -> bool:
-    """True iff the quotient supports of lam and mu use distinct runners."""
-    return not (runners_used(lam, d) & runners_used(mu, d))
-
-
-def single_runner_partition(gamma, w: int, d: int, runner: int) -> tuple[int, ...]:
-    """Partition with d-core gamma whose d-quotient is the one-row (w) on one runner."""
-    if not 0 <= runner < d:
-        raise ValueError(f"weight {w} on runner {runner} of {d}")
-    quotient = [()] * d
-    quotient[runner] = (w,)
-    return from_core_quotient(gamma, quotient, d)
-
-
-def find_simple_disjoint(gamma, w: int, d: int, avoid) -> tuple[int, ...]:
-    """Simple partition of |gamma| + w*d with core gamma avoiding given runners.
-
-    Puts a single elementary bead move, component (1), on each of the w
-    smallest free runners.
-    """
-    avoid = frozenset(avoid)
-    free = [r for r in range(d) if r not in avoid]
-    if len(free) < w:
-        raise InfeasibleError(
-            f"need {w} free runners among {d}, only {len(free)} outside {sorted(avoid)}")
-    quotient = [()] * d
-    for r in free[:w]:
-        quotient[r] = (1,)
-    result = from_core_quotient(gamma, quotient, d)
-    if not is_simple(result, d) or d_weight(result, d) != w:
-        raise AssertionError(f"{result} is not simple of {d}-weight {w}")
-    return result
+def _verify_options(args):
+    """Refuse the options the check does not read; default the others."""
+    takes = VERIFY_OPTIONS[args.check]
+    unread = [flag for name, flag in _FLAGS.items() if name in vars(args) and name not in takes]
+    if unread:
+        raise UsageError(f"verify {args.check} does not take {', '.join(unread)}")
+    for name, default in takes.items():
+        vars(args).setdefault(name, default)
 
 
 # -- closed forms ----------------------------------------------------------------
@@ -105,6 +67,7 @@ def find_simple_disjoint(gamma, w: int, d: int, avoid) -> tuple[int, ...]:
 def _closed_form_pair(lam, mu, d: int) -> bool:
     """The closed form's hypotheses on (lam, mu): distinct, one d-core, one
     d-weight (so w >= 1), mu simple and the two disjoint."""
+    from .abacus import d_weight, disjoint, is_simple
     return (lam != mu and d_core(lam, d) == d_core(mu, d)
             and d_weight(lam, d) == d_weight(mu, d)
             and is_simple(mu, d) and disjoint(lam, mu, d))
@@ -134,6 +97,8 @@ def theorem46_rhs(lam, mu, ctx: Context) -> Fraction:
     pair, and the standing bound F >= n/d holds.
     """
     from fractions import Fraction
+
+    from .abacus import d_weight, removal_path_count
     lam, mu = tuple(lam), tuple(mu)
     d = ctx.d
     if sum(lam) != ctx.n or not _closed_form_pair(lam, mu, d):
@@ -180,115 +145,6 @@ def lemma49_polynomial_check(k: int) -> bool:
     """Both sides agree as polynomials in F: check at k+2 points, which
     over-determines polynomials of degree at most k."""
     return all(lemma49_check(k, F) for F in range(1, k + 3))
-
-
-# -- constructive chains -----------------------------------------------------------
-
-def _clean_chain(chain, mu):
-    """The chain cut at the first mu, without repeats."""
-    chain = chain[:chain.index(mu) + 1]
-    return tuple(p for i, p in enumerate(chain) if not i or p != chain[i - 1])
-
-
-def chain_constructible(w: int, d: int) -> bool:
-    """Whether the runner construction of Theorem 4.10 covers weight w at d:
-    w <= 1 for any d, w = 2 with d >= 4, and w > 2 with d >= 2w-1."""
-    return w <= 1 or (w == 2 and d >= 4) or (w > 2 and d >= 2 * w - 1)
-
-
-def link_chain(lam, mu, d: int) -> tuple[tuple[int, ...], ...]:
-    """Chain of partitions from lam to mu in which every consecutive pair
-    satisfies the closed form's hypotheses in one direction.
-
-    Follows the constructive case analysis on abacus runners.  Domain:
-    `chain_constructible(w, d)` for the common weight w.  Outside that the elementary-link graph can be
-    disconnected (w = 2, d = 3), so a HypothesisError is raised rather
-    than a fake chain, unless lam and mu are linked directly.
-    """
-    lam, mu = tuple(lam), tuple(mu)
-    gamma = d_core(lam, d)
-    if d_core(mu, d) != gamma:
-        raise HypothesisError("distinct d-cores")
-    w = d_weight(lam, d)
-    if d_weight(mu, d) != w:
-        raise HypothesisError("weights differ")
-    if lam == mu:
-        return (lam,)
-    if chain_link_ok(lam, mu, d):
-        # a direct link, as every weight-1 pair is: a (1) on each of two runners
-        return (lam, mu)
-    if not chain_constructible(w, d):
-        raise HypothesisError(
-            f"weight {w} at d = {d} is outside the runner construction: w = 2 needs"
-            " d >= 4 (the elementary-link graph is disconnected at d = 3), w > 2 needs d >= 2w-1")
-
-    r_lam = runners_used(lam, d)
-    r_mu = runners_used(mu, d)
-    lam_simple = is_simple(lam, d)
-    mu_simple = is_simple(mu, d)
-
-    if mu_simple and not lam_simple:
-        # run the analysis from the simple end and flip at the end
-        chain = tuple(reversed(link_chain(mu, lam, d)))
-    elif lam_simple and mu_simple:
-        free = [r for r in range(d) if r not in r_lam | r_mu]
-        if free:
-            nu = single_runner_partition(gamma, w, d, free[0])
-            chain = (lam, nu, mu)
-        else:
-            # all runners covered: forces d = 2w-1, one shared runner, w > 2
-            if w <= 2:
-                raise AssertionError(f"runners all covered at weight {w}")
-            mu_only = sorted(r_mu - r_lam)
-            lam_only = sorted(r_lam - r_mu)
-            nu = single_runner_partition(gamma, w, d, mu_only[0])
-            zeta = find_simple_disjoint(gamma, w, d, {mu_only[0], lam_only[0]})
-            xi = single_runner_partition(gamma, w, d, lam_only[0])
-            chain = (lam, nu, zeta, xi, mu)
-    elif lam_simple:
-        if r_mu <= r_lam:
-            free = [r for r in range(d) if r not in r_lam]
-            nu = single_runner_partition(gamma, w, d, free[0])
-            zeta = find_simple_disjoint(gamma, w, d, {free[0], min(r_mu)})
-            mu_free = sorted(r_mu - runners_used(zeta, d))
-            xi = single_runner_partition(gamma, w, d, mu_free[0])
-            eta = find_simple_disjoint(gamma, w, d, r_mu)
-            chain = (lam, nu, zeta, xi, eta, mu)
-        else:
-            shared_free = sorted(r_mu - r_lam)
-            nu = single_runner_partition(gamma, w, d, shared_free[0])
-            zeta = find_simple_disjoint(gamma, w, d, r_mu)
-            chain = (lam, nu, zeta, mu)
-    else:
-        # neither simple: both use at most w-1 runners
-        if len(r_lam) > w - 1 or len(r_mu) > w - 1:
-            raise AssertionError(f"non-simple {lam} or {mu} uses more than {w - 1} runners")
-        nu = find_simple_disjoint(gamma, w, d, r_lam)
-        r_nu = runners_used(nu, d)
-        if not r_mu <= r_nu:
-            pick = sorted(r_mu - r_nu)
-            zeta = single_runner_partition(gamma, w, d, pick[0])
-            xi = find_simple_disjoint(gamma, w, d, r_mu)
-            chain = (lam, nu, zeta, xi, mu)
-        else:
-            pick = [r for r in range(d) if r not in r_nu and r not in r_mu][0]
-            zeta = single_runner_partition(gamma, w, d, pick)
-            xi = find_simple_disjoint(gamma, w, d, {pick, min(r_mu)})
-            mu_free = sorted(r_mu - runners_used(xi, d))
-            delta = single_runner_partition(gamma, w, d, mu_free[0])
-            eta = find_simple_disjoint(gamma, w, d, r_mu)
-            chain = (lam, nu, zeta, xi, delta, eta, mu)
-
-    chain = _clean_chain(chain, mu)
-    for a, b in zip(chain, chain[1:]):
-        if not chain_link_ok(a, b, d):
-            raise AssertionError(f"bad link {a} -- {b}")
-    return chain
-
-
-def chain_link_ok(a, b, d: int) -> bool:
-    """Consecutive chain entries must form a closed-form pair either way."""
-    return _closed_form_pair(a, b, d) or _closed_form_pair(b, a, d)
 
 
 # -- the second main theorem ------------------------------------------------------
@@ -400,6 +256,8 @@ def _verify_lemma49(args):
 def _verify_thm410chain(args):
     """A chain for every pair of one core (so of one weight) and a constructible
     weight; link_chain raises on a bad link itself, so every chain reported has good links."""
+    from .abacus import d_weight
+    from .chains import chain_constructible, link_chain
     d, results, labels = args.d, [], partitions_of(args.n)
     for i, lam in enumerate(labels):
         for mu in labels[i + 1:]:
@@ -429,3 +287,15 @@ VERIFIERS = {
     "thm410chain": _verify_thm410chain,
     "smt55": _verify_smt55,
 }
+
+
+def cmd_verify(args):
+    try:
+        ok, details = VERIFIERS[args.check](args)
+    except HypothesisError as exc:
+        error = str(exc)  # exc is unbound once the except clause ends
+        return (3, lambda: {"check": args.check, "pass": False, "hypothesis_error": error},
+                lambda: f"{args.check}: HYPOTHESIS ERROR: {error}")
+    return (0 if ok else 1, lambda: {"check": args.check, "pass": ok, "details": details},
+            lambda: f"{args.check}: {'PASS' if ok else 'FAIL'}\n"
+                    f"{json.dumps(details, sort_keys=True)}")

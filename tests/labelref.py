@@ -23,6 +23,7 @@ from functools import cache
 from types import MappingProxyType
 from typing import NamedTuple
 
+from glblocks.abacus import check_partition
 from glblocks.charvalue import class_values
 from glblocks.classlist import CLASS_GUARD
 from glblocks.errors import ScaleGuardError
@@ -34,7 +35,7 @@ from glblocks.glclass import (
     class_types,
     d_type,
 )
-from glblocks.partitions import check_partition, partitions_of
+from glblocks.partitions import partitions_of
 from glblocks.symchar import partition_index
 from glblocks.qarith import non_unipotent_count
 

@@ -14,7 +14,8 @@ from fractions import Fraction
 
 from glblocks.blockcalc import Context
 from glblocks.errors import HypothesisError
-from glblocks.partitions import d_core, d_weight, partitions_of
+from glblocks.abacus import d_weight
+from glblocks.partitions import d_core, partitions_of
 from glblocks.symchar import linked_components, z_order
 from glblocks.verify import epsilon
 from hookref import sn_char

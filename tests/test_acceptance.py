@@ -3,10 +3,12 @@
 Everything is exact (tolerance zero); run with -s to watch the lines go by.
 """
 
+from glblocks import abacus as A
 from glblocks import blockcalc as B
 from glblocks import bfsections as BS
 from glblocks import bftable as BT
 from glblocks import bruteforce as BF
+from glblocks import chains as CH
 from glblocks import glclass as G
 from glblocks import partitions as P
 from glblocks import qarith as Q
@@ -117,7 +119,7 @@ def test_criterion_06_closed_form_inner_products():
             if lhs != rhs or rhs == 0:
                 ok = False
         # weight-1 singular values for every same-core distinct pair
-        weight1 = [lam for lam in P.partitions_of(n) if P.d_weight(lam, d) == 1]
+        weight1 = [lam for lam in P.partitions_of(n) if A.d_weight(lam, d) == 1]
         for i, lam in enumerate(weight1):
             for mu in weight1[i + 1:]:
                 if P.d_core(lam, d) != P.d_core(mu, d):
@@ -165,14 +167,14 @@ def test_criterion_09_constructive_chains():
             for mu in labels[i + 1:]:
                 if P.d_core(lam, d) != P.d_core(mu, d):
                     continue
-                w = P.d_weight(lam, d)
-                if w != P.d_weight(mu, d) or w == 0:
+                w = A.d_weight(lam, d)
+                if w != A.d_weight(mu, d) or w == 0:
                     continue
                 if not constructive(w, d):
-                    direct = V.disjoint(lam, mu, d) and (
-                        V.is_simple(lam, d) or V.is_simple(mu, d))
+                    direct = A.disjoint(lam, mu, d) and (
+                        A.is_simple(lam, d) or A.is_simple(mu, d))
                     if direct:
-                        chain = V.link_chain(lam, mu, d)
+                        chain = CH.link_chain(lam, mu, d)
                         if chain != (lam, mu) or \
                                 inner_product(lam, mu, "d_regular", ctx) == 0:
                             ok = False
@@ -180,30 +182,30 @@ def test_criterion_09_constructive_chains():
                         # genuinely outside the constructive hypotheses:
                         # the builder must refuse, not fabricate a chain
                         try:
-                            V.link_chain(lam, mu, d)
+                            CH.link_chain(lam, mu, d)
                             ok = False
                         except HypothesisError:
                             pass
                     continue
                 if ctx.f_number < w:
                     continue
-                chain = V.link_chain(lam, mu, d)
+                chain = CH.link_chain(lam, mu, d)
                 for a, b in zip(chain, chain[1:]):
-                    if not V.chain_link_ok(a, b, d):
+                    if not CH.chain_link_ok(a, b, d):
                         ok = False
                     if inner_product(a, b, "d_regular", ctx) == 0:
                         ok = False
     # larger weights: combinatorial chains, nonzero by the closed form
     big = Context(15, 2, 5, "divisible")
     labels = [lam for lam in P.partitions_of(15)
-              if P.d_core(lam, 5) == () and P.d_weight(lam, 5) == 3]
+              if P.d_core(lam, 5) == () and A.d_weight(lam, 5) == 3]
     for i, lam in enumerate(labels):
         for mu in labels[i + 1:]:
-            chain = V.link_chain(lam, mu, 5)
+            chain = CH.link_chain(lam, mu, 5)
             for a, b in zip(chain, chain[1:]):
-                if not V.chain_link_ok(a, b, 5):
+                if not CH.chain_link_ok(a, b, 5):
                     ok = False
-                pair = (a, b) if V.is_simple(b, 5) and V.disjoint(a, b, 5) \
+                pair = (a, b) if A.is_simple(b, 5) and A.disjoint(a, b, 5) \
                     else (b, a)
                 if V.theorem46_rhs(pair[0], pair[1], big) == 0:
                     ok = False

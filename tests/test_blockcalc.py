@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from glblocks import abacus as A
 from glblocks import blockcalc as B
+from glblocks import chains as CH
 from glblocks import charvalue as C
+from glblocks import classlist as CL
 from glblocks import cli
 from glblocks import glclass as G
 from glblocks import partitions as P
@@ -157,7 +160,7 @@ def test_cached_results_are_read_only():
     tables = [G.class_types(3, 2), B._type_weights(ctx, "d_regular"),
               B.inner_matrix(ctx, "d_regular"), C._unipotent_values(3, 2),
               S.signed_removal_map((2, 1), (1,), 1), C.class_values(G.ClassType(3, (3,), ()), 2),
-              C.table(3, 2).classes]
+              CL.table(3, 2).classes]
     for table in tables:
         key = next(iter(table)) if isinstance(table, Mapping) else 0
         with pytest.raises(TypeError):
@@ -219,7 +222,7 @@ def test_weight_one_pairs_directly_linked():
     for ctx in [Context(3, 3, 2, "divisible"), Context(4, 2, 3, "divisible"),
                 Context(5, 2, 2, "divisible")]:
         labels = [lam for lam in P.partitions_of(ctx.n)
-                  if P.d_weight(lam, ctx.d) == 1]
+                  if A.d_weight(lam, ctx.d) == 1]
         for i, lam in enumerate(labels):
             for mu in labels[i + 1:]:
                 if P.d_core(lam, ctx.d) != P.d_core(mu, ctx.d):
@@ -246,7 +249,7 @@ def test_theorem46_weight_two_context():
     ctx = Context(6, 2, 3, "divisible")
     pairs = V.find_theorem46_pairs(ctx)
     assert pairs
-    assert {P.d_weight(lam, 3) for lam, _ in pairs} == {2}
+    assert {A.d_weight(lam, 3) for lam, _ in pairs} == {2}
     for lam, mu in pairs:
         rhs = V.theorem46_rhs(lam, mu, ctx)
         assert rhs != 0
@@ -262,7 +265,7 @@ def test_theorem46_hypothesis_errors():
     with pytest.raises(HypothesisError):
         V.theorem46_rhs((3,), (1, 1, 1), Context(3, 2, 2, "divisible"))  # F < n/d
     ctx6 = Context(6, 2, 3, "divisible")
-    simple = V.find_simple_disjoint((), 2, 3, frozenset())
+    simple = CH.find_simple_disjoint((), 2, 3, frozenset())
     with pytest.raises(HypothesisError):
         V.theorem46_rhs(simple, simple, ctx6)      # not disjoint from itself
 
@@ -271,7 +274,7 @@ def test_sign_bookkeeping_same_epsilon():
     # equal signs make the closed form's sign (-1)^w
     ctx = Context(6, 2, 3, "divisible")
     for lam, mu in V.find_theorem46_pairs(ctx):
-        w = P.d_weight(lam, ctx.d)
+        w = A.d_weight(lam, ctx.d)
         rhs = V.theorem46_rhs(lam, mu, ctx)
         sign = 1 if rhs > 0 else -1
         eps = V.epsilon(lam, 3) * V.epsilon(mu, 3)
@@ -355,7 +358,7 @@ def test_exact_variant_carries_the_results():
                         continue
                     assert inner_product(nu, nu2, ("section", head_type(key, ctx.q)), ctx) == 0
         assert refines(B.unipotent_blocks(ctx), S.same_core_grouping(n, d))
-        weight1 = [lam for lam in labels if P.d_weight(lam, d) == 1]
+        weight1 = [lam for lam in labels if A.d_weight(lam, d) == 1]
         for i, lam in enumerate(weight1):
             for mu in weight1[i + 1:]:
                 if P.d_core(lam, d) != P.d_core(mu, d):
@@ -375,32 +378,32 @@ def test_lemma49_exact_and_polynomial():
 
 
 def test_link_chain_trivial_and_direct():
-    assert V.link_chain((2, 1), (2, 1), 2) == ((2, 1),)
+    assert CH.link_chain((2, 1), (2, 1), 2) == ((2, 1),)
     # weight-1 pairs: direct link
     ctx = Context(4, 2, 3, "divisible")
-    labels = [lam for lam in P.partitions_of(4) if P.d_weight(lam, 3) == 1]
+    labels = [lam for lam in P.partitions_of(4) if A.d_weight(lam, 3) == 1]
     for i, lam in enumerate(labels):
         for mu in labels[i + 1:]:
-            chain = V.link_chain(lam, mu, 3)
+            chain = CH.link_chain(lam, mu, 3)
             assert chain == (lam, mu)
             assert inner_product(lam, mu, "d_regular", ctx) != 0
 
 
 def test_link_chain_simple_disjoint_direct():
-    lam = V.single_runner_partition((), 2, 4, 0)
-    mu = V.find_simple_disjoint((), 2, 4, frozenset({0}))
-    chain = V.link_chain(lam, mu, 4)
+    lam = CH.single_runner_partition((), 2, 4, 0)
+    mu = CH.find_simple_disjoint((), 2, 4, frozenset({0}))
+    chain = CH.link_chain(lam, mu, 4)
     assert chain == (lam, mu)
 
 
 def test_link_chain_hypothesis_cutoffs():
     # the problematic weight-2 narrow case and mismatched inputs
-    lam = V.single_runner_partition((), 2, 3, 0)
-    mu = V.single_runner_partition((), 2, 3, 1)
+    lam = CH.single_runner_partition((), 2, 3, 0)
+    mu = CH.single_runner_partition((), 2, 3, 1)
     with pytest.raises(HypothesisError):
-        V.link_chain(lam, mu, 3)
+        CH.link_chain(lam, mu, 3)
     with pytest.raises(HypothesisError):
-        V.link_chain((3,), (2, 1), 2)   # different cores
+        CH.link_chain((3,), (2, 1), 2)   # different cores
 
 
 def test_link_chain_exhaustive_small():
@@ -411,31 +414,31 @@ def test_link_chain_exhaustive_small():
                 for mu in labels[i + 1:]:
                     if P.d_core(lam, d) != P.d_core(mu, d):
                         continue
-                    w = P.d_weight(lam, d)
-                    if w != P.d_weight(mu, d):
+                    w = A.d_weight(lam, d)
+                    if w != A.d_weight(mu, d):
                         continue
                     if not ((w <= 1) or (w == 2 and d >= 4) or
                             (w > 2 and d >= 2 * w - 1)):
                         continue
-                    chain = V.link_chain(lam, mu, d)
+                    chain = CH.link_chain(lam, mu, d)
                     assert chain[0] == lam and chain[-1] == mu
                     for a, b in zip(chain, chain[1:]):
-                        assert V.chain_link_ok(a, b, d)
+                        assert CH.chain_link_ok(a, b, d)
 
 
 def test_link_chain_weight_three():
     # weight 3 with d = 5: all pairs over the empty core at n = 15
     labels = [lam for lam in P.partitions_of(15)
-              if P.d_core(lam, 5) == () and P.d_weight(lam, 5) == 3]
+              if P.d_core(lam, 5) == () and A.d_weight(lam, 5) == 3]
     assert len(labels) == 65
     ctx = Context(15, 2, 5, "divisible")
     sample = labels[::7]
     for i, lam in enumerate(sample):
         for mu in sample[i + 1:]:
-            chain = V.link_chain(lam, mu, 5)
+            chain = CH.link_chain(lam, mu, 5)
             for a, b in zip(chain, chain[1:]):
-                assert V.chain_link_ok(a, b, 5)
-                pair = (a, b) if V.is_simple(b, 5) and V.disjoint(a, b, 5) else (b, a)
+                assert CH.chain_link_ok(a, b, 5)
+                pair = (a, b) if A.is_simple(b, 5) and A.disjoint(a, b, 5) else (b, a)
                 assert V.theorem46_rhs(pair[0], pair[1], ctx) != 0
 
 

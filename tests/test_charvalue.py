@@ -6,6 +6,7 @@ import pytest
 
 from glblocks import bftable as BT
 from glblocks import charvalue as C
+from glblocks import classlist as CL
 from glblocks import glclass as G
 from glblocks import qarith as Q
 from glblocks.charvalue import _unipotent_values
@@ -425,7 +426,7 @@ def test_alpha_paths_factors_nonzero():
 
 def test_vanishing_beyond_weight():
     from test_glclass import class_d_weight
-    from glblocks.partitions import d_weight
+    from glblocks.abacus import d_weight
     for (n, q, d) in [(4, 3, 2), (4, 2, 3), (5, 2, 2)]:
         for nu in partitions_of(n):
             w = d_weight(nu, d)
@@ -460,9 +461,9 @@ def test_unipotent_degrees():
 
 
 def test_table_exports():
-    tab = C.table(2, 3)
+    tab = CL.table(2, 3)
     blob = "".join(tab.json_chunks())
-    assert blob == "".join(C.CharValueTable(2, 3).json_chunks())
+    assert blob == "".join(CL.CharValueTable(2, 3).json_chunks())
     data = json.loads(blob)
     assert data["n"] == 2 and data["q"] == 3
     csv_text = "".join(tab.csv_chunks())

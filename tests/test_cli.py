@@ -272,8 +272,9 @@ CONTRACT_COMMANDS = {
        for cmd in ("classes", "blocks", "matrix")},
     **{cmd: ([cmd], {"--n": "2", "--q": "3"}) for cmd in ("table", "oracle")},
     **{f"verify {check}": (["verify", check],
-                           {cli._FLAGS[name]: GOOD_VALUES[name] for name in takes if name in GOOD_VALUES})
-       for check, takes in cli.VERIFY_OPTIONS.items()},
+                           {verify._FLAGS[name]: GOOD_VALUES[name]
+                            for name in takes if name in GOOD_VALUES})
+       for check, takes in verify.VERIFY_OPTIONS.items()},
 }
 OPTION_STRINGS = ["--n", "--q", "--d", "--k", "--F", "--variant", "--output", "--out-path",
                   "--domain", "--help"]
@@ -363,6 +364,80 @@ def test_bad_input_exits_2_with_one_stderr_line(argv):
     assert out.getvalue() == "", argv
     message = err.getvalue()
     assert message.endswith("\n") and len(message.splitlines()) == 1, (argv, message)
+
+
+def _parsed(parser, argv):
+    """(namespace, or exit code), stdout and stderr of parser.parse_args(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parser.parse_args(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT_COMMANDS))
+def test_command_parser_parses_as_the_full_parser(name):
+    # the parser built with the invoked subcommand alone gives the full
+    # parser's namespace on good options, its --help text, and its one-line
+    # error and exit 2 on a missing required argument, a bad choice and an
+    # unknown option
+    head, options = CONTRACT_COMMANDS[name]
+    argv = head + [x for item in options.items() for x in item]
+    if head[0] == "partition":
+        missing = head[:2] + argv[3:]  # no partition literal
+    elif head[0] == "verify":
+        missing = ["verify"]  # no check
+    else:
+        missing = [head[0]] + argv[3:]  # no --n
+    cases = [argv, head + ["--help"], missing, argv + ["--output", "xml"], argv + ["--foo"]]
+    for case, expected in zip(cases, ["namespace", 0, 2, 2, 2]):
+        alone = _parsed(cli.build_parser(head[0]), case)
+        assert alone == _parsed(cli.build_parser(), case), case
+        result, out, err = alone
+        if expected == "namespace":
+            assert vars(result)["command"] == head[0] and not out and not err, case
+        elif expected == 0:
+            assert result == 0 and out.startswith(f"usage: glblocks {head[0]} ") and not err
+        else:
+            assert result == 2 and not out and len(err.splitlines()) == 1, (case, err)
+
+
+def test_main_builds_the_invoked_subcommand_alone(monkeypatch, capsys):
+    # a command line that starts with a subcommand builds its parser alone;
+    # help, no arguments and a typo get every subparser
+    built = []
+    real = cli.build_parser
+
+    def spy(command=None):
+        built.append(command)
+        return real(command)
+    monkeypatch.setattr(cli, "build_parser", spy)
+    assert cli.main(["partition", "core", "[3,1]", "--d", "2"]) == 0
+    for argv in (["--help"], [], ["blokcs"], ["--n", "3", "blocks"]):
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+    capsys.readouterr()
+    assert built == ["partition", None, None, None, None]
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    # the glblocks console script calls main() with no arguments
+    monkeypatch.setattr(sys, "argv", ["glblocks", "partition", "core", "[6,5,5,2,1]", "--d", "3"])
+    assert cli.main() == 0
+    assert capsys.readouterr().out == "[3, 1]\n"
+    monkeypatch.setattr(sys, "argv", ["glblocks", "--help"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 0
+    assert "{partition,classes,table,blocks,matrix,oracle,verify}" in capsys.readouterr().out
+
+
+def test_verify_check_choices_are_the_verify_checks():
+    # the parser lists the checks without loading verify
+    choices = dict(cli.COMMANDS["verify"][1])["check"]["choices"]
+    assert choices == sorted(verify.VERIFY_OPTIONS) == sorted(verify.VERIFIERS)
 
 
 def test_oracle_command(capsys, tmp_path, monkeypatch):
@@ -554,9 +629,9 @@ CLASSES_ARGV = ["classes", "--n", "4", "--q", "3", "--d", "2"]
 
 
 @pytest.mark.parametrize("argv, output, unbuilt", [
-    (TABLE_ARGV, "json", (charvalue.CharValueTable, "csv_chunks")),
-    (TABLE_ARGV, "csv", (charvalue.CharValueTable, "json_chunks")),
-    (TABLE_ARGV, "text", (charvalue.CharValueTable, "json_chunks")),
+    (TABLE_ARGV, "json", (classlist.CharValueTable, "csv_chunks")),
+    (TABLE_ARGV, "csv", (classlist.CharValueTable, "json_chunks")),
+    (TABLE_ARGV, "text", (classlist.CharValueTable, "json_chunks")),
     (MATRIX_ARGV, "json", (blockcalc, "inner_product_matrix_csv")),
     (MATRIX_ARGV, "csv", (blockcalc, "inner_product_matrix_report")),
     (MATRIX_ARGV, "text", (blockcalc, "inner_product_matrix_csv")),
@@ -743,13 +818,36 @@ def test_large_prime_q_reaches_the_class_guard_at_once():
     assert run.stderr.startswith("glblocks: scale guard:") and len(run.stderr.splitlines()) == 1
 
 
+# the glblocks modules each command loads besides the package, cli and errors:
+# blocks, matrix, classes and oracle load neither abacus nor verify, classes
+# no value engine, only oracle, verify prop32 and verify thm45 the
+# element-level modules, oracle no section check, verify prop32 no character
+# table and no label-level engine module, and only thm410chain the chains
+ENGINE = {"partitions", "symchar", "qarith", "glclass", "charvalue", "blockcalc"}
+ORACLE_BASE = {"partitions", "qarith", "bruteforce"}
+COMMAND_MODULES = [
+    (["blocks", "--n", "4", "--q", "3", "--d", "2"], ENGINE),
+    (["matrix", "--n", "4", "--q", "3", "--d", "2", "--output", "json"], ENGINE),
+    (["classes", "--n", "3", "--q", "3", "--d", "2"],
+     {"partitions", "qarith", "glclass", "classlist"}),
+    (["table", "--n", "3", "--q", "2", "--output", "json"], ENGINE - {"blockcalc"} | {"classlist"}),
+    (["verify", "thm43", "--n", "4", "--q", "3", "--d", "2"], ENGINE | {"verify"}),
+    (["verify", "smt55", "--n", "4", "--q", "3", "--d", "2"], ENGINE | {"verify"}),
+    (["verify", "thm410chain", "--n", "4", "--d", "3"],
+     {"partitions", "abacus", "verify", "chains"}),
+    (["verify", "prop32", "--n", "2", "--q", "2", "--d", "2"],
+     ORACLE_BASE | {"bfsections", "verify"}),
+    (["verify", "thm45", "--n", "2", "--q", "2"], ENGINE | ORACLE_BASE | {"bftable", "verify"}),
+    (["oracle", "--n", "2", "--q", "2"], ORACLE_BASE | {"bftable"}),
+    (["partition", "core", "[3,1]", "--d", "2"], {"partitions", "abacus"}),
+]
+
+
 def test_engine_commands_import_only_what_they_run():
-    # only oracle, verify prop32 and verify thm45 need the element-level
-    # modules, only verify the verify module, and only classes and table
-    # the class list (classes loads no value engine); no command needs
-    # dataclasses (which loads inspect, ast and dis), traceback (only a
-    # crash prints one) or csv (table quotes its own CSV fields).  The same
-    # script with no command is the baseline, so modules that the
+    # each command loads exactly its glblocks modules (COMMAND_MODULES), and
+    # none loads dataclasses (which loads inspect, ast and dis), traceback
+    # (only a crash prints one) or csv (table quotes its own CSV fields).
+    # The same script with no command is the baseline, so modules that the
     # interpreter's site set-up loads do not count.
     script = "\n".join([
         "import contextlib, io, json, sys",
@@ -761,6 +859,7 @@ def test_engine_commands_import_only_what_they_run():
         "print(json.dumps([code, sorted(sys.modules)]))",
     ])
     env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("GLBLOCKS_CACHE_DIR", None)  # the oracle computes its dump
 
     def loaded(argv):
         out = subprocess.run([sys.executable, "-c", script, *argv], env=env,
@@ -768,41 +867,10 @@ def test_engine_commands_import_only_what_they_run():
         return json.loads(out)
 
     _, baseline = loaded([])
-    oracle = {"glblocks.bruteforce", "glblocks.bfsections", "glblocks.bftable"}
-    forbidden = {"dataclasses", "inspect", "traceback", "csv"} | oracle
-    for argv in (["blocks", "--n", "4", "--q", "3", "--d", "2"],
-                 ["matrix", "--n", "4", "--q", "3", "--d", "2", "--output", "json"],
-                 ["classes", "--n", "3", "--q", "3", "--d", "2"],
-                 ["table", "--n", "3", "--q", "2", "--output", "json"],
-                 ["verify", "thm43", "--n", "4", "--q", "3", "--d", "2"],
-                 ["verify", "smt55", "--n", "4", "--q", "3", "--d", "2"]):
-        code, modules = loaded(argv)
-        assert code == 0 and "glblocks.glclass" in modules, argv
-        unread = {"glblocks.verify"} if argv[0] != "verify" else set()
-        if argv[0] not in ("classes", "table"):
-            unread.add("glblocks.classlist")
-        unwanted = (set(modules) - set(baseline)) & (forbidden | unread)
+    for argv, modules in COMMAND_MODULES:
+        code, loads = loaded(argv)
+        assert code == 0, argv
+        assert {m for m in loads if m.startswith("glblocks.")} == {
+            f"glblocks.{m}" for m in modules | {"cli", "errors"}}, argv
+        unwanted = (set(loads) - set(baseline)) & {"dataclasses", "inspect", "traceback", "csv"}
         assert not unwanted, (argv, unwanted)
-        if argv[0] == "classes":
-            assert {m for m in modules if m.startswith("glblocks.")} == {
-                "glblocks.cli", "glblocks.errors", "glblocks.partitions", "glblocks.qarith",
-                "glblocks.glclass", "glblocks.classlist"}
-    # the element-level oracle loads bruteforce, but neither dataclasses nor
-    # inspect; oracle loads no section check, verify prop32 no character
-    # table, and neither a label-level engine module
-    engine = {"glblocks.blockcalc", "glblocks.charvalue", "glblocks.glclass", "glblocks.symchar"}
-    env.pop("GLBLOCKS_CACHE_DIR", None)
-    for argv, forbidden in ((["oracle", "--n", "2", "--q", "2"],
-                             engine | {"glblocks.bfsections", "glblocks.verify"}),
-                            (["verify", "prop32", "--n", "2", "--q", "2", "--d", "2"],
-                             engine | {"glblocks.bftable"}),
-                            (["verify", "thm45", "--n", "2", "--q", "2"], {"glblocks.bfsections"})):
-        code, modules = loaded(argv)
-        assert code == 0 and "glblocks.bruteforce" in modules, argv
-        unwanted = (set(modules) - set(baseline)) & ({"dataclasses", "inspect"} | forbidden)
-        assert not unwanted, (argv, unwanted)
-    # partition loads no glblocks module beyond partitions
-    code, modules = loaded(["partition", "core", "[3,1]", "--d", "2"])
-    assert code == 0
-    assert {m for m in modules if m.startswith("glblocks")} == {
-        "glblocks", "glblocks.cli", "glblocks.errors", "glblocks.partitions"}

@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glblocks import charvalue as C
 from glblocks import classlist as CL
 from glblocks import cli
 from glblocks import glclass as G
@@ -406,7 +405,7 @@ def test_classes_and_table_match_label_reference(n, q, monkeypatch, capsys):
     engine = [_stdout(argv, capsys) for argv in argvs]
     monkeypatch.setattr(CL, "classes_json", _reference_classes_json)
     monkeypatch.setattr(CL, "classes_text", _reference_classes_text)
-    monkeypatch.setattr(C, "table", _ReferenceTable)
+    monkeypatch.setattr(CL, "table", _ReferenceTable)
     for argv, out in zip(argvs, engine):
         assert out == _stdout(argv, capsys), argv
 
@@ -488,3 +487,23 @@ def test_class_list_stream_holds_no_per_class_list():
     finally:
         tracemalloc.stop()
     assert size > 2_000_000 and peak < 2_000_000, peak
+
+
+def test_table_stream_holds_no_whole_row():
+    # the JSON value table of GL(6,5) (15,600 classes, 4 MB) is written in
+    # chunks of at most CL.PIECE values, not one string per nu joined over
+    # every class (2.1 MB traced at that size); the value texts, one per
+    # type and nu, are all that is held besides the table's class map
+    tab = CL.table(6, 5)
+    sum(map(len, tab.json_chunks()))  # computes and caches every value vector
+    tracemalloc.start()
+    try:
+        size = count = 0
+        for chunk in tab.json_chunks():
+            size, count = size + len(chunk), count + 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size > 3_000_000 and peak < 1_000_000, peak
+    # 171,600 values, but not one write each
+    assert count < 500, count

@@ -6,10 +6,13 @@ from types import SimpleNamespace
 
 import pytest
 
+from glblocks import abacus as A
+from glblocks import chains as CH
 from glblocks import partitions as P
 from glblocks import verify as V
+from glblocks.abacus import AbacusState
 from glblocks.errors import InfeasibleError
-from glblocks.partitions import AbacusState, rim_hooks
+from glblocks.partitions import rim_hooks
 from hookref import l_set_iterate, path_sign_set
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -105,10 +108,10 @@ def rim_hooks_by_diagram(lam: tuple[int, ...], h: int) -> tuple[P.HookRemoval, .
 
 def test_check_partition_rejects_bad_input():
     with pytest.raises(ValueError):
-        P.check_partition((1, 2))
+        A.check_partition((1, 2))
     with pytest.raises(ValueError):
-        P.check_partition((2, 0))
-    assert P.check_partition([3, 1]) == (3, 1)
+        A.check_partition((2, 0))
+    assert A.check_partition([3, 1]) == (3, 1)
 
 
 def test_beta_set_roundtrip():
@@ -140,7 +143,7 @@ def test_hook_bead_bijection():
     # hooks of length k*d match beads sitting k spots above a gap
     for lam in all_partitions_upto(15):
         for d in range(1, 5):
-            ab = P.AbacusState(lam, d)
+            ab = A.AbacusState(lam, d)
             for k in range(1, sum(lam) // d + 1):
                 beads = 0
                 for runner in ab.runners:
@@ -154,13 +157,13 @@ def test_hook_bead_bijection():
 def test_core_quotient_worked_example():
     lam = (6, 5, 5, 2, 1)
     assert P.d_core(lam, 3) == (3, 1)
-    quo = P.d_quotient(lam, 3)
+    quo = A.d_quotient(lam, 3)
     # fixed convention puts ((1,1),(2),(1)) as a cyclic shift of this
     assert quo == ((2,), (1,), (1, 1))
     assert sorted(quo) == sorted(((1, 1), (2,), (1,)))
     rotations = [quo[r:] + quo[:r] for r in range(3)]
     assert ((1, 1), (2,), (1,)) in rotations
-    assert P.d_weight(lam, 3) == 5
+    assert A.d_weight(lam, 3) == 5
 
 
 def test_core_examples():
@@ -203,53 +206,53 @@ def test_quotient_of_core_is_empty():
     for lam in all_partitions_upto(10):
         for d in (2, 3, 4):
             gamma = P.d_core(lam, d)
-            assert P.d_quotient(gamma, d) == ((),) * d
+            assert A.d_quotient(gamma, d) == ((),) * d
 
 
 def test_quotient_two_row_example():
-    assert P.d_quotient((2,), 2) == ((), (1,))
+    assert A.d_quotient((2,), 2) == ((), (1,))
 
 
 def test_core_quotient_bijection_and_weight_consistency():
     for lam in all_partitions_upto(30):
         for d in range(1, 7):
             core = P.d_core(lam, d)
-            quo = P.d_quotient(lam, d)
-            assert V.from_core_quotient(core, quo, d) == lam
-            assert sum(lam) == sum(core) + d * P.d_weight(lam, d)
-            assert P.d_weight(lam, d) == sum(sum(c) for c in quo)
+            quo = A.d_quotient(lam, d)
+            assert CH.from_core_quotient(core, quo, d) == lam
+            assert sum(lam) == sum(core) + d * A.d_weight(lam, d)
+            assert A.d_weight(lam, d) == sum(sum(c) for c in quo)
 
 
 def test_weight_examples():
-    assert P.d_weight((4,), 2) == 2
-    assert P.d_weight((2, 1), 2) == 0
+    assert A.d_weight((4,), 2) == 2
+    assert A.d_weight((2, 1), 2) == 0
 
 
 # -- paths and signs ---------------------------------------------------------------
 
 def test_removal_paths_examples():
-    paths = P.removal_paths((2, 2), 2)
+    paths = A.removal_paths((2, 2), 2)
     assert len(paths) == 2
     assert {p.steps[0].result for p in paths} == {(2,), (1, 1)}
     assert all(p.total_leg == sum(s.leg_length for s in p.steps) for p in paths)
     assert all(p.steps[-1].result == () for p in paths)
 
-    assert len(P.removal_paths((2,), 2)) == 1
-    trivial = P.removal_paths((2, 1), 2)
-    assert trivial == (P.RemovalPath((), 0),)
+    assert len(A.removal_paths((2,), 2)) == 1
+    trivial = A.removal_paths((2, 1), 2)
+    assert trivial == (A.RemovalPath((), 0),)
 
 
 def test_removal_path_count_matches_enumeration():
     for lam in all_partitions_upto(10):
         for d in (1, 2, 3):
-            assert P.removal_path_count(lam, d) == len(P.removal_paths(lam, d))
+            assert A.removal_path_count(lam, d) == len(A.removal_paths(lam, d))
 
 
 def test_epsilon_examples():
     assert V.epsilon((2,), 2) == 1
     assert V.epsilon((1, 1), 2) == -1
     # both complete paths of the 2x2 square have even total leg (0 and 2)
-    legs = {p.total_leg for p in P.removal_paths((2, 2), 2)}
+    legs = {p.total_leg for p in A.removal_paths((2, 2), 2)}
     assert legs == {0, 2}
     assert V.epsilon((2, 2), 2) == 1
 
@@ -268,9 +271,9 @@ def test_is_simple_examples():
     for lam in all_partitions_upto(8):
         for d in (2, 3):
             gamma = P.d_core(lam, d)
-            assert V.is_simple(gamma, d)
-    assert not V.is_simple((4,), 2)
-    assert not V.is_simple((6, 5, 5, 2, 1), 3)
+            assert A.is_simple(gamma, d)
+    assert not A.is_simple((4,), 2)
+    assert not A.is_simple((6, 5, 5, 2, 1), 3)
 
 
 def test_simple_iff_no_multiple_hooks():
@@ -278,49 +281,49 @@ def test_simple_iff_no_multiple_hooks():
         for d in (2, 3):
             expected = all(not P.rim_hooks(lam, m * d)
                            for m in range(2, sum(lam) // d + 1))
-            assert V.is_simple(lam, d) == expected
+            assert A.is_simple(lam, d) == expected
 
 
 def test_simple_implies_weight_at_most_d():
     for lam in all_partitions_upto(14):
         for d in (2, 3, 4):
-            if V.is_simple(lam, d):
-                assert P.d_weight(lam, d) <= d
+            if A.is_simple(lam, d):
+                assert A.d_weight(lam, d) <= d
 
 
 def test_disjointness():
     for lam in all_partitions_upto(8):
         for d in (2, 3):
             gamma = P.d_core(lam, d)
-            assert V.disjoint(lam, gamma, d)
-            if P.d_weight(lam, d) > 0:
-                assert not V.disjoint(lam, lam, d)
+            assert A.disjoint(lam, gamma, d)
+            if A.d_weight(lam, d) > 0:
+                assert not A.disjoint(lam, lam, d)
 
 
 def test_weight_one_partitions_over_a_core_are_disjoint():
     # one weight-1 partition per runner, pairwise on distinct runners
     for d, gamma in [(2, (1,)), (2, (2, 1)), (3, ())]:
-        singles = [V.single_runner_partition(gamma, 1, d, r) for r in range(d)]
+        singles = [CH.single_runner_partition(gamma, 1, d, r) for r in range(d)]
         with pytest.raises(ValueError, match=f"runner {d} of {d}"):
-            V.single_runner_partition(gamma, 1, d, d)
+            CH.single_runner_partition(gamma, 1, d, d)
         assert len(set(singles)) == d
         for i, a in enumerate(singles):
-            assert P.d_weight(a, d) == 1 and P.d_core(a, d) == gamma
+            assert A.d_weight(a, d) == 1 and P.d_core(a, d) == gamma
             for b in singles[i + 1:]:
-                assert V.disjoint(a, b, d)
+                assert A.disjoint(a, b, d)
 
 
 def test_find_simple_disjoint():
-    lam = V.find_simple_disjoint((), 1, 3, frozenset())
-    assert P.d_core(lam, 3) == () and P.d_weight(lam, 3) == 1
-    assert V.is_simple(lam, 3)
+    lam = CH.find_simple_disjoint((), 1, 3, frozenset())
+    assert P.d_core(lam, 3) == () and A.d_weight(lam, 3) == 1
+    assert A.is_simple(lam, 3)
 
-    lam = V.find_simple_disjoint((), 2, 5, frozenset({0}))
-    assert V.is_simple(lam, 5) and P.d_weight(lam, 5) == 2
-    assert 0 not in V.runners_used(lam, 5)
+    lam = CH.find_simple_disjoint((), 2, 5, frozenset({0}))
+    assert A.is_simple(lam, 5) and A.d_weight(lam, 5) == 2
+    assert 0 not in A.runners_used(lam, 5)
 
     with pytest.raises(InfeasibleError):
-        V.find_simple_disjoint((2, 1), 1, 3, frozenset({0, 1, 2}))
+        CH.find_simple_disjoint((2, 1), 1, 3, frozenset({0, 1, 2}))
 
 
 # -- reachability sets ------------------------------------------------------------------
@@ -328,7 +331,7 @@ def test_find_simple_disjoint():
 def test_l_sets():
     for lam in all_partitions_upto(10):
         for d in (2, 3):
-            w = P.d_weight(lam, d)
+            w = A.d_weight(lam, d)
             gamma = P.d_core(lam, d)
             assert l_set_iterate(lam, d, 0) == frozenset({lam})
             assert l_set_iterate(lam, d, w) == frozenset({gamma})
@@ -337,8 +340,8 @@ def test_l_sets():
 
 
 def test_l_set_single_hook_empty_for_simple():
-    mu = V.find_simple_disjoint((), 2, 3, frozenset())
-    for i in range(2, P.d_weight(mu, 3) + 1):
+    mu = CH.find_simple_disjoint((), 2, 3, frozenset())
+    for i in range(2, A.d_weight(mu, 3) + 1):
         assert l_set_single(mu, 3, i) == frozenset()
 
 
@@ -351,7 +354,7 @@ def test_l_set_single():
         for d in (1, 2, 3):
             # one hook of length d is one step of the iterated removal
             assert l_set_single(lam, d, 1) == l_set_iterate(lam, d, 1)
-            for i in range(2, P.d_weight(lam, d) + 1):
+            for i in range(2, A.d_weight(lam, d) + 1):
                 single = l_set_single(lam, d, i)
                 # a hook of length i*d is i steps of d-hook removal
                 assert single <= l_set_iterate(lam, d, i), (lam, d, i)
@@ -363,21 +366,21 @@ def test_l_set_single():
 def test_abacus_roundtrip_and_quotient():
     for lam in all_partitions_upto(12):
         for d in (1, 2, 3, 4):
-            ab = P.AbacusState(lam, d)
+            ab = A.AbacusState(lam, d)
             assert abacus_partition(ab) == lam
-            assert abacus_quotient(ab) == P.d_quotient(lam, d)
+            assert abacus_quotient(ab) == A.d_quotient(lam, d)
 
 
 def test_abacus_longer_convention_same_quotient():
     lam = (6, 5, 5, 2, 1)
-    short = P.AbacusState(lam, 3)
+    short = A.AbacusState(lam, 3)
     long = abacus_of_length(lam, 3, short.origin_offset + 6)
     assert abacus_quotient(short) == abacus_quotient(long)
     assert compare_supports(short, long) == compare_supports(long, short)
 
 
 def test_abacus_of_empty_partition_packed():
-    ab = P.AbacusState((), 3)
+    ab = A.AbacusState((), 3)
     assert ab.origin_offset == 3 and all(runner == (0,) for runner in ab.runners)
     assert ab.edge_sequence() == "11>11100"
     long = abacus_of_length((), 3, 6)
@@ -385,15 +388,15 @@ def test_abacus_of_empty_partition_packed():
 
 
 def test_abacus_convention_mismatch():
-    a = P.AbacusState((2, 1), 2)
-    b = P.AbacusState((2, 1), 3)
+    a = A.AbacusState((2, 1), 2)
+    b = A.AbacusState((2, 1), 3)
     with pytest.raises(ConventionMismatchError):
         compare_supports(a, b)
 
 
 def test_edge_sequence_worked_example():
     # same rim word as the example sequence, up to the origin spot
-    ab = P.AbacusState((6, 5, 5, 2, 1), 3)
+    ab = A.AbacusState((6, 5, 5, 2, 1), 3)
     assert ab.edge_sequence() == "11>10101000110100"
 
 

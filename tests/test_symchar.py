@@ -5,7 +5,7 @@ import pytest
 
 from glblocks import symchar as S
 from glblocks.partitions import partitions_of, rim_hooks
-from glblocks.verify import find_simple_disjoint
+from glblocks.chains import find_simple_disjoint
 from glblocks.symchar import signed_removal_map
 from hookref import l_set_iterate, sn_char
 from paperref import restricted_inner_product, sn_l_blocks
