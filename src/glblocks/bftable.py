@@ -2,15 +2,15 @@
 GL(n,q), its Borel constituents and the oracle dump, from the classes of
 `bruteforce`.
 
-The table is computed by the class-algebra eigenvector method with exact
-cyclotomic lifting.  No floating point: the modular table is lifted to
-integer vectors of root-of-unity multiplicities and verified against the
-orthogonality relations exactly.  The class algebra is split one
-restricted class matrix at a time; its eigenvalues are the roots mod the
-chosen prime of its characteristic polynomial (from a Hessenberg form), so
-a kernel is only computed at a root.  The Borel permutation character is
-the character induced from the trivial character of the upper triangular
-matrices.  `cmd_oracle` is the handler of the `oracle` command.
+The table is computed by the class-algebra eigenvector method mod a prime
+ell = 1 mod e, e the exponent of the group: the class algebra is split one
+restricted class matrix at a time, with a kernel only at each root mod ell
+of its characteristic polynomial (from a Hessenberg form).  Each value is
+lifted to its exact root-of-unity multiplicities, and every exact test on
+values (orthogonality, Borel multiplicities, nonvanishing, rationality)
+runs in Z/M under one ring map zeta_e -> w that `_embedding` proves
+injective on what the oracle tests: no floating point and no cyclotomic
+division.  `cmd_oracle` is the handler of the `oracle` command.
 """
 
 from __future__ import annotations
@@ -19,75 +19,17 @@ import json
 import os
 import tempfile
 from functools import cache
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 from typing import NamedTuple
 
 from . import __version__
-from .bruteforce import _primary_spaces, field, oracle_classes
+from .bruteforce import _primary_spaces, oracle_classes
 from .errors import ScaleGuardError, TieError
 from .partitions import conjugate, n_stat, partitions_of
 from .qarith import prime_factors
 
 CLASS_GUARD = 80   # the Dixon class constants number k^3; see bruteforce's guards
-
-
-# -- exact cyclotomic arithmetic ---------------------------------------------------
-
-def _int_poly_divmod(num, den):
-    """(quotient, remainder) of integer polynomials, den monic; each step
-    visits only the nonzero coefficients of den below its leading one, and
-    the leading coefficient each step leaves in place is the quotient's."""
-    num = list(num)
-    dd = len(den) - 1
-    terms = [(i, c) for i, c in enumerate(den[:-1]) if c]
-    for top in range(len(num) - 1, dd - 1, -1):
-        lead = num[top]
-        if lead:
-            for i, c in terms:
-                num[top - dd + i] -= lead * c
-    return num[dd:], num[:dd]
-
-
-@cache
-def cyclotomic_poly(e: int) -> tuple[int, ...]:
-    num = [-1] + [0] * (e - 1) + [1]
-    for d in range(1, e):
-        if e % d == 0:
-            num, rem = _int_poly_divmod(num, cyclotomic_poly(d))
-            if any(rem):
-                raise ArithmeticError(f"cyclotomic polynomial {d} does not divide x^{e} - 1")
-    return tuple(num)
-
-
-def cyc_reduce(a):
-    """Canonical remainder mod the e-th cyclotomic polynomial."""
-    e = len(a)
-    return tuple(_int_poly_divmod(a, cyclotomic_poly(e))[1] + [0] * e)[:e]
-
-
-def cyc_as_int(a):
-    """The rational integer a represents, or None."""
-    red = cyc_reduce(a)
-    if any(red[1:]):
-        return None
-    return red[0]
-
-
-def _sparse(row):
-    """Each value of a row as its nonzero (exponent, multiplicity) pairs."""
-    return [[(j, m) for j, m in enumerate(value) if m] for value in row]
-
-
-def _pairing(e, sizes, a, b):
-    """sum_i |C_i| a_i conj(b_i) in Z[zeta_e] as a rational integer, or None;
-    a_i and b_i are sparse values, conj(zeta^j) = zeta^-j."""
-    acc = [0] * e
-    for size, va, vb in zip(sizes, a, b):
-        for ja, ma in va:
-            for jb, mb in vb:
-                acc[(ja - jb) % e] += size * ma * mb
-    return cyc_as_int(acc)
 
 
 # -- Dixon character table ----------------------------------------------------------
@@ -222,49 +164,100 @@ class CharacterTable(NamedTuple):
     sizes: tuple[int, ...]
     inverse_class: tuple[int, ...]
     degrees: tuple[int, ...]
-    values: tuple[tuple[tuple[int, ...], ...], ...]   # values[chi][class] cyclotomic
+    values: tuple[tuple[tuple[int, ...], ...], ...]   # [chi][class][j]: multiplicity of zeta^j
+    modulus: int                                       # M of `_embedding`
+    root: int                                          # w, the image of zeta_e in Z/M
+    residues: tuple[tuple[int, ...], ...]              # [chi][class]: the value's image in Z/M
 
     def value_int(self, chi: int, cls: int):
-        return cyc_as_int(self.values[chi][cls])
+        return _integer(self.residues[chi][cls], self.modulus, self.degrees[chi])
 
 
-def _lift(chars_mod, degrees, power_class, e, ell, z):
+def _integer(residue, modulus, bound):
+    """The integer x with |x| <= bound that maps to `residue`, or None.  A
+    quantity with conjugates at most the embedding's bound less `bound` is x,
+    or no integer if None: it less x maps to 0 and is within the bound."""
+    x = (residue + modulus // 2) % modulus - modulus // 2
+    return x if abs(x) <= bound else None
+
+
+def _embedding(e, ell, z, bound):
+    """(M, w): M = ell^k, the least power of ell above bound^phi(e), and w
+    the Teichmueller lift z^(ell^(k-1)) mod M of z, the root of x^e = 1 mod M
+    that is z mod ell, found by Newton's step x -> x (1 - (x^e - 1)/e), which
+    squares the precision at which x^e = 1.  zeta_e -> w maps Z[zeta_e] onto
+    Z/M and sends no nonzero x with |sigma(x)| <= bound for every embedding
+    sigma to 0.
+
+    w^e = 1 mod M, and w mod ell has order e; both are checked.  As ell does
+    not divide e, x^e - 1 has no repeated root mod ell, so Phi_d(w) is a unit
+    mod M for each proper divisor d of e, and Phi_e(w) = 0 mod M: the map is
+    well defined.  It is onto, so its kernel has index M, and a nonzero x in
+    it generates an ideal inside it, so |N(x)| = [Z[zeta_e] : (x)] >= M.  But
+    |N(x)| = prod_sigma |sigma(x)| <= bound^phi(e) < M."""
+    limit, modulus = bound ** sum(gcd(j, e) == 1 for j in range(e)), ell
+    while modulus <= limit:
+        modulus *= ell
+    w, precision = z, ell
+    while precision < modulus:
+        precision = min(precision * precision, modulus)
+        w = w * (1 - (pow(w, e, precision) - 1) * pow(e, -1, precision)) % precision
+    if pow(w, e, modulus) != 1:
+        raise ArithmeticError("the lifted root is not an e-th root of unity mod M")
+    if any(pow(w, e // p, ell) == 1 for p in prime_factors(e)):
+        raise ArithmeticError("the lifted root is not a primitive e-th root of unity mod ell")
+    return modulus, w
+
+
+def _lift(chars_mod, degrees, power_class, e, ell, z, modulus, w):
     """Root-of-unity multiplicities of each character value, from its
-    values mod ell on the powers of the class representative.
+    values mod ell on the powers of the class representative, and the
+    image of the value in Z/modulus under zeta_e -> w.
 
     m_j = (1/e) sum_{m<e} chi(r^m) z^(-jm) mod ell.  power_class[i] lists
     the classes of r^m for m below o = ord(r), and they repeat with period
     o, so the sum is (e/o) times the sum over m < o when (e/o) divides j.
     Otherwise it is that sum times sum_{t < e/o} z^(-jot), which is 0 mod
-    ell because z^(-jo) is a root of unity other than 1."""
-    e_inv = pow(e, -1, ell)
+    ell because z^(-jo) is a root of unity other than 1.  The multiplicities
+    count the eigenvalues of r, so they must sum to chi(1); then every
+    conjugate of chi(r) is at most chi(1) in absolute value."""
     z_pows = [pow(z, m, ell) for m in range(e)]
-    # (e/o) z^(-jm) for m < o, one row per (order o, exponent j), shared by
-    # every character
-    root_rows = {}
+    # per order o: the rows (1/o) z^(-jm), m < o, for each j that e/o
+    # divides, shared by every character, and the powers of w at those j
+    lifts = {}
     for powers in power_class:
         o = len(powers)
-        stride = e // o
-        for j in range(0, e, stride):
-            if (o, j) not in root_rows:
-                root_rows[o, j] = [stride * z_pows[(-j * m) % e] for m in range(o)]
-    values = []
+        if o not in lifts:
+            o_inv, stride = pow(o, -1, ell), e // o
+            w_row, step = [1], pow(w, stride, modulus)
+            while len(w_row) < o:
+                w_row.append(w_row[-1] * step % modulus)
+            lifts[o] = ([[o_inv * z_pows[(-j * m) % e] % ell for m in range(o)]
+                         for j in range(0, e, stride)], w_row)
+    values, residues = [], []
     for chi, cm in enumerate(chars_mod):
-        rows = []
+        rows, images = [], []
         for i, powers in enumerate(power_class):
             chi_powers = [cm[c] for c in powers]
-            o = len(powers)
-            mults = [0] * e
-            for j in range(0, e, e // o):
-                mj = sum(map(mul, chi_powers, root_rows[o, j])) * e_inv % ell
-                if mj > degrees[chi]:
-                    raise ArithmeticError("lifted multiplicity exceeds the degree")
-                mults[j] = mj
-            if sum(map(mul, mults, z_pows)) % ell != cm[i]:
+            roots, w_row = lifts[len(powers)]
+            mults = [sum(map(mul, chi_powers, row)) % ell for row in roots]
+            if sum(mults) != degrees[chi]:
+                raise ArithmeticError("multiplicities do not sum to the degree")
+            image = sum(map(mul, mults, w_row)) % modulus
+            if image % ell != cm[i]:
                 raise ArithmeticError("modular roundtrip failed")
-            rows.append(tuple(mults))
+            value = [0] * e
+            value[::e // len(powers)] = mults
+            rows.append(tuple(value))
+            images.append(image)
         values.append(tuple(rows))
-    return tuple(values)
+        residues.append(tuple(images))
+    return tuple(values), tuple(residues)
+
+
+def _borel_order(n, q):
+    """|B| for B the upper triangular matrices of GL(n,q)."""
+    return (q - 1) ** n * q ** (n * (n - 1) // 2)
 
 
 @cache
@@ -278,31 +271,32 @@ def dixon_table(n: int, q: int) -> CharacterTable:
     size = len(group.rows)
     reps = data.reps
     sizes = data.sizes
-    inv_class = tuple(data.class_of[group.inverses[r]] for r in reps)
+    class_of = data.class_of
+    inv_class = tuple(class_of[group.inverses[r]] for r in reps)
     # power_class[i][m] = class of reps[i]^m for m below the order of reps[i]
     power_class = []
     for r in reps:
-        row = [data.class_of[group.id_index]]
+        row = [class_of[group.id_index]]
         cur = r
         while cur != group.id_index:
-            row.append(data.class_of[cur])
+            row.append(class_of[cur])
             cur = group.mul(cur, r)
         power_class.append(row)
+    # the powers of g^-1 are those of g reversed: the lift there is conj(chi(g))
+    for row, inv in zip(power_class, inv_class):
+        if power_class[inv] != row[:1] + row[:0:-1]:
+            raise ArithmeticError("the powers of an inverse class are not reversed")
     e = lcm(*(len(row) for row in power_class))
     ell = _find_prime(e, size)
     z = _primitive_root_power(ell, e)
 
-    # class multiplication constants: A_i[j][k] = c_{ijk}
-    # counted from one row [x^-1 z_k for every x] per representative z_k
-    const = [[[0] * k for _ in range(k)] for _ in range(k)]
-    class_of = data.class_of
+    # class multiplication constants: mats[i][j][kk] = c_ijk, counted from
+    # one row [x^-1 z_kk for every x] per representative z_kk
+    mats = [[[0] * k for _ in range(k)] for _ in range(k)]
     for kk in range(k):
         row = group.mul_pairs(group.inverses, [reps[kk]] * size)
         for i, j in zip(class_of, map(class_of.__getitem__, row)):
-            const[i][j][kk] += 1
-    mats = []
-    for i in range(k):
-        mats.append([[const[i][j][kk] % ell for kk in range(k)] for j in range(k)])
+            mats[i][j][kk] += 1
 
     # split the class algebra into common eigenlines one matrix at a time;
     # distinct characters have distinct eigenvalue vectors, so this always
@@ -318,6 +312,7 @@ def dixon_table(n: int, q: int) -> CharacterTable:
                 continue
             m = len(sp)
             R = _restrict_mod(mats[i], sp, ell)
+            columns = list(zip(*sp))
             # only a root of the characteristic polynomial has a kernel
             found = 0
             for x in _roots_mod(_charpoly_mod(R, ell), ell):
@@ -326,48 +321,57 @@ def dixon_table(n: int, q: int) -> CharacterTable:
                 ker = _kernel_mod(shifted, ell)
                 if not ker:
                     raise ArithmeticError("class algebra failed to split over the chosen prime")
-                lifted = [tuple(sum(kv[j] * sp[j][c] for j in range(m)) % ell
-                                for c in range(k)) for kv in ker]
-                nxt.append(lifted)
+                nxt.append([tuple(sum(map(mul, kv, col)) % ell for col in columns)
+                            for kv in ker])
                 found += len(ker)
             if found != m:
                 raise ArithmeticError("class algebra failed to split over the chosen prime")
         spaces = nxt
     if not (len(spaces) == k and all(len(sp) == 1 for sp in spaces)):
         raise ArithmeticError("eigenvector splitting did not reach lines")
-    vectors = [list(sp[0]) for sp in spaces]
 
-    id_cls = data.class_of[group.id_index]
+    id_cls = class_of[group.id_index]
+    size_inv = [pow(s, -1, ell) for s in sizes]
     chars_mod = []
     degrees = []
-    for v in vectors:
+    for (v,) in spaces:
         if v[id_cls] % ell == 0:
             raise ArithmeticError("eigenvector vanishes at the identity class")
         norm = pow(v[id_cls], -1, ell)
         omega = [(x * norm) % ell for x in v]
-        t = sum(omega[i] * omega[inv_class[i]] * pow(sizes[i], -1, ell)
-                for i in range(k)) % ell
+        t = sum(omega[i] * omega[inv_class[i]] * size_inv[i] for i in range(k)) % ell
         target = size * pow(t, -1, ell) % ell
         deg = next((s for s in range(1, isqrt(size) + 1) if s * s % ell == target), None)
         if deg is None:
             raise ArithmeticError(f"no degree s <= isqrt(|G|) has s^2 = {target} mod {ell}")
-        chars_mod.append([deg * omega[i] * pow(sizes[i], -1, ell) % ell for i in range(k)])
+        chars_mod.append([deg * x * s_inv % ell for x, s_inv in zip(omega, size_inv)])
         degrees.append(deg)
     if sum(d * d for d in degrees) != size:
         raise ArithmeticError("squared degrees do not sum to |G|")
 
-    values = _lift(chars_mod, degrees, power_class, e, ell, z)
-    tab = CharacterTable(size, e, reps, sizes, inv_class, tuple(degrees), values)
+    # every quantity tested exactly, less the integer it is read as, has
+    # conjugates within this bound: the values within D, the orthogonality
+    # sums within |G|(D^2 + 1), the Borel sums within |G| D [G:B]
+    top = max(degrees)
+    modulus, w = _embedding(e, ell, z, 2 * size * (top * max(top, size // _borel_order(n, q)) + 1))
+    values, residues = _lift(chars_mod, degrees, power_class, e, ell, z, modulus, w)
+    tab = CharacterTable(size, e, reps, sizes, inv_class, tuple(degrees), values,
+                         modulus, w, residues)
     _verify_orthogonality(tab)
     return tab
 
 
 def _verify_orthogonality(tab: CharacterTable):
-    """sum_i |C_i| chi_a(C_i) conj(chi_b(C_i)) = |G| [a = b], exactly in Z[zeta_e]."""
-    sparse = [_sparse(row) for row in tab.values]
-    for a, row_a in enumerate(sparse):
-        for b in range(a, len(sparse)):
-            if _pairing(tab.exponent, tab.sizes, row_a, sparse[b]) != (tab.order if a == b else 0):
+    """sum_i |C_i| chi_a(C_i) conj(chi_b(C_i)) = |G| [a = b], exactly: the
+    difference of the two sides has every conjugate within |G|(D^2 + 1), so
+    it is 0 exactly when its image in Z/M is.  conj(chi_b(C_i)) is chi_b at
+    the inverse class."""
+    modulus = tab.modulus
+    conj = [[row[i] for i in tab.inverse_class] for row in tab.residues]
+    for a, row in enumerate(tab.residues):
+        sized = [s * x % modulus for s, x in zip(tab.sizes, row)]
+        for b in range(a, len(conj)):
+            if sum(map(mul, sized, conj[b])) % modulus != (tab.order if a == b else 0):
                 raise ArithmeticError("row orthogonality failed exactly")
 
 
@@ -414,13 +418,17 @@ def borel_unipotent_constituents(n: int, q: int) -> BorelDecomposition:
     for g, rows in enumerate(data.group.rows):
         if all(r % q ** i == 0 for i, r in enumerate(rows)):
             in_borel[data.class_of[g]] += 1
-    borel_order = (q - 1) ** n * q ** (n * (n - 1) // 2)
+    borel_order = _borel_order(n, q)
     if sum(in_borel) != borel_order:
         raise ArithmeticError(f"{sum(in_borel)} upper triangular matrices, not |B| = {borel_order}")
     perm = tuple(c * m // borel_order for c, m in zip(data.centralizer_orders, in_borel))
-    perm_values, mults = [[(0, x)] for x in perm], []
-    for chi, row in enumerate(tab.values):
-        val = _pairing(tab.exponent, tab.sizes, perm_values, _sparse(row))
+    # |G| times chi's multiplicity, conjugated (perm is rational), has every
+    # conjugate within D sum_i |C_i| perm_i = D |G| (orbits on G/B) <= |G| D [G:B]
+    weights = [s * x for s, x in zip(tab.sizes, perm)]
+    bound = tab.order * max(tab.degrees) * (tab.order // borel_order)
+    mults = []
+    for chi, row in enumerate(tab.residues):
+        val = _integer(sum(map(mul, weights, row)), tab.modulus, bound)
         if val is None or val % tab.order:
             raise ArithmeticError(f"Borel multiplicity of character {chi} is not an integer")
         mults.append(val // tab.order)
@@ -455,26 +463,18 @@ def check_d1_duality_identity(n: int, q: int) -> dict:
     constituent labeled lam, equality with degree(conjugate(lam)) divided
     by the prime-to-p part of the group order.
     """
-    from fractions import Fraction  # only this check builds a rational
-    data = oracle_classes(n, q)
     tab = dixon_table(n, q)
     dec = borel_unipotent_constituents(n, q)
     unip_classes = [i for i, r in enumerate(tab.reps)
                     if all(name == "u" for _, name, _, _ in _primary_spaces(n, q, r))]
     if sum(tab.sizes[i] for i in unip_classes) != q ** (n * (n - 1)):
         raise ArithmeticError("unipotent classes do not hold q^(n(n-1)) elements")
-    order = tab.order
-    p = field(q).p
-    order_p = 1
-    while order % p == 0:
-        order //= p
-        order_p *= p
-    order_p_prime = tab.order // order_p
-    # sum over unipotent classes of |C_i| conj(chi(C_i)), zero iff its conjugate is
+    order_p_prime = tab.order // q ** (n * (n - 1) // 2)   # |G| over its p-part
+    # sum over unipotent classes of |C_i| chi(C_i), with every conjugate
+    # within |G| D, so zero exactly when its image in Z/M is
     sizes = [tab.sizes[i] for i in unip_classes]
-    ones = [[(0, 1)]] * len(unip_classes)
-    all_nonzero = all(_pairing(tab.exponent, sizes, ones, _sparse([row[i] for i in unip_classes]))
-                      != 0 for row in tab.values)
+    all_nonzero = all(sum(map(mul, sizes, map(row.__getitem__, unip_classes))) % tab.modulus
+                      for row in tab.residues)
     exact_match = True
     for lam, (chi, _) in dec.constituents.items():
         total = 0
@@ -483,9 +483,8 @@ def check_d1_duality_identity(n: int, q: int) -> dict:
             if v is None:
                 raise ArithmeticError(f"character {chi} is not rational on unipotent class {i}")
             total += tab.sizes[i] * v
-        lhs = Fraction(total, tab.order)
-        rhs = Fraction(q_hook_degree(conjugate(lam), q), order_p_prime)
-        if lhs != rhs:
+        # total / |G| against degree(lam') / |G|_p', cross-multiplied
+        if total * order_p_prime != q_hook_degree(conjugate(lam), q) * tab.order:
             exact_match = False
     return {"all_nonzero": all_nonzero, "unipotent_identity": exact_match}
 

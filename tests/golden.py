@@ -1,0 +1,79 @@
+"""The golden corpus: command lines whose exit code, stdout and stderr are
+pinned in tests/golden.txt, one line per command:
+
+    <argv as a JSON list> TAB <exit code> TAB <sha256 of stdout> TAB <sha256 of stderr>
+
+Each command runs in process through `cli.main`, with GLBLOCKS_CACHE_DIR
+unset; a usage error's SystemExit gives its exit code.  A change that
+alters output on purpose re-records the corpus and explains each changed
+line:
+
+    PYTHONPATH=src python tests/golden.py        # rewrites tests/golden.txt
+
+The corpus covers the element-level oracle: `oracle` on GL(1,q) for
+q <= 7, GL(2,q) for q <= 5, GL(3,2), and the groups its guards refuse
+(exit 4); `verify prop32` at eight contexts; `verify thm45` on five
+groups; each in text and json.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+GOLDEN = Path(__file__).resolve().parent / "golden.txt"
+
+ORACLE_GROUPS = [(1, 2), (1, 3), (1, 4), (1, 5), (1, 7),
+                 (2, 2), (2, 3), (2, 4), (2, 5), (3, 2)]
+# over the class guard, the table guard (twice) and the field guard
+GUARDED_GROUPS = [(1, 83), (2, 11), (4, 3), (1, 10007)]
+PROP32 = [(2, 2, 1, None), (2, 2, 2, "exact"), (2, 3, 2, None), (2, 3, 3, "divisible"),
+          (3, 2, 1, "exact"), (3, 2, 2, None), (3, 2, 3, None), (2, 4, 2, "divisible")]
+THM45 = [(2, 2), (2, 3), (3, 2), (2, 4), (2, 5)]
+
+
+def commands():
+    base = [["oracle", "--n", str(n), "--q", str(q)] for n, q in ORACLE_GROUPS + GUARDED_GROUPS]
+    for n, q, d, variant in PROP32:
+        argv = ["verify", "prop32", "--n", str(n), "--q", str(q), "--d", str(d)]
+        base.append(argv + (["--variant", variant] if variant else []))
+    base += [["verify", "thm45", "--n", str(n), "--q", str(q)] for n, q in THM45]
+    return [argv + ["--output", form] for argv in base for form in ("text", "json")]
+
+
+def run(argv):
+    """(exit code, sha256 of stdout, sha256 of stderr) of one in-process run."""
+    from glblocks import cli
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return (code, hashlib.sha256(out.getvalue().encode()).hexdigest(),
+            hashlib.sha256(err.getvalue().encode()).hexdigest())
+
+
+def line(argv, result):
+    return "\t".join([json.dumps(argv), *map(str, result)])
+
+
+def read():
+    """[(argv, line)] of tests/golden.txt."""
+    return [(json.loads(text.split("\t", 1)[0]), text)
+            for text in GOLDEN.read_text().splitlines()]
+
+
+def main():
+    os.environ.pop("GLBLOCKS_CACHE_DIR", None)
+    GOLDEN.write_text("".join(line(argv, run(argv)) + "\n" for argv in commands()))
+    print(f"wrote {len(commands())} lines to {GOLDEN}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()

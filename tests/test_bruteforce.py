@@ -1,5 +1,6 @@
 import ast
 import json
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from glblocks import glclass as G
 from glblocks import qarith as Q
 from glblocks.errors import ScaleGuardError
 from glblocks.symchar import partition_index
+import cycref as R
 import labelref as L
 
 ORACLE_GROUPS = [(2, 2), (2, 3), (3, 2), (2, 4)]
@@ -445,7 +447,8 @@ def full_power_classes(group, class_of, reps, e):
 
 
 def full_length_lift(power_class, chars_mod, degrees, e, ell, z):
-    """Reference: the length-e DFT m_j = (1/e) sum_{m<e} chi(r^m) z^(-jm)."""
+    """Reference: the length-e DFT m_j = (1/e) sum_{m<e} chi(r^m) z^(-jm),
+    whose multiplicities sum to the degree."""
     e_inv = pow(e, -1, ell)
     z_pows = [pow(z, m, ell) for m in range(e)]
     values = []
@@ -455,9 +458,8 @@ def full_length_lift(power_class, chars_mod, degrees, e, ell, z):
             mults = []
             for j in range(e):
                 s = sum(cm[powers[m]] * z_pows[(-j * m) % e] for m in range(e))
-                mj = s * e_inv % ell
-                assert mj <= degrees[chi]
-                mults.append(mj)
+                mults.append(s * e_inv % ell)
+            assert sum(mults) == degrees[chi]
             assert sum(mults[j] * z_pows[j] for j in range(e)) % ell == cm[i]
             rows.append(tuple(mults))
         values.append(tuple(rows))
@@ -469,13 +471,13 @@ def test_lift_over_element_orders_matches_full_length_lift(n, q, monkeypatch):
     seen = []
     lift = BT._lift
 
-    def recording_lift(chars_mod, degrees, power_class, e, ell, z):
-        seen.append((chars_mod, degrees, power_class, e, ell, z))
-        return lift(chars_mod, degrees, power_class, e, ell, z)
+    def recording_lift(*args):
+        seen.append(args)
+        return lift(*args)
 
     monkeypatch.setattr(BT, "_lift", recording_lift)
     BT.dixon_table.__wrapped__(n, q)
-    (chars_mod, degrees, power_class, e, ell, z), = seen
+    (chars_mod, degrees, power_class, e, ell, z, modulus, w), = seen
     data = BF.oracle_classes(n, q)
     tab = BT.dixon_table(n, q)
     assert tab.exponent == e
@@ -487,6 +489,9 @@ def test_lift_over_element_orders_matches_full_length_lift(n, q, monkeypatch):
         order = row.index(id_cls, 1) if id_cls in row[1:] else e
         assert short == row[:order]
     assert tab.values == full_length_lift(full, chars_mod, degrees, e, ell, z)
+    assert (tab.modulus, tab.root) == (modulus, w)
+    assert tab.residues == tuple(tuple(R.embed(value, modulus, w) for value in row)
+                                 for row in tab.values)
 
 
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2), (2, 4)])
@@ -712,9 +717,17 @@ def dense_orthogonality(tab):
         for b in range(a, len(tab.degrees)):
             acc = tuple([0] * e)
             for i in range(len(tab.reps)):
-                term = cyc_mul(tab.values[a][i], cyc_conj(tab.values[b][i]), e)
-                acc = cyc_add(acc, cyc_scale(tab.sizes[i], term))
-            assert BT.cyc_as_int(acc) == (tab.order if a == b else 0)
+                term = R.cyc_mul(tab.values[a][i], R.cyc_conj(tab.values[b][i]), e)
+                acc = R.cyc_add(acc, R.cyc_scale(tab.sizes[i], term))
+            assert R.cyc_as_int(acc) == (tab.order if a == b else 0)
+
+
+def sparse_orthogonality(tab):
+    """Reference: the row relations as sparse pairings reduced by Phi_e, the
+    check the embedding into Z/M replaced; True when they all hold."""
+    rows = [R.sparse(row) for row in tab.values]
+    return all(R.pairing(tab.exponent, tab.sizes, rows[a], rows[b]) == (tab.order if a == b else 0)
+               for a in range(len(rows)) for b in range(a, len(rows)))
 
 
 def test_dixon_orthogonality_reverified():
@@ -722,6 +735,7 @@ def test_dixon_orthogonality_reverified():
         tab = BT.dixon_table(n, q)
         BT._verify_orthogonality(tab)
         dense_orthogonality(tab)
+        assert sparse_orthogonality(tab)
     # one multiplicity moved to another root of unity breaks a relation
     tab = BT.dixon_table(2, 3)
     chi = tab.degrees.index(2)
@@ -730,8 +744,12 @@ def test_dixon_orthogonality_reverified():
     rows = list(tab.values[chi])
     rows[0] = tuple(value)
     values = tab.values[:chi] + (tuple(rows),) + tab.values[chi + 1:]
+    residues = tuple(tuple(R.embed(value, tab.modulus, tab.root) for value in row)
+                     for row in values)
     broken = BT.CharacterTable(tab.order, tab.exponent, tab.reps, tab.sizes,
-                               tab.inverse_class, tab.degrees, values)
+                               tab.inverse_class, tab.degrees, values,
+                               tab.modulus, tab.root, residues)
+    assert not sparse_orthogonality(broken)
     with pytest.raises(ArithmeticError, match="orthogonality"):
         BT._verify_orthogonality(broken)
 
@@ -808,7 +826,7 @@ def test_fifth_group_gl25():
 
 
 # groups past the first five that the table and class guards admit;
-# GL(2,9) (80 classes, 4.6 s here, half of it in the orthogonality check)
+# GL(2,9) (80 classes, about 2 s cold, most of it in the class-algebra split)
 # is left to the README's timing table
 LARGER_ORACLE_GROUPS = [(2, 7), (2, 8), (3, 3), (4, 2)]
 
@@ -848,32 +866,6 @@ def test_class_and_enumeration_guards_still_fire():
         BF.enumerate_irreducibles(2, 20)
 
 
-def cyc_mul(a, b, e):
-    """Product in Z[zeta_e] of two vectors of root-of-unity multiplicities."""
-    out = [0] * e
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[(i + j) % e] += x * y
-    return tuple(out)
-
-
-# dense vectors of root-of-unity multiplicities, the reference for the
-# sparse sums of the oracle
-def cyc_conj(a):
-    e = len(a)
-    return tuple(a[(-j) % e] for j in range(e))
-
-
-def cyc_scale(c, a):
-    return tuple(c * x for x in a)
-
-
-def cyc_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def dense_remainder(num, den):
     """Reference: division with remainder by a monic den over all of its
     coefficients, the loop that the sparse one replaced."""
@@ -902,13 +894,13 @@ def poly_times_plus(a, b, c):
 
 monic_divisors = st.one_of(
     st.lists(st.integers(-50, 50), max_size=12).map(lambda low: low + [1]),
-    st.integers(1, 120).map(lambda e: list(BT.cyclotomic_poly(e))))
+    st.integers(1, 120).map(lambda e: list(R.cyclotomic_poly(e))))
 
 
 @settings(max_examples=300, deadline=None)
 @given(num=st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=40), den=monic_divisors)
 def test_int_poly_divmod_quotient_times_den_plus_remainder(num, den):
-    quotient, remainder = BT._int_poly_divmod(num, den)
+    quotient, remainder = R.int_poly_divmod(num, den)
     assert len(remainder) == min(len(num), len(den) - 1)
     assert len(quotient) == max(len(num) - len(den) + 1, 0)
     total = poly_times_plus(quotient, den, remainder)
@@ -930,21 +922,100 @@ def int_vectors(e):
 def test_sparse_cyclotomic_reduction_matches_dense_division(start, data):
     for e in range(start, 121, 4):
         a = data.draw(int_vectors(e))
-        rem = dense_remainder(a, BT.cyclotomic_poly(e))
-        assert BT.cyc_reduce(tuple(a)) == tuple(rem + [0] * (e - len(rem)))
+        rem = dense_remainder(a, R.cyclotomic_poly(e))
+        assert R.cyc_reduce(tuple(a)) == tuple(rem + [0] * (e - len(rem)))
 
 
 def test_cyclotomic_helpers():
     e = 12
     zeta = tuple(1 if i == 1 else 0 for i in range(e))
-    prod = cyc_mul(zeta, zeta, e)
+    prod = R.cyc_mul(zeta, zeta, e)
     assert prod[2] == 1 and sum(map(abs, prod)) == 1
     # zeta^6 = -1 in the 12th cyclotomic field
     z6 = tuple(1 if i == 6 else 0 for i in range(e))
-    assert BT.cyc_as_int(z6) == -1
-    assert BT.cyc_as_int(cyc_mul(z6, z6, e)) == 1
-    assert BT.cyclotomic_poly(12) == (1, 0, -1, 0, 1)
-    assert not any(BT.cyc_reduce(cyc_add(z6, tuple([1] + [0] * (e - 1)))))
+    assert R.cyc_as_int(z6) == -1
+    assert R.cyc_as_int(R.cyc_mul(z6, z6, e)) == 1
+    assert R.cyclotomic_poly(12) == (1, 0, -1, 0, 1)
+    assert not any(R.cyc_reduce(R.cyc_add(z6, tuple([1] + [0] * (e - 1)))))
+
+
+@cache
+def embedding(e):
+    """(M, w) for zeta_e, from the least prime ell = 1 mod e above 3, with
+    the bound e * 2^12 of `test_embedding_decisions_match_cyclotomic_division`."""
+    ell = BT._find_prime(e, 1)
+    return BT._embedding(e, ell, BT._primitive_root_power(ell, e), e * 2 ** 12)
+
+
+def byte_vectors(e):
+    """Integer vectors of length e, one signed byte per entry."""
+    return st.binary(min_size=e, max_size=e).map(
+        lambda raw: [x - 256 if x > 127 else x for x in raw])
+
+
+# each vector is c + r(zeta) Phi_e(zeta), with noise added to some: a
+# rational integer, zero, or neither.  Every conjugate of the value is at
+# most s, the sum of the absolute values of its entries, so an integer is
+# read within s, and the value less that integer is within 2s; Phi_e has
+# coefficient sum at most 113 in absolute value for e <= 120, so every
+# entry is below 2^11 and 2s below e * 2^12
+@pytest.mark.parametrize("start", range(1, 5))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_embedding_decisions_match_cyclotomic_division(start, data):
+    for e in range(start, 121, 4):
+        phi_e = R.cyclotomic_poly(e)
+        width = e - len(phi_e) + 1
+        r = [x % 17 - 8 for x in data.draw(st.binary(min_size=width, max_size=width))]
+        a = data.draw(st.one_of(st.just([0] * e), byte_vectors(e)))
+        a[0] += data.draw(st.integers(-128, 128))
+        for i, x in enumerate(r):
+            for j, c in enumerate(phi_e):
+                a[i + j] += x * c
+        assert max(map(abs, a)) < 2 ** 11
+        modulus, w = embedding(e)
+        image = R.embed(a, modulus, w)
+        assert BT._integer(image, modulus, sum(map(abs, a))) == R.cyc_as_int(a)
+        assert (image == 0) == (not any(R.cyc_reduce(a)))
+
+
+@pytest.mark.parametrize("n,q", ORACLE_GROUPS + [(2, 5)])
+def test_lifted_root_is_a_root_of_the_cyclotomic_polynomial(n, q):
+    # Phi_e(w) = 0 mod M, M exceeds the table's bound to the phi(e), and
+    # Newton's iteration gave w = z^(ell^(k-1)) mod M, z = w mod ell
+    tab = BT.dixon_table(n, q)
+    phi_e = R.cyclotomic_poly(tab.exponent)
+    assert R.embed(phi_e, tab.modulus, tab.root) == 0
+    ell = BT._find_prime(tab.exponent, tab.order)
+    assert tab.root == pow(tab.root % ell, tab.modulus // ell, tab.modulus)
+    top, index = max(tab.degrees), tab.order // BT._borel_order(n, q)
+    bound = 2 * tab.order * (top * max(top, index) + 1)
+    assert tab.modulus > bound ** (len(phi_e) - 1)
+
+
+def test_broken_lift_and_borel_pairing_raise(monkeypatch):
+    seen = []
+    lift = BT._lift
+
+    def recording_lift(*args):
+        seen.append(args)
+        return lift(*args)
+
+    monkeypatch.setattr(BT, "_lift", recording_lift)
+    tab = BT.dixon_table.__wrapped__(2, 3)
+    (chars_mod, degrees, *rest), = seen
+    # one degree too large: that character's multiplicities sum to less
+    with pytest.raises(ArithmeticError, match="multiplicities do not sum to the degree"):
+        lift(chars_mod, [degrees[0] + 1, *degrees[1:]], *rest)
+    # zeta times the trivial character: |G| times its Borel multiplicity is
+    # |G| zeta, not a rational integer
+    trivial = tab.residues.index((1,) * len(tab.reps))
+    residues = list(tab.residues)
+    residues[trivial] = tuple(x * tab.root % tab.modulus for x in residues[trivial])
+    broken = tab._replace(residues=tuple(residues))
+    monkeypatch.setattr(BT, "dixon_table", lambda n, q: broken)
+    with pytest.raises(ArithmeticError, match=f"character {trivial} is not an integer"):
+        BT.borel_unipotent_constituents.__wrapped__(2, 3)
 
 
 def test_oracle_dump_deterministic(tmp_path, monkeypatch):

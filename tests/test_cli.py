@@ -809,6 +809,17 @@ def test_blocks_builds_no_fraction():
     assert out.splitlines()[-1] == "0 False False"
 
 
+def test_verify_thm45_builds_no_fraction():
+    # thm45 compares its unipotent sums with the q-hook degrees as integers,
+    # so it loads neither fractions nor decimal
+    script = ("import sys\nfrom glblocks import cli\ncode = cli.main(sys.argv[1:])\n"
+              "print(code, 'fractions' in sys.modules, 'decimal' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", script, "verify", "thm45", "--n", "3", "--q", "2"],
+                         env=dict(os.environ, PYTHONPATH=str(SRC)),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "0 False False"
+
+
 def test_large_prime_q_reaches_the_class_guard_at_once():
     # --q = 2^61 - 1 is checked by roots and Miller-Rabin, not trial division
     run = subprocess.run([sys.executable, "-m", "glblocks.cli", "classes", "--n", "1",
