@@ -13,7 +13,12 @@ line:
 The corpus covers the element-level oracle: `oracle` on GL(1,q) for
 q <= 7, GL(2,q) for q <= 5, GL(3,2), and the groups its guards refuse
 (exit 4); `verify prop32` at eight contexts; `verify thm45` on five
-groups; each in text and json.
+groups; each in text and json.  It covers the class list and the value
+table: `classes` on GL(0,2), GL(1,2), GL(1,7), GL(3,2), GL(4,3) and
+GL(5,4) at d = 1, 2, 3 in both variants, and on GL(1,2^18), over the
+class guard (exit 4), in text and json; `table` on the same six groups
+in text, json and csv.  And `matrix` on its three domains at five
+contexts, GL(0,2) to GL(5,4), in text, json and csv.
 """
 
 from __future__ import annotations
@@ -35,6 +40,11 @@ GUARDED_GROUPS = [(1, 83), (2, 11), (4, 3), (1, 10007)]
 PROP32 = [(2, 2, 1, None), (2, 2, 2, "exact"), (2, 3, 2, None), (2, 3, 3, "divisible"),
           (3, 2, 1, "exact"), (3, 2, 2, None), (3, 2, 3, None), (2, 4, 2, "divisible")]
 THM45 = [(2, 2), (2, 3), (3, 2), (2, 4), (2, 5)]
+LIST_GROUPS = [(0, 2), (1, 2), (1, 7), (3, 2), (4, 3), (5, 4)]
+# GL(1,2^18) has 2^18 - 1 classes, over the class guard
+CLASS_GUARDED = (1, 2 ** 18)
+MATRIX = [(0, 2, 1, "divisible"), (3, 2, 1, "exact"), (4, 3, 2, "divisible"),
+          (4, 3, 2, "exact"), (5, 4, 3, "divisible")]
 
 
 def commands():
@@ -43,7 +53,15 @@ def commands():
         argv = ["verify", "prop32", "--n", str(n), "--q", str(q), "--d", str(d)]
         base.append(argv + (["--variant", variant] if variant else []))
     base += [["verify", "thm45", "--n", str(n), "--q", str(q)] for n, q in THM45]
-    return [argv + ["--output", form] for argv in base for form in ("text", "json")]
+    base += [["classes", "--n", str(n), "--q", str(q), "--d", str(d), "--variant", variant]
+             for n, q in LIST_GROUPS for d in (1, 2, 3) for variant in ("divisible", "exact")]
+    base.append(["classes", "--n", str(CLASS_GUARDED[0]), "--q", str(CLASS_GUARDED[1])])
+    with_csv = [["table", "--n", str(n), "--q", str(q)] for n, q in LIST_GROUPS]
+    with_csv += [["matrix", "--n", str(n), "--q", str(q), "--d", str(d), "--variant", variant,
+                  "--domain", domain] for n, q, d, variant in MATRIX
+                 for domain in ("full", "d_regular", "d_singular")]
+    return ([argv + ["--output", form] for argv in base for form in ("text", "json")]
+            + [argv + ["--output", form] for argv in with_csv for form in ("text", "json", "csv")])
 
 
 def run(argv):
