@@ -25,20 +25,16 @@ second-main-theorem check, which only `verify` runs, are in `verify` and
 from __future__ import annotations
 
 from functools import cache, wraps
+from math import gcd
 from operator import mul
 from types import MappingProxyType
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .charvalue import class_values
 from .glclass import ClassType, class_size, class_types, is_d_element, is_d_regular
 from .partitions import partitions_of
 from .qarith import gl_order, non_unipotent_count
 from .symchar import linked_components, same_core_grouping
-
-if TYPE_CHECKING:
-    # a Fraction is built only where a rational is returned or printed, so
-    # that `blocks` never loads `fractions`
-    from fractions import Fraction
 
 
 class Context(NamedTuple):
@@ -59,8 +55,10 @@ class Context(NamedTuple):
         return self.f_number * self.d >= self.n
 
 
-def _ratio(val: Fraction) -> str:
-    return f"{val.numerator}/{val.denominator}"
+def _ratio(num: int, den: int) -> str:
+    """num/den (den > 0) in lowest terms as "p/q", with no Fraction built."""
+    g = gcd(num, den)
+    return f"{num // g}/{den // g}"
 
 
 def _section_types(ctx: Context, x: ClassType):
@@ -165,25 +163,23 @@ def blocks_report(ctx: Context) -> dict:
 
 
 def inner_product_matrix_report(ctx: Context, domain) -> dict:
-    from fractions import Fraction
     labels = partitions_of(ctx.n)
     matrix, order = inner_matrix(ctx, domain), gl_order(ctx.n, ctx.q)
     return {
         "context": {"n": ctx.n, "q": ctx.q, "d": ctx.d, "variant": ctx.variant},
         "domain": domain if isinstance(domain, str) else f"section:{domain[1]}",
-        "matrix": {f"{list(nu)}|{list(nu2)}": _ratio(Fraction(matrix[(nu, nu2)], order))
+        "matrix": {f"{list(nu)}|{list(nu2)}": _ratio(matrix[(nu, nu2)], order)
                    for nu in labels for nu2 in labels},
     }
 
 
 def inner_product_matrix_csv(ctx: Context, domain) -> str:
-    from fractions import Fraction
     labels = partitions_of(ctx.n)
     matrix, order = inner_matrix(ctx, domain), gl_order(ctx.n, ctx.q)
     lines = ["nu\\nu2," + ",".join(str(list(nu)).replace(",", " ") for nu in labels)]
     for nu in labels:
         lines.append(",".join([str(list(nu)).replace(",", " ")] +
-                              [_ratio(Fraction(matrix[(nu, nu2)], order)) for nu2 in labels]))
+                              [_ratio(matrix[(nu, nu2)], order) for nu2 in labels]))
     return "\n".join(lines) + "\n"
 
 

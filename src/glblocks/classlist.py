@@ -3,17 +3,17 @@ reports, which only those two commands load.
 
 `class_keys` streams every class's assignment key (see `glclass`), section
 key and type from a depth-first walk of the polynomial pool, with no list,
-set or sort of every class.  `classes_json` and `classes_text` write the
-class list as text chunks from fragments formatted once per type.
-`CharValueTable` writes the value table as JSON or CSV text chunks of at
-most PIECE values each, every value turned into a string once per type;
-only it loads the value engine, `charvalue`, so `classes` does not.
+set or sort of every class, in batches of at most BATCH sibling classes.
+`classes_json` and `classes_text` write a text chunk per batch from fragments
+formatted once per type.  `CharValueTable` writes the value table as JSON or
+CSV text chunks of at most PIECE values each, every value turned into a string
+once per type; only it loads the value engine, `charvalue`, so `classes` does not.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import chain, islice
+from itertools import chain, groupby, islice
 from types import MappingProxyType
 
 from .errors import ScaleGuardError
@@ -22,103 +22,121 @@ from .partitions import partitions_of
 from .qarith import non_unipotent_count
 
 CLASS_GUARD = 200_000
+# classes in a batch at most; uncapped, `classes` GL(6,5) peaked 1.1 MB higher
+BATCH = 64
 
 
 def class_keys(n: int, q: int, d: int | None = None, variant: str = "divisible"):
-    """A stream of (assignment key, section key, type) of every class of GL(n,q)
-    in key order; the section key is the part on matching degrees, or "1", and
-    the type a key of class_types(n, q).  The guard and input checks run on the
-    call; each key being above the one before, and the count of classes, are
-    checked in the stream.  GL(0,q) has the one class "id0", no polynomial placed."""
+    """A stream of lists of (assignment key, section key, type), every class of
+    GL(n,q) in key order; the section key is the part on matching degrees, or
+    "1", and the type a key of class_types(n, q).  The guard and input checks
+    run on the call; each key being above the one before (all of a list's
+    before it is yielded), and the count of classes, are checked in the
+    stream.  GL(0,q) has the one class "id0", no polynomial placed."""
     types = class_types(n, q)
     total = sum(types.values())
     if total > CLASS_GUARD:
         raise ScaleGuardError(f"{total} classes of GL({n},{q}) exceed guard {CLASS_GUARD}")
     matches = {e: d is not None and _degree_matches(e, d, variant) for e in range(1, n + 1)}
     return _in_order(_walk(n, q, matches, {t: t for t in types}) if n
-                     else [("id0", "1", *types)], f"GL({n},{q})", total)
+                     else [[("id0", "1", *types)]], f"GL({n},{q})", total)
 
 
-def _in_order(records, group, total):
+def _in_order(batches, group, total):
     last, count = "", 0
-    for record in records:
-        if record[0] <= last:
-            raise AssertionError(f"class key {record[0]!r} of {group} follows {last!r}")
-        last, count = record[0], count + 1
-        yield record
+    for batch in batches:
+        for key, _, _ in batch:
+            if key <= last:
+                raise AssertionError(f"class key {key!r} of {group} follows {last!r}")
+            last = key
+        count += len(batch)
+        yield batch
     if count != total:
         raise AssertionError(f"class keys of {group} repeat or miss a class")
 
 
 def _walk(n, q, matches, canon):
-    """The classes of GL(n,q), types from `canon` ({type: type}), sections from `matches`.
+    """Batches of the classes of GL(n,q), types from `canon` ({type: type}), sections by `matches`.
 
     A node is a key so far; its children place the X-1 part (at the root) or
     a partition on a later pool position, (degree, index) in order.  A child
-    that fills the size n is a class; one that does not opens the keys that
-    extend its token by "|", which sorts above every other character, so each
-    node sorts its children by token, "|" appended to those that open keys.
+    that fills the size n is a class, held as its record (key, section key,
+    type); one that does not opens the keys that extend its key by "|", which
+    sorts above every other character, so each node sorts its children by key,
+    "|" appended to those that open keys, and yields each run of classes.
     """
     counts = [0] + [non_unipotent_count(q, e) for e in range(1, n + 1)]
 
-    def child(u, comps, left, *rest):
-        """A child's state, its type found once in place of its components if it is a class."""
-        if left or (comps := canon.get(ClassType(n, u, comps))):
-            return u, comps, left, *rest
+    def kind(u, comps):
+        """The type of the classes with these components, found once per run of them."""
+        if t := canon.get(ClassType(n, u, comps)):
+            return t
         raise AssertionError(f"class keys of GL({n},{q}) repeat or miss a class")
 
     def node(key, section, u, comps, r, e0, i0):
+        head, lead, rest = key and key + "|", section and section + "|", section or "1"
+        # a child that opens keys is (key + "|", j, its node's state)
         kids = [] if key else [
-            ("u:" + ",".join(map(str, p)) + "|" * (s < r), -1, child(p, (), r - s, 1, False))
-            for s in range(1, r + 1) for p in partitions_of(s)]
+            (f"u:{text}|", -1, p, (), r - s, 1, False) if s < r else (f"u:{text}", "1", kind(p, ()))
+            for s in range(1, r + 1) for p in partitions_of(s) for text in (",".join(map(str, p)),)]
         for e in range(e0, r + 1):
             for s in range(1, r // e + 1):
                 left = r - e * s
                 at = range(i0 if e == e0 else 0, counts[e] - (left == e))
                 for p in partitions_of(s) if at and not 0 < left < e else ():
-                    how = child(u, tuple(sorted(comps + ((e, p),))), left, e, matches[e])
-                    tail = ":" + ",".join(map(str, p)) + "|" * (left > 0)
-                    kids += [(f"f{e}.{j}{tail}", j, how) for j in at]
-        kids.sort()  # by sort text alone, as no two are equal
-        for sort_text, j, (u, comps, left, e, match) in kids:
-            token = sort_text[:-1] if left else sort_text
-            below = f"{key}|{token}" if key else token
-            where = (f"{section}|{token}" if section else token) if match else section
-            if left:
-                yield from node(below, where, u, comps, left, e, j + 1)
+                    tail, placed = ":" + ",".join(map(str, p)), tuple(sorted(comps + ((e, p),)))
+                    if left:
+                        kids += [(f"{head}f{e}.{j}{tail}|", j, u, placed, left, e, matches[e])
+                                 for j in at]
+                    elif matches[e]:
+                        t, pre = kind(u, placed), f"f{e}."
+                        kids += [(head + (token := f"{pre}{j}{tail}"), lead + token, t) for j in at]
+                    else:
+                        t, pre = kind(u, placed), f"{head}f{e}."
+                        kids += [(f"{pre}{j}{tail}", rest, t) for j in at]
+        kids.sort()  # by key alone, as no two are equal
+        for size, run in groupby(kids, len):
+            if size == 3:
+                while batch := list(islice(run, BATCH)):
+                    yield batch
             else:
-                yield below, where or "1", comps
+                for text, j, u, comps, left, e, match in run:
+                    token = text[len(head):-1]
+                    yield from node(text[:-1], lead + token if match else section,
+                                    u, comps, left, e, j + 1)
 
     return node("", "", (), (), n, 1, 0)
 
 
 def classes_json(n: int, q: int, d: int, variant: str):
     """The class list as JSON chunks, byte for byte json.dumps(..., sort_keys=True)
-    of {"classes": [a record per class in key order], "n": n, "q": q}.  Each
-    type's record is formatted once, and a class splices in its assignment and
-    section keys, which JSON never escapes (digits and "u f i . , : |").  The class
-    guard and the class-size divisions run before the first chunk; class_keys'
-    order and count checks run as the chunks go, a failed one ending the output."""
+    of {"classes": [a record per class in key order], "n": n, "q": q}, one per
+    batch.  Each type's record is formatted once, in two parts that a class
+    follows with its assignment and section keys, which JSON never escapes
+    (digits and "u f i . , : |").  The class guard and the class-size divisions
+    run before the first chunk; class_keys' order and count checks run as the
+    chunks go, a failed one ending the output."""
     keys = class_keys(n, q, d, variant)
     # str() of a list of int lists is its JSON text
-    records = {t: f'{{"assignment": "%s", "centralizer_order": {centralizer_order(t, q)}, '
-                  f'"d_type": {[list(p) for p in d_type(t, d, variant)]}, "section": "%s", '
-                  f'"size": {class_size(t, q)}}}' for t in class_types(n, q)}
+    parts = {t: (f'", "centralizer_order": {centralizer_order(t, q)}, "d_type": '
+                 f'{[list(p) for p in d_type(t, d, variant)]}, "section": "',
+                 f'", "size": {class_size(t, q)}}}') for t in class_types(n, q)}
     sep = '{"classes": ['
-    for key, section, t in keys:
-        yield sep + records[t] % (key, section)
+    for batch in keys:
+        yield sep + ", ".join([f'{{"assignment": "{key}{middle}{section}{end}'
+                               for key, section, t in batch for middle, end in (parts[t],)])
         sep = ", "
     yield f'], "n": {n}, "q": {q}}}'
 
 
 def classes_text(n: int, q: int, d: int, variant: str):
     """The class list as text chunks, a line "key  size S  cent C" per class
-    in key order, built like classes_json."""
+    in key order, one chunk per batch, built like classes_json."""
     keys = class_keys(n, q, d, variant)
-    lines = {t: f"%s  size {class_size(t, q)}  cent {centralizer_order(t, q)}\n"
-             for t in class_types(n, q)}
-    for key, _, t in keys:
-        yield lines[t] % key
+    ends = {t: f"  size {class_size(t, q)}  cent {centralizer_order(t, q)}\n"
+            for t in class_types(n, q)}
+    for batch in keys:
+        yield "".join([key + ends[t] for key, _, t in batch])
 
 
 def cmd_classes(args):
@@ -149,7 +167,7 @@ class CharValueTable:
         self.n, self.q = n, q
         # {assignment key: type} in key order, read-only: table(n, q) is
         # cached and shared by every caller
-        self.classes = MappingProxyType({key: t for key, _, t in class_keys(n, q)})
+        self.classes = MappingProxyType({k: t for batch in class_keys(n, q) for k, _, t in batch})
         self.labels = partitions_of(n)
 
     def _columns(self):

@@ -120,7 +120,7 @@ def test_oracle_labels_match_engine_classes():
     for n, q in ORACLE_GROUPS:
         data = BF.oracle_classes(n, q)
         # every engine key names an oracle class of the same type, and back
-        engine = {key: t for key, _, t in CL.class_keys(n, q)}
+        engine = {key: t for batch in CL.class_keys(n, q) for key, _, t in batch}
         oracle = {lab.key(): L.type_of(lab) for lab in L.oracle_labels(data)}
         assert engine == oracle
 

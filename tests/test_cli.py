@@ -799,14 +799,18 @@ def test_engine_fault_under_smt55_exits_5():
 
 
 def test_blocks_builds_no_fraction():
-    # blocks tests integer Gram entries for zero, so it never loads fractions
-    # (nor decimal, which fractions imports)
+    # blocks tests integer Gram entries for zero, and matrix prints each as
+    # p/q reduced by math.gcd, so neither loads fractions (nor decimal, which
+    # fractions imports), matrix in none of its forms
     script = ("import sys\nfrom glblocks import cli\ncode = cli.main(sys.argv[1:])\n"
               "print(code, 'fractions' in sys.modules, 'decimal' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", script, "blocks", "--n", "6", "--q", "4",
-                          "--d", "3"], env=dict(os.environ, PYTHONPATH=str(SRC)),
-                         capture_output=True, text=True, check=True).stdout
-    assert out.splitlines()[-1] == "0 False False"
+    matrix = ["matrix", "--n", "5", "--q", "3", "--d", "2", "--domain", "d_singular"]
+    for argv in [["blocks", "--n", "6", "--q", "4", "--d", "3"],
+                 *(matrix + ["--output", form] for form in ("json", "text", "csv"))]:
+        out = subprocess.run([sys.executable, "-c", script, *argv],
+                             env=dict(os.environ, PYTHONPATH=str(SRC)),
+                             capture_output=True, text=True, check=True).stdout
+        assert out.splitlines()[-1] == "0 False False", argv
 
 
 def test_verify_thm45_builds_no_fraction():

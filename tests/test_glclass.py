@@ -441,17 +441,28 @@ def test_class_keys_raise_on_an_extra_class(monkeypatch, extra):
         list(CL.class_keys(3, 2))
 
 
-@pytest.mark.parametrize("change, kept", [(lambda keys: keys[:2] + keys[1:], 2),
-                                          (lambda keys: keys[::-1], 1)], ids=["repeat", "reverse"])
+def _rebatch(records, *sizes):
+    """`records` cut into lists of the given sizes, and the rest as one more."""
+    cuts = [sum(sizes[:i]) for i in range(len(sizes) + 1)] + [len(records)]
+    return [records[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+@pytest.mark.parametrize("change, kept", [
+    (lambda r: _rebatch(r[:2] + r[1:], 1, 3), 1),   # a repeated key inside a batch
+    (lambda r: _rebatch(r[:2] + r[1:], 2), 2),      # one that opens a batch
+    (lambda r: _rebatch(r[::-1], 2), 0)], ids=["repeat", "repeat-at-cut", "reverse"])
 def test_class_keys_raise_mid_stream_on_a_key_out_of_order(monkeypatch, change, kept):
-    # each key must follow the one before: a repeated or a reversed key
-    # raises as it comes, after the keys before it were yielded
-    walk = CL._walk
-    monkeypatch.setattr(CL, "_walk", lambda *args: iter(change(list(walk(*args)))))
+    # each key must follow the one before, within a batch and across two: a
+    # repeated or a reversed key raises before its batch is yielded, after
+    # the batches before it were
+    records = [record for batch in CL._walk(3, 2, {e: False for e in (1, 2, 3)},
+                                            {t: t for t in G.class_types(3, 2)})
+               for record in batch]
+    monkeypatch.setattr(CL, "_walk", lambda *args: iter(change(records)))
     yielded = []
     with pytest.raises(AssertionError, match="follows"):
         yielded.extend(CL.class_keys(3, 2))
-    assert len(yielded) == kept
+    assert sum(map(len, yielded)) == kept
 
 
 # the groups of the property test below: n <= 5, q up to 13, and at most
@@ -463,11 +474,14 @@ STREAM_GROUPS = [(n, q) for n in range(6) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13)
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(STREAM_GROUPS), st.sampled_from((1, 2, 3)), st.sampled_from(G.VARIANTS))
 def test_class_keys_stream_the_label_reference(group, d, variant):
-    # the streamed keys and section keys are the label-level reference's,
-    # every label sorted by key(); each type equals the label's, and is the
-    # very key object of class_types, so dicts keyed by type find it at once
+    # the streamed batches are non-empty and at most BATCH long, and joined
+    # their keys and section keys are the label-level reference's, every
+    # label sorted by key(); each type equals the label's, and is the very
+    # key object of class_types, so dicts keyed by type find it at once
     n, q = group
-    streamed = list(CL.class_keys(n, q, d, variant))
+    batches = list(CL.class_keys(n, q, d, variant))
+    assert all(0 < len(batch) <= CL.BATCH for batch in batches)
+    streamed = [record for batch in batches for record in batch]
     reference = L.all_classes(n, q)
     assert [(key, section) for key, section, _ in streamed] == [
         (c.key(), L.section_key(c, d, variant)) for c in reference]
