@@ -22,7 +22,7 @@ from .partitions import partitions_of
 from .qarith import non_unipotent_count
 
 CLASS_GUARD = 200_000
-# classes in a batch at most; uncapped, `classes` GL(6,5) peaked 1.1 MB higher
+# classes in a batch at most; uncapped, `classes` GL(6,5) peaked 1 MB higher
 BATCH = 64
 
 
@@ -96,7 +96,7 @@ def _walk(n, q, matches, canon):
                         kids += [(f"{pre}{j}{tail}", rest, t) for j in at]
         kids.sort()  # by key alone, as no two are equal
         for size, run in groupby(kids, len):
-            if size == 3:
+            if size == 3:  # a run of classes
                 while batch := list(islice(run, BATCH)):
                     yield batch
             else:
