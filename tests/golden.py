@@ -18,7 +18,13 @@ table: `classes` on GL(0,2), GL(1,2), GL(1,7), GL(3,2), GL(4,3) and
 GL(5,4) at d = 1, 2, 3 in both variants, and on GL(1,2^18), over the
 class guard (exit 4), in text and json; `table` on the same six groups
 in text, json and csv.  And `matrix` on its three domains at five
-contexts, GL(0,2) to GL(5,4), in text, json and csv.
+contexts, GL(0,2) to GL(5,4), in text, json and csv.  It covers `blocks` on
+seven contexts from GL(0,2) to GL(6,2), in both variants; `verify thm43`,
+`thm44` and `smt55` on six groups from GL(0,2) to GL(5,4) at d = 1, 2, 3
+in both variants; `verify thm46` at six contexts, two of them outside
+F >= n/d (exit 3); `verify lemma49` and `thm410chain`; and every
+`partition` verb on eight partitions, with the path guard (exit 4) and a
+literal that is no partition (exit 2); each in text and json.
 """
 
 from __future__ import annotations
@@ -43,6 +49,17 @@ THM45 = [(2, 2), (2, 3), (3, 2), (2, 4), (2, 5)]
 LIST_GROUPS = [(0, 2), (1, 2), (1, 7), (3, 2), (4, 3), (5, 4)]
 # GL(1,2^18) has 2^18 - 1 classes, over the class guard
 CLASS_GUARDED = (1, 2 ** 18)
+BLOCKS = [(0, 2, 1), (1, 2, 1), (3, 2, 2), (4, 3, 2), (5, 2, 2), (5, 4, 3), (6, 2, 3)]
+SECTION_GROUPS = [(0, 2), (1, 3), (3, 2), (4, 3), (5, 2), (5, 4)]
+THM46 = [(3, 3, 2, "divisible"), (3, 3, 2, "exact"), (4, 3, 2, "divisible"),
+         (6, 2, 3, "divisible"), (3, 2, 2, "divisible"), (5, 2, 2, "exact")]
+LEMMA49 = [(1, 1), (3, 5), (4, 0), (6, 9), (8, 2)]
+THM410CHAIN = [(0, 1), (3, 1), (4, 3), (6, 2), (8, 3), (9, 4)]
+PARTITIONS = [("[]", 2), ("[1]", 2), ("[1]", 1), ("[3,1]", 2), ("[2,2]", 2),
+              ("[4,4,2]", 1), ("[5,3,1]", 4), ("[6,5,5,2,1]", 3)]
+# over the path guard, and a literal that is not weakly decreasing
+PARTITION_REFUSED = [["partition", "paths", "[6,5,5,2,1]", "--d", "1"],
+                     ["partition", "core", "[1,2]", "--d", "2"]]
 MATRIX = [(0, 2, 1, "divisible"), (3, 2, 1, "exact"), (4, 3, 2, "divisible"),
           (4, 3, 2, "exact"), (5, 4, 3, "divisible")]
 
@@ -56,6 +73,18 @@ def commands():
     base += [["classes", "--n", str(n), "--q", str(q), "--d", str(d), "--variant", variant]
              for n, q in LIST_GROUPS for d in (1, 2, 3) for variant in ("divisible", "exact")]
     base.append(["classes", "--n", str(CLASS_GUARDED[0]), "--q", str(CLASS_GUARDED[1])])
+    base += [["blocks", "--n", str(n), "--q", str(q), "--d", str(d), "--variant", variant]
+             for n, q, d in BLOCKS for variant in ("divisible", "exact")]
+    base += [["verify", check, "--n", str(n), "--q", str(q), "--d", str(d), "--variant", variant]
+             for check in ("thm43", "thm44", "smt55") for n, q in SECTION_GROUPS
+             for d in (1, 2, 3) for variant in ("divisible", "exact")]
+    base += [["verify", "thm46", "--n", str(n), "--q", str(q), "--d", str(d), "--variant", variant]
+             for n, q, d, variant in THM46]
+    base += [["verify", "lemma49", "--k", str(k), "--F", str(f)] for k, f in LEMMA49]
+    base += [["verify", "thm410chain", "--n", str(n), "--d", str(d)] for n, d in THM410CHAIN]
+    base += [["partition", verb, lam, "--d", str(d)] for lam, d in PARTITIONS
+             for verb in ("core", "quotient", "weight", "abacus", "paths")]
+    base += PARTITION_REFUSED
     with_csv = [["table", "--n", str(n), "--q", str(q)] for n, q in LIST_GROUPS]
     with_csv += [["matrix", "--n", str(n), "--q", str(q), "--d", str(d), "--variant", variant,
                   "--domain", domain] for n, q, d, variant in MATRIX
