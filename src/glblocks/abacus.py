@@ -201,6 +201,6 @@ def cmd_partition(args):
     def lines():
         yield f"core {list(gamma)}  paths {len(paths)}"
         for p in paths:
-            chain = " -> ".join(str(list(s.result)) for s in p.steps)
-            yield f"\n  legs {p.total_leg}: {list(lam)} -> {chain}"
+            chain = " -> ".join(str(list(mu)) for mu in (lam, *(s.result for s in p.steps)))
+            yield f"\n  legs {p.total_leg}: {chain}"
     return 0, payload, lines

@@ -40,6 +40,16 @@ def test_partition_paths(capsys):
     assert payload["count"] == 2 and payload["core"] == []
 
 
+def test_partition_paths_text(capsys):
+    # a path lists lam and each partition its hooks leave; a lam that is its
+    # own d-core has one empty path, printed as lam alone
+    code, out = run(["partition", "paths", "[3,1]", "--d", "2"], capsys)
+    assert code == 0 and out == "core []  paths 1\n  legs 1: [3, 1] -> [1, 1] -> []\n"
+    for lam in ("[1]", "[]", "[2,1]"):
+        code, out = run(["partition", "paths", lam, "--d", "2"], capsys)
+        assert code == 0 and out.splitlines()[1:] == [f"  legs 0: {json.loads(lam)}"]
+
+
 def test_partition_abacus_empty(capsys):
     code, out = run(["partition", "abacus", "[]", "--d", "2"], capsys)
     assert code == 0
