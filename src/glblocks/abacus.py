@@ -36,18 +36,21 @@ class RemovalPath(NamedTuple):
     total_leg: int
 
 
+def _runners(beta, d: int) -> list[list[int]]:
+    """Runner r's bead positions (b - r) // d for the beads b = r mod d, ascending
+    for an ascending beta-set, sorted in one pass over the beads."""
+    runners: list[list[int]] = [[] for _ in range(d)]
+    for b in beta:
+        runners[b % d].append(b // d)
+    return runners
+
+
 @cache
 def d_quotient(lam: tuple[int, ...], d: int) -> tuple[tuple[int, ...], ...]:
     """d-tuple of partitions read off the runners of the canonical abacus."""
     if d < 1:
         raise ValueError(f"d must be at least 1, got {d}")
-    length = _quotient_length(lam, d)
-    beta = beta_set(lam, length)
-    comps = []
-    for r in range(d):
-        positions = tuple((b - r) // d for b in beta if b % d == r)
-        comps.append(partition_from_beta(positions))
-    return tuple(comps)
+    return tuple(map(partition_from_beta, _runners(beta_set(lam, _quotient_length(lam, d)), d)))
 
 
 @cache
@@ -108,7 +111,7 @@ class AbacusState:
         length = max(d, _quotient_length(lam, d))
         beta = beta_set(lam, length)
         self.d, self.origin_offset = d, length
-        self.runners = tuple(tuple((b - r) // d for b in beta if b % d == r) for r in range(d))
+        self.runners = tuple(map(tuple, _runners(beta, d)))
 
     def edge_sequence(self) -> str:
         """The 0/1 rim encoding read off the abacus, origin marked with '>'.

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -53,11 +54,15 @@ def abacus_partition(ab) -> tuple[int, ...]:
                                  for pos in runner)
 
 
+def runners_by_scan(beta, d: int):
+    """Reference: each runner's bead positions, found by a scan of the whole beta-set."""
+    return [[(b - r) // d for b in beta if b % d == r] for r in range(d)]
+
+
 def abacus_of_length(lam, d: int, length: int):
     """An abacus of lam read off a beta-set of any length that d divides."""
-    beta = P.beta_set(lam, length)
-    return SimpleNamespace(d=d, origin_offset=length, runners=tuple(
-        tuple((b - r) // d for b in beta if b % d == r) for r in range(d)))
+    return SimpleNamespace(d=d, origin_offset=length,
+                           runners=tuple(map(tuple, runners_by_scan(P.beta_set(lam, length), d))))
 
 
 def all_partitions_upto(n):
@@ -369,6 +374,29 @@ def test_abacus_roundtrip_and_quotient():
             ab = A.AbacusState(lam, d)
             assert abacus_partition(ab) == lam
             assert abacus_quotient(ab) == A.d_quotient(lam, d)
+
+
+def test_runners_bucket_the_beads_as_the_per_runner_scan():
+    for lam in all_partitions_upto(10):
+        for d in range(1, 8):
+            for length in (len(lam), len(lam) + 1, -(-len(lam) // d) * d + 2 * d):
+                beta = P.beta_set(lam, length)
+                assert A._runners(beta, d) == runners_by_scan(beta, d), (lam, d, length)
+
+
+@pytest.mark.parametrize("verb", ["quotient", "abacus"])
+def test_quotient_and_abacus_are_linear_in_d(verb):
+    # one pass over the d beads, not one per runner: at d = 10^5 a scan per
+    # runner is 10^10 steps, minutes long
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-m", "glblocks.cli", "partition", verb, "[3,1]",
+                          "--d", "100000", "--output", "json"], env=env, capture_output=True,
+                         text=True, check=True, timeout=15).stdout
+    payload = json.loads(out)
+    runners = payload["quotient"] if verb == "quotient" else payload["runners"]
+    assert len(runners) == 100_000
+    # d > |lam|: every quotient component is empty, and every bead is on the abacus
+    assert not any(runners) if verb == "quotient" else sum(map(len, runners)) == 100_000
 
 
 def test_abacus_longer_convention_same_quotient():
