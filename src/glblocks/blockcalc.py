@@ -8,11 +8,10 @@ over the types.  The unipotent characters are orthonormal, so the d-regular
 and d-singular matrices add up to |G| times the identity, and each is read
 off whichever of the two has fewer types.  A report divides by |G| once per
 entry it prints; `blocks` only tests entries for zero.
-Domains are read off `class_types` and hold `ClassType`s only, so no
-class label is built here.  A section domain is keyed by its head type x
-(a d-element of GL(|x|, q) without X-1): its types are x's components
-merged with those of every d-regular type of GL(n-|x|, q), and sections
-with heads of one type are summed alike.
+The domains are "full", "d_regular" and "d_singular", read off
+`class_types`; they hold `ClassType`s only, so no class label is built
+here.  The d-sections are split off the class types in `verify`, which
+alone reads them.
 Values are integers and every class is closed under inversion up to a
 degree-preserving relabeling of polynomials, so no conjugation is needed.
 The unipotent d-blocks are a tuple of frozensets of partition labels in
@@ -24,35 +23,16 @@ second-main-theorem check, which only `verify` runs, are in `verify` and
 
 from __future__ import annotations
 
-from functools import cache, wraps
+from functools import cache
 from math import gcd
 from operator import mul
 from types import MappingProxyType
-from typing import NamedTuple
 
 from .charvalue import class_values
-from .glclass import ClassType, class_size, class_types, is_d_element, is_d_regular
+from .glclass import Context, class_size, class_types, is_d_regular
 from .partitions import partitions_of
-from .qarith import gl_order, non_unipotent_count
+from .qarith import gl_order
 from .symchar import linked_components, same_core_grouping
-
-
-class Context(NamedTuple):
-    """One (n, q, d, variant) computation context."""
-    n: int
-    q: int
-    d: int
-    variant: str
-
-    @property
-    def f_number(self) -> int:
-        """Count of monic irreducibles of degree exactly d (without X, X-1)."""
-        return non_unipotent_count(self.q, self.d)
-
-    @property
-    def f_hypothesis_holds(self) -> bool:
-        """The standing hypothesis F >= n/d; contexts below it still compute."""
-        return self.f_number * self.d >= self.n
 
 
 def _ratio(num: int, den: int) -> str:
@@ -61,54 +41,28 @@ def _ratio(num: int, den: int) -> str:
     return f"{num // g}/{den // g}"
 
 
-def _section_types(ctx: Context, x: ClassType):
-    """(y, t) for each d-regular type y of GL(n-|x|, q), with t the type of
-    the section of head x that merges x's components with y's."""
-    for y in class_types(ctx.n - x.n, ctx.q):
-        if is_d_regular(y, ctx.d, ctx.variant):
-            yield y, ClassType(ctx.n, y.unipotent, tuple(sorted(x.components + y.components)))
-
-
-def _named_domains_cached(fn):
-    """fn(ctx, domain), memoised for "full", "d_regular" and "d_singular" only:
-    a section domain is rebuilt on each call, as `verify thm43` reads each once."""
-    named = cache(fn)
-    call = wraps(fn)(lambda ctx, domain: (named if isinstance(domain, str) else fn)(ctx, domain))
-    call.cache_info, call.cache_clear = named.cache_info, named.cache_clear
-    return call
-
-
-@_named_domains_cached
-def _type_weights(ctx: Context, domain):
+@cache
+def _type_weights(ctx: Context, domain: str):
     """{type: number of the domain's classes of that type * class size}, read-only.
 
-    `domain` is "full", "d_regular", "d_singular" or ("section", x) with x
-    the head type of the section.
+    `domain` is "full", "d_regular" or "d_singular".
     """
     if domain in ("d_regular", "d_singular"):
         regular = domain == "d_regular"
         return MappingProxyType({t: w for t, w in _type_weights(ctx, "full").items()
                                  if is_d_regular(t, ctx.d, ctx.variant) == regular})
-    if domain == "full":
-        types = class_types(ctx.n, ctx.q)
-    elif isinstance(domain, tuple) and domain and domain[0] == "section":
-        x = domain[1]
-        if x.unipotent or not is_d_element(x, ctx.d, ctx.variant):
-            raise ValueError(f"{x} is not the d-part of a section head")
-        ys = class_types(ctx.n - x.n, ctx.q)
-        types = {t: ys[y] for y, t in _section_types(ctx, x)}
-    else:
+    if domain != "full":
         raise ValueError(f"unknown domain {domain!r}")
-    weights = {t: m * class_size(t, ctx.q) for t, m in types.items()}
+    weights = {t: m * class_size(t, ctx.q) for t, m in class_types(ctx.n, ctx.q).items()}
     # the class equation: inner_matrix's cheaper side rests on the full
     # group's classes being exactly these
-    if domain == "full" and sum(weights.values()) != gl_order(ctx.n, ctx.q):
+    if sum(weights.values()) != gl_order(ctx.n, ctx.q):
         raise ArithmeticError(f"class sizes of GL({ctx.n},{ctx.q}) do not sum to its order")
     return MappingProxyType(weights)
 
 
-@_named_domains_cached
-def inner_matrix(ctx: Context, domain):
+@cache
+def inner_matrix(ctx: Context, domain: str):
     """{(nu, nu2): |G| <chi^nu, chi^nu2>} over the domain's classes, integers
     for every ordered pair, read-only.
 
@@ -167,7 +121,7 @@ def inner_product_matrix_report(ctx: Context, domain) -> dict:
     matrix, order = inner_matrix(ctx, domain), gl_order(ctx.n, ctx.q)
     return {
         "context": {"n": ctx.n, "q": ctx.q, "d": ctx.d, "variant": ctx.variant},
-        "domain": domain if isinstance(domain, str) else f"section:{domain[1]}",
+        "domain": domain,
         "matrix": {f"{list(nu)}|{list(nu2)}": _ratio(matrix[(nu, nu2)], order)
                    for nu in labels for nu2 in labels},
     }

@@ -1,4 +1,5 @@
-"""Conjugacy class types and keys of GL(n,q), d-elements, d-types and sections.
+"""Conjugacy class types and keys of GL(n,q), their d-regularity and d-types,
+and the (n, q, d, variant) `Context` of a computation.
 
 A class is a finitely supported assignment of partitions to monic
 irreducibles distinct from X, with sizes weighted by degree summing to n.
@@ -15,9 +16,9 @@ each other polynomial as (degree, index) into the canonical pool that
 excludes X and X-1 ("f<degree>.<index>:..."), so keys never need actual
 coefficients; `classlist` lists every class's keys.  The part of a class
 supported on polynomials of degree divisible by d (variant "divisible") or
-exactly d (variant "exact") determines its section, and `section_heads`
-lists the section heads by type.  The element-level oracle names each class
-by the same key, read off the primary spaces of a matrix
+exactly d (variant "exact") is its d-part, which determines its section
+(`verify.section_split` reads it off each type).  The element-level oracle
+names each class by the same key, read off the primary spaces of a matrix
 (`bruteforce.element_key`); the validated label type behind a key is a test
 reference (`tests/labelref.py`).
 """
@@ -34,6 +35,24 @@ from .partitions import partitions_of
 from .qarith import gl_order, non_unipotent_count, prime_power, unipotent_centralizer_order
 
 VARIANTS = ("divisible", "exact")
+
+
+class Context(NamedTuple):
+    """One (n, q, d, variant) computation context."""
+    n: int
+    q: int
+    d: int
+    variant: str
+
+    @property
+    def f_number(self) -> int:
+        """Count of monic irreducibles of degree exactly d (without X, X-1)."""
+        return non_unipotent_count(self.q, self.d)
+
+    @property
+    def f_hypothesis_holds(self) -> bool:
+        """The standing hypothesis F >= n/d; contexts below it still compute."""
+        return self.f_number * self.d >= self.n
 
 
 class ClassType(NamedTuple):
@@ -100,13 +119,6 @@ def _degree_matches(degree: int, d: int, variant: str) -> bool:
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def is_d_element(t: ClassType, d: int, variant: str) -> bool:
-    """Components only on matching degrees, X-1 part absent or all ones."""
-    if any(p != 1 for p in t.unipotent):
-        return False
-    return all(_degree_matches(degree, d, variant) for degree, _ in t.components)
-
-
 def is_d_regular(t: ClassType, d: int, variant: str) -> bool:
     """No component of matching degree besides X-1."""
     return not any(_degree_matches(degree, d, variant) for degree, _ in t.components)
@@ -122,9 +134,3 @@ def d_type(t: ClassType, d: int, variant: str):
                 raise ArithmeticError(f"d-part degree {degree} is not a multiple of {d}")
             pairs.append((sum(part), m))
     return tuple(sorted(pairs))
-
-
-def section_heads(n: int, q: int, d: int, variant: str) -> tuple[ClassType, ...]:
-    """Types of the section heads: d-elements of GL(m,q), m <= n, without X-1."""
-    return tuple(t for m in range(n + 1) for t in class_types(m, q)
-                 if not t.unipotent and is_d_element(t, d, variant))

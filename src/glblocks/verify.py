@@ -8,13 +8,15 @@ also the chains of Theorem 4.10, in `chains`).  Besides the checks
 (`VERIFIERS`, one per check name, each returning (pass, details)) and the
 options each takes (`VERIFY_OPTIONS`) it holds the closed form of the
 d-regular inner product for a simple, disjoint partner and its pair
-search, the partition identity of Lemma 4.9, and the second-main-theorem
-check.
+search, the partition identity of Lemma 4.9, the d-sections, and the
+second-main-theorem check.  Each class type lies in exactly one d-section,
+headed by its d-part, so the sections are read off `class_types` in one
+pass (`section_split`) and `thm43` and `smt55` load no `blockcalc`.
 
 `smt_check` returns None, or the message of the check that failed; an
 invariant of the engine that breaks on the way still raises.  No check is
-made that holds by construction: each section type, for one, is built
-from its head and a d-regular type.
+made that holds by construction: each section type, for one, is split
+into its head and a d-regular type.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import json
 from collections import Counter
 from functools import cache
 from math import factorial, prod
+from operator import mul
 from typing import TYPE_CHECKING
 
 from .errors import HypothesisError, UsageError
@@ -31,7 +34,7 @@ from .partitions import d_core, partitions_of, rim_hooks
 if TYPE_CHECKING:
     from fractions import Fraction
 
-    from .blockcalc import Context
+    from .glclass import ClassType, Context
 
 
 # -- options -----------------------------------------------------------------------
@@ -147,39 +150,62 @@ def lemma49_polynomial_check(k: int) -> bool:
     return all(lemma49_check(k, F) for F in range(1, k + 3))
 
 
-# -- the second main theorem ------------------------------------------------------
+# -- the d-sections and the second main theorem ------------------------------------
+
+def section_split(ctx: Context):
+    """(x, y, t) for each type t of GL(n,q), in `class_types` order: x, the head
+    of t's section, holds t's components of matching degree, a type of
+    GL(|x|,q) without X-1, and y the rest, a d-regular type of GL(n-|x|,q)."""
+    from .glclass import ClassType, _degree_matches, class_types
+    for t in class_types(ctx.n, ctx.q):
+        head = tuple(c for c in t.components if _degree_matches(c[0], ctx.d, ctx.variant))
+        size = sum(degree * sum(part) for degree, part in head)
+        rest = tuple(c for c in t.components if not _degree_matches(c[0], ctx.d, ctx.variant))
+        yield ClassType(size, (), head), ClassType(t.n - size, t.unipotent, rest), t
+
+
+def section_weights(ctx: Context) -> dict[ClassType, dict[ClassType, int]]:
+    """{head x: {type t: weight}} over the sections of GL(n,q): one section of
+    head x holds class_types(n-|x|, q)[y] classes of type t, each of class_size(t, q)."""
+    from .glclass import class_size, class_types
+    sections: dict = {}
+    for head, y, t in section_split(ctx):
+        sections.setdefault(head, {})[t] = class_types(y.n, ctx.q)[y] * class_size(t, ctx.q)
+    return sections
+
 
 def smt_check(ctx: Context) -> str | None:
-    """Reconstruction and the d-core test of domination, for every section head type.
+    """Reconstruction and the d-core test of domination, on every type of every section.
 
-    For every section head type x and every d-regular type y of GL(l,q),
-    l = n - |x|, `peel` takes x's components back onto the values of y,
-    which must give the values of the type t that merges x and y at every
-    mu of size n.  Every mn_step row of x's steps must keep the d-core, so
-    that peel targets stay in the same-core group of GL(l,q); the report's
-    "beta_disjoint" rests on this row test.  Returns None when every check
-    holds, else the message of the first that fails; an engine invariant
-    that breaks on the way raises as anywhere else.
+    For every type t, split into its head x and a d-regular type y of
+    GL(l,q), l = n - |x|, `peel` takes x's components back onto the values
+    of y, which must give the values of t at every mu of size n.  Every
+    mn_step row of x's steps must keep the d-core, so that peel targets stay
+    in the same-core group of GL(l,q); the report's "beta_disjoint" rests on
+    this row test, made once per head when it is first met.  Returns None
+    when every check holds, else the message of the first that fails; an
+    engine invariant that breaks on the way raises as anywhere else.
     """
-    from .blockcalc import _section_types
     from .charvalue import class_values, mn_step, peel
-    from .glclass import section_heads
-    for head in section_heads(ctx.n, ctx.q, ctx.d, ctx.variant):
-        steps, size = [], ctx.n - head.n
-        for degree, jordan in reversed(head.components):
-            size += degree * sum(jordan)
-            steps.append((size, degree, jordan))
-            lams = partitions_of(size - degree * sum(jordan))
-            for nu, (targets, _) in zip(partitions_of(size), mn_step(size, degree, jordan, ctx.q)):
-                if any(d_core(lams[i], ctx.d) != d_core(nu, ctx.d) for i in targets):
-                    return "peel target escaped the source's d-core"
-        for y, t in _section_types(ctx, head):
-            direct, recon = class_values(t, ctx.q), class_values(y, ctx.q)
-            for step in steps:
-                recon = peel(recon, *step, ctx.q)
-            for mu, a, b in zip(partitions_of(ctx.n), direct, recon):
-                if a != b:
-                    return f"reconstruction failed for {mu} at {t}: {a} != {b}"
+    peels = {}
+    for head, y, t in section_split(ctx):
+        if head not in peels:
+            steps, size = [], y.n
+            for degree, jordan in reversed(head.components):
+                size += degree * sum(jordan)
+                steps.append((size, degree, jordan))
+                lams = partitions_of(size - degree * sum(jordan))
+                for nu, (targets, _) in zip(partitions_of(size),
+                                            mn_step(size, degree, jordan, ctx.q)):
+                    if any(d_core(lams[i], ctx.d) != d_core(nu, ctx.d) for i in targets):
+                        return "peel target escaped the source's d-core"
+            peels[head] = steps
+        recon = class_values(y, ctx.q)
+        for step in peels[head]:
+            recon = peel(recon, *step, ctx.q)
+        for mu, a, b in zip(partitions_of(ctx.n), class_values(t, ctx.q), recon):
+            if a != b:
+                return f"reconstruction failed for {mu} at {t}: {a} != {b}"
     return None
 
 
@@ -193,20 +219,21 @@ def _verify_prop32(args):
 
 
 def _verify_thm43(args):
-    from . import blockcalc, glclass, qarith
-    ctx = blockcalc.Context(args.n, args.q, args.d, args.variant)
-    labels, order = partitions_of(ctx.n), qarith.gl_order(ctx.n, ctx.q)
+    from .charvalue import class_values
+    from .glclass import Context
+    from .qarith import gl_order
+    ctx = Context(args.n, args.q, args.d, args.variant)
+    labels, order = partitions_of(ctx.n), gl_order(ctx.n, ctx.q)
+    cross = [(i, j) for i, nu in enumerate(labels) for j in range(i + 1, len(labels))
+             if d_core(nu, ctx.d) != d_core(labels[j], ctx.d)]
     worst = []
-    for head in glclass.section_heads(ctx.n, ctx.q, ctx.d, ctx.variant):
-        matrix = blockcalc.inner_matrix(ctx, ("section", head))
-        for i, nu in enumerate(labels):
-            for nu2 in labels[i + 1:]:
-                if d_core(nu, ctx.d) == d_core(nu2, ctx.d):
-                    continue
-                val = matrix[(nu, nu2)]
-                if val:
-                    from fractions import Fraction  # loaded only when an entry is reported
-                    worst.append([list(nu), list(nu2), f"{Fraction(val, order)}"])
+    for weights in section_weights(ctx).values():
+        rows = list(zip(*(class_values(t, ctx.q) for t in weights)))
+        for i, j in cross:
+            val = sum(map(mul, weights.values(), map(mul, rows[i], rows[j])))
+            if val:
+                from fractions import Fraction  # loaded only when an entry is reported
+                worst.append([list(labels[i]), list(labels[j]), f"{Fraction(val, order)}"])
     return not worst, {"cross_core_nonzeros": worst}
 
 
@@ -270,7 +297,7 @@ def _verify_thm410chain(args):
 
 
 def _verify_smt55(args):
-    from .blockcalc import Context
+    from .glclass import Context
     error = smt_check(Context(args.n, args.q, args.d, args.variant))
     if error is not None:
         return False, {"error": error}

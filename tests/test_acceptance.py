@@ -19,7 +19,7 @@ from glblocks.errors import HypothesisError
 import hookref
 import labelref as L
 from paperref import sn_l_blocks, weight_one_singular_value
-from test_blockcalc import inner_product
+from test_blockcalc import cross_core_pairs, inner_product, section_grams
 
 ORACLE_GROUPS = [(2, 2), (2, 3), (3, 2), (2, 4)]
 
@@ -92,14 +92,9 @@ def test_criterion_05_cross_core_orthogonality_and_refinement():
     ok = True
     for n, q, d in CONTEXTS_45:
         ctx = Context(n, q, d, "divisible")
-        labels = P.partitions_of(n)
-        for head in G.section_heads(n, q, d, ctx.variant):
-            for i, nu in enumerate(labels):
-                for nu2 in labels[i + 1:]:
-                    if P.d_core(nu, d) == P.d_core(nu2, d):
-                        continue
-                    if inner_product(nu, nu2, ("section", head), ctx) != 0:
-                        ok = False
+        for gram in section_grams(ctx).values():
+            if any(gram[pair] != 0 for pair in cross_core_pairs(ctx)):
+                ok = False
         comb = S.same_core_grouping(n, d)
         if not all(any(b <= c for c in comb) for b in B.unipotent_blocks(ctx)):
             ok = False
@@ -215,10 +210,11 @@ def test_criterion_09_constructive_chains():
 def test_criterion_10_domination_and_reconstruction():
     ok = True
     for n, q, d in [(4, 3, 2), (3, 3, 2)]:
-        if V.smt_check(Context(n, q, d, "divisible")) is not None:
+        ctx = Context(n, q, d, "divisible")
+        if V.smt_check(ctx) is not None:
             ok = False
         # each head's dominated sets: the same-core sets of GL(n - |x|, q)
-        for head in G.section_heads(n, q, d, "divisible"):
+        for head in V.section_weights(ctx):
             seen = set()
             for members in S.same_core_grouping(n - head.n, d):
                 if seen & members:

@@ -21,6 +21,7 @@ from glblocks.errors import HypothesisError
 from paperref import weight_one_singular_value
 from test_charvalue import compose_steps, label_chi_value
 import labelref as L
+import sectionref as R
 
 
 CONTEXTS = [Context(3, 2, 2, "divisible"), Context(3, 3, 2, "divisible"),
@@ -99,20 +100,26 @@ def label_level_inner_product(nu, nu2, domain, ctx):
                 for c in classes), Fraction(0))
 
 
+def domain_gram(ctx, domain):
+    """{(nu, nu2): <chi^nu, chi^nu2>} over a named domain, as Fractions."""
+    order = Q.gl_order(ctx.n, ctx.q)
+    return {pair: Fraction(val, order) for pair, val in B.inner_matrix(ctx, domain).items()}
+
+
 @pytest.mark.parametrize("ctx", [Context(4, 3, 2, "divisible"), Context(4, 3, 2, "exact"),
                                  Context(5, 2, 2, "divisible"), Context(4, 4, 3, "divisible")])
 def test_type_weighted_product_matches_label_sum(ctx):
     secs = L.sections(ctx.n, ctx.q, ctx.d, ctx.variant)
-    # pairs (domain by type, the same domain by label key)
-    domains = [(name, name) for name in ("full", "d_regular", "d_singular")]
-    domains += [(("section", head_type(key, ctx.q)), ("section", key)) for key in secs]
-    labels = P.partitions_of(ctx.n)
-    for domain, label_domain in domains:
-        for nu in labels:
-            for nu2 in labels:
-                assert (inner_product(nu, nu2, domain, ctx)
-                        == label_level_inner_product(nu, nu2, label_domain, ctx)), \
-                    (label_domain, nu, nu2)
+    sections = V.section_weights(ctx)
+    # pairs (the domain's Gram by type, the same domain by label key)
+    domains = [(domain_gram(ctx, name), name) for name in ("full", "d_regular", "d_singular")]
+    domains += [(R.section_gram(ctx, sections[head_type(key, ctx.q)]), ("section", key))
+                for key in secs]
+    for gram, label_domain in domains:
+        assert len(gram) == len(P.partitions_of(ctx.n)) ** 2
+        for (nu, nu2), value in gram.items():
+            assert value == label_level_inner_product(nu, nu2, label_domain, ctx), \
+                (label_domain, nu, nu2)
 
 
 def label_level_weights(classes, q):
@@ -124,33 +131,22 @@ def label_level_weights(classes, q):
                                  Context(5, 2, 2, "divisible"), Context(4, 4, 3, "divisible")])
 def test_section_heads_match_label_sections(ctx):
     secs = L.sections(ctx.n, ctx.q, ctx.d, ctx.variant)
-    heads = {head_type(key, ctx.q) for key in secs}
-    assert set(G.section_heads(ctx.n, ctx.q, ctx.d, ctx.variant)) == heads
+    sections = V.section_weights(ctx)
+    assert set(sections) == {head_type(key, ctx.q) for key in secs}
     for key, classes in secs.items():
-        assert B._type_weights(ctx, ("section", head_type(key, ctx.q))) == \
-            label_level_weights(classes, ctx.q), key
+        assert sections[head_type(key, ctx.q)] == label_level_weights(classes, ctx.q), key
     assert B._type_weights(ctx, "full") == \
         label_level_weights(L.all_classes(ctx.n, ctx.q), ctx.q)
 
 
-def test_section_key_must_be_a_d_element():
-    with pytest.raises(ValueError, match="not the d-part of a section head"):
-        inner_product((2, 2), (2, 2), ("section", G.ClassType(1, (), ((1, (1,)),))),
-                      Context(4, 3, 2, "divisible"))
-
-
-def test_only_named_domains_are_memoised():
-    # a section domain's weights and Gram are rebuilt on each call and kept
-    # by no cache (verify thm43 reads each once); the named domains are cached
-    ctx = Context(5, 3, 2, "divisible")
-    head = G.section_heads(5, 3, 2, "divisible")[-1]
-    B.inner_matrix(ctx, "d_regular")
-    sizes = B.inner_matrix.cache_info().currsize, B._type_weights.cache_info().currsize
-    first = B.inner_matrix(ctx, ("section", head))
-    assert B.inner_matrix(ctx, ("section", head)) == first
-    assert B.inner_matrix(ctx, ("section", head)) is not first
-    assert (B.inner_matrix.cache_info().currsize, B._type_weights.cache_info().currsize) == sizes
-    assert B.inner_matrix(ctx, "d_regular") is B.inner_matrix(ctx, "d_regular")
+def test_a_section_is_no_domain():
+    # the domains are "full", "d_regular" and "d_singular"; sections are
+    # split off the types in verify, not summed by inner_matrix
+    ctx = Context(4, 3, 2, "divisible")
+    head = G.ClassType(2, (), ((2, (1,)),))
+    for domain in (("section", head), "section", "d-regular"):
+        with pytest.raises(ValueError, match="unknown domain"):
+            B.inner_matrix(ctx, domain)
 
 
 def test_cached_results_are_read_only():
@@ -193,27 +189,31 @@ def test_regular_plus_singular_is_full():
                     assert reg == -sing
 
 
+def section_grams(ctx):
+    """{head: the Gram of one section of that head}, over the split's sections."""
+    return {head: R.section_gram(ctx, weights)
+            for head, weights in V.section_weights(ctx).items()}
+
+
+def cross_core_pairs(ctx):
+    labels = P.partitions_of(ctx.n)
+    return [(nu, nu2) for i, nu in enumerate(labels) for nu2 in labels[i + 1:]
+            if P.d_core(nu, ctx.d) != P.d_core(nu2, ctx.d)]
+
+
 def test_section_additivity():
+    # the sections of every label key together are the whole group
     for ctx in CONTEXTS:
-        secs = L.sections(ctx.n, ctx.q, ctx.d, ctx.variant)
-        labels = P.partitions_of(ctx.n)
-        for nu in labels:
-            for nu2 in labels:
-                total = sum(inner_product(nu, nu2, ("section", head_type(key, ctx.q)), ctx)
-                            for key in secs)
-                assert total == (1 if nu == nu2 else 0)
+        grams = section_grams(ctx)
+        heads = [head_type(key, ctx.q) for key in L.sections(ctx.n, ctx.q, ctx.d, ctx.variant)]
+        for nu, nu2 in grams[heads[0]]:
+            assert sum(grams[head][(nu, nu2)] for head in heads) == (nu == nu2)
 
 
 def test_cross_core_sections_vanish():
     for ctx in CONTEXTS + [Context(5, 2, 2, "divisible")]:
-        secs = L.sections(ctx.n, ctx.q, ctx.d, ctx.variant)
-        labels = P.partitions_of(ctx.n)
-        for key in secs:
-            for i, nu in enumerate(labels):
-                for nu2 in labels[i + 1:]:
-                    if P.d_core(nu, ctx.d) == P.d_core(nu2, ctx.d):
-                        continue
-                    assert inner_product(nu, nu2, ("section", head_type(key, ctx.q)), ctx) == 0
+        for gram in section_grams(ctx).values():
+            assert all(gram[pair] == 0 for pair in cross_core_pairs(ctx))
 
 
 def test_weight_one_pairs_directly_linked():
@@ -350,13 +350,8 @@ def test_exact_variant_carries_the_results():
     for (n, q, d) in [(4, 2, 2), (4, 3, 2), (5, 2, 2)]:
         ctx = Context(n, q, d, "exact")
         labels = P.partitions_of(n)
-        secs = L.sections(n, q, d, "exact")
-        for key in secs:
-            for i, nu in enumerate(labels):
-                for nu2 in labels[i + 1:]:
-                    if P.d_core(nu, d) == P.d_core(nu2, d):
-                        continue
-                    assert inner_product(nu, nu2, ("section", head_type(key, ctx.q)), ctx) == 0
+        for gram in section_grams(ctx).values():
+            assert all(gram[pair] == 0 for pair in cross_core_pairs(ctx))
         assert refines(B.unipotent_blocks(ctx), S.same_core_grouping(n, d))
         weight1 = [lam for lam in labels if A.d_weight(lam, d) == 1]
         for i, lam in enumerate(weight1):
@@ -470,7 +465,7 @@ SMT_CONTEXTS = [Context(3, 3, 2, "divisible"), Context(4, 3, 2, "divisible"),
 def test_smt_check():
     for ctx in SMT_CONTEXTS:
         assert V.smt_check(ctx) is None
-        heads = G.section_heads(ctx.n, ctx.q, ctx.d, ctx.variant)
+        heads = list(V.section_weights(ctx))
         assert heads
         # the set each block dominates: one same-core set of GL(l,q) per core
         for head in heads:
@@ -479,15 +474,33 @@ def test_smt_check():
 
 
 def test_section_types_split_back_into_head_and_y():
-    # smt_check builds each type t of a section from its head x and a
+    # the reference builds each type t of a section from its head x and a
     # d-regular type y; splitting t by degree gives (x, y) back
     for ctx in SMT_CONTEXTS:
-        for head in G.section_heads(ctx.n, ctx.q, ctx.d, ctx.variant):
-            pairs = list(B._section_types(ctx, head))
-            assert [t for _, t in pairs] == list(B._type_weights(ctx, ("section", head)))
+        for head in R.section_heads(ctx.n, ctx.q, ctx.d, ctx.variant):
+            pairs = list(R.section_types(ctx, head))
+            assert [t for _, t in pairs] == list(R.head_weights(ctx, head))
             for y, t in pairs:
                 assert G.is_d_regular(y, ctx.d, ctx.variant)
                 assert L.xy_decompose(t, ctx.d, ctx.variant) == (head, y)
+
+
+SPLIT_CONTEXTS = [Context(n, q, d, variant) for n in range(8) for q in (2, 3, 4, 5)
+                  for d in range(1, 5) for variant in G.VARIANTS]
+
+
+def test_section_split_matches_the_head_reference():
+    # grouping the types of GL(n,q) by their d-part gives the sections that
+    # the heads and the merge build: the same heads, types and weights; each
+    # split is xy_decompose's, with y d-regular, and every type is split once
+    assert len(SPLIT_CONTEXTS) == 256
+    for ctx in SPLIT_CONTEXTS:
+        split = list(V.section_split(ctx))
+        assert [t for _, _, t in split] == list(G.class_types(ctx.n, ctx.q))
+        for head, y, t in split:
+            assert L.xy_decompose(t, ctx.d, ctx.variant) == (head, y)
+            assert G.is_d_regular(y, ctx.d, ctx.variant)
+        assert V.section_weights(ctx) == R.sections_by_heads(ctx), ctx
 
 
 def test_wrong_peel_coefficient_fails_smt_check(monkeypatch, capsys):
@@ -540,12 +553,13 @@ def test_section_inner_products_factor_through_peels():
             x_part = L.type_of(L.make_label(x_size, q, (), key))
             x_in_g = L.make_label(n, q, (1,) * l, key)
             x_class_size = G.class_size(L.type_of(x_in_g), q)
+            gram = R.section_gram(ctx, V.section_weights(ctx)[x_part])
             scale = Fraction(Q.gl_order(l, q), Q.gl_order(n, q))
             for mu in labels:
                 amu = compose_steps(mu, x_part.components, q)
                 for mu2 in labels:
                     amu2 = compose_steps(mu2, x_part.components, q)
-                    lhs = inner_product(mu, mu2, ("section", x_part), ctx) / x_class_size
+                    lhs = gram[(mu, mu2)] / x_class_size
                     rhs = scale * sum(
                         a * b * inner_product(lam, lam2, "d_regular", sub)
                         for lam, a in amu.items() for lam2, b in amu2.items())
@@ -556,15 +570,12 @@ def test_blocks_orthogonal_across_sections():
     # characters in distinct computed blocks: zero product on every section
     for ctx in [Context(3, 3, 2, "divisible"), Context(4, 2, 3, "divisible")]:
         block_of = {nu: b for b in B.unipotent_blocks(ctx) for nu in b}
-        secs = L.sections(ctx.n, ctx.q, ctx.d, ctx.variant)
+        grams = section_grams(ctx).values()
         labels = P.partitions_of(ctx.n)
         for i, nu in enumerate(labels):
             for nu2 in labels[i + 1:]:
-                if block_of[nu] == block_of[nu2]:
-                    continue
-                for key in secs:
-                    domain = ("section", head_type(key, ctx.q))
-                    assert inner_product(nu, nu2, domain, ctx) == 0
+                if block_of[nu] != block_of[nu2]:
+                    assert all(gram[(nu, nu2)] == 0 for gram in grams)
 
 
 def test_reports_serializable():

@@ -15,6 +15,7 @@ from glblocks.symchar import partition_index, z_order
 from greenref import green_polynomial, unipotent_values
 from hookref import l_set_iterate, sn_char
 import labelref as L
+import sectionref as R
 
 
 def value_on_unipotent(nu: tuple[int, ...], mu: tuple[int, ...], q: int) -> int:
@@ -502,7 +503,7 @@ def test_class_values_match_label_fold(n, q):
 def test_peel_chain_matches_alpha_fold(n, q, d, variant):
     # peeling a head's components onto the vector of a d-regular y gives the
     # fold's alpha_x(mu, lam) applied to that vector, entry for entry
-    for head in G.section_heads(n, q, d, variant):
+    for head in R.section_heads(n, q, d, variant):
         components = head.components
         alphas = {mu: compose_steps(mu, components, q) for mu in partitions_of(n)}
         for y in G.class_types(n - head.n, q):

@@ -138,14 +138,18 @@ def test_verify_thm46_and_smt(capsys):
 
 
 def test_verify_thm43_reports_a_nonzero_as_a_rational(capsys, monkeypatch):
-    # a cross-core entry k of an integer section Gram is reported as k/|G|
-    real = blockcalc.inner_matrix
+    # a cross-core entry k of an integer section Gram is reported as k/|G|:
+    # a forged section of transvections alone, six times as heavy, gives
+    # 6 chi^(3) chi^(2,1) = 6 * 1 * 2 = 12 = |GL(3,2)|/14 at ((3), (2,1)),
+    # and 0 at ((2,1), (1,1,1)), since the Steinberg character vanishes there
+    from glblocks.glclass import ClassType
+    real = verify.section_weights
+    transvection = ClassType(3, (2, 1), ())
+    assert charvalue.class_values(transvection, 2) == (1, 2, 0)
 
-    def corrupted(ctx, domain):
-        matrix = dict(real(ctx, domain))
-        matrix[((3,), (2, 1))] = matrix[((2, 1), (3,))] = 12  # 12/|GL(3,2)| = 1/14
-        return matrix
-    monkeypatch.setattr(blockcalc, "inner_matrix", corrupted)
+    def forged(ctx):
+        return {**real(ctx), "forged": {transvection: 6}}
+    monkeypatch.setattr(verify, "section_weights", forged)
     code, out = run(["verify", "thm43", "--n", "3", "--q", "2", "--d", "2",
                      "--output", "json"], capsys)
     nonzeros = json.loads(out)["details"]["cross_core_nonzeros"]
@@ -856,8 +860,9 @@ COMMAND_MODULES = [
     (["classes", "--n", "3", "--q", "3", "--d", "2"],
      {"partitions", "qarith", "glclass", "classlist"}),
     (["table", "--n", "3", "--q", "2", "--output", "json"], ENGINE - {"blockcalc"} | {"classlist"}),
-    (["verify", "thm43", "--n", "4", "--q", "3", "--d", "2"], ENGINE | {"verify"}),
-    (["verify", "smt55", "--n", "4", "--q", "3", "--d", "2"], ENGINE | {"verify"}),
+    # the d-sections are split off the types in verify, with no blockcalc
+    (["verify", "thm43", "--n", "4", "--q", "3", "--d", "2"], ENGINE - {"blockcalc"} | {"verify"}),
+    (["verify", "smt55", "--n", "4", "--q", "3", "--d", "2"], ENGINE - {"blockcalc"} | {"verify"}),
     (["verify", "thm410chain", "--n", "4", "--d", "3"],
      {"partitions", "abacus", "verify", "chains"}),
     (["verify", "prop32", "--n", "2", "--q", "2", "--d", "2"],

@@ -19,6 +19,7 @@ from labelref import GLClassLabel, make_label
 from glblocks.glclass import ClassType, d_type
 from test_charvalue import label_chi_value
 import labelref as L
+import sectionref as R
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -191,7 +192,7 @@ def test_class_type_agrees_with_its_labels(n, q):
             for variant in G.VARIANTS:
                 d_part = L.section_label(c, d, variant)
                 assert G.is_d_regular(t, d, variant) == (not d_part)
-                assert G.is_d_element(t, d, variant) == (
+                assert R.is_d_element(t, d, variant) == (
                     set(c.unipotent) <= {1} and len(d_part) == len(c.support))
                 assert G.d_type(t, d, variant) == tuple(sorted(
                     (sum(p), k.degree // d) for k, p in d_part))
@@ -222,14 +223,14 @@ def test_identity_and_centralizers():
 def test_is_d_element():
     q = 3
     ident = L.type_of(identity_label(3, q))
-    assert G.is_d_element(ident, 2, "divisible")
+    assert R.is_d_element(ident, 2, "divisible")
     quad = L.type_of(L.make_label(3, q, (1,), [((2, 0), (1,))]))
-    assert G.is_d_element(quad, 2, "divisible")
+    assert R.is_d_element(quad, 2, "divisible")
     bad_unip = L.type_of(L.make_label(3, q, (2, 1), ()))
-    assert not G.is_d_element(bad_unip, 2, "divisible")
+    assert not R.is_d_element(bad_unip, 2, "divisible")
     lin = L.type_of(L.make_label(3, q, (1,), [((1, 0), (1, 1))]))
-    assert not G.is_d_element(lin, 2, "divisible")
-    assert G.is_d_element(lin, 1, "divisible")
+    assert not R.is_d_element(lin, 2, "divisible")
+    assert R.is_d_element(lin, 1, "divisible")
 
 
 def test_is_d_regular():
@@ -274,7 +275,7 @@ def test_xy_decompose_degenerate_cases():
         x, y = L.xy_decompose(c, 2)
         if G.is_d_regular(c, 2, "divisible"):
             assert x.n == 0 and y == c
-        if G.is_d_element(c, 2, "divisible"):
+        if R.is_d_element(c, 2, "divisible"):
             assert not y.components and all(p == 1 for p in y.unipotent)
 
 
@@ -310,12 +311,12 @@ def test_d_type_reads_the_d_part(n, q):
 
 
 def test_section_heads_examples():
-    heads = G.section_heads(3, 3, 2, "divisible")
+    heads = R.section_heads(3, 3, 2, "divisible")
     assert heads == (ClassType(0, (), ()), ClassType(2, (), ((2, (1,)),)))
     # at d = 1 every type without an X-1 part heads a section
-    assert set(G.section_heads(3, 3, 1, "divisible")) == {
+    assert set(R.section_heads(3, 3, 1, "divisible")) == {
         t for m in range(4) for t in G.class_types(m, 3) if not t.unipotent}
-    assert len(G.section_heads(3, 3, 1, "divisible")) == 10
+    assert len(R.section_heads(3, 3, 1, "divisible")) == 10
 
 
 def test_weight_bound():
@@ -338,7 +339,7 @@ def test_sections_partition_classes():
                                      if G.is_d_regular(L.type_of(c), d, variant)}
             # each d-element class heads its own section
             for key, group in secs.items():
-                heads = [c for c in group if G.is_d_element(L.type_of(c), d, variant)
+                heads = [c for c in group if R.is_d_element(L.type_of(c), d, variant)
                          and L.section_label(c, d, variant) == key]
                 if key != ():
                     assert heads, key
