@@ -37,8 +37,8 @@ class RemovalPath(NamedTuple):
 
 
 def _runners(beta, d: int) -> list[list[int]]:
-    """Runner r's bead positions (b - r) // d for the beads b = r mod d, ascending
-    for an ascending beta-set, sorted in one pass over the beads."""
+    """Runner r's bead positions (b - r) // d of the beads b = r mod d, bucketed
+    in one pass over the beads, so ascending when `beta` is."""
     runners: list[list[int]] = [[] for _ in range(d)]
     for b in beta:
         runners[b % d].append(b // d)
