@@ -24,7 +24,14 @@ seven contexts from GL(0,2) to GL(6,2), in both variants; `verify thm43`,
 in both variants; `verify thm46` at six contexts, two of them outside
 F >= n/d (exit 3); `verify lemma49` and `thm410chain`; and every
 `partition` verb on eight partitions, with the path guard (exit 4) and a
-literal that is no partition (exit 2); each in text and json.
+literal that is no partition (exit 2); each in text and json.  It covers
+the usage errors (exit 2) that `tests/test_cli.py` pins: `--output csv` on
+`blocks`, an `--out-path` in a directory that does not exist, an option
+that a `verify` check does not take, `oracle --n 0` and a `--q` that is
+not a prime power.  And it covers a d far above n: `partition core` and
+`blocks` at d = 300,000, and `blocks` on GL(2,2) at d = 14,000 and
+14,500, around the d where F, the count of irreducibles of degree d, has
+more digits than `int` to `str` conversion allows (4,300 by default).
 """
 
 from __future__ import annotations
@@ -60,6 +67,17 @@ PARTITIONS = [("[]", 2), ("[1]", 2), ("[1]", 1), ("[3,1]", 2), ("[2,2]", 2),
 # over the path guard, and a literal that is not weakly decreasing
 PARTITION_REFUSED = [["partition", "paths", "[6,5,5,2,1]", "--d", "1"],
                      ["partition", "core", "[1,2]", "--d", "2"]]
+# exit 2, each command line as given
+USAGE = [["blocks", "--n", "2", "--q", "2", "--output", "csv"],
+         ["classes", "--n", "2", "--q", "2", "--out-path", "/nonexistent-glblocks-dir/out.txt"],
+         ["verify", "thm45", "--n", "2", "--q", "2", "--d", "2"],
+         ["verify", "lemma49", "--k", "3", "--n", "2", "--output", "json"],
+         ["oracle", "--n", "0", "--q", "2"],
+         ["blocks", "--n", "3", "--q", "6"],
+         ["table", "--n", "2", "--q", "1", "--output", "csv"]]
+# (n, q, d) with d far above n; F has 4,211 digits at d = 14,000 and 4,361 at 14,500
+FAR_D = [(2, 2, 14_000)]
+FAR_D_TEXT = [(2, 2, 14_500), (6, 2, 300_000)]
 MATRIX = [(0, 2, 1, "divisible"), (3, 2, 1, "exact"), (4, 3, 2, "divisible"),
           (4, 3, 2, "exact"), (5, 4, 3, "divisible")]
 
@@ -85,12 +103,17 @@ def commands():
     base += [["partition", verb, lam, "--d", str(d)] for lam, d in PARTITIONS
              for verb in ("core", "quotient", "weight", "abacus", "paths")]
     base += PARTITION_REFUSED
+    base.append(["partition", "core", "[3,1]", "--d", "300000"])
+    base += [["blocks", "--n", str(n), "--q", str(q), "--d", str(d)] for n, q, d in FAR_D]
     with_csv = [["table", "--n", str(n), "--q", str(q)] for n, q in LIST_GROUPS]
     with_csv += [["matrix", "--n", str(n), "--q", str(q), "--d", str(d), "--variant", variant,
                   "--domain", domain] for n, q, d, variant in MATRIX
                  for domain in ("full", "d_regular", "d_singular")]
+    as_given = USAGE + [["blocks", "--n", str(n), "--q", str(q), "--d", str(d), "--output", "text"]
+                        for n, q, d in FAR_D_TEXT]
     return ([argv + ["--output", form] for argv in base for form in ("text", "json")]
-            + [argv + ["--output", form] for argv in with_csv for form in ("text", "json", "csv")])
+            + [argv + ["--output", form] for argv in with_csv for form in ("text", "json", "csv")]
+            + as_given)
 
 
 def run(argv):
