@@ -6,11 +6,11 @@ The table is computed by the class-algebra eigenvector method mod a prime
 ell = 1 mod e, e the exponent of the group: the class algebra is split one
 restricted class matrix at a time, with a kernel only at each root mod ell
 of its characteristic polynomial (from a Hessenberg form).  Each value is
-lifted to its exact root-of-unity multiplicities, and every exact test on
-values (orthogonality, Borel multiplicities, nonvanishing, rationality)
-runs in Z/M under one ring map zeta_e -> w that `_embedding` proves
-injective on what the oracle tests: no floating point and no cyclotomic
-division.  `cmd_oracle` is the handler of the `oracle` command.
+lifted through its exact root-of-unity multiplicities, which are checked
+and not kept, to its image in Z/M under one ring map zeta_e -> w that
+`_embedding` proves injective on what the oracle tests; every exact test
+on values (orthogonality, Borel multiplicities, nonvanishing,
+rationality) runs there: no floating point and no cyclotomic division.  `cmd_oracle` is the handler of the `oracle` command.
 """
 
 from __future__ import annotations
@@ -164,10 +164,9 @@ class CharacterTable(NamedTuple):
     sizes: tuple[int, ...]
     inverse_class: tuple[int, ...]
     degrees: tuple[int, ...]
-    values: tuple[tuple[tuple[int, ...], ...], ...]   # [chi][class][j]: multiplicity of zeta^j
-    modulus: int                                       # M of `_embedding`
-    root: int                                          # w, the image of zeta_e in Z/M
-    residues: tuple[tuple[int, ...], ...]              # [chi][class]: the value's image in Z/M
+    modulus: int                            # M of `_embedding`
+    root: int                               # w, the image of zeta_e in Z/M
+    residues: tuple[tuple[int, ...], ...]   # [chi][class]: the value's image in Z/M
 
     def value_int(self, chi: int, cls: int):
         return _integer(self.residues[chi][cls], self.modulus, self.degrees[chi])
@@ -210,9 +209,9 @@ def _embedding(e, ell, z, bound):
 
 
 def _lift(chars_mod, degrees, power_class, e, ell, z, modulus, w):
-    """Root-of-unity multiplicities of each character value, from its
-    values mod ell on the powers of the class representative, and the
-    image of the value in Z/modulus under zeta_e -> w.
+    """The image in Z/modulus under zeta_e -> w of each character value,
+    [chi][class], through its root-of-unity multiplicities, found from its
+    values mod ell on the powers of the class representative.
 
     m_j = (1/e) sum_{m<e} chi(r^m) z^(-jm) mod ell.  power_class[i] lists
     the classes of r^m for m below o = ord(r), and they repeat with period
@@ -234,9 +233,9 @@ def _lift(chars_mod, degrees, power_class, e, ell, z, modulus, w):
                 w_row.append(w_row[-1] * step % modulus)
             lifts[o] = ([[o_inv * z_pows[(-j * m) % e] % ell for m in range(o)]
                          for j in range(0, e, stride)], w_row)
-    values, residues = [], []
+    residues = []
     for chi, cm in enumerate(chars_mod):
-        rows, images = [], []
+        images = []
         for i, powers in enumerate(power_class):
             chi_powers = [cm[c] for c in powers]
             roots, w_row = lifts[len(powers)]
@@ -246,13 +245,9 @@ def _lift(chars_mod, degrees, power_class, e, ell, z, modulus, w):
             image = sum(map(mul, mults, w_row)) % modulus
             if image % ell != cm[i]:
                 raise ArithmeticError("modular roundtrip failed")
-            value = [0] * e
-            value[::e // len(powers)] = mults
-            rows.append(tuple(value))
             images.append(image)
-        values.append(tuple(rows))
         residues.append(tuple(images))
-    return tuple(values), tuple(residues)
+    return tuple(residues)
 
 
 def _borel_order(n, q):
@@ -354,9 +349,8 @@ def dixon_table(n: int, q: int) -> CharacterTable:
     # sums within |G|(D^2 + 1), the Borel sums within |G| D [G:B]
     top = max(degrees)
     modulus, w = _embedding(e, ell, z, 2 * size * (top * max(top, size // _borel_order(n, q)) + 1))
-    values, residues = _lift(chars_mod, degrees, power_class, e, ell, z, modulus, w)
-    tab = CharacterTable(size, e, reps, sizes, inv_class, tuple(degrees), values,
-                         modulus, w, residues)
+    residues = _lift(chars_mod, degrees, power_class, e, ell, z, modulus, w)
+    tab = CharacterTable(size, e, reps, sizes, inv_class, tuple(degrees), modulus, w, residues)
     _verify_orthogonality(tab)
     return tab
 
@@ -541,4 +535,4 @@ def cached_oracle_dump(n: int, q: int) -> str:
 
 def cmd_oracle(args):
     blob = cached_oracle_dump(args.n, args.q)
-    return 0, lambda: json.loads(blob), lambda: blob
+    return 0, lambda: blob, lambda: blob

@@ -5,16 +5,16 @@ reports, which only those two commands load.
 key and type from a depth-first walk of the polynomial pool, with no list,
 set or sort of every class, in batches of at most BATCH sibling classes.
 `classes_json` and `classes_text` write a text chunk per batch from fragments
-formatted once per type.  `CharValueTable` writes the value table as JSON or
-CSV text chunks of at most PIECE values each, every value turned into a string
-once per type; only it loads the value engine, `charvalue`, so `classes` does not.
+formatted once per type.  `table_json` and `table_csv` write the value table
+as JSON or CSV text chunks of at most PIECE values each, from one list of
+every class's key and one of its type, read off class_keys once, and every
+value turned into a string once per type; nothing outlives the output.
+Only they load the value engine, `charvalue`, so `classes` does not.
 """
 
 from __future__ import annotations
 
-from functools import cache
 from itertools import chain, groupby, islice
-from types import MappingProxyType
 
 from .errors import ScaleGuardError
 from .glclass import ClassType, _degree_matches, centralizer_order, class_size, class_types, d_type
@@ -160,57 +160,50 @@ def _pieces(texts, sep):
         lead = sep
 
 
-class CharValueTable:
-    """All unipotent character values for one GL(n,q), one value vector per class type."""
+def _table_parts(n: int, q: int):
+    """(keys, types, columns): every class's assignment key and type, in key
+    order, and for each nu, in the order of partitions_of, {type: its value
+    at nu as text}; each value is turned into a string once."""
+    from .charvalue import class_values  # only the table reads values
+    keys, types = [], []
+    for batch in class_keys(n, q):
+        keys += [key for key, _, _ in batch]
+        types += [t for _, _, t in batch]
+    texts = {t: [str(v) for v in class_values(t, q)] for t in class_types(n, q)}
+    return keys, types, [{t: values[i] for t, values in texts.items()}
+                         for i in range(len(partitions_of(n)))]
 
-    def __init__(self, n: int, q: int):
-        self.n, self.q = n, q
-        # {assignment key: type} in key order, read-only: table(n, q) is
-        # cached and shared by every caller
-        self.classes = MappingProxyType({k: t for batch in class_keys(n, q) for k, _, t in batch})
-        self.labels = partitions_of(n)
 
-    def _columns(self):
-        """For each nu, in the order of partitions_of, {type: its value at nu as
-        text}: each value is turned into a string once, and every vector is computed here."""
-        from .charvalue import class_values  # only the table reads values
-        texts = {t: [str(v) for v in class_values(t, self.q)] for t in class_types(self.n, self.q)}
-        return [{t: values[i] for t, values in texts.items()} for i in range(len(self.labels))]
+def table_json(n: int, q: int):
+    """The table as JSON chunks, byte for byte json.dumps(..., sort_keys=True)
+    of {"n", "q", "signs", "values": {nu: {key: value}}}."""
+    keys, types, columns = _table_parts(n, q)
+    nus = sorted((str(list(nu)), i) for i, nu in enumerate(partitions_of(n)))
+    # every degree is positive, so every sign is 1; kept for the format
+    yield (f'{{"n": {n}, "q": {q}, "signs": {{'
+           + ", ".join(f'"{nu}": 1' for nu, _ in nus) + '}, "values": {')
+    for k, (nu, i) in enumerate(nus):
+        column = columns[i]
+        yield (", " if k else "") + f'"{nu}": {{'
+        yield from _pieces((f'"{key}": {column[t]}' for key, t in zip(keys, types)), ", ")
+        yield "}"
+    yield "}}"
 
-    def json_chunks(self):
-        """The table as JSON chunks, byte for byte json.dumps(..., sort_keys=True)
-        of {"n", "q", "signs", "values": {nu: {key: value}}}."""
-        columns = self._columns()
-        nus = sorted((str(list(nu)), i) for i, nu in enumerate(self.labels))
-        # every degree is positive, so every sign is 1; kept for the format
-        yield (f'{{"n": {self.n}, "q": {self.q}, "signs": {{'
-               + ", ".join(f'"{nu}": 1' for nu, _ in nus) + '}, "values": {')
-        for k, (nu, i) in enumerate(nus):
-            column = columns[i]
-            yield (", " if k else "") + f'"{nu}": {{'
-            yield from _pieces((f'"{key}": {column[t]}' for key, t in self.classes.items()), ", ")
-            yield "}"
-        yield "}}"
 
-    def csv_chunks(self):
-        """The table as CSV chunks, the header and then one row per nu; a
-        field is quoted when it holds a comma, as csv.writer does (no key or
-        label holds a quote or a line break)."""
-        def field(text):
-            return f'"{text}"' if "," in text else text
-        columns, types = self._columns(), self.classes.values()
-        yield from _pieces(chain(["nu"], map(field, self.classes)), ",")
-        for nu, column in zip(self.labels, columns):
-            yield "\n"
-            yield from _pieces(chain([field(str(list(nu)))], map(column.__getitem__, types)), ",")
+def table_csv(n: int, q: int):
+    """The table as CSV chunks, the header and then one row per nu; a
+    field is quoted when it holds a comma, as csv.writer does (no key or
+    label holds a quote or a line break)."""
+    def field(text):
+        return f'"{text}"' if "," in text else text
+    keys, types, columns = _table_parts(n, q)
+    yield from _pieces(chain(["nu"], map(field, keys)), ",")
+    for nu, column in zip(partitions_of(n), columns):
         yield "\n"
-
-
-@cache
-def table(n: int, q: int) -> CharValueTable:
-    return CharValueTable(n, q)
+        yield from _pieces(chain([field(str(list(nu)))], map(column.__getitem__, types)), ",")
+    yield "\n"
 
 
 def cmd_table(args):
-    tab = table(args.n, args.q)
-    return 0, tab.json_chunks, tab.csv_chunks, tab.csv_chunks
+    ctx = args.n, args.q
+    return 0, lambda: table_json(*ctx), lambda: table_csv(*ctx), lambda: table_csv(*ctx)

@@ -9,7 +9,6 @@ from glblocks import abacus as A
 from glblocks import blockcalc as B
 from glblocks import chains as CH
 from glblocks import charvalue as C
-from glblocks import classlist as CL
 from glblocks import cli
 from glblocks import glclass as G
 from glblocks import partitions as P
@@ -155,8 +154,7 @@ def test_cached_results_are_read_only():
     ctx = Context(3, 2, 2, "divisible")
     tables = [G.class_types(3, 2), B._type_weights(ctx, "d_regular"),
               B.inner_matrix(ctx, "d_regular"), C._unipotent_values(3, 2),
-              S.signed_removal_map((2, 1), (1,), 1), C.class_values(G.ClassType(3, (3,), ()), 2),
-              CL.table(3, 2).classes]
+              S.signed_removal_map((2, 1), (1,), 1), C.class_values(G.ClassType(3, (3,), ()), 2)]
     for table in tables:
         key = next(iter(table)) if isinstance(table, Mapping) else 0
         with pytest.raises(TypeError):

@@ -466,32 +466,43 @@ def full_length_lift(power_class, chars_mod, degrees, e, ell, z):
     return tuple(values)
 
 
-@pytest.mark.parametrize("n,q", [(2, 4), (3, 2), (2, 5)])
-def test_lift_over_element_orders_matches_full_length_lift(n, q, monkeypatch):
-    seen = []
-    lift = BT._lift
-
-    def recording_lift(*args):
-        seen.append(args)
-        return lift(*args)
-
-    monkeypatch.setattr(BT, "_lift", recording_lift)
-    BT.dixon_table.__wrapped__(n, q)
-    (chars_mod, degrees, power_class, e, ell, z, modulus, w), = seen
+def recorded_lift(n, q):
+    """(table, its _lift arguments, the full power classes): a fresh
+    dixon_table(n, q), recording what its _lift was called with."""
+    seen, lift = [], BT._lift
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(BT, "_lift", lambda *args: seen.append(args) or lift(*args))
+        tab = BT.dixon_table.__wrapped__(n, q)
+    (args,) = seen
     data = BF.oracle_classes(n, q)
-    tab = BT.dixon_table(n, q)
-    assert tab.exponent == e
-    full = full_power_classes(data.group, data.class_of, tab.reps, e)
+    return tab, args, full_power_classes(data.group, data.class_of, tab.reps, args[3])
+
+
+def reference_values(n, q):
+    """(table, values): a fresh dixon_table(n, q) and its root-of-unity
+    multiplicities, values[chi][class][j], by full_length_lift from the
+    arguments of its _lift; the table's residues must be their images."""
+    tab, (chars_mod, degrees, _, e, ell, z, modulus, w), full = recorded_lift(n, q)
+    values = full_length_lift(full, chars_mod, degrees, e, ell, z)
+    assert (tab.modulus, tab.root) == (modulus, w)
+    assert tab.residues == tuple(tuple(R.embed(value, modulus, w) for value in row)
+                                 for row in values)
+    return tab, values
+
+
+@pytest.mark.parametrize("n,q", [(2, 4), (3, 2), (2, 5)])
+def test_lift_over_element_orders_matches_full_length_lift(n, q):
+    tab, (_, _, power_class, e, *_), full = recorded_lift(n, q)
+    assert tab == BT.dixon_table(n, q) and tab.exponent == e
     # each short row runs up to the first return to the identity class,
     # which holds the identity alone, so its length is the element's order
+    data = BF.oracle_classes(n, q)
     id_cls = data.class_of[data.group.id_index]
     for short, row in zip(power_class, full):
         order = row.index(id_cls, 1) if id_cls in row[1:] else e
         assert short == row[:order]
-    assert tab.values == full_length_lift(full, chars_mod, degrees, e, ell, z)
-    assert (tab.modulus, tab.root) == (modulus, w)
-    assert tab.residues == tuple(tuple(R.embed(value, modulus, w) for value in row)
-                                 for row in tab.values)
+    # the residues are the images of the full-length lift's multiplicities
+    reference_values(n, q)
 
 
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2), (2, 4)])
@@ -710,46 +721,44 @@ def test_dixon_degrees():
     assert sum(d * d for d in tab.degrees) == 48
 
 
-def dense_orthogonality(tab):
+def dense_orthogonality(tab, values):
     """Reference: the row relations summed as dense vectors in Z[zeta_e]."""
     e = tab.exponent
     for a in range(len(tab.degrees)):
         for b in range(a, len(tab.degrees)):
             acc = tuple([0] * e)
             for i in range(len(tab.reps)):
-                term = R.cyc_mul(tab.values[a][i], R.cyc_conj(tab.values[b][i]), e)
+                term = R.cyc_mul(values[a][i], R.cyc_conj(values[b][i]), e)
                 acc = R.cyc_add(acc, R.cyc_scale(tab.sizes[i], term))
             assert R.cyc_as_int(acc) == (tab.order if a == b else 0)
 
 
-def sparse_orthogonality(tab):
+def sparse_orthogonality(tab, values):
     """Reference: the row relations as sparse pairings reduced by Phi_e, the
     check the embedding into Z/M replaced; True when they all hold."""
-    rows = [R.sparse(row) for row in tab.values]
+    rows = [R.sparse(row) for row in values]
     return all(R.pairing(tab.exponent, tab.sizes, rows[a], rows[b]) == (tab.order if a == b else 0)
                for a in range(len(rows)) for b in range(a, len(rows)))
 
 
 def test_dixon_orthogonality_reverified():
     for n, q in ORACLE_GROUPS:
-        tab = BT.dixon_table(n, q)
+        tab, values = reference_values(n, q)
         BT._verify_orthogonality(tab)
-        dense_orthogonality(tab)
-        assert sparse_orthogonality(tab)
+        dense_orthogonality(tab, values)
+        assert sparse_orthogonality(tab, values)
     # one multiplicity moved to another root of unity breaks a relation
-    tab = BT.dixon_table(2, 3)
+    tab, values = reference_values(2, 3)
     chi = tab.degrees.index(2)
-    value = list(tab.values[chi][0])
+    value = list(values[chi][0])
     value[0], value[1] = value[1], value[0]
-    rows = list(tab.values[chi])
+    rows = list(values[chi])
     rows[0] = tuple(value)
-    values = tab.values[:chi] + (tuple(rows),) + tab.values[chi + 1:]
+    values = values[:chi] + (tuple(rows),) + values[chi + 1:]
     residues = tuple(tuple(R.embed(value, tab.modulus, tab.root) for value in row)
                      for row in values)
-    broken = BT.CharacterTable(tab.order, tab.exponent, tab.reps, tab.sizes,
-                               tab.inverse_class, tab.degrees, values,
-                               tab.modulus, tab.root, residues)
-    assert not sparse_orthogonality(broken)
+    broken = tab._replace(residues=residues)
+    assert not sparse_orthogonality(broken, values)
     with pytest.raises(ArithmeticError, match="orthogonality"):
         BT._verify_orthogonality(broken)
 

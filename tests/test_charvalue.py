@@ -462,12 +462,9 @@ def test_unipotent_degrees():
 
 
 def test_table_exports():
-    tab = CL.table(2, 3)
-    blob = "".join(tab.json_chunks())
-    assert blob == "".join(CL.CharValueTable(2, 3).json_chunks())
-    data = json.loads(blob)
+    data = json.loads("".join(CL.table_json(2, 3)))
     assert data["n"] == 2 and data["q"] == 3
-    csv_text = "".join(tab.csv_chunks())
+    csv_text = "".join(CL.table_csv(2, 3))
     lines = csv_text.strip().splitlines()
     assert len(lines) == 1 + 2  # header + one row per partition of 2
     assert lines[0].startswith("nu,")
@@ -475,8 +472,10 @@ def test_table_exports():
     # values at the identity are the degrees
     from test_glclass import identity_label
     ident = identity_label(2, 3).key()
-    assert list(tab.classes) == [c.key() for c in L.all_classes(2, 3)]
-    assert vector(tab.classes[ident], 3) == {(1, 1): 3, (2,): 1}
+    keys, types, _ = CL._table_parts(2, 3)
+    assert keys == [c.key() for c in L.all_classes(2, 3)]
+    assert vector(types[keys.index(ident)], 3) == {(1, 1): 3, (2,): 1}
+    assert {nu: row[ident] for nu, row in data["values"].items()} == {"[2]": 1, "[1, 1]": 3}
 
 
 def test_size_mismatch_errors():

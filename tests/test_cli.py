@@ -643,9 +643,9 @@ CLASSES_ARGV = ["classes", "--n", "4", "--q", "3", "--d", "2"]
 
 
 @pytest.mark.parametrize("argv, output, unbuilt", [
-    (TABLE_ARGV, "json", (classlist.CharValueTable, "csv_chunks")),
-    (TABLE_ARGV, "csv", (classlist.CharValueTable, "json_chunks")),
-    (TABLE_ARGV, "text", (classlist.CharValueTable, "json_chunks")),
+    (TABLE_ARGV, "json", (classlist, "table_csv")),
+    (TABLE_ARGV, "csv", (classlist, "table_json")),
+    (TABLE_ARGV, "text", (classlist, "table_json")),
     (MATRIX_ARGV, "json", (blockcalc, "inner_product_matrix_csv")),
     (MATRIX_ARGV, "csv", (blockcalc, "inner_product_matrix_report")),
     (MATRIX_ARGV, "text", (blockcalc, "inner_product_matrix_csv")),

@@ -376,14 +376,12 @@ def _reference_classes_text(n, q, d, variant):
             for rec in L.classes_report(n, q, d, variant)["classes"]]
 
 
-class _ReferenceTable(L.LabelValueTable):
-    """The label-level table behind the streamed forms' entry points."""
+def _reference_table_json(n, q):
+    return [json.dumps(L.LabelValueTable(n, q).report(), sort_keys=True)]
 
-    def json_chunks(self):
-        return [json.dumps(self.report(), sort_keys=True)]
 
-    def csv_chunks(self):
-        return [self.to_csv()]
+def _reference_table_csv(n, q):
+    return [L.LabelValueTable(n, q).to_csv()]
 
 
 # contexts (d, variant) beyond the default d = 1; GL(6,4) d=3 exact places
@@ -406,7 +404,8 @@ def test_classes_and_table_match_label_reference(n, q, monkeypatch, capsys):
     engine = [_stdout(argv, capsys) for argv in argvs]
     monkeypatch.setattr(CL, "classes_json", _reference_classes_json)
     monkeypatch.setattr(CL, "classes_text", _reference_classes_text)
-    monkeypatch.setattr(CL, "table", _ReferenceTable)
+    monkeypatch.setattr(CL, "table_json", _reference_table_json)
+    monkeypatch.setattr(CL, "table_csv", _reference_table_csv)
     for argv, out in zip(argvs, engine):
         assert out == _stdout(argv, capsys), argv
 
@@ -504,17 +503,18 @@ def test_class_list_stream_holds_no_per_class_list():
     assert size > 2_000_000 and peak < 2_000_000, peak
 
 
-def test_table_stream_holds_no_whole_row():
+def test_table_stream_holds_no_whole_row(monkeypatch):
     # the JSON value table of GL(6,5) (15,600 classes, 4 MB) is written in
     # chunks of at most CL.PIECE values, not one string per nu joined over
-    # every class (2.1 MB traced at that size); the value texts, one per
-    # type and nu, are all that is held besides the table's class map
-    tab = CL.table(6, 5)
-    sum(map(len, tab.json_chunks()))  # computes and caches every value vector
+    # every class (2.1 MB traced at that size); the keys, the types and the
+    # value texts, one per type and nu, built here before tracing starts,
+    # are all that is held
+    parts = CL._table_parts(6, 5)
+    monkeypatch.setattr(CL, "_table_parts", lambda n, q: parts)
     tracemalloc.start()
     try:
         size = count = 0
-        for chunk in tab.json_chunks():
+        for chunk in CL.table_json(6, 5):
             size, count = size + len(chunk), count + 1
         peak = tracemalloc.get_traced_memory()[1]
     finally:
