@@ -23,12 +23,14 @@ second-main-theorem check, which only `verify` runs, are in `verify` and
 
 from __future__ import annotations
 
+import sys
 from functools import cache
 from math import gcd
 from operator import mul
 from types import MappingProxyType
 
 from .charvalue import class_values
+from .errors import ScaleGuardError
 from .glclass import Context, class_size, class_types, is_d_regular
 from .partitions import partitions_of
 from .qarith import gl_order
@@ -101,6 +103,16 @@ def unipotent_blocks(ctx: Context) -> tuple[frozenset[tuple[int, ...]], ...]:
 
 # -- reports ------------------------------------------------------------------------
 
+def guard_f_digits(ctx: Context):
+    """Refuse a context whose F has more digits than the interpreter turns
+    into a string (sys.get_int_max_str_digits(), 0 for no limit): the
+    report of `blocks` prints F.  Made before any computation."""
+    limit = sys.get_int_max_str_digits()
+    if limit and ctx.f_number >= 10 ** limit:
+        raise ScaleGuardError(f"F of GL({ctx.n},{ctx.q}) at d = {ctx.d} has more than {limit}"
+                              " digits, the most the interpreter prints of an integer")
+
+
 def blocks_report(ctx: Context) -> dict:
     computed = unipotent_blocks(ctx)
     comb = same_core_grouping(ctx.n, ctx.d)
@@ -140,7 +152,10 @@ def inner_product_matrix_csv(ctx: Context, domain) -> str:
 # -- the blocks and matrix commands --------------------------------------------------
 
 def cmd_blocks(args):
-    report = blocks_report(Context(args.n, args.q, args.d, args.variant))
+    ctx = Context(args.n, args.q, args.d, args.variant)
+    if args.output == "json":  # the text form does not print F
+        guard_f_digits(ctx)
+    report = blocks_report(ctx)
 
     def lines():
         for name in ("computed", "combinatorial"):

@@ -4,8 +4,8 @@ partitions of n, conjugates, beta-sets, rim hooks and d-cores.
 Partitions are tuples of positive integers sorted weakly decreasing; the
 empty tuple is the empty partition of 0.
 
-Convention used throughout: the beta-set of a partition for d-structure
-computations has length equal to the smallest multiple of d that is at
+Convention used for the d-quotient and the abacus: the beta-set of a
+partition has length equal to the smallest multiple of d that is at
 least the number of parts.  Extending a beta-set by a further multiple of
 d shifts every bead up one spot on its own runner and inserts one bead at
 the bottom of each runner, so the residue-labeled quotient components do
@@ -109,8 +109,12 @@ def _quotient_length(lam: tuple[int, ...], d: int) -> int:
 
 @cache
 def d_core(lam: tuple[int, ...], d: int) -> tuple[int, ...]:
-    """The partition left after removing all d-hooks; order independent."""
+    """The partition left after removing all d-hooks; order independent.
+
+    Each runner's beads are pushed to its bottom.  The core does not depend
+    on the beta-set's length, so lam's own is taken, and the cost does not
+    grow with d."""
     if d < 1:
         raise ValueError(f"d must be at least 1, got {d}")
-    counts = Counter(b % d for b in beta_set(lam, _quotient_length(lam, d)))
-    return partition_from_beta([d * j + r for r in range(d) for j in range(counts[r])])
+    counts = Counter(b % d for b in beta_set(lam, len(lam)))
+    return partition_from_beta([d * j + r for r, count in counts.items() for j in range(count)])

@@ -240,6 +240,7 @@ def _verify_thm43(args):
 def _verify_thm44(args):
     from . import blockcalc
     ctx = blockcalc.Context(args.n, args.q, args.d, args.variant)
+    blockcalc.guard_f_digits(ctx)  # every form prints the report, F in it
     report = blockcalc.blocks_report(ctx)
     return report["verdict"] != "VIOLATION", report
 

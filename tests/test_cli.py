@@ -682,6 +682,49 @@ def test_streamed_out_path_bytes_equal_stdout(tmp_path, capsys, argv):
     assert out.endswith("\n") and not out.endswith("\n\n")
 
 
+FAR_D = ["--n", "2", "--q", "2", "--d", "14500"]
+
+
+@pytest.fixture
+def default_int_digits():
+    """The interpreter's default limit on the digits int turns into str, 4,300."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("argv", [["blocks", *FAR_D, "--output", "json"],
+                                  ["verify", "thm44", *FAR_D, "--output", "text"],
+                                  ["verify", "thm44", *FAR_D, "--output", "json"]])
+def test_an_f_too_long_to_print_is_refused_first(capsys, monkeypatch, default_int_digits, argv):
+    # F, the 2^14500 / 14500 or so irreducibles of degree 14,500 over F_2, has
+    # 4,361 digits: each form that prints F exits 4 in one line, not in a
+    # traceback when the report is dumped, and before any block is computed
+    def refuse(ctx):
+        raise RuntimeError("blocks were computed for a report that cannot be printed")
+    monkeypatch.setattr(blockcalc, "blocks_report", refuse)
+    assert cli.main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("glblocks: scale guard: F of GL(2,2) at d = 14500 has more than 4300"
+                            " digits, the most the interpreter prints of an integer\n")
+
+
+def test_the_bound_on_f_is_the_interpreters(capsys, default_int_digits):
+    # blocks text prints no F and keeps its verdict; d = 14,000 gives an F of
+    # 4,211 digits, printed under the default limit and refused under 4,000
+    code, out = run(["blocks", *FAR_D], capsys)
+    assert code == 0 and out.endswith("verdict: equal\n")
+    near = ["blocks", "--n", "2", "--q", "2", "--d", "14000", "--output", "json"]
+    code, out = run(near, capsys)
+    assert code == 0 and len(str(json.loads(out)["f_number"])) == 4211
+    sys.set_int_max_str_digits(4000)
+    assert cli.main(near) == 4
+    assert capsys.readouterr().err.startswith("glblocks: scale guard: F of GL(2,2) at d = 14000"
+                                              " has more than 4000 digits")
+
+
 @pytest.mark.parametrize("command", ["classes", "table"])
 def test_class_guard_writes_nothing(tmp_path, capsys, command):
     # the class guard is checked before the first chunk, so a refused list

@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -397,6 +399,37 @@ def test_quotient_and_abacus_are_linear_in_d(verb):
     assert len(runners) == 100_000
     # d > |lam|: every quotient component is empty, and every bead is on the abacus
     assert not any(runners) if verb == "quotient" else sum(map(len, runners)) == 100_000
+
+
+def core_at_rounded_length(lam, d: int):
+    """Reference: the d-core read off a beta-set of length d rounded up, each
+    runner's beads pushed to its bottom."""
+    counts = Counter(b % d for b in P.beta_set(lam, d * -(-len(lam) // d)))
+    return P.partition_from_beta([d * j + r for r in range(d) for j in range(counts[r])])
+
+
+def test_core_does_not_depend_on_the_beta_set_length():
+    for lam in all_partitions_upto(12):
+        for d in range(1, 16):
+            assert P.d_core.__wrapped__(lam, d) == core_at_rounded_length(lam, d), (lam, d)
+    # nothing is built per runner: a beta-set of length d took 8 MB here
+    tracemalloc.start()
+    try:
+        assert P.d_core.__wrapped__((3, 1), 300_000) == (3, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, peak
+
+
+def test_blocks_far_above_n_is_quick():
+    # every partition of 6 is its own 300,000-core; a beta-set of length d
+    # per partition made this 2 s and 57 MB
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-m", "glblocks.cli", "blocks", "--n", "6", "--q", "2",
+                          "--d", "300000"], env=env, capture_output=True, text=True, check=True,
+                         timeout=5).stdout
+    assert out.startswith("computed blocks (11):") and out.endswith("verdict: equal\n")
 
 
 def test_abacus_longer_convention_same_quotient():
