@@ -15,8 +15,7 @@ from functools import cache
 from typing import NamedTuple
 
 from .errors import ScaleGuardError, UsageError
-from .partitions import (HookRemoval, _quotient_length, beta_set, d_core, partition_from_beta,
-                         rim_hooks)
+from .partitions import HookRemoval, beta_set, d_core, partition_from_beta, rim_hooks
 
 
 def check_partition(parts) -> tuple[int, ...]:
@@ -43,6 +42,10 @@ def _runners(beta, d: int) -> list[list[int]]:
     for b in beta:
         runners[b % d].append(b // d)
     return runners
+
+
+def _quotient_length(lam: tuple[int, ...], d: int) -> int:
+    return d * (-(-len(lam) // d))
 
 
 @cache

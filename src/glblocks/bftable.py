@@ -6,11 +6,12 @@ The table is computed by the class-algebra eigenvector method mod a prime
 ell = 1 mod e, e the exponent of the group: the class algebra is split one
 restricted class matrix at a time, with a kernel only at each root mod ell
 of its characteristic polynomial (from a Hessenberg form).  Each value is
-lifted through its exact root-of-unity multiplicities, which are checked
-and not kept, to its image in Z/M under one ring map zeta_e -> w that
-`_embedding` proves injective on what the oracle tests; every exact test
-on values (orthogonality, Borel multiplicities, nonvanishing,
-rationality) runs there: no floating point and no cyclotomic division.  `cmd_oracle` is the handler of the `oracle` command.
+kept as its image in Z/M under one ring map zeta_e -> w that `_embedding`
+proves injective on what the oracle tests, found through root-of-unity
+multiplicities that are checked and dropped; every exact test on values
+(orthogonality, Borel multiplicities, nonvanishing, rationality) runs in
+Z/M: no floating point and no cyclotomic division.  `cmd_oracle` is the
+handler of the `oracle` command.
 """
 
 from __future__ import annotations

@@ -104,11 +104,9 @@ def unipotent_blocks(ctx: Context) -> tuple[frozenset[tuple[int, ...]], ...]:
 # -- reports ------------------------------------------------------------------------
 
 def guard_f_digits(ctx: Context):
-    """Refuse a context whose F has more digits than the interpreter turns
-    into a string (sys.get_int_max_str_digits(), 0 for no limit): the
-    report of `blocks` prints F.  Made before any computation."""
-    limit = sys.get_int_max_str_digits()
-    if limit and ctx.f_number >= 10 ** limit:
+    """Refuse, before any computation, a context whose F, which the `blocks`
+    report prints, has more digits than sys.get_int_max_str_digits() (0: no limit)."""
+    if (limit := sys.get_int_max_str_digits()) and ctx.f_number >= 10 ** limit:
         raise ScaleGuardError(f"F of GL({ctx.n},{ctx.q}) at d = {ctx.d} has more than {limit}"
                               " digits, the most the interpreter prints of an integer")
 

@@ -35,7 +35,7 @@ from .partitions import conjugate
 from .qarith import gl_order, necklace_count, prime_power
 
 # Each guard bounds what it names, set from measured costs (median of
-# three cold runs, 2 vCPUs): `oracle` on GL(2,9), with 524,880 table
+# three cold runs, 2 vCPUs): `oracle` on GL(2,9), with 466,560 table
 # entries and 80 classes, takes 4.1 s and 49 MB; `verify prop32 --d 2`
 # takes 3.1 s and 35 MB on GL(3,3) and 6.2 s and 48 MB on GL(4,2) (20,160
 # elements).  GL(2,11) would need 1,597,200 table entries and is refused;

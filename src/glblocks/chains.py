@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .abacus import d_weight, is_simple, runners_used
+from .abacus import _quotient_length, d_weight, is_simple, runners_used
 from .errors import HypothesisError, InfeasibleError
-from .partitions import _quotient_length, beta_set, d_core, partition_from_beta
+from .partitions import beta_set, d_core, partition_from_beta
 from .verify import _closed_form_pair
 
 

@@ -6,10 +6,8 @@ key and type from a depth-first walk of the polynomial pool, with no list,
 set or sort of every class, in batches of at most BATCH sibling classes.
 `classes_json` and `classes_text` write a text chunk per batch from fragments
 formatted once per type.  `table_json` and `table_csv` write the value table
-as JSON or CSV text chunks of at most PIECE values each, from one list of
-every class's key and one of its type, read off class_keys once, and every
-value turned into a string once per type; nothing outlives the output.
-Only they load the value engine, `charvalue`, so `classes` does not.
+as JSON or CSV text chunks of at most PIECE values each, every value turned
+into a string once per type; only they load the value engine, `charvalue`.
 """
 
 from __future__ import annotations

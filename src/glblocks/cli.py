@@ -47,8 +47,8 @@ Exit codes:
      for writing
   3  HypothesisError: a verify check's inputs fall outside its hypotheses
   4  ScaleGuardError: the computation is over a size guard (one line),
-     the oracle's field guard on q and the count of partition paths
-     included
+     the oracle's field guard on q, the count of partition paths and an
+     F too long to print (blocks json, verify thm44) included
   5  any other exception (traceback on stderr)
 """
 

@@ -103,17 +103,9 @@ def rim_hooks(lam: tuple[int, ...], h: int) -> tuple[HookRemoval, ...]:
     return tuple(out)
 
 
-def _quotient_length(lam: tuple[int, ...], d: int) -> int:
-    return d * (-(-len(lam) // d))
-
-
 @cache
 def d_core(lam: tuple[int, ...], d: int) -> tuple[int, ...]:
-    """The partition left after removing all d-hooks; order independent.
-
-    Each runner's beads are pushed to its bottom.  The core does not depend
-    on the beta-set's length, so lam's own is taken, and the cost does not
-    grow with d."""
+    """The partition left after removing all d-hooks, in any order, from any beta-set."""
     if d < 1:
         raise ValueError(f"d must be at least 1, got {d}")
     counts = Counter(b % d for b in beta_set(lam, len(lam)))
