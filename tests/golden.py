@@ -32,7 +32,8 @@ not a prime power.  And it covers a d far above n: `partition core` and
 `blocks` at d = 300,000, and `blocks` and `verify thm44` on GL(2,2)
 around the d where F, the count of irreducibles of degree d, has more
 digits than the interpreter turns into a string (4,300 by default),
-where the forms that print F exit 4.
+where the forms that print F exit 4, and `blocks` text, which prints
+no F, at d = 3·10⁷.
 """
 
 from __future__ import annotations
@@ -79,6 +80,9 @@ USAGE = [["blocks", "--n", "2", "--q", "2", "--output", "csv"],
 # (n, q, d) with d far above n; F has 4,211 digits at d = 14,000 and 4,361
 # at 14,500, so the json forms of the last two are over the guard on F (exit 4)
 FAR_D = [(2, 2, 14_000), (2, 2, 14_500), (6, 2, 300_000)]
+# text only: blocks prints no F there, though F of GL(2,2) at d = 3·10⁷ has
+# about 9·10⁶ digits
+FAR_D_TEXT = [["blocks", "--n", "2", "--q", "2", "--d", "30000000", "--output", "text"]]
 MATRIX = [(0, 2, 1, "divisible"), (3, 2, 1, "exact"), (4, 3, 2, "divisible"),
           (4, 3, 2, "exact"), (5, 4, 3, "divisible")]
 
@@ -113,7 +117,7 @@ def commands():
                  for domain in ("full", "d_regular", "d_singular")]
     return ([argv + ["--output", form] for argv in base for form in ("text", "json")]
             + [argv + ["--output", form] for argv in with_csv for form in ("text", "json", "csv")]
-            + USAGE)
+            + USAGE + FAR_D_TEXT)
 
 
 def run(argv):
