@@ -11,20 +11,18 @@ proves injective on what the oracle tests, found through root-of-unity
 multiplicities that are checked and dropped; every exact test on values
 (orthogonality, Borel multiplicities, nonvanishing, rationality) runs in
 Z/M: no floating point and no cyclotomic division.  `cmd_oracle` is the
-handler of the `oracle` command.
+handler of the `oracle` command; it computes every dump afresh, and
+reads and writes no file.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from functools import cache
 from math import gcd, isqrt, lcm
 from operator import mul
 from typing import NamedTuple
 
-from . import __version__
 from .bruteforce import _primary_spaces, oracle_classes
 from .errors import ScaleGuardError, TieError
 from .partitions import conjugate, n_stat, partitions_of
@@ -505,35 +503,6 @@ def oracle_dump(n: int, q: int) -> str:
     return json.dumps(blob, sort_keys=True)
 
 
-def cached_oracle_dump(n: int, q: int) -> str:
-    """Dump via the cache directory when GLBLOCKS_CACHE_DIR is set.
-
-    Files are named by package version, so a dump written by another
-    version is never served, and written whole to a temporary file that
-    is then renamed into place, so a partial dump never appears.
-    """
-    cache_dir = os.environ.get("GLBLOCKS_CACHE_DIR")
-    if not cache_dir:
-        return oracle_dump(n, q)
-    os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, f"oracle_{__version__}_{n}_{q}.json")
-    if os.path.exists(path):
-        with open(path) as fh:
-            return fh.read()
-    blob = oracle_dump(n, q)
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(blob)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-    return blob
-
-
 def cmd_oracle(args):
-    blob = cached_oracle_dump(args.n, args.q)
+    blob = oracle_dump(args.n, args.q)
     return 0, lambda: blob, lambda: blob

@@ -32,7 +32,7 @@ or an iterable of str chunks (classes and table stream theirs); nothing is
 written, nor --out-path opened, before the first chunk is built.  json maps
 are serialized with sorted keys so identical configurations give
 byte-identical reports.  Rationals are always "p/q" strings, never floats.
-GLBLOCKS_CACHE_DIR, when set, is used to cache oracle dumps.
+No environment variable is read, and --out-path is the only file opened.
 
 Exit codes:
   0  pass
@@ -47,8 +47,9 @@ Exit codes:
      for writing
   3  HypothesisError: a verify check's inputs fall outside its hypotheses
   4  ScaleGuardError: the computation is over a size guard (one line),
-     the oracle's field guard on q, the count of partition paths and an
-     F too long to print (blocks json, verify thm44) included
+     the oracle's field guard on q, the count of partition paths, an F
+     too long to print (blocks json, verify thm44) and a lemma49 --k over
+     verify.LEMMA49_GUARD included
   5  any other exception (traceback on stderr)
 """
 

@@ -83,21 +83,17 @@ def prime_power(q: int) -> tuple[int, int]:
     raise ValueError(f"{q} is not a prime power")
 
 
-@cache
-def moebius(n: int) -> int:
-    primes = prime_factors(n)
-    return 0 if any(n % (p * p) == 0 for p in primes) else (-1) ** len(primes)
-
-
-def divisors(n: int):
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
 def necklace_count(q: int, d: int) -> int:
-    """Number of monic irreducible polynomials of degree d over F_q."""
-    return sum(moebius(e) * q ** (d // e) for e in divisors(d)) // d
+    """Number of monic irreducible polynomials of degree d over F_q: the
+    Moebius sum over the divisors e of d, of which only the squarefree ones,
+    the products of distinct primes of d, have a nonzero mu(e)."""
+    terms = [(1, 1)]  # (e, mu(e))
+    for p in prime_factors(d):
+        terms += [(e * p, -mu) for e, mu in terms]
+    return sum(mu * q ** (d // e) for e, mu in terms) // d
 
 
+@cache  # F of a context, which `blocks` json reads three times, costs q**d to form
 def non_unipotent_count(q: int, d: int) -> int:
     """Number of monic irreducibles of degree d over F_q other than X and X-1."""
     prime_power(q)

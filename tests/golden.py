@@ -3,8 +3,8 @@ pinned in tests/golden.txt, one line per command:
 
     <argv as a JSON list> TAB <exit code> TAB <sha256 of stdout> TAB <sha256 of stderr>
 
-Each command runs in process through `cli.main`, with GLBLOCKS_CACHE_DIR
-unset; a usage error's SystemExit gives its exit code.  A change that
+Each command runs in process through `cli.main`; a usage error's
+SystemExit gives its exit code.  A change that
 alters output on purpose re-records the corpus and explains each changed
 line:
 
@@ -22,9 +22,10 @@ contexts, GL(0,2) to GL(5,4), in text, json and csv.  It covers `blocks` on
 seven contexts from GL(0,2) to GL(6,2), in both variants; `verify thm43`,
 `thm44` and `smt55` on six groups from GL(0,2) to GL(5,4) at d = 1, 2, 3
 in both variants; `verify thm46` at six contexts, two of them outside
-F >= n/d (exit 3); `verify lemma49` and `thm410chain`; and every
-`partition` verb on eight partitions, with the path guard (exit 4) and a
-literal that is no partition (exit 2); each in text and json.  It covers
+F >= n/d (exit 3); `verify lemma49`, with its guard on k (exit 4), and
+`thm410chain`; and every `partition` verb on eight partitions, with the
+path guard (exit 4) and a literal that is no partition (exit 2); each in
+text and json.  It covers
 the usage errors (exit 2) that `tests/test_cli.py` pins: `--output csv` on
 `blocks`, an `--out-path` in a directory that does not exist, an option
 that a `verify` check does not take, `oracle --n 0` and a `--q` that is
@@ -42,7 +43,6 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -62,7 +62,8 @@ BLOCKS = [(0, 2, 1), (1, 2, 1), (3, 2, 2), (4, 3, 2), (5, 2, 2), (5, 4, 3), (6, 
 SECTION_GROUPS = [(0, 2), (1, 3), (3, 2), (4, 3), (5, 2), (5, 4)]
 THM46 = [(3, 3, 2, "divisible"), (3, 3, 2, "exact"), (4, 3, 2, "divisible"),
          (6, 2, 3, "divisible"), (3, 2, 2, "divisible"), (5, 2, 2, "exact")]
-LEMMA49 = [(1, 1), (3, 5), (4, 0), (6, 9), (8, 2)]
+# the last over the guard on k (exit 4)
+LEMMA49 = [(1, 1), (3, 5), (4, 0), (6, 9), (8, 2), (51, 2)]
 THM410CHAIN = [(0, 1), (3, 1), (4, 3), (6, 2), (8, 3), (9, 4)]
 PARTITIONS = [("[]", 2), ("[1]", 2), ("[1]", 1), ("[3,1]", 2), ("[2,2]", 2),
               ("[4,4,2]", 1), ("[5,3,1]", 4), ("[6,5,5,2,1]", 3)]
@@ -144,7 +145,6 @@ def read():
 
 
 def main():
-    os.environ.pop("GLBLOCKS_CACHE_DIR", None)
     GOLDEN.write_text("".join(line(argv, run(argv)) + "\n" for argv in commands()))
     print(f"wrote {len(commands())} lines to {GOLDEN}", file=sys.stderr)
 

@@ -34,8 +34,7 @@ def test_every_op_has_a_reference():
 
 
 @pytest.mark.parametrize("op", OPS)
-def test_workload_op_matches_its_reference(op, capsys, monkeypatch):
-    monkeypatch.delenv("GLBLOCKS_CACHE_DIR", raising=False)
+def test_workload_op_matches_its_reference(op, capsys):
     assert cli.main(op.split() + ["--output", "json"]) == 0
     out = capsys.readouterr().out
     reference = RUNNER.load_reference(op)

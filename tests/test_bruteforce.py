@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from glblocks import __version__
 from glblocks import bfsections as BS
 from glblocks import bftable as BT
 from glblocks import bruteforce as BF
@@ -1027,37 +1026,11 @@ def test_broken_lift_and_borel_pairing_raise(monkeypatch):
         BT.borel_unipotent_constituents.__wrapped__(2, 3)
 
 
-def test_oracle_dump_deterministic(tmp_path, monkeypatch):
+def test_oracle_dump_deterministic():
     a = BT.oracle_dump(2, 3)
     assert a == BT.oracle_dump(2, 3)
     blob = json.loads(a)
     assert blob["order"] == 48
-    monkeypatch.setenv("GLBLOCKS_CACHE_DIR", str(tmp_path))
-    first = BT.cached_oracle_dump(2, 3)
-    second = BT.cached_oracle_dump(2, 3)
-    assert first == second == a
-    assert [p.name for p in tmp_path.iterdir()] == [f"oracle_{__version__}_2_3.json"]
-
-
-def test_oracle_cache_ignores_other_versions(tmp_path, monkeypatch):
-    # truncated dumps under another version's name and the unversioned name
-    monkeypatch.setenv("GLBLOCKS_CACHE_DIR", str(tmp_path))
-    truncated = BT.oracle_dump(2, 3)[:40]
-    for name in ("oracle_0.0.0-other_2_3.json", "oracle_2_3.json"):
-        (tmp_path / name).write_text(truncated)
-    assert BT.cached_oracle_dump(2, 3) == BT.oracle_dump(2, 3)
-
-
-def test_oracle_cache_failed_write_leaves_nothing(tmp_path, monkeypatch):
-    monkeypatch.setenv("GLBLOCKS_CACHE_DIR", str(tmp_path))
-
-    def broken_fsync(fd):
-        raise OSError("disk full")
-
-    monkeypatch.setattr(BT.os, "fsync", broken_fsync)
-    with pytest.raises(OSError):
-        BT.cached_oracle_dump(2, 2)
-    assert list(tmp_path.iterdir()) == []
 
 
 ORACLE_MODULES = ("bruteforce", "bfsections", "bftable")

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glblocks import __version__, blockcalc, charvalue, classlist, cli, verify
+from glblocks import blockcalc, charvalue, classlist, cli, verify
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -108,6 +108,21 @@ def test_verify_lemma49(capsys):
                      "--output", "json"], capsys)
     assert code == 0
     assert json.loads(out)["pass"] is True
+
+
+@pytest.mark.parametrize("k", [verify.LEMMA49_GUARD + 1, 10 ** 9])
+@pytest.mark.parametrize("form", ["text", "json"])
+def test_lemma49_guard_refuses_a_large_k_first(capsys, monkeypatch, k, form):
+    # the sum runs over all p(k) partitions of k, so a k over the guard
+    # exits 4 in one line before any partition is listed
+    def refuse(k):
+        raise RuntimeError("partitions were listed for a refused k")
+    monkeypatch.setattr(verify, "partitions_of", refuse)
+    assert cli.main(["verify", "lemma49", "--k", str(k), "--F", "2", "--output", form]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"glblocks: scale guard: k = {k} exceeds guard 50: lemma49 sums"
+                            " over every partition of k\n")
 
 
 def test_verify_thm43(capsys):
@@ -454,18 +469,29 @@ def test_verify_check_choices_are_the_verify_checks():
     assert choices == sorted(verify.VERIFY_OPTIONS) == sorted(verify.VERIFIERS)
 
 
-def test_oracle_command(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("GLBLOCKS_CACHE_DIR", str(tmp_path))
+def test_oracle_command(capsys):
     code, out = run(["oracle", "--n", "2", "--q", "2", "--output", "json"], capsys)
     assert code == 0
     payload = json.loads(out)
     assert payload["order"] == 6
-    assert (tmp_path / f"oracle_{__version__}_2_2.json").exists()
 
 
-def test_oracle_runs_on_gl33(capsys, monkeypatch):
+@pytest.mark.parametrize("form", ["text", "json"])
+def test_oracle_reads_no_file(capsys, tmp_path, monkeypatch, form):
+    # a dump planted where an on-disk cache once kept GL(2,2)'s is neither
+    # printed nor touched: the oracle computes its dump every time
+    planted = tmp_path / "oracle_0.1.0_2_2.json"
+    planted.write_text('{"forged": true}')
+    monkeypatch.setenv("GLBLOCKS_CACHE_DIR", str(tmp_path))
+    code, out = run(["oracle", "--n", "2", "--q", "2", "--output", form], capsys)
+    from glblocks.bftable import oracle_dump
+    assert (code, out) == (0, oracle_dump(2, 2) + "\n")
+    assert list(tmp_path.iterdir()) == [planted]
+    assert planted.read_text() == '{"forged": true}'
+
+
+def test_oracle_runs_on_gl33(capsys):
     # 11,232 elements and 303,264 lookup-table entries, under the table guard
-    monkeypatch.delenv("GLBLOCKS_CACHE_DIR", raising=False)
     code, out = run(["oracle", "--n", "3", "--q", "3", "--output", "json"], capsys)
     payload = json.loads(out)
     assert code == 0 and payload["order"] == 11232 and len(payload["classes"]) == 24
@@ -517,10 +543,9 @@ def test_scale_guard_is_one_line_exit_4(capsys):
 
 
 @pytest.mark.parametrize("command", [["oracle"], ["verify", "prop32"], ["verify", "thm45"]])
-def test_field_guard_refuses_q_before_building_tables(capsys, monkeypatch, command):
+def test_field_guard_refuses_q_before_building_tables(capsys, command):
     # the lookup tables of GL(1,q) are refused too, but the field's q x q
     # tables are over the table guard first, and refused before they are built
-    monkeypatch.delenv("GLBLOCKS_CACHE_DIR", raising=False)
     code = cli.main(command + ["--n", "1", "--q", "10007"])
     captured = capsys.readouterr()
     assert code == 4 and captured.out == ""
@@ -725,6 +750,31 @@ def test_the_bound_on_f_is_the_interpreters(capsys, default_int_digits):
                                               " has more than 4000 digits")
 
 
+def test_blocks_json_forms_f_once(capsys, monkeypatch):
+    # blocks json reads F for its guard, its report and the hypothesis flag;
+    # the count is formed once (d = 9,973 is prime and read nowhere else)
+    from glblocks import qarith
+    counted = []
+
+    def count(q, d):
+        counted.append((q, d))
+        return real(q, d)
+    real = qarith.necklace_count
+    monkeypatch.setattr(qarith, "necklace_count", count)
+    code, out = run(["blocks", "--n", "2", "--q", "2", "--d", "9973", "--output", "json"], capsys)
+    assert code == 0 and json.loads(out)["f_hypothesis_holds"]
+    assert counted.count((2, 9973)) == 1
+
+
+def test_blocks_text_at_a_d_of_many_divisors_is_quick():
+    # F of GL(2,2) at d = 3·10⁷ takes the primes of d, not a scan of every
+    # integer up to d (about 5 s before)
+    out = subprocess.run([sys.executable, "-m", "glblocks.cli", "blocks", "--n", "2", "--q", "2",
+                          "--d", "30000000"], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                         capture_output=True, text=True, timeout=3, check=True).stdout
+    assert out.endswith("verdict: equal\n")
+
+
 @pytest.mark.parametrize("command", ["classes", "table"])
 def test_class_guard_writes_nothing(tmp_path, capsys, command):
     # the class guard is checked before the first chunk, so a refused list
@@ -824,7 +874,6 @@ def test_engine_commands_build_no_class_label():
         ["table", "--n", "4", "--q", "3", "--output", "csv"], ["table", "--n", "3", "--q", "4"],
         ["oracle", "--n", "2", "--q", "2"]]
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    env.pop("GLBLOCKS_CACHE_DIR", None)  # the oracle must name its classes
     codes = {mode: json.loads(subprocess.run(
         [sys.executable, "-c", script, mode, json.dumps(commands)], env=env,
         capture_output=True, text=True, check=True).stdout) for mode in ("plain", "patched")}
@@ -932,7 +981,6 @@ def test_engine_commands_import_only_what_they_run():
         "print(json.dumps([code, sorted(sys.modules)]))",
     ])
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    env.pop("GLBLOCKS_CACHE_DIR", None)  # the oracle computes its dump
 
     def loaded(argv):
         out = subprocess.run([sys.executable, "-c", script, *argv], env=env,

@@ -6,8 +6,7 @@ def test_golden_corpus_is_the_command_list():
     assert [argv for argv, _ in golden.read()] == golden.commands()
 
 
-def test_golden_corpus_unchanged(monkeypatch):
+def test_golden_corpus_unchanged():
     # exit code, stdout and stderr of every command as recorded
-    monkeypatch.delenv("GLBLOCKS_CACHE_DIR", raising=False)
     changed = [text for argv, text in golden.read() if golden.line(argv, golden.run(argv)) != text]
     assert not changed, changed

@@ -42,8 +42,29 @@ def test_prime_power_at_scale():
         Q.prime_power(Q.PRIME_TEST_BOUND)
 
 
-def test_moebius():
-    assert [Q.moebius(n) for n in range(1, 11)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
+def moebius(n):
+    """mu(n) by trial division, with no shared factoriser."""
+    sign, p = 1, 2
+    while n > 1:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return sign
+
+
+def moebius_necklace_count(q, d):
+    """The reference: the Moebius sum over every divisor of d, found by a scan."""
+    return sum(moebius(e) * q ** (d // e) for e in range(1, d + 1) if d % e == 0) // d
+
+
+def test_necklace_count_is_the_moebius_sum():
+    assert [moebius(n) for n in range(1, 11)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
+    for q in (2, 3, 4, 5, 7, 8, 9, 25):
+        for d in range(1, 200):
+            assert Q.necklace_count(q, d) == moebius_necklace_count(q, d), (q, d)
 
 
 def test_prime_factors_match_a_sieve():

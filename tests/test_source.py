@@ -85,3 +85,25 @@ def test_readme_layout_names_every_module():
     named = {line.split()[0] for line in layout.splitlines() if line.startswith("  ")}
     missing = sorted(path.name for path in SRC.glob("*.py") if path.name not in named)
     assert not missing, missing
+
+
+def _callee(node):
+    """The called name of a call node: `f` of f(...) and of x.f(...)."""
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_no_environment_variable_and_only_cli_opens_a_file():
+    # every output is computed from the command line alone: no module reads
+    # the environment, and the one file opened is cli's --out-path
+    readers, openers = {}, Counter()
+    files = {"open", "fdopen", "read_text", "read_bytes", "write_text", "write_bytes"}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found = {"environ", "environb", "getenv", "getenvb"} & set(_names(tree))
+        if found:
+            readers[path.name] = sorted(found)
+        openers[path.name] = sum(isinstance(node, ast.Call) and _callee(node) in files
+                                 for node in ast.walk(tree))
+    assert not readers, readers
+    assert +openers == Counter({"cli.py": 1})
