@@ -478,8 +478,8 @@ def test_oracle_command(capsys):
 
 @pytest.mark.parametrize("form", ["text", "json"])
 def test_oracle_reads_no_file(capsys, tmp_path, monkeypatch, form):
-    # a dump planted where an on-disk cache once kept GL(2,2)'s is neither
-    # printed nor touched: the oracle computes its dump every time
+    # a dump planted under GLBLOCKS_CACHE_DIR is neither printed nor
+    # touched: the oracle computes its dump every time
     planted = tmp_path / "oracle_0.1.0_2_2.json"
     planted.write_text('{"forged": true}')
     monkeypatch.setenv("GLBLOCKS_CACHE_DIR", str(tmp_path))
