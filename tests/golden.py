@@ -34,7 +34,7 @@ not a prime power.  And it covers a d far above n: `partition core` and
 around the d where F, the count of irreducibles of degree d, has more
 digits than the interpreter turns into a string (4,300 by default),
 where the forms that print F exit 4, and `blocks` text, which prints
-no F, at d = 3·10⁷.
+no F, at d = 3·10⁷ and 3·10⁸.
 """
 
 from __future__ import annotations
@@ -82,8 +82,9 @@ USAGE = [["blocks", "--n", "2", "--q", "2", "--output", "csv"],
 # at 14,500, so the json forms of the last two are over the guard on F (exit 4)
 FAR_D = [(2, 2, 14_000), (2, 2, 14_500), (6, 2, 300_000)]
 # text only: blocks prints no F there, though F of GL(2,2) at d = 3·10⁷ has
-# about 9·10⁶ digits
-FAR_D_TEXT = [["blocks", "--n", "2", "--q", "2", "--d", "30000000", "--output", "text"]]
+# about 9·10⁶ digits, and at d = 3·10⁸ about 9·10⁷
+FAR_D_TEXT = [["blocks", "--n", "2", "--q", "2", "--d", str(d), "--output", "text"]
+              for d in (30_000_000, 300_000_000)]
 MATRIX = [(0, 2, 1, "divisible"), (3, 2, 1, "exact"), (4, 3, 2, "divisible"),
           (4, 3, 2, "exact"), (5, 4, 3, "divisible")]
 
