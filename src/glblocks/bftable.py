@@ -3,12 +3,18 @@ GL(n,q), its Borel constituents and the oracle dump, from the classes of
 `bruteforce`.
 
 The table is computed by the class-algebra eigenvector method mod a prime
-ell = 1 mod e, e the exponent of the group: the class algebra is split one
-restricted class matrix at a time, with a kernel only at each root mod ell
-of its characteristic polynomial (from a Hessenberg form).  Each value is
-kept as its image in Z/M under one ring map zeta_e -> w that `_embedding`
-proves injective on what the oracle tests, found through root-of-unity
-multiplicities that are checked and dropped; every exact test on values
+ell = 1 mod e, e the exponent of the group (Dixon 1967, Schneider 1990).
+The class algebra is split first into the eigenspaces of the class sum of
+a generator of the centre, read off the cycles in which it permutes the
+classes, with no elimination; then one class matrix at a time, each built
+from the elements of its class when the split first reads it, and one per
+cycle of the centre.  A matrix that acts on a space as one scalar keeps
+it whole; on any other space the split takes a kernel only at each root
+mod ell of the characteristic polynomial of the restricted matrix (from a
+Hessenberg form).  Each value is kept as its image in Z/M under one ring
+map zeta_e -> w that `_embedding` proves injective on what the oracle
+tests, found through root-of-unity multiplicities that are checked and
+dropped, once per orbit of the power maps; every exact test on values
 (orthogonality, Borel multiplicities, nonvanishing, rationality) runs in
 Z/M: no floating point and no cyclotomic division.  `cmd_oracle` is the
 handler of the `oracle` command; it computes every dump afresh, and
@@ -20,7 +26,7 @@ from __future__ import annotations
 import json
 from functools import cache
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 from .bruteforce import _primary_spaces, oracle_classes
@@ -28,7 +34,9 @@ from .errors import ScaleGuardError, TieError
 from .partitions import conjugate, n_stat, partitions_of
 from .qarith import prime_factors
 
-CLASS_GUARD = 80   # the Dixon class constants number k^3; see bruteforce's guards
+# k classes: each class matrix the split reads holds k^2 constants, and the
+# orthogonality check takes k^3/2 products in Z/M; see bruteforce's guards
+CLASS_GUARD = 80
 
 
 # -- Dixon character table ----------------------------------------------------------
@@ -145,15 +153,99 @@ def _charpoly_mod(M, ell):
 
 
 def _roots_mod(coeffs, ell):
-    """The roots in [0, ell) of a polynomial mod ell, ascending."""
-    roots = []
-    for x in range(ell):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * x + c) % ell
-        if acc == 0:
-            roots.append(x)
-    return roots
+    """The roots in [0, ell) of a polynomial mod ell, ascending: Horner's
+    rule at every x at once, one list per coefficient."""
+    xs = range(ell)
+    acc = [0] * ell
+    for c in reversed(coeffs):
+        acc = [(a * x + c) % ell for a, x in zip(acc, xs)]
+    return [x for x in xs if not acc[x]]
+
+
+def _scalar_on(M, basis, ell):
+    """lam if M b = lam b mod ell for every b in the basis, else None, the
+    first unequal entry ending the test: M then keeps the span of the basis
+    and acts on it as one scalar.  Each product runs over the support of b."""
+    lam = None
+    for b in basis:
+        support = [j for j, x in enumerate(b) if x]
+        if not support:
+            continue
+        pick, coords = itemgetter(*support), [b[j] for j in support]
+        if len(support) == 1:
+            pick = itemgetter(slice(support[0], support[0] + 1))
+        if lam is None:
+            j = support[0]
+            lam = sum(map(mul, pick(M[j]), coords)) * pow(b[j], -1, ell) % ell
+        for row, x in zip(M, b):
+            if (sum(map(mul, pick(row), coords)) - lam * x) % ell:
+                return None
+    return lam
+
+
+def _class_matrix(group, i, reps, class_of):
+    """M[j][kk] = c_ijk = #{x in C_i : x^-1 z_kk in C_j}, z_kk the
+    representative of class kk: K_i K_j = sum_kk c_ijk K_kk, from one
+    product per element of C_i and class."""
+    k = len(reps)
+    inverses = [group.inverses[x] for x, c in enumerate(class_of) if c == i]
+    M = [[0] * k for _ in range(k)]
+    for kk, z in enumerate(reps):
+        for g in group.mul_pairs(inverses, [z] * len(inverses)):
+            M[class_of[g]][kk] += 1
+    return M
+
+
+def _power_classes(group, class_of, reps):
+    """[i][m] = the class of reps[i]^m for m below the order of reps[i]."""
+    power_class = []
+    for r in reps:
+        row = [class_of[group.id_index]]
+        cur = r
+        while cur != group.id_index:
+            row.append(class_of[cur])
+            cur = group.mul(cur, r)
+        power_class.append(row)
+    return power_class
+
+
+def _centre_permutation(group, reps, class_of, centre):
+    """sigma[kk] = the class of centre^-1 z_kk, z_kk the representative of
+    class kk: for central `centre`, K_centre K_j = K_kk exactly when
+    sigma[kk] = j."""
+    return [class_of[x] for x in group.mul_pairs([group.inverses[centre]] * len(reps), reps)]
+
+
+def _cycles(sigma):
+    """The cycles kk, sigma(kk), ... of a permutation, each from its least
+    element, in ascending order of it."""
+    seen, cycles = [False] * len(sigma), []
+    for start in range(len(sigma)):
+        if not seen[start]:
+            cycle = [start]
+            while sigma[cycle[-1]] != start:
+                cycle.append(sigma[cycle[-1]])
+            for kk in cycle:
+                seen[kk] = True
+            cycles.append(cycle)
+    return cycles
+
+
+def _central_spaces(cycles, order, root, ell):
+    """[(lam, basis)] for each power lam of root, a primitive order-th root
+    of unity mod ell, ascending in the exponent: on each cycle kk,
+    sigma(kk), ..., sigma^(s-1)(kk) of the centre with lam^s = 1, the vector
+    lam^-u at sigma^u(kk), 0 off the cycle, which K_centre maps to lam times
+    itself.  At order 1 this is the standard basis of the whole space."""
+    k = sum(map(len, cycles))
+    spaces = [(pow(root, t, ell), []) for t in range(order)]
+    for cycle in cycles:
+        for t in range(0, order, order // gcd(order, len(cycle))):
+            v = [0] * k
+            for u, kk in enumerate(cycle):
+                v[kk] = pow(root, -t * u % order, ell)
+            spaces[t][1].append(tuple(v))
+    return [(lam, basis) for lam, basis in spaces if basis]
 
 
 class CharacterTable(NamedTuple):
@@ -218,7 +310,14 @@ def _lift(chars_mod, degrees, power_class, e, ell, z, modulus, w):
     Otherwise it is that sum times sum_{t < e/o} z^(-jot), which is 0 mod
     ell because z^(-jo) is a root of unity other than 1.  The multiplicities
     count the eigenvalues of r, so they must sum to chi(1); then every
-    conjugate of chi(r) is at most chi(1) in absolute value."""
+    conjugate of chi(r) is at most chi(1) in absolute value.
+
+    The sum runs once per orbit of the power maps: for a prime to o, the
+    class of r^a has the power classes of r at a*m, which is checked, and
+    the eigenvalues of r raised to the a, so its multiplicity at the (t a)-th
+    power of a primitive o-th root of unity is that of r at the t-th.  At
+    most chi(1) multiplicities are nonzero, and only those meet the powers
+    of w."""
     z_pows = [pow(z, m, ell) for m in range(e)]
     # per order o: the rows (1/o) z^(-jm), m < o, for each j that e/o
     # divides, shared by every character, and the powers of w at those j
@@ -232,21 +331,37 @@ def _lift(chars_mod, degrees, power_class, e, ell, z, modulus, w):
                 w_row.append(w_row[-1] * step % modulus)
             lifts[o] = ([[o_inv * z_pows[(-j * m) % e] % ell for m in range(o)]
                          for j in range(0, e, stride)], w_row)
-    residues = []
-    for chi, cm in enumerate(chars_mod):
-        images = []
-        for i, powers in enumerate(power_class):
+    residues = [[0] * len(power_class) for _ in chars_mod]
+    done = [False] * len(power_class)
+    for i, powers in enumerate(power_class):
+        if done[i]:
+            continue
+        o = len(powers)
+        # the classes c of r^a, a prime to o: the multiplicity of r at the
+        # t-th root is that of c at the (t a)-th
+        done[i], orbit = True, [(i, 1)]
+        for a in range(2, o):
+            c = powers[a]
+            if gcd(a, o) != 1 or done[c]:
+                continue
+            if power_class[c] != [powers[a * m % o] for m in range(o)]:
+                raise ArithmeticError("the powers of a power class are not the powers at a*m")
+            done[c] = True
+            orbit.append((c, a))
+        roots, w_row = lifts[o]
+        for chi, cm in enumerate(chars_mod):
             chi_powers = [cm[c] for c in powers]
-            roots, w_row = lifts[len(powers)]
             mults = [sum(map(mul, chi_powers, row)) % ell for row in roots]
+            # every class of the orbit has these multiplicities, permuted
             if sum(mults) != degrees[chi]:
                 raise ArithmeticError("multiplicities do not sum to the degree")
-            image = sum(map(mul, mults, w_row)) % modulus
-            if image % ell != cm[i]:
-                raise ArithmeticError("modular roundtrip failed")
-            images.append(image)
-        residues.append(tuple(images))
-    return tuple(residues)
+            nonzero = [(t, m) for t, m in enumerate(mults) if m]
+            for c, a in orbit:
+                image = sum(m * w_row[t * a % o] for t, m in nonzero) % modulus
+                if image % ell != cm[c]:
+                    raise ArithmeticError("modular roundtrip failed")
+                residues[chi][c] = image
+    return tuple(map(tuple, residues))
 
 
 def _borel_order(n, q):
@@ -267,15 +382,7 @@ def dixon_table(n: int, q: int) -> CharacterTable:
     sizes = data.sizes
     class_of = data.class_of
     inv_class = tuple(class_of[group.inverses[r]] for r in reps)
-    # power_class[i][m] = class of reps[i]^m for m below the order of reps[i]
-    power_class = []
-    for r in reps:
-        row = [class_of[group.id_index]]
-        cur = r
-        while cur != group.id_index:
-            row.append(class_of[cur])
-            cur = group.mul(cur, r)
-        power_class.append(row)
+    power_class = _power_classes(group, class_of, reps)
     # the powers of g^-1 are those of g reversed: the lift there is conj(chi(g))
     for row, inv in zip(power_class, inv_class):
         if power_class[inv] != row[:1] + row[:0:-1]:
@@ -284,29 +391,53 @@ def dixon_table(n: int, q: int) -> CharacterTable:
     ell = _find_prime(e, size)
     z = _primitive_root_power(ell, e)
 
-    # class multiplication constants: mats[i][j][kk] = c_ijk, counted from
-    # one row [x^-1 z_kk for every x] per representative z_kk
-    mats = [[[0] * k for _ in range(k)] for _ in range(k)]
-    for kk in range(k):
-        row = group.mul_pairs(group.inverses, [reps[kk]] * size)
-        for i, j in zip(class_of, map(class_of.__getitem__, row)):
-            mats[i][j][kk] += 1
+    # the centre, the scalars, is cyclic of order q - 1, each element a
+    # class of its own: a class of size 1 and order q - 1 generates it.
+    # Its class sum permutes the others, and its eigenspaces, one per
+    # central character, are read off the cycles without elimination
+    central = [i for i, s in enumerate(sizes) if s == 1]
+    centre = next((i for i in central if len(power_class[i]) == q - 1), None)
+    if len(central) != q - 1 or centre is None:
+        raise ArithmeticError("the centre is not cyclic with q - 1 classes")
+    centre_matrix = _class_matrix(group, centre, reps, class_of)
+    sigma = _centre_permutation(group, reps, class_of, reps[centre])
+    if sorted(sigma) != list(range(k)):
+        raise ArithmeticError("the centre does not permute the classes")
+    # k eigenvectors of the centre's matrix, each space's of one eigenvalue
+    # and with disjoint supports, are a basis, and each space is a whole
+    # eigenspace.  Each space carries the eigenvalues (class, lam) the split
+    # gave it: a line's central character must agree with every one of them
+    cycles = _cycles(sigma)
+    spaces = [(basis, ((centre, lam),))
+              for lam, basis in _central_spaces(cycles, q - 1, pow(z, e // (q - 1), ell), ell)]
+    if sum(len(basis) for basis, _ in spaces) != k or \
+            any(_scalar_on(centre_matrix, basis, ell) != lam for basis, ((_, lam),) in spaces):
+        raise ArithmeticError("the central spaces are not the eigenspaces of the centre")
 
-    # split the class algebra into common eigenlines one matrix at a time;
-    # distinct characters have distinct eigenvalue vectors, so this always
-    # terminates with k lines
-    spaces = [[tuple(1 if r == c else 0 for c in range(k)) for r in range(k)]]
-    for i in range(k):
-        if all(len(sp) == 1 for sp in spaces):
+    # split further into common eigenlines one class matrix at a time, each
+    # built when first read; distinct characters have distinct eigenvalue
+    # vectors, so this always terminates with k lines.  On a space where
+    # the centre's class sum is lam, the class sum of sigma^-1(i) is lam
+    # times that of i, so only the first class of each cycle is read, and
+    # none of the centre's cycle, the identity's, whose sums are scalars
+    for i in (cycle[0] for cycle in cycles if centre not in cycle):
+        if all(len(basis) == 1 for basis, _ in spaces):
             break
+        M = None
         nxt = []
-        for sp in spaces:
-            if len(sp) == 1:
-                nxt.append(sp)
+        for basis, history in spaces:
+            if len(basis) == 1:
+                nxt.append((basis, history))
                 continue
-            m = len(sp)
-            R = _restrict_mod(mats[i], sp, ell)
-            columns = list(zip(*sp))
+            if M is None:
+                M = _class_matrix(group, i, reps, class_of)
+            lam = _scalar_on(M, basis, ell)
+            if lam is not None:
+                nxt.append((basis, history + ((i, lam),)))
+                continue
+            m = len(basis)
+            R = _restrict_mod(M, basis, ell)
+            columns = list(zip(*basis))
             # only a root of the characteristic polynomial has a kernel
             found = 0
             for x in _roots_mod(_charpoly_mod(R, ell), ell):
@@ -315,20 +446,21 @@ def dixon_table(n: int, q: int) -> CharacterTable:
                 ker = _kernel_mod(shifted, ell)
                 if not ker:
                     raise ArithmeticError("class algebra failed to split over the chosen prime")
-                nxt.append([tuple(sum(map(mul, kv, col)) % ell for col in columns)
-                            for kv in ker])
+                nxt.append(([tuple(sum(map(mul, kv, col)) % ell for col in columns)
+                             for kv in ker], history + ((i, x),)))
                 found += len(ker)
             if found != m:
                 raise ArithmeticError("class algebra failed to split over the chosen prime")
         spaces = nxt
-    if not (len(spaces) == k and all(len(sp) == 1 for sp in spaces)):
+    if not (len(spaces) == k and all(len(basis) == 1 for basis, _ in spaces)):
         raise ArithmeticError("eigenvector splitting did not reach lines")
 
     id_cls = class_of[group.id_index]
     size_inv = [pow(s, -1, ell) for s in sizes]
     chars_mod = []
     degrees = []
-    for (v,) in spaces:
+    omegas = []
+    for (v,), history in spaces:
         if v[id_cls] % ell == 0:
             raise ArithmeticError("eigenvector vanishes at the identity class")
         norm = pow(v[id_cls], -1, ell)
@@ -340,8 +472,14 @@ def dixon_table(n: int, q: int) -> CharacterTable:
             raise ArithmeticError(f"no degree s <= isqrt(|G|) has s^2 = {target} mod {ell}")
         chars_mod.append([deg * x * s_inv % ell for x, s_inv in zip(omega, size_inv)])
         degrees.append(deg)
+        omegas.append((omega, history))
     if sum(d * d for d in degrees) != size:
         raise ArithmeticError("squared degrees do not sum to |G|")
+    # omega[i] = omega_chi(K_i) is the eigenvalue of the i-th class matrix
+    # on the line, so a step that kept a space whole as a scalar it was not
+    # on leaves a line that disagrees here
+    if any(omega[i] != lam for omega, history in omegas for i, lam in history):
+        raise ArithmeticError("a line disagrees with an eigenvalue the split gave it")
 
     # every quantity tested exactly, less the integer it is read as, has
     # conjugates within this bound: the values within D, the orthogonality

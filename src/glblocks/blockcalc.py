@@ -111,18 +111,27 @@ def guard_f_digits(ctx: Context):
                               " digits, the most the interpreter prints of an integer")
 
 
-def blocks_report(ctx: Context) -> dict:
+def _blocks_and_verdict(ctx: Context) -> dict:
+    """The computed and combinatorial blocks, each a sorted list of labels,
+    and the verdict on them: what the `blocks` report holds besides F."""
     computed = unipotent_blocks(ctx)
     comb = same_core_grouping(ctx.n, ctx.d)
     refined = all(any(b <= c for c in comb) for b in computed)
     equal = set(computed) == set(comb)
     return {
-        "context": {"n": ctx.n, "q": ctx.q, "d": ctx.d, "variant": ctx.variant},
-        "f_number": ctx.f_number,
-        "f_hypothesis_holds": ctx.f_hypothesis_holds,
         "computed_blocks": [sorted(map(list, b)) for b in computed],
         "combinatorial_blocks": [sorted(map(list, b)) for b in comb],
         "verdict": "equal" if equal else ("refinement" if refined else "VIOLATION"),
+    }
+
+
+def blocks_report(ctx: Context) -> dict:
+    blocks = _blocks_and_verdict(ctx)
+    return {
+        "context": {"n": ctx.n, "q": ctx.q, "d": ctx.d, "variant": ctx.variant},
+        "f_number": ctx.f_number,
+        "f_hypothesis_holds": ctx.f_hypothesis_holds,
+        **blocks,
     }
 
 
@@ -151,9 +160,11 @@ def inner_product_matrix_csv(ctx: Context, domain) -> str:
 
 def cmd_blocks(args):
     ctx = Context(args.n, args.q, args.d, args.variant)
-    if args.output == "json":  # the text form does not print F
+    if args.output == "json":  # the text form does not print F, nor forms it
         guard_f_digits(ctx)
-    report = blocks_report(ctx)
+        report = blocks_report(ctx)
+    else:
+        report = _blocks_and_verdict(ctx)
 
     def lines():
         for name in ("computed", "combinatorial"):

@@ -51,8 +51,10 @@ class Context(NamedTuple):
 
     @property
     def f_hypothesis_holds(self) -> bool:
-        """The standing hypothesis F >= n/d; contexts below it still compute."""
-        return self.f_number * self.d >= self.n
+        """The standing hypothesis F >= n/d; contexts below it still compute.
+        At d >= max(n, 2) it holds without forming F, which takes q**d: an
+        irreducible of degree d >= 2 is neither X nor X-1, so F d >= d >= n."""
+        return self.d >= max(self.n, 2) or self.f_number * self.d >= self.n
 
 
 class ClassType(NamedTuple):

@@ -258,7 +258,8 @@ def _verify_thm44(args):
 def _verify_thm45(args):
     # bftable first: compiled before the engine modules are loaded, its
     # compilation peak sits lower, and with it the peak RSS of the command
-    # (16.5 against 16.6 MB at GL(3,2) without bytecode caches)
+    # (16.25 against 16.37 MB at GL(3,2) without bytecode caches, median
+    # of nine processes per order)
     from .bftable import check_d1_duality_identity
     from . import blockcalc
     ctx = blockcalc.Context(args.n, args.q, 1, args.variant)

@@ -36,6 +36,17 @@ def test_f_number_and_hypothesis_flag():
     assert Context(2, 4, 1, "divisible").f_number == 2  # degree-1 count omits X and X-1
 
 
+def test_hypothesis_flag_matches_f_times_d():
+    # at d >= max(n, 2) the flag holds without forming F; everywhere it is
+    # F d >= n, F of GL(n,q) at d formed here, with d = 1 and q = 2, where
+    # F = 0, among the contexts
+    for n in range(0, 7):
+        for q in (2, 3, 4, 5):
+            for d in range(1, 9):
+                ctx = Context(n, q, d, "divisible")
+                assert ctx.f_hypothesis_holds == (ctx.f_number * d >= n), ctx
+
+
 def inner_product(nu, nu2, domain, ctx):
     """Exact restricted scalar product of two unipotent characters."""
     return Fraction(B.inner_matrix(ctx, domain)[(tuple(nu), tuple(nu2))], Q.gl_order(ctx.n, ctx.q))

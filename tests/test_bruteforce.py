@@ -1,6 +1,7 @@
 import ast
 import json
 from functools import cache
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from glblocks import qarith as Q
 from glblocks.errors import ScaleGuardError
 from glblocks.symchar import partition_index
 import cycref as R
+import dixonref as D
 import labelref as L
 
 ORACLE_GROUPS = [(2, 2), (2, 3), (3, 2), (2, 4)]
@@ -1229,6 +1231,244 @@ def test_primitive_root_power():
     assert BT._primitive_root_power(7, 6) == 3
     assert BT._primitive_root_power(13, 12) == 2
     assert BT._primitive_root_power(241, 240) == 7
+
+
+# -- the split by central characters, the class matrices read, the lift per orbit ------
+
+# every group the tests build a table for: the golden corpus's GL(1,q), the
+# first five groups and the larger ones
+TABLE_GROUPS = [(1, 2), (1, 3), (1, 4), (1, 5), (1, 7)] + DIXON_GROUPS + LARGER_ORACLE_GROUPS
+
+
+@pytest.mark.parametrize("n,q", TABLE_GROUPS)
+def test_dixon_table_matches_the_whole_space_route(n, q, monkeypatch):
+    # the same degrees, the same rows up to their order, and the same dump;
+    # at q = 2 there is no centre to split by, and the table is the same
+    tab, ref = BT.dixon_table(n, q), D.whole_space_dixon_table(n, q)
+    assert sorted(tab.degrees) == sorted(ref.degrees)
+    assert (tab.modulus, tab.root) == (ref.modulus, ref.root)
+    assert sorted(tab.residues) == sorted(ref.residues)
+    assert tab._replace(degrees=ref.degrees, residues=ref.residues) == ref
+    if q == 2:
+        assert tab == ref
+    dump = BT.oracle_dump(n, q)
+    monkeypatch.setattr(BT, "dixon_table", lambda n, q: ref)
+    monkeypatch.setattr(BT, "borel_unipotent_constituents",
+                        BT.borel_unipotent_constituents.__wrapped__)
+    assert BT.oracle_dump(n, q) == dump
+
+
+@pytest.mark.parametrize("n,q", [(1, 7), (2, 3), (2, 4), (2, 5), (2, 7)])
+def test_rows_come_grouped_by_central_character(n, q):
+    # chi(z) = chi(1) lam for z the centre's generator: the rows come in
+    # ascending powers lam of w^(e/(q-1)), one run of rows per power
+    tab = BT.dixon_table(n, q)
+    data = BF.oracle_classes(n, q)
+    powers = BT._power_classes(data.group, data.class_of, tab.reps)
+    centre = next(i for i, s in enumerate(tab.sizes) if s == 1 and len(powers[i]) == q - 1)
+    step = pow(tab.root, tab.exponent // (q - 1), tab.modulus)
+    lams = [pow(step, t, tab.modulus) for t in range(q - 1)]
+    exponents = [lams.index(row[centre] * pow(deg, -1, tab.modulus) % tab.modulus)
+                 for deg, row in zip(tab.degrees, tab.residues)]
+    assert exponents == sorted(exponents) and len(set(exponents)) == q - 1
+
+
+@pytest.mark.parametrize("n,q", DIXON_GROUPS)
+def test_lift_per_orbit_matches_the_lift_per_class(n, q):
+    _, args, _ = recorded_lift(n, q)
+    assert BT._lift(*args) == D.per_class_lift(*args)
+
+
+def test_split_builds_only_the_class_matrices_it_reads(monkeypatch):
+    # the centre's (at q = 2 the identity's), then those the split reads,
+    # at most one per cycle of the centre, each once; all k were built before
+    built = []
+    real = BT._class_matrix
+    monkeypatch.setattr(BT, "_class_matrix",
+                        lambda group, i, *rest: built.append(i) or real(group, i, *rest))
+    counts = {}
+    for n, q in [(3, 2), (2, 4), (2, 5), (3, 3), (4, 2)]:
+        built.clear()
+        BT.dixon_table.__wrapped__(n, q)
+        k = len(BF.oracle_classes(n, q).reps)
+        assert len(set(built)) == len(built) < k
+        counts[n, q] = len(built)
+    assert counts == {(3, 2): 5, (2, 4): 4, (2, 5): 7, (3, 3): 9, (4, 2): 10}
+
+
+def test_scalar_test_and_restriction():
+    # M swaps e_0 and e_1 and fixes e_2 mod 7: one scalar on the span of
+    # e_0 + e_1 and e_2, and on no space holding e_0
+    ell, M = 7, [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+    assert BT._scalar_on(M, [(1, 1, 0), (0, 0, 3)], ell) == 1
+    assert BT._scalar_on(M, [(1, 6, 0)], ell) == 6
+    assert BT._scalar_on(M, [(1, 1, 0), (1, 6, 0)], ell) is None
+    assert BT._scalar_on(M, [(1, 0, 0)], ell) is None
+    assert BT._restrict_mod(M, [(1, 1, 0), (1, 6, 0)], ell) == [[1, 0], [0, 6]]
+    with pytest.raises(ArithmeticError, match="basis vectors are dependent"):
+        BT._restrict_mod(M, [(1, 1, 0), (2, 2, 0)], ell)
+    with pytest.raises(ArithmeticError, match="image escaped the subspace"):
+        BT._restrict_mod(M, [(1, 0, 0)], ell)
+
+
+def test_root_scan_matches_horner_per_x():
+    import random
+    rng = random.Random(32)
+    for ell in (2, 7, 241, 1153):
+        for degree in range(0, 8):
+            coeffs = [rng.randrange(ell) for _ in range(degree)] + [1]
+            assert BT._roots_mod(coeffs, ell) == \
+                [x for x in range(ell) if charpoly_value(coeffs, x, ell) == 0]
+
+
+def test_a_changed_class_constant_raises(monkeypatch):
+    # each constant of the first class matrix the split reads after the
+    # centre's, on GL(2,3), and one on GL(2,5), one too high: refused
+    real = BT._class_matrix
+
+    def refused(n, q, j, kk):
+        built = []
+
+        def changed(*args):
+            M = real(*args)
+            built.append(M)
+            if len(built) == 2:
+                M[j][kk] += 1
+            return M
+        monkeypatch.setattr(BT, "_class_matrix", changed)
+        with pytest.raises(ArithmeticError) as exc:
+            BT.dixon_table.__wrapped__(n, q)
+        assert len(built) >= 2
+        return str(exc.value)
+    k = len(BF.oracle_classes(2, 3).reps)
+    for j in range(k):
+        for kk in range(k):
+            refused(2, 3, j, kk)
+    assert refused(2, 5, 0, 0) == "image escaped the subspace"
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 2), (2, 4), (2, 5)])
+def test_a_split_step_reported_scalar_raises(n, q, monkeypatch):
+    # the first step on which the class matrix is not one scalar reports
+    # one: the later steps split the space, and a line disagrees with it
+    real, lied = BT._scalar_on, []
+
+    def lie(M, basis, ell):
+        lam = real(M, basis, ell)
+        if lam is None and not lied:
+            lied.append(basis)
+            return 1
+        return lam
+    monkeypatch.setattr(BT, "_scalar_on", lie)
+    with pytest.raises(ArithmeticError, match="a line disagrees with an eigenvalue the split gave it"):
+        BT.dixon_table.__wrapped__(n, q)
+    assert lied
+
+
+def test_every_step_reported_scalar_reaches_no_lines(monkeypatch):
+    monkeypatch.setattr(BT, "_scalar_on", lambda M, basis, ell: 1)
+    with pytest.raises(ArithmeticError, match="did not reach lines"):
+        BT.dixon_table.__wrapped__(3, 2)
+
+
+def tampered_powers(power_class, inverse_class):
+    """power_class with the j-th and (o-j)-th powers of one class swapped, o
+    its order, where they differ and o has units other than 1 and -1, and
+    its inverse's row to match: the inverse rows stay reversed, but the
+    class of r^a, for a third unit a, no longer has r's powers at a*m."""
+    rows = [list(row) for row in power_class]
+    for i, row in enumerate(rows):
+        o = len(row)
+        j = next((j for j in range(2, o) if row[j] != row[o - j]), None)
+        if j is not None and sum(gcd(a, o) == 1 for a in range(o)) > 2:
+            row[j], row[o - j] = row[o - j], row[j]
+            rows[inverse_class[i]] = row[:1] + row[:0:-1]
+            return rows
+    raise LookupError("no class to tamper with")
+
+
+def test_tampered_power_classes_raise(monkeypatch):
+    # on GL(2,4): one row tampered breaks the reversal of the inverse's; a
+    # row and its inverse's tampered alike break the orbit under a -> a*m
+    real = BT._power_classes
+    data = BF.oracle_classes(2, 4)
+    inverse_class = [data.class_of[data.group.inverses[r]] for r in data.reps]
+
+    def one_row(*args):
+        # r and r^2 swapped in the row of the first class where they differ
+        rows = real(*args)
+        i = next(i for i, row in enumerate(rows) if len(row) >= 3 and row[1] != row[2])
+        rows[i] = rows[i][:1] + rows[i][2:3] + rows[i][1:2] + rows[i][3:]
+        return rows
+    monkeypatch.setattr(BT, "_power_classes", one_row)
+    with pytest.raises(ArithmeticError, match="the powers of an inverse class are not reversed"):
+        BT.dixon_table.__wrapped__(2, 4)
+    monkeypatch.setattr(BT, "_power_classes",
+                        lambda *args: tampered_powers(real(*args), inverse_class))
+    with pytest.raises(ArithmeticError, match="not the powers at a.m"):
+        BT.dixon_table.__wrapped__(2, 4)
+
+
+def test_lift_refuses_a_power_class_or_a_root_that_does_not_fit():
+    tab, (chars_mod, degrees, power_class, e, ell, z, modulus, w), _ = recorded_lift(2, 5)
+    broken = tampered_powers(power_class, tab.inverse_class)
+    with pytest.raises(ArithmeticError, match="not the powers at a.m"):
+        BT._lift(chars_mod, degrees, broken, e, ell, z, modulus, w)
+    # w^-1 is a primitive e-th root of unity mod M too, but not z mod ell
+    with pytest.raises(ArithmeticError, match="modular roundtrip failed"):
+        BT._lift(chars_mod, degrees, power_class, e, ell, z, modulus, pow(w, e - 1, modulus))
+
+
+def test_tampered_centre_permutation_raises(monkeypatch):
+    # each pair of classes of GL(2,4) whose images under the centre are
+    # swapped: the cycles give vectors that are no eigenvectors of its
+    # matrix, or too few of them
+    real = BT._centre_permutation
+    k = len(BF.oracle_classes(2, 4).reps)
+    for a in range(k):
+        for b in range(a + 1, k):
+            def swapped(*args):
+                sigma = real(*args)
+                sigma[a], sigma[b] = sigma[b], sigma[a]
+                return sigma
+            monkeypatch.setattr(BT, "_centre_permutation", swapped)
+            with pytest.raises(ArithmeticError, match="the central spaces are not the eigenspaces"):
+                BT.dixon_table.__wrapped__(2, 4)
+    monkeypatch.setattr(BT, "_centre_permutation", lambda *args: [0] * k)
+    with pytest.raises(ArithmeticError, match="the centre does not permute the classes"):
+        BT.dixon_table.__wrapped__(2, 4)
+
+
+def test_centre_of_the_wrong_shape_raises(monkeypatch):
+    # a central class of GL(2,3) given size 2: one class of size 1 left
+    data = BF.oracle_classes(2, 3)
+    sizes = list(data.sizes)
+    sizes[sizes.index(1)] = 2
+    monkeypatch.setattr(BT, "oracle_classes", lambda n, q: data._replace(sizes=tuple(sizes)))
+    with pytest.raises(ArithmeticError, match="the centre is not cyclic with q - 1 classes"):
+        BT.dixon_table.__wrapped__(2, 3)
+
+
+def test_a_line_at_zero_or_a_repeated_root_raises(monkeypatch):
+    kernel_mod, roots_mod = BT._kernel_mod, BT._roots_mod
+    with monkeypatch.context() as patch:
+        patch.setattr(BT, "_kernel_mod",
+                      lambda M, ell: [[0] * len(M)] if len(kernel_mod(M, ell)) == 1
+                      else kernel_mod(M, ell))
+        with pytest.raises(ArithmeticError, match="eigenvector vanishes at the identity class"):
+            BT.dixon_table.__wrapped__(2, 3)
+    # on GL(2,2), the kernel at the first root taken in place of the last:
+    # a character twice and one missing, of another degree
+    first = []
+
+    def repeated(coeffs, ell):
+        found = roots_mod(coeffs, ell)
+        first.append(found)
+        return found[:1] + found[:-1] if len(first) == 1 else found
+    monkeypatch.setattr(BT, "_roots_mod", repeated)
+    with pytest.raises(ArithmeticError, match="squared degrees do not sum to"):
+        BT.dixon_table.__wrapped__(2, 2)
+    assert len(first[0]) >= 2
 
 
 # -- primary spaces once per element -------------------------------------------------

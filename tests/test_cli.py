@@ -751,8 +751,9 @@ def test_the_bound_on_f_is_the_interpreters(capsys, default_int_digits):
 
 
 def test_blocks_json_forms_f_once(capsys, monkeypatch):
-    # blocks json reads F for its guard, its report and the hypothesis flag;
-    # the count is formed once (d = 9,973 is prime and read nowhere else)
+    # blocks json reads F for its guard and its report, and the hypothesis
+    # flag at d < n; the count is formed once (d = 9,973 is prime and read
+    # nowhere else)
     from glblocks import qarith
     counted = []
 
@@ -764,6 +765,25 @@ def test_blocks_json_forms_f_once(capsys, monkeypatch):
     code, out = run(["blocks", "--n", "2", "--q", "2", "--d", "9973", "--output", "json"], capsys)
     assert code == 0 and json.loads(out)["f_hypothesis_holds"]
     assert counted.count((2, 9973)) == 1
+
+
+def test_blocks_text_forms_no_f(capsys, monkeypatch):
+    # the text form prints no F, and at d >= max(n, 2) the hypothesis holds
+    # without it: the count of irreducibles is never formed
+    from glblocks import glclass
+    counted = []
+    monkeypatch.setattr(glclass, "non_unipotent_count", lambda q, d: counted.append((q, d)))
+    code, out = run(["blocks", "--n", "2", "--q", "2", "--d", "9973"], capsys)
+    assert code == 0 and out.endswith("verdict: equal\n") and counted == []
+
+
+def test_blocks_text_at_a_d_of_hundreds_of_millions_is_quick():
+    # F of GL(2,2) at d = 3·10⁸ has about 9·10⁷ digits; forming it, only to
+    # test F d >= n, took 4.4 s before
+    out = subprocess.run([sys.executable, "-m", "glblocks.cli", "blocks", "--n", "2", "--q", "2",
+                          "--d", "300000000"], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                         capture_output=True, text=True, timeout=2, check=True).stdout
+    assert out.endswith("verdict: equal\n")
 
 
 def test_blocks_text_at_a_d_of_many_divisors_is_quick():
