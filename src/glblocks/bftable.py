@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from functools import cache
 from math import gcd, isqrt, lcm
-from operator import itemgetter, mul
+from operator import mul
 from typing import NamedTuple
 
 from .bruteforce import _primary_spaces, oracle_classes
@@ -163,23 +163,16 @@ def _roots_mod(coeffs, ell):
 
 
 def _scalar_on(M, basis, ell):
-    """lam if M b = lam b mod ell for every b in the basis, else None, the
-    first unequal entry ending the test: M then keeps the span of the basis
-    and acts on it as one scalar.  Each product runs over the support of b."""
+    """lam if M b = lam b mod ell for every b in the basis, else None: M
+    then keeps the span of the basis and acts on it as one scalar."""
     lam = None
     for b in basis:
-        support = [j for j, x in enumerate(b) if x]
-        if not support:
-            continue
-        pick, coords = itemgetter(*support), [b[j] for j in support]
-        if len(support) == 1:
-            pick = itemgetter(slice(support[0], support[0] + 1))
+        image = [sum(map(mul, row, b)) % ell for row in M]
         if lam is None:
-            j = support[0]
-            lam = sum(map(mul, pick(M[j]), coords)) * pow(b[j], -1, ell) % ell
-        for row, x in zip(M, b):
-            if (sum(map(mul, pick(row), coords)) - lam * x) % ell:
-                return None
+            j = next(j for j, x in enumerate(b) if x)
+            lam = image[j] * pow(b[j], -1, ell) % ell
+        if image != [lam * x % ell for x in b]:
+            return None
     return lam
 
 
@@ -219,33 +212,47 @@ def _centre_permutation(group, reps, class_of, centre):
 def _cycles(sigma):
     """The cycles kk, sigma(kk), ... of a permutation, each from its least
     element, in ascending order of it."""
-    seen, cycles = [False] * len(sigma), []
-    for start in range(len(sigma)):
-        if not seen[start]:
-            cycle = [start]
-            while sigma[cycle[-1]] != start:
-                cycle.append(sigma[cycle[-1]])
-            for kk in cycle:
-                seen[kk] = True
-            cycles.append(cycle)
+    cycles = []
+    for kk in range(len(sigma)):
+        if all(kk not in cycle for cycle in cycles):
+            cycles.append([kk])
+            while sigma[cycles[-1][-1]] != kk:
+                cycles[-1].append(sigma[cycles[-1][-1]])
     return cycles
 
 
-def _central_spaces(cycles, order, root, ell):
-    """[(lam, basis)] for each power lam of root, a primitive order-th root
-    of unity mod ell, ascending in the exponent: on each cycle kk,
-    sigma(kk), ..., sigma^(s-1)(kk) of the centre with lam^s = 1, the vector
-    lam^-u at sigma^u(kk), 0 off the cycle, which K_centre maps to lam times
-    itself.  At order 1 this is the standard basis of the whole space."""
-    k = sum(map(len, cycles))
-    spaces = [(pow(root, t, ell), []) for t in range(order)]
-    for cycle in cycles:
-        for t in range(0, order, order // gcd(order, len(cycle))):
-            v = [0] * k
-            for u, kk in enumerate(cycle):
-                v[kk] = pow(root, -t * u % order, ell)
-            spaces[t][1].append(tuple(v))
-    return [(lam, basis) for lam, basis in spaces if basis]
+def _split(M, spaces, i, ell):
+    """Each (basis, history) of `spaces`, M-invariant, split by M, the
+    matrix of class i: kept whole, with (i, lam) in its history, where M
+    acts on it as one scalar lam, else into the kernels of M - x at each
+    root x mod ell of the characteristic polynomial of M restricted to it,
+    each with (i, x)."""
+    nxt = []
+    for basis, history in spaces:
+        if len(basis) == 1:
+            nxt.append((basis, history))
+            continue
+        lam = _scalar_on(M, basis, ell)
+        if lam is not None:
+            nxt.append((basis, history + ((i, lam),)))
+            continue
+        m = len(basis)
+        R = _restrict_mod(M, basis, ell)
+        columns = list(zip(*basis))
+        # only a root of the characteristic polynomial has a kernel
+        found = 0
+        for x in _roots_mod(_charpoly_mod(R, ell), ell):
+            shifted = [[(R[a][b] - (x if a == b else 0)) % ell
+                        for b in range(m)] for a in range(m)]
+            ker = _kernel_mod(shifted, ell)
+            if not ker:
+                raise ArithmeticError("class algebra failed to split over the chosen prime")
+            nxt.append(([tuple(sum(map(mul, kv, col)) % ell for col in columns)
+                         for kv in ker], history + ((i, x),)))
+            found += len(ker)
+        if found != m:
+            raise ArithmeticError("class algebra failed to split over the chosen prime")
+    return nxt
 
 
 class CharacterTable(NamedTuple):
@@ -332,22 +339,18 @@ def _lift(chars_mod, degrees, power_class, e, ell, z, modulus, w):
             lifts[o] = ([[o_inv * z_pows[(-j * m) % e] % ell for m in range(o)]
                          for j in range(0, e, stride)], w_row)
     residues = [[0] * len(power_class) for _ in chars_mod]
-    done = [False] * len(power_class)
+    done = set()
     for i, powers in enumerate(power_class):
-        if done[i]:
+        if i in done:
             continue
+        # the classes c of r^a, a prime to o, each with a: the multiplicity
+        # of r at the t-th root is that of c at the (t a)-th
         o = len(powers)
-        # the classes c of r^a, a prime to o: the multiplicity of r at the
-        # t-th root is that of c at the (t a)-th
-        done[i], orbit = True, [(i, 1)]
-        for a in range(2, o):
-            c = powers[a]
-            if gcd(a, o) != 1 or done[c]:
-                continue
-            if power_class[c] != [powers[a * m % o] for m in range(o)]:
-                raise ArithmeticError("the powers of a power class are not the powers at a*m")
-            done[c] = True
-            orbit.append((c, a))
+        orbit = {powers[a]: a for a in range(o - 1, 1, -1) if gcd(a, o) == 1}
+        orbit[i] = 1
+        done.update(orbit)
+        if any(power_class[c] != [powers[a * m % o] for m in range(o)] for c, a in orbit.items()):
+            raise ArithmeticError("the powers of a power class are not the powers at a*m")
         roots, w_row = lifts[o]
         for chi, cm in enumerate(chars_mod):
             chi_powers = [cm[c] for c in powers]
@@ -356,7 +359,7 @@ def _lift(chars_mod, degrees, power_class, e, ell, z, modulus, w):
             if sum(mults) != degrees[chi]:
                 raise ArithmeticError("multiplicities do not sum to the degree")
             nonzero = [(t, m) for t, m in enumerate(mults) if m]
-            for c, a in orbit:
+            for c, a in orbit.items():
                 image = sum(m * w_row[t * a % o] for t, m in nonzero) % modulus
                 if image % ell != cm[c]:
                     raise ArithmeticError("modular roundtrip failed")
@@ -393,78 +396,67 @@ def dixon_table(n: int, q: int) -> CharacterTable:
 
     # the centre, the scalars, is cyclic of order q - 1, each element a
     # class of its own: a class of size 1 and order q - 1 generates it.
-    # Its class sum permutes the others, and its eigenspaces, one per
-    # central character, are read off the cycles without elimination
+    # Its class sum permutes the classes by sigma, and its matrix, built
+    # from its element, must be the permutation matrix of sigma
     central = [i for i, s in enumerate(sizes) if s == 1]
     centre = next((i for i in central if len(power_class[i]) == q - 1), None)
     if len(central) != q - 1 or centre is None:
         raise ArithmeticError("the centre is not cyclic with q - 1 classes")
-    centre_matrix = _class_matrix(group, centre, reps, class_of)
     sigma = _centre_permutation(group, reps, class_of, reps[centre])
-    if sorted(sigma) != list(range(k)):
-        raise ArithmeticError("the centre does not permute the classes")
-    # k eigenvectors of the centre's matrix, each space's of one eigenvalue
-    # and with disjoint supports, are a basis, and each space is a whole
-    # eigenspace.  Each space carries the eigenvalues (class, lam) the split
-    # gave it: a line's central character must agree with every one of them
-    cycles = _cycles(sigma)
-    spaces = [(basis, ((centre, lam),))
-              for lam, basis in _central_spaces(cycles, q - 1, pow(z, e // (q - 1), ell), ell)]
-    if sum(len(basis) for basis, _ in spaces) != k or \
-            any(_scalar_on(centre_matrix, basis, ell) != lam for basis, ((_, lam),) in spaces):
-        raise ArithmeticError("the central spaces are not the eigenspaces of the centre")
+    if _class_matrix(group, centre, reps, class_of) != [[int(s == j) for s in sigma]
+                                                        for j in range(k)]:
+        raise ArithmeticError("the centre's class matrix is not a permutation of the classes")
 
-    # split further into common eigenlines one class matrix at a time, each
+    # The eigenspace of that matrix at lam = root^t, one per central
+    # character, has a basis of one vector per cycle c of sigma of length s
+    # with lam^s = 1: lam^-u at sigma^u(c), 0 off c.  On it the class sum
+    # of sigma^-1(i) is lam times that of i, so only the first class of
+    # each cycle is read, and none of the centre's cycle, the identity's.
+    # The matrix of class i acts there as R, R[a][b] the value of its
+    # product with the b-th vector at the least class of cycle a, where the
+    # a-th vector alone is nonzero.  Each eigenspace is split in those
+    # coordinates into common eigenlines, one class matrix at a time, each
     # built when first read; distinct characters have distinct eigenvalue
-    # vectors, so this always terminates with k lines.  On a space where
-    # the centre's class sum is lam, the class sum of sigma^-1(i) is lam
-    # times that of i, so only the first class of each cycle is read, and
-    # none of the centre's cycle, the identity's, whose sums are scalars
-    for i in (cycle[0] for cycle in cycles if centre not in cycle):
-        if all(len(basis) == 1 for basis, _ in spaces):
-            break
-        M = None
-        nxt = []
-        for basis, history in spaces:
-            if len(basis) == 1:
-                nxt.append((basis, history))
-                continue
-            if M is None:
-                M = _class_matrix(group, i, reps, class_of)
-            lam = _scalar_on(M, basis, ell)
-            if lam is not None:
-                nxt.append((basis, history + ((i, lam),)))
-                continue
-            m = len(basis)
-            R = _restrict_mod(M, basis, ell)
-            columns = list(zip(*basis))
-            # only a root of the characteristic polynomial has a kernel
-            found = 0
-            for x in _roots_mod(_charpoly_mod(R, ell), ell):
-                shifted = [[(R[a][b] - (x if a == b else 0)) % ell
-                            for b in range(m)] for a in range(m)]
-                ker = _kernel_mod(shifted, ell)
-                if not ker:
-                    raise ArithmeticError("class algebra failed to split over the chosen prime")
-                nxt.append(([tuple(sum(map(mul, kv, col)) % ell for col in columns)
-                             for kv in ker], history + ((i, x),)))
-                found += len(ker)
-            if found != m:
-                raise ArithmeticError("class algebra failed to split over the chosen prime")
-        spaces = nxt
-    if not (len(spaces) == k and all(len(basis) == 1 for basis, _ in spaces)):
-        raise ArithmeticError("eigenvector splitting did not reach lines")
+    # vectors, so this always terminates with lines.  Each line carries
+    # the eigenvalues (class, lam) the split gave it
+    cycles = _cycles(sigma)
+    leaders = [cycle[0] for cycle in cycles if centre not in cycle]
+    root, mats, lines = pow(z, e // (q - 1), ell), {}, []
+    for t in range(q - 1):
+        lam_inv = [pow(root, -t * u % (q - 1), ell) for u in range(q - 1)]
+        on = [cycle for cycle in cycles if t * len(cycle) % (q - 1) == 0]
+        spaces = [([tuple(int(a == b) for b in range(len(on))) for a in range(len(on))], ())]
+        for i in leaders:
+            if all(len(basis) == 1 for basis, _ in spaces):
+                break
+            if i not in mats:
+                mats[i] = _class_matrix(group, i, reps, class_of)
+            R = [[sum(row[j] * lam_inv[u] for u, j in enumerate(b)) % ell for b in on]
+                 for row in (mats[i][a[0]] for a in on)]
+            spaces = _split(R, spaces, i, ell)
+        if not all(len(basis) == 1 for basis, _ in spaces):
+            raise ArithmeticError("eigenvector splitting did not reach lines")
+        for (v,), history in spaces:
+            full = [0] * k
+            for x, cycle in zip(v, on):
+                for u, j in enumerate(cycle):
+                    full[j] = x * lam_inv[u] % ell
+            lines.append((full, history))
 
     id_cls = class_of[group.id_index]
     size_inv = [pow(s, -1, ell) for s in sizes]
     chars_mod = []
     degrees = []
-    omegas = []
-    for (v,), history in spaces:
+    for v, history in lines:
         if v[id_cls] % ell == 0:
             raise ArithmeticError("eigenvector vanishes at the identity class")
         norm = pow(v[id_cls], -1, ell)
         omega = [(x * norm) % ell for x in v]
+        # omega[i] = omega_chi(K_i) is the eigenvalue of the i-th class
+        # matrix on the line, so a step that kept a space whole as a scalar
+        # it was not on leaves a line that disagrees here
+        if any(omega[i] != lam for i, lam in history):
+            raise ArithmeticError("a line disagrees with an eigenvalue the split gave it")
         t = sum(omega[i] * omega[inv_class[i]] * size_inv[i] for i in range(k)) % ell
         target = size * pow(t, -1, ell) % ell
         deg = next((s for s in range(1, isqrt(size) + 1) if s * s % ell == target), None)
@@ -472,14 +464,8 @@ def dixon_table(n: int, q: int) -> CharacterTable:
             raise ArithmeticError(f"no degree s <= isqrt(|G|) has s^2 = {target} mod {ell}")
         chars_mod.append([deg * x * s_inv % ell for x, s_inv in zip(omega, size_inv)])
         degrees.append(deg)
-        omegas.append((omega, history))
     if sum(d * d for d in degrees) != size:
         raise ArithmeticError("squared degrees do not sum to |G|")
-    # omega[i] = omega_chi(K_i) is the eigenvalue of the i-th class matrix
-    # on the line, so a step that kept a space whole as a scalar it was not
-    # on leaves a line that disagrees here
-    if any(omega[i] != lam for omega, history in omegas for i, lam in history):
-        raise ArithmeticError("a line disagrees with an eigenvalue the split gave it")
 
     # every quantity tested exactly, less the integer it is read as, has
     # conjugates within this bound: the values within D, the orthogonality

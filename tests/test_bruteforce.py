@@ -1321,30 +1321,46 @@ def test_root_scan_matches_horner_per_x():
                 [x for x in range(ell) if charpoly_value(coeffs, x, ell) == 0]
 
 
-def test_a_changed_class_constant_raises(monkeypatch):
+def test_a_changed_class_constant_raises_where_it_is_read(monkeypatch):
     # each constant of the first class matrix the split reads after the
-    # centre's, on GL(2,3), and one on GL(2,5), one too high: refused
-    real = BT._class_matrix
+    # centre's, on GL(2,3), one too high: the table is refused, or, where
+    # the split never reads the constant's row (it reads the least class of
+    # each cycle of the centre), the same table comes back; on GL(2,5), the
+    # constant at (0, 0), in a row that is read, is refused
+    real, ref = BT._class_matrix, sorted(D.whole_space_dixon_table(2, 3).residues)
 
-    def refused(n, q, j, kk):
+    def changed_at(j, kk, read):
         built = []
+
+        class Rows(list):
+            def __getitem__(self, a):
+                read.add(a)
+                return list.__getitem__(self, a)
 
         def changed(*args):
             M = real(*args)
             built.append(M)
             if len(built) == 2:
                 M[j][kk] += 1
+                return Rows(M)
             return M
         monkeypatch.setattr(BT, "_class_matrix", changed)
-        with pytest.raises(ArithmeticError) as exc:
-            BT.dixon_table.__wrapped__(n, q)
-        assert len(built) >= 2
-        return str(exc.value)
+    refused = 0
     k = len(BF.oracle_classes(2, 3).reps)
     for j in range(k):
         for kk in range(k):
-            refused(2, 3, j, kk)
-    assert refused(2, 5, 0, 0) == "image escaped the subspace"
+            read = set()
+            changed_at(j, kk, read)
+            try:
+                tab = BT.dixon_table.__wrapped__(2, 3)
+            except ArithmeticError:
+                refused += 1
+                continue
+            assert j not in read and sorted(tab.residues) == ref
+    assert refused == 40
+    changed_at(0, 0, set())
+    with pytest.raises(ArithmeticError):
+        BT.dixon_table.__wrapped__(2, 5)
 
 
 @pytest.mark.parametrize("n,q", [(2, 3), (3, 2), (2, 4), (2, 5)])
@@ -1421,21 +1437,24 @@ def test_lift_refuses_a_power_class_or_a_root_that_does_not_fit():
 
 def test_tampered_centre_permutation_raises(monkeypatch):
     # each pair of classes of GL(2,4) whose images under the centre are
-    # swapped: the cycles give vectors that are no eigenvectors of its
-    # matrix, or too few of them
+    # swapped, and a map that is no permutation: the centre's class matrix,
+    # built from its element, is not the permutation matrix of that map
     real = BT._centre_permutation
     k = len(BF.oracle_classes(2, 4).reps)
+
+    def swapped(a, b):
+        def permutation(*args):
+            sigma = real(*args)
+            sigma[a], sigma[b] = sigma[b], sigma[a]
+            return sigma
+        return permutation
     for a in range(k):
         for b in range(a + 1, k):
-            def swapped(*args):
-                sigma = real(*args)
-                sigma[a], sigma[b] = sigma[b], sigma[a]
-                return sigma
-            monkeypatch.setattr(BT, "_centre_permutation", swapped)
-            with pytest.raises(ArithmeticError, match="the central spaces are not the eigenspaces"):
+            monkeypatch.setattr(BT, "_centre_permutation", swapped(a, b))
+            with pytest.raises(ArithmeticError, match="the centre's class matrix is not a permutation"):
                 BT.dixon_table.__wrapped__(2, 4)
     monkeypatch.setattr(BT, "_centre_permutation", lambda *args: [0] * k)
-    with pytest.raises(ArithmeticError, match="the centre does not permute the classes"):
+    with pytest.raises(ArithmeticError, match="the centre's class matrix is not a permutation"):
         BT.dixon_table.__wrapped__(2, 4)
 
 
