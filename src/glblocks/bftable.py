@@ -179,13 +179,17 @@ def _scalar_on(M, basis, ell):
 def _class_matrix(group, i, reps, class_of):
     """M[j][kk] = c_ijk = #{x in C_i : x^-1 z_kk in C_j}, z_kk the
     representative of class kk: K_i K_j = sum_kk c_ijk K_kk, from one
-    product per element of C_i and class."""
+    product per element of C_i and class, taken for as many classes at
+    once as keep the list of products within |G|."""
     k = len(reps)
     inverses = [group.inverses[x] for x, c in enumerate(class_of) if c == i]
     M = [[0] * k for _ in range(k)]
-    for kk, z in enumerate(reps):
-        for g in group.mul_pairs(inverses, [z] * len(inverses)):
-            M[class_of[g]][kk] += 1
+    step = max(1, len(class_of) // len(inverses))
+    for start in range(0, k, step):
+        chunk = reps[start:start + step]
+        products = group.mul_pairs(inverses * len(chunk), [z for z in chunk for _ in inverses])
+        for t, g in enumerate(products):
+            M[class_of[g]][start + t // len(inverses)] += 1
     return M
 
 
@@ -327,7 +331,11 @@ def _lift(chars_mod, degrees, power_class, e, ell, z, modulus, w):
     of w."""
     z_pows = [pow(z, m, ell) for m in range(e)]
     # per order o: the rows (1/o) z^(-jm), m < o, for each j that e/o
-    # divides, shared by every character, and the powers of w at those j
+    # divides, shared by every character, packed by column m into one
+    # integer, the t-th row's entry shifted by `shift` t bits, so that one
+    # sum of products gives every multiplicity of a value at once; and the
+    # powers of w at those j
+    shift = (e * ell * ell).bit_length()
     lifts = {}
     for powers in power_class:
         o = len(powers)
@@ -336,8 +344,8 @@ def _lift(chars_mod, degrees, power_class, e, ell, z, modulus, w):
             w_row, step = [1], pow(w, stride, modulus)
             while len(w_row) < o:
                 w_row.append(w_row[-1] * step % modulus)
-            lifts[o] = ([[o_inv * z_pows[(-j * m) % e] % ell for m in range(o)]
-                         for j in range(0, e, stride)], w_row)
+            lifts[o] = ([sum(o_inv * z_pows[(-j * m) % e] % ell << shift * t
+                             for t, j in enumerate(range(0, e, stride))) for m in range(o)], w_row)
     residues = [[0] * len(power_class) for _ in chars_mod]
     done = set()
     for i, powers in enumerate(power_class):
@@ -351,10 +359,10 @@ def _lift(chars_mod, degrees, power_class, e, ell, z, modulus, w):
         done.update(orbit)
         if any(power_class[c] != [powers[a * m % o] for m in range(o)] for c, a in orbit.items()):
             raise ArithmeticError("the powers of a power class are not the powers at a*m")
-        roots, w_row = lifts[o]
+        columns, w_row = lifts[o]
         for chi, cm in enumerate(chars_mod):
-            chi_powers = [cm[c] for c in powers]
-            mults = [sum(map(mul, chi_powers, row)) % ell for row in roots]
+            packed = sum(map(mul, map(cm.__getitem__, powers), columns))
+            mults = [(packed >> shift * t) % (1 << shift) % ell for t in range(o)]
             # every class of the orbit has these multiplicities, permuted
             if sum(mults) != degrees[chi]:
                 raise ArithmeticError("multiplicities do not sum to the degree")
