@@ -258,7 +258,7 @@ def _verify_thm44(args):
 def _verify_thm45(args):
     # bftable first: compiled before the engine modules are loaded, its
     # compilation peak sits lower, and with it the peak RSS of the command
-    # (16.25 against 16.37 MB at GL(3,2) without bytecode caches, median
+    # (16.38 against 16.51 MB at GL(3,2) without bytecode caches, median
     # of nine processes per order)
     from .bftable import check_d1_duality_identity
     from . import blockcalc
